@@ -1,0 +1,15 @@
+package main
+
+import (
+	"syscall"
+	"time"
+)
+
+// processCPU is the user+system CPU time this process has burned so far.
+func processCPU() time.Duration {
+	var ru syscall.Rusage
+	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
+		return 0
+	}
+	return time.Duration(ru.Utime.Nano() + ru.Stime.Nano())
+}
