@@ -52,7 +52,7 @@ func run(args []string) error {
 		return fmt.Errorf("pick experiments with -exp (ids: %s, or 'all')", strings.Join(bench.IDs(), ", "))
 	}
 
-	opts := bench.Options{Quick: *quick, Workers: *workers, FastpathJSON: *jsonOut, TransportJSON: *jsonOut, SoakJSON: *jsonOut, ScaleJSON: *jsonOut, ReadpathJSON: *jsonOut}
+	opts := bench.Options{Quick: *quick, Workers: *workers, JSON: *jsonOut}
 	if !*quiet {
 		opts.Log = os.Stderr
 	}

@@ -7,8 +7,10 @@
 package bench
 
 import (
+	"encoding/json"
 	"fmt"
 	"io"
+	"os"
 	"sort"
 	"strings"
 )
@@ -82,26 +84,11 @@ type Options struct {
 	Workers int
 	// Log receives progress lines (nil discards them).
 	Log io.Writer
-	// FastpathJSON, when non-empty, makes the fastpath experiment also
-	// write its per-config results to this path as JSON (the
-	// BENCH_fastpath.json perf-trajectory artifact).
-	FastpathJSON string
-	// TransportJSON, when non-empty, makes the transport experiment also
-	// write its per-op results to this path as JSON (the
-	// BENCH_transport.json artifact).
-	TransportJSON string
-	// SoakJSON, when non-empty, makes the soak experiment also write its
-	// per-scenario SLO reports to this path as JSON (the BENCH_soak.json
-	// artifact).
-	SoakJSON string
-	// ScaleJSON, when non-empty, makes the scale experiment also write its
-	// per-shard-count results to this path as JSON (the BENCH_scale.json
-	// artifact).
-	ScaleJSON string
-	// ReadpathJSON, when non-empty, makes the readpath experiment also write
-	// its per-config results to this path as JSON (the BENCH_readpath.json
-	// artifact).
-	ReadpathJSON string
+	// JSON, when non-empty, makes the experiments that keep a machine-
+	// readable perf trajectory (fastpath, transport, soak, scale, readpath)
+	// also write their per-config results to this path — the BENCH_<id>.json
+	// artifact. One path holds one experiment: run them one at a time.
+	JSON string
 }
 
 func (o Options) workers() int {
@@ -118,6 +105,22 @@ func (o Options) logf(format string, args ...any) {
 	if o.Log != nil {
 		fmt.Fprintf(o.Log, format+"\n", args...)
 	}
+}
+
+// writeJSON writes experiment exp's results document to o.JSON (a no-op
+// when no path was asked for).
+func (o Options) writeJSON(exp string, doc any) {
+	if o.JSON == "" {
+		return
+	}
+	data, err := json.MarshalIndent(doc, "", "  ")
+	if err != nil {
+		panic(fmt.Sprintf("bench: %s json: %v", exp, err))
+	}
+	if err := os.WriteFile(o.JSON, append(data, '\n'), 0o644); err != nil {
+		panic(fmt.Sprintf("bench: %s json: %v", exp, err))
+	}
+	o.logf("  %s: wrote %s", exp, o.JSON)
 }
 
 // Experiment is one runnable artifact reproduction.

@@ -1,9 +1,7 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"time"
 
 	"repro/internal/stats"
@@ -14,8 +12,9 @@ import (
 // paper-faithful baseline, one optimization at a time (IUs profile,
 // single-threaded client at ohio, fresh key per section):
 //
-//   - 1-get/1-put sections: grant piggyback + holder-cached reads must
-//     save the Get's full WAN quorum round trip;
+//   - 1-get/1-put sections: the session read served from the grant's
+//     piggybacked value must save the Get's full WAN quorum round trip over
+//     the Table I CriticalGet;
 //   - multi-put sections: Pipelined overlaps the writes' quorum round
 //     trips, Buffered coalesces them into one;
 //   - read-heavy sections over 4 KiB values: digest quorum reads shrink
@@ -28,28 +27,28 @@ func runFastpath(opts Options) []Table {
 	var results []fastpathResult
 
 	// Workload A: 1 get + 1 put per section.
-	oneGetOnePut := func(cs *music.CriticalSection) error {
-		if _, err := cs.Get(); err != nil {
+	oneGetOnePut := func(cs *music.CriticalSection, get fastpathGet) error {
+		if _, err := get(); err != nil {
 			return err
 		}
 		return cs.Put(value(64))
 	}
 	tblA := Table{
 		ID:      "fastpath",
-		Title:   "1-get/1-put critical section: grant piggyback + holder cache (IUs)",
+		Title:   "1-get/1-put critical section: Table I ops vs the session's held-value read (IUs)",
 		Columns: []string{"Config", "Mean CS latency", "p99", "vs sync"},
 		Notes: []string{
-			"sync is the paper-faithful default: every Get is a quorum read, every Put a synchronous quorum write",
-			"piggyback+cache serves the section's Get from the value fetched by the grant-time synchFlag quorum read — one full WAN quorum RTT saved",
+			"sync is the paper's Table I ops: the Get is a quorum CriticalGet, the Put a synchronous quorum write",
+			"piggyback+cache is the session default: cs.Get is served from the value fetched by the grant-time synchFlag quorum read — one full WAN quorum RTT saved",
 		},
 	}
 	var baseA time.Duration
 	for _, cfg := range []fastpathConfig{
-		{name: "sync"},
-		{name: "piggyback+cache", clientOpts: []music.ClientOption{music.WithHolderCache()}},
+		{name: "sync", tableI: true},
+		{name: "piggyback+cache"},
 		{name: "cache+pipelined+digest",
 			clusterOpts: []music.Option{music.WithDigestReads()},
-			clientOpts:  []music.ClientOption{music.WithHolderCache(), music.WithWritePolicy(music.WritePipelined)}},
+			clientOpts:  []music.ClientOption{music.WithWritePolicy(music.WritePipelined)}},
 	} {
 		opts.logf("  fastpath: 1get1put %s", cfg.name)
 		m := fastpathMeasure(cfg, iters, discard, "a", oneGetOnePut)
@@ -67,7 +66,7 @@ func runFastpath(opts Options) []Table {
 
 	// Workload B: 8 puts per section.
 	const batchB = 8
-	multiPut := func(cs *music.CriticalSection) error {
+	multiPut := func(cs *music.CriticalSection, _ fastpathGet) error {
 		for i := 0; i < batchB; i++ {
 			if err := cs.Put(value(256)); err != nil {
 				return err
@@ -104,12 +103,12 @@ func runFastpath(opts Options) []Table {
 		results = append(results, m.result("multiput8", cfg.name))
 	}
 
-	// Workload C: 6 quorum gets of a 4 KiB value per section (holder cache
-	// off, so every Get pays a quorum read — the path digest reads shrink).
+	// Workload C: 6 Table I gets of a 4 KiB value per section, so every Get
+	// pays a quorum read — the path digest reads shrink.
 	const getsC, sizeC = 6, 4096
-	multiGet := func(cs *music.CriticalSection) error {
+	multiGet := func(_ *music.CriticalSection, get fastpathGet) error {
 		for i := 0; i < getsC; i++ {
-			if _, err := cs.Get(); err != nil {
+			if _, err := get(); err != nil {
 				return err
 			}
 		}
@@ -131,8 +130,8 @@ func runFastpath(opts Options) []Table {
 	}
 	var baseC int64
 	for _, cfg := range []fastpathConfig{
-		{name: "full reads"},
-		{name: "digest reads", clusterOpts: []music.Option{music.WithDigestReads()}},
+		{name: "full reads", tableI: true},
+		{name: "digest reads", tableI: true, clusterOpts: []music.Option{music.WithDigestReads()}},
 	} {
 		opts.logf("  fastpath: digest %s", cfg.name)
 		m := fastpathMeasureSeeded(cfg, iters, discard, "c", seedC, multiGet)
@@ -148,18 +147,23 @@ func runFastpath(opts Options) []Table {
 		results = append(results, m.result("multiget6-4k", cfg.name))
 	}
 
-	if opts.FastpathJSON != "" {
-		writeFastpathJSON(opts, results)
-	}
+	writeFastpathJSON(opts, results)
 	return []Table{tblA, tblB, tblC}
 }
 
-// fastpathConfig names one cluster+client configuration under test.
+// fastpathConfig names one cluster+client configuration under test. tableI
+// rows read through the paper's op, cl.CriticalGet (always a quorum read on
+// these clusters), instead of the session's cs.Get — the paper-faithful
+// baseline the other rows are measured against.
 type fastpathConfig struct {
 	name        string
+	tableI      bool
 	clusterOpts []music.Option
 	clientOpts  []music.ClientOption
 }
+
+// fastpathGet reads the section's key the way the row's config says.
+type fastpathGet func() ([]byte, error)
 
 // fastpathMeasurement is one config's latency histogram and the coordinator
 // read bytes accumulated across the measured (post-discard) sections.
@@ -178,7 +182,7 @@ func (m fastpathMeasurement) result(workload, config string) fastpathResult {
 	}
 }
 
-func fastpathMeasure(cfg fastpathConfig, iters, discard int, prefix string, section func(*music.CriticalSection) error) fastpathMeasurement {
+func fastpathMeasure(cfg fastpathConfig, iters, discard int, prefix string, section func(*music.CriticalSection, fastpathGet) error) fastpathMeasurement {
 	return fastpathMeasureSeeded(cfg, iters, discard, prefix, nil, section)
 }
 
@@ -187,7 +191,7 @@ func fastpathMeasure(cfg fastpathConfig, iters, discard int, prefix string, sect
 // each key with seed first, and reports the post-discard latency histogram
 // and coordinator read-byte delta.
 func fastpathMeasureSeeded(cfg fastpathConfig, iters, discard int, prefix string,
-	seed func(*music.Client, string) error, section func(*music.CriticalSection) error) fastpathMeasurement {
+	seed func(*music.Client, string) error, section func(*music.CriticalSection, fastpathGet) error) fastpathMeasurement {
 
 	copts := append([]music.Option{music.WithSeed(7), music.WithObservability()}, cfg.clusterOpts...)
 	c, err := music.New(copts...)
@@ -209,7 +213,14 @@ func fastpathMeasureSeeded(cfg fastpathConfig, iters, discard int, prefix string
 				bytesAtWarmup = counterSum(c, "store_read_bytes_total")
 			}
 			start := c.Now()
-			if err := cl.RunCritical(key, section); err != nil {
+			err := cl.RunCritical(key, func(cs *music.CriticalSection) error {
+				get := fastpathGet(cs.Get)
+				if cfg.tableI {
+					get = func() ([]byte, error) { return cl.CriticalGet(key, cs.Ref()) }
+				}
+				return section(cs, get)
+			})
+			if err != nil {
 				panic(fmt.Sprintf("bench: fastpath %s: %v", cfg.name, err))
 			}
 			if i >= discard {
@@ -251,13 +262,5 @@ func writeFastpathJSON(opts Options, results []fastpathResult) {
 		Quick      bool             `json:"quick"`
 		Results    []fastpathResult `json:"results"`
 	}{Experiment: "fastpath", Profile: "IUs", Quick: opts.Quick, Results: results}
-	data, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		panic(fmt.Sprintf("bench: fastpath json: %v", err))
-	}
-	data = append(data, '\n')
-	if err := os.WriteFile(opts.FastpathJSON, data, 0o644); err != nil {
-		panic(fmt.Sprintf("bench: fastpath json: %v", err))
-	}
-	opts.logf("  fastpath: wrote %s", opts.FastpathJSON)
+	opts.writeJSON("fastpath", doc)
 }

@@ -1,9 +1,7 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"time"
 
 	"repro/internal/sim"
@@ -199,9 +197,7 @@ func runReadpath(opts Options) []Table {
 			fmt.Sprintf("%v", r.Flipped),
 		})
 	}
-	if opts.ReadpathJSON != "" {
-		writeReadpathJSON(opts, results)
-	}
+	writeReadpathJSON(opts, results)
 	return []Table{t}
 }
 
@@ -211,13 +207,5 @@ func writeReadpathJSON(opts Options, results []readpathResult) {
 		Quick      bool             `json:"quick"`
 		Results    []readpathResult `json:"results"`
 	}{Experiment: "readpath", Quick: opts.Quick, Results: results}
-	data, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		panic(fmt.Sprintf("bench: readpath json: %v", err))
-	}
-	data = append(data, '\n')
-	if err := os.WriteFile(opts.ReadpathJSON, data, 0o644); err != nil {
-		panic(fmt.Sprintf("bench: readpath json: %v", err))
-	}
-	opts.logf("  readpath: wrote %s", opts.ReadpathJSON)
+	opts.writeJSON("readpath", doc)
 }

@@ -1,9 +1,7 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"time"
 
 	"repro/internal/core"
@@ -216,9 +214,7 @@ func runScale(opts Options) []Table {
 			fmt.Sprintf("%.2fx", r.OpsPerSec/base),
 		})
 	}
-	if opts.ScaleJSON != "" {
-		writeScaleJSON(opts, results)
-	}
+	writeScaleJSON(opts, results)
 	return []Table{t}
 }
 
@@ -228,13 +224,5 @@ func writeScaleJSON(opts Options, results []scaleResult) {
 		Quick      bool          `json:"quick"`
 		Results    []scaleResult `json:"results"`
 	}{Experiment: "scale", Quick: opts.Quick, Results: results}
-	data, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		panic(fmt.Sprintf("bench: scale json: %v", err))
-	}
-	data = append(data, '\n')
-	if err := os.WriteFile(opts.ScaleJSON, data, 0o644); err != nil {
-		panic(fmt.Sprintf("bench: scale json: %v", err))
-	}
-	opts.logf("  scale: wrote %s", opts.ScaleJSON)
+	opts.writeJSON("scale", doc)
 }

@@ -1,11 +1,9 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"math/rand"
 	"net"
-	"os"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -83,9 +81,7 @@ func runSoak(opts Options) []Table {
 		reports = append(reports, rep)
 		addRow(rep.SLO.Scenario, rep)
 	}
-	if opts.SoakJSON != "" {
-		writeSoakJSON(opts, reports)
-	}
+	writeSoakJSON(opts, reports)
 	return []Table{tbl}
 }
 
@@ -313,13 +309,5 @@ func writeSoakJSON(opts Options, reports []soakReport) {
 		Quick      bool         `json:"quick"`
 		Reports    []soakReport `json:"reports"`
 	}{Experiment: "soak", Quick: opts.Quick, Reports: reports}
-	data, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		panic(fmt.Sprintf("bench: soak json: %v", err))
-	}
-	data = append(data, '\n')
-	if err := os.WriteFile(opts.SoakJSON, data, 0o644); err != nil {
-		panic(fmt.Sprintf("bench: soak json: %v", err))
-	}
-	opts.logf("  soak: wrote %s", opts.SoakJSON)
+	opts.writeJSON("soak", doc)
 }

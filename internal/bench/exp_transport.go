@@ -1,10 +1,8 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"net"
-	"os"
 	"time"
 
 	"repro/internal/nettrans"
@@ -61,9 +59,7 @@ func runTransport(opts Options) []Table {
 			transportResult{Op: op, Backend: "tcp", MeanMicros: int64(c.Mean() / time.Microsecond), P99Micros: int64(c.Quantile(0.99) / time.Microsecond)},
 		)
 	}
-	if opts.TransportJSON != "" {
-		writeTransportJSON(opts, results)
-	}
+	writeTransportJSON(opts, results)
 	return []Table{tbl}
 }
 
@@ -195,13 +191,5 @@ func writeTransportJSON(opts Options, results []transportResult) {
 		Quick      bool              `json:"quick"`
 		Results    []transportResult `json:"results"`
 	}{Experiment: "transport", Quick: opts.Quick, Results: results}
-	data, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		panic(fmt.Sprintf("bench: transport json: %v", err))
-	}
-	data = append(data, '\n')
-	if err := os.WriteFile(opts.TransportJSON, data, 0o644); err != nil {
-		panic(fmt.Sprintf("bench: transport json: %v", err))
-	}
-	opts.logf("  transport: wrote %s", opts.TransportJSON)
+	opts.writeJSON("transport", doc)
 }

@@ -179,6 +179,12 @@ func runCampaignSeed(seed int64, shards int, mode string) Outcome {
 		keySpan = 4
 	}
 
+	// Odd seeds read through the Table I op (a quorum read; read-your-writes
+	// safe because the campaign's clients write synchronously), even seeds
+	// through the session, whose reads the replica's held value serves — so
+	// the pinned batch certifies both ends of the read ladder over real TCP.
+	tableI := seed%2 == 1
+
 	inj.Start()
 	until := sched.End() + 200*time.Millisecond
 	var wg sync.WaitGroup
@@ -196,13 +202,17 @@ func runCampaignSeed(seed int64, shards int, mode string) Outcome {
 				// Errors are the faults doing their job; the checkers decide
 				// whether what did commit was admissible.
 				_ = cl.RunCritical(key, func(cs *music.CriticalSection) error {
-					if _, err := cs.Get(); err != nil {
+					get := cs.Get
+					if tableI {
+						get = func() ([]byte, error) { return cl.CriticalGet(key, cs.Ref()) }
+					}
+					if _, err := get(); err != nil {
 						return err
 					}
 					if err := cs.Put(val); err != nil {
 						return err
 					}
-					_, err := cs.Get()
+					_, err := get()
 					return err
 				})
 				rt.Sleep(10 * time.Millisecond)

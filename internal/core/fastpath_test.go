@@ -7,22 +7,12 @@ import (
 	"time"
 )
 
-// awaitSeeded polls AcquireLockSeeded until granted, returning the seed of
-// the granting call.
-func awaitSeeded(t *testing.T, w *world, r *Replica, key string, ref int64) ValueSeed {
-	t.Helper()
-	for i := 0; i < 10000; i++ {
-		ok, seed, err := r.AcquireLockSeeded(key, ref)
-		if err != nil {
-			t.Fatalf("AcquireLockSeeded(%s, %d): %v", key, ref, err)
-		}
-		if ok {
-			return seed
-		}
-		w.rt.Sleep(2 * time.Millisecond)
-	}
-	t.Fatalf("lock %s/%d never acquired", key, ref)
-	return ValueSeed{}
+// heldOf returns what r's grant record for key knows of the value.
+func heldOf(r *Replica, key string) heldValue {
+	s := r.shardFor(key)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.grants[key].held
 }
 
 func TestAcquireLockSeedsValue(t *testing.T) {
@@ -34,20 +24,21 @@ func TestAcquireLockSeedsValue(t *testing.T) {
 		if err != nil {
 			t.Fatalf("CreateLockRef: %v", err)
 		}
-		seed := awaitSeeded(t, w, w.rep[0], key, ref1)
-		if !seed.Valid || seed.Present {
-			t.Fatalf("fresh-key seed = %+v, want Valid && !Present", seed)
+		awaitLock(t, w, w.rep[0], key, ref1)
+		if seed := heldOf(w.rep[0], key); !seed.known || seed.present {
+			t.Fatalf("fresh-key seed = %+v, want known && !present", seed)
 		}
 		if err := w.rep[0].CriticalPut(key, ref1, []byte("v1")); err != nil {
 			t.Fatalf("CriticalPut: %v", err)
 		}
-		// Idempotent re-acquire performs no quorum read: no seed.
-		ok, reseed, err := w.rep[0].AcquireLockSeeded(key, ref1)
-		if err != nil || !ok {
+		// Idempotent re-acquire performs no quorum read and leaves the record
+		// — now holding the section's write — alone.
+		before := heldOf(w.rep[0], key)
+		if ok, err := w.rep[0].AcquireLock(key, ref1); err != nil || !ok {
 			t.Fatalf("re-acquire = %v, %v", ok, err)
 		}
-		if reseed.Valid {
-			t.Fatalf("re-acquire seed = %+v, want invalid (no quorum read ran)", reseed)
+		if after := heldOf(w.rep[0], key); after.seq != before.seq || string(after.value) != "v1" {
+			t.Fatalf("re-acquire changed the held value: %+v -> %+v", before, after)
 		}
 		if err := w.rep[0].ReleaseLock(key, ref1); err != nil {
 			t.Fatalf("ReleaseLock: %v", err)
@@ -59,9 +50,9 @@ func TestAcquireLockSeedsValue(t *testing.T) {
 		if err != nil {
 			t.Fatalf("CreateLockRef 2: %v", err)
 		}
-		seed = awaitSeeded(t, w, w.rep[1], key, ref2)
-		if !seed.Valid || !seed.Present || !bytes.Equal(seed.Value, []byte("v1")) {
-			t.Fatalf("seed after write = %+v, want Valid && Present && v1", seed)
+		awaitLock(t, w, w.rep[1], key, ref2)
+		if seed := heldOf(w.rep[1], key); !seed.known || !seed.present || !bytes.Equal(seed.value, []byte("v1")) {
+			t.Fatalf("seed after write = %+v, want known && present && v1", seed)
 		}
 	})
 }
@@ -81,13 +72,14 @@ func TestSeedAfterForcedReleaseSynchronization(t *testing.T) {
 		// The grant after a forced release runs synchronize; its seed is the
 		// value the synchronization re-stamped.
 		ref2, _ := w.rep[2].CreateLockRef(key)
-		seed := awaitSeeded(t, w, w.rep[2], key, ref2)
-		if !seed.Valid || !seed.Present || !bytes.Equal(seed.Value, []byte("preempted")) {
-			t.Fatalf("post-synchronize seed = %+v, want Valid && Present && preempted", seed)
+		awaitLock(t, w, w.rep[2], key, ref2)
+		seed := heldOf(w.rep[2], key)
+		if !seed.known || !seed.present || !bytes.Equal(seed.value, []byte("preempted")) {
+			t.Fatalf("post-synchronize seed = %+v, want known && present && preempted", seed)
 		}
 		got, err := w.rep[2].CriticalGet(key, ref2)
-		if err != nil || !bytes.Equal(got, seed.Value) {
-			t.Fatalf("CriticalGet = %q, %v; want seed value %q", got, err, seed.Value)
+		if err != nil || !bytes.Equal(got, seed.value) {
+			t.Fatalf("CriticalGet = %q, %v; want seed value %q", got, err, seed.value)
 		}
 	})
 }

@@ -4,8 +4,6 @@ import (
 	"hash/fnv"
 	"time"
 
-	"repro/internal/history"
-	"repro/internal/obs"
 	"repro/internal/store"
 )
 
@@ -13,7 +11,10 @@ import (
 // certifies a grant, the grant also issues the replica's *site* a
 // clock-skew-bounded lease on the key, and any client routed to the site —
 // not just the lockholder's session — serves Get locally for the lease
-// window. The safety argument (DESIGN.md "Adaptive consistency"):
+// window. The lease is no second copy of anything: it is a time window over
+// the grant record's held value (read.go), and it decides only *who else*
+// may take the read ladder's held rung. The safety argument (DESIGN.md
+// "Read plane"):
 //
 //   - The lease window is effTTL = min(LeaseTTL, T − 2·LeaseSkew), measured
 //     on the granting site's clock from the grant instant. A remote replica
@@ -32,17 +33,10 @@ import (
 //     never held the grant locally waits the same window out before
 //     dequeuing — so no new writer can be admitted while a remote lease
 //     still serves.
-//   - Every lease serve re-runs the full CriticalCheck guard (head peek,
-//     grant time, epoch fence, T bound), so a released, preempted, fenced,
-//     or expired lease can never serve; release/forced-release/epoch-fence
-//     paths also revoke the local lease record eagerly via forgetGrant.
-type leaseState struct {
-	ref         int64
-	startMicros int64
-	value       []byte
-	present     bool
-	haveValue   bool
-}
+//   - Every lease serve re-runs the full critical guard (head peek, grant
+//     time, epoch fence, T bound), so a released, preempted, fenced, or
+//     expired lease can never serve; release/forced-release/epoch-fence
+//     paths also drop the grant record eagerly via forgetGrant.
 
 // siteTag identifies this site in grant cells (SetGrantLWT): a granter whose
 // CAS lost its ack — or a second local poll racing it — recognizes the cell
@@ -81,122 +75,6 @@ func (r *Replica) leaseWaitMicros(startMicros int64) int64 {
 		return startMicros
 	}
 	return startMicros + int64((ttl+r.cfg.LeaseSkew)/time.Microsecond)
-}
-
-// installLease records the site lease a certified grant issues. The value is
-// seeded from the grant's piggybacked quorum read when available; without a
-// seed the lease serves nothing until a critical op of the section fills it.
-func (r *Replica) installLease(key string, ref, startMicros int64, seed ValueSeed) {
-	if !r.cfg.Leases {
-		return
-	}
-	l := &leaseState{ref: ref, startMicros: startMicros}
-	if seed.Valid {
-		l.haveValue, l.present = true, seed.Present
-		if seed.Value != nil {
-			l.value = append([]byte(nil), seed.Value...)
-		}
-	}
-	s := r.shardFor(key)
-	s.mu.Lock()
-	s.leases[key] = l
-	s.mu.Unlock()
-}
-
-// leaseUpdate folds a freshly stamped critical write into the lease value,
-// so site-local reads observe the section's own writes immediately.
-func (r *Replica) leaseUpdate(key string, ref int64, value []byte, present bool) {
-	if !r.cfg.Leases {
-		return
-	}
-	s := r.shardFor(key)
-	s.mu.Lock()
-	if l, ok := s.leases[key]; ok && l.ref == ref {
-		l.haveValue, l.present = true, present
-		l.value = nil
-		if present {
-			l.value = append([]byte(nil), value...)
-		}
-	}
-	s.mu.Unlock()
-}
-
-// leasePeek serves a critical get of the section that holds the lease. The
-// caller has already passed guardCritical for ref; only the lease window and
-// value availability are checked here.
-func (r *Replica) leasePeek(key string, ref int64) (value []byte, present, ok bool) {
-	if !r.cfg.Leases {
-		return nil, false, false
-	}
-	now := r.nowMicros()
-	s := r.shardFor(key)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	l, exists := s.leases[key]
-	if !exists || l.ref != ref || !l.haveValue || !r.leaseLive(l.startMicros, now) {
-		return nil, false, false
-	}
-	return l.value, l.present, true
-}
-
-// leaseServe serves a plain Get from the site lease: any client routed to
-// this site reads locally, gated by the full CriticalCheck guard of the
-// leased section. served=false (lease absent, window closed, or guard
-// refused) sends the caller to the ordinary eventual read.
-func (r *Replica) leaseServe(key string) (value []byte, present, served bool) {
-	if !r.cfg.Leases {
-		return nil, false, false
-	}
-	s := r.shardFor(key)
-	now := r.nowMicros()
-	s.mu.Lock()
-	l, exists := s.leases[key]
-	var ref int64
-	live := false
-	if exists {
-		ref = l.ref
-		live = l.haveValue && r.leaseLive(l.startMicros, now)
-	}
-	s.mu.Unlock()
-	if !live {
-		return nil, false, false
-	}
-	sp := r.tracer().Start("music.get.lease")
-	sp.Annotatef("lockref", "%s/%d", key, ref)
-	start := r.now()
-	// Begin before the guard so the recorded interval covers it: the op
-	// claims critical-read freshness and is checked like one.
-	hc := r.cfg.History.Begin(r.site, history.KindGet, key, ref).Note(history.NoteLease)
-	if _, err := r.guardCritical(key, ref); err != nil {
-		// The guard revoked or refused (released, preempted, fenced, T
-		// overrun): drop the record — the fallback read records its own op.
-		sp.EndErr(err)
-		r.leaseCount("miss")
-		return nil, false, false
-	}
-	// Re-snapshot under the lock: the guard's peek yields, and a racing
-	// release may have revoked the lease (or a section write moved its value).
-	s.mu.Lock()
-	if l2, ok2 := s.leases[key]; ok2 && l2.ref == ref && l2.haveValue {
-		value, present, served = l2.value, l2.present, true
-	}
-	s.mu.Unlock()
-	if !served {
-		sp.End()
-		r.leaseCount("miss")
-		return nil, false, false
-	}
-	hc.Value(value, present).End(nil)
-	sp.End()
-	r.observe(OpLeaseGet, start)
-	r.leaseCount("serve")
-	return value, present, true
-}
-
-func (r *Replica) leaseCount(outcome string) {
-	if o := r.ds0().Cluster().Net().Obs(); o != nil {
-		o.Metrics().Counter("music_lease_reads_total", obs.Labels{"site": r.site, "outcome": outcome}).Inc()
-	}
 }
 
 // RepairRead re-reads key at quorum through the shard's coordinator — the

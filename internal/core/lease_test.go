@@ -27,7 +27,14 @@ func leaseFixture(t *testing.T, mk func(rt *sim.Virtual) Config, fn func(w *worl
 	}
 }
 
-// A granted section's writes fold into the site lease, and any read routed
+// leaseRung reports what the read ladder's held rung serves a Table I reader
+// of ref right now: ok only when the lease rung, not the store, served.
+func leaseRung(r *Replica, key string, ref int64) (value []byte, present, ok bool) {
+	value, present, rung, err := r.criticalRead(key, ref, tableIReader, nil)
+	return value, present, err == nil && rung == rungLease
+}
+
+// A granted section's writes fold into the grant record, and any read routed
 // to the holder site — the section's own CriticalGet or a plain Get from an
 // unrelated client — serves locally until release revokes the lease.
 func TestLeaseServesSiteReadsLocally(t *testing.T) {
@@ -42,31 +49,31 @@ func TestLeaseServesSiteReadsLocally(t *testing.T) {
 			t.Fatalf("CriticalPut: %v", err)
 		}
 
-		if v, present, ok := r.leasePeek("k", ref); !ok || !present || string(v) != "v1" {
-			t.Fatalf("leasePeek = (%q, %v, %v), want (v1, true, true)", v, present, ok)
+		if v, present, ok := leaseRung(r, "k", ref); !ok || !present || string(v) != "v1" {
+			t.Fatalf("lease rung = (%q, %v, %v), want (v1, true, true)", v, present, ok)
 		}
 		if v, err := r.CriticalGet("k", ref); err != nil || string(v) != "v1" {
 			t.Fatalf("CriticalGet = (%q, %v), want v1", v, err)
 		}
-		if v, present, served := r.leaseServe("k"); !served || !present || string(v) != "v1" {
-			t.Fatalf("leaseServe = (%q, %v, %v), want (v1, true, true)", v, present, served)
+		if v, served := r.leaseGet("k"); !served || string(v) != "v1" {
+			t.Fatalf("leaseGet = (%q, %v), want (v1, true)", v, served)
 		}
 		if v, err := r.Get("k"); err != nil || string(v) != "v1" {
 			t.Fatalf("Get via lease = (%q, %v), want v1", v, err)
 		}
 		// Only the granting site holds the lease.
-		if _, _, served := w.rep[1].leaseServe("k"); served {
+		if _, served := w.rep[1].leaseGet("k"); served {
 			t.Fatal("non-holder site served from a lease it was never issued")
 		}
 
 		if err := r.ReleaseLock("k", ref); err != nil {
 			t.Fatalf("ReleaseLock: %v", err)
 		}
-		if _, _, served := r.leaseServe("k"); served {
+		if _, served := r.leaseGet("k"); served {
 			t.Fatal("lease served after release revoked it")
 		}
-		if _, _, ok := r.leasePeek("k", ref); ok {
-			t.Fatal("leasePeek succeeded after release")
+		if _, _, ok := leaseRung(r, "k", ref); ok {
+			t.Fatal("lease rung succeeded after release")
 		}
 		// The fallback eventual read still observes the committed value.
 		if v, err := r.Get("k"); err != nil || string(v) != "v1" {
@@ -97,14 +104,14 @@ func TestLeaseSeededFromGrant(t *testing.T) {
 			t.Fatalf("ref2: %v", err)
 		}
 		awaitLock(t, w, w.rep[1], "k", ref2)
-		if v, present, ok := w.rep[1].leasePeek("k", ref2); !ok || !present || string(v) != "seeded" {
-			t.Fatalf("seeded leasePeek = (%q, %v, %v), want (seeded, true, true)", v, present, ok)
+		if v, present, ok := leaseRung(w.rep[1], "k", ref2); !ok || !present || string(v) != "seeded" {
+			t.Fatalf("seeded lease rung = (%q, %v, %v), want (seeded, true, true)", v, present, ok)
 		}
 		if err := w.rep[1].CriticalDelete("k", ref2); err != nil {
 			t.Fatalf("CriticalDelete: %v", err)
 		}
-		if v, present, ok := w.rep[1].leasePeek("k", ref2); !ok || present || v != nil {
-			t.Fatalf("post-delete leasePeek = (%q, %v, %v), want (nil, false, true)", v, present, ok)
+		if v, present, ok := leaseRung(w.rep[1], "k", ref2); !ok || present || v != nil {
+			t.Fatalf("post-delete lease rung = (%q, %v, %v), want (nil, false, true)", v, present, ok)
 		}
 		if v, err := w.rep[1].CriticalGet("k", ref2); err != nil || v != nil {
 			t.Fatalf("post-delete CriticalGet = (%q, %v), want nil", v, err)
@@ -130,16 +137,16 @@ func TestLeaseWindowExpiry(t *testing.T) {
 		if err := r.CriticalPut("k", ref, []byte("v")); err != nil {
 			t.Fatalf("CriticalPut: %v", err)
 		}
-		if _, _, served := r.leaseServe("k"); !served {
+		if _, served := r.leaseGet("k"); !served {
 			t.Fatal("lease did not serve inside its window")
 		}
 
 		w.rt.Sleep(1200 * time.Millisecond)
-		if _, _, served := r.leaseServe("k"); served {
+		if _, served := r.leaseGet("k"); served {
 			t.Fatal("lease served past its TTL")
 		}
-		if _, _, ok := r.leasePeek("k", ref); ok {
-			t.Fatal("leasePeek succeeded past the TTL")
+		if _, _, ok := leaseRung(r, "k", ref); ok {
+			t.Fatal("lease rung succeeded past the TTL")
 		}
 		// The section is still within T: critical reads work via quorum.
 		if v, err := r.CriticalGet("k", ref); err != nil || string(v) != "v" {
@@ -190,8 +197,8 @@ func TestLeaseTTLClampAndSiteTag(t *testing.T) {
 }
 
 // Safety re-check: a preemption driven at a *remote* site dequeues the ref
-// without touching the holder site's in-memory lease record, so leaseServe
-// must catch it via the full CriticalCheck guard it re-runs on every serve.
+// without touching the holder site's in-memory lease record, so leaseGet
+// must catch it via the full critical guard it re-runs on every serve.
 // A self-driven forced release revokes the record eagerly.
 func TestLeaseServeRechecksGuardAfterPreemption(t *testing.T) {
 	fixture(t, Config{Leases: true}, func(w *world) {
@@ -215,7 +222,7 @@ func TestLeaseServeRechecksGuardAfterPreemption(t *testing.T) {
 		w.rt.Sleep(200 * time.Millisecond)
 		// rep[0]'s lease record is still installed and inside its window,
 		// but the guard sees the dequeued head and refuses the serve.
-		if _, _, served := r.leaseServe("k"); served {
+		if _, served := r.leaseGet("k"); served {
 			t.Fatal("lease served after a remote preemption dequeued the ref")
 		}
 		if _, err := r.CriticalGet("k", ref); err == nil {
@@ -229,15 +236,15 @@ func TestLeaseServeRechecksGuardAfterPreemption(t *testing.T) {
 			t.Fatalf("ref2: %v", err)
 		}
 		awaitLock(t, w, w.rep[2], "k", ref2)
-		if v, present, ok := w.rep[2].leasePeek("k", ref2); !ok || !present || string(v) != "v1" {
-			t.Fatalf("post-sync leasePeek = (%q, %v, %v), want (v1, true, true)", v, present, ok)
+		if v, present, ok := leaseRung(w.rep[2], "k", ref2); !ok || !present || string(v) != "v1" {
+			t.Fatalf("post-sync lease rung = (%q, %v, %v), want (v1, true, true)", v, present, ok)
 		}
 
 		// Self-driven forced release revokes the local record eagerly.
 		if err := w.rep[2].ForcedRelease("k", ref2); err != nil {
 			t.Fatalf("self ForcedRelease: %v", err)
 		}
-		if _, _, served := w.rep[2].leaseServe("k"); served {
+		if _, served := w.rep[2].leaseGet("k"); served {
 			t.Fatal("lease served after self forced release")
 		}
 	})
@@ -298,4 +305,67 @@ func TestAdaptiveStaleReadFlipsMonitor(t *testing.T) {
 			t.Fatalf("ReleaseLock: %v", err)
 		}
 	})
+}
+
+// A write that loses its quorum must take the held value with it: the lease
+// may not keep serving — as a critical-grade read — a value the store was
+// never shown to hold. Under the quorum mode the failed write still landed
+// on the local replica, so the fallback eventual Get legitimately returns
+// its bytes and only the rung tells the two apart; an LWT that loses its
+// quorum leaves nothing behind, so there the bytes differ too.
+func TestLeaseFailedWriteNotServed(t *testing.T) {
+	for _, mode := range []Mode{ModeQuorum, ModeLWT} {
+		leaseGets := 0
+		// The window must outlast the partitioned put's timeouts.
+		cfg := Config{Leases: true, LeaseTTL: 30 * time.Second, Mode: mode, Observer: func(op Op, _ time.Duration) {
+			if op == OpLeaseGet {
+				leaseGets++
+			}
+		}}
+		fixture(t, cfg, func(w *world) {
+			r := w.rep[0]
+			ref, err := r.CreateLockRef("k")
+			if err != nil {
+				t.Fatalf("CreateLockRef: %v", err)
+			}
+			awaitLock(t, w, r, "k", ref)
+			if err := r.CriticalPut("k", ref, []byte("acked")); err != nil {
+				t.Fatalf("CriticalPut: %v", err)
+			}
+			if v, err := r.Get("k"); err != nil || string(v) != "acked" || leaseGets != 1 {
+				t.Fatalf("mode %v: Get = (%q, %v) with %d lease serves, want acked served by the lease", mode, v, err, leaseGets)
+			}
+
+			w.net.PartitionSites([]string{"ohio"}, []string{"ncalifornia", "oregon"})
+			if err := r.CriticalPut("k", ref, []byte("unacked")); err == nil {
+				t.Fatalf("mode %v: put succeeded without a quorum", mode)
+			}
+			v, err := r.Get("k")
+			if err != nil {
+				t.Fatalf("mode %v: Get after the failed put: %v", mode, err)
+			}
+			if leaseGets != 1 {
+				t.Errorf("mode %v: the lease served %q after the section's write failed", mode, v)
+			}
+			if mode == ModeLWT && string(v) != "acked" {
+				t.Errorf("mode %v: Get = %q after the failed put, want acked", mode, v)
+			}
+			// The section's own read has no quorum to ask: it must fail rather
+			// than answer from the record.
+			if v, err := r.CriticalGet("k", ref); err == nil {
+				t.Errorf("mode %v: CriticalGet = %q with the store unreachable, want an error", mode, v)
+			}
+
+			// Healed, a quorum read settles what the store holds and reopens
+			// the rung with exactly that.
+			w.net.Heal()
+			settled, err := r.CriticalGet("k", ref)
+			if err != nil {
+				t.Fatalf("mode %v: CriticalGet after heal: %v", mode, err)
+			}
+			if v, err := r.Get("k"); err != nil || string(v) != string(settled) || leaseGets != 2 {
+				t.Errorf("mode %v: Get = (%q, %v) with %d lease serves, want the settled %q served by the lease", mode, v, err, leaseGets, settled)
+			}
+		})
+	}
 }

@@ -263,11 +263,10 @@ type planeShard struct {
 	ls *lockstore.Service
 
 	mu     sync.Mutex
-	grants map[string]grant       // key → local record of our granted head
-	seen   map[string]headAge     // key → when we first saw the current head
-	behind map[string]int64       // key/ref → when the local queue first hid it
-	leases map[string]*leaseState // key → live site lease (lease mode only)
-	stale  map[string]store.Row   // MutationStaleReads: last row served per key
+	grants map[string]grant     // key → local record of our granted head
+	seen   map[string]headAge   // key → when we first saw the current head
+	behind map[string]int64     // key/ref → when the local queue first hid it
+	stale  map[string]store.Row // MutationStaleReads: last row served per key
 }
 
 type grant struct {
@@ -280,6 +279,9 @@ type grant struct {
 	// the key, the section is preempted (see ErrEpochFenced).
 	epoch    int64
 	replicas []simnet.NodeID
+	// held is the key's value as the section knows it (see read.go): the one
+	// copy the session's reads and the site lease both serve from.
+	held heldValue
 }
 
 type headAge struct {
@@ -328,7 +330,6 @@ func NewReplicaSharded(clients []*store.Client, cfg Config) *Replica {
 			grants: make(map[string]grant),
 			seen:   make(map[string]headAge),
 			behind: make(map[string]int64),
-			leases: make(map[string]*leaseState),
 			stale:  make(map[string]store.Row),
 		}
 	}
@@ -398,19 +399,6 @@ func (r *Replica) CreateLockRef(key string) (int64, error) {
 	return ref, nil
 }
 
-// ValueSeed is the key's data-row value piggybacked on the granting
-// synchFlag quorum read: the grant round trip already consults the data row
-// at quorum, so fetching colValue alongside colSynch seeds the new holder's
-// first read for free. Valid means this acquire call performed that quorum
-// read (it is false on idempotent re-acquires and on failover grant
-// adoption, where no read happens); Present distinguishes "key has no
-// value" from "no seed".
-type ValueSeed struct {
-	Valid   bool
-	Present bool
-	Value   []byte
-}
-
 // AcquireLock reports whether lockRef now holds the key's lock. False with
 // a nil error means "not yet" — poll again (Listing 1). On the granting
 // call the replica checks the synchFlag with a quorum read and, if a
@@ -418,25 +406,24 @@ type ValueSeed struct {
 // admitting the new lockholder (§IV-B). Cost: a local peek while waiting;
 // one synchFlag quorum read on grant; plus the synchronization writes only
 // after a forced release.
-func (r *Replica) AcquireLock(key string, ref int64) (bool, error) {
-	acquired, _, err := r.AcquireLockSeeded(key, ref)
-	return acquired, err
-}
-
-// AcquireLockSeeded is AcquireLock returning the value piggybacked on the
-// grant-time quorum read (the critical-section fast path's cache seed).
-func (r *Replica) AcquireLockSeeded(key string, ref int64) (acquired bool, seed ValueSeed, err error) {
+//
+// The grant round trip already consults the data row at quorum, so it
+// fetches colValue alongside colSynch and seeds the grant record's held
+// value with it (read.go) for free. Idempotent re-acquires and failover
+// adoptions perform no such read and seed nothing.
+func (r *Replica) AcquireLock(key string, ref int64) (acquired bool, err error) {
 	sp := r.tracer().Start("music.acquireLock")
 	sp.Annotatef("lockref", "%s/%d", key, ref)
 	defer func() { sp.EndErr(err) }()
+	var seed heldValue
 	// "Not yet" polls are dropped (no End); grants and errors are history.
 	hc := r.cfg.History.Begin(r.site, history.KindAcquire, key, ref)
 	defer func() {
 		if err != nil || acquired {
-			if seed.Valid {
-				hc.Value(seed.Value, seed.Present)
-			}
 			if acquired {
+				if seed.known {
+					hc.Value(seed.value, seed.present)
+				}
 				// The grant's certification epoch is the one current now —
 				// a contended acquire may have queued across an epoch change.
 				hc.EpochNow()
@@ -451,7 +438,7 @@ func (r *Replica) AcquireLockSeeded(key string, ref int64) (acquired bool, seed 
 	// cluster reconfigures around. Clients see ErrEpochFenced and fail over
 	// to a member site.
 	if c := r.shardFor(key).ds.Cluster(); c.Dynamic() && !c.MemberSite(r.site) {
-		return false, ValueSeed{}, fmt.Errorf("acquire %s/%d at %s (epoch %d): site not in membership: %w",
+		return false, fmt.Errorf("acquire %s/%d at %s (epoch %d): site not in membership: %w",
 			key, ref, r.site, c.Epoch(), ErrEpochFenced)
 	}
 
@@ -461,7 +448,7 @@ func (r *Replica) AcquireLockSeeded(key string, ref int64) (acquired bool, seed 
 	peekSp.EndErr(err)
 	r.observe(OpAcquirePeek, peekStart)
 	if err != nil {
-		return false, ValueSeed{}, err
+		return false, err
 	}
 	if !ok || ref > head.Ref {
 		// lockRef not visible at the local replica: usually it just lags the
@@ -474,16 +461,16 @@ func (r *Replica) AcquireLockSeeded(key string, ref int64) (acquired bool, seed 
 			r.reapExpiredHead(key, head)
 		}
 		if dead, derr := r.settleBehindRef(key, ref); derr != nil {
-			return false, ValueSeed{}, derr
+			return false, derr
 		} else if dead {
 			sp.Annotate("outcome", "dead ref")
-			return false, ValueSeed{}, ErrNoLongerLockHolder
+			return false, ErrNoLongerLockHolder
 		}
-		return false, ValueSeed{}, nil
+		return false, nil
 	}
 	r.clearBehind(key, ref)
 	if ref < head.Ref {
-		return false, ValueSeed{}, ErrNoLongerLockHolder // lock forcibly released
+		return false, ErrNoLongerLockHolder // lock forcibly released
 	}
 
 	// ref is first in the queue. Idempotent re-acquire after a grant.
@@ -493,19 +480,19 @@ func (r *Replica) AcquireLockSeeded(key string, ref int64) (acquired bool, seed 
 	s.mu.Unlock()
 	if granted && g.ref == ref {
 		hc.Note("reacquire")
-		return true, ValueSeed{}, nil
+		return true, nil
 	}
 	if head.StartTime > 0 {
 		if r.cfg.Leases && head.GrantTag == r.siteTag() {
 			// Our own site's grant whose SetGrantLWT ack was lost: re-own it
 			// with the recorded instant — no lease wait, the window is
 			// measured on this site's own clock. No seed survives the lost
-			// call, so the lease serves nothing until a section write.
-			r.rememberGrant(key, ref, head.StartTime)
-			r.installLease(key, ref, head.StartTime, ValueSeed{})
+			// call, so the held rung serves nothing until a section write or
+			// quorum read fills it.
+			r.rememberGrant(key, ref, head.StartTime, heldValue{})
 			sp.Annotate("outcome", "reowned grant")
 			hc.Note("adopted")
-			return true, ValueSeed{}, nil
+			return true, nil
 		}
 		// Another replica already granted this ref — the §III-A failover
 		// case, where the client re-drives its acquire at this site. Adopt
@@ -514,11 +501,11 @@ func (r *Replica) AcquireLockSeeded(key string, ref int64) (acquired bool, seed 
 		// stay monotonic across sites, so a straggler write accepted before
 		// the failover can never outrank writes issued after it.
 		if err := r.adoptGrant(key, ref, head.StartTime, head.GrantEpoch); err != nil {
-			return false, ValueSeed{}, err
+			return false, err
 		}
 		sp.Annotate("outcome", "adopted grant")
 		hc.Note("adopted")
-		return true, ValueSeed{}, nil
+		return true, nil
 	}
 
 	grantSp := r.tracer().Child("music.acquireLock.grant")
@@ -528,13 +515,13 @@ func (r *Replica) AcquireLockSeeded(key string, ref int64) (acquired bool, seed 
 		sfRow, err := s.ds.GetCols(DataTable, key, []string{colSynch, colValue}, store.Quorum)
 		if err != nil {
 			grantSp.EndErr(err)
-			return false, ValueSeed{}, fmt.Errorf("acquireLock %s: synchFlag: %w", key, err)
+			return false, fmt.Errorf("acquireLock %s: synchFlag: %w", key, err)
 		}
 		needSync = synchTrue(sfRow)
 		if !needSync {
-			seed = ValueSeed{Valid: true}
+			seed = heldValue{known: true}
 			if c, ok := sfRow[colValue]; ok {
-				seed.Present, seed.Value = true, c.Value
+				seed.present, seed.value = true, c.Value
 			}
 		}
 	}
@@ -549,11 +536,11 @@ func (r *Replica) AcquireLockSeeded(key string, ref int64) (acquired bool, seed 
 		val, present, syncErr := r.synchronize(key, ref)
 		if syncErr != nil {
 			grantSp.EndErr(syncErr)
-			return false, ValueSeed{}, fmt.Errorf("acquireLock %s: %w", key, syncErr)
+			return false, fmt.Errorf("acquireLock %s: %w", key, syncErr)
 		}
 		// The rewritten value is, by construction, what a quorum read would
 		// now return — seed from it.
-		seed = ValueSeed{Valid: true, Present: present, Value: val}
+		seed = heldValue{known: true, present: present, value: val}
 	}
 	grantSp.End()
 	r.observe(OpAcquireGrant, grantStart)
@@ -568,31 +555,33 @@ func (r *Replica) AcquireLockSeeded(key string, ref int64) (acquired bool, seed 
 		epoch, _ := r.placeStamp(key)
 		applied, curStart, curEpoch, gerr := s.ls.SetGrantLWT(key, ref, now, epoch, r.siteTag())
 		if gerr != nil {
-			return false, ValueSeed{}, fmt.Errorf("acquireLock %s: grant: %w", key, gerr)
+			return false, fmt.Errorf("acquireLock %s: grant: %w", key, gerr)
 		}
 		if !applied {
 			if curStart > 0 {
+				// The grant is another site's: this call's quorum read seeds
+				// nothing (and the echo rule must not see it as a grant seed).
+				seed = heldValue{}
 				// Another site recorded the grant first (concurrent failover
 				// drive): adopt it. The adoption gate waits out that site's
 				// lease window before admitting us.
 				if aerr := r.adoptGrant(key, ref, curStart, curEpoch); aerr != nil {
-					return false, ValueSeed{}, aerr
+					return false, aerr
 				}
 				sp.Annotate("outcome", "adopted grant")
 				hc.Note("adopted")
-				return true, ValueSeed{}, nil
+				return true, nil
 			}
 			// The ref was reaped from the queue while we were granting.
-			return false, ValueSeed{}, fmt.Errorf("%w: %s/%d reaped during grant", ErrNoLongerLockHolder, key, ref)
+			return false, fmt.Errorf("%w: %s/%d reaped during grant", ErrNoLongerLockHolder, key, ref)
 		}
 		// applied: curStart/curEpoch are the authoritative cell contents —
 		// this call's instant, or an earlier lost-ack call's that SetGrantLWT
 		// recognized by tag. The lease window runs from the recorded instant.
-		r.rememberGrant(key, ref, curStart)
-		r.installLease(key, ref, curStart, seed)
-		return true, seed, nil
+		r.rememberGrant(key, ref, curStart, seed)
+		return true, nil
 	}
-	r.rememberGrant(key, ref, now)
+	r.rememberGrant(key, ref, now, seed)
 	// Record the grant time in the lock store so other MUSIC replicas can
 	// detect expiry and serve failover clients. Off the critical path, but
 	// not fire-and-forget: without the grant cell, failover replicas
@@ -600,7 +589,7 @@ func (r *Replica) AcquireLockSeeded(key string, ref int64) (acquired bool, seed 
 	// OrphanTimeout instead of T, so transient failures are retried.
 	rt := r.ds0().Cluster().Net().Runtime()
 	rt.Go(func() { r.setGrantRetried(key, ref, now) })
-	return true, seed, nil
+	return true, nil
 }
 
 // setGrantRetried drives the replicated grant-cell write with bounded
@@ -684,26 +673,8 @@ func (r *Replica) CriticalPut(key string, ref int64, value []byte) (err error) {
 	hc := r.cfg.History.Begin(r.site, history.KindPut, key, ref).Value(value, true)
 	defer func() { hc.End(err) }()
 	start := r.now()
-	elapsed, err := r.guardCritical(key, ref)
-	if err != nil {
+	if err := r.criticalWrite("criticalPut", key, ref, store.Cell{Value: value}, hc); err != nil {
 		return err
-	}
-	cell := store.Cell{Value: value, TS: v2s(ref, elapsed, r.cfg.T)}
-	hc.TS(cell.TS)
-	r.leaseUpdate(key, ref, value, true)
-	s := r.shardFor(key)
-	if r.cfg.Mode == ModeLWT {
-		res, casErr := s.ds.CAS(DataTable, key, nil, store.Row{colValue: cell})
-		if casErr != nil {
-			return fmt.Errorf("criticalPut %s: %w", key, casErr)
-		}
-		if !res.Applied {
-			return fmt.Errorf("criticalPut %s: lwt not applied", key)
-		}
-	} else {
-		if putErr := s.ds.Put(DataTable, key, store.Row{colValue: cell}, store.Quorum); putErr != nil {
-			return fmt.Errorf("criticalPut %s: %w", key, putErr)
-		}
 	}
 	r.observe(OpCriticalPut, start)
 	return nil
@@ -717,74 +688,81 @@ func (r *Replica) CriticalDelete(key string, ref int64) (err error) {
 	defer func() { sp.EndErr(err) }()
 	hc := r.cfg.History.Begin(r.site, history.KindDelete, key, ref)
 	defer func() { hc.End(err) }()
+	return r.criticalWrite("criticalDelete", key, ref, store.Cell{Deleted: true}, hc)
+}
+
+// criticalWrite is the synchronous critical write both ops share: guard,
+// stamp, write, then settle the grant record's held value — folded once the
+// store acked the write, dropped when it did not, so the held rung never
+// serves a value the store may not hold.
+func (r *Replica) criticalWrite(op, key string, ref int64, cell store.Cell, hc *history.Call) error {
 	elapsed, err := r.guardCritical(key, ref)
 	if err != nil {
 		return err
 	}
-	cell := store.Cell{TS: v2s(ref, elapsed, r.cfg.T), Deleted: true}
+	cell.TS = v2s(ref, elapsed, r.cfg.T)
 	hc.TS(cell.TS)
-	r.leaseUpdate(key, ref, nil, false)
-	if err := r.shardFor(key).ds.Put(DataTable, key, store.Row{colValue: cell}, store.Quorum); err != nil {
-		return fmt.Errorf("criticalDelete %s: %w", key, err)
+	s := r.shardFor(key)
+	// MSCP's LWT replaces the put; a tombstone is a quorum write in both modes.
+	if r.cfg.Mode == ModeLWT && !cell.Deleted {
+		res, casErr := s.ds.CAS(DataTable, key, nil, store.Row{colValue: cell})
+		if err = casErr; err == nil && !res.Applied {
+			err = errors.New("lwt not applied")
+		}
+	} else {
+		err = s.ds.Put(DataTable, key, store.Row{colValue: cell}, store.Quorum)
 	}
+	if err != nil {
+		r.dropHeld(key, ref)
+		return fmt.Errorf("%s %s: %w", op, key, err)
+	}
+	r.foldHeld(key, ref, cell.Value, !cell.Deleted)
 	return nil
 }
 
 // CriticalGet reads the latest (true) value of key for the current
-// lockholder. A nil value with nil error means the key has no value.
-// Cost: one quorum read.
-func (r *Replica) CriticalGet(key string, ref int64) (value []byte, err error) {
+// lockholder — the Table I op. A nil value with nil error means the key has
+// no value. Cost: one quorum read (see read.go for the modes that lower it).
+func (r *Replica) CriticalGet(key string, ref int64) ([]byte, error) {
+	return r.sectionGet(key, ref, tableIReader)
+}
+
+// SessionGet is CriticalGet for the session the lock was granted to, while
+// it has stayed at this replica since the grant: such a session has routed
+// every write of the section through this replica, so the grant record's
+// held value is the key's true value and serves the read at the cost of the
+// local guard alone. The caller vouches for "has not left" (music latches it
+// on a rebind count); everything else is CriticalGet.
+func (r *Replica) SessionGet(key string, ref int64) ([]byte, error) {
+	return r.sectionGet(key, ref, sessionReader)
+}
+
+func (r *Replica) sectionGet(key string, ref int64, who reader) (value []byte, err error) {
 	sp := r.tracer().Start("music.criticalGet")
 	sp.Annotatef("lockref", "%s/%d", key, ref)
 	defer func() { sp.EndErr(err) }()
 	hc := r.cfg.History.Begin(r.site, history.KindGet, key, ref)
 	defer func() { hc.End(err) }()
 	start := r.now()
-	if _, err := r.guardCritical(key, ref); err != nil {
+	value, present, rung, err := r.criticalRead(key, ref, who, hc)
+	if err != nil {
 		return nil, err
 	}
-	if v, present, ok := r.leasePeek(key, ref); ok {
-		// The site lease covers this section's key: serve locally. The guard
-		// above already certified head, grant, epoch, and T.
-		hc.Note(history.NoteLease)
-		r.observe(OpCriticalGet, start)
-		if present {
-			hc.Value(v, true)
-			return v, nil
-		}
+	r.observe(OpCriticalGet, start)
+	r.countRung(rung)
+	if !present {
 		return nil, nil
 	}
-	cons := store.Quorum
-	if r.cfg.AdaptiveReads && r.cfg.Monitor.Weak(r.site) {
-		// Adaptive mode: the monitor judges this site safe for weak reads,
-		// so the data column is read at ONE (typically the local replica).
-		// The op is noted so the monitor — and the offline checker's
-		// adaptive rules — judge it as a weak read, not a quorum one.
-		cons = store.One
-		hc.Note(history.NoteWeak)
-	}
-	row, err := r.shardFor(key).ds.GetCols(DataTable, key, []string{colValue}, cons)
-	if err != nil {
-		return nil, fmt.Errorf("criticalGet %s: %w", key, err)
-	}
-	if cons == store.One && r.cfg.Mutation == MutationStaleReads {
-		// Injected bug under test: serve the previously observed row.
-		row = r.staleSwap(key, row)
-	}
-	r.observe(OpCriticalGet, start)
-	if c, ok := row[colValue]; ok {
-		hc.Value(c.Value, true)
-		return c.Value, nil
-	}
-	return nil, nil
+	hc.Value(value, true)
+	return value, nil
 }
 
 // CriticalCheck verifies that ref still holds key's lock within its T
 // bound — the §IV-A Exclusivity guard alone, with no data-store round trip.
-// The music session layer runs it before serving a Get from its holder
-// cache, so a cached read is gated by exactly the same local peek as a
-// quorum-backed critical op. Like any guard, an overrun section is
-// self-preempted (ErrExpired).
+// The music session layer runs it before accepting a write into, or serving
+// a Get from, its client-side write buffer, so a buffered op is gated by
+// exactly the same local peek as a quorum-backed critical op. Like any
+// guard, an overrun section is self-preempted (ErrExpired).
 func (r *Replica) CriticalCheck(key string, ref int64) error {
 	_, err := r.guardCritical(key, ref)
 	return err
@@ -831,20 +809,33 @@ func (r *Replica) criticalWriteAsync(key string, ref int64, value []byte, delete
 		kind = history.KindDelete
 	}
 	hc := r.cfg.History.Begin(r.site, kind, key, ref).Value(value, !deleted).TS(cell.TS)
-	r.leaseUpdate(key, ref, value, !deleted)
+	// Folded at issue, not at ack: acks of pipelined writes arrive in any
+	// order, issue order is stamp order. A write that then fails drops the
+	// held value like any failed critical op.
+	r.foldHeld(key, ref, value, !deleted)
 	pending := r.shardFor(key).ds.PutAsync(DataTable, key, store.Row{colValue: cell}, store.Quorum)
-	if hc != nil {
+	r.ds0().Cluster().Net().Runtime().Go(func() {
+		werr := pending.Wait()
+		if werr != nil {
+			r.dropHeld(key, ref)
+		}
 		// Close the record at quorum-ack time: the op's response interval is
 		// issue → settle, which is what the checker's overlap rules need.
-		r.ds0().Cluster().Net().Runtime().Go(func() { hc.End(pending.Wait()) })
-	}
+		hc.End(werr)
+	})
 	return pending, nil
 }
 
 // guardCritical enforces the Exclusivity guards of §IV-A: the lockRef must
 // be first in the (locally peeked) queue, granted, and within its T bound.
-// It returns the elapsed time within the critical section for v2s.
-func (r *Replica) guardCritical(key string, ref int64) (time.Duration, error) {
+// It returns the elapsed time within the critical section for v2s. A refused
+// guard is a failed critical op: it drops the grant record's held value.
+func (r *Replica) guardCritical(key string, ref int64) (_ time.Duration, err error) {
+	defer func() {
+		if err != nil {
+			r.dropHeld(key, ref)
+		}
+	}()
 	head, ok, err := r.peek(key)
 	if err != nil {
 		return 0, err
@@ -956,16 +947,18 @@ func (r *Replica) adoptGrant(key string, ref, startMicros, grantEpoch int64) err
 			}
 		}
 	}
-	r.rememberGrant(key, ref, startMicros)
+	// An adopted record knows no value: the section's earlier writes went
+	// through another replica.
+	r.rememberGrant(key, ref, startMicros, heldValue{})
 	return nil
 }
 
-func (r *Replica) rememberGrant(key string, ref, startMicros int64) {
+func (r *Replica) rememberGrant(key string, ref, startMicros int64, held heldValue) {
 	s := r.shardFor(key)
 	epoch, replicas := r.placeStamp(key)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.grants[key] = grant{ref: ref, startMicros: startMicros, epoch: epoch, replicas: replicas}
+	s.grants[key] = grant{ref: ref, startMicros: startMicros, epoch: epoch, replicas: replicas, held: held}
 }
 
 // placeStamp snapshots the key's placement (epoch + replica set) for a
@@ -1092,9 +1085,9 @@ func (r *Replica) ForcedRelease(key string, ref int64) (err error) {
 	if ok && ref < head.Ref {
 		return nil // previously released (not an effective preemption: no history op)
 	}
-	// Revoke any local grant/lease record before the dequeue: once the ref
-	// leaves the queue a successor can be granted, and a still-installed
-	// lease must not serve across that boundary.
+	// Revoke the local grant record before the dequeue: once the ref leaves
+	// the queue a successor can be granted, and the record's held value must
+	// not serve across that boundary.
 	r.forgetGrant(key, ref)
 	// Effective preemption: record it with the δ stamp the mark carries.
 	hc := r.cfg.History.Begin(r.site, history.KindForcedRelease, key, ref).TS(v2sForced(ref, r.cfg.T))
@@ -1148,8 +1141,9 @@ func (r *Replica) forcedReleaseIfUngranted(key string, ref int64) (err error) {
 	return nil
 }
 
-// forgetGrant drops the local grant record (and revokes the site lease it
-// issued). held reports whether this replica actually had the grant.
+// forgetGrant drops the local grant record — and with it the held value and
+// the site lease it backed. held reports whether this replica actually had
+// the grant.
 func (r *Replica) forgetGrant(key string, ref int64) (held bool) {
 	s := r.shardFor(key)
 	s.mu.Lock()
@@ -1157,9 +1151,6 @@ func (r *Replica) forgetGrant(key string, ref int64) (held bool) {
 	if g, ok := s.grants[key]; ok && g.ref == ref {
 		delete(s.grants, key)
 		held = true
-	}
-	if l, ok := s.leases[key]; ok && l.ref == ref {
-		delete(s.leases, key)
 	}
 	return held
 }
@@ -1266,14 +1257,11 @@ func (r *Replica) Put(key string, value []byte) error {
 
 // Get reads a key without locks from the nearest replica; the result may be
 // stale (§VI). In lease mode a live site lease upgrades the read for free:
-// it is served locally from the leased value under the full critical-check
-// guard, giving any client routed to this site a critical-grade read at
-// local cost for the lease window.
+// it is served from the leased section's held value under the full critical
+// guard (leaseGet), giving any client routed to this site a critical-grade
+// read at local cost for the lease window.
 func (r *Replica) Get(key string) ([]byte, error) {
-	if v, present, served := r.leaseServe(key); served {
-		if !present {
-			return nil, nil
-		}
+	if v, served := r.leaseGet(key); served {
 		return v, nil
 	}
 	sp := r.tracer().Start("music.get")

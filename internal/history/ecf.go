@@ -33,7 +33,7 @@ import (
 //   - grant-order: first grants happen in lockRef order — the lock queue is
 //     FIFO over refs, so a fresh grant of a higher ref strictly after a
 //     fresh grant of a lower one.
-//   - echo: session reads served from the holder cache or write buffer must
+//   - echo: session reads served from the held value or the write buffer must
 //     echo a value that belongs to the section — the grant seed or one of
 //     the section's own writes — never another lockRef's value.
 //   - lease-order: a lease-served read (Note "lease") must follow, at the
@@ -156,9 +156,9 @@ type keyHistory struct {
 	epochs    map[int64]*epochInfo    // shared epoch table (lease-epoch rule)
 }
 
-// echoNote reports whether a get was served by the session layer from its
-// holder cache or write buffer rather than a quorum read.
-func echoNote(note string) bool { return note == "cache" || note == "buffer" }
+// echoNote reports whether a get was served to its own session from the
+// grant record's held value or the write buffer rather than a quorum read.
+func echoNote(note string) bool { return note == NoteCache || note == NoteBuffer }
 
 func partition(ops []Op) map[string]*keyHistory {
 	keys := make(map[string]*keyHistory)

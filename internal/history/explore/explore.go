@@ -92,7 +92,7 @@ type Script struct {
 	T           time.Duration // critical-section bound
 	Deadline    time.Duration // virtual-time budget; exceeding it is a liveness failure
 	Policy      music.WritePolicy
-	HolderCache bool
+	HolderCache bool           // sections read as a session (cs.Get) rather than through the Table I op; the name and the draw are pinned by the seeds
 	Mutation    music.Mutation // injected protocol bug (checker validation only)
 	// ReadMode selects the adaptive read plane: "" is the legacy quorum read
 	// path (every Generate script, byte-identical replay), "lease" turns on
@@ -352,18 +352,29 @@ func Run(s Script) Outcome {
 		done := sim.NewMailbox[struct{}](v)
 		for ci, plan := range s.Clients {
 			ci, plan := ci, plan
-			copts := []music.ClientOption{music.WithWritePolicy(s.Policy)}
-			if s.HolderCache {
-				copts = append(copts, music.WithHolderCache())
-			}
-			cl := c.FailoverClient(plan.Home, copts...)
+			cl := c.FailoverClient(plan.Home, music.WithWritePolicy(s.Policy))
 			c.Go(func() {
 				defer done.Send(struct{}{})
 				for si, sec := range plan.Sections {
 					c.Sleep(sec.PreDelay)
 					sp := c.Obs().Tracer().StartRoot(fmt.Sprintf("explore.section c%d s%d", ci, si))
 					err := cl.RunCritical(sec.Key, func(cs *music.CriticalSection) error {
-						if _, err := cs.Get(); err != nil {
+						// HolderCache picks the reader: the session, whose Get the
+						// replica's held value serves, or the Table I op, which
+						// keeps the campaign's quorum-read coverage. Table I
+						// reads see only writes that reached the store: safe
+						// before the section's first write, and after it only
+						// when every write is synchronous.
+						get := func(wrote bool) error {
+							var err error
+							if s.HolderCache || (wrote && s.Policy != music.WriteSync) {
+								_, err = cs.Get()
+							} else {
+								_, err = cl.CriticalGet(sec.Key, cs.Ref())
+							}
+							return err
+						}
+						if err := get(false); err != nil {
 							return err
 						}
 						if skewActive {
@@ -386,8 +397,7 @@ func Run(s Script) Outcome {
 								return err
 							}
 						}
-						_, err := cs.Get()
-						return err
+						return get(sec.Delete || sec.Value != "" || sec.Value2 != "")
 					})
 					// Section errors (expiry, exhausted retries) are normal
 					// under faults; the history records what really happened.

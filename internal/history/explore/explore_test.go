@@ -168,3 +168,24 @@ func TestMinimizeRepro(t *testing.T) {
 		}
 	}
 }
+
+// TestGeneratePinnedSeedsGolden pins Generate for the 20 seeds the gate
+// explores: the campaign's value is that seed n names one schedule forever,
+// so a change to the generator's draws (a dropped field, a reordered
+// rng call) must fail here rather than silently re-deal every pinned seed.
+// One line per seed, the %+v of its Script.
+func TestGeneratePinnedSeedsGolden(t *testing.T) {
+	want, err := os.ReadFile(filepath.Join("testdata", "generate_seeds.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSuffix(string(want), "\n"), "\n")
+	if len(lines) != 20 {
+		t.Fatalf("golden file has %d lines, want 20", len(lines))
+	}
+	for i, line := range lines {
+		if got := fmt.Sprintf("%+v", Generate(int64(i+1))); got != line {
+			t.Errorf("Generate(%d) changed:\n got %s\nwant %s", i+1, got, line)
+		}
+	}
+}

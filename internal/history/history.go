@@ -75,10 +75,15 @@ const (
 	KindMonitor
 )
 
-// Notes attached to ops by the adaptive read plane. The checkers and the
-// online monitor classify gets by these, so core and the checker must agree
-// on the exact strings.
+// Notes attached to ops by the read plane. The checkers and the online
+// monitor classify gets by these, so core, the session layer and the checker
+// must agree on the exact strings.
 const (
+	// NoteCache marks a session get served from the grant record's held
+	// value, NoteBuffer one served from the session's client-side write
+	// buffer — both checked by the echo rule instead of freshness.
+	NoteCache  = "cache"
+	NoteBuffer = "buffer"
 	// NoteWeak marks a critical get served at ONE consistency under adaptive
 	// reads — checked by the adaptive rules, judged online by the Monitor.
 	NoteWeak = "one"

@@ -14,8 +14,8 @@ import (
 func TestSiteLeaseServesPlainGets(t *testing.T) {
 	c := newTestCluster(t, WithSeed(7), WithObservability(), WithHolderLeases())
 	serveCount := func() int64 {
-		return c.Obs().Metrics().Counter("music_lease_reads_total",
-			obs.Labels{"site": "ohio", "outcome": "serve"}).Value()
+		return c.Obs().Metrics().Counter("music_read_rung_total",
+			obs.Labels{"site": "ohio", "rung": "lease"}).Value()
 	}
 	err := c.Run(func() {
 		holder := c.Client("ohio")
@@ -48,7 +48,7 @@ func TestSiteLeaseServesPlainGets(t *testing.T) {
 		}
 		inSection := serveCount()
 		if inSection < 2 {
-			t.Errorf("music_lease_reads_total{site=ohio,outcome=serve} = %v, want >= 2", inSection)
+			t.Errorf("music_read_rung_total{site=ohio,rung=lease} = %v, want >= 2", inSection)
 		}
 		// Release revoked the lease: a post-section Get takes the ordinary
 		// eventual path and the serve counter stays put.
@@ -85,7 +85,9 @@ func TestAdaptiveFlipUnderStaleness(t *testing.T) {
 					return err
 				}
 				wasFlipped := mon.Flipped("ohio")
-				v, err := cs.Get()
+				// The Table I op: the session's own cs.Get would be served by
+				// the held value and never reach the monitored ONE rung.
+				v, err := cl.CriticalGet("acct", cs.Ref())
 				if err != nil {
 					return err
 				}
@@ -139,7 +141,7 @@ func TestAdaptiveCleanStaysWeak(t *testing.T) {
 				if err := cs.Put(val); err != nil {
 					return err
 				}
-				v, err := cs.Get()
+				v, err := cl.CriticalGet("acct", cs.Ref())
 				if err != nil {
 					return err
 				}

@@ -29,14 +29,14 @@ type Client struct {
 	failover []string // candidate sites tried in order; nil = no failover
 	dynamic  bool     // resolve candidates from the live membership instead
 
-	// Critical-section fast path (see session.go): write-behind policy and
-	// holder-cached reads, both off by default (paper-faithful behavior).
+	// Critical-section fast path (see session.go): the write-behind policy,
+	// WriteSync (paper-faithful) by default.
 	writePolicy WritePolicy
-	holderCache bool
 
-	mu   sync.Mutex
-	site string // currently bound site (== home until a failover re-binds)
-	rep  *core.Replica
+	mu      sync.Mutex
+	site    string // currently bound site (== home until a failover re-binds)
+	rep     *core.Replica
+	rebinds int // how many times rebind ran (the sessions' held-read latch)
 }
 
 // ClientOption configures a Client at construction.
@@ -75,8 +75,16 @@ func (cl *Client) rebind(site string) *core.Replica {
 	rep := cl.c.replicas[site]
 	cl.mu.Lock()
 	cl.site, cl.rep = site, rep
+	cl.rebinds++
 	cl.mu.Unlock()
 	return rep
+}
+
+// rebindCount returns how many times the client has re-bound so far.
+func (cl *Client) rebindCount() int {
+	cl.mu.Lock()
+	defer cl.mu.Unlock()
+	return cl.rebinds
 }
 
 // nextSite picks the first failover candidate not yet tried this operation.
@@ -258,14 +266,6 @@ func (cl *Client) AcquireLock(key string, ref LockRef) (bool, error) {
 // the deadline, failing over to another site's replica — same lockRef —
 // after the per-site attempt budget is spent on consecutive errors.
 func (cl *Client) AwaitLock(key string, ref LockRef, timeout time.Duration) error {
-	_, err := cl.awaitLockSeeded(key, ref, timeout)
-	return err
-}
-
-// awaitLockSeeded is AwaitLock capturing the ValueSeed piggybacked on the
-// granting acquire's quorum read (empty on idempotent re-acquires and on
-// failover grant adoption).
-func (cl *Client) awaitLockSeeded(key string, ref LockRef, timeout time.Duration) (core.ValueSeed, error) {
 	rt := cl.c.rt
 	pol := cl.retry.withDefaults()
 	deadline := rt.Now() + timeout
@@ -275,10 +275,10 @@ func (cl *Client) awaitLockSeeded(key string, ref LockRef, timeout time.Duration
 	for {
 		cl.ensureMemberSite("acquireLock", key, ref)
 		rep, site := cl.bound()
-		ok, seed, err := rep.AcquireLockSeeded(key, int64(ref))
+		ok, err := rep.AcquireLock(key, int64(ref))
 		switch {
 		case err != nil && !IsRetryable(err):
-			return core.ValueSeed{}, err
+			return err
 		case err != nil:
 			// Transient failure: treat as "not yet" (§III-A), and fail over
 			// once this site has burned its attempt budget back-to-back.
@@ -296,12 +296,12 @@ func (cl *Client) awaitLockSeeded(key string, ref LockRef, timeout time.Duration
 				}
 			}
 		case ok:
-			return seed, nil
+			return nil
 		default:
 			consecutive = 0
 		}
 		if timeout > 0 && rt.Now() >= deadline {
-			return core.ValueSeed{}, fmt.Errorf("music: lock %s/%d: %w", key, ref, errAwaitTimeout)
+			return fmt.Errorf("music: lock %s/%d: %w", key, ref, errAwaitTimeout)
 		}
 		rt.Sleep(backoff)
 		if backoff < 64*time.Millisecond {
@@ -349,9 +349,22 @@ func (cl *Client) CriticalPut(key string, ref LockRef, value []byte) error {
 
 // CriticalGet reads the true value of key for the current lockholder.
 func (cl *Client) CriticalGet(key string, ref LockRef) ([]byte, error) {
+	return cl.criticalGet(key, ref, -1)
+}
+
+// criticalGet is CriticalGet for a reader that may be the section's own
+// session: latch is the rebind count the session was built at (-1 for a
+// plain Table I caller, which no count equals). While the client is still
+// bound where it was then, the replica serves the read as the granted
+// session's (core.Replica.SessionGet); after any re-bind, as anybody's.
+func (cl *Client) criticalGet(key string, ref LockRef, latch int) ([]byte, error) {
 	var value []byte
 	err := cl.withRetry("criticalGet", key, ref, true, func(rep *core.Replica) error {
-		v, err := rep.CriticalGet(key, int64(ref))
+		get := rep.CriticalGet
+		if cl.rebindCount() == latch {
+			get = rep.SessionGet
+		}
+		v, err := get(key, int64(ref))
 		if err == nil {
 			value = v
 		}

@@ -17,26 +17,17 @@ import (
 // keeps running. Fixed-membership clusters are untouched: they never build
 // a config log and their placement stays the historical modulo walk.
 
-// WithDynamicMembership switches the cluster to epoch-versioned live
-// membership: placement moves to the consistent-hash ring, a config log is
-// replicated across the initial sites, and Cluster.JoinSite / RetireSite /
-// ReplaceSite reconfigure the running cluster. See WithSpareSites for
-// provisioning the sites a later join brings in.
-func WithDynamicMembership() Option {
-	return optionFunc(func(o *options) { o.dynamic = true })
-}
-
-// WithSpareSites extends the latency profile with extra sites that start
-// *outside* the initial membership: their nodes run store and MUSIC
-// replicas from boot (refusing critical sections while unjoined) so a
-// later JoinSite or ReplaceSite can bring them in without new processes.
-// Each spare gets the profile's worst inter-site RTT to every other site.
-// Implies WithDynamicMembership.
+// WithSpareSites switches the cluster to epoch-versioned live membership —
+// placement moves to the consistent-hash ring, a config log is replicated
+// across the initial sites, and Cluster.JoinSite / RetireSite / ReplaceSite
+// reconfigure the running cluster — and extends the latency profile with
+// the sites a later join brings in. Spares start *outside* the initial
+// membership: their nodes run store and MUSIC replicas from boot (refusing
+// critical sections while unjoined) so a later JoinSite or ReplaceSite needs
+// no new processes. Each spare gets the profile's worst inter-site RTT to
+// every other site.
 func WithSpareSites(sites ...string) Option {
-	return optionFunc(func(o *options) {
-		o.dynamic = true
-		o.spares = append(o.spares, sites...)
-	})
+	return optionFunc(func(o *options) { o.spares = append(o.spares, sites...) })
 }
 
 // memberNodes converts a membership into ring nodes (store.RingNode is an

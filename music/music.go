@@ -88,27 +88,24 @@ const (
 type options struct {
 	profile      *simnet.Profile
 	nodesPerSite int
-	rf           int
 	t            time.Duration
 	mode         Mode
 	realTime     bool
 	seed         int64
 	observer     func(op core.Op, d time.Duration)
 	obs          bool
-	obsOptions   obs.Options
 	digestReads  bool
 	history      bool
 	mutation     core.Mutation
 	shards       int
-	dynamic      bool
-	spares       []string
+	spares       []string // non-empty makes the cluster dynamic
 	leases       bool
-	leaseTTL     time.Duration
-	leaseSkew    time.Duration
 	adaptive     bool
-	tripCount    int
-	tripWindow   int
 }
+
+// defaultRF is the replication factor of New's clusters: one copy per site
+// of the three-site profiles.
+const defaultRF = 3
 
 // Option configures New.
 type Option interface {
@@ -148,11 +145,6 @@ func WithSimnetProfile(p *simnet.Profile) Option {
 // WithNodesPerSite sets how many store nodes each site runs (default 1).
 func WithNodesPerSite(n int) Option {
 	return optionFunc(func(o *options) { o.nodesPerSite = n })
-}
-
-// WithRF sets the replication factor (default 3, one copy per site).
-func WithRF(n int) Option {
-	return optionFunc(func(o *options) { o.rf = n })
 }
 
 // WithShards partitions each site's MUSIC plane into n shards routed by
@@ -202,11 +194,6 @@ func WithDigestReads() Option {
 	return optionFunc(func(o *options) { o.digestReads = true })
 }
 
-// WithObservabilityOptions is WithObservability with explicit tuning.
-func WithObservabilityOptions(opts obs.Options) Option {
-	return optionFunc(func(o *options) { o.obs = true; o.obsOptions = opts })
-}
-
 // WithHistory turns on operation-history recording: every acquire, release,
 // forced release, critical put/get/delete, synchronize, failover and
 // quorum-level store operation is logged with virtual-time intervals and
@@ -221,17 +208,11 @@ func WithHistory() Option {
 // replica certifies a grant, the whole site acquires a clock-skew-bounded
 // lease on the key, and any client routed there — not just the lockholder's
 // session — serves Get locally for the lease window. Every lease read runs
-// the full CriticalCheck guard, and leases are revoked on release, forced
-// release, and epoch fencing (see DESIGN.md "Adaptive consistency").
+// the full critical guard, and leases are revoked on release, forced
+// release, and epoch fencing (see DESIGN.md "Read plane"). The window is
+// min(2s, T − 2·250ms).
 func WithHolderLeases() Option {
 	return optionFunc(func(o *options) { o.leases = true })
-}
-
-// WithLeaseTTL tunes the holder-lease window and the clock-skew bound it
-// must absorb (defaults 2s / 250ms; the effective window is clamped to
-// T − 2·skew). Implies WithHolderLeases.
-func WithLeaseTTL(ttl, skew time.Duration) Option {
-	return optionFunc(func(o *options) { o.leases = true; o.leaseTTL, o.leaseSkew = ttl, skew })
 }
 
 // WithAdaptiveReads serves critical gets at ONE consistency by default while
@@ -239,19 +220,10 @@ func WithLeaseTTL(ttl, skew time.Duration) Option {
 // recorded op history — watches for staleness violations and flips the site
 // back to QUORUM reads when the violation rate trips. Detected violations
 // also trigger asynchronous quorum repair reads of the affected key.
-// Implies WithHistory (the monitor consumes the recorded op stream).
+// The site flips once 3 violations land within a sliding window of 200 weak
+// reads. Implies WithHistory (the monitor consumes the recorded op stream).
 func WithAdaptiveReads() Option {
 	return optionFunc(func(o *options) { o.adaptive = true; o.history = true })
-}
-
-// WithAdaptiveTrip tunes the monitor's flip threshold: the site flips to
-// QUORUM once count violations land within a sliding window of window weak
-// reads (defaults 3 / 200). Implies WithAdaptiveReads.
-func WithAdaptiveTrip(count, window int) Option {
-	return optionFunc(func(o *options) {
-		o.adaptive, o.history = true, true
-		o.tripCount, o.tripWindow = count, window
-	})
 }
 
 // Mutation is a deliberate protocol bug injected under test (see the
@@ -309,7 +281,6 @@ func New(opts ...Option) (*Cluster, error) {
 	o := options{
 		profile:      simnet.ProfileIUs,
 		nodesPerSite: 1,
-		rf:           3,
 		seed:         1,
 		mode:         ModeQuorum,
 	}
@@ -333,7 +304,7 @@ func New(opts ...Option) (*Cluster, error) {
 	}
 	var ob *obs.Obs
 	if o.obs {
-		ob = obs.New(rt, o.obsOptions)
+		ob = obs.New(rt, obs.Options{})
 	}
 	var rec *history.Recorder
 	if o.history {
@@ -345,8 +316,6 @@ func New(opts ...Option) (*Cluster, error) {
 	var repairRep func(site string) *core.Replica
 	if o.adaptive {
 		mon = history.NewMonitor(history.MonitorConfig{
-			TripCount: o.tripCount,
-			Window:    o.tripWindow,
 			OnViolation: func(site, key string) {
 				if repairRep == nil {
 					return
@@ -373,7 +342,8 @@ func New(opts ...Option) (*Cluster, error) {
 	// sites; spares run store/replica services from boot but join later.
 	var initial membership.Membership
 	var spareNodes []transport.NodeID
-	if o.dynamic {
+	dynamic := len(o.spares) > 0
+	if dynamic {
 		spare := make(map[string]bool, len(o.spares))
 		for _, s := range o.spares {
 			spare[s] = true
@@ -391,7 +361,7 @@ func New(opts ...Option) (*Cluster, error) {
 		initial = membership.New(mems)
 	}
 	st := store.New(net, store.Config{
-		RF: o.rf, DigestReads: o.digestReads, History: rec, Shards: o.shards,
+		RF: defaultRF, DigestReads: o.digestReads, History: rec, Shards: o.shards,
 		Members: memberNodes(initial),
 	})
 
@@ -424,13 +394,11 @@ func New(opts ...Option) (*Cluster, error) {
 			History:       rec,
 			Mutation:      o.mutation,
 			Leases:        o.leases,
-			LeaseTTL:      o.leaseTTL,
-			LeaseSkew:     o.leaseSkew,
 			AdaptiveReads: o.adaptive,
 			Monitor:       mon,
 		})
 	}
-	if o.dynamic {
+	if dynamic {
 		memLog, err := membership.NewLog(membership.LogConfig{
 			Transport: net,
 			Group:     initial.NodeIDs(),
@@ -441,7 +409,7 @@ func New(opts ...Option) (*Cluster, error) {
 			return nil, err
 		}
 		c.memLog = memLog
-		c.attachMembership(memLog.View(), o.rf, initial.Members[0].Site)
+		c.attachMembership(memLog.View(), defaultRF, initial.Members[0].Site)
 	}
 	return c, nil
 }
@@ -474,11 +442,8 @@ type TransportConfig struct {
 	// linearizability checkers. Pass one shared recorder to every cluster of
 	// a multi-deployment test and the merged timeline checks as one history.
 	History *history.Recorder
-	// Leases turns on site-scoped holder leases (see WithHolderLeases);
-	// LeaseTTL and LeaseSkew tune the window (0 keeps the 2s/250ms defaults).
-	Leases    bool
-	LeaseTTL  time.Duration
-	LeaseSkew time.Duration
+	// Leases turns on site-scoped holder leases (see WithHolderLeases).
+	Leases bool
 	// AdaptiveReads serves critical gets at ONE while Monitor judges the
 	// site safe (see WithAdaptiveReads). The caller owns the monitor — build
 	// it with history.NewMonitor and attach it to the shared History recorder
@@ -579,8 +544,6 @@ func NewOverTransport(tr transport.Transport, cfg TransportConfig) (*Cluster, er
 			Mode:          cfg.Mode,
 			History:       cfg.History,
 			Leases:        cfg.Leases,
-			LeaseTTL:      cfg.LeaseTTL,
-			LeaseSkew:     cfg.LeaseSkew,
 			AdaptiveReads: cfg.AdaptiveReads,
 			Monitor:       cfg.Monitor,
 		})

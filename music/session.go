@@ -14,13 +14,13 @@ import (
 // This file is the session layer of the critical-section fast path: the
 // per-held-lock state that lets a holder exploit its own exclusivity.
 // While a lockRef is first in the queue, nobody else may write the key, so
-// (a) the value piggybacked on the grant's synchFlag quorum read — or read
-// by the section's first quorum Get — can serve later Gets from memory, and
-// (b) writes need not be acked before the *next* write issues, only before
-// the lock is released. Every fast-path operation still runs the same local
-// guard (core.Replica.CriticalCheck) as a quorum-backed critical op, and
-// any guard failure invalidates the cache; DESIGN.md states the ECF
-// soundness argument.
+// (a) the value the replica's grant record holds — piggybacked on the grant's
+// synchFlag quorum read, then folded by each of the section's writes — can
+// serve Gets at the cost of the local guard (core's read ladder; the session
+// only vouches that it never left the granting replica), and (b) writes need
+// not be acked before the *next* write issues, only before the lock is
+// released. Every fast-path operation still runs the same local guard as a
+// quorum-backed critical op; DESIGN.md states the ECF soundness argument.
 
 // WritePolicy selects how a critical section's writes reach the data store.
 type WritePolicy int
@@ -58,19 +58,11 @@ func WithWritePolicy(p WritePolicy) ClientOption {
 	return clientOptionFunc(func(cl *Client) { cl.writePolicy = p })
 }
 
-// WithHolderCache enables holder-cached reads: sections serve Get from a
-// per-section cache seeded by the grant-time quorum read and refreshed by
-// every quorum-backed operation, at the cost of a local guard instead of a
-// WAN round trip. Off by default.
-func WithHolderCache() ClientOption {
-	return clientOptionFunc(func(cl *Client) { cl.holderCache = true })
-}
-
 // CriticalSection is the handle passed to RunCritical callbacks: the
 // session state of one held lock. Besides delegating critical operations
-// to its client it carries the fast-path state — the holder cache
-// (WithHolderCache) and the write-behind buffer of the Pipelined and
-// Buffered policies (WithWritePolicy).
+// to its client it carries the write-behind buffer of the Pipelined and
+// Buffered policies (WithWritePolicy); what the section knows of the key's
+// value lives in the replica's grant record, not here.
 type CriticalSection struct {
 	cl  *Client
 	key string
@@ -78,12 +70,12 @@ type CriticalSection struct {
 
 	policy WritePolicy
 
-	// Holder cache: when valid, value/present mirror the key's true value
-	// as of this section's last quorum-backed observation.
-	cacheOn      bool
-	cacheValid   bool
-	cachePresent bool
-	cacheValue   []byte
+	// rebinds latches the client's rebind count when the lock was acquired.
+	// While it still matches, every write of the section went through the
+	// replica that granted the lock, so that replica's held value may serve
+	// Gets. A count, not a site name: after a failover A→B→A the client is
+	// "at A" again, but A's record has missed the writes made through B.
+	rebinds int
 
 	// Write-behind state: the section's latest write — the one the next
 	// lockholder must observe, so it must be acked before release — plus,
@@ -96,72 +88,37 @@ type CriticalSection struct {
 	lastPut   *store.PendingPut
 }
 
-// newSection builds the session state for a freshly acquired lock, seeding
-// the holder cache from the grant's piggybacked quorum read.
-func (cl *Client) newSection(key string, ref LockRef, seed core.ValueSeed) *CriticalSection {
-	cs := &CriticalSection{
-		cl:      cl,
-		key:     key,
-		ref:     ref,
-		policy:  cl.writePolicy,
-		cacheOn: cl.holderCache,
-	}
-	if cs.cacheOn && seed.Valid {
-		cs.setCache(seed.Value, seed.Present)
-	}
-	return cs
+// newSection builds the session state for a lock AwaitLock just returned.
+func (cl *Client) newSection(key string, ref LockRef) *CriticalSection {
+	return &CriticalSection{cl: cl, key: key, ref: ref, policy: cl.writePolicy, rebinds: cl.rebindCount()}
 }
 
 // Ref returns the section's lock reference.
 func (cs *CriticalSection) Ref() LockRef { return cs.ref }
 
-// guard runs the local holder check once against the bound replica.
-func (cs *CriticalSection) guard() error {
-	rep, _ := cs.cl.bound()
-	return rep.CriticalCheck(cs.key, int64(cs.ref))
-}
-
-// guardRetry is guard under the client's full retry + failover budget.
+// guardRetry runs the local holder check under the client's full retry +
+// failover budget.
 func (cs *CriticalSection) guardRetry() error {
 	return cs.cl.withRetry("criticalCheck", cs.key, cs.ref, true, func(rep *core.Replica) error {
 		return rep.CriticalCheck(cs.key, int64(cs.ref))
 	})
 }
 
-func (cs *CriticalSection) setCache(v []byte, present bool) {
-	if !cs.cacheOn {
-		return
-	}
-	cs.cacheValid, cs.cachePresent, cs.cacheValue = true, present, v
-}
-
-// invalidate drops the holder cache; any failed guard or critical op calls
-// it, so a section never serves cached state past an error.
-func (cs *CriticalSection) invalidate() {
-	cs.cacheValid, cs.cachePresent, cs.cacheValue = false, false, nil
-}
-
-// beginEcho opens a history record for a session-served read (holder cache
-// or write-behind buffer). The note names the source so the ECF checker's
-// echo rule — cached values must trace to the grant seed or the section's
-// own writes — applies instead of the quorum-freshness rule.
-func (cs *CriticalSection) beginEcho(source string) *history.Call {
-	_, site := cs.cl.bound()
-	return cs.cl.c.history.Begin(site, history.KindGet, cs.key, int64(cs.ref)).Note(source)
-}
-
 // Get reads the key's true value. With write-behind pending it returns the
-// section's own latest write; with a valid holder cache it returns the
-// cached value; either way the read is gated by the same local holder
-// guard as a quorum-backed critical op. Otherwise — or when the guard
-// fails transiently — it falls back to a quorum CriticalGet.
+// section's own latest write from the client-side buffer (those writes may
+// not have reached any replica yet). Otherwise it goes down the bound
+// replica's read ladder — as the granted session while the client has not
+// re-bound since the grant, so the replica's held value serves it for the
+// price of the local guard; as a plain Table I CriticalGet afterwards.
 func (cs *CriticalSection) Get() ([]byte, error) {
 	if cs.wbHave {
 		// Read-your-writes under write-behind: the buffered/in-flight value
-		// is the key's true value, whatever the store's replicas say.
-		hc := cs.beginEcho("buffer")
+		// is the key's true value, whatever the store's replicas say. The
+		// note names the source so the ECF checker's echo rule applies
+		// instead of the quorum-freshness rule.
+		_, site := cs.cl.bound()
+		hc := cs.cl.c.history.Begin(site, history.KindGet, cs.key, int64(cs.ref)).Note(history.NoteBuffer)
 		if err := cs.guardRetry(); err != nil {
-			cs.invalidate()
 			hc.End(err)
 			return nil, err
 		}
@@ -172,33 +129,7 @@ func (cs *CriticalSection) Get() ([]byte, error) {
 		hc.Value(cs.wbValue, true).End(nil)
 		return append([]byte(nil), cs.wbValue...), nil
 	}
-	if cs.cacheOn && cs.cacheValid {
-		hc := cs.beginEcho("cache")
-		err := cs.guard()
-		if err == nil {
-			cs.cl.counter("music_cs_cache_hits_total", obs.Labels{"site": cs.cl.Site()})
-			hc.Value(cs.cacheValue, cs.cachePresent).End(nil)
-			if !cs.cachePresent {
-				return nil, nil
-			}
-			return append([]byte(nil), cs.cacheValue...), nil
-		}
-		// The cached value was never served: abandon the echo record and let
-		// the quorum read below log the operation instead.
-		cs.invalidate()
-		if !IsRetryable(err) {
-			return nil, err
-		}
-		// Transient guard failure: fall through to the quorum read, which
-		// carries the retry + failover budget.
-	}
-	v, err := cs.cl.CriticalGet(cs.key, cs.ref)
-	if err != nil {
-		cs.invalidate()
-		return nil, err
-	}
-	cs.setCache(v, v != nil)
-	return v, nil
+	return cs.cl.criticalGet(cs.key, cs.ref, cs.rebinds)
 }
 
 // Put writes the key's value under the section's write policy.
@@ -211,11 +142,9 @@ func (cs *CriticalSection) write(v []byte, deleted bool) error {
 	switch cs.policy {
 	case WriteBuffered:
 		if err := cs.guardRetry(); err != nil {
-			cs.invalidate()
 			return err
 		}
 		cs.wbHave, cs.wbDirty, cs.wbValue, cs.wbDeleted = true, true, v, deleted
-		cs.setCache(v, !deleted)
 		return nil
 
 	case WritePipelined:
@@ -230,28 +159,18 @@ func (cs *CriticalSection) write(v []byte, deleted bool) error {
 			return issueErr
 		})
 		if err != nil {
-			cs.invalidate()
 			return err
 		}
 		cs.pending = append(cs.pending, h)
 		cs.lastPut = h
 		cs.wbHave, cs.wbValue, cs.wbDeleted = true, v, deleted
-		cs.setCache(v, !deleted)
 		return nil
 
 	default: // WriteSync
-		var err error
 		if deleted {
-			err = cs.cl.CriticalDelete(cs.key, cs.ref)
-		} else {
-			err = cs.cl.CriticalPut(cs.key, cs.ref, v)
+			return cs.cl.CriticalDelete(cs.key, cs.ref)
 		}
-		if err != nil {
-			cs.invalidate()
-			return err
-		}
-		cs.setCache(v, !deleted)
-		return nil
+		return cs.cl.CriticalPut(cs.key, cs.ref, v)
 	}
 }
 
@@ -300,7 +219,6 @@ func (cs *CriticalSection) Flush() (err error) {
 		err = cs.cl.CriticalPut(cs.key, cs.ref, cs.wbValue)
 	}
 	if err != nil {
-		cs.invalidate()
 		return err
 	}
 	cs.wbDirty = false
@@ -317,13 +235,12 @@ func (cl *Client) RunCritical(key string, fn func(cs *CriticalSection) error) er
 	if err != nil {
 		return err
 	}
-	seed, err := cl.awaitLockSeeded(key, ref, 0)
-	if err != nil {
+	if err := cl.AwaitLock(key, ref, 0); err != nil {
 		// Never granted: evict our reference so it cannot become an orphan.
 		_ = cl.RemoveLockRef(key, ref)
 		return err
 	}
-	cs := cl.newSection(key, ref, seed)
+	cs := cl.newSection(key, ref)
 	fnErr := fn(cs)
 	// The flush precedes the dequeue: the next holder's grant-time quorum
 	// read must observe this section's final value (ECF).
@@ -368,12 +285,11 @@ func (cl *Client) RunCriticalMulti(keys []string, fn func(cs map[string]*Critica
 		if err != nil {
 			return errors.Join(err, release())
 		}
-		seed, err := cl.awaitLockSeeded(key, ref, 0)
-		if err != nil {
+		if err := cl.AwaitLock(key, ref, 0); err != nil {
 			_ = cl.RemoveLockRef(key, ref)
 			return errors.Join(err, release())
 		}
-		held[key] = cl.newSection(key, ref, seed)
+		held[key] = cl.newSection(key, ref)
 	}
 	fnErr := fn(held)
 	if relErr := release(); relErr != nil {

@@ -45,45 +45,55 @@ func timeSection(t *testing.T, c *Cluster, cl *Client, key string, fn func(cs *C
 	return c.Now() - start
 }
 
-// TestHolderCacheServesGets is the grant-piggyback + holder-cache fast path:
-// a section's Gets are served from the value fetched by the grant-time
-// synchFlag quorum read, saving one full WAN quorum round trip per Get while
-// returning the same value the quorum path would.
+// TestHolderCacheServesGets is the default session read path against the
+// paper's Table I op: a section's cs.Get is served from the value the
+// grant-time synchFlag quorum read piggybacked into the replica's grant
+// record, saving one full WAN quorum round trip per Get over
+// Client.CriticalGet while returning the same value.
 func TestHolderCacheServesGets(t *testing.T) {
 	c := newTestCluster(t, WithSeed(7), WithObservability())
 	err := c.Run(func() {
-		seeder := c.Client("ohio")
+		cl := c.Client("ohio")
 		for _, key := range []string{"base", "fast"} {
-			if err := seeder.RunCritical(key, func(cs *CriticalSection) error {
+			if err := cl.RunCritical(key, func(cs *CriticalSection) error {
 				return cs.Put([]byte("v1"))
 			}); err != nil {
 				t.Fatalf("seed %s: %v", key, err)
 			}
 		}
-		twoGets := func(cs *CriticalSection) error {
-			for i := 0; i < 2; i++ {
-				v, err := cs.Get()
-				if err != nil {
-					return err
+		twoGets := func(get func(cs *CriticalSection) ([]byte, error)) func(cs *CriticalSection) error {
+			return func(cs *CriticalSection) error {
+				for i := 0; i < 2; i++ {
+					v, err := get(cs)
+					if err != nil {
+						return err
+					}
+					if string(v) != "v1" {
+						return fmt.Errorf("Get = %q, want v1", v)
+					}
 				}
-				if string(v) != "v1" {
-					return fmt.Errorf("Get = %q, want v1", v)
-				}
+				return nil
 			}
-			return nil
 		}
-		base := timeSection(t, c, seeder, "base", twoGets)
-		cached := timeSection(t, c, c.Client("ohio", WithHolderCache()), "fast", twoGets)
+		base := timeSection(t, c, cl, "base", twoGets(func(cs *CriticalSection) ([]byte, error) {
+			return cl.CriticalGet("base", cs.Ref())
+		}))
+		held := timeSection(t, c, cl, "fast", twoGets((*CriticalSection).Get))
 
-		// Both Gets hit the cache (the first is seeded by the grant's
-		// piggybacked read), so the cached section must be about two IUs WAN
-		// quorum round trips (~54ms each) faster than the quorum-read section.
-		if saved := base - cached; saved < 80*time.Millisecond {
-			t.Errorf("cached section saved %v over %v baseline, want >= 80ms (two quorum RTTs)", saved, base)
+		// Both session Gets are served by the held value (the first is seeded
+		// by the grant's piggybacked read), so that section must be about two
+		// IUs WAN quorum round trips (~54ms each) faster than the Table I one.
+		if saved := base - held; saved < 80*time.Millisecond {
+			t.Errorf("session section saved %v over %v Table I baseline, want >= 80ms (two quorum RTTs)", saved, base)
 		}
-		hits := c.Obs().Metrics().Counter("music_cs_cache_hits_total", obs.Labels{"site": "ohio"}).Value()
-		if hits < 2 {
-			t.Errorf("music_cs_cache_hits_total{site=ohio} = %v, want >= 2", hits)
+		rung := func(name string) int64 {
+			return c.Obs().Metrics().Counter("music_read_rung_total", obs.Labels{"site": "ohio", "rung": name}).Value()
+		}
+		if hits := rung("cache"); hits != 2 {
+			t.Errorf("music_read_rung_total{site=ohio,rung=cache} = %v, want 2", hits)
+		}
+		if quorum := rung("quorum"); quorum != 2 {
+			t.Errorf("music_read_rung_total{site=ohio,rung=quorum} = %v, want 2 (the Table I section)", quorum)
 		}
 	})
 	if err != nil {
@@ -186,24 +196,23 @@ func TestRunCriticalMultiDuplicateKeys(t *testing.T) {
 }
 
 // TestSessionFaultForcedReleaseInvalidatesCache: a forced release preempts
-// the holder; its cached reads must fail the local guard and surface the
-// preemption instead of serving the stale cached value.
+// the holder; its session reads must fail the local guard and surface the
+// preemption instead of serving the stale held value.
 func TestSessionFaultForcedReleaseInvalidatesCache(t *testing.T) {
 	for _, seed := range sessionFaultSeeds(t) {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			c := newTestCluster(t, WithSeed(seed))
 			err := c.Run(func() {
-				cl := c.Client("ohio", WithHolderCache())
+				cl := c.Client("ohio")
 				ref, err := cl.CreateLockRef("k")
 				if err != nil {
 					t.Fatalf("CreateLockRef: %v", err)
 				}
-				seedv, err := cl.awaitLockSeeded("k", ref, 0)
-				if err != nil {
-					t.Fatalf("awaitLockSeeded: %v", err)
+				if err := cl.AwaitLock("k", ref, 0); err != nil {
+					t.Fatalf("AwaitLock: %v", err)
 				}
-				cs := cl.newSection("k", ref, seedv)
+				cs := cl.newSection("k", ref)
 				if err := cs.Put([]byte("mine")); err != nil {
 					t.Fatalf("Put: %v", err)
 				}
@@ -239,24 +248,23 @@ func TestSessionFaultForcedReleaseInvalidatesCache(t *testing.T) {
 }
 
 // TestSessionFaultExpiryInvalidatesCache: past the T bound the guard on a
-// cached read self-preempts with ErrExpired, never serving cached state from
-// an expired section.
+// session read self-preempts with ErrExpired, never serving the held value
+// of an expired section.
 func TestSessionFaultExpiryInvalidatesCache(t *testing.T) {
 	for _, seed := range sessionFaultSeeds(t) {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			c := newTestCluster(t, WithSeed(seed), WithT(500*time.Millisecond))
 			err := c.Run(func() {
-				cl := c.Client("ohio", WithHolderCache())
+				cl := c.Client("ohio")
 				ref, err := cl.CreateLockRef("k")
 				if err != nil {
 					t.Fatalf("CreateLockRef: %v", err)
 				}
-				seedv, err := cl.awaitLockSeeded("k", ref, 0)
-				if err != nil {
-					t.Fatalf("awaitLockSeeded: %v", err)
+				if err := cl.AwaitLock("k", ref, 0); err != nil {
+					t.Fatalf("AwaitLock: %v", err)
 				}
-				cs := cl.newSection("k", ref, seedv)
+				cs := cl.newSection("k", ref)
 				if _, err := cs.Get(); err != nil {
 					t.Fatalf("warm Get: %v", err)
 				}
@@ -287,11 +295,10 @@ func TestSessionFaultFailoverCarriesBufferedWrite(t *testing.T) {
 				if err != nil {
 					t.Fatalf("CreateLockRef: %v", err)
 				}
-				seedv, err := cl.awaitLockSeeded("k", ref, 0)
-				if err != nil {
-					t.Fatalf("awaitLockSeeded: %v", err)
+				if err := cl.AwaitLock("k", ref, 0); err != nil {
+					t.Fatalf("AwaitLock: %v", err)
 				}
-				cs := cl.newSection("k", ref, seedv)
+				cs := cl.newSection("k", ref)
 				if err := cs.Put([]byte("buffered-survivor")); err != nil {
 					t.Fatalf("buffered Put: %v", err)
 				}
@@ -334,11 +341,10 @@ func TestSessionFaultPipelinedFlushRedrives(t *testing.T) {
 				if err != nil {
 					t.Fatalf("CreateLockRef: %v", err)
 				}
-				seedv, err := cl.awaitLockSeeded("k", ref, 0)
-				if err != nil {
-					t.Fatalf("awaitLockSeeded: %v", err)
+				if err := cl.AwaitLock("k", ref, 0); err != nil {
+					t.Fatalf("AwaitLock: %v", err)
 				}
-				cs := cl.newSection("k", ref, seedv)
+				cs := cl.newSection("k", ref)
 				c.PartitionSites([]string{"ohio"}, []string{"ncalifornia", "oregon"})
 				// The issue is a local guard, so it succeeds; the write's
 				// quorum round trip is what the partition kills.
@@ -360,6 +366,88 @@ func TestSessionFaultPipelinedFlushRedrives(t *testing.T) {
 				got, err := c.Client("oregon").RunCriticalRead("k")
 				if err != nil || string(got) != "redriven" {
 					t.Errorf("final value = (%q, %v), want redriven", got, err)
+				}
+			})
+			if err != nil {
+				t.Fatalf("Run: %v", err)
+			}
+		})
+	}
+}
+
+// TestSessionFaultFailoverThereAndBackReadsQuorum: the held-read latch. A
+// two-key section fails over ohio → ncalifornia on an op of key x, writes y
+// there, and fails back to ohio, again on x. Ohio's grant record for y was
+// never touched by a failed op, so it still holds the value from before the
+// first failover — it never saw ncalifornia's write. The client is "at its
+// granting site" again, yet y's Get must go to the store: a latch on the site
+// name instead of the rebind count serves the stale "at-ohio" here.
+func TestSessionFaultFailoverThereAndBackReadsQuorum(t *testing.T) {
+	for _, seed := range sessionFaultSeeds(t) {
+		seed := seed
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			c := newTestCluster(t, WithSeed(seed), WithObservability())
+			rung := func(name string) int64 {
+				return c.Obs().Metrics().Counter("music_read_rung_total", obs.Labels{"site": "ohio", "rung": name}).Value()
+			}
+			err := c.Run(func() {
+				cl := c.Client("ohio", WithFailoverSites("ncalifornia", "ohio"))
+				// failOver cuts the client's site off and drives one write of x,
+				// which exhausts its budget there and lands at the next site.
+				failOver := func(x *CriticalSection, from, to string) error {
+					var rest []string
+					for _, s := range c.Sites() {
+						if s != from {
+							rest = append(rest, s)
+						}
+					}
+					c.PartitionSites([]string{from}, rest)
+					if err := x.Put([]byte("from-" + from)); err != nil {
+						return fmt.Errorf("put across %s->%s: %w", from, to, err)
+					}
+					if got := cl.Site(); got != to {
+						return fmt.Errorf("after failing over from %s the client is at %q, want %s", from, got, to)
+					}
+					c.Heal()
+					c.Sleep(time.Second)
+					return nil
+				}
+				err := cl.RunCriticalMulti([]string{"x", "y"}, func(cs map[string]*CriticalSection) error {
+					x, y := cs["x"], cs["y"]
+					if err := y.Put([]byte("at-ohio")); err != nil {
+						return err
+					}
+					if v, err := y.Get(); err != nil || string(v) != "at-ohio" || rung("cache") != 1 {
+						return fmt.Errorf("un-rebound Get = (%q, %v), %d held serves; want at-ohio from the held value", v, err, rung("cache"))
+					}
+					c.Sleep(time.Second) // the grant cells reach ncalifornia
+
+					if err := failOver(x, "ohio", "ncalifornia"); err != nil {
+						return err
+					}
+					if err := y.Put([]byte("at-ncal")); err != nil {
+						return fmt.Errorf("put at ncalifornia: %w", err)
+					}
+					if err := failOver(x, "ncalifornia", "ohio"); err != nil {
+						return err
+					}
+
+					before := rung("quorum")
+					v, err := y.Get()
+					if err != nil {
+						return fmt.Errorf("Get back at ohio: %w", err)
+					}
+					if string(v) != "at-ncal" {
+						return fmt.Errorf("Get back at ohio = %q, want at-ncal (ohio's record missed that write)", v)
+					}
+					if rung("quorum") != before+1 || rung("cache") != 1 {
+						return fmt.Errorf("Get back at ohio: %d quorum reads (want %d), %d held serves (want 1)",
+							rung("quorum"), before+1, rung("cache"))
+					}
+					return nil
+				})
+				if err != nil {
+					t.Fatal(err)
 				}
 			})
 			if err != nil {

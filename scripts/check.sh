@@ -15,6 +15,9 @@ fi
 
 go vet ./...
 go build ./...
+# The benchmark is its own module (benchmark/go.mod), which ./... above does
+# not reach: an API it uses can be removed with everything here still green.
+(cd benchmark && go vet ./... && go build -o /dev/null ./...)
 # -shuffle surfaces inter-test state leaks (each failure logs the shuffle
 # seed for replay); every invocation carries an explicit -timeout so a hung
 # test fails the gate in minutes instead of stalling it for go test's
@@ -27,8 +30,9 @@ go test -race -timeout 600s ./music/ ./internal/httpapi/ ./internal/nettrans/ ./
 # a fixed seed list so a schedule regression cannot hide behind seed drift.
 MUSIC_FAULT_SEEDS="1,2,3,4,5" go test ./internal/core/ -run 'TestFault|TestChaos' -count=1 -timeout 300s
 # Session-layer fault edges of the critical-section fast path: forced
-# release / T-expiry invalidating the holder cache, write-behind buffers
-# surviving cross-site failover, pipelined flush re-drives.
+# release / T-expiry refusing the held-value read, the there-and-back
+# failover latch, write-behind buffers surviving cross-site failover,
+# pipelined flush re-drives.
 MUSIC_FAULT_SEEDS="1,2,3,4,5" go test ./music/ -run 'TestSessionFault' -count=1 -timeout 300s
 # Pinned-seed exploration batch: deterministic randomized fault schedules
 # (crash / partition / loss / clock skew) with every history checked against
@@ -76,54 +80,47 @@ go test ./internal/nettrans/ -run 'TestAllocCeiling' -count=1 -timeout 300s
 go test ./internal/store/ -run 'TestAllocCeilingStoreOps|TestShardOfZeroAlloc' -count=1 -timeout 300s
 go test ./internal/core/ -run 'TestShardedSingleKeyNoExtraAllocs' -count=1 -timeout 300s
 
-# Fast-path benchmark smoke: the fastpath experiment must run end to end in
-# quick mode and emit a well-formed BENCH_fastpath.json.
-fastpath_json=$(mktemp)
-transport_json=$(mktemp)
-trap 'rm -f "$fastpath_json" "$transport_json"' EXIT
-go run ./cmd/musicbench -exp fastpath -quick -quiet -json "$fastpath_json" > /dev/null
-grep -q '"experiment": "fastpath"' "$fastpath_json"
-
-# Message-plane smoke: the transport experiment deploys real TCP loopback
-# clusters alongside the simulated plane and must emit BENCH_transport.json.
-go run ./cmd/musicbench -exp transport -quick -quiet -json "$transport_json" > /dev/null
-grep -q '"experiment": "transport"' "$transport_json"
-
-# Soak smoke: the soak scenarios must run end to end in quick mode and emit a
-# well-formed BENCH_soak.json SLO report. restarts and reconfig deploy real
-# musicd OS processes: restarts must prove the SIGKILLed-and-restarted process
-# caught up through the startup state-transfer pull ("caught_up": true), and
-# reconfig drives join/retire/replace through POST /v1/admin/membership while
-# the workload keeps running (final_epoch 4).
-soak_json=$(mktemp)
-trap 'rm -f "$fastpath_json" "$transport_json" "$soak_json"' EXIT
-go run ./cmd/musicbench -exp soak -quick -quiet -json "$soak_json" > /dev/null
-grep -q '"experiment": "soak"' "$soak_json"
-grep -q '"scenario": "restarts"' "$soak_json"
-grep -q '"caught_up": true' "$soak_json"
-grep -q '"scenario": "reconfig"' "$soak_json"
-grep -q '"final_epoch": 4' "$soak_json"
-
-# Scale smoke: the sharded-plane campaign must run end to end in quick mode
-# (shard counts 1 and 4 over the million-key uniform YCSB workload) and emit
-# a well-formed BENCH_scale.json. The full sweep runs in CI's bench-gate job
-# against the committed baseline.
-scale_json=$(mktemp)
-trap 'rm -f "$fastpath_json" "$transport_json" "$soak_json" "$scale_json"' EXIT
-go run ./cmd/musicbench -exp scale -quick -quiet -json "$scale_json" > /dev/null
-grep -q '"experiment": "scale"' "$scale_json"
-grep -q '"shards": "4"' "$scale_json"
-
-# Read-path smoke: the adaptive-consistency experiment must run end to end
-# in quick mode and emit a well-formed BENCH_readpath.json covering all four
-# read planes, with the injected-staleness config actually tripping the
-# monitor ("flipped": true). The full sweep gates against the committed
-# baseline in CI's bench-gate job.
-readpath_json=$(mktemp)
-trap 'rm -f "$fastpath_json" "$transport_json" "$soak_json" "$scale_json" "$readpath_json"' EXIT
-go run ./cmd/musicbench -exp readpath -quick -quiet -json "$readpath_json" > /dev/null
-grep -q '"experiment": "readpath"' "$readpath_json"
-grep -q '"config": "adaptive_stale"' "$readpath_json"
-grep -q '"flipped": true' "$readpath_json"
+# Experiment smokes: each JSON-emitting musicbench experiment must run end
+# to end in quick mode and write a well-formed BENCH_<id>.json. One run per
+# experiment id, then every pattern listed for that id must appear in what it
+# wrote (the full sweeps gate against the committed baselines in CI's
+# bench-gate job):
+#   fastpath   the Table I / session / write-behind / digest rows.
+#   transport  real TCP loopback clusters alongside the simulated plane.
+#   soak       restarts and reconfig deploy real musicd OS processes: restarts
+#              must prove the SIGKILLed-and-restarted process caught up through
+#              the startup state-transfer pull, and reconfig drives
+#              join/retire/replace through POST /v1/admin/membership while the
+#              workload keeps running (final_epoch 4).
+#   scale      shard counts 1 and 4 over the million-key uniform YCSB workload.
+#   readpath   all four read planes, with the injected-staleness config
+#              actually tripping the monitor.
+smoke_json=$(mktemp)
+trap 'rm -f "$smoke_json"' EXIT
+ran=
+for smoke in \
+    'fastpath:"experiment": "fastpath"' \
+    'transport:"experiment": "transport"' \
+    'soak:"experiment": "soak"' \
+    'soak:"scenario": "restarts"' \
+    'soak:"caught_up": true' \
+    'soak:"scenario": "reconfig"' \
+    'soak:"final_epoch": 4' \
+    'scale:"experiment": "scale"' \
+    'scale:"shards": "4"' \
+    'readpath:"experiment": "readpath"' \
+    'readpath:"config": "adaptive_stale"' \
+    'readpath:"flipped": true'
+do
+    id=${smoke%%:*} pattern=${smoke#*:}
+    if [ "$id" != "$ran" ]; then
+        go run ./cmd/musicbench -exp "$id" -quick -quiet -json "$smoke_json" > /dev/null
+        ran=$id
+    fi
+    grep -q "$pattern" "$smoke_json" || {
+        echo "check.sh: $id smoke: $pattern missing from its JSON" >&2
+        exit 1
+    }
+done
 
 echo "check.sh: all green"
