@@ -26,18 +26,18 @@ type musicWorld struct {
 
 // buildMUSIC constructs the deployment. T is sized generously so long
 // critical sections (batch 1000 × quorum put) never hit the expiry guard.
-func buildMUSIC(profile *simnet.Profile, nodesPerSite int, mode core.Mode, seed int64, observer func(core.Op, time.Duration)) *musicWorld {
-	return buildMUSICWorld(profile, nodesPerSite, mode, seed, observer, false)
+func buildMUSIC(profile *simnet.Profile, nodesPerSite int, mode core.Mode, seed int64) *musicWorld {
+	return buildMUSICWorld(profile, nodesPerSite, mode, seed, false)
 }
 
 // buildMUSICTraced is buildMUSIC with the observability subsystem on; the
 // trace and fig5b experiments read span trees and per-span aggregates off
-// w.obs instead of threading a core Observer through.
+// w.obs.
 func buildMUSICTraced(profile *simnet.Profile, nodesPerSite int, mode core.Mode, seed int64) *musicWorld {
-	return buildMUSICWorld(profile, nodesPerSite, mode, seed, nil, true)
+	return buildMUSICWorld(profile, nodesPerSite, mode, seed, true)
 }
 
-func buildMUSICWorld(profile *simnet.Profile, nodesPerSite int, mode core.Mode, seed int64, observer func(core.Op, time.Duration), traced bool) *musicWorld {
+func buildMUSICWorld(profile *simnet.Profile, nodesPerSite int, mode core.Mode, seed int64, traced bool) *musicWorld {
 	rt := sim.New(seed)
 	var ob *obs.Obs
 	if traced {
@@ -51,7 +51,6 @@ func buildMUSICWorld(profile *simnet.Profile, nodesPerSite int, mode core.Mode, 
 			T:             10 * time.Minute,
 			OrphanTimeout: 5 * time.Second,
 			Mode:          mode,
-			Observer:      observer,
 		}))
 	}
 	return w

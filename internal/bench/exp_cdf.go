@@ -30,7 +30,7 @@ func runFig8(opts Options) []Table {
 		}
 		for _, p := range []*simnet.Profile{simnet.Profile11, simnet.ProfileIUs} {
 			opts.logf("  fig8: %s on %s", name, p.Name())
-			w := buildMUSIC(p, 1, mode, 21, nil)
+			w := buildMUSIC(p, 1, mode, 21)
 			val := value(10)
 			var row []string
 			mustRun(w, func() {

@@ -50,7 +50,7 @@ func crdbCSLatency(batch, valSize, iters int, opts Options) time.Duration {
 // musicCSLatency measures the mean latency of one MUSIC critical section
 // with `batch` criticalPuts.
 func musicCSLatency(batch, valSize, iters int, opts Options) time.Duration {
-	w := buildMUSIC(simnet.ProfileIUs, 1, core.ModeQuorum, 17, nil)
+	w := buildMUSIC(simnet.ProfileIUs, 1, core.ModeQuorum, 17)
 	val := value(valSize)
 	var mean time.Duration
 	mustRun(w, func() {

@@ -41,7 +41,7 @@ func throughputDurations(opts Options) (time.Duration, time.Duration) {
 // measureMUSICThroughput measures critical sections per second for the
 // given mode, with one CS = lockRef + acquire + batch puts + release.
 func measureMUSICThroughput(profile *simnet.Profile, nodesPerSite int, mode core.Mode, workersPerNode, batch, valSize int, opts Options) tpResult {
-	w := buildMUSIC(profile, nodesPerSite, mode, 42, nil)
+	w := buildMUSIC(profile, nodesPerSite, mode, 42)
 	val := value(valSize)
 	warm, window := throughputDurations(opts)
 	var res tpResult
@@ -61,7 +61,7 @@ func measureMUSICThroughput(profile *simnet.Profile, nodesPerSite int, mode core
 // measureCassaEVThroughput measures plain eventual writes per second — the
 // performance upper bound (§VIII-b).
 func measureCassaEVThroughput(profile *simnet.Profile, opts Options) tpResult {
-	w := buildMUSIC(profile, 1, core.ModeQuorum, 42, nil)
+	w := buildMUSIC(profile, 1, core.ModeQuorum, 42)
 	val := value(10)
 	warm, window := throughputDurations(opts)
 	var res tpResult
@@ -151,7 +151,7 @@ func runFig5a(opts Options) []Table {
 		opts.logf("  fig5a: profile %s", p.Name())
 		var evMean, musicMean, mscpMean time.Duration
 		{
-			w := buildMUSIC(p, 1, core.ModeQuorum, 7, nil)
+			w := buildMUSIC(p, 1, core.ModeQuorum, 7)
 			val := value(10)
 			mustRun(w, func() {
 				ev := measureLatency(w.rt, iters, discard, func(i int) error {
@@ -165,7 +165,7 @@ func runFig5a(opts Options) []Table {
 			})
 		}
 		{
-			w := buildMUSIC(p, 1, core.ModeLWT, 7, nil)
+			w := buildMUSIC(p, 1, core.ModeLWT, 7)
 			val := value(10)
 			mustRun(w, func() {
 				mscp := measureLatency(w.rt, iters, discard, func(i int) error {
@@ -198,7 +198,7 @@ func spanMean(ns []obs.NameStat, name string) time.Duration {
 // runFig5b reproduces Fig 5(b): the per-operation latency breakdown of a
 // MUSIC critical section on IUs, with the MSCP LWT put alongside. The
 // breakdown is derived from the causal tracer's per-span aggregates — the
-// same spans `-exp trace` renders — rather than a separate Observer hook.
+// same spans `-exp trace` renders.
 func runFig5b(opts Options) []Table {
 	iters, discard := latencyIters(opts)
 

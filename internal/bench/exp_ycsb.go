@@ -25,7 +25,7 @@ type ycsbResult struct {
 // measured ~5.5% collisions). Throughput is ops/makespan; latency includes
 // lock-queue waits.
 func measureYCSB(mode core.Mode, workload string, opts Options) ycsbResult {
-	w := buildMUSIC(simnet.ProfileIUs, 1, mode, 99, nil)
+	w := buildMUSIC(simnet.ProfileIUs, 1, mode, 99)
 	// Concurrency is sized for the paper's contention regime (~5.5% lock
 	// collisions over the Zipfian-hot keyspace); more threads would convoy
 	// on the hottest locks and measure queueing instead of the store.

@@ -13,7 +13,7 @@ import (
 // worker holds a long-running stream of critical sections on its own key,
 // paying createLockRef/acquire/release once per batch (the Fig 6 shape).
 func measureMUSICWriteThroughput(mode core.Mode, workersPerSite, batch, valSize int, opts Options) tpResult {
-	w := buildMUSIC(simnet.ProfileIUs, 1, mode, 43, nil)
+	w := buildMUSIC(simnet.ProfileIUs, 1, mode, 43)
 	val := value(valSize)
 	warm, window := throughputDurations(opts)
 

@@ -25,7 +25,7 @@ func overheadWorld(traced bool) *musicWorld {
 	if traced {
 		return buildMUSICTraced(simnet.ProfileLocal, 1, core.ModeQuorum, 1)
 	}
-	return buildMUSIC(simnet.ProfileLocal, 1, core.ModeQuorum, 1, nil)
+	return buildMUSIC(simnet.ProfileLocal, 1, core.ModeQuorum, 1)
 }
 
 func BenchmarkOverheadStoreQuorumPut(b *testing.B) {

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"repro/internal/lockstore"
-	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/simnet"
 	"repro/internal/store"
@@ -303,36 +302,6 @@ func TestFaultAckLossMidCriticalPut(t *testing.T) {
 				t.Fatalf("Run: %v", err)
 			}
 		})
-	}
-}
-
-// TestJanitorStopCancelsPendingSweep pins the StartJanitor contract: after
-// stop() returns, no further sweep (with its quorum reads) may run — the
-// already-scheduled timer is cancelled, not just future re-arms.
-func TestJanitorStopCancelsPendingSweep(t *testing.T) {
-	rt := sim.New(1)
-	ob := obs.New(rt, obs.Options{})
-	net := simnet.New(rt, simnet.Config{Profile: simnet.ProfileIUs, Seed: 1, Obs: ob})
-	st := store.New(net, store.Config{})
-	rep := NewReplica(st.Client(0), Config{})
-	sweeps := func() int64 {
-		return ob.Metrics().Counter("music_janitor_sweeps_total", obs.Labels{"site": "ohio"}).Value()
-	}
-	err := rt.Run(func() {
-		stop := rep.StartJanitor(100 * time.Millisecond)
-		rt.Sleep(350 * time.Millisecond)
-		if sweeps() == 0 {
-			t.Fatal("janitor never swept while running")
-		}
-		stop()
-		before := sweeps()
-		rt.Sleep(2 * time.Second)
-		if got := sweeps(); got != before {
-			t.Fatalf("%d sweep(s) ran after stop()", got-before)
-		}
-	})
-	if err != nil {
-		t.Fatalf("Run: %v", err)
 	}
 }
 

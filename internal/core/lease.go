@@ -21,12 +21,11 @@ import (
 //     preempts a granted section only once elapsed > T on its own clock, so
 //     with clock skew bounded by LeaseSkew the lease has provably stopped
 //     serving before any preemption's dequeue can admit a new writer.
-//   - In lease mode the grant cell is written with an LWT (SetGrantLWT)
-//     conditioned on the queue bytes and on no existing grant cell, and the
-//     orphan reap dequeues with DequeueIfUngranted, conditioned on the grant
-//     cell's absence — both serialize through Paxos on the same lock row, so
-//     a lease-issuing grant and an orphan reap of the same ref cannot both
-//     win.
+//   - In lease mode the grant cell is written with an LWT (SetGrantLWT) and
+//     the orphan reap dequeues with DequeueIfUngranted, each conditioned on
+//     the whole observed lock row — ref at the head, no grant recorded for
+//     it. Both serialize through Paxos on that row, so a lease-issuing grant
+//     and an orphan reap of the same ref cannot both win.
 //   - A replica adopting a foreign grant (failover) refuses retryably until
 //     the granting site's window has provably closed (effTTL + LeaseSkew
 //     past the grant instant), and a voluntary release driven at a site that
@@ -41,7 +40,7 @@ import (
 // siteTag identifies this site in grant cells (SetGrantLWT): a granter whose
 // CAS lost its ack — or a second local poll racing it — recognizes the cell
 // as its own site's and re-owns the grant instead of waiting out its own
-// lease window as if it were foreign. Never 0 (0 means "untagged cell").
+// lease window as if it were foreign. Never 0 (0 means a plain SetGrant).
 func (r *Replica) siteTag() uint64 {
 	h := fnv.New64a()
 	h.Write([]byte(r.site))

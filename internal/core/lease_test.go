@@ -315,15 +315,11 @@ func TestAdaptiveStaleReadFlipsMonitor(t *testing.T) {
 // quorum leaves nothing behind, so there the bytes differ too.
 func TestLeaseFailedWriteNotServed(t *testing.T) {
 	for _, mode := range []Mode{ModeQuorum, ModeLWT} {
-		leaseGets := 0
 		// The window must outlast the partitioned put's timeouts.
-		cfg := Config{Leases: true, LeaseTTL: 30 * time.Second, Mode: mode, Observer: func(op Op, _ time.Duration) {
-			if op == OpLeaseGet {
-				leaseGets++
-			}
-		}}
-		fixture(t, cfg, func(w *world) {
+		cfg := Config{Leases: true, LeaseTTL: 30 * time.Second, Mode: mode}
+		fixtureObserved(t, cfg, func(w *world) {
 			r := w.rep[0]
+			leaseGets := func() int64 { return w.opCount(OpLeaseGet, "ohio") }
 			ref, err := r.CreateLockRef("k")
 			if err != nil {
 				t.Fatalf("CreateLockRef: %v", err)
@@ -332,8 +328,8 @@ func TestLeaseFailedWriteNotServed(t *testing.T) {
 			if err := r.CriticalPut("k", ref, []byte("acked")); err != nil {
 				t.Fatalf("CriticalPut: %v", err)
 			}
-			if v, err := r.Get("k"); err != nil || string(v) != "acked" || leaseGets != 1 {
-				t.Fatalf("mode %v: Get = (%q, %v) with %d lease serves, want acked served by the lease", mode, v, err, leaseGets)
+			if v, err := r.Get("k"); err != nil || string(v) != "acked" || leaseGets() != 1 {
+				t.Fatalf("mode %v: Get = (%q, %v) with %d lease serves, want acked served by the lease", mode, v, err, leaseGets())
 			}
 
 			w.net.PartitionSites([]string{"ohio"}, []string{"ncalifornia", "oregon"})
@@ -344,7 +340,7 @@ func TestLeaseFailedWriteNotServed(t *testing.T) {
 			if err != nil {
 				t.Fatalf("mode %v: Get after the failed put: %v", mode, err)
 			}
-			if leaseGets != 1 {
+			if leaseGets() != 1 {
 				t.Errorf("mode %v: the lease served %q after the section's write failed", mode, v)
 			}
 			if mode == ModeLWT && string(v) != "acked" {
@@ -363,8 +359,8 @@ func TestLeaseFailedWriteNotServed(t *testing.T) {
 			if err != nil {
 				t.Fatalf("mode %v: CriticalGet after heal: %v", mode, err)
 			}
-			if v, err := r.Get("k"); err != nil || string(v) != string(settled) || leaseGets != 2 {
-				t.Errorf("mode %v: Get = (%q, %v) with %d lease serves, want the settled %q served by the lease", mode, v, err, leaseGets, settled)
+			if v, err := r.Get("k"); err != nil || string(v) != string(settled) || leaseGets() != 2 {
+				t.Errorf("mode %v: Get = (%q, %v) with %d lease serves, want the settled %q served by the lease", mode, v, err, leaseGets(), settled)
 			}
 		})
 	}

@@ -9,7 +9,6 @@ import (
 	"repro/internal/history"
 	"repro/internal/lockstore"
 	"repro/internal/obs"
-	"repro/internal/sim"
 	"repro/internal/simnet"
 	"repro/internal/store"
 )
@@ -67,7 +66,7 @@ var (
 // the granularity of the paper's Fig 5(b) breakdown.
 type Op int
 
-// Operations observed by Config.Observer.
+// Operations timed into the music_op_latency histogram.
 const (
 	OpCreateLockRef Op = iota + 1
 	OpAcquirePeek      // the local lsPeek ("L" in Fig 5b)
@@ -122,10 +121,6 @@ type Config struct {
 	// Mode selects quorum (MUSIC) or LWT (MSCP) critical puts.
 	// Defaults to ModeQuorum.
 	Mode Mode
-	// Observer, when set, receives the latency of every completed
-	// operation (bench instrumentation for Fig 5b).
-	Observer func(op Op, d time.Duration)
-
 	// Ablations (benchmarking only — they disable MUSIC's optimizations
 	// while preserving correctness):
 	//
@@ -364,13 +359,9 @@ func (r *Replica) Mode() Mode { return r.cfg.Mode }
 func (r *Replica) nowMicros() int64 { return r.ds0().Cluster().NowMicros() }
 
 func (r *Replica) observe(op Op, start time.Duration) {
-	now := r.ds0().Cluster().Net().Runtime().Now()
-	if r.cfg.Observer != nil {
-		r.cfg.Observer(op, now-start)
-	}
 	if o := r.ds0().Cluster().Net().Obs(); o != nil {
 		o.Metrics().Histogram("music_op_latency", obs.Labels{"op": op.String(), "site": r.site}).
-			Observe(now - start)
+			Observe(r.now() - start)
 	}
 }
 
@@ -468,13 +459,13 @@ func (r *Replica) AcquireLock(key string, ref int64) (acquired bool, err error) 
 		}
 		return false, nil
 	}
-	r.clearBehind(key, ref)
+	s := r.shardFor(key)
+	s.forgetWaiter(key, ref, head, ok)
 	if ref < head.Ref {
 		return false, ErrNoLongerLockHolder // lock forcibly released
 	}
 
 	// ref is first in the queue. Idempotent re-acquire after a grant.
-	s := r.shardFor(key)
 	s.mu.Lock()
 	g, granted := s.grants[key]
 	s.mu.Unlock()
@@ -549,9 +540,10 @@ func (r *Replica) AcquireLock(key string, ref int64) (acquired bool, err error) 
 	if r.cfg.Leases {
 		// In lease mode the grant issues the site a lease, so the grant cell
 		// must be recorded *synchronously and exclusively* before the holder
-		// is admitted: an LWT conditioned on the queue bytes and on no
-		// existing cell, serializing against competing granters and against
-		// DequeueIfUngranted's orphan reap through the same Paxos row.
+		// is admitted: an LWT conditioned on the whole lock row (ref at the
+		// head, no grant recorded for it), serializing against competing
+		// granters and against DequeueIfUngranted's orphan reap through the
+		// same Paxos row.
 		epoch, _ := r.placeStamp(key)
 		applied, curStart, curEpoch, gerr := s.ls.SetGrantLWT(key, ref, now, epoch, r.siteTag())
 		if gerr != nil {
@@ -921,8 +913,8 @@ func (r *Replica) grantTime(key string, ref int64, head lockstore.Entry) (int64,
 // places the key at this site and (b) the key's replica set is unchanged
 // since the epoch the grant was issued under — otherwise its earlier
 // quorum writes may not intersect quorums assembled here. Grants whose
-// epoch is unknown (cell written before the epoch extension, or older than
-// the store's bounded ring history) are refused conservatively.
+// epoch is older than the store's bounded ring history are refused
+// conservatively.
 func (r *Replica) adoptGrant(key string, ref, startMicros, grantEpoch int64) error {
 	if r.cfg.Leases {
 		// The granting site's lease may still be serving reads of this key;
@@ -1046,6 +1038,7 @@ func (r *Replica) ReleaseLock(key string, ref int64) (err error) {
 	if err != nil {
 		return err
 	}
+	s.forgetWaiter(key, ref, head, ok)
 	if ok && ref < head.Ref {
 		return nil // lock was forcibly released already (§IV-A)
 	}
@@ -1066,13 +1059,24 @@ func (r *Replica) ReleaseLock(key string, ref int64) (err error) {
 }
 
 // ForcedRelease preempts lockRef, e.g. when its holder is presumed failed
-// (§IV-B). It first marks the key's data store as needing synchronization —
+// (§IV-B). Internal to MUSIC in the paper; exposed for ownership-stealing
+// services like the Portal (§VII-b).
+func (r *Replica) ForcedRelease(key string, ref int64) error {
+	return r.forcedRelease(key, ref, false)
+}
+
+// forcedRelease first marks the key's data store as needing synchronization —
 // stamping the synchFlag with the δ timestamp so the mark survives a racing
 // reset by the same lockRef but yields to the next lockholder's reset — and
 // only then dequeues the reference, so the next grant is guaranteed to see
-// the flag. Internal to MUSIC in the paper; exposed for ownership-stealing
-// services like the Portal (§VII-b).
-func (r *Replica) ForcedRelease(key string, ref int64) (err error) {
+// the flag.
+//
+// ungrantedOnly is the lease-mode orphan reap: the dequeue is conditioned on
+// no grant being recorded for ref, so it can never race a SetGrantLWT that
+// just issued a lease. If the grant won, the reap backs off (the mark stays —
+// the next grant synchronizes, which is harmless), the T expiry path handles
+// a truly dead holder.
+func (r *Replica) forcedRelease(key string, ref int64, ungrantedOnly bool) (err error) {
 	sp := r.tracer().Start("music.forcedRelease")
 	sp.Annotatef("lockref", "%s/%d", key, ref)
 	defer func() { sp.EndErr(err) }()
@@ -1085,58 +1089,43 @@ func (r *Replica) ForcedRelease(key string, ref int64) (err error) {
 	if ok && ref < head.Ref {
 		return nil // previously released (not an effective preemption: no history op)
 	}
-	// Revoke the local grant record before the dequeue: once the ref leaves
-	// the queue a successor can be granted, and the record's held value must
-	// not serve across that boundary.
-	r.forgetGrant(key, ref)
-	// Effective preemption: record it with the δ stamp the mark carries.
+	if !ungrantedOnly {
+		// Revoke the local grant record before the dequeue: once the ref
+		// leaves the queue a successor can be granted, and the record's held
+		// value must not serve across that boundary. (An orphan has no record
+		// here unless this site granted it after all, and then the record
+		// must outlive the refused dequeue.)
+		r.forgetGrant(key, ref)
+	}
+	// Effective preemption: record it with the δ stamp the mark carries —
+	// unless the reap stands down, when none happened.
 	hc := r.cfg.History.Begin(r.site, history.KindForcedRelease, key, ref).TS(v2sForced(ref, r.cfg.T))
-	defer func() { hc.End(err) }()
+	dequeued := false
+	defer func() {
+		if dequeued || err != nil {
+			hc.End(err)
+		}
+	}()
 	mark := store.Row{colSynch: store.Cell{Value: synchTrueVal, TS: v2sForced(ref, r.cfg.T)}}
 	if err := s.ds.Put(DataTable, key, mark, store.Quorum); err != nil {
 		return fmt.Errorf("forcedRelease %s/%d: synchFlag: %w", key, ref, err)
 	}
-	if err := s.ls.Dequeue(key, ref); err != nil {
-		return fmt.Errorf("forcedRelease %s/%d: %w", key, ref, err)
+	if ungrantedOnly {
+		dequeued, err = s.ls.DequeueIfUngranted(key, ref)
+	} else {
+		dequeued, err = true, s.ls.Dequeue(key, ref)
 	}
-	r.observe(OpForcedRelease, start)
-	return nil
-}
-
-// forcedReleaseIfUngranted is the lease-mode orphan reap: the δ mark
-// followed by a dequeue conditioned on the grant cell's absence, so it can
-// never race a SetGrantLWT that just issued a lease. If the grant won, the
-// reap backs off (the mark stays — the next grant synchronizes, which is
-// harmless) and the T expiry path handles a truly dead holder. The history
-// op is recorded only when the preemption took effect.
-func (r *Replica) forcedReleaseIfUngranted(key string, ref int64) (err error) {
-	sp := r.tracer().Start("music.forcedRelease.orphan")
-	sp.Annotatef("lockref", "%s/%d", key, ref)
-	defer func() { sp.EndErr(err) }()
-	start := r.now()
-	s := r.shardFor(key)
-	head, ok, err := s.ls.Peek(key)
-	if err != nil {
-		return err
-	}
-	if ok && ref < head.Ref {
-		return nil
-	}
-	hc := r.cfg.History.Begin(r.site, history.KindForcedRelease, key, ref).TS(v2sForced(ref, r.cfg.T))
-	mark := store.Row{colSynch: store.Cell{Value: synchTrueVal, TS: v2sForced(ref, r.cfg.T)}}
-	if err := s.ds.Put(DataTable, key, mark, store.Quorum); err != nil {
-		return fmt.Errorf("forcedRelease %s/%d: synchFlag: %w", key, ref, err)
-	}
-	dequeued, err := s.ls.DequeueIfUngranted(key, ref)
 	if err != nil {
 		return fmt.Errorf("forcedRelease %s/%d: %w", key, ref, err)
 	}
 	if !dequeued {
 		sp.Annotate("outcome", "granted after all")
-		return nil // hc dropped: no effective preemption happened
+		return nil
 	}
-	hc.End(nil)
 	r.forgetGrant(key, ref)
+	// Only now: a reap that failed part-way must find the head's orphan clock
+	// still running when the next poll retries it.
+	s.forgetWaiter(key, ref, head, ok)
 	r.observe(OpForcedRelease, start)
 	return nil
 }
@@ -1153,6 +1142,22 @@ func (r *Replica) forgetGrant(key string, ref int64) (held bool) {
 		held = true
 	}
 	return held
+}
+
+// forgetWaiter drops what the shard tracked about ref while it waited for
+// key — called with a local peek whenever ref stops waiting here: it reached
+// the head, released, or was force-released. behind[key/ref] is
+// ref's own. seen[key] is shared by every waiter polling here, so it goes
+// only when it is garbage by that peek: it describes ref itself, or anything
+// but the ungranted head the peek shows (a waiter that gives up must not
+// restart the orphan clock of a head that really is dead).
+func (s *planeShard) forgetWaiter(key string, ref int64, head lockstore.Entry, ok bool) {
+	s.mu.Lock()
+	delete(s.behind, behindID(key, ref))
+	if age, tracked := s.seen[key]; tracked && (age.ref == ref || !ok || age.ref != head.Ref || head.StartTime > 0) {
+		delete(s.seen, key)
+	}
+	s.mu.Unlock()
 }
 
 // reapExpiredHead force-releases a head lockRef whose holder appears failed:
@@ -1179,14 +1184,10 @@ func (r *Replica) reapExpiredHead(key string, head lockstore.Entry) {
 	expired := now-age.sinceMicros > int64(r.cfg.OrphanTimeout/time.Microsecond)
 	s.mu.Unlock()
 	if expired {
-		if r.cfg.Leases {
-			// The "orphan" may be a grant racing us through SetGrantLWT; the
-			// conditioned dequeue makes reap-vs-grant a Paxos-serialized
-			// either/or instead of a lost lease.
-			_ = r.forcedReleaseIfUngranted(key, head.Ref)
-			return
-		}
-		_ = r.ForcedRelease(key, head.Ref)
+		// In lease mode the "orphan" may be a grant racing us through
+		// SetGrantLWT; the conditioned dequeue makes reap-vs-grant a
+		// Paxos-serialized either/or instead of a lost lease.
+		_ = r.forcedRelease(key, head.Ref, r.cfg.Leases)
 	}
 }
 
@@ -1224,15 +1225,10 @@ func (r *Replica) settleBehindRef(key string, ref int64) (dead bool, err error) 
 			return false, nil
 		}
 	}
-	r.clearBehind(key, ref)
-	return true, nil
-}
-
-func (r *Replica) clearBehind(key string, ref int64) {
-	s := r.shardFor(key)
 	s.mu.Lock()
-	delete(s.behind, behindID(key, ref))
+	delete(s.behind, id)
 	s.mu.Unlock()
+	return true, nil
 }
 
 func behindID(key string, ref int64) string { return fmt.Sprintf("%s/%d", key, ref) }
@@ -1300,56 +1296,7 @@ func (r *Replica) Remove(key string) error {
 	return nil
 }
 
-// StartJanitor runs a background sweeper that force-releases expired or
-// orphaned head lockRefs across all lock keys every interval. The returned
-// stop function cancels the pending timer, so no further sweep (with its
-// quorum reads) runs after it returns — in real-time mode a stray sweep
-// would outlive Cluster.Close.
-func (r *Replica) StartJanitor(interval time.Duration) (stop func()) {
-	rt := r.ds0().Cluster().Net().Runtime()
-	var mu sync.Mutex
-	stopped := false
-	var timer *sim.Timer
-	var loop func()
-	loop = func() {
-		mu.Lock()
-		if stopped {
-			mu.Unlock()
-			return
-		}
-		mu.Unlock()
-		if o := r.ds0().Cluster().Net().Obs(); o != nil {
-			o.Metrics().Counter("music_janitor_sweeps_total", obs.Labels{"site": r.site}).Inc()
-		}
-		keys, err := r.ds0().AllKeys(lockstore.Table)
-		if err == nil {
-			for _, key := range keys {
-				// Peek through the key's owning shard so the sweep's reads
-				// originate from that shard's coordinator.
-				if head, ok, peekErr := r.shardFor(key).ls.Peek(key); peekErr == nil && ok {
-					r.reapExpiredHead(key, head)
-				}
-			}
-		}
-		mu.Lock()
-		if !stopped {
-			timer = rt.After(interval, loop)
-		}
-		mu.Unlock()
-	}
-	mu.Lock()
-	timer = rt.After(interval, loop)
-	mu.Unlock()
-	return func() {
-		mu.Lock()
-		stopped = true
-		t := timer
-		mu.Unlock()
-		t.Stop()
-	}
-}
-
-// now returns the runtime clock (for observers).
+// now returns the runtime clock.
 func (r *Replica) now() time.Duration { return r.ds0().Cluster().Net().Runtime().Now() }
 
 // synchFlag encoding.

@@ -9,6 +9,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/simnet"
 	"repro/internal/store"
@@ -20,6 +21,7 @@ type world struct {
 	net *simnet.Network
 	st  *store.Cluster
 	rep [3]*Replica
+	obs *obs.Obs // nil unless built by fixtureObserved
 }
 
 func fixture(t *testing.T, cfg Config, fn func(w *world)) {
@@ -29,16 +31,38 @@ func fixture(t *testing.T, cfg Config, fn func(w *world)) {
 
 func fixtureSeed(t *testing.T, cfg Config, seed int64, fn func(w *world)) {
 	t.Helper()
+	runWorld(t, cfg, seed, false, fn)
+}
+
+// fixtureObserved is fixture with observability on, for tests that read the
+// replicas' own metrics (w.opCount).
+func fixtureObserved(t *testing.T, cfg Config, fn func(w *world)) {
+	t.Helper()
+	runWorld(t, cfg, 11, true, fn)
+}
+
+func runWorld(t *testing.T, cfg Config, seed int64, observed bool, fn func(w *world)) {
+	t.Helper()
 	rt := sim.New(seed)
-	net := simnet.New(rt, simnet.Config{Profile: simnet.ProfileIUs})
+	var ob *obs.Obs
+	if observed {
+		ob = obs.New(rt, obs.Options{})
+	}
+	net := simnet.New(rt, simnet.Config{Profile: simnet.ProfileIUs, Obs: ob})
 	st := store.New(net, store.Config{})
-	w := &world{rt: rt, net: net, st: st}
+	w := &world{rt: rt, net: net, st: st, obs: ob}
 	for i := 0; i < 3; i++ {
 		w.rep[i] = NewReplica(st.Client(simnet.NodeID(i)), cfg)
 	}
 	if err := rt.Run(func() { fn(w) }); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
+}
+
+// opCount is how many completed ops of one kind a site's replica has timed
+// into music_op_latency.
+func (w *world) opCount(op Op, site string) int64 {
+	return w.obs.Metrics().Histogram("music_op_latency", obs.Labels{"op": op.String(), "site": site}).Snapshot().N()
 }
 
 // awaitLock polls AcquireLock as clients do (Listing 1).
@@ -540,35 +564,155 @@ func lockPeek(r *Replica, key string) (int64, bool, error) {
 	return e.Ref, ok, err
 }
 
-func TestObserverSeesOperations(t *testing.T) {
-	seen := make(map[Op]int)
-	cfg := Config{Observer: func(op Op, d time.Duration) { seen[op]++ }}
-	fixture(t, cfg, func(w *world) {
+func TestOpLatencyHistogramSeesOperations(t *testing.T) {
+	fixtureObserved(t, Config{}, func(w *world) {
 		r := w.rep[0]
 		ref, _ := r.CreateLockRef("k")
 		awaitLock(t, w, r, "k", ref)
 		_ = r.CriticalPut("k", ref, []byte("v"))
 		_, _ = r.CriticalGet("k", ref)
 		_ = r.ReleaseLock("k", ref)
-	})
-	for _, op := range []Op{OpCreateLockRef, OpAcquirePeek, OpAcquireGrant, OpCriticalPut, OpCriticalGet, OpReleaseLock} {
-		if seen[op] == 0 {
-			t.Errorf("observer never saw %v", op)
+		for _, op := range []Op{OpCreateLockRef, OpAcquirePeek, OpAcquireGrant, OpCriticalPut, OpCriticalGet, OpReleaseLock} {
+			if w.opCount(op, "ohio") == 0 {
+				t.Errorf("music_op_latency never saw %v", op)
+			}
 		}
-	}
+	})
 }
 
-func TestJanitorReapsExpiredLock(t *testing.T) {
-	fixture(t, Config{T: 300 * time.Millisecond}, func(w *world) {
-		stop := w.rep[2].StartJanitor(100 * time.Millisecond)
-		defer stop()
+// The failure detector every deployment runs is the next contender's poll
+// (reapExpiredHead): a holder that goes silent past T is force-released by
+// it, the key is marked for synchronization, and the contender is granted.
+func TestSilentHolderReapedByNextContender(t *testing.T) {
+	const T = 300 * time.Millisecond
+	fixtureObserved(t, Config{T: T}, func(w *world) {
 		ref, _ := w.rep[0].CreateLockRef("k")
 		awaitLock(t, w, w.rep[0], "k", ref)
-		// Holder goes silent; the janitor cleans up without any competing
-		// acquirer polls.
+		if err := w.rep[0].CriticalPut("k", ref, []byte("v")); err != nil {
+			t.Fatalf("CriticalPut: %v", err)
+		}
+		// The holder goes silent. Nobody polls, so nobody reaps: there is no
+		// background sweeper.
 		w.rt.Sleep(3 * time.Second)
-		if _, ok, err := lockPeek(w.rep[2], "k"); err != nil || ok {
-			t.Fatalf("expired lock still queued: ok=%v err=%v", ok, err)
+		if head, ok, err := lockPeek(w.rep[2], "k"); err != nil || !ok || head != ref {
+			t.Fatalf("silent holder with no contender: head = (%d, %v, %v), want %d still queued", head, ok, err, ref)
+		}
+		next, err := w.rep[2].CreateLockRef("k")
+		if err != nil {
+			t.Fatalf("CreateLockRef: %v", err)
+		}
+		start := w.rt.Now()
+		awaitLock(t, w, w.rep[2], "k", next)
+		if waited := w.rt.Now() - start; waited > 2*time.Second {
+			t.Errorf("contender waited %v for a holder already %v past T", waited, 3*time.Second-T)
+		}
+		if n := w.opCount(OpForcedRelease, "oregon"); n != 1 {
+			t.Errorf("forced releases at the contender's site = %d, want 1", n)
+		}
+		if got, err := w.rep[2].CriticalGet("k", next); err != nil || string(got) != "v" {
+			t.Errorf("CriticalGet after the reap = (%q, %v), want v", got, err)
+		}
+		if err := w.rep[0].CriticalPut("k", ref, []byte("late")); !errors.Is(err, ErrNoLongerLockHolder) {
+			t.Errorf("preempted holder's put: %v, want ErrNoLongerLockHolder", err)
+		}
+	})
+}
+
+// A homing-style run (§VII-a): three workers, one per site, race for each job
+// key; one wins, the other two time out and evict their lockRefs. Whatever a
+// replica tracked about those waiters and about the heads they watched must
+// go with them — keys are never reused, so anything left behind is left
+// forever.
+func TestWaiterStateDoesNotLeak(t *testing.T) {
+	fixture(t, Config{}, func(w *world) {
+		const jobs = 4
+		for job := 0; job < jobs; job++ {
+			key := fmt.Sprintf("job-%d", job)
+			done := sim.NewMailbox[error](w.rt)
+			for _, r := range w.rep {
+				w.rt.Go(func() {
+					ref, err := r.CreateLockRef(key)
+					if err != nil {
+						done.Send(err)
+						return
+					}
+					for deadline := w.rt.Now() + 2*time.Second; ; w.rt.Sleep(5 * time.Millisecond) {
+						ok, err := r.AcquireLock(key, ref)
+						if err != nil {
+							done.Send(err)
+							return
+						}
+						if ok {
+							break
+						}
+						if w.rt.Now() >= deadline {
+							// Lost the race: RemoveLockRef, and on to the next job.
+							done.Send(r.ReleaseLock(key, ref))
+							return
+						}
+					}
+					if err := r.CriticalPut(key, ref, []byte("DONE")); err != nil {
+						done.Send(err)
+						return
+					}
+					w.rt.Sleep(4 * time.Second) // the stage outlasts the losers' patience
+					done.Send(r.ReleaseLock(key, ref))
+				})
+			}
+			for range w.rep {
+				if err, recvErr := done.RecvTimeout(time.Minute); err != nil || recvErr != nil {
+					t.Fatalf("%s: %v / %v", key, err, recvErr)
+				}
+			}
+		}
+		for i, r := range w.rep {
+			for _, s := range r.shards {
+				s.mu.Lock()
+				if len(s.grants)+len(s.seen)+len(s.behind)+len(s.stale) != 0 {
+					t.Errorf("replica %d after %d jobs: grants %v, seen %v, behind %v, stale %d rows — want all empty",
+						i, jobs, s.grants, s.seen, s.behind, len(s.stale))
+				}
+				s.mu.Unlock()
+			}
+		}
+	})
+}
+
+// The orphan clock on a head is shared by every waiter polling a replica, so
+// a waiter that gives up must leave it running: the next waiter reaps the
+// orphan OrphanTimeout after it was first seen, not after the last departure.
+// Once the orphan is gone the clock goes too.
+func TestDepartingWaiterKeepsOrphanClock(t *testing.T) {
+	fixture(t, Config{OrphanTimeout: time.Second}, func(w *world) {
+		r := w.rep[1]
+		if _, err := w.rep[0].CreateLockRef("k"); err != nil { // never acquired: an orphan
+			t.Fatalf("CreateLockRef: %v", err)
+		}
+		quitter, _ := r.CreateLockRef("k")
+		firstSeen := w.rt.Now()
+		for w.rt.Now() < firstSeen+600*time.Millisecond {
+			if ok, err := r.AcquireLock("k", quitter); ok || err != nil {
+				t.Fatalf("AcquireLock behind an orphan = (%v, %v)", ok, err)
+			}
+			w.rt.Sleep(5 * time.Millisecond)
+		}
+		if err := r.ReleaseLock("k", quitter); err != nil {
+			t.Fatalf("ReleaseLock: %v", err)
+		}
+		s := r.shardFor("k")
+		if len(s.seen) != 1 || len(s.behind) != 0 {
+			t.Fatalf("after the waiter left: seen %v, behind %v — want the orphan's clock and nothing else", s.seen, s.behind)
+		}
+		next, _ := r.CreateLockRef("k")
+		awaitLock(t, w, r, "k", next)
+		if waited := w.rt.Now() - firstSeen; waited > 2*time.Second {
+			t.Errorf("orphan reaped %v after it was first seen, want OrphanTimeout (1s) plus the reap", waited)
+		}
+		if err := r.ReleaseLock("k", next); err != nil {
+			t.Fatalf("ReleaseLock: %v", err)
+		}
+		if len(s.grants)+len(s.seen)+len(s.behind) != 0 {
+			t.Errorf("after the last release: grants %v, seen %v, behind %v — want all empty", s.grants, s.seen, s.behind)
 		}
 	})
 }

@@ -20,10 +20,17 @@ import (
 // Table is the lock table name within the shared store cluster.
 const Table = "music_locks"
 
-// Column names within a lock row.
+// A lock row has exactly three columns, whatever the key's history: the guard
+// counter, the queue, and one grant cell. Only the head of a queue can be
+// granted, so the grant is a property of the row, not of each lockRef: the
+// cell names the ref it was recorded for and reads as "ungranted" for any
+// other. It is stamped TS = ref (see grantCell), so a later ref's grant
+// supersedes an earlier one's however their writes are delivered, and a
+// dequeue has nothing to erase.
 const (
 	colGuard = "guard"
 	colQueue = "queue"
+	colGrant = "grant"
 )
 
 // Entry is one queued lock reference. StartTime is the grant time in
@@ -37,9 +44,8 @@ type Entry struct {
 	StartTime int64
 	Nonce     uint64
 	// GrantEpoch is the membership epoch the grant was issued under (0 on
-	// fixed-membership clusters and on grants whose cell predates the
-	// epoch extension). A replica adopting a foreign grant under dynamic
-	// membership certifies the section against this epoch's placement.
+	// fixed-membership clusters). A replica adopting a foreign grant under
+	// dynamic membership certifies the section against this epoch's placement.
 	GrantEpoch int64
 	// GrantTag identifies the granting site (0 on plain SetGrant cells).
 	// Like Nonce for enqueues, it lets a granter whose SetGrantLWT lost its
@@ -48,8 +54,8 @@ type Entry struct {
 	GrantTag uint64
 }
 
-// ErrContention is returned when the enqueue/dequeue CAS loop exhausts its
-// retries against competing clients.
+// ErrContention is returned when the lock-row CAS loop exhausts its retries
+// against competing clients.
 var ErrContention = errors.New("lockstore: contention, retries exhausted")
 
 // Service issues lock-store operations through one store coordinator (the
@@ -64,91 +70,119 @@ func New(st *store.Client) *Service { return &Service{st: st} }
 // tracer returns the shared tracer (nil when observability is disabled).
 func (s *Service) tracer() *obs.Tracer { return s.st.Cluster().Net().Tracer() }
 
-// GenerateAndEnqueue atomically mints the next lock reference for key and
-// appends it to the key's queue. One LWT on the fast path: the expected
-// guard and queue come from a cheap local read, and CAS failures retry from
-// the authoritative row returned by the failed CAS.
-func (s *Service) GenerateAndEnqueue(key string) (ref int64, err error) {
-	sp := s.tracer().Child("lockstore.enqueue")
+// mutate is the lock row's one read → decide → compare-and-set loop; every
+// operation that changes a lock row is a decide function run by it. decide is
+// shown a view of the row and returns the cells to write, or nil when that
+// view calls for no write. The first view is a cheap local read (an empty row
+// if even that fails: the CAS discovers the truth). A nil verdict on it is
+// re-checked against a quorum read — the local replica may merely lag — and
+// stands once the view is authoritative: a quorum read, or the serial read a
+// lost CAS returned. A lost CAS retries from that row after a randomized
+// backoff. decide reports the outcome through its captured variables; what it
+// recorded on its last call is what happened.
+//
+// The CAS asserts what the decision read: the guard and the queue always, the
+// grant cell when readsGrant. Queue edits that do not care who is granted
+// must not lose a Paxos round to the grant being recorded beside them — the
+// default grant write is asynchronous precisely to stay off that path.
+func (s *Service) mutate(op, key string, readsGrant bool, decide func(row store.Row) store.Row) (err error) {
+	sp := s.tracer().Child(op)
 	sp.Annotate("key", key)
-	defer func() { sp.EndErr(err) }()
-	row, err := s.st.Get(Table, key, store.One)
-	if err != nil {
-		// A local read failure still allows CAS-driven discovery.
-		row = store.Row{}
-	}
-	nonce := s.nonce()
-	for attempt := 0; attempt < 24; attempt++ {
-		s.backoff(attempt)
-		guard := decodeGuard(row)
-		queue := decodeQueue(row)
-		next := guard + 1
-		update := store.Row{
-			colGuard: store.Cell{Value: encodeGuard(next)},
-			colQueue: store.Cell{Value: encodeQueue(append(queue, Entry{Ref: next, Nonce: nonce}))},
-		}
-		res, err := s.st.CAS(Table, key, rowConds(row), update)
+	defer func() {
 		if err != nil {
-			return 0, fmt.Errorf("enqueue %s: %w", key, err)
+			err = fmt.Errorf("%s %s: %w", op, key, err)
 		}
-		if res.Applied {
-			return next, nil
-		}
-		row = res.Current
-		// A lost CAS may still have been applied on our behalf by the
-		// proposer that completed our in-progress Paxos round; the nonce
-		// tells us the resulting lockRef is really ours.
-		for _, e := range decodeQueue(row) {
-			if e.Nonce == nonce {
-				return e.Ref, nil
-			}
-		}
-	}
-	return 0, fmt.Errorf("enqueue %s: %w", key, ErrContention)
-}
-
-// Dequeue removes ref from the key's queue (a no-op if absent, as required
-// by forcedRelease). Its grant cell is tombstoned alongside.
-func (s *Service) Dequeue(key string, ref int64) (err error) {
-	sp := s.tracer().Child("lockstore.dequeue")
-	sp.Annotatef("lockref", "%s/%d", key, ref)
-	defer func() { sp.EndErr(err) }()
-	row, err := s.st.Get(Table, key, store.One)
-	if err != nil {
-		row = store.Row{}
-	}
-	for attempt := 0; attempt < 24; attempt++ {
-		s.backoff(attempt)
-		queue := decodeQueue(row)
-		trimmed := removeRef(queue, ref)
-		if len(trimmed) == len(queue) {
-			// Verify absence against a quorum before declaring the no-op:
-			// the local replica may simply not have seen the enqueue yet.
-			qrow, err := s.st.Get(Table, key, store.Quorum)
-			if err != nil {
-				return fmt.Errorf("dequeue %s/%d: %w", key, ref, err)
-			}
-			qqueue := decodeQueue(qrow)
-			if len(removeRef(qqueue, ref)) == len(qqueue) {
+		sp.EndErr(err)
+	}()
+	row, _ := s.st.Get(Table, key, store.One)
+	authoritative := false
+	for lost := 0; lost < 24; {
+		update := decide(row)
+		if update == nil {
+			if authoritative {
 				return nil
 			}
-			row = qrow
+			if row, err = s.st.Get(Table, key, store.Quorum); err != nil {
+				return err
+			}
+			authoritative = true
 			continue
 		}
-		update := store.Row{
-			colQueue:      store.Cell{Value: encodeQueue(trimmed)},
-			grantCol(ref): store.Cell{Deleted: true},
-		}
-		res, err := s.st.CAS(Table, key, rowConds(row), update)
+		res, err := s.st.CAS(Table, key, rowConds(row, readsGrant), update)
 		if err != nil {
-			return fmt.Errorf("dequeue %s/%d: %w", key, ref, err)
+			return err
 		}
 		if res.Applied {
 			return nil
 		}
-		row = res.Current
+		row, authoritative = res.Current, true
+		lost++
+		s.backoff(lost)
 	}
-	return fmt.Errorf("dequeue %s/%d: %w", key, ref, ErrContention)
+	return ErrContention
+}
+
+// GenerateAndEnqueue atomically mints the next lock reference for key and
+// appends it to the key's queue. One LWT on the fast path: the expected row
+// comes from a cheap local read.
+func (s *Service) GenerateAndEnqueue(key string) (ref int64, err error) {
+	nonce := s.nonce()
+	err = s.mutate("lockstore.enqueue", key, false, func(row store.Row) store.Row {
+		queue := decodeQueue(row)
+		// A lost CAS may still have been applied on our behalf by the
+		// proposer that completed our in-progress Paxos round; the nonce
+		// tells us the resulting lockRef is really ours.
+		for _, e := range queue {
+			if e.Nonce == nonce {
+				ref = e.Ref
+				return nil
+			}
+		}
+		ref = decodeGuard(row) + 1
+		return store.Row{
+			colGuard: store.Cell{Value: encodeGuard(ref)},
+			colQueue: store.Cell{Value: encodeQueue(append(queue, Entry{Ref: ref, Nonce: nonce}))},
+		}
+	})
+	if err != nil {
+		return 0, err
+	}
+	return ref, nil
+}
+
+// Dequeue removes ref from the key's queue (a no-op if absent, as required
+// by forcedRelease).
+func (s *Service) Dequeue(key string, ref int64) error {
+	_, err := s.dequeue(key, ref, false)
+	return err
+}
+
+// DequeueIfUngranted removes ref from the key's queue only if no grant has
+// been recorded for it — the orphan-reap side of the SetGrantLWT
+// serialization. Returns dequeued=false (and no error) when a grant is
+// observed: the "orphan" was granted after all and must be left to the T
+// expiry path.
+func (s *Service) DequeueIfUngranted(key string, ref int64) (dequeued bool, err error) {
+	return s.dequeue(key, ref, true)
+}
+
+// dequeue removes ref from the queue — when ungrantedOnly, unless the grant
+// cell is ref's. An absent ref counts as dequeued.
+func (s *Service) dequeue(key string, ref int64, ungrantedOnly bool) (dequeued bool, err error) {
+	err = s.mutate("lockstore.dequeue", key, ungrantedOnly, func(row store.Row) store.Row {
+		queue := decodeQueue(row)
+		trimmed := removeRef(queue, ref)
+		dequeued = true
+		if len(trimmed) == len(queue) {
+			return nil
+		}
+		if start, _, _ := decodeGrant(row, ref); ungrantedOnly && start != 0 {
+			dequeued = false
+			return nil
+		}
+		return store.Row{colQueue: store.Cell{Value: encodeQueue(trimmed)}}
+	})
+	return dequeued && err == nil, err
 }
 
 // Peek returns the head of the key's queue as seen by the local (same-site)
@@ -167,13 +201,12 @@ func (s *Service) Peek(key string) (Entry, bool, error) {
 		return Entry{}, false, nil
 	}
 	head := queue[0]
-	head.StartTime, head.GrantEpoch = decodeGrant(row, head.Ref)
-	head.GrantTag = decodeGrantTag(row, head.Ref)
+	head.StartTime, head.GrantEpoch, head.GrantTag = decodeGrant(row, head.Ref)
 	return head, true, nil
 }
 
 // Queue returns the full queue at quorum consistency (diagnostics, tests,
-// and the lock janitor).
+// and the waiters' dead-ref check).
 func (s *Service) Queue(key string) ([]Entry, error) {
 	row, err := s.st.Get(Table, key, store.Quorum)
 	if err != nil {
@@ -181,21 +214,19 @@ func (s *Service) Queue(key string) ([]Entry, error) {
 	}
 	queue := decodeQueue(row)
 	for i := range queue {
-		queue[i].StartTime, queue[i].GrantEpoch = decodeGrant(row, queue[i].Ref)
-		queue[i].GrantTag = decodeGrantTag(row, queue[i].Ref)
+		queue[i].StartTime, queue[i].GrantEpoch, queue[i].GrantTag = decodeGrant(row, queue[i].Ref)
 	}
 	return queue, nil
 }
 
 // SetGrant records the grant time — and, on dynamic clusters, the grant's
 // membership epoch — for a head lock reference with a plain replicated
-// write (not an LWT — the cell is uncontended, written once by the
-// granting MUSIC replica, mirroring the paper's startTime column).
+// write (not an LWT — the cell is written by the one MUSIC replica granting
+// ref, mirroring the paper's startTime column).
 func (s *Service) SetGrant(key string, ref int64, startMicros, epoch int64) error {
 	sp := s.tracer().Child("lockstore.setGrant")
 	sp.Annotatef("lockref", "%s/%d", key, ref)
-	cell := store.Cell{Value: encodeGrantCell(startMicros, epoch, 0)}
-	err := s.st.Put(Table, key, store.Row{grantCol(ref): cell}, store.Quorum)
+	err := s.st.Put(Table, key, store.Row{colGrant: grantCell(ref, startMicros, epoch, 0)}, store.Quorum)
 	sp.EndErr(err)
 	if err != nil {
 		return fmt.Errorf("set grant %s/%d: %w", key, ref, err)
@@ -204,8 +235,8 @@ func (s *Service) SetGrant(key string, ref int64, startMicros, epoch int64) erro
 }
 
 // SetGrantLWT records the grant time with a compare-and-set instead of a
-// plain write: the CAS asserts the observed guard/queue bytes (ref still at
-// the head) and that no grant cell exists yet. Lease mode needs this — the
+// plain write: the CAS asserts the whole observed row — ref still at the
+// head, the grant cell still some earlier ref's. Lease mode needs this — the
 // grant *issues a site lease*, so recording it must serialize against both
 // competing granters and DequeueIfUngranted's orphan reap through the same
 // Paxos row. tag identifies the granting site; a cell already carrying the
@@ -217,86 +248,22 @@ func (s *Service) SetGrant(key string, ref int64, startMicros, epoch int64) erro
 // grant); curStart == 0 means ref is no longer queued (reaped), so the
 // caller must not treat itself as holder.
 func (s *Service) SetGrantLWT(key string, ref int64, startMicros, epoch int64, tag uint64) (applied bool, curStart, curEpoch int64, err error) {
-	sp := s.tracer().Child("lockstore.setGrantLWT")
-	sp.Annotatef("lockref", "%s/%d", key, ref)
-	defer func() { sp.EndErr(err) }()
-	row, err := s.st.Get(Table, key, store.One)
+	err = s.mutate("lockstore.setGrantLWT", key, true, func(row store.Row) store.Row {
+		applied, curStart, curEpoch = false, 0, 0
+		if queue := decodeQueue(row); len(queue) == 0 || queue[0].Ref != ref {
+			return nil
+		}
+		if st, ep, owner := decodeGrant(row, ref); st != 0 {
+			applied, curStart, curEpoch = tag != 0 && owner == tag, st, ep
+			return nil
+		}
+		applied, curStart, curEpoch = true, startMicros, epoch
+		return store.Row{colGrant: grantCell(ref, startMicros, epoch, tag)}
+	})
 	if err != nil {
-		row = store.Row{}
+		return false, 0, 0, err
 	}
-	for attempt := 0; attempt < 24; attempt++ {
-		s.backoff(attempt)
-		if st, ep := decodeGrant(row, ref); st != 0 {
-			return tag != 0 && decodeGrantTag(row, ref) == tag, st, ep, nil
-		}
-		queue := decodeQueue(row)
-		if len(queue) == 0 || queue[0].Ref != ref {
-			// The local replica may lag the enqueue (or the reap): refresh
-			// from a quorum before concluding ref left the queue.
-			qrow, qerr := s.st.Get(Table, key, store.Quorum)
-			if qerr != nil {
-				return false, 0, 0, fmt.Errorf("set grant lwt %s/%d: %w", key, ref, qerr)
-			}
-			qq := decodeQueue(qrow)
-			if len(qq) == 0 || qq[0].Ref != ref {
-				st, ep := decodeGrant(qrow, ref)
-				return tag != 0 && st != 0 && decodeGrantTag(qrow, ref) == tag, st, ep, nil
-			}
-			row = qrow
-			continue
-		}
-		conds := append(rowConds(row), store.Cond{Col: grantCol(ref), Want: nil})
-		update := store.Row{grantCol(ref): store.Cell{Value: encodeGrantCell(startMicros, epoch, tag)}}
-		res, casErr := s.st.CAS(Table, key, conds, update)
-		if casErr != nil {
-			return false, 0, 0, fmt.Errorf("set grant lwt %s/%d: %w", key, ref, casErr)
-		}
-		if res.Applied {
-			return true, startMicros, epoch, nil
-		}
-		row = res.Current
-	}
-	return false, 0, 0, fmt.Errorf("set grant lwt %s/%d: %w", key, ref, ErrContention)
-}
-
-// DequeueIfUngranted removes ref from the key's queue only if no grant cell
-// has been recorded for it — the orphan-reap side of the SetGrantLWT
-// serialization. Returns dequeued=false (and no error) when a grant cell is
-// observed: the "orphan" was granted after all and must be left to the T
-// expiry path.
-func (s *Service) DequeueIfUngranted(key string, ref int64) (dequeued bool, err error) {
-	sp := s.tracer().Child("lockstore.dequeueIfUngranted")
-	sp.Annotatef("lockref", "%s/%d", key, ref)
-	defer func() { sp.EndErr(err) }()
-	row, err := s.st.Get(Table, key, store.Quorum)
-	if err != nil {
-		return false, fmt.Errorf("dequeue ungranted %s/%d: %w", key, ref, err)
-	}
-	for attempt := 0; attempt < 24; attempt++ {
-		s.backoff(attempt)
-		if st, _ := decodeGrant(row, ref); st != 0 {
-			return false, nil
-		}
-		queue := decodeQueue(row)
-		trimmed := removeRef(queue, ref)
-		if len(trimmed) == len(queue) {
-			return true, nil // already gone (quorum view)
-		}
-		conds := append(rowConds(row), store.Cond{Col: grantCol(ref), Want: nil})
-		update := store.Row{
-			colQueue:      store.Cell{Value: encodeQueue(trimmed)},
-			grantCol(ref): store.Cell{Deleted: true},
-		}
-		res, casErr := s.st.CAS(Table, key, conds, update)
-		if casErr != nil {
-			return false, fmt.Errorf("dequeue ungranted %s/%d: %w", key, ref, casErr)
-		}
-		if res.Applied {
-			return true, nil
-		}
-		row = res.Current
-	}
-	return false, fmt.Errorf("dequeue ungranted %s/%d: %w", key, ref, ErrContention)
+	return applied, curStart, curEpoch, nil
 }
 
 // nonce mints a random enqueue identity.
@@ -309,23 +276,21 @@ func (s *Service) nonce() uint64 {
 // so clients hammering the same hot lock row (Zipfian workloads) do not
 // collapse the Paxos path into livelock.
 func (s *Service) backoff(attempt int) {
-	if attempt == 0 {
-		return
-	}
 	rt := s.st.Cluster().Net().Runtime()
 	rt.Sleep(time.Duration(5+rt.Rand().Intn(25*attempt)) * time.Millisecond)
 }
 
-// grantCol names the per-reference grant-time column.
-func grantCol(ref int64) string { return fmt.Sprintf("st:%d", ref) }
-
-// rowConds builds the CAS condition asserting guard and queue are unchanged
-// from the observed row.
-func rowConds(row store.Row) []store.Cond {
-	return []store.Cond{
+// rowConds builds the CAS condition asserting guard and queue — and, when
+// grantToo, the grant cell — are unchanged from the observed row.
+func rowConds(row store.Row, grantToo bool) []store.Cond {
+	conds := []store.Cond{
 		{Col: colGuard, Want: cellBytes(row, colGuard)},
 		{Col: colQueue, Want: cellBytes(row, colQueue)},
 	}
+	if grantToo {
+		conds = append(conds, store.Cond{Col: colGrant, Want: cellBytes(row, colGrant)})
+	}
+	return conds
 }
 
 func cellBytes(row store.Row, col string) []byte {
@@ -361,43 +326,34 @@ func decodeGuard(row store.Row) int64 {
 	return int64(binary.BigEndian.Uint64(b))
 }
 
-// encodeGrantCell packs (startMicros, grantEpoch) as two big-endian words,
-// with the granter tag as an optional third (tag 0 keeps the 16-byte
-// pre-tag format plain SetGrant still writes).
-func encodeGrantCell(startMicros, epoch int64, tag uint64) []byte {
-	n := 16
-	if tag != 0 {
-		n = 24
-	}
-	b := make([]byte, n)
-	binary.BigEndian.PutUint64(b, uint64(startMicros))
-	binary.BigEndian.PutUint64(b[8:], uint64(epoch))
-	if tag != 0 {
-		binary.BigEndian.PutUint64(b[16:], tag)
-	}
-	return b
+// grantCellLen is the one length a grant cell has.
+const grantCellLen = 32
+
+// grantCell packs (ref, startMicros, epoch, tag) as four big-endian words and
+// stamps the cell TS = ref, on the plain write and the CAS alike. Store cells
+// are last-writer-wins by TS, so the grant of ref N+1 beats every write of
+// ref N's — a straggling or retried SetGrant(N) can never displace it — and
+// two writes for one ref (a retry; two sites granting a failover client
+// concurrently) converge on one of them by the store's value tiebreak.
+func grantCell(ref, startMicros, epoch int64, tag uint64) store.Cell {
+	b := make([]byte, grantCellLen)
+	binary.BigEndian.PutUint64(b, uint64(ref))
+	binary.BigEndian.PutUint64(b[8:], uint64(startMicros))
+	binary.BigEndian.PutUint64(b[16:], uint64(epoch))
+	binary.BigEndian.PutUint64(b[24:], tag)
+	return store.Cell{Value: b, TS: ref}
 }
 
-// decodeGrant reads a grant cell. 8-byte cells (pre-epoch format) decode
-// with epoch 0, meaning "epoch unknown"; 24-byte cells carry a granter tag.
-func decodeGrant(row store.Row, ref int64) (startMicros, epoch int64) {
-	b := cellBytes(row, grantCol(ref))
-	switch len(b) {
-	case 8:
-		return int64(binary.BigEndian.Uint64(b)), 0
-	case 16, 24:
-		return int64(binary.BigEndian.Uint64(b)), int64(binary.BigEndian.Uint64(b[8:]))
-	default:
-		return 0, 0
+// decodeGrant reads the row's grant cell as ref's. A cell recorded for any
+// other ref — or of any other length: the bytes arrive from peers — means ref
+// is ungranted, which is how a dequeued ref's grant stops mattering without
+// being erased.
+func decodeGrant(row store.Row, ref int64) (startMicros, epoch int64, tag uint64) {
+	b := cellBytes(row, colGrant)
+	if len(b) != grantCellLen || int64(binary.BigEndian.Uint64(b)) != ref {
+		return 0, 0, 0
 	}
-}
-
-// decodeGrantTag reads the granter tag of a grant cell (0 on untagged cells).
-func decodeGrantTag(row store.Row, ref int64) uint64 {
-	if b := cellBytes(row, grantCol(ref)); len(b) == 24 {
-		return binary.BigEndian.Uint64(b[16:])
-	}
-	return 0
+	return int64(binary.BigEndian.Uint64(b[8:])), int64(binary.BigEndian.Uint64(b[16:])), binary.BigEndian.Uint64(b[24:])
 }
 
 // encodeQueue packs queue entries as big-endian (ref, nonce) word pairs.

@@ -1,9 +1,11 @@
 package lockstore
 
 import (
+	"bytes"
 	"testing"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/simnet"
 	"repro/internal/store"
@@ -250,5 +252,269 @@ func TestQueueCodecRoundTrip(t *testing.T) {
 	}
 	if g := decodeGuard(store.Row{colGuard: store.Cell{Value: encodeGuard(99)}}); g != 99 {
 		t.Fatalf("guard round trip = %d", g)
+	}
+}
+
+func TestGrantCellCodec(t *testing.T) {
+	cell := grantCell(7, 12345, 3, 99)
+	if len(cell.Value) != grantCellLen || cell.TS != 7 || cell.Deleted {
+		t.Fatalf("grantCell = %d bytes at TS %d (deleted %v), want %d live bytes at TS 7", len(cell.Value), cell.TS, cell.Deleted, grantCellLen)
+	}
+	good := cell.Value
+	for _, tc := range []struct {
+		name              string
+		cell              []byte
+		ref               int64
+		start, epoch, tag int64
+	}{
+		{"round trip", good, 7, 12345, 3, 99},
+		{"another ref's cell", good, 8, 0, 0, 0},
+		{"an earlier ref's cell", good, 6, 0, 0, 0},
+		{"no cell", nil, 7, 0, 0, 0},
+		{"empty", []byte{}, 7, 0, 0, 0},
+		{"truncated mid-word", good[:grantCellLen-1], 7, 0, 0, 0},
+		{"truncated to the pre-tag length", good[:24], 7, 0, 0, 0},
+		{"truncated to the ref", good[:8], 7, 0, 0, 0},
+		{"over-long", append(bytes.Clone(good), 0), 7, 0, 0, 0},
+		{"two cells long", append(bytes.Clone(good), good...), 7, 0, 0, 0},
+	} {
+		row := store.Row{}
+		if tc.cell != nil {
+			row[colGrant] = store.Cell{Value: tc.cell}
+		}
+		start, epoch, tag := decodeGrant(row, tc.ref)
+		if start != tc.start || epoch != tc.epoch || int64(tag) != tc.tag {
+			t.Errorf("%s: decodeGrant(ref %d) = (%d, %d, %d), want (%d, %d, %d)",
+				tc.name, tc.ref, start, epoch, tag, tc.start, tc.epoch, tc.tag)
+		}
+	}
+	if start, _, _ := decodeGrant(store.Row{colGrant: store.Cell{Value: good, Deleted: true}}, 7); start != 0 {
+		t.Errorf("deleted cell decodes as granted at %d", start)
+	}
+}
+
+// A grant write for ref N that is delivered after ref N+1's — a straggler, or
+// a granter's background retry — must not displace it: the cell is stamped
+// with its ref, not with the clock of whoever wrote it last.
+func TestStragglingGrantCannotDisplaceNewer(t *testing.T) {
+	fixture(t, func(rt *sim.Virtual, net *simnet.Network, c *store.Cluster) {
+		svc := New(c.Client(0))
+		r1, _ := svc.GenerateAndEnqueue("k")
+		r2, _ := svc.GenerateAndEnqueue("k")
+		if err := svc.SetGrant("k", r1, 111, 0); err != nil {
+			t.Fatalf("SetGrant r1: %v", err)
+		}
+		if err := svc.Dequeue("k", r1); err != nil {
+			t.Fatalf("Dequeue r1: %v", err)
+		}
+		// r1's cell is still in the row; it must not read as r2's grant.
+		if head, ok, _ := svc.Peek("k"); !ok || head.Ref != r2 || head.StartTime != 0 {
+			t.Fatalf("head after r1's release = %+v, want ungranted %d", head, r2)
+		}
+		if err := svc.SetGrant("k", r2, 222, 5); err != nil {
+			t.Fatalf("SetGrant r2: %v", err)
+		}
+		// The straggler arrives last — through another coordinator, whose
+		// clock is as good as anyone's — and with the larger instant.
+		if err := New(c.Client(1)).SetGrant("k", r1, 999, 9); err != nil {
+			t.Fatalf("straggling SetGrant r1: %v", err)
+		}
+		rt.Sleep(time.Second)
+		head, ok, err := svc.Peek("k")
+		if err != nil || !ok || head.Ref != r2 || head.StartTime != 222 || head.GrantEpoch != 5 {
+			t.Fatalf("Peek = (%+v, %v, %v), want %d granted at 222 under epoch 5", head, ok, err, r2)
+		}
+		queue, err := svc.Queue("k")
+		if err != nil || len(queue) != 1 || queue[0].StartTime != 222 {
+			t.Fatalf("Queue = (%+v, %v), want one entry granted at 222", queue, err)
+		}
+	})
+}
+
+// What lease mode relies on from SetGrantLWT and the conditioned dequeue
+// (core/lease.go): exactly one grant per ref, recognizable by its owner, and
+// a reap that loses to it.
+func TestSetGrantLWTOutcomes(t *testing.T) {
+	const tagA, tagB = 0xA1, 0xB1
+	type want struct {
+		applied      bool
+		start, epoch int64
+	}
+	for _, tc := range []struct {
+		name  string
+		setup func(t *testing.T, a, b *Service) (ref int64)
+		want  want
+	}{
+		{"first grant is recorded", func(t *testing.T, a, b *Service) int64 {
+			ref, _ := a.GenerateAndEnqueue("k")
+			return ref
+		}, want{true, 500, 2}},
+		{"an earlier ref's cell is no grant", func(t *testing.T, a, b *Service) int64 {
+			r1, _ := a.GenerateAndEnqueue("k")
+			if applied, _, _, err := b.SetGrantLWT("k", r1, 100, 1, tagB); err != nil || !applied {
+				t.Fatalf("grant r1 = (%v, %v)", applied, err)
+			}
+			ref, _ := a.GenerateAndEnqueue("k")
+			if err := b.Dequeue("k", r1); err != nil {
+				t.Fatalf("Dequeue r1: %v", err)
+			}
+			return ref
+		}, want{true, 500, 2}},
+		{"lost ack: own tag re-owns the recorded instant", func(t *testing.T, a, b *Service) int64 {
+			ref, _ := a.GenerateAndEnqueue("k")
+			if applied, _, _, err := a.SetGrantLWT("k", ref, 400, 1, tagA); err != nil || !applied {
+				t.Fatalf("first grant = (%v, %v)", applied, err)
+			}
+			return ref
+		}, want{true, 400, 1}},
+		{"foreign grant is reported for adoption", func(t *testing.T, a, b *Service) int64 {
+			ref, _ := a.GenerateAndEnqueue("k")
+			if applied, _, _, err := b.SetGrantLWT("k", ref, 300, 4, tagB); err != nil || !applied {
+				t.Fatalf("foreign grant = (%v, %v)", applied, err)
+			}
+			return ref
+		}, want{false, 300, 4}},
+		{"plain grant is foreign to every tag", func(t *testing.T, a, b *Service) int64 {
+			ref, _ := a.GenerateAndEnqueue("k")
+			if err := b.SetGrant("k", ref, 200, 0); err != nil {
+				t.Fatalf("SetGrant: %v", err)
+			}
+			return ref
+		}, want{false, 200, 0}},
+		{"not yet at the head", func(t *testing.T, a, b *Service) int64 {
+			_, _ = a.GenerateAndEnqueue("k")
+			ref, _ := a.GenerateAndEnqueue("k")
+			return ref
+		}, want{false, 0, 0}},
+		{"reaped: granted once, no longer queued", func(t *testing.T, a, b *Service) int64 {
+			ref, _ := a.GenerateAndEnqueue("k")
+			if applied, _, _, err := a.SetGrantLWT("k", ref, 400, 1, tagA); err != nil || !applied {
+				t.Fatalf("first grant = (%v, %v)", applied, err)
+			}
+			if err := b.Dequeue("k", ref); err != nil {
+				t.Fatalf("Dequeue: %v", err)
+			}
+			return ref
+		}, want{false, 0, 0}},
+	} {
+		fixture(t, func(rt *sim.Virtual, net *simnet.Network, c *store.Cluster) {
+			a, b := New(c.Client(0)), New(c.Client(1))
+			ref := tc.setup(t, a, b)
+			applied, start, epoch, err := a.SetGrantLWT("k", ref, 500, 2, tagA)
+			if got := (want{applied, start, epoch}); err != nil || got != tc.want {
+				t.Errorf("%s: SetGrantLWT = (%+v, %v), want %+v", tc.name, got, err, tc.want)
+			}
+		})
+	}
+}
+
+func TestDequeueIfUngranted(t *testing.T) {
+	fixture(t, func(rt *sim.Virtual, net *simnet.Network, c *store.Cluster) {
+		a, b := New(c.Client(0)), New(c.Client(1))
+		r1, _ := a.GenerateAndEnqueue("k")
+		r2, _ := a.GenerateAndEnqueue("k")
+		if applied, _, _, err := a.SetGrantLWT("k", r1, 100, 0, 0xA1); err != nil || !applied {
+			t.Fatalf("grant r1 = (%v, %v)", applied, err)
+		}
+		// The reap of a granted ref loses, whichever site asks.
+		if dequeued, err := b.DequeueIfUngranted("k", r1); err != nil || dequeued {
+			t.Fatalf("reap of granted r1 = (%v, %v), want refused", dequeued, err)
+		}
+		// r1's grant does not shield r2, an orphan in the middle of the queue.
+		if dequeued, err := b.DequeueIfUngranted("k", r2); err != nil || !dequeued {
+			t.Fatalf("reap of ungranted r2 = (%v, %v), want dequeued", dequeued, err)
+		}
+		if dequeued, err := b.DequeueIfUngranted("k", r2); err != nil || !dequeued {
+			t.Fatalf("reap of absent r2 = (%v, %v), want a no-op success", dequeued, err)
+		}
+		if queue, err := a.Queue("k"); err != nil || len(queue) != 1 || queue[0].Ref != r1 || queue[0].StartTime != 100 {
+			t.Fatalf("Queue = (%+v, %v), want only r1, granted at 100", queue, err)
+		}
+		// The reap and the grant of one ref serialize: after the reap won,
+		// the grant finds nothing to grant.
+		r3, _ := a.GenerateAndEnqueue("k")
+		if err := a.Dequeue("k", r1); err != nil {
+			t.Fatalf("Dequeue r1: %v", err)
+		}
+		if dequeued, err := b.DequeueIfUngranted("k", r3); err != nil || !dequeued {
+			t.Fatalf("reap of orphan r3 = (%v, %v)", dequeued, err)
+		}
+		if applied, start, _, err := a.SetGrantLWT("k", r3, 300, 0, 0xA1); err != nil || applied || start != 0 {
+			t.Fatalf("grant after the reap = (%v, %d, %v), want refused with no grant", applied, start, err)
+		}
+	})
+}
+
+// TestLockRowBounded pins the fixed schema: a lock row is three columns
+// however many lockRefs the key has seen — no per-ref column, no tombstone —
+// so what a Peek ships after 500 sections is what it shipped after one.
+func TestLockRowBounded(t *testing.T) {
+	rt := sim.New(3)
+	ob := obs.New(rt, obs.Options{})
+	net := simnet.New(rt, simnet.Config{Profile: simnet.ProfileIUs, Obs: ob})
+	c := store.New(net, store.Config{})
+	readBytes := ob.Metrics().Counter("store_read_bytes_total", obs.Labels{"site": net.SiteOf(0)})
+	err := rt.Run(func() {
+		svc := New(c.Client(0))
+		// peekPayload is what one Peek of a one-entry, granted queue pulls off
+		// the replica: every cell of the row, tombstones included.
+		peekPayload := func() int64 {
+			before := readBytes.Value()
+			if head, ok, err := svc.Peek("k"); err != nil || !ok || head.StartTime == 0 {
+				t.Fatalf("Peek = (%+v, %v, %v), want a granted head", head, ok, err)
+			}
+			return readBytes.Value() - before
+		}
+		var first int64
+		const rounds = 500
+		for i := 1; i <= rounds; i++ {
+			ref, err := svc.GenerateAndEnqueue("k")
+			if err != nil {
+				t.Fatalf("round %d: enqueue: %v", i, err)
+			}
+			// Both ways a grant is recorded, turn and turn about.
+			if i%2 == 0 {
+				err = svc.SetGrant("k", ref, int64(1000+i), 0)
+			} else {
+				_, _, _, err = svc.SetGrantLWT("k", ref, int64(1000+i), 0, 0xA1)
+			}
+			if err != nil {
+				t.Fatalf("round %d: grant: %v", i, err)
+			}
+			if i == 1 {
+				first = peekPayload()
+			}
+			if i == rounds {
+				if last := peekPayload(); last != first {
+					t.Errorf("Peek payload after %d rounds = %d B, after one = %d B", rounds, last, first)
+				}
+			}
+			if err := svc.Dequeue("k", ref); err != nil {
+				t.Fatalf("round %d: dequeue: %v", i, err)
+			}
+		}
+		row, err := c.Client(0).Get(Table, "k", store.Quorum)
+		if err != nil {
+			t.Fatalf("Get: %v", err)
+		}
+		if len(row) != 3 {
+			t.Errorf("lock row has %d live columns after %d rounds, want 3", len(row), rounds)
+		}
+		// Nothing but those three is stored either: a local read ships exactly
+		// their bytes (the store's accounting: name + value + 16 per cell).
+		live := int64(0)
+		for col, cell := range row {
+			live += int64(len(col) + len(cell.Value) + 16)
+		}
+		before := readBytes.Value()
+		if _, err := c.Client(0).Get(Table, "k", store.One); err != nil {
+			t.Fatalf("Get: %v", err)
+		}
+		if shipped := readBytes.Value() - before; shipped != live {
+			t.Errorf("a local read of the row ships %d B, its three live columns are %d B: tombstones", shipped, live)
+		}
+	})
+	if err != nil {
+		t.Fatalf("Run: %v", err)
 	}
 }

@@ -223,7 +223,7 @@ func (cl *Client) withRetry(opName, key string, ref LockRef, reacquire bool, op 
 			// same lockRef: the new replica re-grants (synchronizing if a
 			// preemption left the flag set) or times out, after which the
 			// critical op itself is retried there.
-			if err := cl.awaitAt(rep, key, ref, pol.FailoverAwait); err != nil {
+			if err := cl.await(rep, key, ref, pol.FailoverAwait); err != nil {
 				if !IsRetryable(err) && !ErrAwaitTimeout(err) {
 					return err
 				}
@@ -266,6 +266,13 @@ func (cl *Client) AcquireLock(key string, ref LockRef) (bool, error) {
 // the deadline, failing over to another site's replica — same lockRef —
 // after the per-site attempt budget is spent on consecutive errors.
 func (cl *Client) AwaitLock(key string, ref LockRef, timeout time.Duration) error {
+	return cl.await(nil, key, ref, timeout)
+}
+
+// await is the one poll-and-back-off loop. pinned, when set, is the failover
+// re-drive: the poll stays at that replica and never re-binds — transient
+// errors just keep it going.
+func (cl *Client) await(pinned *core.Replica, key string, ref LockRef, timeout time.Duration) error {
 	rt := cl.c.rt
 	pol := cl.retry.withDefaults()
 	deadline := rt.Now() + timeout
@@ -273,13 +280,16 @@ func (cl *Client) AwaitLock(key string, ref LockRef, timeout time.Duration) erro
 	consecutive := 0
 	var tried map[string]bool
 	for {
-		cl.ensureMemberSite("acquireLock", key, ref)
-		rep, site := cl.bound()
+		rep, site := pinned, ""
+		if pinned == nil {
+			cl.ensureMemberSite("acquireLock", key, ref)
+			rep, site = cl.bound()
+		}
 		ok, err := rep.AcquireLock(key, int64(ref))
 		switch {
 		case err != nil && !IsRetryable(err):
 			return err
-		case err != nil:
+		case err != nil && pinned == nil:
 			// Transient failure: treat as "not yet" (§III-A), and fail over
 			// once this site has burned its attempt budget back-to-back.
 			consecutive++
@@ -299,30 +309,6 @@ func (cl *Client) AwaitLock(key string, ref LockRef, timeout time.Duration) erro
 			return nil
 		default:
 			consecutive = 0
-		}
-		if timeout > 0 && rt.Now() >= deadline {
-			return fmt.Errorf("music: lock %s/%d: %w", key, ref, errAwaitTimeout)
-		}
-		rt.Sleep(backoff)
-		if backoff < 64*time.Millisecond {
-			backoff *= 2
-		}
-	}
-}
-
-// awaitAt is AwaitLock pinned to one replica (the failover re-drive): it
-// never re-binds, and transient errors just keep the poll going.
-func (cl *Client) awaitAt(rep *core.Replica, key string, ref LockRef, timeout time.Duration) error {
-	rt := cl.c.rt
-	deadline := rt.Now() + timeout
-	backoff := time.Millisecond
-	for {
-		ok, err := rep.AcquireLock(key, int64(ref))
-		if err != nil && !IsRetryable(err) {
-			return err
-		}
-		if ok {
-			return nil
 		}
 		if timeout > 0 && rt.Now() >= deadline {
 			return fmt.Errorf("music: lock %s/%d: %w", key, ref, errAwaitTimeout)

@@ -92,7 +92,6 @@ type options struct {
 	mode         Mode
 	realTime     bool
 	seed         int64
-	observer     func(op core.Op, d time.Duration)
 	obs          bool
 	digestReads  bool
 	history      bool
@@ -390,7 +389,6 @@ func New(opts ...Option) (*Cluster, error) {
 		c.replicas[site] = core.NewReplicaSharded(clients, core.Config{
 			T:             o.t,
 			Mode:          o.mode,
-			Observer:      o.observer,
 			History:       rec,
 			Mutation:      o.mutation,
 			Leases:        o.leases,

@@ -79,6 +79,11 @@ go test ./internal/nettrans/ -run 'TestAllocCeiling' -count=1 -timeout 300s
 # its pinned per-op ceilings (the span/history nil-guard regression).
 go test ./internal/store/ -run 'TestAllocCeilingStoreOps|TestShardOfZeroAlloc' -count=1 -timeout 300s
 go test ./internal/core/ -run 'TestShardedSingleKeyNoExtraAllocs' -count=1 -timeout 300s
+# The lock row's size ceiling, beside the alloc ceilings it is kin to: three
+# columns however many lockRefs a key has seen, and a Peek that ships after
+# 500 sections what it shipped after one. A reintroduced per-ref column or
+# tombstone fails here by name.
+go test ./internal/lockstore/ -run 'TestLockRowBounded' -count=1 -timeout 300s
 
 # Experiment smokes: each JSON-emitting musicbench experiment must run end
 # to end in quick mode and write a well-formed BENCH_<id>.json. One run per
