@@ -14,7 +14,9 @@
 // throughput metric regresses when it falls below the baseline by more
 // than -threshold AND by more than -min-delta-per-sec. The absolute floors
 // keep noise in real-time-measured metrics from tripping the relative
-// check. Improvements never fail.
+// check. Improvements never fail. A baseline row with no candidate
+// counterpart fails: a deleted or renamed configuration must refresh the
+// baseline in the same change instead of silently leaving the gate.
 //
 // -inflate worsens every candidate metric before comparison (multiplies
 // latencies, divides throughputs); CI uses -inflate 1.2 as a dry run
@@ -83,6 +85,7 @@ func run(args []string, out io.Writer) error {
 			fmt.Fprintf(out, "benchgate: %s [%s]: no baseline row, skipped\n", cand.Experiment, id)
 			continue
 		}
+		delete(baseRows, id)
 		for _, metric := range metricNames(row) {
 			bVal, bOK := number(bRow[metric])
 			cVal, cOK := number(row[metric])
@@ -115,10 +118,19 @@ func run(args []string, out io.Writer) error {
 	if checked == 0 {
 		return fmt.Errorf("no comparable metrics between %s and %s", *baseline, *candidate)
 	}
-	if len(regressions) > 0 {
-		for _, r := range regressions {
-			fmt.Fprintln(out, "REGRESSION:", r)
+	// Matched rows were deleted from baseRows above; what is left was not measured.
+	for _, row := range base.Results {
+		if id := identity(row); baseRows[id] != nil {
+			fmt.Fprintf(out, "MISSING: %s [%s]: baseline row has no candidate row\n", base.Experiment, id)
 		}
+	}
+	for _, r := range regressions {
+		fmt.Fprintln(out, "REGRESSION:", r)
+	}
+	if len(baseRows) > 0 {
+		return fmt.Errorf("%d baseline row(s) not measured by the candidate", len(baseRows))
+	}
+	if len(regressions) > 0 {
 		return fmt.Errorf("%d metric(s) regressed beyond %.0f%%", len(regressions), 100**threshold)
 	}
 	fmt.Fprintf(out, "benchgate: %s: %d metrics within %.0f%% of baseline\n",

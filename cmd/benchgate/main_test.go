@@ -133,6 +133,21 @@ func TestGateInflateWorsensThroughput(t *testing.T) {
 	}
 }
 
+func TestGateFailsOnMissingCandidateRow(t *testing.T) {
+	// A configuration deleted or renamed since the baseline was taken must not
+	// leave the gate green on the rows that happen to remain.
+	base := writeDoc(t, "base.json", baselineDoc)
+	cand := writeDoc(t, "cand.json", strings.ReplaceAll(baselineDoc, `"config": "cache"`, `"config": "held"`))
+	var out strings.Builder
+	err := run([]string{"-baseline", base, "-candidate", cand}, &out)
+	if err == nil {
+		t.Fatalf("renamed config passed against its old baseline:\n%s", out.String())
+	}
+	if !strings.Contains(out.String(), "MISSING: fastpath [config=cache workload=1get1put]") {
+		t.Fatalf("report does not name the unmeasured baseline row:\n%s", out.String())
+	}
+}
+
 func TestGateRejectsMismatchedExperiments(t *testing.T) {
 	base := writeDoc(t, "base.json", baselineDoc)
 	cand := writeDoc(t, "cand.json", strings.ReplaceAll(baselineDoc, "fastpath", "transport"))

@@ -15,8 +15,8 @@ import (
 //   - 1-get/1-put sections: the session read served from the grant's
 //     piggybacked value must save the Get's full WAN quorum round trip over
 //     the Table I CriticalGet;
-//   - multi-put sections: Pipelined overlaps the writes' quorum round
-//     trips, Buffered coalesces them into one;
+//   - multi-put sections: Buffered coalesces the writes' quorum round trips
+//     into one;
 //   - read-heavy sections over 4 KiB values: digest quorum reads shrink
 //     the payload bytes arriving at the read coordinator.
 //
@@ -46,9 +46,9 @@ func runFastpath(opts Options) []Table {
 	for _, cfg := range []fastpathConfig{
 		{name: "sync", tableI: true},
 		{name: "piggyback+cache"},
-		{name: "cache+pipelined+digest",
+		{name: "cache+buffered+digest",
 			clusterOpts: []music.Option{music.WithDigestReads()},
-			clientOpts:  []music.ClientOption{music.WithWritePolicy(music.WritePipelined)}},
+			clientOpts:  []music.ClientOption{music.WithWritePolicy(music.WriteBuffered)}},
 	} {
 		opts.logf("  fastpath: 1get1put %s", cfg.name)
 		m := fastpathMeasure(cfg, iters, discard, "a", oneGetOnePut)
@@ -76,17 +76,15 @@ func runFastpath(opts Options) []Table {
 	}
 	tblB := Table{
 		ID:      "fastpath",
-		Title:   fmt.Sprintf("%d-put critical section: write-behind pipelining (IUs)", batchB),
+		Title:   fmt.Sprintf("%d-put critical section: write-behind coalescing (IUs)", batchB),
 		Columns: []string{"Write policy", "Mean CS latency", "p99", "vs sync"},
 		Notes: []string{
-			"pipelined issues each quorum write asynchronously and awaits all acks at the pre-release flush, overlapping the WAN round trips",
 			"buffered coalesces the section's writes client-side and issues one quorum write at flush",
 		},
 	}
 	var baseB time.Duration
 	for _, cfg := range []fastpathConfig{
 		{name: "sync"},
-		{name: "pipelined", clientOpts: []music.ClientOption{music.WithWritePolicy(music.WritePipelined)}},
 		{name: "buffered", clientOpts: []music.ClientOption{music.WithWritePolicy(music.WriteBuffered)}},
 	} {
 		opts.logf("  fastpath: multiput %s", cfg.name)

@@ -1,17 +1,10 @@
 // Package chaosnet injects deterministic, seed-driven faults into the real
 // TCP message plane (internal/nettrans), closing the gap between the
 // virtual-time chaos explorer (internal/history/explore) and the wire path
-// actual deployments run on. The same Schedule drives three interposition
-// points, from least to most invasive:
-//
-//   - a nettrans dial hook (Injector.Dial) that refuses dials across
-//     partitioned site pairs and wraps every accepted connection in a
-//     frame-level fault injector (latency, bandwidth shaping, loss, resets);
-//   - an in-path TCP proxy (Proxy) that fronts one node's listener and
-//     applies the same verdicts to frames flowing through it, for processes
-//     whose dialing side cannot be instrumented;
-//   - a transport.Transport wrapper (Wrap) that injects at message
-//     granularity above any backend, simulated or real.
+// actual deployments run on. A Schedule is injected at one interposition
+// point: a nettrans dial hook (Injector.Dial) that refuses dials across
+// partitioned site pairs and wraps every accepted connection in a
+// frame-level fault injector (latency, bandwidth shaping, loss, resets).
 //
 // Determinism contract: a Schedule is generated entirely from its seed
 // before the run (same seed → same fault timeline, byte for byte), and every

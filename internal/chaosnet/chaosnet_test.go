@@ -241,88 +241,3 @@ func TestPartitionRefusesDials(t *testing.T) {
 		}
 	}
 }
-
-// TestProxyInterposition runs calls through the in-path TCP proxy: clean
-// with an empty schedule, faulty through a loss window, recovered after.
-func TestProxyInterposition(t *testing.T) {
-	rt := sim.NewReal(9)
-	sched := chaosnet.Schedule{
-		Seed:  9,
-		Sites: []string{"ohio", "oregon"},
-		Events: []chaosnet.Event{
-			{At: 150 * time.Millisecond, For: 300 * time.Millisecond, Class: chaosnet.ClassLoss, Rate: 0.6},
-		},
-	}
-	inj := chaosnet.NewInjector(rt, sched)
-
-	// Real node 1 on its own listener; the proxy fronts it; node 0's peer
-	// set points at the proxy. Node 0 dials plainly — the proxy is the only
-	// interposition point.
-	realLis, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	proxyLis, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	lis0, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	proxy := chaosnet.NewProxy(inj, proxyLis, realLis.Addr().String(), "oregon",
-		map[transport.NodeID]string{0: "ohio", 1: "oregon"})
-	defer proxy.Close()
-
-	peers0 := []nettrans.Peer{
-		{ID: 0, Site: "ohio", Addr: lis0.Addr().String()},
-		{ID: 1, Site: "oregon", Addr: proxy.Addr()}, // via proxy
-	}
-	peers1 := []nettrans.Peer{
-		{ID: 0, Site: "ohio", Addr: lis0.Addr().String()},
-		{ID: 1, Site: "oregon", Addr: realLis.Addr().String()},
-	}
-	t0, err := nettrans.New(sim.NewReal(1), nettrans.Config{
-		Self: 0, Peers: peers0, Listener: lis0,
-		RPCTimeout: time.Second, BackoffFloor: 5 * time.Millisecond, BackoffCeil: 40 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer t0.Close()
-	t1, err := nettrans.New(sim.NewReal(2), nettrans.Config{Self: 1, Peers: peers1, Listener: realLis})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer t1.Close()
-	t1.Handle(1, "echo", func(from transport.NodeID, req any) (any, error) { return req, nil })
-
-	// Before the window: transparent.
-	inj.Start()
-	for i := 0; i < 5; i++ {
-		if _, err := t0.Call(0, 1, "echo", conformance.Msg{Tag: "pre"}); err != nil {
-			t.Fatalf("pre-window call %d through proxy: %v", i, err)
-		}
-	}
-	// Inside the window: failures appear.
-	failures := 0
-	for !inj.Done() {
-		if _, err := t0.CallTimeout(0, 1, "echo", conformance.Msg{Tag: "mid"}, 50*time.Millisecond); err != nil {
-			failures++
-		}
-	}
-	if inj.Counts().Drops == 0 {
-		t.Fatal("proxy dropped nothing through a 60% loss window")
-	}
-	// After: recovered.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if _, err := t0.CallTimeout(0, 1, "echo", conformance.Msg{Tag: "post"}, 300*time.Millisecond); err == nil {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("proxy path never recovered")
-		}
-	}
-	t.Logf("proxy stats: %+v, %d mid-window failures", inj.Counts(), failures)
-}

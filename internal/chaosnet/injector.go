@@ -39,8 +39,8 @@ type pairState struct {
 }
 
 // Injector evaluates a Schedule against elapsed run time and hands out
-// frame verdicts. One Injector serves a whole deployment: every faultConn,
-// Proxy, and Wrap built from it shares the same timeline.
+// frame verdicts. One Injector serves a whole deployment: every faultConn
+// built from it shares the same timeline.
 type Injector struct {
 	rt    sim.Runtime
 	sched Schedule

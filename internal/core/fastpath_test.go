@@ -105,63 +105,3 @@ func TestCriticalCheckGuards(t *testing.T) {
 		}
 	})
 }
-
-func TestCriticalPutAsyncPipelines(t *testing.T) {
-	fixture(t, Config{}, func(w *world) {
-		const key = "pipelined"
-		ref, _ := w.rep[0].CreateLockRef(key)
-		awaitLock(t, w, w.rep[0], key, ref)
-
-		issued := w.rt.Now()
-		h1, err := w.rep[0].CriticalPutAsync(key, ref, []byte("w1"))
-		if err != nil {
-			t.Fatalf("CriticalPutAsync 1: %v", err)
-		}
-		h2, err := w.rep[0].CriticalPutAsync(key, ref, []byte("w2"))
-		if err != nil {
-			t.Fatalf("CriticalPutAsync 2: %v", err)
-		}
-		// Issue time is guard-only (local peeks): both writes' WAN round
-		// trips overlap rather than serialize.
-		if d := w.rt.Now() - issued; d > 20*time.Millisecond {
-			t.Fatalf("two async puts took %v to issue — acks must not be awaited inline", d)
-		}
-		if err := h1.Wait(); err != nil {
-			t.Fatalf("Wait 1: %v", err)
-		}
-		if err := h2.Wait(); err != nil {
-			t.Fatalf("Wait 2: %v", err)
-		}
-		got, err := w.rep[0].CriticalGet(key, ref)
-		if err != nil || string(got) != "w2" {
-			t.Fatalf("CriticalGet = %q, %v; want w2", got, err)
-		}
-
-		// Non-holders are rejected at issue, not at flush.
-		if _, err := w.rep[0].CriticalPutAsync(key, ref+999, []byte("x")); !errors.Is(err, ErrNotLockHolder) {
-			t.Fatalf("non-holder CriticalPutAsync = %v, want ErrNotLockHolder", err)
-		}
-	})
-}
-
-func TestCriticalPutAsyncLWTFallsBackSync(t *testing.T) {
-	fixture(t, Config{Mode: ModeLWT}, func(w *world) {
-		const key = "lwt-async"
-		ref, _ := w.rep[0].CreateLockRef(key)
-		awaitLock(t, w, w.rep[0], key, ref)
-		h, err := w.rep[0].CriticalPutAsync(key, ref, []byte("v"))
-		if err != nil {
-			t.Fatalf("CriticalPutAsync: %v", err)
-		}
-		if !h.Settled() {
-			t.Fatal("LWT-mode async put returned an unsettled handle — the CAS must complete synchronously")
-		}
-		if err := h.Wait(); err != nil {
-			t.Fatalf("Wait: %v", err)
-		}
-		got, err := w.rep[0].CriticalGet(key, ref)
-		if err != nil || string(got) != "v" {
-			t.Fatalf("CriticalGet = %q, %v; want v", got, err)
-		}
-	})
-}

@@ -7,8 +7,8 @@ import (
 	"repro/internal/history"
 	"repro/internal/lockstore"
 	"repro/internal/obs"
-	"repro/internal/simnet"
 	"repro/internal/store"
+	"repro/internal/transport"
 )
 
 // AcquireLock reports whether lockRef now holds the key's lock. False with
@@ -359,7 +359,7 @@ func (r *Replica) rememberGrant(key string, ref, startMicros int64, held heldVal
 // grant record. On static clusters the replica set is not needed — the
 // epoch never changes, so the fence can never fire — and skipping it keeps
 // grants allocation-free there.
-func (r *Replica) placeStamp(key string) (int64, []simnet.NodeID) {
+func (r *Replica) placeStamp(key string) (int64, []transport.NodeID) {
 	c := r.shardFor(key).ds.Cluster()
 	if !c.Dynamic() {
 		return c.Epoch(), nil
@@ -406,7 +406,7 @@ func (r *Replica) epochFence(key string, ref int64) error {
 }
 
 // sameNodes reports set equality of two small replica lists.
-func sameNodes(a, b []simnet.NodeID) bool {
+func sameNodes(a, b []transport.NodeID) bool {
 	if len(a) != len(b) {
 		return false
 	}

@@ -48,7 +48,7 @@ func (r *Replica) setHeld(key string, ref int64, h heldValue, ifSeq int64) {
 	s.mu.Unlock()
 }
 
-// foldHeld records a stamped write of the section as the key's value.
+// foldHeld records an acked write of the section as the key's value.
 func (r *Replica) foldHeld(key string, ref int64, value []byte, present bool) {
 	r.setHeld(key, ref, heldValue{known: true, present: present, value: value}, -1)
 }

@@ -201,31 +201,3 @@ func TestReadLadder(t *testing.T) {
 		})
 	}
 }
-
-// TestAsyncWriteFailureDropsHeldValue: a pipelined write is folded when it is
-// stamped, so the one that then loses its quorum must take the held value
-// with it — the failure arrives on the write's handle, after the issue
-// returned.
-func TestAsyncWriteFailureDropsHeldValue(t *testing.T) {
-	fixture(t, Config{}, func(w *world) {
-		r := w.rep[0]
-		ref, _ := r.CreateLockRef("k")
-		awaitLock(t, w, r, "k", ref)
-		w.net.PartitionSites([]string{"ohio"}, []string{"ncalifornia", "oregon"})
-		h, err := r.CriticalPutAsync("k", ref, []byte("unacked"))
-		if err != nil {
-			t.Fatalf("issue: %v", err)
-		}
-		if held := heldOf(r, "k"); string(held.value) != "unacked" {
-			t.Fatalf("held value at issue = %+v, want the stamped write", held)
-		}
-		if err := h.Wait(); !errors.Is(err, ErrUnavailable) {
-			t.Fatalf("Wait = %v, want ErrUnavailable", err)
-		}
-		w.rt.Sleep(time.Millisecond) // the waiter task runs
-		if held := heldOf(r, "k"); held.known {
-			t.Fatalf("held value after the write failed = %+v, want dropped", held)
-		}
-		w.net.Heal()
-	})
-}

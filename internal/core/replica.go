@@ -9,8 +9,8 @@ import (
 	"repro/internal/history"
 	"repro/internal/lockstore"
 	"repro/internal/obs"
-	"repro/internal/simnet"
 	"repro/internal/store"
+	"repro/internal/transport"
 )
 
 // DataTable is the data-store table holding client key-value pairs.
@@ -247,7 +247,7 @@ func (c Config) withDefaults() Config {
 // short-circuits without hashing, so unsharded replicas pay nothing.
 type Replica struct {
 	cfg    Config
-	node   simnet.NodeID
+	node   transport.NodeID
 	site   string
 	shards []*planeShard
 }
@@ -273,7 +273,7 @@ type grant struct {
 	// proceeds (and silently adopts the new epoch); once membership moves
 	// the key, the section is preempted (see ErrEpochFenced).
 	epoch    int64
-	replicas []simnet.NodeID
+	replicas []transport.NodeID
 	// held is the key's value as the section knows it (see read.go): the one
 	// copy the session's reads and the site lease both serve from.
 	held heldValue
@@ -348,7 +348,7 @@ func (r *Replica) ds0() *store.Client { return r.shards[0].ds }
 func (r *Replica) Shards() int { return len(r.shards) }
 
 // Node returns the store node this replica coordinates through.
-func (r *Replica) Node() simnet.NodeID { return r.node }
+func (r *Replica) Node() transport.NodeID { return r.node }
 
 // T returns the configured critical-section bound.
 func (r *Replica) T() time.Duration { return r.cfg.T }
@@ -425,64 +425,6 @@ func (r *Replica) sectionGet(key string, ref int64, who reader) (value []byte, e
 	}
 	hc.Value(value, true)
 	return value, nil
-}
-
-// CriticalPutAsync is CriticalPut with the quorum write issued
-// asynchronously: the guard runs and the write is stamped (fixing its v2s
-// order) before returning, but replica acks are awaited through the handle.
-// Backs the music layer's Pipelined write policy. In LWT mode the CAS round
-// cannot be pipelined, so the write completes synchronously and the handle
-// is returned already settled.
-func (r *Replica) CriticalPutAsync(key string, ref int64, value []byte) (*store.PendingPut, error) {
-	return r.criticalWriteAsync(key, ref, value, false)
-}
-
-// CriticalDeleteAsync is the tombstone counterpart of CriticalPutAsync.
-func (r *Replica) CriticalDeleteAsync(key string, ref int64) (*store.PendingPut, error) {
-	return r.criticalWriteAsync(key, ref, nil, true)
-}
-
-func (r *Replica) criticalWriteAsync(key string, ref int64, value []byte, deleted bool) (p *store.PendingPut, err error) {
-	sp := r.tracer().Start("music.criticalPut.async")
-	sp.Annotatef("lockref", "%s/%d", key, ref)
-	defer func() { sp.EndErr(err) }()
-	elapsed, err := r.guardCritical(key, ref)
-	if err != nil {
-		kind := history.KindPut
-		if deleted {
-			kind = history.KindDelete
-		}
-		r.cfg.History.Begin(r.site, kind, key, ref).Value(value, !deleted).End(err)
-		return nil, err
-	}
-	if r.cfg.Mode == ModeLWT {
-		// The synchronous delegate records its own history op.
-		if deleted {
-			return store.ResolvedPut(r.CriticalDelete(key, ref)), nil
-		}
-		return store.ResolvedPut(r.CriticalPut(key, ref, value)), nil
-	}
-	cell := store.Cell{Value: value, TS: v2s(ref, elapsed, r.cfg.T), Deleted: deleted}
-	kind := history.KindPut
-	if deleted {
-		kind = history.KindDelete
-	}
-	hc := r.cfg.History.Begin(r.site, kind, key, ref).Value(value, !deleted).TS(cell.TS)
-	// Folded at issue, not at ack: acks of pipelined writes arrive in any
-	// order, issue order is stamp order. A write that then fails drops the
-	// held value like any failed critical op.
-	r.foldHeld(key, ref, value, !deleted)
-	pending := r.shardFor(key).ds.PutAsync(DataTable, key, store.Row{colValue: cell}, store.Quorum)
-	r.ds0().Cluster().Net().Runtime().Go(func() {
-		werr := pending.Wait()
-		if werr != nil {
-			r.dropHeld(key, ref)
-		}
-		// Close the record at quorum-ack time: the op's response interval is
-		// issue → settle, which is what the checker's overlap rules need.
-		hc.End(werr)
-	})
-	return pending, nil
 }
 
 // guardCritical enforces the Exclusivity guards of §IV-A: the lockRef must

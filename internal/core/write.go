@@ -8,6 +8,10 @@ import (
 	"repro/internal/store"
 )
 
+// The write plane, the mirror of read.go: every in-section Put or Delete goes
+// through one function, criticalWrite, and the grant record's held value has
+// one fold rule — a write is folded once the store acked it, never before.
+
 // CriticalPut writes the latest value of key for the current lockholder.
 // Cost: one quorum write of the value (MUSIC) or one LWT (MSCP).
 func (r *Replica) CriticalPut(key string, ref int64, value []byte) (err error) {
@@ -35,9 +39,9 @@ func (r *Replica) CriticalDelete(key string, ref int64) (err error) {
 	return r.criticalWrite("criticalDelete", key, ref, store.Cell{Deleted: true}, hc)
 }
 
-// criticalWrite is the synchronous critical write both ops share: guard,
-// stamp, write, then settle the grant record's held value — folded once the
-// store acked the write, dropped when it did not, so the held rung never
+// criticalWrite is the only path from an in-section write to the store:
+// guard, stamp, write, then settle the grant record's held value — folded once
+// the store acked the write, dropped when it did not, so the held rung never
 // serves a value the store may not hold.
 func (r *Replica) criticalWrite(op, key string, ref int64, cell store.Cell, hc *history.Call) error {
 	elapsed, err := r.guardCritical(key, ref)

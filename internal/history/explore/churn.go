@@ -61,7 +61,7 @@ func GenerateChurn(seed int64) Script {
 		Profile:  music.ProfileIUs,
 		T:        30 * time.Second,
 		Deadline: 3 * time.Minute,
-		Policy:   []music.WritePolicy{music.WriteSync, music.WritePipelined, music.WriteBuffered}[rng.Intn(3)],
+		Policy:   drawPolicy(rng),
 		Spares:   []string{"site-d", "site-e"},
 	}
 	s.HolderCache = rng.Intn(2) == 1

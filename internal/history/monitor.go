@@ -24,7 +24,7 @@ import (
 // observed), and reads whose value the monitor cannot attribute at all (a
 // write still in flight that the monitor has not seen complete) are not
 // violations — an online monitor only ever sees completed ops, and flagging
-// unattributable values would flip sites on every pipelined write. The
+// unattributable values would flip sites on every straggling write. The
 // offline ECF checker still certifies the full history after the fact.
 //
 // Once a site's violation count within its window reaches TripCount the site

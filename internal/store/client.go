@@ -91,17 +91,6 @@ func maxTS(cells Row) int64 {
 	return ts
 }
 
-// Delete tombstones the given columns (all current columns if cols is nil
-// is not supported — callers name what they delete).
-func (cl *Client) Delete(table, key string, cols []string, cons Consistency) error {
-	now := cl.c.NowMicros()
-	cells := make(Row, len(cols))
-	for _, col := range cols {
-		cells[col] = Cell{TS: now, Deleted: true}
-	}
-	return cl.Put(table, key, cells, cons)
-}
-
 // replicate sends an apply to every replica of the key and waits for the
 // consistency level's ack count. Replicas that miss the write are caught up
 // in the background (hinted handoff) unless disabled.

@@ -7,7 +7,6 @@ import (
 	"sort"
 	"time"
 
-	"repro/internal/history"
 	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/transport"
@@ -15,9 +14,8 @@ import (
 
 // This file is the store half of the critical-section fast path: digest
 // quorum reads (Cassandra's actual read path — full data from the nearest
-// replica, digests from the rest), ONE-read failover to the next-nearest
-// replica, and asynchronous quorum writes backing the music layer's
-// write-behind pipelining.
+// replica, digests from the rest) and ONE-read failover to the next-nearest
+// replica.
 
 const svcDigest = "store.digest"
 
@@ -202,71 +200,4 @@ func (cl *Client) addReadBytes(n int) {
 	if o := cl.c.net.Obs(); o != nil {
 		o.Metrics().Counter("store_read_bytes_total", obs.Labels{"site": cl.c.net.SiteOf(cl.node)}).Add(int64(n))
 	}
-}
-
-// PendingPut is the handle on a write issued by PutAsync. Wait blocks until
-// the write reaches its consistency level or definitively fails.
-type PendingPut struct {
-	err  error
-	done *sim.Promise[struct{}]
-}
-
-// Wait blocks until the write settles and returns its outcome.
-func (p *PendingPut) Wait() error {
-	if p.done == nil {
-		return p.err
-	}
-	_, err := p.done.Await()
-	return err
-}
-
-// Settled reports whether the write has already completed.
-func (p *PendingPut) Settled() bool { return p.done == nil || p.done.Done() }
-
-// ResolvedPut returns an already-settled handle carrying err. Callers that
-// must perform a write synchronously (e.g. LWT mode, where the CAS round
-// cannot be pipelined) use it to satisfy an asynchronous interface.
-func ResolvedPut(err error) *PendingPut { return &PendingPut{err: err} }
-
-// PutAsync issues Put without waiting for replica acks: cells are stamped
-// and the coordinator charged at issue time — so issue order fixes
-// timestamp order — then replication proceeds in the background and the
-// returned handle settles once the consistency level's acks arrive. The
-// music layer pipelines critical-section writes with it; like Put, a failed
-// write is not rolled back and may survive on some replicas.
-func (cl *Client) PutAsync(table, key string, cells Row, cons Consistency) *PendingPut {
-	cfg := cl.c.cfg
-	rt := cl.c.net.Runtime()
-	stamped := make(Row, len(cells))
-	for col, c := range cells {
-		if c.TS == 0 {
-			c.TS = cl.c.nextWriteTS(key)
-		}
-		stamped[col] = c
-	}
-	req := applyReq{Table: table, Key: key, Cells: stamped}
-	p := &PendingPut{done: sim.NewPromise[struct{}](rt)}
-	start := rt.Now()
-	var hc *history.Call
-	if cfg.History != nil {
-		hc = cfg.History.Begin(cl.c.net.SiteOf(cl.node), history.KindStorePut, table+"/"+key, 0).TS(maxTS(stamped)).Note("async " + cons.String())
-	}
-	rt.Go(func() {
-		sp := cl.tracer().Child("store.put.async")
-		if sp != nil {
-			sp.Annotate("row", table+"/"+key)
-			sp.Annotate("cons", cons.String())
-		}
-		cl.c.net.Work(cl.node, cfg.Costs.CoordWrite+perKBCost(cfg.Costs.PerKB, rowSize(req.Cells)))
-		err := cl.replicate(req, cons)
-		hc.End(err)
-		cl.observeLatency("put", cons, rt.Now()-start)
-		sp.EndErr(err)
-		if err != nil {
-			p.done.Reject(err)
-		} else {
-			p.done.Resolve(struct{}{})
-		}
-	})
-	return p
 }

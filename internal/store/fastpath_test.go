@@ -135,66 +135,3 @@ func TestOneReadFallsBackToNextNearest(t *testing.T) {
 		}
 	})
 }
-
-func TestPutAsyncSettlesAndLands(t *testing.T) {
-	fixtureObs(t, Config{}, func(rt *sim.Virtual, net *simnet.Network, c *Cluster, ob *obs.Obs) {
-		cl := c.Client(0)
-		issued := rt.Now()
-		h1 := cl.PutAsync(tbl, "k", val("v1"), Quorum)
-		h2 := cl.PutAsync(tbl, "k", val("v2"), Quorum)
-		if d := rt.Now() - issued; d > 10*time.Millisecond {
-			t.Fatalf("PutAsync blocked %v — must not wait for WAN acks", d)
-		}
-		if err := h1.Wait(); err != nil {
-			t.Fatalf("Wait h1: %v", err)
-		}
-		if err := h2.Wait(); err != nil {
-			t.Fatalf("Wait h2: %v", err)
-		}
-		if !h1.Settled() || !h2.Settled() {
-			t.Fatal("handles not settled after Wait")
-		}
-		// Issue order fixed the timestamps: v2 (stamped later) wins.
-		row, err := cl.Get(tbl, "k", Quorum)
-		if err != nil {
-			t.Fatalf("Get: %v", err)
-		}
-		if got := string(row["v"].Value); got != "v2" {
-			t.Fatalf("Get = %q, want v2 (last issued write wins)", got)
-		}
-
-		// A write that cannot reach a quorum must settle with an error.
-		for _, id := range c.ReplicasFor("k2") {
-			net.Crash(id)
-		}
-		var coord simnet.NodeID
-		for _, id := range c.Nodes() {
-			crashed := false
-			for _, r := range c.ReplicasFor("k2") {
-				if id == r {
-					crashed = true
-				}
-			}
-			if !crashed {
-				coord = id
-				break
-			}
-		}
-		h := c.Client(coord).PutAsync(tbl, "k2", val("x"), Quorum)
-		if err := h.Wait(); err == nil {
-			t.Fatal("PutAsync with all replicas down settled without error")
-		}
-	})
-}
-
-func TestResolvedPut(t *testing.T) {
-	if err := ResolvedPut(nil).Wait(); err != nil {
-		t.Fatalf("ResolvedPut(nil).Wait = %v", err)
-	}
-	if !ResolvedPut(nil).Settled() {
-		t.Fatal("ResolvedPut not settled")
-	}
-	if err := ResolvedPut(ErrUnavailable).Wait(); err != ErrUnavailable {
-		t.Fatalf("ResolvedPut(err).Wait = %v, want ErrUnavailable", err)
-	}
-}

@@ -8,6 +8,9 @@ import (
 	"repro/internal/transport"
 )
 
+// maxCASAttempts bounds Paxos retries under contention.
+const maxCASAttempts = 16
+
 // CASResult reports the outcome of a light-weight transaction.
 type CASResult struct {
 	// Applied is true when the condition held and the update committed.
@@ -46,7 +49,7 @@ func (cl *Client) CAS(table, key string, conds []Cond, update Row) (res CASResul
 	net.Work(cl.node, cfg.Costs.CoordWrite+perKBCost(cfg.Costs.PerKB, rowSize(update)))
 
 	var observed uint64 // highest refusing ballot seen, to leapfrog it
-	for attempt := 0; attempt < cfg.MaxCASAttempts; attempt++ {
+	for attempt := 0; attempt < maxCASAttempts; attempt++ {
 		if attempt > 0 {
 			// Randomized backoff keeps competing proposers from livelock.
 			rt.Sleep(time.Duration(1+rt.Rand().Intn(20*(attempt+1))) * time.Millisecond)

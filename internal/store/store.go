@@ -212,8 +212,6 @@ type Config struct {
 	// Timeout bounds each replica round trip. Defaults to the network's
 	// RPC timeout.
 	Timeout time.Duration
-	// MaxCASAttempts bounds Paxos retries under contention. Defaults to 16.
-	MaxCASAttempts int
 	// Members, when set, seeds epoch-1 placement explicitly (node + site
 	// pairs) instead of deriving it from Nodes and the transport's site
 	// map. Dynamic deployments use it to start the ring on the member
@@ -300,9 +298,6 @@ func New(tr transport.Transport, cfg Config) *Cluster {
 	}
 	if cfg.Timeout == 0 {
 		cfg.Timeout = tr.RPCTimeout()
-	}
-	if cfg.MaxCASAttempts == 0 {
-		cfg.MaxCASAttempts = 16
 	}
 	if cfg.Shards <= 0 {
 		cfg.Shards = 1

@@ -115,8 +115,8 @@ func TestTombstoneDeletes(t *testing.T) {
 		if err := cl.Put(tbl, "k", val("x"), Quorum); err != nil {
 			t.Fatalf("Put: %v", err)
 		}
-		if err := cl.Delete(tbl, "k", []string{"v"}, Quorum); err != nil {
-			t.Fatalf("Delete: %v", err)
+		if err := cl.Put(tbl, "k", Row{"v": Cell{Deleted: true}}, Quorum); err != nil {
+			t.Fatalf("Put tombstone: %v", err)
 		}
 		row, err := cl.Get(tbl, "k", Quorum)
 		if err != nil {
@@ -453,8 +453,8 @@ func TestAllKeys(t *testing.T) {
 				t.Fatalf("Put: %v", err)
 			}
 		}
-		if err := cl.Delete(tbl, "key-3", []string{"v"}, Quorum); err != nil {
-			t.Fatalf("Delete: %v", err)
+		if err := cl.Put(tbl, "key-3", Row{"v": Cell{Deleted: true}}, Quorum); err != nil {
+			t.Fatalf("Put tombstone: %v", err)
 		}
 		keys, err := cl.AllKeys(tbl)
 		if err != nil {

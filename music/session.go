@@ -7,8 +7,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/history"
-	"repro/internal/obs"
-	"repro/internal/store"
 )
 
 // This file is the session layer of the critical-section fast path: the
@@ -17,8 +15,8 @@ import (
 // (a) the value the replica's grant record holds — piggybacked on the grant's
 // synchFlag quorum read, then folded by each of the section's writes — can
 // serve Gets at the cost of the local guard (core's read ladder; the session
-// only vouches that it never left the granting replica), and (b) writes need
-// not be acked before the *next* write issues, only before the lock is
+// only vouches that it never left the granting replica), and (b) only the
+// section's *last* write need reach the store, and only before the lock is
 // released. Every fast-path operation still runs the same local guard as a
 // quorum-backed critical op; DESIGN.md states the ECF soundness argument.
 
@@ -27,29 +25,22 @@ type WritePolicy int
 
 const (
 	// WriteSync issues every Put/Delete as a synchronous quorum write
-	// before returning — the paper-faithful default.
+	// before returning: a returned write is durable — the paper-faithful
+	// default.
 	WriteSync WritePolicy = iota
-	// WritePipelined issues each write's quorum round immediately but
-	// asynchronously, overlapping the WAN round trips of consecutive
-	// writes; all acks are awaited at flush, before the lock is released.
-	WritePipelined
 	// WriteBuffered coalesces writes client-side — last write wins — and
-	// issues a single quorum write at flush. The buffer lives in the
-	// client, so it survives a cross-site failover and flushes at the new
-	// site.
+	// issues a single quorum write at flush: a write is durable once Flush
+	// (or RunCritical) returns. The buffer lives in the client, so it
+	// survives a cross-site failover and flushes at the new site.
 	WriteBuffered
 )
 
-// String names the policy for spans and benchmark tables.
+// String names the policy for explorer scripts and benchmark tables.
 func (p WritePolicy) String() string {
-	switch p {
-	case WritePipelined:
-		return "pipelined"
-	case WriteBuffered:
+	if p == WriteBuffered {
 		return "buffered"
-	default:
-		return "sync"
 	}
+	return "sync"
 }
 
 // WithWritePolicy selects the client's critical-section write policy
@@ -60,9 +51,9 @@ func WithWritePolicy(p WritePolicy) ClientOption {
 
 // CriticalSection is the handle passed to RunCritical callbacks: the
 // session state of one held lock. Besides delegating critical operations
-// to its client it carries the write-behind buffer of the Pipelined and
-// Buffered policies (WithWritePolicy); what the section knows of the key's
-// value lives in the replica's grant record, not here.
+// to its client it carries the write-behind buffer of the Buffered policy
+// (WithWritePolicy); what the section knows of the key's value lives in the
+// replica's grant record, not here.
 type CriticalSection struct {
 	cl  *Client
 	key string
@@ -77,15 +68,13 @@ type CriticalSection struct {
 	// "at A" again, but A's record has missed the writes made through B.
 	rebinds int
 
-	// Write-behind state: the section's latest write — the one the next
-	// lockholder must observe, so it must be acked before release — plus,
-	// under Pipelined, the handles of in-flight quorum writes.
-	wbHave    bool // some write happened this section
-	wbDirty   bool // Buffered: latest write not yet issued to the store
+	// Write-behind state (Buffered only): the section's latest write — the
+	// one the next lockholder must observe, so it must be acked before
+	// release.
+	wbHave    bool // some write was buffered this section
+	wbDirty   bool // the latest write is not yet acked by the store
 	wbDeleted bool
 	wbValue   []byte
-	pending   []*store.PendingPut
-	lastPut   *store.PendingPut
 }
 
 // newSection builds the session state for a lock AwaitLock just returned.
@@ -104,16 +93,16 @@ func (cs *CriticalSection) guardRetry() error {
 	})
 }
 
-// Get reads the key's true value. With write-behind pending it returns the
-// section's own latest write from the client-side buffer (those writes may
+// Get reads the key's true value. Once the section has buffered a write it
+// returns its own latest write from the client-side buffer (that write may
 // not have reached any replica yet). Otherwise it goes down the bound
 // replica's read ladder — as the granted session while the client has not
 // re-bound since the grant, so the replica's held value serves it for the
 // price of the local guard; as a plain Table I CriticalGet afterwards.
 func (cs *CriticalSection) Get() ([]byte, error) {
 	if cs.wbHave {
-		// Read-your-writes under write-behind: the buffered/in-flight value
-		// is the key's true value, whatever the store's replicas say. The
+		// Read-your-writes under write-behind: the buffered value is the
+		// key's true value, whatever the store's replicas say. The
 		// note names the source so the ECF checker's echo rule applies
 		// instead of the quorum-freshness rule.
 		_, site := cs.cl.bound()
@@ -139,80 +128,38 @@ func (cs *CriticalSection) Put(v []byte) error { return cs.write(v, false) }
 func (cs *CriticalSection) Delete() error { return cs.write(nil, true) }
 
 func (cs *CriticalSection) write(v []byte, deleted bool) error {
-	switch cs.policy {
-	case WriteBuffered:
+	if cs.policy == WriteBuffered {
 		if err := cs.guardRetry(); err != nil {
 			return err
 		}
-		cs.wbHave, cs.wbDirty, cs.wbValue, cs.wbDeleted = true, true, v, deleted
+		// The buffer keeps its own copy: like core's held value, callers own
+		// what they pass in and may reuse it before the flush.
+		cs.wbHave, cs.wbDirty, cs.wbValue, cs.wbDeleted = true, true, append([]byte(nil), v...), deleted
 		return nil
-
-	case WritePipelined:
-		var h *store.PendingPut
-		err := cs.cl.withRetry("criticalPut", cs.key, cs.ref, true, func(rep *core.Replica) error {
-			var issueErr error
-			if deleted {
-				h, issueErr = rep.CriticalDeleteAsync(cs.key, int64(cs.ref))
-			} else {
-				h, issueErr = rep.CriticalPutAsync(cs.key, int64(cs.ref), v)
-			}
-			return issueErr
-		})
-		if err != nil {
-			return err
-		}
-		cs.pending = append(cs.pending, h)
-		cs.lastPut = h
-		cs.wbHave, cs.wbValue, cs.wbDeleted = true, v, deleted
-		return nil
-
-	default: // WriteSync
-		if deleted {
-			return cs.cl.CriticalDelete(cs.key, cs.ref)
-		}
-		return cs.cl.CriticalPut(cs.key, cs.ref, v)
 	}
+	if deleted {
+		return cs.cl.CriticalDelete(cs.key, cs.ref)
+	}
+	return cs.cl.CriticalPut(cs.key, cs.ref, v)
 }
 
-// Flush drives the section's write-behind writes to their quorum acks.
-// RunCritical/RunCriticalMulti call it before releasing the lock — ECF
-// demands the final value be acked before the dequeue lets the next holder
-// in — and holders may call it mid-section as a durability point. Only the
-// section's *latest* write is re-driven on failure: any earlier write is
-// dominated by the final value's higher v2s timestamp, so its loss is
-// unobservable once the final write lands.
+// Flush drives the section's buffered write to its quorum ack. RunCritical/
+// RunCriticalMulti call it before releasing the lock — ECF demands the final
+// value be acked before the dequeue lets the next holder in — and holders may
+// call it mid-section as a durability point. Only the section's *latest*
+// write is ever issued: any earlier one it overwrote in the buffer would be
+// dominated by the final value's higher v2s timestamp anyway. A failed flush
+// leaves the buffer dirty, so calling Flush again re-issues it.
 func (cs *CriticalSection) Flush() (err error) {
-	if cs.policy == WriteSync || !cs.wbHave {
-		return nil
-	}
-	if !cs.wbDirty && len(cs.pending) == 0 {
+	if !cs.wbDirty {
 		return nil
 	}
 	sp := cs.cl.c.tracer().Child("music.cs.flush")
-	sp.Annotate("policy", cs.policy.String())
 	sp.Annotatef("lockref", "%s/%d", cs.key, cs.ref)
 	defer func() { sp.EndErr(err) }()
 
-	redrive := cs.wbDirty // Buffered: the coalesced write still to issue
-	if cs.policy == WritePipelined {
-		sp.Annotatef("pending", "%d", len(cs.pending))
-		for _, h := range cs.pending {
-			if werr := h.Wait(); werr != nil && h == cs.lastPut {
-				redrive = true
-			}
-		}
-		cs.pending, cs.lastPut = nil, nil
-		if redrive {
-			cs.cl.counter("music_cs_flush_redrives_total", obs.Labels{"site": cs.cl.Site()})
-		}
-	}
-	if !redrive {
-		return nil
-	}
-	// Re-drive the final write synchronously with the client's full retry +
-	// failover budget; its fresh guard re-stamps the value with a later
-	// elapsed time, so it dominates every earlier (even partially landed)
-	// write of this section.
+	// Issued with the client's full retry + failover budget; the guard stamps
+	// the value with the elapsed time of the flush, not of the buffered Put.
 	if cs.wbDeleted {
 		err = cs.cl.CriticalDelete(cs.key, cs.ref)
 	} else {

@@ -9,6 +9,8 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
+	"repro/internal/history"
 	"repro/internal/obs"
 )
 
@@ -101,67 +103,121 @@ func TestHolderCacheServesGets(t *testing.T) {
 	}
 }
 
-// TestPipelinedOverlapsWriteRoundTrips: under WritePipelined the quorum
-// round trips of a section's consecutive writes overlap, with all acks
-// awaited at the pre-release flush.
-func TestPipelinedOverlapsWriteRoundTrips(t *testing.T) {
-	c := newTestCluster(t, WithSeed(7))
-	err := c.Run(func() {
-		fourPuts := func(cs *CriticalSection) error {
-			for i := 0; i < 4; i++ {
-				if err := cs.Put([]byte(strconv.Itoa(i))); err != nil {
-					return err
-				}
-			}
-			return nil
-		}
-		base := timeSection(t, c, c.Client("ohio"), "sync", fourPuts)
-		piped := timeSection(t, c, c.Client("ohio", WithWritePolicy(WritePipelined)), "piped", fourPuts)
-
-		// Four serialized quorum writes collapse to roughly one write round
-		// trip visible at flush: at least two RTTs (~108ms) must disappear.
-		if saved := base - piped; saved < 100*time.Millisecond {
-			t.Errorf("pipelined section saved %v over %v baseline, want >= 100ms", saved, base)
-		}
-		for _, key := range []string{"sync", "piped"} {
-			got, err := c.Client("oregon").RunCriticalRead(key)
-			if err != nil || string(got) != "3" {
-				t.Errorf("final %s = (%q, %v), want 3 (last write wins)", key, got, err)
-			}
-		}
-	})
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-}
-
-// TestBufferedCoalescesWrites: under WriteBuffered a section's writes
-// coalesce client-side into the single quorum write the flush issues.
+// TestBufferedCoalescesWrites is the write plane as a table, policy × script:
+// under WriteSync every Put/Delete is its own store quorum write, under
+// WriteBuffered a section's writes coalesce client-side into the one the
+// flush issues — and either way the next holder reads the section's last
+// write, a Get after a write echoes it (from core's held value under Sync,
+// from the client-side buffer under Buffered), and the history checks.
 func TestBufferedCoalescesWrites(t *testing.T) {
-	c := newTestCluster(t, WithSeed(7))
-	err := c.Run(func() {
-		threePuts := func(cs *CriticalSection) error {
-			for _, v := range []string{"a", "b", "final"} {
-				if err := cs.Put([]byte(v)); err != nil {
-					return err
+	const key = "k"
+	type step func(t *testing.T, c *Cluster, cs *CriticalSection) error
+	// storePuts counts the store's quorum writes of key's data row so far.
+	storePuts := func(c *Cluster) int {
+		n := 0
+		for _, op := range c.History().Ops() {
+			if op.Kind == history.KindStorePut && op.Key == core.DataTable+"/"+key {
+				n++
+			}
+		}
+		return n
+	}
+	put := func(v string) step {
+		return func(_ *testing.T, _ *Cluster, cs *CriticalSection) error { return cs.Put([]byte(v)) }
+	}
+	del := func(_ *testing.T, _ *Cluster, cs *CriticalSection) error { return cs.Delete() }
+	flush := func(_ *testing.T, _ *Cluster, cs *CriticalSection) error { return cs.Flush() }
+	// get reads the section's own latest write back: the value as written,
+	// noted with the rung that served it, with wantBufferedPuts store writes
+	// issued so far under Buffered (Sync has issued one per write by then).
+	get := func(want string, wantBufferedPuts int) step {
+		return func(t *testing.T, c *Cluster, cs *CriticalSection) error {
+			v, err := cs.Get()
+			if err != nil || string(v) != want {
+				return fmt.Errorf("in-section Get = (%q, %v), want %s", v, err, want)
+			}
+			wantNote := history.NoteCache
+			if cs.policy == WriteBuffered {
+				wantNote = history.NoteBuffer
+				if got := storePuts(c); got != wantBufferedPuts {
+					t.Errorf("store quorum writes before the Get = %d, want %d", got, wantBufferedPuts)
 				}
 			}
-			return nil
+			ops := c.History().Ops()
+			for i := len(ops) - 1; i >= 0; i-- {
+				if ops[i].Kind == history.KindGet && ops[i].Key == key {
+					if ops[i].Note != wantNote {
+						t.Errorf("recorded get = %s, want note %q", ops[i], wantNote)
+					}
+					return nil
+				}
+			}
+			return errors.New("no critical get recorded")
 		}
-		base := timeSection(t, c, c.Client("ohio"), "sync", threePuts)
-		buffered := timeSection(t, c, c.Client("ohio", WithWritePolicy(WriteBuffered)), "buf", threePuts)
+	}
+	// putThenReuse hands Put a slice and scribbles over it afterwards, as a
+	// caller encoding into one scratch buffer does.
+	putThenReuse := func(t *testing.T, _ *Cluster, cs *CriticalSection) error {
+		buf := []byte("as-passed")
+		if err := cs.Put(buf); err != nil {
+			return err
+		}
+		copy(buf, "scribbled")
+		return nil
+	}
 
-		// Three quorum writes become one: two RTTs (~108ms) must disappear.
-		if saved := base - buffered; saved < 100*time.Millisecond {
-			t.Errorf("buffered section saved %v over %v baseline, want >= 100ms", saved, base)
-		}
-		got, err := c.Client("oregon").RunCriticalRead("buf")
-		if err != nil || string(got) != "final" {
-			t.Errorf("final value = (%q, %v), want final", got, err)
-		}
-	})
-	if err != nil {
-		t.Fatalf("Run: %v", err)
+	for _, sc := range []struct {
+		name              string
+		steps             []step
+		want              string // the next holder's read; "" = no value
+		syncPuts, bufPuts int    // store quorum writes the section issues
+	}{
+		{name: "one put", steps: []step{put("a")}, want: "a", syncPuts: 1, bufPuts: 1},
+		{name: "two puts", steps: []step{put("a"), put("b")}, want: "b", syncPuts: 2, bufPuts: 1},
+		{name: "put+delete", steps: []step{put("a"), del}, want: "", syncPuts: 2, bufPuts: 1},
+		{name: "put, flush, put", steps: []step{put("a"), flush, get("a", 1), put("b")}, want: "b", syncPuts: 2, bufPuts: 2},
+		{name: "read-your-write before flush", steps: []step{put("a"), get("a", 0)}, want: "a", syncPuts: 1, bufPuts: 1},
+		{name: "caller reuses its slice", steps: []step{putThenReuse, get("as-passed", 0)}, want: "as-passed", syncPuts: 1, bufPuts: 1},
+	} {
+		t.Run(sc.name, func(t *testing.T) {
+			wantPuts := map[WritePolicy]int{WriteSync: sc.syncPuts, WriteBuffered: sc.bufPuts}
+			took := map[WritePolicy]time.Duration{}
+			for _, policy := range []WritePolicy{WriteSync, WriteBuffered} {
+				t.Run(policy.String(), func(t *testing.T) {
+					c := newTestCluster(t, WithSeed(7), WithHistory())
+					err := c.Run(func() {
+						took[policy] = timeSection(t, c, c.Client("ohio", WithWritePolicy(policy)), key, func(cs *CriticalSection) error {
+							for _, st := range sc.steps {
+								if err := st(t, c, cs); err != nil {
+									return err
+								}
+							}
+							return nil
+						})
+						if got := storePuts(c); got != wantPuts[policy] {
+							t.Errorf("store quorum writes = %d, want %d", got, wantPuts[policy])
+						}
+						got, err := c.Client("oregon").RunCriticalRead(key)
+						if err != nil || string(got) != sc.want {
+							t.Errorf("next holder read = (%q, %v), want %q", got, err, sc.want)
+						}
+						if res := history.CheckECF(c.History().Ops()); len(res) > 0 {
+							t.Errorf("history does not check: %v", res)
+						}
+					})
+					if err != nil {
+						t.Fatalf("Run: %v", err)
+					}
+				})
+			}
+			// Each coalesced write is a WAN quorum round trip (~54ms from
+			// ohio) the section no longer waits for.
+			if n := sc.syncPuts - sc.bufPuts; n > 0 {
+				if saved, want := took[WriteSync]-took[WriteBuffered], time.Duration(n)*50*time.Millisecond; saved < want {
+					t.Errorf("buffered section saved %v over the sync one, want >= %v", saved, want)
+				}
+			}
+		})
 	}
 }
 
@@ -317,55 +373,6 @@ func TestSessionFaultFailoverCarriesBufferedWrite(t *testing.T) {
 				got, err := c.Client("oregon").RunCriticalRead("k")
 				if err != nil || string(got) != "buffered-survivor" {
 					t.Errorf("final value = (%q, %v), want buffered-survivor", got, err)
-				}
-			})
-			if err != nil {
-				t.Fatalf("Run: %v", err)
-			}
-		})
-	}
-}
-
-// TestSessionFaultPipelinedFlushRedrives: a pipelined write whose async
-// quorum round is cut off by a partition fails at flush; the flush re-drives
-// the section's final value synchronously — at a failover site — before the
-// lock is released, so the next holder still observes it (ECF).
-func TestSessionFaultPipelinedFlushRedrives(t *testing.T) {
-	for _, seed := range sessionFaultSeeds(t) {
-		seed := seed
-		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			c := newTestCluster(t, WithSeed(seed), WithObservability())
-			err := c.Run(func() {
-				cl := c.FailoverClient("ohio", WithWritePolicy(WritePipelined))
-				ref, err := cl.CreateLockRef("k")
-				if err != nil {
-					t.Fatalf("CreateLockRef: %v", err)
-				}
-				if err := cl.AwaitLock("k", ref, 0); err != nil {
-					t.Fatalf("AwaitLock: %v", err)
-				}
-				cs := cl.newSection("k", ref)
-				c.PartitionSites([]string{"ohio"}, []string{"ncalifornia", "oregon"})
-				// The issue is a local guard, so it succeeds; the write's
-				// quorum round trip is what the partition kills.
-				if err := cs.Put([]byte("redriven")); err != nil {
-					t.Fatalf("pipelined Put: %v", err)
-				}
-				if err := cs.Flush(); err != nil {
-					t.Fatalf("Flush across partition: %v", err)
-				}
-				redrives := c.Obs().Metrics().Counter("music_cs_flush_redrives_total", obs.Labels{"site": "ohio"}).Value()
-				if redrives == 0 {
-					t.Error("music_cs_flush_redrives_total{site=ohio} = 0, want > 0")
-				}
-				if err := cl.ReleaseLock("k", ref); err != nil {
-					t.Fatalf("ReleaseLock: %v", err)
-				}
-				c.Heal()
-				c.Sleep(2 * time.Second)
-				got, err := c.Client("oregon").RunCriticalRead("k")
-				if err != nil || string(got) != "redriven" {
-					t.Errorf("final value = (%q, %v), want redriven", got, err)
 				}
 			})
 			if err != nil {

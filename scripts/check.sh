@@ -31,8 +31,7 @@ go test -race -timeout 600s ./music/ ./internal/httpapi/ ./internal/nettrans/ ./
 MUSIC_FAULT_SEEDS="1,2,3,4,5" go test ./internal/core/ -run 'TestFault|TestChaos' -count=1 -timeout 300s
 # Session-layer fault edges of the critical-section fast path: forced
 # release / T-expiry refusing the held-value read, the there-and-back
-# failover latch, write-behind buffers surviving cross-site failover,
-# pipelined flush re-drives.
+# failover latch, write-behind buffers surviving cross-site failover.
 MUSIC_FAULT_SEEDS="1,2,3,4,5" go test ./music/ -run 'TestSessionFault' -count=1 -timeout 300s
 # Pinned-seed exploration batch: deterministic randomized fault schedules
 # (crash / partition / loss / clock skew) with every history checked against

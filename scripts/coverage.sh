@@ -21,7 +21,7 @@ repro/internal/core 81
 repro/internal/lockstore 91
 repro/internal/store 88
 repro/internal/history 76
-repro/music 73
+repro/music 76
 "
 
 go test -coverprofile="$profile" -covermode=count \
