@@ -210,6 +210,49 @@ func TestEpochFenceRetiredSite(t *testing.T) {
 	})
 }
 
+// TestEpochRetiredDuringGrantRead: the grant's quorum read is a WAN round, and
+// an epoch that retires the site can be applied while it is in flight. The
+// entry fence passed a round ago; the grant must be certified against the
+// membership current when it is issued, or a non-member issues it (the
+// epoch-member violation churn seed 7 showed once waiters woke early).
+func TestEpochRetiredDuringGrantRead(t *testing.T) {
+	dynamicFixture(t, Config{T: time.Minute}, func(w *world, st *store.Cluster) {
+		const key = "retire-mid-grant"
+		oregon := w.rep[2]
+		ref, err := oregon.CreateLockRef(key)
+		if err != nil {
+			t.Fatalf("CreateLockRef: %v", err)
+		}
+		// The local peek takes well under a millisecond; the quorum read
+		// after it needs N. California's reply, 24 ms away. Epoch 2 lands
+		// in between.
+		w.rt.Go(func() {
+			w.rt.Sleep(5 * time.Millisecond)
+			st.ApplyMembership(2, []store.RingNode{{ID: 0, Site: "ohio"}, {ID: 1, Site: "ncalifornia"}})
+		})
+		start := w.rt.Now()
+		ok, err := oregon.AcquireLock(key, ref)
+		if took := w.rt.Now() - start; took < 20*time.Millisecond {
+			t.Fatalf("AcquireLock returned after %v: the epoch change did not land mid-read", took)
+		}
+		if ok || !errors.Is(err, ErrEpochFenced) {
+			t.Fatalf("AcquireLock at a site retired during the grant's quorum read = (%v, %v), want ErrEpochFenced", ok, err)
+		}
+		s := oregon.shardFor(key)
+		s.mu.Lock()
+		_, recorded := s.grants[key]
+		s.mu.Unlock()
+		if recorded {
+			t.Errorf("the refused grant left a grant record at the retired site")
+		}
+		// The ref is still queued and ungranted: a member site takes it over.
+		awaitLock(t, w, w.rep[0], key, ref)
+		if err := w.rep[0].ReleaseLock(key, ref); err != nil {
+			t.Fatalf("ReleaseLock at the member site: %v", err)
+		}
+	})
+}
+
 // TestEpochFenceInertOnStaticClusters: fixed-membership clusters never see
 // a fence — the epoch stays 1 and grants skip the placement snapshot.
 func TestEpochFenceInertOnStaticClusters(t *testing.T) {

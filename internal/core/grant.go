@@ -28,6 +28,7 @@ func (r *Replica) AcquireLock(key string, ref int64) (acquired bool, err error) 
 	sp.Annotatef("lockref", "%s/%d", key, ref)
 	defer func() { sp.EndErr(err) }()
 	var seed heldValue
+	certified := false // a fresh grant stamps its epoch when it is certified, below
 	// "Not yet" polls are dropped (no End); grants and errors are history.
 	hc := r.cfg.History.Begin(r.site, history.KindAcquire, key, ref)
 	defer func() {
@@ -36,22 +37,19 @@ func (r *Replica) AcquireLock(key string, ref int64) (acquired bool, err error) 
 				if seed.known {
 					hc.Value(seed.value, seed.present)
 				}
-				// The grant's certification epoch is the one current now —
-				// a contended acquire may have queued across an epoch change.
-				hc.EpochNow()
+				if !certified {
+					// A re-acquire or an adoption is certified by the checks
+					// it just passed: its epoch is the one current now — a
+					// contended acquire may have queued across an epoch change.
+					hc.EpochNow()
+				}
 			}
 			hc.End(err)
 		}
 	}()
 
-	// Under dynamic membership, a site outside the current epoch — retired,
-	// or a spare that has not joined yet — must not issue or adopt grants:
-	// its sections would be invisible to the membership the rest of the
-	// cluster reconfigures around. Clients see ErrEpochFenced and fail over
-	// to a member site.
-	if c := r.shardFor(key).ds.Cluster(); c.Dynamic() && !c.MemberSite(r.site) {
-		return false, fmt.Errorf("acquire %s/%d at %s (epoch %d): site not in membership: %w",
-			key, ref, r.site, c.Epoch(), ErrEpochFenced)
+	if err := r.siteFence("acquire", key, ref); err != nil {
+		return false, err
 	}
 
 	peekSp := r.tracer().Child("music.acquireLock.peek")
@@ -157,6 +155,19 @@ func (r *Replica) AcquireLock(key string, ref int64) (acquired bool, err error) 
 	grantSp.End()
 	r.observe(OpAcquireGrant, grantStart)
 
+	// Certification. The entry fence is a WAN round old by now — the quorum
+	// read, a synchronize on top — and an epoch applied meanwhile may have
+	// retired this site: a grant issued on the strength of it would be a
+	// non-member's. Check again at the instant the grant is issued, and give
+	// the history the epoch this check saw. (Recording a lease-mode grant
+	// takes further rounds; an epoch that overtakes those meets a recorded
+	// section, which is epochFence's case.)
+	if err := r.siteFence("acquire", key, ref); err != nil {
+		return false, err
+	}
+	hc.EpochNow()
+	certified = true
+
 	now := r.nowMicros()
 	if r.cfg.Leases {
 		// In lease mode the grant issues the site a lease, so the grant cell
@@ -203,6 +214,30 @@ func (r *Replica) AcquireLock(key string, ref int64) (acquired bool, err error) 
 	rt := r.ds0().Cluster().Net().Runtime()
 	rt.Go(func() { r.setGrantRetried(key, ref, now) })
 	return true, nil
+}
+
+// siteFence refuses lock-plane work at a site outside the current epoch's
+// membership — retired, or a spare that has not joined yet. Such a site must
+// not mint lockRefs or issue or adopt grants: its sections would be invisible
+// to the membership the rest of the cluster reconfigures around. Clients see
+// ErrEpochFenced and fail over to a member site. Inert on fixed-membership
+// clusters.
+func (r *Replica) siteFence(op, key string, ref int64) error {
+	if c := r.shardFor(key).ds.Cluster(); c.Dynamic() && !c.MemberSite(r.site) {
+		return fmt.Errorf("%s %s/%d at %s (epoch %d): site not in membership: %w",
+			op, key, ref, r.site, c.Epoch(), ErrEpochFenced)
+	}
+	return nil
+}
+
+// WatchLock parks a wait for lockRef's turn at this replica's local copy of
+// the key's lock row (lockstore.Service.Watch): it fires when a change
+// applied there puts ref at the head of the queue, or past it. A waiter that
+// got "not yet" from AcquireLock waits on it, with a timeout, instead of
+// sleeping out a poll interval, and then calls AcquireLock again — the watch
+// moves when the next poll runs, never what it decides.
+func (r *Replica) WatchLock(key string, ref int64) *store.Watch {
+	return r.shardFor(key).ls.Watch(key, ref)
 }
 
 // setGrantRetried drives the replicated grant-cell write with bounded
@@ -256,7 +291,7 @@ func (r *Replica) synchronize(key string, ref int64) (value []byte, present bool
 	sp := r.tracer().Child("music.synchronize")
 	defer func() { sp.EndErr(err) }()
 	hc := r.cfg.History.Begin(r.site, history.KindSync, key, ref).TS(v2s(ref, 0, r.cfg.T))
-	defer func() { hc.Value(value, present).End(err) }()
+	defer func() { hc.End(err) }()
 	s := r.shardFor(key)
 	row, err := s.ds.GetCols(DataTable, key, []string{colValue}, store.Quorum)
 	if err != nil {
@@ -267,9 +302,18 @@ func (r *Replica) synchronize(key string, ref int64) (value []byte, present bool
 		valueCell = store.Cell{Value: c.Value, TS: v2s(ref, 0, r.cfg.T)}
 		value, present = c.Value, true
 	}
+	// The op records what was (re)written whether or not the rest succeeds:
+	// a failed write may still settle.
+	hc.Value(value, present)
 	if err := s.ds.Put(DataTable, key, store.Row{colValue: valueCell}, store.Quorum); err != nil {
 		return nil, false, fmt.Errorf("synchronize rewrite: %w", err)
 	}
+	// From here the store is defined — the acked rewrite out-stamps every
+	// straggler of every earlier lockRef — even if the flag reset below
+	// reports failure. A reset that fails at its coordinator can still land
+	// and propagate, and the grant that then reads a clean flag skips the
+	// synchronization rightly; the note is what tells the checker so.
+	hc.Note(history.NoteRewritten)
 	reset := store.Row{colSynch: store.Cell{Value: synchFalse, TS: v2s(ref, time.Microsecond, r.cfg.T)}}
 	if err := s.ds.Put(DataTable, key, reset, store.Quorum); err != nil {
 		return nil, false, fmt.Errorf("synchronize reset: %w", err)

@@ -374,9 +374,7 @@ func (r *Replica) tracer() *obs.Tracer { return r.ds0().Cluster().Net().Tracer()
 func (r *Replica) CreateLockRef(key string) (int64, error) {
 	sp := r.tracer().Start("music.createLockRef")
 	sp.Annotate("key", key)
-	if c := r.shardFor(key).ds.Cluster(); c.Dynamic() && !c.MemberSite(r.site) {
-		err := fmt.Errorf("createLockRef %s at %s (epoch %d): site not in membership: %w",
-			key, r.site, c.Epoch(), ErrEpochFenced)
+	if err := r.siteFence("createLockRef", key, 0); err != nil {
 		sp.EndErr(err)
 		return 0, err
 	}

@@ -622,9 +622,10 @@ func TestSilentHolderReapedByNextContender(t *testing.T) {
 // key; one wins, the other two time out and evict their lockRefs. Whatever a
 // replica tracked about those waiters and about the heads they watched must
 // go with them — keys are never reused, so anything left behind is left
-// forever.
+// forever. That includes the watches the waiters park in the lock store
+// between polls: the winner's goes with its grant, a loser's when it gives up.
 func TestWaiterStateDoesNotLeak(t *testing.T) {
-	fixture(t, Config{}, func(w *world) {
+	fixtureObserved(t, Config{}, func(w *world) {
 		const jobs = 4
 		for job := 0; job < jobs; job++ {
 			key := fmt.Sprintf("job-%d", job)
@@ -636,7 +637,11 @@ func TestWaiterStateDoesNotLeak(t *testing.T) {
 						done.Send(err)
 						return
 					}
-					for deadline := w.rt.Now() + 2*time.Second; ; w.rt.Sleep(5 * time.Millisecond) {
+					// Wait as music.Client.await does: on the lock row's commit
+					// or the poll timer, re-arming a spent watch before the peek.
+					watch := r.WatchLock(key, ref)
+					defer func() { watch.Cancel() }()
+					for deadline := w.rt.Now() + 2*time.Second; ; {
 						ok, err := r.AcquireLock(key, ref)
 						if err != nil {
 							done.Send(err)
@@ -649,6 +654,9 @@ func TestWaiterStateDoesNotLeak(t *testing.T) {
 							// Lost the race: RemoveLockRef, and on to the next job.
 							done.Send(r.ReleaseLock(key, ref))
 							return
+						}
+						if watch.Wait(5 * time.Millisecond) {
+							watch = r.WatchLock(key, ref)
 						}
 					}
 					if err := r.CriticalPut(key, ref, []byte("DONE")); err != nil {
@@ -673,6 +681,11 @@ func TestWaiterStateDoesNotLeak(t *testing.T) {
 						i, jobs, s.grants, s.seen, s.behind, len(s.stale))
 				}
 				s.mu.Unlock()
+			}
+		}
+		for _, site := range []string{"ohio", "ncalifornia", "oregon"} {
+			if n := w.obs.Metrics().Gauge("lockstore_watchers", obs.Labels{"site": site}).Value(); n != 0 {
+				t.Errorf("lockstore_watchers{site=%s} = %d after %d jobs, want 0", site, n, jobs)
 			}
 		}
 	})

@@ -27,7 +27,10 @@ import (
 //     is below every stamp of any later lockRef r' > r.
 //   - sync-skip: a grant that follows a forced release with no grant in
 //     between must have performed the data-store synchronization (§IV-B);
-//     the δ-stamped synchFlag is still set and only synchronize clears it.
+//     the δ-stamped synchFlag is still set and only synchronize clears it —
+//     including a synchronize that acked its value rewrite and then failed
+//     (its flag reset can still land): the obligation is the rewrite, and a
+//     KindSync noted "rewritten" discharges it for the grant that follows.
 //   - release-ack: a voluntary release must not be invoked while a critical
 //     write of the same lockRef is still in flight (flush-before-release).
 //   - grant-order: first grants happen in lockRef order — the lock queue is
@@ -148,6 +151,7 @@ type keyHistory struct {
 	forced    map[int64]time.Duration // earliest effective forced release per ref
 	forcedOps []Op                    // effective forced releases, by Resp
 	writes    []Op                    // successful puts/deletes/syncs, stamped
+	rewrites  []Op                    // syncs whose rewrite was acked, failed or not
 	failed    []Op                    // failed stamped writes (may still settle)
 	gets      []Op                    // successful critical gets
 	releases  []Op                    // successful voluntary releases
@@ -194,6 +198,9 @@ func partition(ops []Op) map[string]*keyHistory {
 			}
 		case KindPut, KindDelete, KindSync:
 			kh := at(o.Key)
+			if o.Kind == KindSync && o.Note == NoteRewritten {
+				kh.rewrites = append(kh.rewrites, o)
+			}
 			switch {
 			case !o.Failed():
 				kh.writes = append(kh.writes, o)
@@ -511,7 +518,11 @@ func (kh *keyHistory) checkRefWindows() []Violation {
 
 // checkSyncSkip: the first grant after a forced release must have run the
 // data-store synchronization — the δ mark is still set and nothing else
-// clears it.
+// clears it. What the rule protects is the value rewrite, acked at quorum
+// under a stamp above every earlier lockRef's window; a synchronize that got
+// that far and then failed (its flag reset reported too few acks, yet landed)
+// has defined the store, and the retried grant that reads a clean flag is
+// right not to synchronize again.
 func (kh *keyHistory) checkSyncSkip() []Violation {
 	firsts := make([]Op, 0, len(kh.first))
 	for _, g := range kh.first {
@@ -555,6 +566,18 @@ func (kh *keyHistory) checkSyncSkip() []Violation {
 			}
 		}
 		if intervening || g.Synchronized {
+			continue
+		}
+		// A lockRef synchronizes only as the head of the queue, so a rewrite
+		// by a ref past f's and up to g's ran after f was dequeued.
+		rewritten := false
+		for _, s := range kh.rewrites {
+			if s.Ref > f.Ref && s.Ref <= g.Ref && s.Resp <= g.Resp {
+				rewritten = true
+				break
+			}
+		}
+		if rewritten {
 			continue
 		}
 		vs = append(vs, Violation{

@@ -167,6 +167,58 @@ func TestECFSyncSkipDuplicateForcedRelease(t *testing.T) {
 	}
 }
 
+// TestECFSyncSkipFailedSynchronizeDischarges: a synchronize can fail at its
+// last step — the value rewrite acked at quorum, the synchFlag reset reported
+// too few acks yet landed and propagated — and the retried acquire then reads
+// a clean flag and rightly grants without synchronizing. The store is defined
+// from the rewrite's ack on, so the failed KindSync noted "rewritten"
+// discharges the forced release's obligation (the false positive explorer
+// seed 177 surfaced once waiters woke on the dequeue's commit). A synchronize
+// that failed before its rewrite was acked discharges nothing.
+func TestECFSyncSkipFailedSynchronizeDischarges(t *testing.T) {
+	g1 := mk(KindAcquire, 1, 0, 5*us)
+	put1 := withValue(mk(KindPut, 1, 10*us, 20*us), "v1", ts(1, 10))
+	fr := mk(KindForcedRelease, 1, 50*us, 60*us)
+	fr.TS = tsForced(1)
+	sync2 := failed(withValue(mk(KindSync, 2, 70*us, 100*us), "v1", ts(2, 0)), "synchronize reset: store: 1/2 acks")
+	sync2.Note = NoteRewritten
+	try2 := failed(mk(KindAcquire, 2, 65*us, 100*us), "acquireLock k: synchronize reset: store: 1/2 acks")
+	try2.Synchronized = true
+	g2 := withValue(mk(KindAcquire, 2, 100*us, 120*us), "v1", 0) // retried: flag reads clean
+	get2 := withValue(mk(KindGet, 2, 130*us, 140*us), "v1", 0)
+	rel2 := mk(KindRelease, 2, 150*us, 160*us)
+
+	clean := finish([]Op{g1, put1, fr, sync2, try2, g2, get2, rel2})
+	if res := Check(clean, CheckOptions{}); !res.Ok() {
+		t.Fatalf("grant after an acked-rewrite synchronize flagged: %s\n%s", rules(res.Violations), Render(clean))
+	}
+
+	// The same outcome reached through a later ref: ref 2's client gave up
+	// after its failed synchronize and ref 3 is the one granted clean.
+	rel2early := mk(KindRelease, 2, 105*us, 115*us)
+	g3 := withValue(mk(KindAcquire, 3, 120*us, 140*us), "v1", 0)
+	later := finish([]Op{g1, put1, fr, sync2, try2, rel2early, g3})
+	if res := Check(later, CheckOptions{}); !res.Ok() {
+		t.Fatalf("later ref's grant after an acked-rewrite synchronize flagged: %s", rules(res.Violations))
+	}
+
+	// Broken twin: the rewrite itself was not acked, so nothing out-stamps
+	// lockRef 1's stragglers and the clean grant is a skipped synchronize.
+	sync2bad := failed(withValue(mk(KindSync, 2, 70*us, 100*us), "v1", ts(2, 0)), "synchronize rewrite: store: 1/2 acks")
+	broken := finish([]Op{g1, put1, fr, sync2bad, try2, g2, get2, rel2})
+	if got := rules(Check(broken, CheckOptions{}).Violations); !strings.Contains(got, "sync-skip") {
+		t.Fatalf("grant after an unacked rewrite not flagged; got [%s]", got)
+	}
+	// Nor does a rewrite by the preempted ref itself (before its forced
+	// release) count for the grant that follows.
+	sync1 := withValue(mk(KindSync, 1, 2*us, 4*us), "", ts(1, 0))
+	sync1.Present, sync1.Note = false, NoteRewritten
+	stale := finish([]Op{g1, sync1, put1, fr, g2, get2, rel2})
+	if got := rules(Check(stale, CheckOptions{}).Violations); !strings.Contains(got, "sync-skip") {
+		t.Fatalf("the preempted ref's own rewrite discharged its successor's obligation; got [%s]", got)
+	}
+}
+
 // TestECFFreshnessAmbiguity: concurrent and timed-out-but-not-dead writes
 // are acceptable read results — no false positives.
 func TestECFFreshnessAmbiguity(t *testing.T) {

@@ -90,6 +90,11 @@ const (
 	// NoteLease marks a critical get served locally from the site's holder
 	// lease — checked by the lease rules and the full freshness rule.
 	NoteLease = "lease"
+	// NoteRewritten marks a KindSync whose value rewrite was acknowledged at
+	// quorum, whatever became of the synchFlag reset after it: from that ack
+	// on the data store is defined, which is what the sync-skip rule needs to
+	// know of a synchronize that went on to fail.
+	NoteRewritten = "rewritten"
 	// NoteStaleness is the KindMonitor event recording a detected weak-read
 	// staleness violation.
 	NoteStaleness = "staleness"

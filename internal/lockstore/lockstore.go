@@ -205,6 +205,32 @@ func (s *Service) Peek(key string) (Entry, bool, error) {
 	return head, true, nil
 }
 
+// Watch parks a wait for ref's turn at the local replica of key's lock row —
+// the push half of the handoff. A release is a dequeue, a dequeue is a Paxos
+// commit, and the commit is applied at the replica next to the waiter whether
+// or not anyone is waiting: the watch turns that apply into the wake-up, so a
+// queued lockRef learns it reached the head one one-way delay after the
+// release instead of at its next poll.
+//
+// A lock row changes about three times a section (enqueue, grant cell,
+// dequeue) and a hot key can have hundreds of waiters at one site, so the
+// watch fires only once the queue's head is ref or beyond it: ref became the
+// head, or was passed (force-released) and its waiter must find out it is
+// dead. An empty queue counts as "beyond". That is one 8-byte compare per
+// waiter per change under the stripe lock — the head's ref is the queue
+// cell's first word — and one wake per handoff.
+func (s *Service) Watch(key string, ref int64) *store.Watch {
+	net := s.st.Cluster().Net()
+	var parked *obs.Gauge
+	if o := net.Obs(); o != nil {
+		parked = o.Metrics().Gauge("lockstore_watchers", obs.Labels{"site": net.SiteOf(s.st.Node())})
+	}
+	return s.st.Watch(Table, key, func(row store.Row) bool {
+		b := cellBytes(row, colQueue)
+		return len(b) < 8 || int64(binary.BigEndian.Uint64(b)) >= ref
+	}, parked)
+}
+
 // Queue returns the full queue at quorum consistency (diagnostics, tests,
 // and the waiters' dead-ref check).
 func (s *Service) Queue(key string) ([]Entry, error) {

@@ -518,3 +518,97 @@ func TestLockRowBounded(t *testing.T) {
 		t.Fatalf("Run: %v", err)
 	}
 }
+
+// TestWatchWakesOnlyTheNewHead: a lock row changes about three times a
+// section and a hot key can have many waiters at one site, so a watch fires
+// only once the head of the queue is its ref or beyond — one wake per
+// handoff, not one per waiter per write. With 50 waiters parked behind a
+// holder, recording the holder's grant wakes nobody and the holder's dequeue
+// wakes exactly the next ref; a ref that is passed (dequeued from the middle,
+// then overtaken) is woken to find out it is dead. lockstore_watchers follows
+// the parked count throughout.
+func TestWatchWakesOnlyTheNewHead(t *testing.T) {
+	rt := sim.New(3)
+	ob := obs.New(rt, obs.Options{})
+	net := simnet.New(rt, simnet.Config{Profile: simnet.ProfileIUs, Obs: ob})
+	c := store.New(net, store.Config{})
+	parked := ob.Metrics().Gauge("lockstore_watchers", obs.Labels{"site": net.SiteOf(1)})
+	err := rt.Run(func() {
+		holder, waiters := New(c.Client(0)), New(c.Client(1))
+		const n = 50
+		refs := make([]int64, n+1)
+		for i := range refs {
+			ref, err := holder.GenerateAndEnqueue("hot")
+			if err != nil {
+				t.Fatalf("enqueue %d: %v", i, err)
+			}
+			refs[i] = ref
+		}
+		rt.Sleep(time.Second) // every replica has the full queue
+		watches := make([]*store.Watch, n+1)
+		for i := 1; i <= n; i++ {
+			watches[i] = waiters.Watch("hot", refs[i])
+		}
+		woken := func() (out []int) {
+			for i := 1; i <= n; i++ {
+				if watches[i].Wait(0) {
+					out = append(out, i)
+				}
+			}
+			return out
+		}
+		if parked.Value() != n {
+			t.Fatalf("lockstore_watchers = %d, want %d", parked.Value(), n)
+		}
+
+		if err := holder.SetGrant("hot", refs[0], 1000, 0); err != nil {
+			t.Fatalf("SetGrant: %v", err)
+		}
+		rt.Sleep(time.Second)
+		if got := woken(); len(got) != 0 {
+			t.Fatalf("recording the holder's grant woke waiters %v, want none", got)
+		}
+
+		// A waiter in the middle gives up: the row changes, the head does not.
+		if err := holder.Dequeue("hot", refs[7]); err != nil {
+			t.Fatalf("Dequeue middle: %v", err)
+		}
+		rt.Sleep(time.Second)
+		if got := woken(); len(got) != 0 {
+			t.Fatalf("a dequeue from the middle woke waiters %v, want none", got)
+		}
+
+		if err := holder.Dequeue("hot", refs[0]); err != nil {
+			t.Fatalf("Dequeue head: %v", err)
+		}
+		rt.Sleep(time.Second)
+		if got := woken(); len(got) != 1 || got[0] != 1 {
+			t.Fatalf("the holder's dequeue woke waiters %v, want exactly the new head [1]", got)
+		}
+		if parked.Value() != n-1 {
+			t.Errorf("lockstore_watchers after one handoff = %d, want %d", parked.Value(), n-1)
+		}
+
+		// Refs 1..6 leave; 7 left earlier and never heard. The head is now 8,
+		// past 7: its watch fires so its waiter can learn the ref is dead.
+		for i := 1; i <= 6; i++ {
+			if err := holder.Dequeue("hot", refs[i]); err != nil {
+				t.Fatalf("Dequeue %d: %v", i, err)
+			}
+		}
+		rt.Sleep(time.Second)
+		if got := woken(); len(got) != 8 || got[6] != 7 || got[7] != 8 {
+			t.Fatalf("after refs 1–6 left: woken %v, want 1 through 8 (7 was passed, 8 is the head)", got)
+		}
+
+		for i := 1; i <= n; i++ {
+			watches[i].Cancel()
+		}
+		if parked.Value() != 0 {
+			t.Errorf("lockstore_watchers after every watch was cancelled = %d, want 0", parked.Value())
+		}
+	})
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+}

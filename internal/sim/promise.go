@@ -91,6 +91,17 @@ func (p *vPromise[T]) await(timeout int64) (T, error) {
 			p.v.wakeAt(deadline, t, gen)
 		}
 		p.v.park(t)
+		if !p.settled {
+			// Timed out: take the dead entry back, or a promise awaited with
+			// a timeout again and again (a parked store.Watch) grows a list
+			// of them for as long as it stays unsettled.
+			for i, w := range p.waiters {
+				if w.t == t && w.gen == gen {
+					p.waiters = append(p.waiters[:i], p.waiters[i+1:]...)
+					break
+				}
+			}
+		}
 	}
 	return p.val, p.err
 }

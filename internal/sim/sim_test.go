@@ -222,6 +222,36 @@ func TestPromiseAwaitTimeout(t *testing.T) {
 	}
 }
 
+// A promise that is awaited with a timeout over and over (a parked
+// store.Watch between polls) keeps no record of the waits that timed out,
+// while a second task still parked on it is untouched and still woken.
+func TestPromiseTimedOutAwaitsLeaveNoWaiter(t *testing.T) {
+	v := New(1)
+	err := v.Run(func() {
+		p := NewPromise[int](v)
+		got := NewMailbox[int](v)
+		v.Go(func() {
+			n, _ := p.Await()
+			got.Send(n)
+		})
+		for i := 0; i < 100; i++ {
+			if _, err := p.AwaitTimeout(time.Millisecond); !errors.Is(err, ErrTimeout) {
+				t.Fatalf("await %d: err = %v, want ErrTimeout", i, err)
+			}
+		}
+		if n := len(p.impl.(*vPromise[int]).waiters); n != 1 {
+			t.Errorf("%d waiter entries after 100 timed-out awaits, want only the parked task's", n)
+		}
+		p.Resolve(7)
+		if n, err := got.RecvTimeout(time.Second); err != nil || n != 7 {
+			t.Errorf("the parked task got (%d, %v), want (7, nil)", n, err)
+		}
+	})
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+}
+
 func TestPromiseDoubleResolveIgnored(t *testing.T) {
 	v := New(1)
 	err := v.Run(func() {

@@ -86,6 +86,9 @@ type engineStripe struct {
 type rowState struct {
 	cells Row
 	ax    paxos.Acceptor
+	// watchers are the parked waits for this row to change (watch.go);
+	// nil on every row nobody is waiting on.
+	watchers []*Watch
 }
 
 func newReplica(shards int) *replica {
@@ -149,8 +152,7 @@ func (r *replica) handleApply(from transport.NodeID, req any) (any, error) {
 	s := r.stripe(m.Key)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	rs := s.row(m.Table, m.Key, true)
-	mergeInto(rs.cells, m.Cells)
+	s.row(m.Table, m.Key, true).merge(m.Cells)
 	return nil, nil
 }
 
@@ -218,23 +220,40 @@ func (r *replica) handleCommit(from transport.NodeID, req any) (any, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	rs := s.row(m.Table, m.Key, true)
-	if rs.ax.HandleCommit(m.B) {
-		// Cells arrive stamped by the coordinator (CAS stamps from the
-		// ballot counter before propose, so every replica stores an
-		// identical cell). The ballot-counter fallback only covers a value
-		// that somehow reached commit unstamped; it must NOT consult local
-		// state — per-replica bumps made one logical write carry divergent
-		// stamps, which quorum LWW merges turned into row regressions.
-		cells := make(Row, len(m.Update))
-		for col, c := range m.Update {
-			if c.TS == 0 {
-				c.TS = int64(m.B.Counter)
-			}
-			cells[col] = c
-		}
-		mergeInto(rs.cells, cells)
-	}
+	// The acceptor only tracks the newest committed ballot; the cells are
+	// applied whether or not this commit is news to it. A commit is sent only
+	// for a value a quorum accepted, under stamps its coordinator fixed, so
+	// applying it is always right, and LWW makes it idempotent and
+	// order-free. Skipping a commit that a later CAS's commit overtook on the
+	// way here (on the wall-clock transports delivery order is goroutine
+	// scheduling) lost every column the later update did not also write —
+	// an enqueue's guard cell behind a dequeue's queue-only commit — and two
+	// replicas missing the same guard let a serial read mint a lockRef twice.
+	rs.ax.HandleCommit(m.B)
+	rs.merge(commitCells(m))
 	return nil, nil
+}
+
+// commitCells returns the cells a commit applies. They arrive stamped by the
+// coordinator (CAS stamps from the ballot counter before propose, so every
+// replica stores an identical cell) and are then merged as they are. The
+// ballot-counter fallback only covers a value that somehow reached commit
+// unstamped; it must NOT consult local state — per-replica bumps made one
+// logical write carry divergent stamps, which quorum LWW merges turned into
+// row regressions.
+func commitCells(m commitReq) Row {
+	cells, copied := m.Update, false
+	for col, c := range m.Update {
+		if c.TS != 0 {
+			continue
+		}
+		if !copied {
+			cells, copied = m.Update.clone(), true
+		}
+		c.TS = int64(m.B.Counter)
+		cells[col] = c
+	}
+	return cells
 }
 
 // dump returns a copy of a row's cells for tests.

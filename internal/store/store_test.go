@@ -10,6 +10,7 @@ import (
 	"repro/internal/paxos"
 	"repro/internal/sim"
 	"repro/internal/simnet"
+	"repro/internal/transport"
 )
 
 const tbl = "t"
@@ -344,6 +345,56 @@ func TestCASCommitStampIsBallotPure(t *testing.T) {
 		if string(kept.Value) != "old" || kept.TS != high {
 			t.Fatalf("seeded replica cell = %q ts=%d, want the local \"old\" cell kept at ts=%d (no per-replica stamp bump)",
 				kept.Value, kept.TS, high)
+		}
+	})
+}
+
+func TestOvertakenCommitStillAppliesItsCells(t *testing.T) {
+	// Regression: a replica applied a commit's cells only when its ballot
+	// advanced the acceptor's Committed. On the wall-clock transports a
+	// commit can be overtaken on the way to a replica by the commit of the
+	// next CAS on the row (delivery order is goroutine scheduling), and the
+	// overtaken one was then dropped whole — including the columns the later
+	// update never wrote. The lock row's case: an enqueue writes guard and
+	// queue, the dequeue after it writes queue only, so a replica that saw
+	// the dequeue's commit first kept the old guard. With two replicas in
+	// that state a serial read reads the stale guard at quorum and mints the
+	// same lockRef twice — seen as a waiter told "no longer lock holder"
+	// when its twin released, in an 8-client TCP run. A commit carries a
+	// chosen value under coordinator-fixed stamps: it is always applied, and
+	// LWW sorts out the order.
+	fixture(t, Config{}, func(rt *sim.Virtual, net *simnet.Network, c *Cluster) {
+		r := c.replicas[1]
+		enqueue := commitReq{Table: tbl, Key: "k", B: paxos.Ballot{Counter: 100, Node: 0}, Update: Row{
+			"guard": Cell{Value: []byte{7}, TS: 100},
+			"queue": Cell{Value: []byte{6, 7}, TS: 100},
+		}}
+		dequeue := commitReq{Table: tbl, Key: "k", B: paxos.Ballot{Counter: 200, Node: 2}, Update: Row{
+			"queue": Cell{Value: []byte{7}, TS: 200},
+		}}
+		if _, err := r.handlePrepare(0, prepareReq{Table: tbl, Key: "k", B: enqueue.B}); err != nil {
+			t.Fatalf("prepare: %v", err)
+		}
+		if _, err := r.handlePropose(0, proposeReq{Table: tbl, Key: "k", B: enqueue.B, Update: enqueue.Update}); err != nil {
+			t.Fatalf("propose: %v", err)
+		}
+		// The dequeue's commit arrives first, the enqueue's after it, twice
+		// (the coordinator's direct apply and the RPC copy).
+		for _, req := range []commitReq{dequeue, enqueue, enqueue} {
+			if _, err := r.handleCommit(transport.NodeID(req.B.Node), req); err != nil {
+				t.Fatalf("commit %v: %v", req.B, err)
+			}
+		}
+		row := r.dump(tbl, "k")
+		if g := row["guard"]; len(g.Value) != 1 || g.Value[0] != 7 || g.TS != 100 {
+			t.Errorf("guard = %v ts=%d, want the overtaken enqueue's [7] ts=100", g.Value, g.TS)
+		}
+		if q := row["queue"]; len(q.Value) != 1 || q.Value[0] != 7 || q.TS != 200 {
+			t.Errorf("queue = %v ts=%d, want the later dequeue's [7] ts=200 kept", q.Value, q.TS)
+		}
+		resp, _ := r.handlePrepare(2, prepareReq{Table: tbl, Key: "k", B: paxos.Ballot{Counter: 300, Node: 2}})
+		if p := resp.(prepareResp); p.Committed != dequeue.B || !p.InProgress.IsZero() {
+			t.Errorf("acceptor after the late commit: committed %v in-progress %v, want %v and none", p.Committed, p.InProgress, dequeue.B)
 		}
 	})
 }

@@ -69,8 +69,7 @@ func (r *replica) mergeRow(table, key string, cells Row) bool {
 	s := r.stripe(key)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	rs := s.row(table, key, true)
-	return mergeInto(rs.cells, cells)
+	return s.row(table, key, true).merge(cells)
 }
 
 // PullFrom asks peer for every row the local node should now hold and

@@ -9,6 +9,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/history"
 	"repro/internal/obs"
+	"repro/internal/store"
 )
 
 // Client issues MUSIC operations through one site's replica (Table I).
@@ -223,7 +224,7 @@ func (cl *Client) withRetry(opName, key string, ref LockRef, reacquire bool, op 
 			// same lockRef: the new replica re-grants (synchronizing if a
 			// preemption left the flag set) or times out, after which the
 			// critical op itself is retried there.
-			if err := cl.await(rep, key, ref, pol.FailoverAwait); err != nil {
+			if err := cl.await(true, key, ref, pol.FailoverAwait); err != nil {
 				if !IsRetryable(err) && !ErrAwaitTimeout(err) {
 					return err
 				}
@@ -266,30 +267,51 @@ func (cl *Client) AcquireLock(key string, ref LockRef) (bool, error) {
 // the deadline, failing over to another site's replica — same lockRef —
 // after the per-site attempt budget is spent on consecutive errors.
 func (cl *Client) AwaitLock(key string, ref LockRef, timeout time.Duration) error {
-	return cl.await(nil, key, ref, timeout)
+	return cl.await(false, key, ref, timeout)
 }
 
-// await is the one poll-and-back-off loop. pinned, when set, is the failover
-// re-drive: the poll stays at that replica and never re-binds — transient
-// errors just keep it going.
-func (cl *Client) await(pinned *core.Replica, key string, ref LockRef, timeout time.Duration) error {
+// await is the one poll-and-back-off loop. pinned is the failover re-drive:
+// the poll stays at the replica withRetry just bound and never re-binds —
+// transient errors just keep it going.
+//
+// Between polls it waits for whichever comes first: the key's lock row
+// changing at the polled replica in ref's favour (core.Replica.WatchLock —
+// the previous holder's dequeue being applied next door), or the backoff.
+// The wake is only ever a reason to poll now instead of later; what a poll
+// decides is AcquireLock's business as before, and everything a change cannot
+// announce — a commit that never reaches this site, a key this node holds no
+// replica of, a dead holder to reap, a dead ref to settle — still rides the
+// timer.
+func (cl *Client) await(pinned bool, key string, ref LockRef, timeout time.Duration) error {
 	rt := cl.c.rt
 	pol := cl.retry.withDefaults()
 	deadline := rt.Now() + timeout
 	backoff := time.Millisecond
 	consecutive := 0
 	var tried map[string]bool
+	// One watch per await, and none until a poll has said "not yet": an
+	// uncontended acquire parks nothing.
+	var watch *store.Watch
+	var watchAt *core.Replica
+	woken := false
+	defer func() { watch.Cancel() }()
 	for {
-		rep, site := pinned, ""
-		if pinned == nil {
+		if !pinned {
 			cl.ensureMemberSite("acquireLock", key, ref)
-			rep, site = cl.bound()
+		}
+		rep, site := cl.bound()
+		if watch != nil && (woken || watchAt != rep) {
+			// Spent by a wake, or parked at a replica a re-bind has left.
+			// Arm the next one before the peek, not after it: a change the
+			// peek is too early for then finds a watch to fire.
+			watch.Cancel()
+			watch, watchAt = rep.WatchLock(key, int64(ref)), rep
 		}
 		ok, err := rep.AcquireLock(key, int64(ref))
 		switch {
 		case err != nil && !IsRetryable(err):
 			return err
-		case err != nil && pinned == nil:
+		case err != nil && !pinned:
 			// Transient failure: treat as "not yet" (§III-A), and fail over
 			// once this site has burned its attempt budget back-to-back.
 			consecutive++
@@ -310,14 +332,41 @@ func (cl *Client) await(pinned *core.Replica, key string, ref LockRef, timeout t
 		default:
 			consecutive = 0
 		}
-		if timeout > 0 && rt.Now() >= deadline {
-			return fmt.Errorf("music: lock %s/%d: %w", key, ref, errAwaitTimeout)
+		wait := backoff
+		if timeout > 0 {
+			left := deadline - rt.Now()
+			if left <= 0 {
+				return fmt.Errorf("music: lock %s/%d: %w", key, ref, errAwaitTimeout)
+			}
+			if left < wait {
+				wait = left
+			}
 		}
-		rt.Sleep(backoff)
+		if watch == nil {
+			// The first "not yet". A change landing between that peek and
+			// here goes unannounced, but this wait is the 1 ms one.
+			watch, watchAt = rep.WatchLock(key, int64(ref)), rep
+		}
+		woken = watch.Wait(wait)
+		cl.noteWake(site, woken)
 		if backoff < 64*time.Millisecond {
 			backoff *= 2
 		}
 	}
+}
+
+// noteWake counts what ended one wait of await: the lock row's commit, or
+// the poll timer. The ratio says whether a site's handoffs are event-driven
+// or have fallen back to polling.
+func (cl *Client) noteWake(site string, woken bool) {
+	if cl.c.obs == nil {
+		return // before the label map is built: every contended wait passes here
+	}
+	cause := "timer"
+	if woken {
+		cause = "commit"
+	}
+	cl.counter("music_await_wake_total", obs.Labels{"site": site, "cause": cause})
 }
 
 // ErrAwaitTimeout is returned by AwaitLock when the timeout expires first.

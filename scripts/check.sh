@@ -83,6 +83,20 @@ go test ./internal/core/ -run 'TestShardedSingleKeyNoExtraAllocs' -count=1 -time
 # 500 sections what it shipped after one. A reintroduced per-ref column or
 # tombstone fails here by name.
 go test ./internal/lockstore/ -run 'TestLockRowBounded' -count=1 -timeout 300s
+# The push half of the lock handoff, by name for the same reason: a waiter in
+# AwaitLock wakes on the dequeue's commit applied at its own replica (handoff
+# bounded by the topology on every phase of the poll interval, ≤ 3 polls after
+# the release), only the new head is woken, the poll timer still covers what
+# no commit announces, a timeout is honoured to the millisecond, and no await
+# — granted, timed out, dead, failed over — leaves a watch parked. A wake that
+# silently stops firing degrades to polling and would otherwise fail nothing.
+go test ./music/ -run 'TestHandoffWakesOnCommit|TestHandoffFallsBackToTimer|TestAwaitLockReturnsAtItsDeadline|TestAwaitLeavesNoWatchBehind|TestAwaitWatchMovesOnFailover' -count=1 -timeout 300s
+go test ./internal/store/ -run 'TestWatch' -count=1 -timeout 300s
+go test ./internal/lockstore/ -run 'TestWatchWakesOnlyTheNewHead' -count=1 -timeout 300s
+go test ./internal/core/ -run 'TestWaiterStateDoesNotLeak' -count=1 -timeout 300s
+# The same machinery on real goroutines and sockets: watches armed, fired and
+# cancelled from client goroutines while transport goroutines apply commits.
+go test -race ./music/ -run 'TestHandoffOverTCPKeepsHoldersDisjoint' -count=3 -timeout 600s
 
 # Experiment smokes: each JSON-emitting musicbench experiment must run end
 # to end in quick mode and write a well-formed BENCH_<id>.json. One run per
