@@ -305,11 +305,20 @@ func (t *Transport) acceptLoop() {
 }
 
 // serveConn reads call and one-way frames off one inbound connection. The
-// frame header is parsed and the request payload decoded in the read loop
-// (so the reused frame buffer is never shared with another goroutine), then
-// each handler runs in its own goroutine so a slow request does not
-// head-of-line block the stream. Replies are written back on the same
-// connection under a per-connection write lock.
+// frame header is parsed and the request payload decoded in the read loop,
+// so the reused frame buffer is never shared with another goroutine. Where
+// the handler runs depends on how it was registered:
+//
+//   - HandleInline: right here, on the read loop, reply included. The
+//     handler promised never to wait, and readying another goroutine for
+//     it costs more than the handler does.
+//   - Handle / HandleWithCost: a goroutine of its own, because such a
+//     handler may wait. A slow one must not head-of-line block the stream,
+//     and one that waits on a request arriving on this same connection (a
+//     handler that calls back to its caller) would deadlock it.
+//
+// Replies are written back on the same connection under a per-connection
+// write lock.
 func (t *Transport) serveConn(conn net.Conn) {
 	defer func() {
 		_ = conn.Close()
@@ -348,7 +357,11 @@ func (t *Transport) serveConn(conn net.Conn) {
 				herr = fmt.Errorf("nettrans: %s request decode: %v", svc, err)
 			}
 		}
-		go t.serveRequest(conn, &wmu, kind, id, from, svc, e.fn, req, herr)
+		if e.inline {
+			t.serveRequest(conn, &wmu, kind, id, from, svc, e.fn, req, herr)
+		} else {
+			go t.serveRequest(conn, &wmu, kind, id, from, svc, e.fn, req, herr)
+		}
 		if cap(buf) > maxRetainedReadBuf {
 			buf = nil
 		}

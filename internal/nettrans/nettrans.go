@@ -18,7 +18,8 @@
 // batches concurrent senders' frames through a combining write queue that
 // never holds a lock across a syscall (or a dial — dials are single-flight),
 // Multicast fans out and demultiplexes replies without spawning goroutines,
-// and self-calls run synchronously through the codecs. DESIGN.md "The TCP
+// self-calls run synchronously through the codecs, and handlers registered
+// with HandleInline run on the connection's read loop. DESIGN.md "The TCP
 // hot path" tells the full story.
 package nettrans
 
@@ -150,11 +151,15 @@ type handlerEntry struct {
 	// looks handlers up through a byte view of the read buffer and adopts
 	// this stable string instead of materializing a fresh one per request.
 	name string
+	// inline marks a HandleInline registration: serveConn runs it on the
+	// connection's read loop instead of a goroutine of its own.
+	inline bool
 }
 
 var _ transport.Transport = (*Transport)(nil)
 var _ transport.PeerEditor = (*Transport)(nil)
 var _ transport.AddrReporter = (*Transport)(nil)
+var _ transport.InlineHandler = (*Transport)(nil)
 
 // New builds the transport and starts its accept loop. The returned
 // Transport serves inbound calls immediately; outbound connections are
@@ -337,17 +342,28 @@ func (t *Transport) RPCTimeout() time.Duration { return t.cfg.RPCTimeout }
 // Handle registers h for svc on this process's node. Registering for a
 // remote node is a programming error and panics.
 func (t *Transport) Handle(node transport.NodeID, svc string, h transport.Handler) {
-	if node != t.self {
-		panic(fmt.Sprintf("nettrans: Handle(%q) for node %d on the transport of node %d", svc, node, t.self))
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.handlers[svc] = handlerEntry{fn: h, name: svc}
+	t.register(node, svc, handlerEntry{fn: h, name: svc})
 }
 
 // HandleWithCost is Handle; modeled CPU cost does not apply to real CPUs.
 func (t *Transport) HandleWithCost(node transport.NodeID, svc string, h transport.Handler, base, perKB time.Duration) {
 	t.Handle(node, svc, h)
+}
+
+// HandleInline is Handle for a handler that never waits (the
+// transport.InlineHandler capability): inbound requests for svc run on the
+// connection's read loop, with no goroutine between the frame and h.
+func (t *Transport) HandleInline(node transport.NodeID, svc string, h transport.Handler, base, perKB time.Duration) {
+	t.register(node, svc, handlerEntry{fn: h, name: svc, inline: true})
+}
+
+func (t *Transport) register(node transport.NodeID, svc string, e handlerEntry) {
+	if node != t.self {
+		panic(fmt.Sprintf("nettrans: Handle(%q) for node %d on the transport of node %d", svc, node, t.self))
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.handlers[svc] = e
 }
 
 // OnRestart is a no-op: a real process that crashes is a new process.

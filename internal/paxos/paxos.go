@@ -100,18 +100,18 @@ func (a *Acceptor) HandlePropose(b Ballot, v any) bool {
 	return true
 }
 
-// HandleCommit finalizes ballot b. It returns true when the commit is news
-// to this acceptor (b is newer than anything committed before), in which
-// case the caller applies the committed mutation to storage. Commits are
-// idempotent.
-func (a *Acceptor) HandleCommit(b Ballot) bool {
+// HandleCommit records that ballot b was committed. A commit no newer than
+// the acceptor's Committed changes nothing here, but that says nothing about
+// its value: a commit overtaken in flight by a later one still carries cells
+// the later one may not, so the caller applies every commit's value to
+// storage (internal/store merges it LWW, which is idempotent and order-free).
+func (a *Acceptor) HandleCommit(b Ballot) {
 	if b.Compare(a.Committed) <= 0 {
-		return false
+		return
 	}
 	a.Committed = b
 	if a.Accepted.Compare(b) <= 0 {
 		a.Accepted = Ballot{}
 		a.AcceptedValue = nil
 	}
-	return true
 }

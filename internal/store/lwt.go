@@ -186,11 +186,11 @@ func (cl *Client) proposeCommit(table, key string, targets []transport.NodeID, q
 	// committed write; the lock stack does exactly that in
 	// GenerateAndEnqueue's local read-back, which is how the "fresh lockRef
 	// not granted" transport flake arose. Applying the commit directly to
-	// the co-located replica closes the window; a commit is idempotent (the
-	// acceptor ignores a ballot it has committed, and merging the same cells
-	// twice changes nothing), so the in-flight RPC copy is a no-op when it
-	// lands. A direct memory call, not an RPC: it charges no modeled cost
-	// and adds no hop.
+	// the co-located replica closes the window; applying a commit is
+	// idempotent (handleCommit merges its cells LWW every time, and merging
+	// the same cells twice changes nothing), so the in-flight RPC copy is a
+	// no-op when it lands. A direct memory call, not an RPC: it charges no
+	// modeled cost and adds no hop.
 	if r, ok := cl.c.replicas[cl.node]; ok && contains(targets, cl.node) {
 		_, _ = r.handleCommit(cl.node, commitReq{Table: table, Key: key, B: b, Update: update})
 	}

@@ -2,7 +2,6 @@ package store
 
 import (
 	"sync"
-	"time"
 
 	"repro/internal/paxos"
 	"repro/internal/transport"
@@ -112,17 +111,25 @@ func (r *replica) stripe(key string) *engineStripe {
 }
 
 // register installs the replica's services on node with their CPU costs.
+//
+// The per-row services are registered inline where the transport offers it
+// (transport.InlineHandler): each one takes one stripe lock, works on one row
+// in memory and returns, and the only thing it can wake — a Watch's promise in
+// rowState.merge — resolves without blocking. None of them waits, so the TCP
+// plane may serve them on the connection's read loop. The whole-table scan
+// and the transfer responder (transfer.go) keep a goroutine each.
 func (r *replica) register(tr transport.Transport, node transport.NodeID, costs CostModel) {
-	cost := func(svc string, h transport.Handler, base, perKB time.Duration) {
-		tr.HandleWithCost(node, svc, h, base, perKB)
+	perRow := tr.HandleWithCost
+	if ih, ok := tr.(transport.InlineHandler); ok {
+		perRow = ih.HandleInline
 	}
-	cost(svcApply, r.handleApply, costs.ReplicaApply, costs.PerKB)
-	cost(svcRead, r.handleRead, costs.ReplicaRead, costs.PerKB)
-	cost(svcDigest, r.handleDigest, costs.ReplicaRead, 0)
-	cost(svcScan, r.handleScan, costs.ReplicaRead, 0)
-	cost(svcPrepare, r.handlePrepare, costs.PaxosMsg, 0)
-	cost(svcPropose, r.handlePropose, costs.PaxosMsg, costs.PerKB)
-	cost(svcCommit, r.handleCommit, costs.PaxosMsg, costs.PerKB)
+	perRow(node, svcApply, r.handleApply, costs.ReplicaApply, costs.PerKB)
+	perRow(node, svcRead, r.handleRead, costs.ReplicaRead, costs.PerKB)
+	perRow(node, svcDigest, r.handleDigest, costs.ReplicaRead, 0)
+	perRow(node, svcPrepare, r.handlePrepare, costs.PaxosMsg, 0)
+	perRow(node, svcPropose, r.handlePropose, costs.PaxosMsg, costs.PerKB)
+	perRow(node, svcCommit, r.handleCommit, costs.PaxosMsg, costs.PerKB)
+	tr.HandleWithCost(node, svcScan, r.handleScan, costs.ReplicaRead, 0)
 }
 
 // row returns the row state within a stripe, creating it when create is set.

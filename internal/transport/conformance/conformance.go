@@ -20,6 +20,11 @@
 //   - A connection reset racing an in-flight call surfaces as ErrTimeout —
 //     the retryable taxonomy — and the next call transparently reconnects
 //     (backends expose the reset through the optional Disruptor interface).
+//   - A handler registered with Handle may wait: a slow one does not hold up
+//     the next request on the same link, and one that waits for its own node
+//     to serve a later request on that link (a call back to its caller)
+//     completes. Only transport.InlineHandler registrations may be served
+//     on the reading goroutine.
 package conformance
 
 import (
@@ -30,6 +35,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/sim"
 	"repro/internal/transport"
 	"repro/internal/wire"
 )
@@ -94,6 +100,93 @@ func Run(t *testing.T, mk func(t *testing.T) Cluster) {
 	t.Run("MulticastStragglerDrain", func(t *testing.T) { testMulticastStragglerDrain(t, mk(t)) })
 	t.Run("SendOneWay", func(t *testing.T) { testSendOneWay(t, mk(t)) })
 	t.Run("ResetInFlight", func(t *testing.T) { testResetInFlight(t, mk(t)) })
+	t.Run("HeadOfLine", func(t *testing.T) { testHeadOfLine(t, mk(t)) })
+	t.Run("ReentrantWait", func(t *testing.T) { testReentrantWait(t, mk(t)) })
+}
+
+// testHeadOfLine pins that a Handle-registered handler does not block the
+// link it arrived on: while a 500 ms handler on node 1 is in flight from
+// node 0, a second 0→1 call to a fast handler returns within 50 ms of what
+// the same call takes on an idle link (the link's own round trip: zero on
+// loopback, a WAN RTT on simnet). A transport that served Handle
+// registrations on the connection's read loop would hold the second call
+// behind the first.
+func testHeadOfLine(t *testing.T, c Cluster) {
+	defer c.Close()
+	const slowFor = 500 * time.Millisecond
+	srv := c.Transport(1)
+	started := sim.NewPromise[struct{}](srv.Runtime())
+	srv.Handle(1, "conf.hol.slow", func(from transport.NodeID, req any) (any, error) {
+		started.Resolve(struct{}{})
+		srv.Runtime().Sleep(slowFor)
+		return Msg{Tag: "slow"}, nil
+	})
+	srv.Handle(1, "conf.hol.fast", func(from transport.NodeID, req any) (any, error) {
+		return Msg{Tag: "fast"}, nil
+	})
+	c.Run(t, func() {
+		tr := c.Transport(0)
+		rt := tr.Runtime()
+		// Warm the link so the timed calls measure serving, not a dial.
+		var idle time.Duration
+		for i := 0; i < 2; i++ {
+			start := rt.Now()
+			if _, err := tr.CallTimeout(0, 1, "conf.hol.fast", Msg{}, 2*time.Second); err != nil {
+				t.Errorf("idle call: %v", err)
+				return
+			}
+			idle = rt.Now() - start
+		}
+		slowDone := sim.NewPromise[error](rt)
+		rt.Go(func() {
+			_, err := tr.CallTimeout(0, 1, "conf.hol.slow", Msg{}, 4*slowFor)
+			slowDone.Resolve(err)
+		})
+		if _, err := started.AwaitTimeout(2 * time.Second); err != nil {
+			t.Error("slow handler never started")
+			return
+		}
+		start := rt.Now()
+		resp, err := tr.CallTimeout(0, 1, "conf.hol.fast", Msg{}, 2*time.Second)
+		if elapsed := rt.Now() - start; err != nil || elapsed >= idle+50*time.Millisecond {
+			t.Errorf("fast call behind a slow one = (%v, %v) after %v, want a reply within 50ms of an idle call's %v",
+				resp, err, elapsed, idle)
+		}
+		if callErr, _ := slowDone.Await(); callErr != nil {
+			t.Errorf("slow call: %v", callErr)
+		}
+	})
+}
+
+// testReentrantWait pins that a Handle-registered handler may wait on a
+// request that arrives after its own on the same link: node 1's handler
+// calls node 0, whose handler calls node 1 back over the 0→1 link the first
+// request came in on, and both calls complete. A transport that served
+// Handle registrations on the connection's read loop would deadlock here
+// until the inner call timed out.
+func testReentrantWait(t *testing.T, c Cluster) {
+	defer c.Close()
+	const hop = time.Second
+	caller, callee := c.Transport(0), c.Transport(1)
+	callee.Handle(1, "conf.reenter", func(from transport.NodeID, req any) (any, error) {
+		return callee.CallTimeout(1, 0, "conf.bounce", req, hop)
+	})
+	caller.Handle(0, "conf.bounce", func(from transport.NodeID, req any) (any, error) {
+		return caller.CallTimeout(0, 1, "conf.answer", req, hop)
+	})
+	callee.Handle(1, "conf.answer", func(from transport.NodeID, req any) (any, error) {
+		return Msg{Tag: "re:" + req.(Msg).Tag}, nil
+	})
+	c.Run(t, func() {
+		resp, err := caller.CallTimeout(0, 1, "conf.reenter", Msg{Tag: "loop"}, 3*hop)
+		if err != nil {
+			t.Errorf("re-entrant call: %v", err)
+			return
+		}
+		if got := resp.(Msg).Tag; got != "re:loop" {
+			t.Errorf("re-entrant reply = %q, want re:loop", got)
+		}
+	})
 }
 
 // testResetInFlight severs the network path while a call is in flight: the

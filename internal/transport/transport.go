@@ -156,6 +156,25 @@ type PeerEditor interface {
 	RemovePeer(id NodeID) error
 }
 
+// InlineHandler is the optional capability of transports that can run a
+// handler on the goroutine that read its request off the wire, instead of
+// handing it to a goroutine of its own. The TCP plane (internal/nettrans)
+// implements it, because waking another goroutine costs more than a handler
+// that touches one row in memory; the simulated plane does not, so protocol
+// code on it is unchanged. Callers type-assert and fall back to
+// HandleWithCost:
+//
+//	if ih, ok := tr.(transport.InlineHandler); ok { ih.HandleInline(node, svc, h, base, perKB) }
+type InlineHandler interface {
+	// HandleInline registers h for svc on node like HandleWithCost, on the
+	// promise that h never waits: not on another RPC, a timer, a promise, a
+	// channel, or a lock that anyone holds across one of those. Every later
+	// request on the same connection queues behind an inline handler, so one
+	// that waits stalls the link — and deadlocks it if what it waits for
+	// needs that link, as a handler that calls back to its caller does.
+	HandleInline(node NodeID, svc string, h Handler, base, perKB time.Duration)
+}
+
 // AddrReporter is the optional capability of transports that know their
 // peers' dialable addresses (the TCP plane). Membership changes proposed
 // through such a transport carry each arriving node's address, so every

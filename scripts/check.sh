@@ -97,6 +97,13 @@ go test ./internal/core/ -run 'TestWaiterStateDoesNotLeak' -count=1 -timeout 300
 # The same machinery on real goroutines and sockets: watches armed, fired and
 # cancelled from client goroutines while transport goroutines apply commits.
 go test -race ./music/ -run 'TestHandoffOverTCPKeepsHoldersDisjoint' -count=3 -timeout 600s
+# Why a Handle-registered handler keeps its own goroutine on TCP while the
+# store's per-row services run on the connection's read loop: a slow handler
+# must not head-of-line block its link, and one that waits for a later
+# request on the same link (a call back to its caller) must not deadlock it.
+# Both cases fail by name if serveConn ever inlines a Handle registration.
+go test -race ./internal/nettrans/ ./internal/simnet/ -run 'TestTransportConformance/(HeadOfLine|ReentrantWait)' -count=3 -timeout 300s
+go test ./internal/store/ -run 'TestPerRowServicesRegisterInline' -count=1 -timeout 300s
 
 # Experiment smokes: each JSON-emitting musicbench experiment must run end
 # to end in quick mode and write a well-formed BENCH_<id>.json. One run per
