@@ -271,12 +271,22 @@ func (t *Transport) handleReply(body []byte) {
 		return // caller gave up (timeout or early quorum); drop the late reply
 	}
 	pc := v.(*pendingCall)
-	ch, from := pc.ch, pc.to
+	r := transport.CallResult{From: pc.to, Resp: resp, Err: rerr}
+	if pc.late != nil {
+		// A straggler of a MulticastLate whose caller has returned. Removing
+		// the entry above beat its deadline timer, so this is its one report.
+		if tm := pc.timer.Load(); tm != nil {
+			tm.Stop()
+		}
+		pc.late(r)
+		return
+	}
+	ch := pc.ch
 	pc.to, pc.ch = 0, nil
 	pendingCallPool.Put(pc)
 	// Never blocks: the caller sized ch for every id it mapped to it, and
 	// removing the pending entry above made this the only send for this id.
-	ch <- transport.CallResult{From: from, Resp: resp, Err: rerr}
+	ch <- r
 }
 
 // acceptLoop is the server side: every inbound connection gets its own

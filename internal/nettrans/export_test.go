@@ -1,0 +1,8 @@
+package nettrans
+
+// PendingLen counts the entries of t's pending table.
+func (t *Transport) PendingLen() int {
+	n := 0
+	t.pending.Range(func(_, _ any) bool { n++; return true })
+	return n
+}

@@ -112,9 +112,17 @@ type Transport struct {
 // share one result channel (a multicast round); the reply pump tags each
 // result with the target it came from. Both the entry and the channel are
 // pooled — steady-state RPC traffic reuses a handful of each.
+//
+// A late entry (late != nil, ch == nil) is a MulticastLate leg its caller
+// stopped waiting for: the reply pump hands the result to late instead, and
+// timer, the leg's deadline, reports ErrTimeout if it wins the entry first.
+// Late entries are never pooled, because the deadline timer may still hold
+// one after the reply has claimed it.
 type pendingCall struct {
-	to transport.NodeID
-	ch chan transport.CallResult
+	to    transport.NodeID
+	ch    chan transport.CallResult
+	late  func(transport.CallResult)
+	timer atomic.Pointer[time.Timer]
 }
 
 var pendingCallPool = sync.Pool{New: func() any { return new(pendingCall) }}
@@ -423,7 +431,7 @@ func (t *Transport) CallTimeout(from, to transport.NodeID, svc string, req any, 
 			<-ch
 			releaseResultCh(ch)
 		}
-		return nil, fmt.Errorf("nettrans: %s to n%d: %w", svc, to, transport.ErrTimeout)
+		return nil, timeoutErr(svc, to)
 	}
 }
 
@@ -515,19 +523,35 @@ func (t *Transport) Send(from, to transport.NodeID, svc string, req any) {
 
 // Multicast fans req out to every target and collects replies until need of
 // them succeeded, everyone answered, or the timeout elapsed — without
-// spawning a single goroutine. Each remote frame is encoded and queued
-// inline from the caller, the self-leg runs synchronously after the remote
-// frames are on their way, and all replies demultiplex onto one shared
-// pooled result channel through the pending table (replies come back tagged
-// with the sender, so out-of-order completion is fine). On early return the
-// outstanding pending entries are reclaimed and any reply that raced the
-// reclaim is drained before the channel is pooled: nothing — no goroutine,
-// no stuck send, no pending-table entry — outlives the call.
+// spawning a single goroutine. It is MulticastLate with no late hook.
 func (t *Transport) Multicast(from transport.NodeID, targets []transport.NodeID, svc string, req any, need int, timeout time.Duration) []transport.CallResult {
+	return t.MulticastLate(from, targets, svc, req, need, timeout, nil)
+}
+
+// mcLeg is one remote leg of a multicast round.
+type mcLeg struct {
+	id uint64
+	to transport.NodeID
+}
+
+// MulticastLate fans req out to every target and collects replies until
+// need of them succeeded, everyone answered, or the timeout elapsed. Each
+// remote frame is encoded and queued inline from the caller, the self-leg
+// runs synchronously after the remote frames are on their way, and all
+// replies demultiplex onto one shared pooled result channel through the
+// pending table (replies come back tagged with the sender, so out-of-order
+// completion is fine). What happens to the legs still outstanding at return
+// is settle's job. No goroutine is spawned unless a late leg's deadline
+// fires.
+func (t *Transport) MulticastLate(from transport.NodeID, targets []transport.NodeID, svc string, req any, need int, timeout time.Duration, late func(transport.CallResult)) []transport.CallResult {
+	var deadline time.Time
+	if late != nil {
+		deadline = time.Now().Add(timeout)
+	}
 	results := acquireResultCh(len(targets))
 	collected := make([]transport.CallResult, 0, len(targets))
-	var idbuf [8]uint64
-	ids := idbuf[:0]
+	var legbuf [8]mcLeg
+	legs := legbuf[:0]
 	successes, consumedRemote := 0, 0
 	selfTarget := false
 	for _, to := range targets {
@@ -540,23 +564,10 @@ func (t *Transport) Multicast(from transport.NodeID, targets []transport.NodeID,
 			collected = append(collected, transport.CallResult{From: to, Err: err})
 			continue
 		}
-		ids = append(ids, id)
+		legs = append(legs, mcLeg{id: id, to: to})
 	}
-	cleanup := func() []transport.CallResult {
-		reclaimed := 0
-		for _, id := range ids {
-			if v, ok := t.pending.LoadAndDelete(id); ok {
-				pendingCallPool.Put(v)
-				reclaimed++
-			}
-		}
-		// Every id neither consumed nor reclaimed was claimed by the reply
-		// pump between our reclaim and its (buffered, non-blocking) send:
-		// drain those so the channel is provably empty before pooling it.
-		for imminent := len(ids) - consumedRemote - reclaimed; imminent > 0; imminent-- {
-			<-results
-		}
-		releaseResultCh(results)
+	done := func() []transport.CallResult {
+		t.settle(legs, len(legs)-consumedRemote, results, svc, late, deadline)
 		return collected
 	}
 	if selfTarget {
@@ -565,12 +576,12 @@ func (t *Transport) Multicast(from transport.NodeID, targets []transport.NodeID,
 		if err == nil {
 			successes++
 			if need > 0 && successes >= need {
-				return cleanup()
+				return done()
 			}
 		}
 	}
 	if len(collected) == len(targets) {
-		return cleanup()
+		return done()
 	}
 	tm := acquireTimer(timeout)
 	defer releaseTimer(tm)
@@ -582,14 +593,76 @@ func (t *Transport) Multicast(from transport.NodeID, targets []transport.NodeID,
 			if r.Err == nil {
 				successes++
 				if need > 0 && successes >= need {
-					return cleanup()
+					return done()
 				}
 			}
 		case <-tm.C:
-			return cleanup()
+			return done()
 		}
 	}
-	return cleanup()
+	return done()
+}
+
+// settle disposes of a multicast round's legs once its caller stops
+// waiting, then pools the result channel. unconsumed legs never reached the
+// caller. Each is either still in the pending table (no reply yet) or was
+// claimed by the reply pump, whose buffered, non-blocking send of its result
+// on results has happened or is imminent.
+//
+// Without late, pending entries are reclaimed and claimed results drained
+// and dropped: nothing — no goroutine, no stuck send, no pending-table
+// entry — outlives the call. With late, a claimed result is drained and
+// reported here, and a pending entry is swapped for a late one (see
+// pendingCall) whose reply or deadline reports later; once the deadline
+// has passed, the leg reports ErrTimeout here instead.
+func (t *Transport) settle(legs []mcLeg, unconsumed int, results chan transport.CallResult, svc string, late func(transport.CallResult), deadline time.Time) {
+	var remaining time.Duration
+	if late != nil {
+		remaining = time.Until(deadline)
+	}
+	for _, l := range legs {
+		if late == nil || remaining <= 0 {
+			if v, ok := t.pending.LoadAndDelete(l.id); ok {
+				pendingCallPool.Put(v)
+				unconsumed--
+				if late != nil {
+					late(transport.CallResult{From: l.to, Err: timeoutErr(svc, l.to)})
+				}
+			}
+			continue
+		}
+		v, ok := t.pending.Load(l.id)
+		if !ok {
+			continue
+		}
+		lp := &pendingCall{to: l.to, late: late}
+		if !t.pending.CompareAndSwap(l.id, v, lp) {
+			continue // the reply pump claimed it between the Load and the swap
+		}
+		pendingCallPool.Put(v)
+		unconsumed--
+		id, to := l.id, l.to
+		// The pump may claim lp before the timer is stored; the timer then
+		// finds the entry gone and reports nothing.
+		lp.timer.Store(time.AfterFunc(remaining, func() {
+			if t.pending.CompareAndDelete(id, lp) {
+				late(transport.CallResult{From: to, Err: timeoutErr(svc, to)})
+			}
+		}))
+	}
+	for ; unconsumed > 0; unconsumed-- {
+		r := <-results
+		if late != nil {
+			late(r)
+		}
+	}
+	releaseResultCh(results)
+}
+
+// timeoutErr is the error a call to `to` for svc reports when no reply came
+// within its timeout.
+func timeoutErr(svc string, to transport.NodeID) error {
+	return fmt.Errorf("nettrans: %s to n%d: %w", svc, to, transport.ErrTimeout)
 }
 
 // Close shuts the listener and every connection down. In-flight calls fail

@@ -14,7 +14,7 @@ type Mailbox[T any] struct {
 }
 
 type mailboxImpl[T any] interface {
-	send(v T)
+	send(v T) bool
 	recv(timeout int64) (T, error)
 	tryRecv() (T, bool)
 	close()
@@ -40,8 +40,10 @@ func NewMailbox[T any](rt Runtime) *Mailbox[T] {
 	}
 }
 
-// Send enqueues v. It never blocks. Sends to a closed mailbox are dropped.
-func (m *Mailbox[T]) Send(v T) { m.impl.send(v) }
+// Send enqueues v and reports true. It never blocks. A send to a closed
+// mailbox is dropped and reports false, so a sender racing Close learns
+// that nobody will receive v and can hand it elsewhere.
+func (m *Mailbox[T]) Send(v T) bool { return m.impl.send(v) }
 
 // Recv dequeues the next item, blocking as needed.
 func (m *Mailbox[T]) Recv() (T, error) { return m.impl.recv(-1) }
@@ -67,12 +69,13 @@ type vMailbox[T any] struct {
 	waiters []waiter
 }
 
-func (m *vMailbox[T]) send(v T) {
+func (m *vMailbox[T]) send(v T) bool {
 	if m.closed {
-		return
+		return false
 	}
 	m.q = append(m.q, v)
 	m.wakeAll()
+	return true
 }
 
 func (m *vMailbox[T]) wakeAll() {
@@ -138,14 +141,15 @@ type rMailbox[T any] struct {
 	waiters []chan struct{}
 }
 
-func (m *rMailbox[T]) send(v T) {
+func (m *rMailbox[T]) send(v T) bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.closed {
-		return
+		return false
 	}
 	m.q = append(m.q, v)
 	m.signalLocked()
+	return true
 }
 
 func (m *rMailbox[T]) signalLocked() {

@@ -378,6 +378,36 @@ func TestMailboxClose(t *testing.T) {
 	}
 }
 
+// TestMailboxSendReportsClosed pins Send's return value on both runtimes:
+// true while the mailbox is open, false once it is closed, and a refused
+// item is never received. simnet's MulticastLate relies on it to tell a
+// straggler leg that its result must go to the late hook instead.
+func TestMailboxSendReportsClosed(t *testing.T) {
+	check := func(t *testing.T, rt Runtime) {
+		m := NewMailbox[int](rt)
+		if !m.Send(1) {
+			t.Error("Send on an open mailbox reported false")
+		}
+		m.Close()
+		if m.Send(2) {
+			t.Error("Send on a closed mailbox reported true")
+		}
+		if got, ok := m.TryRecv(); !ok || got != 1 {
+			t.Errorf("TryRecv = (%d, %v), want the item queued before Close", got, ok)
+		}
+		if got, ok := m.TryRecv(); ok {
+			t.Errorf("TryRecv = %d after Close, want the refused item dropped", got)
+		}
+	}
+	t.Run("virtual", func(t *testing.T) {
+		v := New(1)
+		if err := v.Run(func() { check(t, v) }); err != nil {
+			t.Fatalf("Run: %v", err)
+		}
+	})
+	t.Run("real", func(t *testing.T) { check(t, NewReal(1)) })
+}
+
 func TestMailboxCloseWakesBlockedReceiver(t *testing.T) {
 	v := New(1)
 	err := v.Run(func() {

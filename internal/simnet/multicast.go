@@ -16,6 +16,14 @@ type CallResult = transport.CallResult
 // so far; callers count successes themselves. This is the primitive behind
 // quorum reads/writes, Paxos rounds and log replication.
 func (n *Network) Multicast(from NodeID, targets []NodeID, svc string, req any, need int, timeout time.Duration) []CallResult {
+	return n.MulticastLate(from, targets, svc, req, need, timeout, nil)
+}
+
+// MulticastLate is Multicast that hands every leg still outstanding at
+// return to late, once, when its call completes (see transport.Transport).
+// Each leg is a task running one CallTimeout, so a leg's deadline is the
+// call's own timeout.
+func (n *Network) MulticastLate(from NodeID, targets []NodeID, svc string, req any, need int, timeout time.Duration, late func(CallResult)) []CallResult {
 	// The umbrella span is installed task-current before the fan-out so the
 	// per-target tasks (which inherit the spawner's task-local) parent their
 	// rpc spans under it.
@@ -23,15 +31,16 @@ func (n *Network) Multicast(from NodeID, targets []NodeID, svc string, req any, 
 	mc.Annotatef("fanout", "%d targets, need %d", len(targets), need)
 
 	results := sim.NewMailbox[CallResult](n.rt)
-	// Closing the mailbox on return turns straggler sends (targets that
-	// answer after the quorum is satisfied) into dropped no-ops, so the
-	// fan-out tasks finish without blocking on a reader that has moved on.
-	defer results.Close()
 	for _, to := range targets {
 		to := to
 		n.rt.Go(func() {
 			resp, err := n.CallTimeout(from, to, svc, req, timeout)
-			results.Send(CallResult{From: to, Resp: resp, Err: err})
+			r := CallResult{From: to, Resp: resp, Err: err}
+			// A closed mailbox means the caller has returned: this leg is a
+			// straggler, and reports to late itself.
+			if !results.Send(r) && late != nil {
+				late(r)
+			}
 		})
 	}
 
@@ -53,6 +62,15 @@ func (n *Network) Multicast(from NodeID, targets []NodeID, svc string, req any, 
 			if need > 0 && successes >= need {
 				break
 			}
+		}
+	}
+	// Closing turns every later send into a refused one, so each leg that
+	// has not finished yet reports to late on its own. Legs that finished
+	// but were never received are still queued; they report here.
+	results.Close()
+	if late != nil {
+		for r, ok := results.TryRecv(); ok; r, ok = results.TryRecv() {
+			late(r)
 		}
 	}
 	mc.Annotatef("got", "%d/%d ok", successes, len(targets))

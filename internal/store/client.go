@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/history"
 	"repro/internal/obs"
-	"repro/internal/sim"
 	"repro/internal/transport"
 )
 
@@ -91,42 +90,40 @@ func maxTS(cells Row) int64 {
 	return ts
 }
 
-// replicate sends an apply to every replica of the key and waits for the
-// consistency level's ack count. Replicas that miss the write are caught up
-// in the background (hinted handoff) unless disabled.
+// replicate sends an apply to every replica of the key in one quorum round
+// and returns once the consistency level's ack count is in. A replica whose
+// write fails — before the quorum, or after it as a straggler the round
+// stopped waiting for — is caught up in the background (hinted handoff)
+// unless disabled.
 func (cl *Client) replicate(req applyReq, cons Consistency) error {
-	cfg := cl.c.cfg
-	rt := cl.c.net.Runtime()
 	targets := cl.c.ringNow().replicasFor(req.Key)
 	need := cons.need(len(targets))
-
-	firstTry := sim.NewMailbox[error](rt)
-	for _, to := range targets {
-		to := to
-		rt.Go(func() {
-			_, err := cl.c.net.CallTimeout(cl.node, to, svcApply, req, cfg.Timeout)
-			firstTry.Send(err)
-			if err != nil && !cfg.NoHintedHandoff {
-				cl.counter("store_handoffs_total")
-				cl.handoff(to, req)
-			}
-		})
-	}
-
-	oks := 0
-	for i := 0; i < len(targets); i++ {
-		err, recvErr := firstTry.RecvTimeout(cfg.Timeout)
-		if recvErr != nil {
-			break
-		}
-		if err == nil {
-			oks++
-			if oks >= need {
-				return nil
-			}
+	hint := func(r transport.CallResult) {
+		if r.Err != nil && !cl.c.cfg.NoHintedHandoff {
+			cl.counter("store_handoffs_total")
+			cl.c.net.Runtime().Go(func() { cl.handoff(r.From, req) })
 		}
 	}
-	return fmt.Errorf("%w: %d/%d acks for %s/%s", ErrUnavailable, oks, need, req.Table, req.Key)
+	results := cl.c.net.MulticastLate(cl.node, targets, svcApply, req, need, cl.c.cfg.Timeout, hint)
+	for _, r := range results {
+		hint(r)
+	}
+	if oks := successes(results); oks < need {
+		return fmt.Errorf("%w: %d/%d acks for %s/%s", ErrUnavailable, oks, need, req.Table, req.Key)
+	}
+	return nil
+}
+
+// successes counts the replies in a Multicast result set, without building
+// the filtered slice transport.Successes would.
+func successes(results []transport.CallResult) int {
+	n := 0
+	for _, r := range results {
+		if r.Err == nil {
+			n++
+		}
+	}
+	return n
 }
 
 // handoff retries a failed replica write with backoff until it lands or the

@@ -67,7 +67,10 @@ func (cl *Client) CAS(table, key string, conds []Cond, update Row) (res CASResul
 		var inProgressVal Row
 		var committed paxos.Ballot
 		refused := false
-		for _, r := range transport.Successes(prepResults) {
+		for _, r := range prepResults {
+			if r.Err != nil {
+				continue
+			}
 			resp := r.Resp.(prepareResp)
 			if resp.Committed.Compare(committed) > 0 {
 				committed = resp.Committed
@@ -158,14 +161,18 @@ func (cl *Client) proposeCommit(table, key string, targets []transport.NodeID, q
 	propResults := net.Multicast(cl.node, targets, svcPropose,
 		proposeReq{Table: table, Key: key, B: b, Update: update}, quorum, cfg.Timeout)
 	prop.End()
-	acks := 0
-	for _, r := range transport.Successes(propResults) {
+	replies, acks := 0, 0
+	for _, r := range propResults {
+		if r.Err != nil {
+			continue
+		}
+		replies++
 		if r.Resp.(proposeResp).OK {
 			acks++
 		}
 	}
 	if acks < quorum {
-		if len(transport.Successes(propResults)) >= quorum {
+		if replies >= quorum {
 			return errProposeRejected
 		}
 		return fmt.Errorf("%w: cas propose %s/%s", ErrUnavailable, table, key)
@@ -175,7 +182,7 @@ func (cl *Client) proposeCommit(table, key string, targets []transport.NodeID, q
 	commitResults := net.Multicast(cl.node, targets, svcCommit,
 		commitReq{Table: table, Key: key, B: b, Update: update}, quorum, cfg.Timeout)
 	com.End()
-	if len(transport.Successes(commitResults)) < quorum {
+	if successes(commitResults) < quorum {
 		return fmt.Errorf("%w: cas commit %s/%s", ErrUnavailable, table, key)
 	}
 	// Read-your-CAS: the quorum above may have been satisfied entirely by

@@ -16,6 +16,10 @@
 //   - A handler that outlives the call's timeout yields transport.ErrTimeout.
 //   - Multicast returns once `need` targets succeeded and reports per-target
 //     results.
+//   - MulticastLate reports every leg still outstanding at return to its
+//     late hook exactly once — the reply when it lands, ErrTimeout at the
+//     leg's deadline — and never a leg it returned; with no failing leg it
+//     leaves no goroutine behind, like Multicast.
 //   - Send delivers one-way, best effort, without disturbing the caller.
 //   - A connection reset racing an in-flight call surfaces as ErrTimeout —
 //     the retryable taxonomy — and the next call transparently reconnects
@@ -31,6 +35,7 @@ import (
 	"bytes"
 	"errors"
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -97,7 +102,10 @@ func Run(t *testing.T, mk func(t *testing.T) Cluster) {
 	t.Run("NoHandler", func(t *testing.T) { testNoHandler(t, mk(t)) })
 	t.Run("Timeout", func(t *testing.T) { testTimeout(t, mk(t)) })
 	t.Run("MulticastQuorum", func(t *testing.T) { testMulticastQuorum(t, mk(t)) })
-	t.Run("MulticastStragglerDrain", func(t *testing.T) { testMulticastStragglerDrain(t, mk(t)) })
+	t.Run("MulticastStragglerDrain", func(t *testing.T) { testMulticastStragglerDrain(t, mk(t), false) })
+	t.Run("MulticastLateStraggler", func(t *testing.T) { testMulticastLateStraggler(t, mk(t)) })
+	t.Run("MulticastLateDeadline", func(t *testing.T) { testMulticastLateDeadline(t, mk(t)) })
+	t.Run("MulticastLateStragglerDrain", func(t *testing.T) { testMulticastStragglerDrain(t, mk(t), true) })
 	t.Run("SendOneWay", func(t *testing.T) { testSendOneWay(t, mk(t)) })
 	t.Run("ResetInFlight", func(t *testing.T) { testResetInFlight(t, mk(t)) })
 	t.Run("HeadOfLine", func(t *testing.T) { testHeadOfLine(t, mk(t)) })
@@ -342,14 +350,50 @@ func testMulticastQuorum(t *testing.T, c Cluster) {
 	})
 }
 
+// lateLog records what a MulticastLate's late hook saw. The hook may run on
+// any goroutine, so every access takes the lock.
+type lateLog struct {
+	mu      sync.Mutex
+	reports []transport.CallResult
+	at      []time.Duration
+}
+
+func (l *lateLog) hook(rt sim.Runtime) func(transport.CallResult) {
+	return func(r transport.CallResult) {
+		l.mu.Lock()
+		defer l.mu.Unlock()
+		l.reports = append(l.reports, r)
+		l.at = append(l.at, rt.Now())
+	}
+}
+
+func (l *lateLog) snapshot() ([]transport.CallResult, []time.Duration) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return append([]transport.CallResult(nil), l.reports...), append([]time.Duration(nil), l.at...)
+}
+
+// waitFor polls cond every 10 ms for up to 2 s of the runtime's time.
+func waitFor(rt sim.Runtime, cond func() bool) bool {
+	for i := 0; i < 200; i++ {
+		if cond() {
+			return true
+		}
+		rt.Sleep(10 * time.Millisecond)
+	}
+	return cond()
+}
+
 // testMulticastStragglerDrain pins the cleanup contract of a quorum-early
 // return: when Multicast comes back with `need` successes while a slow
 // target is still working, whatever machinery was waiting on the straggler
 // must drain on its own once that target answers — no goroutine parked
 // forever on a result channel nobody reads (whether the transport fans out
 // with per-target goroutines or demultiplexes replies onto the caller),
-// and no timeout timer left running for the rest of the window.
-func testMulticastStragglerDrain(t *testing.T, c Cluster) {
+// and no timeout timer left running for the rest of the window. withLate
+// runs the same round through MulticastLate: a straggler that answers must
+// leave nothing behind either, and reaches the hook once.
+func testMulticastStragglerDrain(t *testing.T, c Cluster, withLate bool) {
 	defer c.Close()
 	const slowFor = 700 * time.Millisecond
 	var slowDone atomic.Bool
@@ -371,18 +415,27 @@ func testMulticastStragglerDrain(t *testing.T, c Cluster) {
 		return Msg{Tag: "ack"}, nil
 	})
 	c.Run(t, func() {
-		rt := c.Transport(0).Runtime()
+		tr := c.Transport(0)
+		rt := tr.Runtime()
+		var late lateLog
+		multicast := func(svc string, need int) []transport.CallResult {
+			targets := []transport.NodeID{0, 1, 2}
+			if withLate {
+				return tr.MulticastLate(0, targets, svc, Msg{Tag: "q"}, need, 5*time.Second, late.hook(rt))
+			}
+			return tr.Multicast(0, targets, svc, Msg{Tag: "q"}, need, 5*time.Second)
+		}
 		// Warm every path first (connections, per-node workers, lazy tracer
 		// state) so the goroutine baseline below reflects steady state, not a
 		// cold cluster.
-		warm := c.Transport(0).Multicast(0, []transport.NodeID{0, 1, 2}, "conf.warm", Msg{Tag: "w"}, 0, 5*time.Second)
+		warm := multicast("conf.warm", 0)
 		if got := len(transport.Successes(warm)); got != 3 {
 			t.Errorf("warm-up successes = %d, want 3", got)
 			return
 		}
 		baseline := runtime.NumGoroutine()
 		start := rt.Now()
-		results := c.Transport(0).Multicast(0, []transport.NodeID{0, 1, 2}, "conf.drain", Msg{Tag: "q"}, 2, 5*time.Second)
+		results := multicast("conf.drain", 2)
 		if got := len(transport.Successes(results)); got < 2 {
 			t.Errorf("successes = %d, want ≥2", got)
 			return
@@ -394,24 +447,115 @@ func testMulticastStragglerDrain(t *testing.T, c Cluster) {
 		// require the goroutine count to settle back: its result must land in
 		// a buffer (or a closed mailbox) rather than block a goroutine, and
 		// the multicast window's timer must not still be ticking toward 5s.
-		for i := 0; i < 200 && !slowDone.Load(); i++ {
-			rt.Sleep(10 * time.Millisecond)
-		}
-		if !slowDone.Load() {
+		if !waitFor(rt, slowDone.Load) {
 			t.Error("straggler handler never completed")
 			return
 		}
-		settled := false
-		for i := 0; i < 200; i++ {
-			if runtime.NumGoroutine() <= baseline+2 {
-				settled = true
-				break
-			}
-			rt.Sleep(10 * time.Millisecond)
-		}
-		if !settled {
+		if !waitFor(rt, func() bool { return runtime.NumGoroutine() <= baseline+2 }) {
 			t.Errorf("goroutines never drained after quorum-early multicast: %d live, baseline %d",
 				runtime.NumGoroutine(), baseline)
+		}
+		if withLate {
+			waitFor(rt, func() bool { r, _ := late.snapshot(); return len(r) > 0 })
+			if reports, _ := late.snapshot(); len(reports) != 1 || reports[0].From != 2 || reports[0].Err != nil {
+				t.Errorf("late reports = %+v, want one success from n2", reports)
+			}
+		}
+	})
+}
+
+// testMulticastLateStraggler pins the late hook's bookkeeping: a leg that
+// answers after the quorum reaches late exactly once, with its reply, and a
+// leg MulticastLate returned never does.
+func testMulticastLateStraggler(t *testing.T, c Cluster) {
+	defer c.Close()
+	const slowFor = 400 * time.Millisecond
+	for _, id := range []transport.NodeID{0, 1, 2} {
+		id := id
+		tr := c.Transport(id)
+		tr.Handle(id, "conf.late", func(from transport.NodeID, req any) (any, error) {
+			if id == 2 {
+				tr.Runtime().Sleep(slowFor)
+			}
+			return Msg{Tag: "ack"}, nil
+		})
+	}
+	c.Run(t, func() {
+		tr := c.Transport(0)
+		rt := tr.Runtime()
+		var late lateLog
+		results := tr.MulticastLate(0, []transport.NodeID{0, 1, 2}, "conf.late", Msg{Tag: "q"}, 2, 5*time.Second, late.hook(rt))
+		returned := map[transport.NodeID]bool{}
+		for _, r := range results {
+			returned[r.From] = true
+			if r.Err != nil {
+				t.Errorf("n%d failed: %v", r.From, r.Err)
+			}
+		}
+		if len(results) != 2 || returned[2] {
+			t.Errorf("returned %+v, want the two fast legs", results)
+			return
+		}
+		if !waitFor(rt, func() bool { r, _ := late.snapshot(); return len(r) > 0 }) {
+			t.Error("the straggler never reached late")
+			return
+		}
+		rt.Sleep(slowFor) // room for a duplicate or a stray report to show
+		reports, _ := late.snapshot()
+		if len(reports) != 1 {
+			t.Errorf("late reports = %+v, want exactly one", reports)
+			return
+		}
+		r := reports[0]
+		if r.From != 2 || r.Err != nil || r.Resp.(Msg).Tag != "ack" {
+			t.Errorf("late report = %+v, want n2's ack", r)
+		}
+	})
+}
+
+// testMulticastLateDeadline pins the other way a late leg ends: a target
+// that does not answer within the call's timeout reports ErrTimeout to late
+// once, at the leg's deadline and not when its reply finally turns up.
+func testMulticastLateDeadline(t *testing.T, c Cluster) {
+	defer c.Close()
+	const timeout, slowFor = 300 * time.Millisecond, 900 * time.Millisecond
+	var slowDone atomic.Bool
+	for _, id := range []transport.NodeID{0, 1, 2} {
+		id := id
+		tr := c.Transport(id)
+		tr.Handle(id, "conf.hole", func(from transport.NodeID, req any) (any, error) {
+			if id == 2 {
+				tr.Runtime().Sleep(slowFor)
+				slowDone.Store(true)
+			}
+			return Msg{Tag: "ack"}, nil
+		})
+	}
+	c.Run(t, func() {
+		tr := c.Transport(0)
+		rt := tr.Runtime()
+		var late lateLog
+		start := rt.Now()
+		results := tr.MulticastLate(0, []transport.NodeID{0, 1, 2}, "conf.hole", Msg{Tag: "q"}, 2, timeout, late.hook(rt))
+		if got := len(transport.Successes(results)); got != 2 {
+			t.Errorf("successes = %d, want the two live legs", got)
+			return
+		}
+		if !waitFor(rt, slowDone.Load) {
+			t.Error("the black-holed handler never completed")
+			return
+		}
+		rt.Sleep(100 * time.Millisecond) // its reply lands after the deadline
+		reports, at := late.snapshot()
+		if len(reports) != 1 {
+			t.Errorf("late reports = %+v, want exactly one", reports)
+			return
+		}
+		if r := reports[0]; r.From != 2 || !errors.Is(r.Err, transport.ErrTimeout) {
+			t.Errorf("late report = %+v, want ErrTimeout from n2", r)
+		}
+		if elapsed := at[0] - start; elapsed < timeout || elapsed >= slowFor {
+			t.Errorf("late report after %v, want at the %v deadline, before the %v reply", elapsed, timeout, slowFor)
 		}
 	})
 }

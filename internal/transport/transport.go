@@ -80,8 +80,9 @@ func Successes(results []CallResult) []CallResult {
 //
 // The methods split into three groups: topology (Nodes, SiteOf, NodesInSite,
 // RTT), node services (Handle, HandleWithCost, OnRestart, Work), and
-// messaging (Call, CallTimeout, Send, Multicast). A transport also carries
-// the runtime its tasks are scheduled on and the shared observability sink.
+// messaging (Call, CallTimeout, Send, Multicast, MulticastLate). A transport
+// also carries the runtime its tasks are scheduled on and the shared
+// observability sink.
 type Transport interface {
 	// Runtime returns the clock/scheduler the transport's tasks run on.
 	Runtime() sim.Runtime
@@ -130,8 +131,21 @@ type Transport interface {
 	// Multicast sends req to every target in parallel and collects replies
 	// until `need` of them have succeeded, all targets have answered or
 	// failed, or the timeout elapses — whichever comes first. It returns the
-	// results gathered so far; callers count successes themselves.
+	// results gathered so far; callers count successes themselves. A leg
+	// still outstanding at return is abandoned: its reply, if one ever
+	// comes, is dropped. Multicast is MulticastLate with a nil late.
 	Multicast(from NodeID, targets []NodeID, svc string, req any, need int, timeout time.Duration) []CallResult
+	// MulticastLate is Multicast that does not abandon its stragglers.
+	// Every leg still outstanding when the call returns reports its outcome
+	// to late exactly once: its reply when it arrives, or ErrTimeout when
+	// the leg's deadline (the call's start plus timeout) passes. A leg in
+	// the returned slice never reaches late. late runs on whatever
+	// goroutine or task completes the leg, possibly concurrently with other
+	// legs, and must not block — the same never-wait rule as
+	// InlineHandler. The store's quorum write uses it so a replica that has
+	// not acked by the quorum still gets a hinted handoff if its write
+	// fails.
+	MulticastLate(from NodeID, targets []NodeID, svc string, req any, need int, timeout time.Duration, late func(CallResult)) []CallResult
 
 	// Close releases transport resources (listeners, connections, worker
 	// pools). Further calls fail or time out.
