@@ -110,6 +110,12 @@ func (m *vMailbox[T]) recv(timeout int64) (T, error) {
 			m.v.wakeAt(deadline, t, gen)
 		}
 		m.v.park(t)
+		if timeout >= 0 {
+			// Woken by the timer, the entry is still listed: take it back,
+			// or a mailbox polled with a timeout piles up one per poll
+			// until the next Send or Close.
+			m.waiters = dropWaiter(m.waiters, t, gen)
+		}
 	}
 }
 

@@ -95,15 +95,21 @@ func (p *vPromise[T]) await(timeout int64) (T, error) {
 			// Timed out: take the dead entry back, or a promise awaited with
 			// a timeout again and again (a parked store.Watch) grows a list
 			// of them for as long as it stays unsettled.
-			for i, w := range p.waiters {
-				if w.t == t && w.gen == gen {
-					p.waiters = append(p.waiters[:i], p.waiters[i+1:]...)
-					break
-				}
-			}
+			p.waiters = dropWaiter(p.waiters, t, gen)
 		}
 	}
 	return p.val, p.err
+}
+
+// dropWaiter removes the entry (t, gen) from ws if it is there, keeping the
+// order of the others.
+func dropWaiter(ws []waiter, t *vtask, gen uint64) []waiter {
+	for i, w := range ws {
+		if w.t == t && w.gen == gen {
+			return append(ws[:i], ws[i+1:]...)
+		}
+	}
+	return ws
 }
 
 func (p *vPromise[T]) done() bool { return p.settled }

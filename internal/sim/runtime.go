@@ -9,6 +9,19 @@
 // produces the same schedule, which makes distributed-systems tests
 // reproducible.
 //
+// Each virtual task runs on a worker goroutine taken from a pool: a finished
+// task's worker goes idle with the stack it has grown and is handed the next
+// spawned task. There is no scheduler goroutine. A task that parks or
+// finishes picks the next task itself — the head of the FIFO ready queue, or
+// a seeded random entry under SetScheduleShuffle; when the queue is empty,
+// the earliest timers, advancing the clock — and resumes that task's worker
+// directly, or simply carries on when the next task is its own. A step thus
+// costs at most one goroutine switch. None of this can change a schedule:
+// the selection code and its random draws are the same whichever goroutine
+// runs them, timers fire with no task current (a task they spawn starts with
+// no task-local), and which worker carries a task is invisible to the task.
+// testdata/schedule.golden pins that.
+//
 // The real runtime (NewReal) maps the same operations onto goroutines and
 // the wall clock, so protocol code written against Runtime also runs live
 // (used by the examples and the musicd REST daemon).

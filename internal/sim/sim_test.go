@@ -2,6 +2,8 @@ package sim
 
 import (
 	"errors"
+	"fmt"
+	"runtime"
 	"sort"
 	"sync"
 	"testing"
@@ -243,6 +245,36 @@ func TestPromiseTimedOutAwaitsLeaveNoWaiter(t *testing.T) {
 			t.Errorf("%d waiter entries after 100 timed-out awaits, want only the parked task's", n)
 		}
 		p.Resolve(7)
+		if n, err := got.RecvTimeout(time.Second); err != nil || n != 7 {
+			t.Errorf("the parked task got (%d, %v), want (7, nil)", n, err)
+		}
+	})
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+}
+
+// The mailbox twin of the test above: a receive that times out takes its
+// waiter entry with it, while a receiver still parked keeps its own.
+func TestMailboxTimedOutRecvsLeaveNoWaiter(t *testing.T) {
+	v := New(1)
+	err := v.Run(func() {
+		m := NewMailbox[int](v)
+		got := NewMailbox[int](v)
+		v.Go(func() {
+			n, _ := m.Recv()
+			got.Send(n)
+		})
+		for i := 0; i < 1000; i++ {
+			if _, err := m.RecvTimeout(time.Millisecond); !errors.Is(err, ErrTimeout) {
+				t.Errorf("recv %d: err = %v, want ErrTimeout", i, err)
+				return
+			}
+		}
+		if n := len(m.impl.(*vMailbox[int]).waiters); n > 1 {
+			t.Errorf("%d waiter entries after 1000 timed-out receives, want only the parked task's", n)
+		}
+		m.Send(7)
 		if n, err := got.RecvTimeout(time.Second); err != nil || n != 7 {
 			t.Errorf("the parked task got (%d, %v), want (7, nil)", n, err)
 		}
@@ -536,8 +568,150 @@ func TestVirtualAbandonedTasksUnwound(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if len(v.live) != 0 {
-		t.Fatalf("%d tasks leaked after Run", len(v.live))
+	if v.head != nil {
+		t.Fatalf("tasks leaked after Run: %v", v)
+	}
+}
+
+// Tasks that Run abandons are unwound oldest first, so the deferred calls
+// they run on the way out (an abandoned op's history entry, say) come in
+// the same order on every run of a seed.
+func TestVirtualUnwindInSpawnOrder(t *testing.T) {
+	var first []int
+	for run := 0; run < 20; run++ {
+		v := New(1)
+		var order []int
+		err := v.Run(func() {
+			for i := 0; i < 6; i++ {
+				v.Go(func() {
+					defer func() { order = append(order, i) }()
+					v.Sleep(time.Hour)
+				})
+			}
+			v.Sleep(time.Millisecond)
+		})
+		if err != nil {
+			t.Fatalf("Run: %v", err)
+		}
+		if run == 0 {
+			first = order
+			if !sort.IntsAreSorted(first) || len(first) != 6 {
+				t.Fatalf("unwound %v, want the 6 tasks in spawn order", first)
+			}
+			continue
+		}
+		if fmt.Sprint(order) != fmt.Sprint(first) {
+			t.Fatalf("run %d unwound %v, run 0 unwound %v", run, order, first)
+		}
+	}
+}
+
+// The baton must survive the two cases where the next task lives on the
+// goroutine that gives it up: a finished task's worker handed the task the
+// next timer spawns, and a parked task that is itself the next to run.
+func TestVirtualSelfHandoff(t *testing.T) {
+	v := New(1)
+	var fired []int
+	err := v.Run(func() {
+		done := NewPromise[struct{}](v)
+		for i := 1; i <= 3; i++ {
+			v.After(time.Duration(i)*time.Millisecond, func() {
+				if i > 1 && len(v.idle) != 0 {
+					t.Errorf("timer %d: %d idle workers, want the last timer's worker reused", i, len(v.idle))
+				}
+				fired = append(fired, i)
+			})
+		}
+		v.After(4*time.Millisecond, func() {
+			v.Sleep(0)
+			v.Sleep(time.Millisecond)
+			done.Resolve(struct{}{})
+		})
+		if _, err := done.Await(); err != nil {
+			t.Errorf("Await: %v", err)
+		}
+		if v.Now() != 5*time.Millisecond {
+			t.Errorf("root woke at %v, want 5ms", v.Now())
+		}
+	})
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if fmt.Sprint(fired) != "[1 2 3]" {
+		t.Fatalf("fired = %v, want [1 2 3]", fired)
+	}
+}
+
+// Run leaves no goroutine behind however it ends: the root returning with
+// tasks still parked, a deadlock, a deadline, a task panic re-raised, or a
+// task ending its own goroutine.
+func TestVirtualRunLeavesNoGoroutines(t *testing.T) {
+	base := runtime.NumGoroutine()
+	busy := func(v *Virtual) {
+		for i := 0; i < 8; i++ {
+			v.Go(func() { v.Sleep(time.Duration(i) * time.Millisecond) })
+			v.Go(func() { v.Sleep(time.Hour) })
+		}
+	}
+	ends := []struct {
+		name string
+		run  func() error
+	}{
+		{"normal", func() error {
+			v := New(1)
+			return v.Run(func() { busy(v); v.Sleep(5 * time.Millisecond) })
+		}},
+		{"deadlock", func() error {
+			v := New(1)
+			if err := v.Run(func() { busy(v); NewPromise[int](v).Await() }); !errors.Is(err, ErrDeadlock) {
+				return fmt.Errorf("err = %v, want ErrDeadlock", err)
+			}
+			return nil
+		}},
+		{"deadline", func() error {
+			v := New(1)
+			v.SetDeadline(time.Second)
+			if err := v.Run(func() { busy(v); v.Sleep(time.Hour) }); !errors.Is(err, ErrDeadlineExceeded) {
+				return fmt.Errorf("err = %v, want ErrDeadlineExceeded", err)
+			}
+			return nil
+		}},
+		{"panic", func() (err error) {
+			defer func() {
+				if r := recover(); r != "boom" {
+					err = fmt.Errorf("recovered %v, want boom", r)
+				}
+			}()
+			v := New(1)
+			v.Run(func() {
+				busy(v)
+				v.Go(func() { v.Sleep(3 * time.Millisecond); panic("boom") })
+				v.Sleep(time.Hour)
+			})
+			return errors.New("Run returned instead of re-raising the panic")
+		}},
+		// t.FailNow inside a simulation ends the task's goroutine, worker
+		// and all; the baton must still move on.
+		{"goexit", func() error {
+			v := New(1)
+			return v.Run(func() {
+				busy(v)
+				v.Go(func() { v.Sleep(time.Millisecond); runtime.Goexit() })
+				v.Sleep(5 * time.Millisecond)
+			})
+		}},
+	}
+	for _, end := range ends {
+		if err := end.run(); err != nil {
+			t.Fatalf("%s: %v", end.name, err)
+		}
+		n := runtime.NumGoroutine()
+		for deadline := time.Now().Add(5 * time.Second); n > base && time.Now().Before(deadline); n = runtime.NumGoroutine() {
+			time.Sleep(time.Millisecond)
+		}
+		if n > base {
+			t.Fatalf("%s: %d goroutines after Run, %d before", end.name, n, base)
+		}
 	}
 }
 

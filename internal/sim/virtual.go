@@ -27,12 +27,21 @@ const (
 
 // vtask is one cooperatively scheduled task of a Virtual runtime.
 type vtask struct {
-	v        *Virtual
-	resume   chan struct{}
-	state    taskState
-	gen      uint64 // bumped on every park; stale wakeups are ignored
-	poisoned bool
-	local    any // task-local value (see Runtime.TaskLocal)
+	w          *worker // the goroutine the task runs on, from spawn to finish
+	fn         func()
+	state      taskState
+	gen        uint64 // bumped on every park; stale wakeups are ignored
+	poisoned   bool
+	local      any    // task-local value (see Runtime.TaskLocal)
+	prev, next *vtask // neighbours on the live list, in spawn order
+}
+
+// worker is a pooled goroutine that runs tasks one after another. It holds
+// one task from spawn to finish, then goes back on the idle list with the
+// stack it has grown, ready to be handed the next spawned task.
+type worker struct {
+	resume chan struct{}
+	t      *vtask // nil when idle; still nil on a resume means retire
 }
 
 // event is a pending timer entry.
@@ -66,23 +75,29 @@ func (h *eventHeap) Pop() any {
 }
 
 // Virtual is the deterministic discrete-event runtime. All tasks execute one
-// at a time on dedicated goroutines, handing control back to the scheduler
-// whenever they block; when no task is runnable the clock advances to the
-// next timer. Create one with New and drive it with Run.
+// at a time on pooled worker goroutines. A task that blocks or finishes
+// picks the next task itself and hands the baton straight to that task's
+// goroutine; when no task is runnable the clock advances to the next timer.
+// Create one with New and drive it with Run.
 type Virtual struct {
 	now      time.Duration
 	seq      uint64
 	ready    []*vtask
 	timers   eventHeap
 	cur      *vtask
-	yield    chan struct{}
 	rng      *rand.Rand
 	root     *vtask
 	rootDone bool
-	live     map[*vtask]struct{}
-	taskErr  any
-	deadline time.Duration
-	shuffle  bool
+	// The live tasks, linked in spawn order: Run unwinds the tasks it
+	// abandons oldest first, so their deferred calls run in a fixed order.
+	head, tail *vtask
+	idle       []*worker     // pooled workers with no task, most recent last
+	over       bool          // next has returned nil; nothing runs any more
+	done       chan struct{} // the baton comes back to Run's goroutine
+	err        error         // why the simulation stopped early
+	taskErr    any
+	deadline   time.Duration
+	shuffle    bool
 }
 
 var _ Runtime = (*Virtual)(nil)
@@ -91,9 +106,8 @@ var _ Runtime = (*Virtual)(nil)
 // The same seed yields the same schedule.
 func New(seed int64) *Virtual {
 	return &Virtual{
-		yield: make(chan struct{}),
-		rng:   rand.New(rand.NewSource(seed)),
-		live:  make(map[*vtask]struct{}),
+		rng:  rand.New(rand.NewSource(seed)),
+		done: make(chan struct{}),
 	}
 }
 
@@ -109,59 +123,28 @@ func (v *Virtual) SetScheduleShuffle(on bool) { v.shuffle = on }
 // Run executes fn as the root task and drives the simulation until the root
 // returns, a deadline or deadlock is hit, or a task panics (the panic is
 // re-raised on the caller's goroutine). Any tasks still alive when the root
-// finishes are unwound, so Run does not leak goroutines.
+// finishes are unwound and the pooled workers retired, so Run does not leak
+// goroutines. The caller's goroutine only starts the root: from then on the
+// baton passes from task to task until one finds the simulation over and
+// hands it back here.
 func (v *Virtual) Run(fn func()) error {
 	if v.root != nil {
 		return errors.New("sim: Run called twice on the same Virtual")
 	}
 	v.root = v.spawn(fn)
 	v.ready = append(v.ready, v.root)
-
-	var err error
-loop:
-	for {
-		if v.taskErr != nil {
-			break
-		}
-		if len(v.ready) > 0 {
-			i := 0
-			if v.shuffle && len(v.ready) > 1 {
-				i = v.rng.Intn(len(v.ready))
-			}
-			t := v.ready[i]
-			v.ready = append(v.ready[:i], v.ready[i+1:]...)
-			v.step(t)
-			if v.rootDone {
-				break
-			}
-			continue
-		}
-		for len(v.timers) > 0 {
-			e := heap.Pop(&v.timers).(*event)
-			if e.cancelled {
-				continue
-			}
-			if v.deadline > 0 && e.at > v.deadline {
-				err = ErrDeadlineExceeded
-				break loop
-			}
-			if e.at > v.now {
-				v.now = e.at
-			}
-			v.fire(e)
-			continue loop
-		}
-		if !v.rootDone {
-			err = ErrDeadlock
-		}
-		break
-	}
+	v.next().w.resume <- struct{}{}
+	<-v.done
 
 	v.unwind()
+	for _, w := range v.idle {
+		w.resume <- struct{}{} // with no task bound, the worker exits
+	}
+	v.idle = nil
 	if v.taskErr != nil {
 		panic(v.taskErr)
 	}
-	return err
+	return v.err
 }
 
 // Now implements Runtime.
@@ -173,7 +156,6 @@ func (v *Virtual) Go(fn func()) {
 	if v.cur != nil {
 		t.local = v.cur.local // children inherit the spawner's task-local
 	}
-	t.state = stateReady
 	v.ready = append(v.ready, t)
 }
 
@@ -218,44 +200,146 @@ func (v *Virtual) SetTaskLocal(val any) {
 
 func (v *Virtual) isRuntime() {}
 
-// spawn creates a task goroutine parked until its first resume.
+// spawn creates a ready task at the tail of the live list and binds it to
+// the most recently idled worker, starting a new worker only when none is
+// idle, so the pool never outgrows the peak number of live tasks.
 func (v *Virtual) spawn(fn func()) *vtask {
-	t := &vtask{v: v, resume: make(chan struct{}), state: stateReady}
-	v.live[t] = struct{}{}
-	go func() {
-		defer func() {
-			r := recover()
-			if r != nil {
-				if _, ok := r.(poison); !ok && v.taskErr == nil {
-					v.taskErr = r
-				}
-			}
-			t.state = stateDone
-			delete(v.live, t)
-			if t == v.root {
-				v.rootDone = true
-			}
-			v.yield <- struct{}{}
-		}()
-		<-t.resume
-		if t.poisoned {
-			panic(poison{})
-		}
-		fn()
-	}()
+	t := &vtask{fn: fn, state: stateReady, prev: v.tail}
+	if v.tail != nil {
+		v.tail.next = t
+	} else {
+		v.head = t
+	}
+	v.tail = t
+	if n := len(v.idle); n > 0 {
+		t.w = v.idle[n-1]
+		v.idle = v.idle[:n-1]
+	} else {
+		t.w = &worker{resume: make(chan struct{})}
+		go v.work(t.w)
+	}
+	t.w.t = t
 	return t
 }
 
-// step hands the baton to t and waits for it to block or finish.
-func (v *Virtual) step(t *vtask) {
-	t.state = stateRunning
-	v.cur = t
-	t.resume <- struct{}{}
-	<-v.yield
-	v.cur = nil
+// work is a worker goroutine: run the bound task when resumed, go idle and
+// pass the baton on, until resumed with no task bound.
+func (v *Virtual) work(w *worker) {
+	<-w.resume
+	for w.t != nil {
+		v.exec(w, w.t)
+		w.t = nil
+		v.idle = append(v.idle, w)
+		v.handoff(w)
+	}
 }
 
-// fire processes a due timer entry on the scheduler goroutine.
+// exec runs t on w to completion and unlinks it. A task that calls
+// runtime.Goexit (t.FailNow from inside a simulation) takes its goroutine
+// with it; the worker is then dropped and the baton passed on from here.
+func (v *Virtual) exec(w *worker, t *vtask) {
+	returned := false
+	defer func() {
+		r := recover()
+		if r != nil {
+			if _, ok := r.(poison); !ok && v.taskErr == nil {
+				v.taskErr = r
+			}
+		}
+		t.state = stateDone
+		if t.prev != nil {
+			t.prev.next = t.next
+		} else {
+			v.head = t.next
+		}
+		if t.next != nil {
+			t.next.prev = t.prev
+		} else {
+			v.tail = t.prev
+		}
+		if t == v.root {
+			v.rootDone = true
+		}
+		if !returned && r == nil {
+			w.t = nil
+			v.handoff(nil)
+		}
+	}()
+	if !t.poisoned {
+		t.fn()
+	}
+	returned = true
+}
+
+// next picks the task to run now: the head of the ready queue (a seeded
+// random entry when shuffle is on), else whatever the earliest timers make
+// runnable, with the clock advanced to them. It returns nil once the
+// simulation is over — the root finished, a task panicked, the deadline
+// passed or nothing can ever run again — and every time after. Timers fire
+// with no task current, so a task they spawn starts with no task-local.
+func (v *Virtual) next() *vtask {
+	v.cur = nil
+	for !v.over && v.taskErr == nil && !v.rootDone {
+		if len(v.ready) > 0 {
+			i := 0
+			if v.shuffle && len(v.ready) > 1 {
+				i = v.rng.Intn(len(v.ready))
+			}
+			t := v.ready[i]
+			v.ready = append(v.ready[:i], v.ready[i+1:]...)
+			t.state = stateRunning
+			v.cur = t
+			return t
+		}
+		e := v.popTimer()
+		if e == nil {
+			v.err = ErrDeadlock
+			break
+		}
+		if v.deadline > 0 && e.at > v.deadline {
+			v.err = ErrDeadlineExceeded
+			break
+		}
+		if e.at > v.now {
+			v.now = e.at
+		}
+		v.fire(e)
+	}
+	v.over = true
+	return nil
+}
+
+// popTimer removes and returns the earliest pending timer, or nil.
+func (v *Virtual) popTimer() *event {
+	for len(v.timers) > 0 {
+		if e := heap.Pop(&v.timers).(*event); !e.cancelled {
+			return e
+		}
+	}
+	return nil
+}
+
+// handoff passes the baton from w, whose task has just parked or finished,
+// to the next task, and returns when w is resumed (at once for a nil w,
+// whose goroutine is exiting). When the next task is bound to w itself — a
+// parked task woken at once, or a finished worker handed the task spawned
+// next — it continues inline: nobody would receive a send on w's own
+// channel.
+func (v *Virtual) handoff(w *worker) {
+	switch t := v.next(); {
+	case t == nil:
+		v.done <- struct{}{}
+	case t.w == w:
+		return
+	default:
+		t.w.resume <- struct{}{}
+	}
+	if w != nil {
+		<-w.resume
+	}
+}
+
+// fire processes a due timer entry, with no task current.
 func (v *Virtual) fire(e *event) {
 	if e.fn != nil {
 		v.Go(e.fn)
@@ -279,8 +363,7 @@ func (v *Virtual) prepare() (*vtask, uint64) {
 // park blocks the prepared task until something unparks it.
 func (v *Virtual) park(t *vtask) {
 	t.state = stateBlocked
-	v.yield <- struct{}{}
-	<-t.resume
+	v.handoff(t.w)
 	if t.poisoned {
 		panic(poison{})
 	}
@@ -306,22 +389,23 @@ func (v *Virtual) nextSeq() uint64 {
 	return v.seq
 }
 
-// unwind poisons every remaining task so their goroutines exit.
+// unwind poisons the remaining tasks oldest first and runs each until it
+// has finished, so their deferred calls run in spawn order.
 func (v *Virtual) unwind() {
-	for len(v.live) > 0 {
-		var t *vtask
-		for cand := range v.live {
-			t = cand
-			break
-		}
+	for v.head != nil {
+		t := v.head
 		t.poisoned = true
-		t.resume <- struct{}{}
-		<-v.yield
+		t.w.resume <- struct{}{}
+		<-v.done
 	}
 }
 
 // String describes the runtime state, useful in test failure messages.
 func (v *Virtual) String() string {
+	live := 0
+	for t := v.head; t != nil; t = t.next {
+		live++
+	}
 	return fmt.Sprintf("sim.Virtual{now: %v, ready: %d, timers: %d, live: %d}",
-		v.now, len(v.ready), len(v.timers), len(v.live))
+		v.now, len(v.ready), len(v.timers), live)
 }

@@ -24,6 +24,14 @@ go build ./...
 # 10-minute default per package.
 go test -shuffle=on -timeout 600s ./...
 go test -race -timeout 600s ./music/ ./internal/httpapi/ ./internal/nettrans/ ./cmd/...
+# The virtual-time runtime runs one task at a time, but on pooled worker
+# goroutines that hand the baton straight to each other: -race checks that
+# every handoff is a happens-before edge. Then, by name and 20 times over:
+# the pinned schedule (every seeded campaign rests on it), no goroutine
+# outliving Run however it ends, abandoned tasks unwound in spawn order, and
+# the two handoffs that stay on their own goroutine.
+go test -race -timeout 600s ./internal/sim/ ./internal/simnet/
+go test -race ./internal/sim/ -run 'TestVirtualScheduleGolden|TestVirtualRunLeavesNoGoroutines|TestVirtualUnwindInSpawnOrder|TestVirtualSelfHandoff' -count=20 -timeout 300s
 
 # Fault-injection campaign under pinned seeds: the deterministic crash /
 # partition / ack-loss scenarios plus the chaos interleavings, re-run with
