@@ -16,8 +16,8 @@
 //
 //	musicd -peers peers.json -site ohio -listen :7001 -addr :8080
 //
-// Adding -history makes the process record its operation history on a
-// Unix-epoch clock and serve it on GET /v1/history; fetching every site's
+// Every process clocks from the Unix epoch. Adding -history makes it record
+// its operation history and serve it on GET /v1/history; fetching every site's
 // ops and merging them by timestamp yields one timeline the internal/history
 // ECF checkers can validate (cmd/musicd's tests do exactly this).
 //
@@ -211,15 +211,15 @@ func runMulti(mc multiConfig) error {
 		return fmt.Errorf("-join: node %d is not marked \"spare\" in %s", self.ID, mc.peersPath)
 	}
 
-	// With -history every process clocks from the Unix epoch, so the
-	// timestamps in the per-process histories are directly comparable and a
-	// checker harness can merge them into one timeline.
-	rt := sim.NewReal(1)
+	// Every process clocks from the Unix epoch, so the stamps each one mints
+	// — LWW write stamps, grant start times, ballots — order across
+	// processes whatever their start times, and the per-process histories
+	// merge into one timeline.
+	rt := sim.NewRealAt(time.Unix(0, 0), 1)
 	var rec *history.Recorder
 	if mc.histOn || mc.adaptive {
 		// Adaptive reads imply -history: the monitor observes the recorded
 		// op stream, so it cannot run without a recorder.
-		rt = sim.NewRealAt(time.Unix(0, 0), 1)
 		rec = history.New(rt)
 	}
 	// The monitor watches this process's weak reads for staleness and flips

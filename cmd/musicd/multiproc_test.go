@@ -256,59 +256,16 @@ func TestThreeProcessCluster(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and spawns real processes")
 	}
-	dir := t.TempDir()
-	bin := filepath.Join(dir, "musicd")
-	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
-		t.Fatalf("go build: %v\n%s", err, out)
-	}
-
-	ports := freePorts(t, 6)
-	peers := make([]nettrans.Peer, 3)
-	for i := range peers {
-		peers[i] = nettrans.Peer{ID: transport.NodeID(i), Site: testSites[i], Addr: fmt.Sprintf("127.0.0.1:%d", ports[i])}
-	}
-	peersJSON, err := json.Marshal(peers)
-	if err != nil {
-		t.Fatal(err)
-	}
-	peersPath := filepath.Join(dir, "peers.json")
-	if err := os.WriteFile(peersPath, peersJSON, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
+	d := newProcDeployment(t)
 	siteURL := make(map[string]string, 3)
-	for i, p := range peers {
-		httpAddr := fmt.Sprintf("127.0.0.1:%d", ports[3+i])
+	for _, site := range testSites {
 		// -leases and -adaptive ride along so the flag plumbing for the
 		// adaptive read plane is exercised over a real multi-process
 		// deployment; the merged history must still check clean.
-		cmd := exec.Command(bin, "-peers", peersPath, "-site", p.Site, "-addr", httpAddr, "-history", "-leases", "-adaptive")
-		cmd.Stdout = os.Stderr
-		cmd.Stderr = os.Stderr
-		if err := cmd.Start(); err != nil {
-			t.Fatalf("start %s: %v", p.Site, err)
-		}
-		proc := cmd.Process
-		t.Cleanup(func() { _ = proc.Kill(); _, _ = cmd.Process.Wait() })
-		siteURL[p.Site] = "http://" + httpAddr
+		siteURL[site] = d.start(site, "-history", "-leases", "-adaptive")
 	}
-
-	// Wait until every process answers its health check.
-	deadline := time.Now().Add(15 * time.Second)
 	for _, site := range testSites {
-		for {
-			resp, err := http.Get(siteURL[site] + "/v1/health")
-			if err == nil {
-				resp.Body.Close()
-				if resp.StatusCode == http.StatusOK {
-					break
-				}
-			}
-			if time.Now().After(deadline) {
-				t.Fatalf("site %s never became healthy: %v", site, err)
-			}
-			time.Sleep(50 * time.Millisecond)
-		}
+		waitHealthy(t, siteURL[site])
 	}
 	ecfCheck(t, siteURL)
 
@@ -338,6 +295,110 @@ func TestThreeProcessCluster(t *testing.T) {
 		t.Fatal("no process recorded any operations")
 	}
 	assertCleanHistory(t, mergeHistories(parts...))
+}
+
+// TestYoungProcessPutWins: every musicd process clocks from the Unix epoch,
+// not from its own start, so a plain put coordinated by a process started
+// seconds after the others is stamped above an earlier put coordinated by
+// an older one, and wins last-writer-wins. On per-process uptime clocks the
+// young process's later put carries the smaller stamp and is lost.
+func TestYoungProcessPutWins(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and spawns real processes")
+	}
+	d := newProcDeployment(t)
+	siteURL := make(map[string]string, 3)
+	for _, site := range testSites[:2] {
+		siteURL[site] = d.start(site)
+	}
+	for _, site := range testSites[:2] {
+		waitHealthy(t, siteURL[site])
+	}
+	time.Sleep(2 * time.Second)
+	young := testSites[2]
+	siteURL[young] = d.start(young)
+	waitHealthy(t, siteURL[young])
+
+	old := &restClient{t: t, base: siteURL[testSites[0]]}
+	old.do("PUT", "/v1/keys/clock", []byte("old"), http.StatusNoContent)
+	(&restClient{t: t, base: siteURL[young]}).do("PUT", "/v1/keys/clock", []byte("young"), http.StatusNoContent)
+
+	// A critical read is a quorum read, so it returns the value with the
+	// highest stamp whichever replicas each put reached.
+	reader := &restClient{t: t, base: siteURL[testSites[1]]}
+	reader.criticalSection("clock", func(ref int64) {
+		if got := reader.criticalGet("clock", ref); string(got) != "young" {
+			t.Fatalf("after a put at %s and then one at %s, started 2s later: read %q, want \"young\"", testSites[0], young, got)
+		}
+	})
+}
+
+// procDeployment is a three-site musicd deployment on localhost, one OS
+// process per site, built from this package's source.
+type procDeployment struct {
+	t         *testing.T
+	bin       string
+	peersPath string
+	httpPorts map[string]int
+}
+
+func newProcDeployment(t *testing.T) *procDeployment {
+	t.Helper()
+	dir := t.TempDir()
+	bin := filepath.Join(dir, "musicd")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	ports := freePorts(t, 6)
+	peers := make([]nettrans.Peer, 3)
+	httpPorts := make(map[string]int, 3)
+	for i := range peers {
+		peers[i] = nettrans.Peer{ID: transport.NodeID(i), Site: testSites[i], Addr: fmt.Sprintf("127.0.0.1:%d", ports[i])}
+		httpPorts[testSites[i]] = ports[3+i]
+	}
+	peersJSON, err := json.Marshal(peers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	peersPath := filepath.Join(dir, "peers.json")
+	if err := os.WriteFile(peersPath, peersJSON, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return &procDeployment{t: t, bin: bin, peersPath: peersPath, httpPorts: httpPorts}
+}
+
+// start launches site's process with the extra flags given, kills it when
+// the test ends, and returns its REST base URL.
+func (d *procDeployment) start(site string, flags ...string) string {
+	d.t.Helper()
+	httpAddr := fmt.Sprintf("127.0.0.1:%d", d.httpPorts[site])
+	cmd := exec.Command(d.bin, append([]string{"-peers", d.peersPath, "-site", site, "-addr", httpAddr}, flags...)...)
+	cmd.Stdout = os.Stderr
+	cmd.Stderr = os.Stderr
+	if err := cmd.Start(); err != nil {
+		d.t.Fatalf("start %s: %v", site, err)
+	}
+	d.t.Cleanup(func() { _ = cmd.Process.Kill(); _, _ = cmd.Process.Wait() })
+	return "http://" + httpAddr
+}
+
+// waitHealthy waits until the process at base answers its health check.
+func waitHealthy(t *testing.T, base string) {
+	t.Helper()
+	deadline := time.Now().Add(15 * time.Second)
+	for {
+		resp, err := http.Get(base + "/v1/health")
+		if err == nil {
+			resp.Body.Close()
+			if resp.StatusCode == http.StatusOK {
+				return
+			}
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%s never became healthy: %v", base, err)
+		}
+		time.Sleep(50 * time.Millisecond)
+	}
 }
 
 // freePorts reserves n distinct ports by binding and releasing them.

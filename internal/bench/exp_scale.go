@@ -18,7 +18,7 @@ var scaleShardCounts = []int{1, 2, 4, 8}
 
 // scaleFabric is the scale campaign's latency profile: three sites on a
 // fast metro fabric (~500µs inter-site RTT). The point of the experiment is
-// executor capacity, not WAN waits — on the paper's IUs profile the 30ms+
+// CPU capacity, not WAN waits — on the paper's IUs profile the 30ms+
 // RTTs dominate every critical section and per-site CPU never saturates, so
 // shard count would be invisible.
 func scaleFabric() *simnet.Profile {
@@ -43,7 +43,7 @@ type scaleWorld struct {
 
 // buildScaleWorld constructs a 3-site deployment with the given per-site
 // shard count. NodesPerSite == shards so every plane shard owns a store
-// node (and hence a modeled executor pool) of its own.
+// node (and hence a modeled CPU) of its own.
 func buildScaleWorld(shards int, seed int64) *scaleWorld {
 	profile := scaleFabric()
 	rt := sim.New(seed)

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -20,23 +21,62 @@ import (
 //
 //	go test ./internal/bench -run XXX -bench WANSection -cpuprofile cpu.prof
 func BenchmarkWANSection(b *testing.B) {
+	b.ReportAllocs()
+	if err := runWANSections(b.N, b.ResetTimer, b.StopTimer); err != nil {
+		b.Fatal(err)
+	}
+}
+
+// wanSectionAllocCeiling is TestAllocCeilingWANSection's bound: the
+// allocations per section measured on the Servers CPU model with one encode
+// per multicast (1958), plus 2 %.
+const wanSectionAllocCeiling = 2000
+
+// TestAllocCeilingWANSection pins the allocations per section of
+// BenchmarkWANSection's shape: the simulator, the simulated network and the
+// whole MUSIC stack above them, with observability off.
+func TestAllocCeilingWANSection(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes allocation counts")
+	}
+	const sections = 600
+	var ms runtime.MemStats
+	var before uint64
+	err := runWANSections(sections, func() {
+		runtime.ReadMemStats(&ms)
+		before = ms.Mallocs
+	}, func() { runtime.ReadMemStats(&ms) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	per := float64(ms.Mallocs-before) / sections
+	t.Logf("%.0f allocs per section (ceiling %d)", per, wanSectionAllocCeiling)
+	if per > wanSectionAllocCeiling {
+		t.Fatalf("%.0f allocs per section, ceiling %d", per, wanSectionAllocCeiling)
+	}
+}
+
+// runWANSections runs n Table I sections on fresh keys over the simulated
+// IUs WAN (Table II round trips) with three clients, one per site, side by
+// side, as the wan_section workload does. start runs once the cluster is
+// built, stop after the last section.
+func runWANSections(n int, start, stop func()) error {
 	v := sim.New(1)
 	c, err := music.NewOverTransport(simnet.New(v, simnet.Config{Profile: simnet.ProfileIUs, Seed: 1}), music.TransportConfig{})
 	if err != nil {
-		b.Fatalf("deploy: %v", err)
+		return fmt.Errorf("deploy: %w", err)
 	}
 	sites := simnet.ProfileIUs.Sites()
 	value := make([]byte, 256)
-	b.ReportAllocs()
 	var failed error
 	err = v.Run(func() {
 		done := sim.NewMailbox[error](v)
-		b.ResetTimer()
+		start()
 		for i, site := range sites {
 			cl := c.Client(site)
 			v.Go(func() {
-				for n := i; n < b.N; n += len(sites) {
-					if err := wanSection(cl, fmt.Sprintf("bench-%d", n), value); err != nil {
+				for k := i; k < n; k += len(sites) {
+					if err := wanSection(cl, fmt.Sprintf("bench-%d", k), value); err != nil {
 						done.Send(err)
 						return
 					}
@@ -49,14 +89,12 @@ func BenchmarkWANSection(b *testing.B) {
 				failed = err
 			}
 		}
-		b.StopTimer()
+		stop()
 	})
 	if err == nil {
 		err = failed
 	}
-	if err != nil {
-		b.Fatal(err)
-	}
+	return err
 }
 
 // wanSection runs one Table I section on key through cl.

@@ -304,7 +304,7 @@ func NewReplica(st *store.Client, cfg Config) *Replica {
 // NewReplicaSharded builds a MUSIC replica whose plane is partitioned
 // across len(clients) shards: shard i issues its store operations through
 // clients[i], so each shard can coordinate through its own node (its own
-// simnet executor, its own TCP process). All clients must belong to the
+// simnet CPU, its own TCP process). All clients must belong to the
 // same site. Key routing is store.ShardOf(key, len(clients)) — a pure
 // function of the key — so every site agrees on which shard owns a key.
 func NewReplicaSharded(clients []*store.Client, cfg Config) *Replica {

@@ -29,12 +29,17 @@ func NewReal(seed int64) *Real {
 }
 
 // NewRealAt is NewReal with an explicit epoch: Now reports wall time elapsed
-// since start instead of since construction. Processes that agree on one
-// epoch (musicd with -history) produce directly comparable timestamps, so
-// their recorded histories merge into a single checkable timeline.
-func NewRealAt(start time.Time, seed int64) *Real {
+// since epoch instead of since construction. Processes that agree on one
+// epoch (musicd clocks from the Unix epoch) mint directly comparable
+// timestamps, so their LWW stamps and grant times order across processes
+// and their recorded histories merge into a single checkable timeline. The
+// epoch is re-expressed against the monotonic clock when the runtime is
+// built, so a wall-clock step after that (an NTP correction) cannot move Now
+// backwards.
+func NewRealAt(epoch time.Time, seed int64) *Real {
+	now := time.Now()
 	return &Real{
-		start:  start,
+		start:  now.Add(-now.Sub(epoch)),
 		rng:    rand.New(&lockedSource{src: rand.NewSource(seed).(rand.Source64)}),
 		locals: make(map[uint64]any),
 	}

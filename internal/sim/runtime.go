@@ -22,6 +22,19 @@
 // no task-local), and which worker carries a task is invisible to the task.
 // testdata/schedule.golden pins that.
 //
+// Besides tasks, the scheduler knows two steps that run inline with no task
+// current, as a timer firing does. A call entry sits in the ready queue
+// like a task, and is picked — and counted by the shuffle draw — like one,
+// but the picker runs its function and keeps selecting. A call timer
+// unparks a waiting task and then runs a function. Servers, a pool of k
+// FIFO servers modeling a simulated machine's CPU, is built from the two:
+// it queues each Serve's job and parks the caller, and its servers are call
+// entries while they look for a job and call timers while they serve one.
+// It places exactly the entries and timers that k worker tasks receiving
+// jobs from a Mailbox did, so it runs no task and yet leaves every
+// schedule and every random draw as they were; servers_test.go keeps those
+// worker tasks as the reference it is checked against.
+//
 // The real runtime (NewReal) maps the same operations onto goroutines and
 // the wall clock, so protocol code written against Runtime also runs live
 // (used by the examples and the musicd REST daemon).

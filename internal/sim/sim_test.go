@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"runtime"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -752,6 +753,25 @@ func TestRealRuntimeBasics(t *testing.T) {
 	got, err := p.Await()
 	if err != nil || got != 11 {
 		t.Fatalf("Await = (%d, %v), want (11, nil)", got, err)
+	}
+}
+
+// NewRealAt clocks from a wall-clock epoch, as every musicd process does
+// from the Unix epoch, but reads elapsed time off the monotonic clock.
+func TestRealAtEpochIsMonotonic(t *testing.T) {
+	for _, epoch := range []time.Time{time.Unix(0, 0), time.Now().Add(-90 * time.Minute).Round(0)} {
+		r := NewRealAt(epoch, 1)
+		if !strings.Contains(r.start.String(), " m=") {
+			t.Fatalf("epoch %v: start %v carries no monotonic reading", epoch, r.start)
+		}
+		before := r.Now()
+		if d := time.Since(epoch) - before; d < 0 || d > time.Second {
+			t.Fatalf("epoch %v: Now = %v, time.Since(epoch) %v later", epoch, before, d)
+		}
+		r.Sleep(5 * time.Millisecond)
+		if d := r.Now() - before; d < 5*time.Millisecond || d > time.Second {
+			t.Fatalf("epoch %v: Now advanced %v over a 5ms sleep", epoch, d)
+		}
 	}
 }
 

@@ -29,6 +29,7 @@ const (
 type vtask struct {
 	w          *worker // the goroutine the task runs on, from spawn to finish
 	fn         func()
+	call       func() // set on a call entry, which next runs inline (see next)
 	state      taskState
 	gen        uint64 // bumped on every park; stale wakeups are ignored
 	poisoned   bool
@@ -51,6 +52,7 @@ type event struct {
 	fn        func() // spawn-style event: runs as a new task
 	wake      *vtask // wake-style event: unparks wake if gen still matches
 	gen       uint64
+	call      func() // run after the unpark, with no task current
 	cancelled bool
 }
 
@@ -277,6 +279,10 @@ func (v *Virtual) exec(w *worker, t *vtask) {
 // simulation is over — the root finished, a task panicked, the deadline
 // passed or nothing can ever run again — and every time after. Timers fire
 // with no task current, so a task they spawn starts with no task-local.
+//
+// A call entry in the ready queue is picked, and counted by the shuffle
+// draw, exactly as a task would be, but it is no task: next runs its call
+// inline, with no task current, and keeps selecting.
 func (v *Virtual) next() *vtask {
 	v.cur = nil
 	for !v.over && v.taskErr == nil && !v.rootDone {
@@ -287,6 +293,10 @@ func (v *Virtual) next() *vtask {
 			}
 			t := v.ready[i]
 			v.ready = append(v.ready[:i], v.ready[i+1:]...)
+			if t.call != nil {
+				t.call()
+				continue
+			}
 			t.state = stateRunning
 			v.cur = t
 			return t
@@ -346,6 +356,9 @@ func (v *Virtual) fire(e *event) {
 		return
 	}
 	v.unpark(e.wake, e.gen)
+	if e.call != nil {
+		e.call()
+	}
 }
 
 // prepare readies the current task for parking and returns its wake token.

@@ -22,7 +22,8 @@ func (n *Network) Multicast(from NodeID, targets []NodeID, svc string, req any, 
 // MulticastLate is Multicast that hands every leg still outstanding at
 // return to late, once, when its call completes (see transport.Transport).
 // Each leg is a task running one CallTimeout, so a leg's deadline is the
-// call's own timeout.
+// call's own timeout. req is encoded once, and every leg sends those bytes;
+// each delivery decodes its own copy.
 func (n *Network) MulticastLate(from NodeID, targets []NodeID, svc string, req any, need int, timeout time.Duration, late func(CallResult)) []CallResult {
 	// The umbrella span is installed task-current before the fan-out so the
 	// per-target tasks (which inherit the spawner's task-local) parent their
@@ -30,11 +31,12 @@ func (n *Network) MulticastLate(from NodeID, targets []NodeID, svc string, req a
 	mc := n.obs.Tracer().Child("multicast:" + svc)
 	mc.Annotatef("fanout", "%d targets, need %d", len(targets), need)
 
+	encoded, size := n.encode(svc, req)
 	results := sim.NewMailbox[CallResult](n.rt)
 	for _, to := range targets {
 		to := to
 		n.rt.Go(func() {
-			resp, err := n.CallTimeout(from, to, svc, req, timeout)
+			resp, err := n.call(from, to, svc, req, encoded, size, timeout)
 			r := CallResult{From: to, Resp: resp, Err: err}
 			// A closed mailbox means the caller has returned: this leg is a
 			// straggler, and reports to late itself.

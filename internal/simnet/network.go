@@ -109,7 +109,6 @@ type Network struct {
 	mu      sync.Mutex
 	loss    float64
 	blocked map[[2]NodeID]bool
-	closed  bool
 }
 
 // New builds a network of len(profile.Sites()) × NodesPerSite nodes over rt.
@@ -133,7 +132,7 @@ func New(rt sim.Runtime, cfg Config) *Network {
 				site:     site,
 				up:       true,
 				handlers: make(map[string]handlerSpec),
-				exec:     newExecutor(rt, cfg.Workers),
+				cpu:      sim.NewServers(rt, cfg.Workers),
 			}
 			n.nodes = append(n.nodes, node)
 			id++
@@ -199,7 +198,7 @@ func (n *Network) OnRestart(node NodeID, fn func()) {
 }
 
 // Work charges cost of modeled CPU time against node, blocking the caller
-// until a worker has burned it.
+// until a server of its CPU has burned it.
 func (n *Network) Work(node NodeID, cost time.Duration) {
 	n.nodes[node].Work(cost)
 }
@@ -215,20 +214,10 @@ func (n *Network) NodesInSite(site string) []NodeID {
 	return ids
 }
 
-// Close shuts down all node executors. Only needed in real-time mode; the
-// virtual runtime unwinds abandoned tasks itself.
-func (n *Network) Close() {
-	n.mu.Lock()
-	if n.closed {
-		n.mu.Unlock()
-		return
-	}
-	n.closed = true
-	n.mu.Unlock()
-	for _, node := range n.nodes {
-		node.exec.close()
-	}
-}
+// Close implements transport.Transport. It shuts nothing down: a node's CPU
+// runs no task or goroutine of its own on either runtime, so there is
+// nothing to release, and the network keeps working after Close.
+func (n *Network) Close() {}
 
 // Call sends req from -> to for service svc and waits for the reply using
 // the default RPC timeout.
@@ -245,6 +234,13 @@ func (n *Network) Call(from, to NodeID, svc string, req any) (any, error) {
 // crashed or partitioned node ends it failed at the timeout) with child
 // spans for each modeled delay component.
 func (n *Network) CallTimeout(from, to NodeID, svc string, req any, timeout time.Duration) (any, error) {
+	encoded, size := n.encode(svc, req)
+	return n.call(from, to, svc, req, encoded, size, timeout)
+}
+
+// call is CallTimeout with req already encoded, so a multicast can encode
+// once for all of its legs.
+func (n *Network) call(from, to NodeID, svc string, req any, encoded []byte, size int, timeout time.Duration) (any, error) {
 	tr := n.obs.Tracer()
 	rpc := tr.Detached(tr.Current().Context(), "rpc:"+svc, n.rt.Now())
 	rpc.Annotatef("route", "%s/n%d → %s/n%d", n.nodes[from].site, from, n.nodes[to].site, to)
@@ -256,7 +252,7 @@ func (n *Network) CallTimeout(from, to NodeID, svc string, req any, timeout time
 		}()
 	}
 	reply := sim.NewPromise[any](n.rt)
-	n.dispatch(from, to, svc, req, reply, rpc.Context())
+	n.dispatch(from, to, svc, req, encoded, size, reply, rpc.Context())
 	resp, err := reply.AwaitTimeout(timeout)
 	rpc.EndErr(err)
 	return resp, err
@@ -267,22 +263,23 @@ func (n *Network) CallTimeout(from, to NodeID, svc string, req any, timeout time
 // under the caller's current span.
 func (n *Network) Send(from, to NodeID, svc string, req any) {
 	tr := n.obs.Tracer()
-	n.dispatch(from, to, svc, req, nil, tr.Current().Context())
+	encoded, size := n.encode(svc, req)
+	n.dispatch(from, to, svc, req, encoded, size, nil, tr.Current().Context())
 }
 
 // dispatch models the full path: sender NIC, propagation, receiver CPU
 // admission, handler execution, and the reply trip back. parent is the span
 // the delay-component spans hang off (zero when untraced).
 //
-// Payloads with a registered wire codec are marshaled at the sender and
-// unmarshaled at the receiver, so the handler sees a decoded copy — every
-// simulated RPC exercises the same encode/decode path the TCP transport
-// uses, and the byte count charged to the NIC is the true encoded size.
-func (n *Network) dispatch(from, to NodeID, svc string, req any, reply *sim.Promise[any], parent obs.SpanContext) {
+// The caller passes req with its encode result: payloads with a registered
+// wire codec are marshaled at the sender and unmarshaled at the receiver,
+// so the handler sees a decoded copy — every simulated RPC exercises the
+// same encode/decode path the TCP transport uses, and the byte count
+// charged to the NIC is the true encoded size.
+func (n *Network) dispatch(from, to NodeID, svc string, req any, encoded []byte, size int, reply *sim.Promise[any], parent obs.SpanContext) {
 	src, dst := n.nodes[from], n.nodes[to]
 	tr := n.obs.Tracer()
 	sent := n.rt.Now()
-	encoded, size := n.encode(svc, req)
 	nic, flight, ok := n.transit(src, dst, size)
 	if !ok {
 		n.countDrop(svc)
@@ -305,7 +302,7 @@ func (n *Network) dispatch(from, to NodeID, svc string, req any, reply *sim.Prom
 		req := n.decode(svc, req, encoded)
 		arrived := n.rt.Now()
 		cost := spec.cost(size)
-		dst.exec.admit(cost)
+		dst.cpu.Serve(cost)
 		if wait := n.rt.Now() - arrived - cost; wait > 0 {
 			tr.SpanAt(parent, "net.cpuwait", arrived, arrived+wait)
 		}

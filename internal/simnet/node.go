@@ -7,14 +7,15 @@ import (
 	"repro/internal/sim"
 )
 
-// Node is one machine in the network: a service registry, a CPU executor
-// bounding how much work it can process per unit time, and a NIC whose
-// egress serializes outbound bytes at the configured bandwidth.
+// Node is one machine in the network: a service registry, a CPU of
+// Config.Workers servers bounding how much work it can process per unit
+// time, and a NIC whose egress serializes outbound bytes at the configured
+// bandwidth.
 type Node struct {
 	net  *Network
 	id   NodeID
 	site string
-	exec *executor
+	cpu  *sim.Servers
 
 	mu        sync.Mutex
 	up        bool
@@ -46,7 +47,7 @@ func (n *Node) Handle(svc string, h Handler) {
 }
 
 // HandleWithCost registers h for svc; each request consumes
-// base + perKB·(size/1KiB) of one CPU worker before the handler runs, which
+// base + perKB·(size/1KiB) of one CPU server before the handler runs, which
 // is what bounds the node's saturation throughput.
 func (n *Node) HandleWithCost(svc string, h Handler, base, perKB time.Duration) {
 	n.mu.Lock()
@@ -75,14 +76,14 @@ func (n *Node) isUp() bool {
 	return n.up
 }
 
-// Work charges cost of CPU time to this node's executor, blocking the
-// caller until a worker has burned it. Coordinator-side logic (which runs
-// in the client's task but "on" a node) uses this to model its CPU usage.
+// Work charges cost of CPU time to this node, blocking the caller until a
+// server of its CPU has burned it. Coordinator-side logic (which runs in
+// the client's task but "on" a node) uses this to model its CPU usage.
 func (n *Node) Work(cost time.Duration) {
 	if !n.isUp() {
 		return
 	}
-	n.exec.admit(cost)
+	n.cpu.Serve(cost)
 }
 
 // chargeNIC reserves the sender NIC for size bytes and returns the total
@@ -182,49 +183,3 @@ func (n *Network) Heal() {
 	defer n.mu.Unlock()
 	n.blocked = make(map[[2]NodeID]bool)
 }
-
-// executor is a node's CPU: a fixed pool of workers consuming admission
-// requests in FIFO order. Handlers pay their modeled CPU cost here before
-// running, so a node saturates at workers/servicetime requests per second.
-type executor struct {
-	rt sim.Runtime
-	q  *sim.Mailbox[execJob]
-}
-
-type execJob struct {
-	cost time.Duration
-	done *sim.Promise[struct{}]
-}
-
-func newExecutor(rt sim.Runtime, workers int) *executor {
-	e := &executor{rt: rt, q: sim.NewMailbox[execJob](rt)}
-	for i := 0; i < workers; i++ {
-		rt.Go(e.worker)
-	}
-	return e
-}
-
-func (e *executor) worker() {
-	for {
-		j, err := e.q.Recv()
-		if err != nil {
-			return
-		}
-		if j.cost > 0 {
-			e.rt.Sleep(j.cost)
-		}
-		j.done.Resolve(struct{}{})
-	}
-}
-
-// admit blocks until a worker has burned cost of CPU time for this request.
-func (e *executor) admit(cost time.Duration) {
-	if cost <= 0 {
-		return
-	}
-	done := sim.NewPromise[struct{}](e.rt)
-	e.q.Send(execJob{cost: cost, done: done})
-	_, _ = done.Await()
-}
-
-func (e *executor) close() { e.q.Close() }

@@ -1,7 +1,7 @@
 // Package simnet models a multi-site cluster on top of a sim.Runtime:
 // sites connected by WAN links with configurable round-trip times (Table II
 // of the paper), per-node NIC bandwidth with egress serialization, per-node
-// CPU executors that bound throughput, and fault injection (partitions,
+// CPUs that bound throughput, and fault injection (partitions,
 // message loss, crashes). All protocol traffic in this repository flows
 // through a Network.
 package simnet

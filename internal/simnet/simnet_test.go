@@ -2,6 +2,7 @@ package simnet
 
 import (
 	"errors"
+	"runtime"
 	"testing"
 	"time"
 
@@ -453,5 +454,31 @@ func TestNetworkOnRealRuntime(t *testing.T) {
 	resp, err := n.Call(0, 1, "echo", "live")
 	if err != nil || resp != "live" {
 		t.Fatalf("live Call = (%v, %v)", resp, err)
+	}
+}
+
+// On the wall clock, CPU work charged after Close — a Work call, or a
+// delivery whose timer fires after it — is served like any other, and the
+// network leaves no goroutine behind.
+func TestWorkAfterCloseOnRealRuntime(t *testing.T) {
+	base := runtime.NumGoroutine()
+	n := New(sim.NewReal(1), Config{Profile: ProfileLocal, JitterFrac: -1})
+	n.Close()
+	done := make(chan struct{})
+	go func() {
+		n.Work(0, time.Millisecond)
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(time.Second):
+		t.Fatal("Work after Close did not return within 1s")
+	}
+	g := runtime.NumGoroutine()
+	for deadline := time.Now().Add(5 * time.Second); g > base && time.Now().Before(deadline); g = runtime.NumGoroutine() {
+		time.Sleep(time.Millisecond)
+	}
+	if g > base {
+		t.Fatalf("%d goroutines after Close, %d before New", g, base)
 	}
 }

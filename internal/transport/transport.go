@@ -5,7 +5,7 @@
 //
 // Two implementations exist. internal/simnet models a multi-site cluster on
 // a sim.Runtime (virtual or wall clock) with WAN latencies, NIC bandwidth,
-// CPU executors and fault injection; internal/nettrans carries the same
+// per-node CPUs and fault injection; internal/nettrans carries the same
 // messages over real TCP connections between processes. Protocol code in
 // internal/store, internal/lockstore, internal/core and music holds a
 // Transport and cannot tell the two apart — the conformance suite under

@@ -380,7 +380,7 @@ func New(opts ...Option) (*Cluster, error) {
 	for _, site := range c.sites {
 		// Shard i coordinates through the site's i-th node (wrapping when
 		// the site has fewer nodes than shards), so with NodesPerSite ≥
-		// shards each shard drives its own simnet executor.
+		// shards each shard drives its own simnet node CPU.
 		nodes := net.NodesInSite(site)
 		clients := make([]*store.Client, o.shards)
 		for i := range clients {
@@ -646,7 +646,7 @@ func (c *Cluster) Sleep(d time.Duration) { c.rt.Sleep(d) }
 // Go spawns fn as a concurrent task on the cluster's runtime.
 func (c *Cluster) Go(fn func()) { c.rt.Go(fn) }
 
-// Close releases transport resources (listeners, connections, executors);
+// Close releases transport resources (listeners, connections);
 // virtual clusters need no cleanup.
 func (c *Cluster) Close() { c.tr.Close() }
 

@@ -28,10 +28,16 @@ go test -race -timeout 600s ./music/ ./internal/httpapi/ ./internal/nettrans/ ./
 # goroutines that hand the baton straight to each other: -race checks that
 # every handoff is a happens-before edge. Then, by name and 20 times over:
 # the pinned schedule (every seeded campaign rests on it), no goroutine
-# outliving Run however it ends, abandoned tasks unwound in spawn order, and
-# the two handoffs that stay on their own goroutine.
+# outliving Run however it ends, abandoned tasks unwound in spawn order, the
+# two handoffs that stay on their own goroutine, and sim.Servers — a node's
+# CPU — against the worker tasks it replaced (same schedule, same random
+# draws) and on the wall clock (k jobs overlap, the next one queues).
 go test -race -timeout 600s ./internal/sim/ ./internal/simnet/
-go test -race ./internal/sim/ -run 'TestVirtualScheduleGolden|TestVirtualRunLeavesNoGoroutines|TestVirtualUnwindInSpawnOrder|TestVirtualSelfHandoff' -count=20 -timeout 300s
+go test -race ./internal/sim/ -run 'TestVirtualScheduleGolden|TestVirtualRunLeavesNoGoroutines|TestVirtualUnwindInSpawnOrder|TestVirtualSelfHandoff|TestServersMatchWorkerTasks|TestServersRealOverlap' -count=20 -timeout 300s
+# A wall-clock simnet keeps serving CPU work after Close, and leaves no
+# goroutine behind: Close used to stop the node executors and strand every
+# later admission.
+go test -race ./internal/simnet/ -run 'TestWorkAfterCloseOnRealRuntime' -count=1 -timeout 300s
 
 # Fault-injection campaign under pinned seeds: the deterministic crash /
 # partition / ack-loss scenarios plus the chaos interleavings, re-run with
@@ -86,6 +92,9 @@ go test ./internal/nettrans/ -run 'TestAllocCeiling' -count=1 -timeout 300s
 # its pinned per-op ceilings (the span/history nil-guard regression).
 go test ./internal/store/ -run 'TestAllocCeilingStoreOps|TestShardOfZeroAlloc' -count=1 -timeout 300s
 go test ./internal/core/ -run 'TestShardedSingleKeyNoExtraAllocs' -count=1 -timeout 300s
+# The virtual-time plane's ceiling: allocations per section of
+# BenchmarkWANSection's shape, simulator and MUSIC stack together.
+go test ./internal/bench/ -run 'TestAllocCeilingWANSection' -count=1 -timeout 300s
 # The lock row's size ceiling, beside the alloc ceilings it is kin to: three
 # columns however many lockRefs a key has seen, and a Peek that ships after
 # 500 sections what it shipped after one. A reintroduced per-ref column or
