@@ -115,6 +115,43 @@ func deadlockProgram(v *Virtual, tr *schedTrace) {
 	NewPromise[int](v).Await()
 }
 
+// settledProgram leaves nothing but settled timeouts behind: every await
+// and every receive is satisfied within a few milliseconds, long before its
+// timeout, and then every task parks for good. A stuck run must still end
+// at the instant, and with the error, that the timeouts put it at: the
+// latest one ≤ the deadline and ErrDeadlineExceeded when a later one lies
+// past it, else the latest one and ErrDeadlock.
+func settledProgram(v *Virtual, tr *schedTrace) {
+	rng := v.Rand()
+	never := NewMailbox[int](v)
+	inbox := NewMailbox[int](v)
+	timeouts := []time.Duration{4 * time.Second, time.Duration(20+rng.Intn(30)) * time.Millisecond}
+	for i, d := range timeouts {
+		name := fmt.Sprintf("awaiter%d", i)
+		p := NewPromise[int](v)
+		v.Go(func() {
+			x, err := p.AwaitTimeout(d)
+			tr.log(name, "await %d err=%v", x, err)
+			never.Recv()
+		})
+		v.Go(func() {
+			v.Sleep(time.Duration(rng.Intn(5)) * time.Millisecond)
+			p.Resolve(i)
+			tr.log(name+".resolver", "resolved")
+			never.Recv()
+		})
+	}
+	v.Go(func() {
+		x, err := inbox.RecvTimeout(time.Duration(30+rng.Intn(30)) * time.Millisecond)
+		tr.log("receiver", "recv %d err=%v", x, err)
+		never.Recv()
+	})
+	v.Sleep(3 * time.Millisecond)
+	inbox.Send(7)
+	tr.log("root", "sent")
+	never.Recv()
+}
+
 // scheduleRuns is every run the golden file records, in order.
 var scheduleRuns = []struct {
 	name     string
@@ -130,6 +167,8 @@ var scheduleRuns = []struct {
 	{"shuffle", 3, true, 0, scheduleProgram},
 	{"deadline", 1, false, 12 * time.Millisecond, scheduleProgram},
 	{"deadlock", 1, true, 0, deadlockProgram},
+	{"deadline-settled", 1, false, 60 * time.Millisecond, settledProgram},
+	{"deadlock-settled", 1, true, 0, settledProgram},
 }
 
 func scheduleLog() string {
