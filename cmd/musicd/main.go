@@ -214,8 +214,11 @@ func runMulti(mc multiConfig) error {
 	// Every process clocks from the Unix epoch, so the stamps each one mints
 	// — LWW write stamps, grant start times, ballots — order across
 	// processes whatever their start times, and the per-process histories
-	// merge into one timeline.
-	rt := sim.NewRealAt(time.Unix(0, 0), 1)
+	// merge into one timeline. The random source is seeded afresh: it draws
+	// the nonces by which the lock store recognises a process's own enqueue,
+	// and two processes, or two incarnations of one, drawing the same
+	// sequence would each adopt the lockRef the other minted.
+	rt := sim.NewRealAt(time.Unix(0, 0), time.Now().UnixNano())
 	var rec *history.Recorder
 	if mc.histOn || mc.adaptive {
 		// Adaptive reads imply -history: the monitor observes the recorded

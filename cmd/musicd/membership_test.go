@@ -2,11 +2,7 @@ package main
 
 import (
 	"encoding/json"
-	"fmt"
 	"net/http"
-	"os"
-	"os/exec"
-	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -87,70 +83,19 @@ func TestThreeProcessLiveMembership(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and spawns real processes")
 	}
-	dir := t.TempDir()
-	bin := filepath.Join(dir, "musicd")
-	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
-		t.Fatalf("go build: %v\n%s", err, out)
-	}
-
+	// dublin and frankfurt start outside the membership, as spares.
 	sites := []string{"ohio", "ncalifornia", "oregon", "dublin", "frankfurt"}
-	ports := freePorts(t, 10)
-	entries := make([]map[string]any, 5)
-	for i, site := range sites {
-		entries[i] = map[string]any{
-			"id":   i,
-			"site": site,
-			"addr": fmt.Sprintf("127.0.0.1:%d", ports[i]),
-		}
-		if i >= 3 {
-			entries[i]["spare"] = true // dublin and frankfurt start outside
-		}
-	}
-	peersJSON, err := json.Marshal(entries)
-	if err != nil {
-		t.Fatal(err)
-	}
-	peersPath := filepath.Join(dir, "peers.json")
-	if err := os.WriteFile(peersPath, peersJSON, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	siteURL := make(map[string]string, 5)
-	procs := make(map[string]*os.Process, 5)
-	for i, site := range sites {
-		httpAddr := fmt.Sprintf("127.0.0.1:%d", ports[5+i])
-		args := []string{"-peers", peersPath, "-site", site, "-addr", httpAddr, "-history"}
-		if site == "dublin" {
-			args = append(args, "-join")
-		}
-		cmd := exec.Command(bin, args...)
-		cmd.Stdout = os.Stderr
-		cmd.Stderr = os.Stderr
-		if err := cmd.Start(); err != nil {
-			t.Fatalf("start %s: %v", site, err)
-		}
-		proc := cmd.Process
-		procs[site] = proc
-		t.Cleanup(func() { _ = proc.Kill(); _, _ = proc.Wait() })
-		siteURL[site] = "http://" + httpAddr
-	}
-
-	deadline := time.Now().Add(20 * time.Second)
-	for _, site := range sites {
-		for {
-			resp, err := http.Get(siteURL[site] + "/v1/health")
-			if err == nil {
-				resp.Body.Close()
-				if resp.StatusCode == http.StatusOK {
-					break
-				}
+	d := deploy(t, sites, 2, func(d *procDeployment) error {
+		for _, site := range sites {
+			flags := []string{"-history"}
+			if site == "dublin" {
+				flags = append(flags, "-join")
 			}
-			if time.Now().After(deadline) {
-				t.Fatalf("site %s never became healthy: %v", site, err)
-			}
-			time.Sleep(50 * time.Millisecond)
+			d.start(site, flags...)
 		}
-	}
+		return d.waitHealthy(sites...)
+	})
+	siteURL := d.urls()
 
 	ohio := &restClient{t: t, base: siteURL["ohio"]}
 	dublin := &restClient{t: t, base: siteURL["dublin"]}
@@ -187,8 +132,7 @@ func TestThreeProcessLiveMembership(t *testing.T) {
 
 	// Epoch 4: ncalifornia crashes (kill -9, no drain) and is replaced by
 	// the remaining spare — the recovery path.
-	_ = procs["ncalifornia"].Kill()
-	_, _ = procs["ncalifornia"].Wait()
+	d.procs["ncalifornia"].kill()
 	m = postMembership(t, siteURL["ohio"], `{"op":"replace","site":"ncalifornia","with":"frankfurt"}`)
 	if m.Epoch != 4 || hasSite(m.Sites, "ncalifornia") || !hasSite(m.Sites, "frankfurt") {
 		t.Fatalf("replace -> epoch %d sites %v", m.Epoch, m.Sites)

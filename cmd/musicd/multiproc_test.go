@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -12,6 +13,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -256,17 +258,16 @@ func TestThreeProcessCluster(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and spawns real processes")
 	}
-	d := newProcDeployment(t)
-	siteURL := make(map[string]string, 3)
-	for _, site := range testSites {
-		// -leases and -adaptive ride along so the flag plumbing for the
-		// adaptive read plane is exercised over a real multi-process
-		// deployment; the merged history must still check clean.
-		siteURL[site] = d.start(site, "-history", "-leases", "-adaptive")
-	}
-	for _, site := range testSites {
-		waitHealthy(t, siteURL[site])
-	}
+	d := deploy(t, testSites, 0, func(d *procDeployment) error {
+		for _, site := range testSites {
+			// -leases and -adaptive ride along so the flag plumbing for the
+			// adaptive read plane is exercised over a real multi-process
+			// deployment; the merged history must still check clean.
+			d.start(site, "-history", "-leases", "-adaptive")
+		}
+		return d.waitHealthy(testSites...)
+	})
+	siteURL := d.urls()
 	ecfCheck(t, siteURL)
 
 	// -adaptive serves the live monitor's standing on every process.
@@ -297,6 +298,23 @@ func TestThreeProcessCluster(t *testing.T) {
 	assertCleanHistory(t, mergeHistories(parts...))
 }
 
+// deployYoung starts the first two test sites, then the third — the young
+// process — 2 s after both answer, every one with flags.
+func deployYoung(t *testing.T, flags ...string) *procDeployment {
+	t.Helper()
+	return deploy(t, testSites, 0, func(d *procDeployment) error {
+		for _, site := range testSites[:2] {
+			d.start(site, flags...)
+		}
+		if err := d.waitHealthy(testSites[:2]...); err != nil {
+			return err
+		}
+		time.Sleep(2 * time.Second)
+		d.start(testSites[2], flags...)
+		return d.waitHealthy(testSites[2])
+	})
+}
+
 // TestYoungProcessPutWins: every musicd process clocks from the Unix epoch,
 // not from its own start, so a plain put coordinated by a process started
 // seconds after the others is stamped above an earlier put coordinated by
@@ -306,18 +324,8 @@ func TestYoungProcessPutWins(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and spawns real processes")
 	}
-	d := newProcDeployment(t)
-	siteURL := make(map[string]string, 3)
-	for _, site := range testSites[:2] {
-		siteURL[site] = d.start(site)
-	}
-	for _, site := range testSites[:2] {
-		waitHealthy(t, siteURL[site])
-	}
-	time.Sleep(2 * time.Second)
+	siteURL := deployYoung(t).urls()
 	young := testSites[2]
-	siteURL[young] = d.start(young)
-	waitHealthy(t, siteURL[young])
 
 	old := &restClient{t: t, base: siteURL[testSites[0]]}
 	old.do("PUT", "/v1/keys/clock", []byte("old"), http.StatusNoContent)
@@ -333,75 +341,195 @@ func TestYoungProcessPutWins(t *testing.T) {
 	})
 }
 
-// procDeployment is a three-site musicd deployment on localhost, one OS
-// process per site, built from this package's source.
+// TestYoungHolderNotForceReleased: a grant's start time is read from the
+// granting process's clock and judged against T on the contender's. Every
+// musicd clocks from the Unix epoch, so a section granted at a process
+// started 2 s after the others, and held for 4 s of a 5 s T, is not
+// force-released by a contender polling at an older process, and the
+// holder's critical put at 4 s succeeds. On per-process uptime clocks the
+// older process sees the grant as about 2 s older than it is and
+// force-releases it at about 3 s.
+func TestYoungHolderNotForceReleased(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and spawns real processes")
+	}
+	const key, hold = "held", 4 * time.Second
+	siteURL := deployYoung(t, "-t", "5s").urls()
+	holder := &restClient{t: t, base: siteURL[testSites[2]]}
+	contender := &restClient{t: t, base: siteURL[testSites[0]]}
+
+	ref := holder.createLockRef(key)
+	holder.acquireUntilHolder(key, ref)
+	granted := time.Now()
+	cref := contender.createLockRef(key)
+	for time.Since(granted) < hold {
+		if contender.acquireLock(key, cref) {
+			t.Fatalf("the contender at %s was granted %v into a %v hold at %s, before its release", testSites[0], time.Since(granted), hold, testSites[2])
+		}
+		time.Sleep(50 * time.Millisecond)
+	}
+	holder.criticalPut(key, ref, []byte("held 4s"))
+	holder.releaseLock(key, ref)
+	contender.acquireUntilHolder(key, cref)
+	if got := contender.criticalGet(key, cref); string(got) != "held 4s" {
+		t.Fatalf("the contender read %q after the holder's release, want \"held 4s\"", got)
+	}
+	contender.releaseLock(key, cref)
+}
+
+// procDeployment is a musicd deployment on localhost, one OS process per
+// site, built from this package's source.
 type procDeployment struct {
 	t         *testing.T
 	bin       string
 	peersPath string
 	httpPorts map[string]int
+	procs     map[string]*musicdProc
 }
 
-func newProcDeployment(t *testing.T) *procDeployment {
+// musicdProc is one musicd process of a deployment.
+type musicdProc struct {
+	cmd    *exec.Cmd
+	stderr bytes.Buffer  // what it wrote to stderr: complete once exited is closed
+	exited chan struct{} // closed when the process has exited
+}
+
+// deployRetries is how many times deploy sets a deployment up again on
+// fresh ports after a process found one of its ports taken.
+const deployRetries = 3
+
+// errPortTaken reports a process that exited because one of its ports was
+// in use: freePorts releases the ports it finds, and a test running
+// concurrently can bind one before the process does.
+var errPortTaken = errors.New("a port was taken before the process bound it")
+
+// deploy builds musicd and runs setup on a deployment of sites over fresh
+// ports, the last spares of them marked spare in peers.json, and returns
+// the deployment. When setup fails with errPortTaken, deploy kills every
+// process it started and runs setup again on a new deployment, at most
+// deployRetries times. Any other error fails the test.
+func deploy(t *testing.T, sites []string, spares int, setup func(d *procDeployment) error) *procDeployment {
 	t.Helper()
 	dir := t.TempDir()
 	bin := filepath.Join(dir, "musicd")
 	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
 		t.Fatalf("go build: %v\n%s", err, out)
 	}
-	ports := freePorts(t, 6)
-	peers := make([]nettrans.Peer, 3)
-	httpPorts := make(map[string]int, 3)
-	for i := range peers {
-		peers[i] = nettrans.Peer{ID: transport.NodeID(i), Site: testSites[i], Addr: fmt.Sprintf("127.0.0.1:%d", ports[i])}
-		httpPorts[testSites[i]] = ports[3+i]
+	for attempt := 0; ; attempt++ {
+		d := newProcDeployment(t, bin, filepath.Join(dir, fmt.Sprintf("peers%d.json", attempt)), sites, spares)
+		err := setup(d)
+		if err == nil {
+			return d
+		}
+		for _, p := range d.procs {
+			p.kill()
+		}
+		if !errors.Is(err, errPortTaken) || attempt == deployRetries {
+			t.Fatalf("deploy: %v", err)
+		}
+		t.Logf("redeploying on fresh ports: %v", err)
+	}
+}
+
+func newProcDeployment(t *testing.T, bin, peersPath string, sites []string, spares int) *procDeployment {
+	t.Helper()
+	ports := freePorts(t, 2*len(sites))
+	peers := make([]peerEntry, len(sites))
+	httpPorts := make(map[string]int, len(sites))
+	for i, site := range sites {
+		peers[i] = peerEntry{
+			Peer:  nettrans.Peer{ID: transport.NodeID(i), Site: site, Addr: fmt.Sprintf("127.0.0.1:%d", ports[i])},
+			Spare: i >= len(sites)-spares,
+		}
+		httpPorts[site] = ports[len(sites)+i]
 	}
 	peersJSON, err := json.Marshal(peers)
 	if err != nil {
 		t.Fatal(err)
 	}
-	peersPath := filepath.Join(dir, "peers.json")
 	if err := os.WriteFile(peersPath, peersJSON, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	return &procDeployment{t: t, bin: bin, peersPath: peersPath, httpPorts: httpPorts}
+	return &procDeployment{t: t, bin: bin, peersPath: peersPath, httpPorts: httpPorts, procs: make(map[string]*musicdProc, len(sites))}
 }
 
-// start launches site's process with the extra flags given, kills it when
-// the test ends, and returns its REST base URL.
-func (d *procDeployment) start(site string, flags ...string) string {
+// start launches site's process with the extra flags given and kills it
+// when the test ends.
+func (d *procDeployment) start(site string, flags ...string) {
 	d.t.Helper()
-	httpAddr := fmt.Sprintf("127.0.0.1:%d", d.httpPorts[site])
-	cmd := exec.Command(d.bin, append([]string{"-peers", d.peersPath, "-site", site, "-addr", httpAddr}, flags...)...)
-	cmd.Stdout = os.Stderr
-	cmd.Stderr = os.Stderr
-	if err := cmd.Start(); err != nil {
+	args := append([]string{"-peers", d.peersPath, "-site", site, "-addr", d.addr(site)}, flags...)
+	p := &musicdProc{cmd: exec.Command(d.bin, args...), exited: make(chan struct{})}
+	p.cmd.Stdout = os.Stderr
+	p.cmd.Stderr = io.MultiWriter(os.Stderr, &p.stderr)
+	if err := p.cmd.Start(); err != nil {
 		d.t.Fatalf("start %s: %v", site, err)
 	}
-	d.t.Cleanup(func() { _ = cmd.Process.Kill(); _, _ = cmd.Process.Wait() })
-	return "http://" + httpAddr
+	go func() {
+		_ = p.cmd.Wait()
+		close(p.exited)
+	}()
+	d.procs[site] = p
+	d.t.Cleanup(p.kill)
 }
 
-// waitHealthy waits until the process at base answers its health check.
-func waitHealthy(t *testing.T, base string) {
-	t.Helper()
-	deadline := time.Now().Add(15 * time.Second)
-	for {
-		resp, err := http.Get(base + "/v1/health")
-		if err == nil {
-			resp.Body.Close()
-			if resp.StatusCode == http.StatusOK {
-				return
-			}
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("%s never became healthy: %v", base, err)
-		}
-		time.Sleep(50 * time.Millisecond)
+// kill stops the process and waits until it has exited.
+func (p *musicdProc) kill() {
+	_ = p.cmd.Process.Kill()
+	<-p.exited
+}
+
+func (d *procDeployment) addr(site string) string {
+	return fmt.Sprintf("127.0.0.1:%d", d.httpPorts[site])
+}
+
+// urls maps every started site to its REST base URL.
+func (d *procDeployment) urls() map[string]string {
+	m := make(map[string]string, len(d.procs))
+	for site := range d.procs {
+		m[site] = "http://" + d.addr(site)
 	}
+	return m
 }
 
-// freePorts reserves n distinct ports by binding and releasing them.
+// healthClient gives up on a health check that gets no answer: a port
+// taken by another listener may accept and never reply.
+var healthClient = &http.Client{Timeout: time.Second}
+
+// waitHealthy waits until each site's process answers its health check, up
+// to 15 s each. It returns errPortTaken for a process that exited for want
+// of a port, and another error for one that exited otherwise or never
+// answered.
+func (d *procDeployment) waitHealthy(sites ...string) error {
+	for _, site := range sites {
+		base, p := "http://"+d.addr(site), d.procs[site]
+		deadline := time.Now().Add(15 * time.Second)
+		for {
+			resp, err := healthClient.Get(base + "/v1/health")
+			if err == nil {
+				resp.Body.Close()
+				if resp.StatusCode == http.StatusOK {
+					break
+				}
+			}
+			select {
+			case <-p.exited:
+				if strings.Contains(p.stderr.String(), "address already in use") {
+					return fmt.Errorf("%s: %w", site, errPortTaken)
+				}
+				return fmt.Errorf("%s exited before it answered: %s", site, p.cmd.ProcessState)
+			default:
+			}
+			if time.Now().After(deadline) {
+				return fmt.Errorf("%s never became healthy: %v", base, err)
+			}
+			time.Sleep(50 * time.Millisecond)
+		}
+	}
+	return nil
+}
+
+// freePorts finds n distinct free ports by binding and releasing them.
+// Nothing holds them afterwards, so deploy redeploys when one is taken.
 func freePorts(t *testing.T, n int) []int {
 	t.Helper()
 	ports := make([]int, n)

@@ -28,9 +28,9 @@ func BenchmarkWANSection(b *testing.B) {
 }
 
 // wanSectionAllocCeiling is TestAllocCeilingWANSection's bound: the
-// allocations per section measured on the Servers CPU model with one encode
-// per multicast (1958), plus 2 %.
-const wanSectionAllocCeiling = 2000
+// allocations per section measured with pooled timer events and only live
+// timers in the heap (1670), plus 2 %.
+const wanSectionAllocCeiling = 1703
 
 // TestAllocCeilingWANSection pins the allocations per section of
 // BenchmarkWANSection's shape: the simulator, the simulated network and the

@@ -112,8 +112,7 @@ func goroutineID() uint64 {
 
 // After implements Runtime.
 func (r *Real) After(d time.Duration, fn func()) *Timer {
-	t := time.AfterFunc(d, fn)
-	return &Timer{stop: t.Stop}
+	return &Timer{real: time.AfterFunc(d, fn)}
 }
 
 // Rand implements Runtime. The returned source is safe for concurrent use.

@@ -35,6 +35,21 @@
 // schedule and every random draw as they were; servers_test.go keeps those
 // worker tasks as the reference it is checked against.
 //
+// The timer heap holds only live timers. It is a binary heap ordered on
+// (instant, sequence number), each event keeping its own index, so an event
+// can leave from anywhere. A park with a timeout (Sleep, AwaitTimeout,
+// RecvTimeout) records its wake event on the task, and when something else
+// wakes the task first — a Resolve, a Send, a Close — unpark takes that
+// settled wake out of the heap at once. Firing it would unpark nobody, the
+// task's generation having moved on, so no schedule depends on it; but a
+// stuck run, with nothing left to run, advances the clock through every
+// pending timer before it reports deadlock or deadline. The runtime keeps
+// the latest instant of every dropped wake, and the latest within the
+// deadline, and a stuck run advances to them, so it ends at the same Now
+// with the same error as if the settled wakes had stayed. A call timer is
+// no park's wake: it is never dropped. Timer.Stop removes its event too.
+// Fired and removed events are zeroed and reused.
+//
 // The real runtime (NewReal) maps the same operations onto goroutines and
 // the wall clock, so protocol code written against Runtime also runs live
 // (used by the examples and the musicd REST daemon).
@@ -86,14 +101,22 @@ var ErrDeadlock = errors.New("sim: deadlock: all tasks blocked with no pending t
 
 // Timer is a handle to a pending After callback.
 type Timer struct {
-	stop func() bool
+	real *time.Timer // on Real
+	v    *Virtual    // on Virtual: the event, and its number when scheduled
+	e    *event
+	seq  uint64
 }
 
-// Stop cancels the timer. It reports whether the timer was still pending.
-// Stop on a nil Timer is a no-op.
+// Stop cancels the timer. It reports whether the timer was still pending:
+// false once it has fired or been stopped. Stop on a nil Timer is a no-op.
 func (t *Timer) Stop() bool {
-	if t == nil || t.stop == nil {
+	switch {
+	case t == nil:
 		return false
+	case t.real != nil:
+		return t.real.Stop()
+	case t.v != nil:
+		return t.v.stop(t.e, t.seq)
 	}
-	return t.stop()
+	return false
 }

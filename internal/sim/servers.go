@@ -1,9 +1,6 @@
 package sim
 
-import (
-	"container/heap"
-	"time"
-)
+import "time"
 
 // Servers is a pool of k identical servers taking jobs in FIFO order: a
 // simulated machine's CPU. Serve blocks the calling task until a server has
@@ -97,8 +94,8 @@ func (s *vServers) take() {
 	n := copy(s.jobs, s.jobs[1:])
 	s.jobs[n] = vJob{}
 	s.jobs = s.jobs[:n]
-	v := s.v
-	heap.Push(&v.timers, &event{at: v.now + j.cost, seq: v.nextSeq(), wake: j.t, gen: j.gen, call: s.take})
+	e := s.v.schedule(s.v.now + j.cost)
+	e.wake, e.gen, e.call = j.t, j.gen, s.take
 }
 
 // rServers is the wall-clock pool: a k-slot semaphore around Sleep.

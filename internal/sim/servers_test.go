@@ -204,3 +204,44 @@ func TestServersRealOverlap(t *testing.T) {
 		t.Errorf("job %d took %v, want one cost queued and one served: [%v, %v)", k, d, 2*cost, 3*cost)
 	}
 }
+
+// A job's completion timer is no settled wake: it runs the server on to the
+// next job. Unparking the job's caller early must leave it in the heap, and
+// when it fires it must not wake the caller, parked elsewhere by then.
+func TestServersCompletionSurvivesEarlyUnpark(t *testing.T) {
+	v := New(1)
+	ms := func(n int) time.Duration { return time.Duration(n) * time.Millisecond }
+	var early, slept, second time.Duration
+	err := v.Run(func() {
+		s := NewServers(v, 1)
+		parked := NewMailbox[*vtask](v)
+		done := NewMailbox[struct{}](v)
+		v.Go(func() {
+			parked.Send(v.cur)
+			s.Serve(ms(10))
+			early = v.Now()
+			v.Sleep(ms(20))
+			slept = v.Now()
+			done.Send(struct{}{})
+		})
+		v.Go(func() {
+			s.Serve(ms(5))
+			second = v.Now()
+			done.Send(struct{}{})
+		})
+		first, _ := parked.Recv()
+		v.Sleep(ms(1))
+		v.unpark(first, first.gen)
+		if got := pendingTimers(t, v); got != 1 {
+			t.Errorf("%d pending timers after the early unpark, want the completion timer", got)
+		}
+		done.Recv()
+		done.Recv()
+	})
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if early != ms(1) || slept != ms(21) || second != ms(15) {
+		t.Fatalf("unparked at %v, slept until %v, second job done at %v; want 1ms, 21ms, 15ms", early, slept, second)
+	}
+}

@@ -69,3 +69,36 @@ func BenchmarkVirtualTimerFanout(b *testing.B) {
 		b.Fatalf("Run: %v", err)
 	}
 }
+
+// BenchmarkVirtualTimeoutChurn measures the RPC pattern of the network
+// layer: each call awaits its reply with a long timeout that the reply
+// settles early, while the server's own timers fire in between.
+func BenchmarkVirtualTimeoutChurn(b *testing.B) {
+	v := New(1)
+	err := v.Run(func() {
+		reqs := NewMailbox[*Promise[int]](v)
+		v.Go(func() {
+			for {
+				p, err := reqs.Recv()
+				if err != nil {
+					return
+				}
+				v.Sleep(time.Microsecond)
+				p.Resolve(1)
+			}
+		})
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			p := NewPromise[int](v)
+			reqs.Send(p)
+			if _, err := p.AwaitTimeout(4 * time.Second); err != nil {
+				b.Fatalf("AwaitTimeout: %v", err)
+			}
+		}
+		b.StopTimer()
+		reqs.Close()
+	})
+	if err != nil {
+		b.Fatalf("Run: %v", err)
+	}
+}

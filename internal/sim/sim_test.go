@@ -123,6 +123,26 @@ func TestVirtualDeadline(t *testing.T) {
 	}
 }
 
+// The timer that ends a run on its deadline leaves its task's park with
+// it: a task unwound later that wakes the parked one must find no event to
+// take out of the heap.
+func TestVirtualDeadlineThenUnwindWakes(t *testing.T) {
+	v := New(1)
+	v.SetDeadline(time.Second)
+	err := v.Run(func() {
+		p := NewPromise[int](v)
+		v.Go(func() {
+			defer p.Resolve(1)
+			NewPromise[int](v).Await()
+		})
+		v.Go(func() { p.AwaitTimeout(time.Hour) })
+		NewPromise[int](v).Await()
+	})
+	if !errors.Is(err, ErrDeadlineExceeded) {
+		t.Fatalf("err = %v, want ErrDeadlineExceeded", err)
+	}
+}
+
 func TestVirtualAfterFiresInOrder(t *testing.T) {
 	v := New(1)
 	var fired []int
@@ -164,6 +184,100 @@ func TestVirtualTimerStop(t *testing.T) {
 	}
 	if fired {
 		t.Fatal("cancelled timer fired")
+	}
+}
+
+// A fired timer's event is reused by the next After. Stop on the old
+// handle reports false once the timer has fired, and again once its event
+// has been reused, and leaves the new timer pending.
+func TestVirtualTimerStopAfterReuse(t *testing.T) {
+	v := New(1)
+	fired := 0
+	err := v.Run(func() {
+		done := NewPromise[struct{}](v)
+		tm := v.After(time.Millisecond, func() { fired++; done.Resolve(struct{}{}) })
+		done.Await()
+		if tm.Stop() {
+			t.Error("Stop after the timer fired = true, want false")
+		}
+		again := NewPromise[struct{}](v)
+		tm2 := v.After(time.Millisecond, func() { fired++; again.Resolve(struct{}{}) })
+		if tm2.e != tm.e {
+			t.Fatal("the second After did not reuse the fired timer's event")
+		}
+		if tm.Stop() {
+			t.Error("Stop on a reused event = true, want false")
+		}
+		if _, err := again.AwaitTimeout(time.Second); err != nil {
+			t.Errorf("the second timer did not fire: %v", err)
+		}
+	})
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if fired != 2 {
+		t.Fatalf("fired = %d, want 2", fired)
+	}
+}
+
+// pendingTimers is the timers count of v.String().
+func pendingTimers(t *testing.T, v *Virtual) int {
+	s := v.String()
+	i := strings.Index(s, "timers: ")
+	if i < 0 {
+		t.Fatalf("no timers count in %s", s)
+	}
+	var n int
+	if _, err := fmt.Sscanf(s[i:], "timers: %d", &n); err != nil {
+		t.Fatalf("timers count in %s: %v", s, err)
+	}
+	return n
+}
+
+// The timeout of an await or a receive that is satisfied first leaves the
+// timer heap at once instead of waiting there, dead, for its instant: 2000
+// four-second timeouts settled within a millisecond leave no timer behind.
+func TestSettledTimersLeaveHeap(t *testing.T) {
+	const n = 1000
+	v := New(1)
+	err := v.Run(func() {
+		promises := make([]*Promise[int], n)
+		boxes := make([]*Mailbox[int], n)
+		results := NewMailbox[error](v)
+		for i := range promises {
+			promises[i] = NewPromise[int](v)
+			boxes[i] = NewMailbox[int](v)
+			v.Go(func() {
+				_, err := promises[i].AwaitTimeout(4 * time.Second)
+				results.Send(err)
+			})
+			v.Go(func() {
+				_, err := boxes[i].RecvTimeout(4 * time.Second)
+				results.Send(err)
+			})
+		}
+		v.Sleep(500 * time.Microsecond)
+		if got := pendingTimers(t, v); got != 2*n {
+			t.Errorf("%d pending timers with every task parked, want %d", got, 2*n)
+		}
+		for i := range promises {
+			promises[i].Resolve(i)
+			boxes[i].Send(i)
+		}
+		for i := 0; i < 2*n; i++ {
+			if err, _ := results.Recv(); err != nil {
+				t.Fatalf("await or receive %d: %v", i, err)
+			}
+		}
+		if now := v.Now(); now > time.Millisecond {
+			t.Errorf("settled at %v, want within 1ms", now)
+		}
+		if got := pendingTimers(t, v); got != 0 {
+			t.Errorf("%d pending timers after every timeout settled, want 0", got)
+		}
+	})
+	if err != nil {
+		t.Fatalf("Run: %v", err)
 	}
 }
 

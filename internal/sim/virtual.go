@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"container/heap"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -34,6 +33,7 @@ type vtask struct {
 	gen        uint64 // bumped on every park; stale wakeups are ignored
 	poisoned   bool
 	local      any    // task-local value (see Runtime.TaskLocal)
+	timer      *event // the wake event of the current park, if it set one
 	prev, next *vtask // neighbours on the live list, in spawn order
 }
 
@@ -45,35 +45,96 @@ type worker struct {
 	t      *vtask // nil when idle; still nil on a resume means retire
 }
 
-// event is a pending timer entry.
+// event is a timer entry. Events are pooled per Virtual: one that fires or
+// leaves the heap is zeroed and reused by a later timer, so a nonzero seq
+// marks an event that is in the heap under that number.
 type event struct {
-	at        time.Duration
-	seq       uint64
-	fn        func() // spawn-style event: runs as a new task
-	wake      *vtask // wake-style event: unparks wake if gen still matches
-	gen       uint64
-	call      func() // run after the unpark, with no task current
-	cancelled bool
+	at    time.Duration
+	seq   uint64
+	index int    // position in the timer heap
+	fn    func() // spawn-style event: runs as a new task
+	wake  *vtask // wake-style event: unparks wake if gen still matches
+	gen   uint64
+	call  func() // run after the unpark, with no task current
 }
 
-type eventHeap []*event
+// before orders events on (at, seq). Sequence numbers are unique, so the
+// order is total and the heap's shape never decides which timer fires.
+func (e *event) before(o *event) bool {
+	return e.at < o.at || e.at == o.at && e.seq < o.seq
+}
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+// timerHeap is a binary min-heap of events, each of which keeps its own
+// index so that it can leave from anywhere in O(log n).
+type timerHeap []*event
+
+func (h *timerHeap) push(e *event) {
+	*h = append(*h, e)
+	h.up(len(*h)-1, e)
+}
+
+// pop removes and returns the earliest event, or nil when h is empty.
+func (h *timerHeap) pop() *event {
+	if len(*h) == 0 {
+		return nil
 	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(*event)) }
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
+	e := (*h)[0]
+	h.remove(e)
 	return e
+}
+
+// remove takes e, which must be in h, out of it.
+func (h *timerHeap) remove(e *event) {
+	old := *h
+	n := len(old) - 1
+	last := old[n]
+	old[n] = nil
+	*h = old[:n]
+	if i := e.index; i < n {
+		if !h.down(i, last) {
+			h.up(i, last)
+		}
+	}
+}
+
+// up moves e from the hole at i towards the root until its parent is
+// earlier, and stores it there.
+func (h timerHeap) up(i int, e *event) {
+	for i > 0 {
+		p := (i - 1) / 2
+		if !e.before(h[p]) {
+			break
+		}
+		h[i] = h[p]
+		h[i].index = i
+		i = p
+	}
+	h[i] = e
+	e.index = i
+}
+
+// down moves e from the hole at i towards the leaves until no child is
+// earlier, stores it there, and reports whether it moved.
+func (h timerHeap) down(i int, e *event) bool {
+	i0 := i
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			break
+		}
+		if r := c + 1; r < len(h) && h[r].before(h[c]) {
+			c = r
+		}
+		if !h[c].before(e) {
+			break
+		}
+		h[i] = h[c]
+		h[i].index = i
+		i = c
+	}
+	h[i] = e
+	e.index = i
+	return i > i0
 }
 
 // Virtual is the deterministic discrete-event runtime. All tasks execute one
@@ -85,7 +146,8 @@ type Virtual struct {
 	now      time.Duration
 	seq      uint64
 	ready    []*vtask
-	timers   eventHeap
+	timers   timerHeap // live timers only: settled wakes leave at once
+	free     []*event  // fired and removed events, zeroed, for reuse
 	cur      *vtask
 	rng      *rand.Rand
 	root     *vtask
@@ -100,6 +162,10 @@ type Virtual struct {
 	taskErr    any
 	deadline   time.Duration
 	shuffle    bool
+	// The latest instant of every settled wake dropped from the heap, and
+	// the latest one within the deadline: how far the clock would have run
+	// through those dead timers on a stuck run (see stuck).
+	settled, settledInDeadline time.Duration
 }
 
 var _ Runtime = (*Virtual)(nil)
@@ -114,7 +180,7 @@ func New(seed int64) *Virtual {
 }
 
 // SetDeadline makes Run fail with ErrDeadlineExceeded if virtual time would
-// advance past d. Zero disables the deadline.
+// advance past d. Zero disables the deadline. Set it before Run.
 func (v *Virtual) SetDeadline(d time.Duration) { v.deadline = d }
 
 // SetScheduleShuffle toggles randomized selection among runnable tasks.
@@ -170,15 +236,21 @@ func (v *Virtual) Sleep(d time.Duration) {
 
 // After implements Runtime.
 func (v *Virtual) After(d time.Duration, fn func()) *Timer {
-	e := &event{at: v.now + d, seq: v.nextSeq(), fn: fn}
-	heap.Push(&v.timers, e)
-	return &Timer{stop: func() bool {
-		if e.cancelled || e.fn == nil {
-			return false
-		}
-		e.cancelled = true
-		return true
-	}}
+	e := v.schedule(v.now + d)
+	e.fn = fn
+	return &Timer{v: v, e: e, seq: e.seq}
+}
+
+// stop removes e from the heap if it is still the pending timer numbered
+// seq, and reports whether it was: an event that has fired, or has been
+// reused since, carries another number.
+func (v *Virtual) stop(e *event, seq uint64) bool {
+	if e.seq != seq {
+		return false
+	}
+	v.timers.remove(e)
+	v.release(e)
+	return true
 }
 
 // Rand implements Runtime.
@@ -301,13 +373,18 @@ func (v *Virtual) next() *vtask {
 			v.cur = t
 			return t
 		}
-		e := v.popTimer()
+		e := v.timers.pop()
 		if e == nil {
-			v.err = ErrDeadlock
+			if v.deadline > 0 && v.settled > v.deadline {
+				v.stuck(ErrDeadlineExceeded)
+			} else {
+				v.stuck(ErrDeadlock)
+			}
 			break
 		}
 		if v.deadline > 0 && e.at > v.deadline {
-			v.err = ErrDeadlineExceeded
+			v.release(e)
+			v.stuck(ErrDeadlineExceeded)
 			break
 		}
 		if e.at > v.now {
@@ -319,14 +396,19 @@ func (v *Virtual) next() *vtask {
 	return nil
 }
 
-// popTimer removes and returns the earliest pending timer, or nil.
-func (v *Virtual) popTimer() *event {
-	for len(v.timers) > 0 {
-		if e := heap.Pop(&v.timers).(*event); !e.cancelled {
-			return e
-		}
+// stuck ends a run that cannot go on with err, the clock advanced as far
+// as the settled wakes dropped from the heap would have taken it had they
+// stayed to fire: to the latest of them, or to the latest within the
+// deadline when one lies past it. Firing one never did anything else.
+func (v *Virtual) stuck(err error) {
+	at := v.settled
+	if err == ErrDeadlineExceeded {
+		at = v.settledInDeadline
 	}
-	return nil
+	if at > v.now {
+		v.now = at
+	}
+	v.err = err
 }
 
 // handoff passes the baton from w, whose task has just parked or finished,
@@ -349,15 +431,17 @@ func (v *Virtual) handoff(w *worker) {
 	}
 }
 
-// fire processes a due timer entry, with no task current.
+// fire processes a due timer entry, just popped, with no task current.
 func (v *Virtual) fire(e *event) {
-	if e.fn != nil {
-		v.Go(e.fn)
+	fn, t, gen, call := e.fn, e.wake, e.gen, e.call
+	v.release(e)
+	if fn != nil {
+		v.Go(fn)
 		return
 	}
-	v.unpark(e.wake, e.gen)
-	if e.call != nil {
-		e.call()
+	v.unpark(t, gen)
+	if call != nil {
+		call()
 	}
 }
 
@@ -384,17 +468,63 @@ func (v *Virtual) park(t *vtask) {
 }
 
 // unpark makes t runnable again if it is still parked on generation gen.
+// A wake event the park set is settled by this and leaves the heap: when
+// it fired it would find the generation moved on and unpark nobody.
 func (v *Virtual) unpark(t *vtask, gen uint64) {
 	if t == nil || t.state != stateBlocked || t.gen != gen {
 		return
 	}
 	t.state = stateReady
 	v.ready = append(v.ready, t)
+	if t.timer != nil {
+		v.dropWake(t.timer)
+	}
 }
 
-// wakeAt schedules an unpark of (t, gen) at time at.
+// dropWake takes a settled wake out of the heap, noting how far it would
+// have moved the clock of a stuck run (see stuck).
+func (v *Virtual) dropWake(e *event) {
+	if e.at > v.settled {
+		v.settled = e.at
+	}
+	if e.at <= v.deadline && e.at > v.settledInDeadline {
+		v.settledInDeadline = e.at
+	}
+	v.timers.remove(e)
+	v.release(e)
+}
+
+// wakeAt schedules an unpark of (t, gen) at time at, as the wake event of
+// the park t is about to make.
 func (v *Virtual) wakeAt(at time.Duration, t *vtask, gen uint64) {
-	heap.Push(&v.timers, &event{at: at, seq: v.nextSeq(), wake: t, gen: gen})
+	e := v.schedule(at)
+	e.wake, e.gen = t, gen
+	t.timer = e
+}
+
+// schedule pushes a timer event due at at, numbered next, and returns it
+// for the caller to fill in; the number alone orders it among equals.
+func (v *Virtual) schedule(at time.Duration) *event {
+	var e *event
+	if n := len(v.free); n > 0 {
+		e = v.free[n-1]
+		v.free = v.free[:n-1]
+	} else {
+		e = new(event)
+	}
+	e.at, e.seq = at, v.nextSeq()
+	v.timers.push(e)
+	return e
+}
+
+// release zeroes e, which has left the heap, so that it pins no closure
+// and no task, and keeps it for reuse. A wake event leaves its task's park.
+func (v *Virtual) release(e *event) {
+	if t := e.wake; t != nil && t.timer == e {
+		t.timer = nil
+	}
+	*e = event{}
+	v.free = append(v.free, e)
 }
 
 func (v *Virtual) nextSeq() uint64 {

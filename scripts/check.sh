@@ -31,9 +31,13 @@ go test -race -timeout 600s ./music/ ./internal/httpapi/ ./internal/nettrans/ ./
 # outliving Run however it ends, abandoned tasks unwound in spawn order, the
 # two handoffs that stay on their own goroutine, and sim.Servers — a node's
 # CPU — against the worker tasks it replaced (same schedule, same random
-# draws) and on the wall clock (k jobs overlap, the next one queues).
+# draws) and on the wall clock (k jobs overlap, the next one queues). Then
+# the timer heap, which holds only live timers: settled timeouts leave it
+# at once, a Servers completion timer survives an early unpark of its
+# caller, Stop on a fired or reused event cancels nothing, and a deadline
+# hit during a park leaves no event behind for the unwind to remove.
 go test -race -timeout 600s ./internal/sim/ ./internal/simnet/
-go test -race ./internal/sim/ -run 'TestVirtualScheduleGolden|TestVirtualRunLeavesNoGoroutines|TestVirtualUnwindInSpawnOrder|TestVirtualSelfHandoff|TestServersMatchWorkerTasks|TestServersRealOverlap' -count=20 -timeout 300s
+go test -race ./internal/sim/ -run 'TestVirtualScheduleGolden|TestVirtualRunLeavesNoGoroutines|TestVirtualUnwindInSpawnOrder|TestVirtualSelfHandoff|TestServersMatchWorkerTasks|TestServersRealOverlap|TestSettledTimersLeaveHeap|TestServersCompletionSurvivesEarlyUnpark|TestVirtualTimerStopAfterReuse|TestVirtualDeadlineThenUnwindWakes' -count=20 -timeout 300s
 # A wall-clock simnet keeps serving CPU work after Close, and leaves no
 # goroutine behind: Close used to stop the node executors and strand every
 # later admission.
