@@ -142,7 +142,10 @@ go test -race ./internal/chaosnet/ -run 'TestStragglerHandoffOverTCP' -count=3 -
 # to end in quick mode and write a well-formed BENCH_<id>.json. One run per
 # experiment id, then every pattern listed for that id must appear in what it
 # wrote (the full sweeps gate against the committed baselines in CI's
-# bench-gate job):
+# bench-gate job). fastpath, scale and readpath run in virtual time, so their
+# quick JSON must also equal, byte for byte, the one committed under
+# internal/bench/testdata: any change to a schedule or a virtual-time figure
+# shows up there as a diff. transport and soak are wall-clock, so grep-only.
 #   fastpath   the Table I / session / write-behind / digest rows.
 #   transport  real TCP loopback clusters alongside the simulated plane.
 #   soak       restarts and reconfig deploy real musicd OS processes: restarts
@@ -153,8 +156,8 @@ go test -race ./internal/chaosnet/ -run 'TestStragglerHandoffOverTCP' -count=3 -
 #   scale      shard counts 1 and 4 over the million-key uniform YCSB workload.
 #   readpath   all four read planes, with the injected-staleness config
 #              actually tripping the monitor.
-smoke_json=$(mktemp)
-trap 'rm -f "$smoke_json"' EXIT
+smoke_dir=$(mktemp -d)
+trap 'rm -rf "$smoke_dir"' EXIT
 ran=
 for smoke in \
     'fastpath:"experiment": "fastpath"' \
@@ -172,11 +175,21 @@ for smoke in \
 do
     id=${smoke%%:*} pattern=${smoke#*:}
     if [ "$id" != "$ran" ]; then
-        go run ./cmd/musicbench -exp "$id" -quick -quiet -json "$smoke_json" > /dev/null
+        go run ./cmd/musicbench -exp "$id" -quick -quiet -json "$smoke_dir/$id.json" > /dev/null
         ran=$id
     fi
-    grep -q "$pattern" "$smoke_json" || {
+    grep -q "$pattern" "$smoke_dir/$id.json" || {
         echo "check.sh: $id smoke: $pattern missing from its JSON" >&2
+        exit 1
+    }
+done
+for id in fastpath scale readpath; do
+    golden=internal/bench/testdata/$id.quick.json
+    cmp -s "$smoke_dir/$id.json" "$golden" || {
+        echo "check.sh: $id smoke: its quick JSON differs from $golden" >&2
+        diff "$golden" "$smoke_dir/$id.json" >&2 || true
+        echo "check.sh: if the change is intended, regenerate it with:" >&2
+        echo "    go run ./cmd/musicbench -exp $id -quick -quiet -json $golden" >&2
         exit 1
     }
 done
