@@ -139,10 +139,9 @@ func (c *cli) incr(out io.Writer, key string) error {
 	defer func() {
 		_ = c.expect(http.StatusNoContent, "DELETE", fmt.Sprintf("/v1/locks/%s/%d", key, ref), "", nil)
 	}()
-	cur, err := c.body("GET", fmt.Sprintf("/v1/keys/%s?lockRef=%d", key, ref), "")
-	n := 0
-	if err == nil {
-		n, _ = strconv.Atoi(cur)
+	n, err := c.counter(key, ref)
+	if err != nil {
+		return err
 	}
 	next := strconv.Itoa(n + 1)
 	if err := c.expect(http.StatusNoContent, "PUT",
@@ -151,6 +150,33 @@ func (c *cli) incr(out io.Writer, key string) error {
 	}
 	fmt.Fprintf(out, "%s\n", next)
 	return nil
+}
+
+// counter reads key's value under ref as a decimal count. Only the API's
+// 404 "no value" reads as 0; any other failure, or a value that is not a
+// number, is an error, so incr never overwrites what it could not read.
+func (c *cli) counter(key string, ref int64) (int, error) {
+	path := fmt.Sprintf("/v1/keys/%s?lockRef=%d", key, ref)
+	text, code, err := c.do("GET", path, "")
+	if err != nil {
+		return 0, err
+	}
+	if code == http.StatusNotFound {
+		var notFound struct {
+			Error string `json:"error"`
+		}
+		if json.Unmarshal([]byte(text), &notFound) == nil && notFound.Error == "no value" {
+			return 0, nil
+		}
+	}
+	if code/100 != 2 {
+		return 0, fmt.Errorf("GET %s: %d: %s", path, code, strings.TrimSpace(text))
+	}
+	n, err := strconv.Atoi(text)
+	if err != nil {
+		return 0, fmt.Errorf("incr %s: value %q is not a number", key, text)
+	}
+	return n, nil
 }
 
 func (c *cli) createRef(key string) (int64, error) {

@@ -42,6 +42,30 @@ func TestCLIIncrementFlow(t *testing.T) {
 	}
 }
 
+// TestCLIIncrementRefusesNonNumber pins that incr fails, writing nothing,
+// on a value it cannot count from, and still releases its lock.
+func TestCLIIncrementRefusesNonNumber(t *testing.T) {
+	url := harness(t)
+	if _, err := runCLI(t, url, "put", "k", "-value", "abc"); err != nil {
+		t.Fatalf("put: %v", err)
+	}
+	if out, err := runCLI(t, url, "incr", "k"); err == nil {
+		t.Fatalf("incr of a non-numeric value succeeded, printing %q", out)
+	}
+	out, err := runCLI(t, url, "get", "k")
+	if err != nil || strings.TrimSpace(out) != "abc" {
+		t.Fatalf("value after the failed incr = (%q, %v), want abc", out, err)
+	}
+	// The failed incr released its lock: a fresh section is granted.
+	out, err = runCLI(t, url, "lock", "k")
+	if err != nil {
+		t.Fatalf("lock after the failed incr: %v", err)
+	}
+	if _, err := runCLI(t, url, "release", "k", "-ref", strings.TrimSpace(out)); err != nil {
+		t.Fatalf("release: %v", err)
+	}
+}
+
 func TestCLIExplicitLockOps(t *testing.T) {
 	url := harness(t)
 	out, err := runCLI(t, url, "lock", "k")

@@ -147,7 +147,7 @@ func Experiments() []Experiment {
 		{"fig9", "YCSB workloads R / UR / U: MUSIC vs MSCP (Fig 9)", runFig9},
 		{"ablation", "Design-choice ablations: synchFlag dirty bit and local peek (DESIGN.md)", runAblation},
 		{"faults", "Fault-injection campaign: retries, cross-site failover, healthy-path overhead (§III-A)", runFaults},
-		{"fastpath", "Critical-section fast path: grant piggyback, holder cache, write-behind, digest reads", runFastpath},
+		{"fastpath", "Critical-section fast path: grant piggyback, holder cache, write-behind", runFastpath},
 		{"transport", "Message-plane overhead: simulated network vs TCP loopback, per Table I op", runTransport},
 		{"explore", "Seeded chaos explorer: randomized fault schedules checked against ECF (internal/history)", runExplore},
 		{"soak", "Soak scenarios over TCP with chaosnet faults: SLO report per scenario (internal/chaosnet)", runSoak},

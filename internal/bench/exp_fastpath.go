@@ -16,9 +16,7 @@ import (
 //     piggybacked value must save the Get's full WAN quorum round trip over
 //     the Table I CriticalGet;
 //   - multi-put sections: Buffered coalesces the writes' quorum round trips
-//     into one;
-//   - read-heavy sections over 4 KiB values: digest quorum reads shrink
-//     the payload bytes arriving at the read coordinator.
+//     into one.
 //
 // With -json the per-config numbers are also written as BENCH_fastpath.json
 // so successive PRs have a machine-readable perf trajectory.
@@ -46,9 +44,7 @@ func runFastpath(opts Options) []Table {
 	for _, cfg := range []fastpathConfig{
 		{name: "sync", tableI: true},
 		{name: "piggyback+cache"},
-		{name: "cache+buffered+digest",
-			clusterOpts: []music.Option{music.WithDigestReads()},
-			clientOpts:  []music.ClientOption{music.WithWritePolicy(music.WriteBuffered)}},
+		{name: "cache+buffered", clientOpts: []music.ClientOption{music.WithWritePolicy(music.WriteBuffered)}},
 	} {
 		opts.logf("  fastpath: 1get1put %s", cfg.name)
 		m := fastpathMeasure(cfg, iters, discard, "a", oneGetOnePut)
@@ -101,63 +97,18 @@ func runFastpath(opts Options) []Table {
 		results = append(results, m.result("multiput8", cfg.name))
 	}
 
-	// Workload C: 6 Table I gets of a 4 KiB value per section, so every Get
-	// pays a quorum read — the path digest reads shrink.
-	const getsC, sizeC = 6, 4096
-	multiGet := func(_ *music.CriticalSection, get fastpathGet) error {
-		for i := 0; i < getsC; i++ {
-			if _, err := get(); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	seedC := func(cl *music.Client, key string) error {
-		return cl.RunCritical(key, func(cs *music.CriticalSection) error {
-			return cs.Put(value(sizeC))
-		})
-	}
-	tblC := Table{
-		ID:      "fastpath",
-		Title:   fmt.Sprintf("%d-get critical section over %s values: digest quorum reads (IUs)", getsC, fmtBytes(sizeC)),
-		Columns: []string{"Read path", "Mean CS latency", "Coordinator read bytes", "vs full"},
-		Notes: []string{
-			"coordinator read bytes = payload arriving at the read coordinator across the measured sections (store_read_bytes_total delta)",
-			"digest reads fetch full data from the nearest replica only; the rest return 8-byte digests, with full-read + repair fallback on mismatch",
-		},
-	}
-	var baseC int64
-	for _, cfg := range []fastpathConfig{
-		{name: "full reads", tableI: true},
-		{name: "digest reads", tableI: true, clusterOpts: []music.Option{music.WithDigestReads()}},
-	} {
-		opts.logf("  fastpath: digest %s", cfg.name)
-		m := fastpathMeasureSeeded(cfg, iters, discard, "c", seedC, multiGet)
-		if baseC == 0 {
-			baseC = m.readBytes
-		}
-		tblC.Rows = append(tblC.Rows, []string{
-			cfg.name,
-			stats.FormatDuration(m.hist.Mean()),
-			fmtBytes(int(m.readBytes)),
-			fmtRatio(float64(m.readBytes), float64(baseC)),
-		})
-		results = append(results, m.result("multiget6-4k", cfg.name))
-	}
-
 	writeFastpathJSON(opts, results)
-	return []Table{tblA, tblB, tblC}
+	return []Table{tblA, tblB}
 }
 
-// fastpathConfig names one cluster+client configuration under test. tableI
+// fastpathConfig names one client configuration under test. tableI
 // rows read through the paper's op, cl.CriticalGet (always a quorum read on
 // these clusters), instead of the session's cs.Get — the paper-faithful
 // baseline the other rows are measured against.
 type fastpathConfig struct {
-	name        string
-	tableI      bool
-	clusterOpts []music.Option
-	clientOpts  []music.ClientOption
+	name       string
+	tableI     bool
+	clientOpts []music.ClientOption
 }
 
 // fastpathGet reads the section's key the way the row's config says.
@@ -180,19 +131,11 @@ func (m fastpathMeasurement) result(workload, config string) fastpathResult {
 	}
 }
 
+// fastpathMeasure runs iters+discard sequential critical sections on fresh
+// keys (the single-thread latency methodology) and reports the post-discard
+// latency histogram and coordinator read-byte delta.
 func fastpathMeasure(cfg fastpathConfig, iters, discard int, prefix string, section func(*music.CriticalSection, fastpathGet) error) fastpathMeasurement {
-	return fastpathMeasureSeeded(cfg, iters, discard, prefix, nil, section)
-}
-
-// fastpathMeasureSeeded runs iters+discard sequential critical sections on
-// fresh keys (the single-thread latency methodology), optionally priming
-// each key with seed first, and reports the post-discard latency histogram
-// and coordinator read-byte delta.
-func fastpathMeasureSeeded(cfg fastpathConfig, iters, discard int, prefix string,
-	seed func(*music.Client, string) error, section func(*music.CriticalSection, fastpathGet) error) fastpathMeasurement {
-
-	copts := append([]music.Option{music.WithSeed(7), music.WithObservability()}, cfg.clusterOpts...)
-	c, err := music.New(copts...)
+	c, err := music.New(music.WithSeed(7), music.WithObservability())
 	if err != nil {
 		panic(fmt.Sprintf("bench: fastpath %s: %v", cfg.name, err))
 	}
@@ -202,11 +145,6 @@ func fastpathMeasureSeeded(cfg fastpathConfig, iters, discard int, prefix string
 		var bytesAtWarmup int64
 		for i := 0; i < iters+discard; i++ {
 			key := fmt.Sprintf("fp-%s-%d", prefix, i)
-			if seed != nil {
-				if err := seed(cl, key); err != nil {
-					panic(fmt.Sprintf("bench: fastpath %s seed: %v", cfg.name, err))
-				}
-			}
 			if i == discard {
 				bytesAtWarmup = counterSum(c, "store_read_bytes_total")
 			}

@@ -70,7 +70,7 @@ func (cl *Client) Put(table, key string, cells Row, cons Consistency) error {
 	if cfg.History != nil {
 		hc = cfg.History.Begin(cl.c.net.SiteOf(cl.node), history.KindStorePut, table+"/"+key, 0).TS(maxTS(stamped)).Note(cons.String())
 	}
-	cl.c.net.Work(cl.node, cfg.Costs.CoordWrite+perKBCost(cfg.Costs.PerKB, rowSize(req.Cells)))
+	cl.c.net.Work(cl.node, costCoordWrite+perKBCost(rowSize(req.Cells)))
 	err := cl.replicate(req, cons)
 	hc.End(err)
 	cl.observeLatency("put", cons, cl.c.net.Runtime().Now()-start)
@@ -176,7 +176,7 @@ func (cl *Client) get(table, key string, cols []string, cons Consistency, charge
 		sp.EndErr(err)
 	}()
 	if chargeCoord {
-		cl.c.net.Work(cl.node, cfg.Costs.CoordRead)
+		cl.c.net.Work(cl.node, costCoordRead)
 	}
 	req := readReq{Table: table, Key: key, Cols: cols}
 	targets := cl.c.ringNow().replicasFor(key)
@@ -186,14 +186,6 @@ func (cl *Client) get(table, key string, cols []string, cons Consistency, charge
 	}
 
 	need := cons.need(len(targets))
-	if cfg.DigestReads && need > 1 {
-		if row, ok := cl.digestGet(req, targets, need); ok {
-			return row, nil
-		}
-		// Digest mismatch or too few digest replies: fall through to the
-		// full-payload quorum read, whose merge + read repair reconciles
-		// the replicas.
-	}
 	results := cl.c.net.Multicast(cl.node, targets, svcRead, req, need, cfg.Timeout)
 	oks := transport.Successes(results)
 	if len(oks) < need {
@@ -239,7 +231,7 @@ func (cl *Client) readRepair(table, key string, merged Row, responders []transpo
 // tolerates staleness).
 func (cl *Client) AllKeys(table string) ([]string, error) {
 	cfg := cl.c.cfg
-	cl.c.net.Work(cl.node, cfg.Costs.CoordRead)
+	cl.c.net.Work(cl.node, costCoordRead)
 	members := cl.c.MemberNodes()
 	results := cl.c.net.Multicast(cl.node, members, svcScan, scanReq{Table: table}, len(members), cfg.Timeout)
 	oks := transport.Successes(results)
@@ -260,6 +252,6 @@ func (cl *Client) AllKeys(table string) ([]string, error) {
 	return keys, nil
 }
 
-func perKBCost(perKB time.Duration, size int) time.Duration {
-	return time.Duration(float64(perKB) * float64(size) / 1024)
+func perKBCost(size int) time.Duration {
+	return time.Duration(float64(costPerKB) * float64(size) / 1024)
 }

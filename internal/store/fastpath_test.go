@@ -2,7 +2,6 @@ package store
 
 import (
 	"testing"
-	"time"
 
 	"repro/internal/obs"
 	"repro/internal/sim"
@@ -31,72 +30,6 @@ func counterTotal(ob *obs.Obs, name string) int64 {
 		}
 	}
 	return total
-}
-
-func TestDigestReadMatchesFullRead(t *testing.T) {
-	fixtureObs(t, Config{DigestReads: true}, func(rt *sim.Virtual, net *simnet.Network, c *Cluster, ob *obs.Obs) {
-		cl := c.Client(0)
-		if err := cl.Put(tbl, "k", val("hello"), Quorum); err != nil {
-			t.Fatalf("Put: %v", err)
-		}
-		row, err := cl.Get(tbl, "k", Quorum)
-		if err != nil {
-			t.Fatalf("Get: %v", err)
-		}
-		if got := string(row["v"].Value); got != "hello" {
-			t.Fatalf("Get = %q, want hello", got)
-		}
-		if n := counterTotal(ob, "store_digest_mismatch_total"); n != 0 {
-			t.Fatalf("digest mismatches on converged replicas = %d, want 0", n)
-		}
-		// A digest quorum read moves one full payload plus 8-byte digests to
-		// the coordinator — strictly less than the `need` full payloads of
-		// the ordinary quorum path (puts count no read bytes, so the counter
-		// is the read alone).
-		digestBytes := counterTotal(ob, "store_read_bytes_total")
-		size := int64(rowSize(row))
-		if digestBytes < size || digestBytes >= 2*size {
-			t.Fatalf("digest read moved %d coordinator bytes, want [%d, %d) — one payload plus digests", digestBytes, size, 2*size)
-		}
-	})
-}
-
-func TestDigestMismatchFallsBackAndRepairs(t *testing.T) {
-	fixtureObs(t, Config{DigestReads: true, NoHintedHandoff: true}, func(rt *sim.Virtual, net *simnet.Network, c *Cluster, ob *obs.Obs) {
-		const key = "k"
-		targets := c.ReplicasFor(key)
-		stale := targets[0]
-		var writer simnet.NodeID = targets[1]
-
-		// Make targets[0] stale: it misses a quorum write while crashed
-		// (hinted handoff disabled), then restarts with its old state.
-		net.Crash(stale)
-		if err := c.Client(writer).Put(tbl, key, val("v2"), Quorum); err != nil {
-			t.Fatalf("Put during crash: %v", err)
-		}
-		net.Restart(stale)
-
-		// Reading with the stale node as coordinator serves the full data
-		// from itself (nearest); the fresh replicas' digests disagree, so
-		// the read must fall back to the full quorum path and still return
-		// the new value.
-		row, err := c.Client(stale).Get(tbl, key, Quorum)
-		if err != nil {
-			t.Fatalf("Get: %v", err)
-		}
-		if got := string(row["v"].Value); got != "v2" {
-			t.Fatalf("Get after mismatch = %q, want v2", got)
-		}
-		if n := counterTotal(ob, "store_digest_mismatch_total"); n == 0 {
-			t.Fatal("expected store_digest_mismatch_total > 0")
-		}
-		// The fallback's read repair must converge the stale replica.
-		rt.Sleep(2 * time.Second)
-		dumped := c.replicas[stale].dump(tbl, key)
-		if got := string(dumped["v"].Value); got != "v2" {
-			t.Fatalf("stale replica after repair = %q, want v2", got)
-		}
-	})
 }
 
 func TestOneReadFallsBackToNextNearest(t *testing.T) {

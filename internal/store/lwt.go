@@ -46,7 +46,7 @@ func (cl *Client) CAS(table, key string, conds []Cond, update Row) (res CASResul
 		sp.EndErr(err)
 	}()
 
-	net.Work(cl.node, cfg.Costs.CoordWrite+perKBCost(cfg.Costs.PerKB, rowSize(update)))
+	net.Work(cl.node, costCoordWrite+perKBCost(rowSize(update)))
 
 	var observed uint64 // highest refusing ballot seen, to leapfrog it
 	for attempt := 0; attempt < maxCASAttempts; attempt++ {

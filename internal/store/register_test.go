@@ -33,7 +33,7 @@ func (r inlineRecorder) HandleInline(node transport.NodeID, svc string, h transp
 }
 
 // TestPerRowServicesRegisterInline pins which replica services may run on a
-// connection's read loop: exactly the six that work on one row under one
+// connection's read loop: exactly the five that work on one row under one
 // stripe lock and never wait. The whole-table scan and the state-transfer
 // responder keep a goroutine each, and a transport without the capability —
 // simnet, the WAN plane — gets every service the way it always did.
@@ -49,7 +49,6 @@ func TestPerRowServicesRegisterInline(t *testing.T) {
 	want := map[string]string{
 		svcApply:    "inline",
 		svcRead:     "inline",
-		svcDigest:   "inline",
 		svcPrepare:  "inline",
 		svcPropose:  "inline",
 		svcCommit:   "inline",

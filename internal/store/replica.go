@@ -118,18 +118,17 @@ func (r *replica) stripe(key string) *engineStripe {
 // rowState.merge — resolves without blocking. None of them waits, so the TCP
 // plane may serve them on the connection's read loop. The whole-table scan
 // and the transfer responder (transfer.go) keep a goroutine each.
-func (r *replica) register(tr transport.Transport, node transport.NodeID, costs CostModel) {
+func (r *replica) register(tr transport.Transport, node transport.NodeID) {
 	perRow := tr.HandleWithCost
 	if ih, ok := tr.(transport.InlineHandler); ok {
 		perRow = ih.HandleInline
 	}
-	perRow(node, svcApply, r.handleApply, costs.ReplicaApply, costs.PerKB)
-	perRow(node, svcRead, r.handleRead, costs.ReplicaRead, costs.PerKB)
-	perRow(node, svcDigest, r.handleDigest, costs.ReplicaRead, 0)
-	perRow(node, svcPrepare, r.handlePrepare, costs.PaxosMsg, 0)
-	perRow(node, svcPropose, r.handlePropose, costs.PaxosMsg, costs.PerKB)
-	perRow(node, svcCommit, r.handleCommit, costs.PaxosMsg, costs.PerKB)
-	tr.HandleWithCost(node, svcScan, r.handleScan, costs.ReplicaRead, 0)
+	perRow(node, svcApply, r.handleApply, costReplicaApply, costPerKB)
+	perRow(node, svcRead, r.handleRead, costReplicaRead, costPerKB)
+	perRow(node, svcPrepare, r.handlePrepare, costPaxosMsg, 0)
+	perRow(node, svcPropose, r.handlePropose, costPaxosMsg, costPerKB)
+	perRow(node, svcCommit, r.handleCommit, costPaxosMsg, costPerKB)
+	tr.HandleWithCost(node, svcScan, r.handleScan, costReplicaRead, 0)
 }
 
 // row returns the row state within a stripe, creating it when create is set.

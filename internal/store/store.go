@@ -165,28 +165,17 @@ var (
 	ErrContention = errors.New("store: cas contention, retries exhausted")
 )
 
-// CostModel sets the per-operation CPU costs that bound node throughput.
-// The defaults are calibrated so a 3-node cluster sustains roughly the
-// 41K eventual writes/s the paper measured for CassaEV (Fig 4a).
-type CostModel struct {
-	CoordWrite   time.Duration // coordinator work per write
-	CoordRead    time.Duration // coordinator work per read
-	ReplicaApply time.Duration // replica work applying a mutation
-	ReplicaRead  time.Duration // replica work serving a read
-	PaxosMsg     time.Duration // replica work per Paxos message
-	PerKB        time.Duration // added work per KiB of payload
-}
-
-func defaultCosts() CostModel {
-	return CostModel{
-		CoordWrite:   300 * time.Microsecond,
-		CoordRead:    250 * time.Microsecond,
-		ReplicaApply: 90 * time.Microsecond,
-		ReplicaRead:  90 * time.Microsecond,
-		PaxosMsg:     80 * time.Microsecond,
-		PerKB:        1500 * time.Nanosecond,
-	}
-}
+// Per-operation CPU costs that bound node throughput, calibrated so a
+// 3-node cluster sustains roughly the 41K eventual writes/s the paper
+// measured for CassaEV (Fig 4a).
+const (
+	costCoordWrite   = 300 * time.Microsecond // coordinator work per write
+	costCoordRead    = 250 * time.Microsecond // coordinator work per read
+	costReplicaApply = 90 * time.Microsecond  // replica work applying a mutation
+	costReplicaRead  = 90 * time.Microsecond  // replica work serving a read
+	costPaxosMsg     = 80 * time.Microsecond  // replica work per Paxos message
+	costPerKB        = 1500 * time.Nanosecond // added work per KiB of payload
+)
 
 // Config describes a store cluster.
 type Config struct {
@@ -203,10 +192,6 @@ type Config struct {
 	LocalNodes []transport.NodeID
 	// NoReadRepair disables background repair of stale replicas on reads.
 	NoReadRepair bool
-	// DigestReads makes quorum/all reads fetch full data from the nearest
-	// replica and digests from the rest (Cassandra's read path), falling
-	// back to full reads plus repair on digest mismatch.
-	DigestReads bool
 	// NoHintedHandoff disables background write retries to failed replicas.
 	NoHintedHandoff bool
 	// Timeout bounds each replica round trip. Defaults to the network's
@@ -223,8 +208,6 @@ type Config struct {
 	// (the ring walk) is unaffected: sharding partitions lock state, not
 	// replica sets. Defaults to 1 (the unsharded plane).
 	Shards int
-	// Costs overrides the CPU cost model; zero fields keep defaults.
-	Costs CostModel
 	// History, when non-nil, records every coordinator-level put and every
 	// quorum-level get as store.put/store.get ops (diagnostics beneath the
 	// MUSIC-level history; the ECF checkers ignore store kinds). ONE reads
@@ -302,26 +285,6 @@ func New(tr transport.Transport, cfg Config) *Cluster {
 	if cfg.Shards <= 0 {
 		cfg.Shards = 1
 	}
-	d := defaultCosts()
-	if cfg.Costs.CoordWrite == 0 {
-		cfg.Costs.CoordWrite = d.CoordWrite
-	}
-	if cfg.Costs.CoordRead == 0 {
-		cfg.Costs.CoordRead = d.CoordRead
-	}
-	if cfg.Costs.ReplicaApply == 0 {
-		cfg.Costs.ReplicaApply = d.ReplicaApply
-	}
-	if cfg.Costs.ReplicaRead == 0 {
-		cfg.Costs.ReplicaRead = d.ReplicaRead
-	}
-	if cfg.Costs.PaxosMsg == 0 {
-		cfg.Costs.PaxosMsg = d.PaxosMsg
-	}
-	if cfg.Costs.PerKB == 0 {
-		cfg.Costs.PerKB = d.PerKB
-	}
-
 	c := &Cluster{
 		net:      tr,
 		cfg:      cfg,
@@ -348,7 +311,7 @@ func New(tr transport.Transport, cfg Config) *Cluster {
 	for _, id := range cfg.LocalNodes {
 		r := newReplica(cfg.Shards)
 		c.replicas[id] = r
-		r.register(tr, id, cfg.Costs)
+		r.register(tr, id)
 		c.registerTransfer(id, r)
 	}
 	return c

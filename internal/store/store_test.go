@@ -191,26 +191,40 @@ func TestNoHintedHandoffLeavesReplicaStale(t *testing.T) {
 		})
 }
 
+// TestReadRepairFixesStaleReplica reads through the stale replica itself,
+// at ALL and at QUORUM: the read returns the fresh value and repairs the
+// coordinator's own copy in the background.
 func TestReadRepairFixesStaleReplica(t *testing.T) {
-	fixture(t, Config{Timeout: 500 * time.Millisecond, NoHintedHandoff: true},
-		func(rt *sim.Virtual, net *simnet.Network, c *Cluster) {
-			net.Isolate(2)
-			if err := c.Client(0).Put(tbl, "k", val("v1"), Quorum); err != nil {
-				t.Fatalf("Put: %v", err)
-			}
-			net.Heal()
-			// A quorum read including replica 2 repairs it in the background.
-			for i := 0; i < 5; i++ {
-				if _, err := c.Client(2).Get(tbl, "k", All); err == nil {
-					break
-				}
-			}
-			rt.Sleep(time.Second)
-			got := c.replicas[2].dump(tbl, "k")
-			if got == nil || string(got["v"].Value) != "v1" {
-				t.Fatalf("replica 2 after read repair = %v, want v1", got)
-			}
+	for _, cons := range []Consistency{All, Quorum} {
+		t.Run(cons.String(), func(t *testing.T) {
+			fixture(t, Config{Timeout: 500 * time.Millisecond, NoHintedHandoff: true},
+				func(rt *sim.Virtual, net *simnet.Network, c *Cluster) {
+					net.Isolate(2)
+					if err := c.Client(0).Put(tbl, "k", val("v1"), Quorum); err != nil {
+						t.Fatalf("Put: %v", err)
+					}
+					net.Heal()
+					var row Row
+					var err error
+					for i := 0; i < 5; i++ {
+						if row, err = c.Client(2).Get(tbl, "k", cons); err == nil {
+							break
+						}
+					}
+					if err != nil {
+						t.Fatalf("Get %v: %v", cons, err)
+					}
+					if got := string(row["v"].Value); got != "v1" {
+						t.Fatalf("Get %v through the stale replica = %q, want v1", cons, got)
+					}
+					rt.Sleep(time.Second)
+					got := c.replicas[2].dump(tbl, "k")
+					if got == nil || string(got["v"].Value) != "v1" {
+						t.Fatalf("replica 2 after read repair = %v, want v1", got)
+					}
+				})
 		})
+	}
 }
 
 func TestEventualReadCanBeStale(t *testing.T) {

@@ -60,7 +60,7 @@ func (c *Cluster) registerTransfer(id transport.NodeID, r *replica) {
 			s.mu.Unlock()
 		}
 		return resp, nil
-	}, c.cfg.Costs.ReplicaRead, c.cfg.Costs.PerKB)
+	}, costReplicaRead, costPerKB)
 }
 
 // mergeRow folds cells into the local engine (the receive half of a

@@ -116,18 +116,8 @@ func init() {
 		func(d *wire.Decoder) commitReq {
 			return commitReq{Table: d.String(), Key: d.String(), B: decodeBallot(d), Update: decodeRow(d)}
 		})
-	wire.Register(26, "store.digestReq",
-		func(e *wire.Encoder, m digestReq) {
-			e.String(m.Table)
-			e.String(m.Key)
-			encodeStrings(e, m.Cols)
-		},
-		func(d *wire.Decoder) digestReq {
-			return digestReq{Table: d.String(), Key: d.String(), Cols: decodeStrings(d)}
-		})
-	wire.Register(27, "store.digestResp",
-		func(e *wire.Encoder, m digestResp) { e.Uint64(m.Digest) },
-		func(d *wire.Decoder) digestResp { return digestResp{Digest: d.Uint64()} })
+	// IDs 26 and 27 belonged to the deleted digest read. Never reuse them:
+	// a frame from an older peer must not decode as some other message.
 
 	// Building blocks as standalone payloads, for callers (tests, tools)
 	// that move a bare row, cell, condition or ballot.

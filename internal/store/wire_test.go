@@ -87,8 +87,6 @@ func TestStoreCodecsRoundTrip(t *testing.T) {
 			proposeReq{Table: "t", Key: "k", B: randBallot(rng), Update: randRow(rng)},
 			proposeResp{OK: rng.Intn(2) == 0},
 			commitReq{Table: "t", Key: "k", B: randBallot(rng), Update: randRow(rng)},
-			digestReq{Table: "t", Key: "k", Cols: randCols(rng)},
-			digestResp{Digest: rng.Uint64()},
 			randRow(rng),
 			randCell(rng),
 			Cond{Col: "c", Want: []byte{1}},

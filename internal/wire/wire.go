@@ -31,7 +31,7 @@ import (
 //
 //	0           nil payload
 //	1–15        wire: basic types (string, []byte, int64)
-//	16–47       internal/store (rows, Paxos rounds, scans, digests, transfer)
+//	16–47       internal/store (rows, Paxos rounds, scans, transfer)
 //	48–55       internal/raft (votes, appends, proposals)
 //	56–63       internal/membership (config log, fetch/propose)
 //	64–79       internal/crdb (replicated transaction commands)

@@ -48,14 +48,14 @@ func memberNodes(m membership.Membership) []store.RingNode {
 // names this deployment in the recorded epoch events (each process of a
 // multi-process cluster logs epochs as it applies them; identical
 // re-announcements are the checker's normal case).
-func (c *Cluster) attachMembership(view *membership.View, rf int, site string) {
-	c.memView, c.memRF, c.memSite = view, rf, site
+func (c *Cluster) attachMembership(view *membership.View, site string) {
+	c.memView, c.memSite = view, site
 	cur := view.Current()
 	c.st.ApplyMembership(cur.Epoch, memberNodes(cur))
-	c.history.EpochEvent(site, cur.Epoch, rf, memberNodes(cur))
+	c.history.EpochEvent(site, cur.Epoch, defaultRF, memberNodes(cur))
 	view.Subscribe(func(m membership.Membership) {
 		c.st.ApplyMembership(m.Epoch, memberNodes(m))
-		c.history.EpochEvent(c.memSite, m.Epoch, c.memRF, memberNodes(m))
+		c.history.EpochEvent(c.memSite, m.Epoch, defaultRF, memberNodes(m))
 	})
 }
 

@@ -41,17 +41,6 @@ import (
 // critical section (Table I).
 type LockRef int64
 
-// Mode selects how critical puts reach the data store.
-type Mode = core.Mode
-
-// Critical-put modes.
-const (
-	// ModeQuorum is MUSIC proper: critical puts are quorum writes.
-	ModeQuorum = core.ModeQuorum
-	// ModeLWT is the paper's MSCP baseline: critical puts use Paxos LWTs.
-	ModeLWT = core.ModeLWT
-)
-
 // Errors surfaced by critical operations. Retry guidance follows §III-A and
 // is encoded by IsRetryable: ErrNotLockHolder, ErrUnavailable and
 // ErrContention are retryable (the latter two possibly at another site);
@@ -89,11 +78,9 @@ type options struct {
 	profile      *simnet.Profile
 	nodesPerSite int
 	t            time.Duration
-	mode         Mode
 	realTime     bool
 	seed         int64
 	obs          bool
-	digestReads  bool
 	history      bool
 	mutation     core.Mutation
 	shards       int
@@ -102,8 +89,8 @@ type options struct {
 	adaptive     bool
 }
 
-// defaultRF is the replication factor of New's clusters: one copy per site
-// of the three-site profiles.
+// defaultRF is the replication factor of every cluster New and
+// NewOverTransport build: one copy per site of the three-site profiles.
 const defaultRF = 3
 
 // Option configures New.
@@ -161,11 +148,6 @@ func WithT(t time.Duration) Option {
 	return optionFunc(func(o *options) { o.t = t })
 }
 
-// WithMode selects ModeQuorum (MUSIC, default) or ModeLWT (MSCP).
-func WithMode(m Mode) Option {
-	return optionFunc(func(o *options) { o.mode = m })
-}
-
 // WithRealTime runs the cluster on the wall clock instead of the
 // deterministic virtual-time simulator.
 func WithRealTime() Option {
@@ -183,14 +165,6 @@ func WithSeed(seed int64) Option {
 // spans. Off by default; the disabled path is free.
 func WithObservability() Option {
 	return optionFunc(func(o *options) { o.obs = true })
-}
-
-// WithDigestReads makes the back-end store serve quorum reads Cassandra's
-// way: full data from the nearest replica, digests from the rest, falling
-// back to full reads plus repair on mismatch. Cuts quorum-read bandwidth
-// and per-KB CPU without changing read semantics.
-func WithDigestReads() Option {
-	return optionFunc(func(o *options) { o.digestReads = true })
 }
 
 // WithHistory turns on operation-history recording: every acquire, release,
@@ -269,7 +243,6 @@ type Cluster struct {
 	// Live membership (nil / zero on fixed-membership clusters).
 	memView *membership.View // the epoch-versioned site set this cluster follows
 	memLog  *membership.Log  // the config log, owned when built by New
-	memRF   int              // replication factor epochs are applied with
 	memSite string           // site name stamped on recorded epoch events
 	propose func(membership.Change) (membership.Membership, error)
 }
@@ -281,7 +254,6 @@ func New(opts ...Option) (*Cluster, error) {
 		profile:      simnet.ProfileIUs,
 		nodesPerSite: 1,
 		seed:         1,
-		mode:         ModeQuorum,
 	}
 	for _, opt := range opts {
 		opt.apply(&o)
@@ -360,7 +332,7 @@ func New(opts ...Option) (*Cluster, error) {
 		initial = membership.New(mems)
 	}
 	st := store.New(net, store.Config{
-		RF: defaultRF, DigestReads: o.digestReads, History: rec, Shards: o.shards,
+		RF: defaultRF, History: rec, Shards: o.shards,
 		Members: memberNodes(initial),
 	})
 
@@ -388,7 +360,6 @@ func New(opts ...Option) (*Cluster, error) {
 		}
 		c.replicas[site] = core.NewReplicaSharded(clients, core.Config{
 			T:             o.t,
-			Mode:          o.mode,
 			History:       rec,
 			Mutation:      o.mutation,
 			Leases:        o.leases,
@@ -407,32 +378,23 @@ func New(opts ...Option) (*Cluster, error) {
 			return nil, err
 		}
 		c.memLog = memLog
-		c.attachMembership(memLog.View(), defaultRF, initial.Members[0].Site)
+		c.attachMembership(memLog.View(), initial.Members[0].Site)
 	}
 	return c, nil
 }
 
 // TransportConfig parameterizes NewOverTransport.
 type TransportConfig struct {
-	// RF is the store replication factor (default 3).
-	RF int
 	// T bounds the duration of a critical section (default 1 minute).
 	T time.Duration
-	// Mode selects ModeQuorum (default) or ModeLWT critical puts.
-	Mode Mode
 	// Shards partitions each site's MUSIC plane by store.ShardOf (see
 	// WithShards). Shard i coordinates through the site's i-th local node,
 	// wrapping round when the process hosts fewer nodes. Default 1.
 	Shards int
-	// DigestReads enables the store's digest quorum-read path.
-	DigestReads bool
 	// LocalNodes lists the transport nodes this process hosts store
-	// replicas for. Empty means all nodes (single-process deployment).
+	// replicas for, and so the sites it runs a MUSIC replica for. Empty
+	// means all nodes (single-process deployment).
 	LocalNodes []transport.NodeID
-	// ReplicaSites names the sites to run a MUSIC replica for, each
-	// coordinated through that site's first local node. Empty defaults to
-	// the sites of LocalNodes.
-	ReplicaSites []string
 	// Obs supplies the observability sink shared with the transport (nil
 	// disables metrics and tracing).
 	Obs *obs.Obs
@@ -469,9 +431,6 @@ type TransportConfig struct {
 // in the peer set. The same call works over a simnet for tests. The caller
 // owns fault injection; Close closes the transport.
 func NewOverTransport(tr transport.Transport, cfg TransportConfig) (*Cluster, error) {
-	if cfg.RF == 0 {
-		cfg.RF = 3
-	}
 	if cfg.Shards <= 0 {
 		cfg.Shards = 1
 	}
@@ -480,26 +439,26 @@ func NewOverTransport(tr transport.Transport, cfg TransportConfig) (*Cluster, er
 		members = memberNodes(cfg.Membership.Current())
 	}
 	st := store.New(tr, store.Config{
-		RF:          cfg.RF,
-		DigestReads: cfg.DigestReads,
-		LocalNodes:  cfg.LocalNodes,
-		History:     cfg.History,
-		Shards:      cfg.Shards,
-		Members:     members,
+		RF:         defaultRF,
+		LocalNodes: cfg.LocalNodes,
+		History:    cfg.History,
+		Shards:     cfg.Shards,
+		Members:    members,
 	})
 	local := cfg.LocalNodes
 	if len(local) == 0 {
 		local = tr.Nodes()
 	}
-	sites := cfg.ReplicaSites
-	if len(sites) == 0 {
-		seen := make(map[string]bool)
-		for _, id := range local {
-			if s := tr.SiteOf(id); !seen[s] {
-				seen[s] = true
-				sites = append(sites, s)
-			}
+	// One MUSIC replica per site of the local nodes, in their order; shard i
+	// coordinates through the site's i-th local node.
+	var sites []string
+	siteNodes := make(map[string][]transport.NodeID)
+	for _, id := range local {
+		s := tr.SiteOf(id)
+		if len(siteNodes[s]) == 0 {
+			sites = append(sites, s)
 		}
+		siteNodes[s] = append(siteNodes[s], id)
 	}
 	c := &Cluster{
 		rt:       tr.Runtime(),
@@ -524,22 +483,13 @@ func NewOverTransport(tr transport.Transport, cfg TransportConfig) (*Cluster, er
 		}
 	}
 	for _, site := range sites {
-		var siteNodes []transport.NodeID
-		for _, id := range local {
-			if tr.SiteOf(id) == site {
-				siteNodes = append(siteNodes, id)
-			}
-		}
-		if len(siteNodes) == 0 {
-			return nil, fmt.Errorf("music: no local node in site %q", site)
-		}
+		nodes := siteNodes[site]
 		clients := make([]*store.Client, cfg.Shards)
 		for i := range clients {
-			clients[i] = st.Client(siteNodes[i%len(siteNodes)])
+			clients[i] = st.Client(nodes[i%len(nodes)])
 		}
 		c.replicas[site] = core.NewReplicaSharded(clients, core.Config{
 			T:             cfg.T,
-			Mode:          cfg.Mode,
 			History:       cfg.History,
 			Leases:        cfg.Leases,
 			AdaptiveReads: cfg.AdaptiveReads,
@@ -549,7 +499,7 @@ func NewOverTransport(tr transport.Transport, cfg TransportConfig) (*Cluster, er
 	c.monitor = cfg.Monitor
 	if cfg.Membership != nil {
 		c.propose = cfg.Propose
-		c.attachMembership(cfg.Membership, cfg.RF, sites[0])
+		c.attachMembership(cfg.Membership, sites[0])
 	}
 	return c, nil
 }

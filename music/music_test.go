@@ -226,22 +226,6 @@ func TestPartitionedMinoritySiteCannotWrite(t *testing.T) {
 	}
 }
 
-func TestModeLWTCluster(t *testing.T) {
-	c := newTestCluster(t, WithMode(ModeLWT))
-	err := c.Run(func() {
-		cl := c.Client("ohio")
-		err := cl.RunCritical("k", func(cs *CriticalSection) error {
-			return cs.Put([]byte("mscp"))
-		})
-		if err != nil {
-			t.Fatalf("MSCP RunCritical: %v", err)
-		}
-	})
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-}
-
 func TestRealTimeCluster(t *testing.T) {
 	c := newTestCluster(t, WithProfile(ProfileLocal), WithRealTime())
 	defer c.Close()

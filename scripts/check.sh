@@ -146,7 +146,7 @@ go test -race ./internal/chaosnet/ -run 'TestStragglerHandoffOverTCP' -count=3 -
 # quick JSON must also equal, byte for byte, the one committed under
 # internal/bench/testdata: any change to a schedule or a virtual-time figure
 # shows up there as a diff. transport and soak are wall-clock, so grep-only.
-#   fastpath   the Table I / session / write-behind / digest rows.
+#   fastpath   the Table I / session / write-behind rows.
 #   transport  real TCP loopback clusters alongside the simulated plane.
 #   soak       restarts and reconfig deploy real musicd OS processes: restarts
 #              must prove the SIGKILLed-and-restarted process caught up through
