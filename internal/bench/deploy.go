@@ -37,6 +37,10 @@ func buildMUSICTraced(profile *simnet.Profile, nodesPerSite int, mode core.Mode,
 	return buildMUSICWorld(profile, nodesPerSite, mode, seed, true)
 }
 
+// buildMUSICWorld wires store and replicas by hand rather than through
+// music.NewOverTransport: the paper's experiments run one MUSIC replica per
+// store node (not one per site, sharded over the site's nodes), and the
+// MSCP baseline's core.ModeLWT, which the music topology does not offer.
 func buildMUSICWorld(profile *simnet.Profile, nodesPerSite int, mode core.Mode, seed int64, traced bool) *musicWorld {
 	rt := sim.New(seed)
 	var ob *obs.Obs

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/sim"
 	"repro/internal/simnet"
 	"repro/internal/stats"
@@ -32,24 +33,22 @@ func readpathFabric() *simnet.Profile {
 // metro fabric and workload. The string name is the row identity benchgate
 // keys on.
 var readpathConfigs = []struct {
-	name string
-	opts []music.Option
+	name     string
+	opts     []music.Option
+	mutation core.Mutation
 }{
 	// Baseline: every critical get is a quorum read (one inter-site RTT).
-	{"quorum", nil},
+	{"quorum", nil, core.MutationNone},
 	// Holder leases: the granting site serves the section's gets locally
 	// for the lease window, under the full critical-check guard.
-	{"lease", []music.Option{music.WithHolderLeases()}},
+	{"lease", []music.Option{music.WithHolderLeases()}, core.MutationNone},
 	// Adaptive reads on a clean history: the monitor never sees a
 	// violation, so every get stays at ONE (the local replica).
-	{"adaptive", []music.Option{music.WithAdaptiveReads()}},
+	{"adaptive", []music.Option{music.WithAdaptiveReads()}, core.MutationNone},
 	// Adaptive reads against deterministic injected staleness: the monitor
 	// must trip and flip the sites back to QUORUM, after which no further
 	// violation may appear.
-	{"adaptive_stale", []music.Option{
-		music.WithAdaptiveReads(),
-		music.WithProtocolMutation(music.MutationStaleReads),
-	}},
+	{"adaptive_stale", []music.Option{music.WithAdaptiveReads()}, core.MutationStaleReads},
 }
 
 // readpathResult is one row of the BENCH_readpath.json artifact. The *_us
@@ -70,13 +69,16 @@ type readpathResult struct {
 // it. Only the critical gets are timed — the lock plane is identical across
 // configs, and the experiment is about what a get costs once the section
 // holds the key.
-func measureReadpath(cfgName string, clusterOpts []music.Option, opts Options) readpathResult {
+func measureReadpath(cfgName string, clusterOpts []music.Option, mutation core.Mutation, opts Options) readpathResult {
 	c, err := music.New(append([]music.Option{
 		music.WithSimnetProfile(readpathFabric()),
 		music.WithSeed(11),
 	}, clusterOpts...)...)
 	if err != nil {
 		panic(fmt.Sprintf("bench: readpath %s: %v", cfgName, err))
+	}
+	for _, site := range c.Sites() {
+		c.Replica(site).SetMutation(mutation)
 	}
 	sites := c.Sites()
 	workersPerSite, totalSections := 4, 1800
@@ -185,7 +187,7 @@ func runReadpath(opts Options) []Table {
 	var results []readpathResult
 	for _, cfg := range readpathConfigs {
 		opts.logf("  readpath: %s", cfg.name)
-		r := measureReadpath(cfg.name, cfg.opts, opts)
+		r := measureReadpath(cfg.name, cfg.opts, cfg.mutation, opts)
 		results = append(results, r)
 		t.Rows = append(t.Rows, []string{
 			r.Config,

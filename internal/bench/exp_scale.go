@@ -8,8 +8,8 @@ import (
 	"repro/internal/sim"
 	"repro/internal/simnet"
 	"repro/internal/stats"
-	"repro/internal/store"
 	"repro/internal/ycsb"
+	"repro/music"
 )
 
 // scaleShardCounts is the sweep the tentpole's acceptance criterion reads:
@@ -36,8 +36,6 @@ func scaleFabric() *simnet.Profile {
 // and a site replica whose plane shard i coordinates through node i.
 type scaleWorld struct {
 	rt   *sim.Virtual
-	net  *simnet.Network
-	st   *store.Cluster
 	reps []*core.Replica // one per site, site-indexed
 }
 
@@ -45,22 +43,15 @@ type scaleWorld struct {
 // shard count. NodesPerSite == shards so every plane shard owns a store
 // node (and hence a modeled CPU) of its own.
 func buildScaleWorld(shards int, seed int64) *scaleWorld {
-	profile := scaleFabric()
 	rt := sim.New(seed)
-	net := simnet.New(rt, simnet.Config{Profile: profile, NodesPerSite: shards, Seed: seed})
-	st := store.New(net, store.Config{RF: 3, Shards: shards})
-	w := &scaleWorld{rt: rt, net: net, st: st}
-	for _, site := range profile.Sites() {
-		nodes := net.NodesInSite(site)
-		clients := make([]*store.Client, shards)
-		for i := range clients {
-			clients[i] = st.Client(nodes[i%len(nodes)])
-		}
-		w.reps = append(w.reps, core.NewReplicaSharded(clients, core.Config{
-			T:             10 * time.Minute,
-			OrphanTimeout: 5 * time.Second,
-			Mode:          core.ModeQuorum,
-		}))
+	net := simnet.New(rt, simnet.Config{Profile: scaleFabric(), NodesPerSite: shards, Seed: seed})
+	c, err := music.NewOverTransport(net, music.TransportConfig{T: 10 * time.Minute, Shards: shards})
+	if err != nil {
+		panic(fmt.Sprintf("bench: scale world: %v", err))
+	}
+	w := &scaleWorld{rt: rt}
+	for _, site := range c.Sites() {
+		w.reps = append(w.reps, c.Replica(site))
 	}
 	return w
 }

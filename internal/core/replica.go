@@ -331,6 +331,12 @@ func NewReplicaSharded(clients []*store.Client, cfg Config) *Replica {
 	return r
 }
 
+// SetMutation injects a deliberate protocol bug into the replica (see
+// Mutation) so the history checkers and the consistency monitor can prove
+// they detect it. Tests only; call it before the replica serves any
+// operation.
+func (r *Replica) SetMutation(m Mutation) { r.cfg.Mutation = m }
+
 // shardFor routes key to its owning plane shard. The single-shard fast
 // path skips hashing entirely.
 func (r *Replica) shardFor(key string) *planeShard {

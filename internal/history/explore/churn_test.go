@@ -67,6 +67,25 @@ func TestChurnPinnedSeeds(t *testing.T) {
 	}
 }
 
+// TestChurnReplaysFromSeed backs the claim that any churn violation replays
+// from its logged seed: running one seed's schedule twice in one process
+// must record the same history op for op. Map-order iteration on the
+// reconfiguration path (state transfer after an epoch change) breaks it, so
+// scripts/check.sh runs this test more than once.
+func TestChurnReplaysFromSeed(t *testing.T) {
+	for _, seed := range memberSeeds(t) {
+		a, b := Run(GenerateChurn(seed)), Run(GenerateChurn(seed))
+		if reflect.DeepEqual(a.Ops, b.Ops) {
+			continue
+		}
+		i := 0
+		for i < len(a.Ops) && i < len(b.Ops) && reflect.DeepEqual(a.Ops[i], b.Ops[i]) {
+			i++
+		}
+		t.Errorf("churn seed %d diverges on replay at op %d of %d/%d", seed, i, len(a.Ops), len(b.Ops))
+	}
+}
+
 // TestGenerateChurnDeterministic pins the generator contract behind seed
 // replay: the same seed must yield an identical script, and churn scripts
 // must not perturb the byte-stable classic generator.

@@ -18,6 +18,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/history"
 	"repro/internal/sim"
 	"repro/internal/simnet"
@@ -92,8 +93,8 @@ type Script struct {
 	T           time.Duration // critical-section bound
 	Deadline    time.Duration // virtual-time budget; exceeding it is a liveness failure
 	Policy      music.WritePolicy
-	HolderCache bool           // sections read as a session (cs.Get) rather than through the Table I op; the name and the draw are pinned by the seeds
-	Mutation    music.Mutation // injected protocol bug (checker validation only)
+	HolderCache bool          // sections read as a session (cs.Get) rather than through the Table I op; the name and the draw are pinned by the seeds
+	Mutation    core.Mutation // injected protocol bug (checker validation only)
 	// ReadMode selects the adaptive read plane: "" is the legacy quorum read
 	// path (every Generate script, byte-identical replay), "lease" turns on
 	// site-scoped holder leases, "adaptive" serves critical gets at ONE under
@@ -255,7 +256,6 @@ func Run(s Script) Outcome {
 		music.WithT(s.T),
 		music.WithHistory(),
 		music.WithObservability(),
-		music.WithProtocolMutation(s.Mutation),
 	}
 	switch s.ReadMode {
 	case "lease":
@@ -271,6 +271,9 @@ func Run(s Script) Outcome {
 		return Outcome{Script: s, RunErr: err}
 	}
 	defer c.Close()
+	for _, site := range c.Sites() {
+		c.Replica(site).SetMutation(s.Mutation)
+	}
 	v := c.Virtual()
 	deadline := s.Deadline
 	if deadline == 0 {

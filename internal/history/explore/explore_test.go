@@ -8,7 +8,7 @@ import (
 	"strings"
 	"testing"
 
-	"repro/music"
+	"repro/internal/core"
 )
 
 // exploreSeeds returns the exploration batch's seed set: MUSIC_EXPLORE_SEEDS
@@ -126,11 +126,11 @@ func TestExploreDetectsInjectedViolations(t *testing.T) {
 
 	cases := []struct {
 		name     string
-		mutation music.Mutation
+		mutation core.Mutation
 		rule     string
 	}{
-		{"skipSynchronize", music.MutationSkipSynchronize, "sync-skip"},
-		{"frozenElapsed", music.MutationFrozenElapsed, "ts-order"},
+		{"skipSynchronize", core.MutationSkipSynchronize, "sync-skip"},
+		{"frozenElapsed", core.MutationFrozenElapsed, "ts-order"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -160,7 +160,7 @@ func TestExploreDetectsInjectedViolations(t *testing.T) {
 // script still violates and renders a self-contained repro.
 func TestMinimizeRepro(t *testing.T) {
 	s := Generate(mutationSeed)
-	s.Mutation = music.MutationSkipSynchronize
+	s.Mutation = core.MutationSkipSynchronize
 	min, out := Minimize(s)
 	if !out.Violating() {
 		t.Fatalf("minimized script no longer violating")

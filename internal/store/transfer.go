@@ -99,13 +99,17 @@ func (c *Cluster) PullFrom(node, peer transport.NodeID) (int, error) {
 // membership change and at process startup after a crash-restart; errors
 // from individual peers are tolerated as long as at least one peer per
 // local node answered (quorum intersection plus read repair covers the
-// rest). It returns the total number of rows changed.
+// rest). Local nodes are synced in LocalNodes order and every one is tried:
+// a node no peer answered (one that is crashed, say) fails the call only
+// after the rest have caught up, with the first such node's error. It
+// returns the total number of rows changed.
 func (c *Cluster) SyncLocal(peers []transport.NodeID) (int, error) {
 	if len(peers) == 0 {
 		peers = c.MemberNodes()
 	}
 	total := 0
-	for node := range c.replicas {
+	var firstErr error
+	for _, node := range c.cfg.LocalNodes {
 		answered := 0
 		var lastErr error
 		for _, peer := range peers {
@@ -120,9 +124,9 @@ func (c *Cluster) SyncLocal(peers []transport.NodeID) (int, error) {
 			answered++
 			total += n
 		}
-		if answered == 0 && lastErr != nil {
-			return total, fmt.Errorf("store: transfer into node %d: %w", node, lastErr)
+		if answered == 0 && lastErr != nil && firstErr == nil {
+			firstErr = fmt.Errorf("store: transfer into node %d: %w", node, lastErr)
 		}
 	}
-	return total, nil
+	return total, firstErr
 }

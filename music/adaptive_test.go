@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/obs"
 )
 
@@ -70,8 +71,10 @@ func TestSiteLeaseServesPlainGets(t *testing.T) {
 // violations after the flip — the acceptance proof that the fallback
 // restores consistency.
 func TestAdaptiveFlipUnderStaleness(t *testing.T) {
-	c := newTestCluster(t, WithSeed(11), WithAdaptiveReads(),
-		WithProtocolMutation(MutationStaleReads))
+	c := newTestCluster(t, WithSeed(11), WithAdaptiveReads())
+	for _, site := range c.Sites() {
+		c.Replica(site).SetMutation(core.MutationStaleReads)
+	}
 	err := c.Run(func() {
 		cl := c.Client("ohio")
 		mon := c.Monitor()

@@ -111,7 +111,7 @@ func (c *Cluster) JoinSite(site string) (membership.Membership, error) {
 	if err != nil {
 		return membership.Membership{}, err
 	}
-	return c.reconfigure(membership.Change{Op: membership.OpJoin, Add: add}, site)
+	return c.reconfigure(membership.Change{Op: membership.OpJoin, Add: add})
 }
 
 // RetireSite removes a site from the membership (planned decommission).
@@ -119,7 +119,7 @@ func (c *Cluster) JoinSite(site string) (membership.Membership, error) {
 // in-flight holders are preempted; clients with dynamic failover re-bind
 // to a surviving site.
 func (c *Cluster) RetireSite(site string) (membership.Membership, error) {
-	return c.reconfigure(membership.Change{Op: membership.OpRetire, Site: site}, site)
+	return c.reconfigure(membership.Change{Op: membership.OpRetire, Site: site})
 }
 
 // ReplaceSite swaps a (typically crashed) site for a provisioned spare in
@@ -129,31 +129,18 @@ func (c *Cluster) ReplaceSite(site, with string) (membership.Membership, error) 
 	if err != nil {
 		return membership.Membership{}, err
 	}
-	return c.reconfigure(membership.Change{Op: membership.OpReplace, Site: site, Add: add}, site)
+	return c.reconfigure(membership.Change{Op: membership.OpReplace, Site: site, Add: add})
 }
 
 // reconfigure proposes one membership change and then runs state transfer
-// so nodes whose key ranges widened catch up. The proposal is issued from
-// a member node outside the affected site — the affected site may be
-// crashed or partitioned (the replace-under-partition case) and a crashed
-// node cannot drive RPCs. Transfer errors are not fatal: any new quorum
-// intersects the old one on at least one replica (bounded movement), so
-// read repair converges the remaining rows behind the scenes.
-func (c *Cluster) reconfigure(ch membership.Change, affected string) (membership.Membership, error) {
-	var (
-		m   membership.Membership
-		err error
-	)
-	switch {
-	case c.propose != nil:
-		// Multi-process: the deployment supplied its own propose path
-		// (local log peer, or ProposeRemote through a serving member).
-		m, err = c.propose(ch)
-	case c.memLog != nil:
-		m, err = c.memLog.Propose(c.proposer(affected), ch)
-	default:
+// so nodes whose key ranges widened catch up. Transfer errors are not fatal:
+// any new quorum intersects the old one on at least one replica (bounded
+// movement), so read repair converges the remaining rows behind the scenes.
+func (c *Cluster) reconfigure(ch membership.Change) (membership.Membership, error) {
+	if c.propose == nil {
 		return membership.Membership{}, membership.ErrNotReplicated
 	}
+	m, err := c.propose(ch)
 	if err != nil {
 		return m, err
 	}
@@ -169,7 +156,8 @@ func (c *Cluster) reconfigure(ch membership.Change, affected string) (membership
 func (c *Cluster) SyncLocal() (int, error) { return c.st.SyncLocal(nil) }
 
 // proposer picks a member node outside the affected site to drive a
-// proposal from.
+// proposal from: the affected site may be crashed or partitioned (the
+// replace-under-partition case) and a crashed node cannot drive RPCs.
 func (c *Cluster) proposer(affected string) transport.NodeID {
 	cur := c.memView.Current()
 	for _, mem := range cur.Members {

@@ -82,7 +82,6 @@ type options struct {
 	seed         int64
 	obs          bool
 	history      bool
-	mutation     core.Mutation
 	shards       int
 	spares       []string // non-empty makes the cluster dynamic
 	leases       bool
@@ -199,33 +198,6 @@ func WithAdaptiveReads() Option {
 	return optionFunc(func(o *options) { o.adaptive = true; o.history = true })
 }
 
-// Mutation is a deliberate protocol bug injected under test (see the
-// Mutation* constants); it exists so the history checkers can prove they
-// detect real ECF violations. Never enable one outside a test.
-type Mutation = core.Mutation
-
-// Protocol mutations for checker validation.
-const (
-	// MutationNone runs the correct protocol (default).
-	MutationNone = core.MutationNone
-	// MutationSkipSynchronize skips the §IV-B grant-time data-store
-	// synchronization after a forced release, letting a preempted holder's
-	// surviving writes leak into the next critical section.
-	MutationSkipSynchronize = core.MutationSkipSynchronize
-	// MutationFrozenElapsed stamps every critical write of a section with
-	// v2s(ref, 0), breaking write ordering inside the lockRef's window.
-	MutationFrozenElapsed = core.MutationFrozenElapsed
-	// MutationStaleReads serves every adaptive weak read one write behind —
-	// deterministic injected staleness for monitor validation.
-	MutationStaleReads = core.MutationStaleReads
-)
-
-// WithProtocolMutation injects a deliberate protocol bug for checker
-// validation (tests only).
-func WithProtocolMutation(m Mutation) Option {
-	return optionFunc(func(o *options) { o.mutation = m })
-}
-
 // Cluster is a full MUSIC deployment: network, back-end store, and one
 // MUSIC replica per site.
 type Cluster struct {
@@ -242,13 +214,13 @@ type Cluster struct {
 
 	// Live membership (nil / zero on fixed-membership clusters).
 	memView *membership.View // the epoch-versioned site set this cluster follows
-	memLog  *membership.Log  // the config log, owned when built by New
 	memSite string           // site name stamped on recorded epoch events
 	propose func(membership.Change) (membership.Membership, error)
 }
 
-// New builds a cluster. With the default virtual-time mode, issue all
-// operations inside Cluster.Run.
+// New builds a cluster: a simnet over the chosen latency profile, and
+// NewOverTransport over it with every node local. With the default
+// virtual-time mode, issue all operations inside Cluster.Run.
 func New(opts ...Option) (*Cluster, error) {
 	o := options{
 		profile:      simnet.ProfileIUs,
@@ -266,60 +238,56 @@ func New(opts ...Option) (*Cluster, error) {
 	}
 
 	var rt sim.Runtime
-	var virtual *sim.Virtual
 	if o.realTime {
 		rt = sim.NewReal(o.seed)
 	} else {
-		virtual = sim.New(o.seed)
-		rt = virtual
+		rt = sim.New(o.seed)
 	}
-	var ob *obs.Obs
+	// c is assigned once NewOverTransport returns, before any op can run;
+	// the monitor's repair hook and the membership proposer read it.
+	var c *Cluster
+	cfg := TransportConfig{
+		T:             o.t,
+		Shards:        o.shards,
+		Leases:        o.leases,
+		AdaptiveReads: o.adaptive,
+	}
 	if o.obs {
-		ob = obs.New(rt, obs.Options{})
+		cfg.Obs = obs.New(rt, obs.Options{})
 	}
-	var rec *history.Recorder
 	if o.history {
-		rec = history.New(rt)
+		cfg.History = history.New(rt)
 	}
-	var mon *history.Monitor
-	// repairRep resolves a site to its replica for the monitor's repair
-	// hook; it is assigned once the replicas exist, before any op can run.
-	var repairRep func(site string) *core.Replica
 	if o.adaptive {
-		mon = history.NewMonitor(history.MonitorConfig{
+		cfg.Monitor = history.NewMonitor(history.MonitorConfig{
 			OnViolation: func(site, key string) {
-				if repairRep == nil {
+				if c == nil {
 					return
 				}
-				if rep := repairRep(site); rep != nil {
+				if rep := c.replicas[site]; rep != nil {
 					// Repair asynchronously: a quorum read re-converges the
 					// stale replica through the store's read-repair path.
 					rt.Go(func() { _ = rep.RepairRead(key) })
 				}
 			},
 		})
-		rec.Attach(mon)
+		cfg.History.Attach(cfg.Monitor)
 	}
 	net := simnet.New(rt, simnet.Config{
 		Profile:      o.profile,
 		NodesPerSite: o.nodesPerSite,
 		Seed:         o.seed,
-		Obs:          ob,
+		Obs:          cfg.Obs,
 	})
-	if o.shards <= 0 {
-		o.shards = 1
-	}
-	// Dynamic clusters carve the initial membership out of the non-spare
-	// sites; spares run store/replica services from boot but join later.
-	var initial membership.Membership
-	var spareNodes []transport.NodeID
-	dynamic := len(o.spares) > 0
-	if dynamic {
+	if len(o.spares) > 0 {
+		// Dynamic clusters carve the initial membership out of the non-spare
+		// sites; spares run store/replica services from boot but join later.
 		spare := make(map[string]bool, len(o.spares))
 		for _, s := range o.spares {
 			spare[s] = true
 		}
 		var mems []membership.Member
+		var spareNodes []transport.NodeID
 		for _, site := range o.profile.Sites() {
 			for _, id := range net.NodesInSite(site) {
 				if spare[site] {
@@ -329,45 +297,7 @@ func New(opts ...Option) (*Cluster, error) {
 				mems = append(mems, membership.Member{ID: id, Site: site})
 			}
 		}
-		initial = membership.New(mems)
-	}
-	st := store.New(net, store.Config{
-		RF: defaultRF, History: rec, Shards: o.shards,
-		Members: memberNodes(initial),
-	})
-
-	c := &Cluster{
-		rt:       rt,
-		virtual:  virtual,
-		tr:       net,
-		net:      net,
-		st:       st,
-		sites:    o.profile.Sites(),
-		replicas: make(map[string]*core.Replica, len(o.profile.Sites())),
-		obs:      ob,
-		history:  rec,
-		monitor:  mon,
-	}
-	repairRep = func(site string) *core.Replica { return c.replicas[site] }
-	for _, site := range c.sites {
-		// Shard i coordinates through the site's i-th node (wrapping when
-		// the site has fewer nodes than shards), so with NodesPerSite ≥
-		// shards each shard drives its own simnet node CPU.
-		nodes := net.NodesInSite(site)
-		clients := make([]*store.Client, o.shards)
-		for i := range clients {
-			clients[i] = st.Client(nodes[i%len(nodes)])
-		}
-		c.replicas[site] = core.NewReplicaSharded(clients, core.Config{
-			T:             o.t,
-			History:       rec,
-			Mutation:      o.mutation,
-			Leases:        o.leases,
-			AdaptiveReads: o.adaptive,
-			Monitor:       mon,
-		})
-	}
-	if dynamic {
+		initial := membership.New(mems)
 		memLog, err := membership.NewLog(membership.LogConfig{
 			Transport: net,
 			Group:     initial.NodeIDs(),
@@ -377,10 +307,15 @@ func New(opts ...Option) (*Cluster, error) {
 		if err != nil {
 			return nil, err
 		}
-		c.memLog = memLog
-		c.attachMembership(memLog.View(), initial.Members[0].Site)
+		cfg.Membership = memLog.View()
+		// A join leaves ch.Site empty, so it proposes from the first member.
+		cfg.Propose = func(ch membership.Change) (membership.Membership, error) {
+			return memLog.Propose(c.proposer(ch.Site), ch)
+		}
 	}
-	return c, nil
+	var err error
+	c, err = NewOverTransport(net, cfg)
+	return c, err
 }
 
 // TransportConfig parameterizes NewOverTransport.

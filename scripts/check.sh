@@ -64,6 +64,11 @@ MUSIC_EXPLORE_SEEDS="1,2,3,4,5,6,7,8,9,10,11,12,13,14,15,16,17,18,19,20" \
 # fresh-seed batch; this pinned subset keeps the local gate deterministic.
 MUSIC_MEMBER_SEEDS="1,2,3,4,5,6,7,8,9,10,11,12" \
     go test ./internal/history/explore/ -run 'TestChurnPinnedSeeds' -count=1 -timeout 600s
+# A churn violation is only worth its logged seed if the seed replays: each
+# pinned churn schedule runs twice in one process and must record the same
+# history op for op. Map-order iteration on the reconfiguration path breaks
+# that in some runs and not others, so the test runs three times over.
+go test ./internal/history/explore/ -run 'TestChurnReplaysFromSeed' -count=3 -timeout 600s
 # Adaptive read-plane campaign under pinned seeds: the exploration schedules
 # re-run with holder leases and then monitored ONE reads on, so the
 # lease-order / lease-window / lease-epoch and monitor-coverage ECF rules
