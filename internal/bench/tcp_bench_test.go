@@ -8,7 +8,8 @@ import (
 // BenchmarkTCPLockSection drives the full Table I critical section —
 // createLockRef, acquireLock, criticalPut, criticalGet, releaseLock — over
 // the real TCP loopback deployment, a fresh key per iteration. This is the
-// profiling entry point for the message-plane hot path:
+// profiling entry point for the message-plane hot path. gc-frac is the share
+// of the process's CPU the garbage collector took over the timed loop:
 //
 //	go test ./internal/bench -bench TCPLockSection -cpuprofile cpu.prof
 func BenchmarkTCPLockSection(b *testing.B) {
@@ -16,7 +17,9 @@ func BenchmarkTCPLockSection(b *testing.B) {
 	defer back.close()
 	value := make([]byte, 256)
 	b.ReportAllocs()
+	var gc gcMeter
 	b.ResetTimer()
+	gc.start()
 	for i := 0; i < b.N; i++ {
 		key := fmt.Sprintf("bench-%d", i)
 		ref, err := back.cl.CreateLockRef(key)
@@ -37,4 +40,6 @@ func BenchmarkTCPLockSection(b *testing.B) {
 			b.Fatalf("releaseLock: %v", err)
 		}
 	}
+	b.StopTimer()
+	gc.report(b)
 }

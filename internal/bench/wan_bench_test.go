@@ -17,42 +17,59 @@ import (
 // three clients, one per site, running side by side as the wan_section
 // workload does. Virtual time costs nothing, so what it measures is the
 // wall-clock CPU of the simulator and the stack above it per section — the
-// profiling entry point for the virtual-time plane:
+// profiling entry point for the virtual-time plane. gc-frac is the share of
+// that CPU the garbage collector took:
 //
 //	go test ./internal/bench -run XXX -bench WANSection -cpuprofile cpu.prof
 func BenchmarkWANSection(b *testing.B) {
 	b.ReportAllocs()
-	if err := runWANSections(b.N, b.ResetTimer, b.StopTimer); err != nil {
+	var gc gcMeter
+	start := func() {
+		b.ResetTimer()
+		gc.start()
+	}
+	if err := runWANSections(b.N, start, b.StopTimer); err != nil {
 		b.Fatal(err)
 	}
+	gc.report(b)
 }
 
-// wanSectionAllocCeiling is TestAllocCeilingWANSection's bound: the
-// allocations per section measured with pooled timer events and only live
-// timers in the heap (1670), plus 2 %.
-const wanSectionAllocCeiling = 1703
+// TestAllocCeilingWANSection's bounds. The count is the allocations per
+// section measured with the store's rows held as sorted cell slices (1636)
+// plus 2 %. The bytes are those measured then (81 135 B, Go 1.24) plus 10 %,
+// since map and slice sizes differ between Go releases. GC cost follows
+// bytes, and rows held as maps again cost 20 KB more a section while moving
+// the count by only 34.
+const (
+	wanSectionAllocCeiling      = 1669
+	wanSectionAllocBytesCeiling = 89250
+)
 
-// TestAllocCeilingWANSection pins the allocations per section of
-// BenchmarkWANSection's shape: the simulator, the simulated network and the
-// whole MUSIC stack above them, with observability off.
+// TestAllocCeilingWANSection pins the allocations and allocated bytes per
+// section of BenchmarkWANSection's shape: the simulator, the simulated
+// network and the whole MUSIC stack above them, with observability off.
 func TestAllocCeilingWANSection(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector changes allocation counts")
 	}
 	const sections = 600
 	var ms runtime.MemStats
-	var before uint64
+	var mallocs, bytes uint64
 	err := runWANSections(sections, func() {
 		runtime.ReadMemStats(&ms)
-		before = ms.Mallocs
+		mallocs, bytes = ms.Mallocs, ms.TotalAlloc
 	}, func() { runtime.ReadMemStats(&ms) })
 	if err != nil {
 		t.Fatal(err)
 	}
-	per := float64(ms.Mallocs-before) / sections
-	t.Logf("%.0f allocs per section (ceiling %d)", per, wanSectionAllocCeiling)
+	per := float64(ms.Mallocs-mallocs) / sections
+	perBytes := float64(ms.TotalAlloc-bytes) / sections
+	t.Logf("%.0f allocs, %.0f B per section (ceilings %d, %d B)", per, perBytes, wanSectionAllocCeiling, wanSectionAllocBytesCeiling)
 	if per > wanSectionAllocCeiling {
-		t.Fatalf("%.0f allocs per section, ceiling %d", per, wanSectionAllocCeiling)
+		t.Errorf("%.0f allocs per section, ceiling %d", per, wanSectionAllocCeiling)
+	}
+	if perBytes > wanSectionAllocBytesCeiling {
+		t.Errorf("%.0f B allocated per section, ceiling %d B", perBytes, wanSectionAllocBytesCeiling)
 	}
 }
 

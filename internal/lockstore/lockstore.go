@@ -225,8 +225,8 @@ func (s *Service) Watch(key string, ref int64) *store.Watch {
 	if o := net.Obs(); o != nil {
 		parked = o.Metrics().Gauge("lockstore_watchers", obs.Labels{"site": net.SiteOf(s.st.Node())})
 	}
-	return s.st.Watch(Table, key, func(row store.Row) bool {
-		b := cellBytes(row, colQueue)
+	return s.st.Watch(Table, key, func(row store.RowView) bool {
+		b, _ := row.Live(colQueue)
 		return len(b) < 8 || int64(binary.BigEndian.Uint64(b)) >= ref
 	}, parked)
 }

@@ -58,12 +58,11 @@ func (cl *Client) Put(table, key string, cells Row, cons Consistency) error {
 		sp.Annotate("cons", cons.String())
 	}
 	start := cl.c.net.Runtime().Now()
-	stamped := make(Row, len(cells))
-	for col, c := range cells {
-		if c.TS == 0 {
-			c.TS = cl.c.nextWriteTS(key)
+	stamped := sortRow(cells)
+	for i := range stamped {
+		if stamped[i].TS == 0 {
+			stamped[i].TS = cl.c.nextWriteTS(key)
 		}
-		stamped[col] = c
 	}
 	req := applyReq{Table: table, Key: key, Cells: stamped}
 	var hc *history.Call
@@ -80,7 +79,7 @@ func (cl *Client) Put(table, key string, cells Row, cons Consistency) error {
 
 // maxTS is the newest cell stamp in a row — the TS a store.put history op
 // reports for a multi-cell write.
-func maxTS(cells Row) int64 {
+func maxTS(cells sortedRow) int64 {
 	var ts int64
 	for _, c := range cells {
 		if c.TS > ts {
@@ -148,15 +147,25 @@ func (cl *Client) handoff(to transport.NodeID, req applyReq) {
 // responses cell-wise and (unless disabled) repair stale replicas in the
 // background.
 func (cl *Client) Get(table, key string, cons Consistency) (Row, error) {
-	return cl.get(table, key, nil, cons, true)
+	return cl.getLive(table, key, nil, cons)
 }
 
 // GetCols is Get restricted to the named columns.
 func (cl *Client) GetCols(table, key string, cols []string, cons Consistency) (Row, error) {
-	return cl.get(table, key, cols, cons, true)
+	return cl.getLive(table, key, cols, cons)
 }
 
-func (cl *Client) get(table, key string, cols []string, cons Consistency, chargeCoord bool) (row Row, err error) {
+func (cl *Client) getLive(table, key string, cols []string, cons Consistency) (Row, error) {
+	cells, err := cl.get(table, key, cols, cons, true)
+	if err != nil {
+		return nil, err
+	}
+	return cells.liveRow(), nil
+}
+
+// get reads a row, tombstones included: the replica's cells at ONE, the
+// responders' merge at Quorum and All.
+func (cl *Client) get(table, key string, cols []string, cons Consistency, chargeCoord bool) (row sortedRow, err error) {
 	cfg := cl.c.cfg
 	sp := cl.tracer().Child("store.get")
 	if sp != nil {
@@ -192,36 +201,38 @@ func (cl *Client) get(table, key string, cols []string, cons Consistency, charge
 		return nil, fmt.Errorf("%w: %d/%d replies for %s/%s", ErrUnavailable, len(oks), need, table, key)
 	}
 
-	merged := make(Row)
-	payload := 0
-	for _, r := range oks {
+	// The replies are the coordinator's own copies, so the merge is built in
+	// the first one's array. That reply's replica is stale exactly when a
+	// later reply changed the merge; the others are compared to it after.
+	first := oks[0].Resp.(readResp).Cells
+	merged, firstStale := first, false
+	payload := rowSize(first)
+	for _, r := range oks[1:] {
 		cells := r.Resp.(readResp).Cells
 		payload += rowSize(cells)
-		mergeInto(merged, cells)
+		var changed bool
+		merged, changed = mergeCells(merged, cells)
+		firstStale = firstStale || changed
 	}
 	cl.addReadBytes(payload)
 	if !cfg.NoReadRepair {
-		cl.readRepair(table, key, merged, oks)
+		cl.readRepair(table, key, merged, firstStale, oks)
 	}
-	return merged.live(), nil
+	return merged, nil
 }
 
 // readRepair pushes the merged row back to any responder that returned
-// stale cells, asynchronously.
-func (cl *Client) readRepair(table, key string, merged Row, responders []transport.CallResult) {
-	for _, r := range responders {
-		theirs := r.Resp.(readResp).Cells
-		stale := false
-		for col, c := range merged {
-			cur, ok := theirs[col]
-			if !ok || c.wins(cur) {
-				stale = true
-				break
-			}
+// stale cells, asynchronously. firstStale says whether the first responder's
+// row, which the merge was built in, was stale.
+func (cl *Client) readRepair(table, key string, merged sortedRow, firstStale bool, responders []transport.CallResult) {
+	for i, r := range responders {
+		stale := firstStale
+		if i > 0 {
+			stale = behind(r.Resp.(readResp).Cells, merged)
 		}
 		if stale {
 			cl.counter("store_read_repairs_total")
-			cl.c.net.Send(cl.node, r.From, svcApply, applyReq{Table: table, Key: key, Cells: merged.clone()})
+			cl.c.net.Send(cl.node, r.From, svcApply, applyReq{Table: table, Key: key, Cells: merged})
 		}
 	}
 }

@@ -36,7 +36,7 @@ func (cl *Client) byDistance(targets []transport.NodeID) []transport.NodeID {
 // getOne serves a ONE-consistency read from the nearest live replica,
 // falling outward through the remaining replicas rather than failing while
 // RF-1 of them still hold the key.
-func (cl *Client) getOne(req readReq, targets []transport.NodeID) (Row, error) {
+func (cl *Client) getOne(req readReq, targets []transport.NodeID) (sortedRow, error) {
 	cfg := cl.c.cfg
 	var lastErr error
 	for i, to := range cl.byDistance(targets) {
@@ -50,7 +50,7 @@ func (cl *Client) getOne(req readReq, targets []transport.NodeID) (Row, error) {
 		}
 		cells := resp.(readResp).Cells
 		cl.addReadBytes(rowSize(cells))
-		return cells.live(), nil
+		return cells, nil
 	}
 	return nil, fmt.Errorf("%w: read %s/%s: %v", ErrUnavailable, req.Table, req.Key, lastErr)
 }

@@ -46,7 +46,8 @@ func (cl *Client) CAS(table, key string, conds []Cond, update Row) (res CASResul
 		sp.EndErr(err)
 	}()
 
-	net.Work(cl.node, costCoordWrite+perKBCost(rowSize(update)))
+	base := sortRow(update)
+	net.Work(cl.node, costCoordWrite+perKBCost(rowSize(base)))
 
 	var observed uint64 // highest refusing ballot seen, to leapfrog it
 	for attempt := 0; attempt < maxCASAttempts; attempt++ {
@@ -64,7 +65,7 @@ func (cl *Client) CAS(table, key string, conds []Cond, update Row) (res CASResul
 		prep.End()
 		promises := 0
 		var inProgress paxos.Ballot
-		var inProgressVal Row
+		var inProgressVal sortedRow
 		var committed paxos.Ballot
 		refused := false
 		for _, r := range prepResults {
@@ -85,7 +86,7 @@ func (cl *Client) CAS(table, key string, conds []Cond, update Row) (res CASResul
 			promises++
 			if !resp.InProgress.IsZero() && resp.InProgress.Compare(inProgress) > 0 {
 				inProgress = resp.InProgress
-				if v, ok := resp.InProgressValue.(Row); ok {
+				if v, ok := resp.InProgressValue.(sortedRow); ok {
 					inProgressVal = v
 				}
 			}
@@ -117,7 +118,7 @@ func (cl *Client) CAS(table, key string, conds []Cond, update Row) (res CASResul
 
 		// Condition evaluation; a failed condition needs no more rounds.
 		if !condsMatch(conds, current) {
-			return CASResult{Applied: false, Current: current}, nil
+			return CASResult{Applied: false, Current: current.liveRow()}, nil
 		}
 
 		// Rounds 3 and 4: propose and commit. Unstamped cells are stamped
@@ -130,20 +131,13 @@ func (cl *Client) CAS(table, key string, conds []Cond, update Row) (res CASResul
 		// Ballot counters give the order LWW needs: a later successful CAS
 		// must out-prepare the quorum that promised this one, so its counter
 		// (and stamp) is strictly higher.
-		up := update.clone()
-		for col, c := range up {
-			if c.TS == 0 {
-				c.TS = int64(b.Counter)
-				up[col] = c
-			}
-		}
-		if err := cl.proposeCommit(table, key, targets, quorum, b, up); err != nil {
+		if err := cl.proposeCommit(table, key, targets, quorum, b, base.stamped(int64(b.Counter))); err != nil {
 			if err == errProposeRejected {
 				continue // beaten by a higher ballot; retry
 			}
 			return CASResult{}, err
 		}
-		return CASResult{Applied: true, Current: current}, nil
+		return CASResult{Applied: true, Current: current.liveRow()}, nil
 	}
 	return CASResult{}, fmt.Errorf("%w: cas %s/%s", ErrContention, table, key)
 }
@@ -153,7 +147,7 @@ func (cl *Client) CAS(table, key string, conds []Cond, update Row) (res CASResul
 var errProposeRejected = fmt.Errorf("store: propose rejected")
 
 // proposeCommit runs the accept and commit rounds for (b, update).
-func (cl *Client) proposeCommit(table, key string, targets []transport.NodeID, quorum int, b paxos.Ballot, update Row) error {
+func (cl *Client) proposeCommit(table, key string, targets []transport.NodeID, quorum int, b paxos.Ballot, update sortedRow) error {
 	cfg := cl.c.cfg
 	net := cl.c.net
 

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"slices"
 	"sync"
 
 	"repro/internal/paxos"
@@ -23,7 +24,7 @@ const (
 
 type applyReq struct {
 	Table, Key string
-	Cells      Row
+	Cells      sortedRow
 }
 
 type readReq struct {
@@ -32,7 +33,7 @@ type readReq struct {
 }
 
 type readResp struct {
-	Cells Row // nil when the row does not exist
+	Cells sortedRow // nil when the row does not exist
 }
 
 type scanReq struct {
@@ -55,7 +56,7 @@ type prepareResp struct {
 type proposeReq struct {
 	Table, Key string
 	B          paxos.Ballot
-	Update     Row
+	Update     sortedRow
 }
 
 type proposeResp struct {
@@ -65,7 +66,7 @@ type proposeResp struct {
 type commitReq struct {
 	Table, Key string
 	B          paxos.Ballot
-	Update     Row
+	Update     sortedRow
 }
 
 // replica is the per-node storage engine: tables of rows plus per-row Paxos
@@ -83,7 +84,9 @@ type engineStripe struct {
 }
 
 type rowState struct {
-	cells Row
+	// cells is the row's own array: merge copies cells into it and read
+	// handlers copy cells out of it, both under the stripe lock.
+	cells sortedRow
 	ax    paxos.Acceptor
 	// watchers are the parked waits for this row to change (watch.go);
 	// nil on every row nobody is waiting on.
@@ -147,7 +150,7 @@ func (s *engineStripe) row(table, key string, create bool) *rowState {
 		if !create {
 			return nil
 		}
-		rs = &rowState{cells: make(Row)}
+		rs = &rowState{}
 		t[key] = rs
 	}
 	return rs
@@ -174,10 +177,10 @@ func (r *replica) handleRead(from transport.NodeID, req any) (any, error) {
 	if m.Cols == nil {
 		return readResp{Cells: rs.cells.clone()}, nil
 	}
-	out := make(Row, len(m.Cols))
-	for _, col := range m.Cols {
-		if c, ok := rs.cells[col]; ok {
-			out[col] = c
+	out := make(sortedRow, 0, min(len(m.Cols), len(rs.cells)))
+	for _, c := range rs.cells {
+		if slices.Contains(m.Cols, c.col) {
+			out = append(out, c)
 		}
 	}
 	return readResp{Cells: out}, nil
@@ -236,40 +239,12 @@ func (r *replica) handleCommit(from transport.NodeID, req any) (any, error) {
 	// an enqueue's guard cell behind a dequeue's queue-only commit — and two
 	// replicas missing the same guard let a serial read mint a lockRef twice.
 	rs.ax.HandleCommit(m.B)
-	rs.merge(commitCells(m))
+	// The cells arrive stamped by the coordinator (CAS stamps from the ballot
+	// counter before propose, so every replica stores an identical cell) and
+	// are merged as they are. The ballot-counter stamp only covers a value
+	// that somehow reached commit unstamped; it must NOT consult local state
+	// — per-replica bumps made one logical write carry divergent stamps,
+	// which quorum LWW merges turned into row regressions.
+	rs.merge(m.Update.stamped(int64(m.B.Counter)))
 	return nil, nil
-}
-
-// commitCells returns the cells a commit applies. They arrive stamped by the
-// coordinator (CAS stamps from the ballot counter before propose, so every
-// replica stores an identical cell) and are then merged as they are. The
-// ballot-counter fallback only covers a value that somehow reached commit
-// unstamped; it must NOT consult local state — per-replica bumps made one
-// logical write carry divergent stamps, which quorum LWW merges turned into
-// row regressions.
-func commitCells(m commitReq) Row {
-	cells, copied := m.Update, false
-	for col, c := range m.Update {
-		if c.TS != 0 {
-			continue
-		}
-		if !copied {
-			cells, copied = m.Update.clone(), true
-		}
-		c.TS = int64(m.B.Counter)
-		cells[col] = c
-	}
-	return cells
-}
-
-// dump returns a copy of a row's cells for tests.
-func (r *replica) dump(table, key string) Row {
-	s := r.stripe(key)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	rs := s.row(table, key, false)
-	if rs == nil {
-		return nil
-	}
-	return rs.cells.clone()
 }

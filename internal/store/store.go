@@ -14,7 +14,6 @@
 package store
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"sync"
@@ -71,64 +70,9 @@ type Cell struct {
 	Deleted bool
 }
 
-// Row maps column names to cells.
+// Row maps column names to cells. It is the row of the Client API; below
+// it rows are sortedRows (row.go).
 type Row map[string]Cell
-
-// clone deep-copies a row (cell values are treated as immutable).
-func (r Row) clone() Row {
-	if r == nil {
-		return nil
-	}
-	out := make(Row, len(r))
-	for k, v := range r {
-		out[k] = v
-	}
-	return out
-}
-
-// live returns only the non-tombstone cells of r.
-func (r Row) live() Row {
-	out := make(Row, len(r))
-	for k, v := range r {
-		if !v.Deleted {
-			out[k] = v
-		}
-	}
-	return out
-}
-
-// wins reports whether cell a beats cell b under LWW rules.
-func (a Cell) wins(b Cell) bool {
-	if a.TS != b.TS {
-		return a.TS > b.TS
-	}
-	if a.Deleted != b.Deleted {
-		return a.Deleted
-	}
-	return bytes.Compare(a.Value, b.Value) > 0
-}
-
-// mergeInto folds src into dst cell-wise, returning true if dst changed.
-func mergeInto(dst Row, src Row) bool {
-	changed := false
-	for col, c := range src {
-		cur, ok := dst[col]
-		if !ok || c.wins(cur) {
-			dst[col] = c
-			changed = true
-		}
-	}
-	return changed
-}
-
-// rowSize approximates the wire size of a row in bytes.
-func rowSize(r Row) int {
-	n := 0
-	for col, c := range r {
-		n += len(col) + len(c.Value) + 16
-	}
-	return n
-}
 
 // Cond is one conjunct of a compare-and-set condition: the named column
 // must currently equal Want; a nil Want requires the column to be absent
@@ -136,24 +80,6 @@ func rowSize(r Row) int {
 type Cond struct {
 	Col  string
 	Want []byte
-}
-
-// condsMatch evaluates conditions against the live cells of row.
-func condsMatch(conds []Cond, row Row) bool {
-	for _, c := range conds {
-		cell, ok := row[c.Col]
-		present := ok && !cell.Deleted
-		if c.Want == nil {
-			if present {
-				return false
-			}
-			continue
-		}
-		if !present || !bytes.Equal(cell.Value, c.Want) {
-			return false
-		}
-	}
-	return true
 }
 
 // Errors reported by store clients.

@@ -3,6 +3,10 @@ package store
 import (
 	"errors"
 	"fmt"
+	"maps"
+	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -28,6 +32,23 @@ func fixture(t *testing.T, cfg Config, fn func(rt *sim.Virtual, net *simnet.Netw
 }
 
 func val(s string) Row { return Row{"v": Cell{Value: []byte(s)}} }
+
+// dump returns a copy of a row's cells, tombstones included; nil when the
+// replica holds no such row.
+func (r *replica) dump(table, key string) Row {
+	s := r.stripe(key)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	rs := s.row(table, key, false)
+	if rs == nil {
+		return nil
+	}
+	out := make(Row, len(rs.cells))
+	for _, c := range rs.cells {
+		out[c.col] = c.Cell
+	}
+	return out
+}
 
 func TestPutGetQuorum(t *testing.T) {
 	fixture(t, Config{}, func(rt *sim.Virtual, net *simnet.Network, c *Cluster) {
@@ -92,21 +113,87 @@ func TestCellWinsProperties(t *testing.T) {
 	}
 }
 
-func TestMergeIdempotentAndCommutative(t *testing.T) {
-	f := func(v1, v2 []byte, ts1, ts2 int64) bool {
-		a := Row{"c": Cell{Value: v1, TS: ts1}}
-		b := Row{"c": Cell{Value: v2, TS: ts2}}
-		ab := a.clone()
-		mergeInto(ab, b)
-		ba := b.clone()
-		mergeInto(ba, a)
-		again := ab.clone()
-		mergeInto(again, b)
-		return string(ab["c"].Value) == string(ba["c"].Value) &&
-			string(again["c"].Value) == string(ab["c"].Value)
+// mergeIntoMap is the map merge rows used before they became sorted
+// slices, kept as the reference mergeCells must agree with: the same cells
+// and the same changed flag, which decides whether watches fire.
+func mergeIntoMap(dst Row, src Row) bool {
+	changed := false
+	for col, c := range src {
+		cur, ok := dst[col]
+		if !ok || c.wins(cur) {
+			dst[col] = c
+			changed = true
+		}
 	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
+	return changed
+}
+
+// randMergeRow builds a row over a six-column alphabet, so two rows overlap
+// and inserts land at the front, middle and end of each other, with stamps
+// and values from tiny ranges so that ties happen.
+func randMergeRow(rng *rand.Rand) Row {
+	r := Row{}
+	for i := rng.Intn(5); i > 0; i-- {
+		c := Cell{TS: int64(rng.Intn(4)), Deleted: rng.Intn(5) == 0}
+		if rng.Intn(3) > 0 {
+			c.Value = []byte{byte(rng.Intn(3))}
+		}
+		r[string(rune('a'+rng.Intn(6)))] = c
+	}
+	return r
+}
+
+// wellFormed reports whether s is sorted by column with no column twice.
+func wellFormed(s sortedRow) bool {
+	for i := 1; i < len(s); i++ {
+		if s[i-1].col >= s[i].col {
+			return false
+		}
+	}
+	return true
+}
+
+func sameCells(a, b sortedRow) bool {
+	return slices.EqualFunc(a, b, func(x, y colCell) bool { return reflect.DeepEqual(x, y) })
+}
+
+func TestMergeIdempotentAndCommutative(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for iter := 0; iter < 20000; iter++ {
+		a, b := randMergeRow(rng), randMergeRow(rng)
+		want := maps.Clone(a)
+		wantChanged := mergeIntoMap(want, b)
+
+		src := sortRow(b)
+		ab, changed := mergeCells(sortRow(a), src)
+		if !wellFormed(ab) || !sameCells(ab, sortRow(want)) || changed != wantChanged {
+			t.Fatalf("merge(%v, %v) = %v changed=%t, map merge gives %v changed=%t", a, b, ab, changed, want, wantChanged)
+		}
+		// The result must not share src's array: scribbling over src leaves
+		// it as it was.
+		for i := range src {
+			src[i] = colCell{col: "~", Cell: Cell{TS: -1}}
+		}
+		if !sameCells(ab, sortRow(want)) {
+			t.Fatalf("merge(%v, %v) shares the source row's array", a, b)
+		}
+		if ba, _ := mergeCells(sortRow(b), sortRow(a)); !sameCells(ba, ab) {
+			t.Fatalf("merge is not commutative: %v vs %v", ab, ba)
+		}
+		if again, changed := mergeCells(ab.clone(), sortRow(b)); changed || !sameCells(again, ab) {
+			t.Fatalf("merging %v into %v again changed it to %v (changed=%t)", b, ab, again, changed)
+		}
+	}
+
+	// Inserts at the front, in the middle and at the end in one merge.
+	dst := sortRow(Row{"b": {TS: 1}, "d": {TS: 1}})
+	got, changed := mergeCells(dst, sortRow(Row{"a": {TS: 1}, "c": {TS: 1}, "e": {TS: 1}}))
+	var cols []string
+	for _, c := range got {
+		cols = append(cols, c.col)
+	}
+	if !changed || !slices.Equal(cols, []string{"a", "b", "c", "d", "e"}) {
+		t.Fatalf("merge gave columns %v changed=%t, want [a b c d e] changed", cols, changed)
 	}
 }
 
@@ -194,9 +281,23 @@ func TestNoHintedHandoffLeavesReplicaStale(t *testing.T) {
 // TestReadRepairFixesStaleReplica reads through the stale replica itself,
 // at ALL and at QUORUM: the read returns the fresh value and repairs the
 // coordinator's own copy in the background.
+// TestReadRepairFixesStaleReplica reads through the stale replica's own
+// node, where the stale reply is the first one, and — at ALL — through a
+// fresh node, where it is not. The coordinator merges in the first reply's
+// array and finds that reply stale by another route than the rest, so both
+// positions are covered.
 func TestReadRepairFixesStaleReplica(t *testing.T) {
-	for _, cons := range []Consistency{All, Quorum} {
-		t.Run(cons.String(), func(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		cons  Consistency
+		coord simnet.NodeID
+	}{
+		{"ALL", All, 2},
+		{"QUORUM", Quorum, 2},
+		{"ALL_through_fresh_node", All, 0},
+	} {
+		cons := tc.cons
+		t.Run(tc.name, func(t *testing.T) {
 			fixture(t, Config{Timeout: 500 * time.Millisecond, NoHintedHandoff: true},
 				func(rt *sim.Virtual, net *simnet.Network, c *Cluster) {
 					net.Isolate(2)
@@ -207,7 +308,7 @@ func TestReadRepairFixesStaleReplica(t *testing.T) {
 					var row Row
 					var err error
 					for i := 0; i < 5; i++ {
-						if row, err = c.Client(2).Get(tbl, "k", cons); err == nil {
+						if row, err = c.Client(tc.coord).Get(tbl, "k", cons); err == nil {
 							break
 						}
 					}
@@ -215,7 +316,7 @@ func TestReadRepairFixesStaleReplica(t *testing.T) {
 						t.Fatalf("Get %v: %v", cons, err)
 					}
 					if got := string(row["v"].Value); got != "v1" {
-						t.Fatalf("Get %v through the stale replica = %q, want v1", cons, got)
+						t.Fatalf("Get %v through node %d = %q, want v1", cons, tc.coord, got)
 					}
 					rt.Sleep(time.Second)
 					got := c.replicas[2].dump(tbl, "k")
@@ -340,11 +441,11 @@ func TestCASCommitStampIsBallotPure(t *testing.T) {
 		seeded, empty := c.replicas[0], c.replicas[1]
 		const high = int64(1) << 50
 		if _, err := seeded.handleApply(0, applyReq{Table: tbl, Key: "k",
-			Cells: Row{"v": Cell{Value: []byte("old"), TS: high}}}); err != nil {
+			Cells: sortRow(Row{"v": Cell{Value: []byte("old"), TS: high}})}); err != nil {
 			t.Fatalf("seed apply: %v", err)
 		}
 		b := paxos.Ballot{Counter: 12345, Node: 1}
-		req := commitReq{Table: tbl, Key: "k", B: b, Update: Row{"v": Cell{Value: []byte("new")}}}
+		req := commitReq{Table: tbl, Key: "k", B: b, Update: sortRow(Row{"v": Cell{Value: []byte("new")}})}
 		if _, err := seeded.handleCommit(1, req); err != nil {
 			t.Fatalf("commit at seeded replica: %v", err)
 		}
@@ -379,13 +480,13 @@ func TestOvertakenCommitStillAppliesItsCells(t *testing.T) {
 	// LWW sorts out the order.
 	fixture(t, Config{}, func(rt *sim.Virtual, net *simnet.Network, c *Cluster) {
 		r := c.replicas[1]
-		enqueue := commitReq{Table: tbl, Key: "k", B: paxos.Ballot{Counter: 100, Node: 0}, Update: Row{
+		enqueue := commitReq{Table: tbl, Key: "k", B: paxos.Ballot{Counter: 100, Node: 0}, Update: sortRow(Row{
 			"guard": Cell{Value: []byte{7}, TS: 100},
 			"queue": Cell{Value: []byte{6, 7}, TS: 100},
-		}}
-		dequeue := commitReq{Table: tbl, Key: "k", B: paxos.Ballot{Counter: 200, Node: 2}, Update: Row{
+		})}
+		dequeue := commitReq{Table: tbl, Key: "k", B: paxos.Ballot{Counter: 200, Node: 2}, Update: sortRow(Row{
 			"queue": Cell{Value: []byte{7}, TS: 200},
-		}}
+		})}
 		if _, err := r.handlePrepare(0, prepareReq{Table: tbl, Key: "k", B: enqueue.B}); err != nil {
 			t.Fatalf("prepare: %v", err)
 		}
@@ -591,7 +692,7 @@ func TestCondsMatch(t *testing.T) {
 		{[]Cond{{Col: "a", Want: []byte("1")}, {Col: "b", Want: nil}}, true},
 	}
 	for i, tt := range tests {
-		if got := condsMatch(tt.conds, row); got != tt.want {
+		if got := condsMatch(tt.conds, sortRow(row)); got != tt.want {
 			t.Errorf("case %d: condsMatch = %v, want %v", i, got, tt.want)
 		}
 	}

@@ -29,7 +29,7 @@ type transferReq struct {
 
 type transferRow struct {
 	Table, Key string
-	Cells      Row
+	Cells      sortedRow
 }
 
 type transferResp struct {
@@ -65,7 +65,7 @@ func (c *Cluster) registerTransfer(id transport.NodeID, r *replica) {
 
 // mergeRow folds cells into the local engine (the receive half of a
 // transfer), returning true if anything changed.
-func (r *replica) mergeRow(table, key string, cells Row) bool {
+func (r *replica) mergeRow(table, key string, cells sortedRow) bool {
 	s := r.stripe(key)
 	s.mu.Lock()
 	defer s.mu.Unlock()

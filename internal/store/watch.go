@@ -29,19 +29,20 @@ type Watch struct {
 	fired  *sim.Promise[struct{}]
 	stripe *engineStripe
 	row    *rowState
-	match  func(Row) bool
+	match  func(RowView) bool
 	parked *obs.Gauge
 }
 
 // Watch arms a watch on a row at the client's own node. match is called with
-// the row's raw cells, under the stripe lock, after each change applied to
-// the row (a re-applied write that changes no cell is not one): it must be
-// cheap, must not block and must not retain the row. parked, when non-nil, is
-// raised while the watch sits in the row's list.
+// a view of the engine's row, under the stripe lock, after each change
+// applied to the row (a re-applied write that changes no cell is not one): it
+// must be cheap, must not block and must not retain the view or a value read
+// through it. parked, when non-nil, is raised while the watch sits in the
+// row's list.
 //
 // A change applied before Watch returns is not seen, so arm first and read
 // the row second: whatever the read misses then fires the watch.
-func (cl *Client) Watch(table, key string, match func(Row) bool, parked *obs.Gauge) *Watch {
+func (cl *Client) Watch(table, key string, match func(RowView) bool, parked *obs.Gauge) *Watch {
 	w := &Watch{rt: cl.c.net.Runtime()}
 	r, local := cl.c.replicas[cl.node]
 	if !local || !contains(cl.c.ringNow().replicasFor(key), cl.node) {
@@ -88,14 +89,15 @@ func (w *Watch) Cancel() {
 // merge folds cells into the row, LWW cell by cell, and wakes the watches the
 // change satisfies. It returns whether the row changed. The caller holds the
 // stripe lock.
-func (rs *rowState) merge(cells Row) bool {
-	changed := mergeInto(rs.cells, cells)
+func (rs *rowState) merge(cells sortedRow) bool {
+	var changed bool
+	rs.cells, changed = mergeCells(rs.cells, cells)
 	if !changed || len(rs.watchers) == 0 {
 		return changed
 	}
 	kept := rs.watchers[:0]
 	for _, w := range rs.watchers {
-		if w.match(rs.cells) {
+		if w.match(RowView{rs.cells}) {
 			w.fired.Resolve(struct{}{})
 			w.parked.Add(-1)
 		} else {

@@ -26,7 +26,7 @@ func parkedWatches(c *Cluster, node simnet.NodeID) int {
 	return n
 }
 
-func anyChange(Row) bool { return true }
+func anyChange(RowView) bool { return true }
 
 // A watch fires on the first applied change to its row — wherever the write
 // was coordinated — and not on a write that is applied again without
@@ -76,10 +76,10 @@ func TestWatchFiresOnChangeOnly(t *testing.T) {
 func TestWatchMatchAndCommitPath(t *testing.T) {
 	fixture(t, Config{}, func(rt *sim.Virtual, net *simnet.Network, c *Cluster) {
 		cl := c.Client(1)
-		atLeast := func(n byte) func(Row) bool {
-			return func(row Row) bool {
-				cell, ok := row["v"]
-				return ok && len(cell.Value) == 1 && cell.Value[0] >= n
+		atLeast := func(n byte) func(RowView) bool {
+			return func(row RowView) bool {
+				v, ok := row.Live("v")
+				return ok && len(v) == 1 && v[0] >= n
 			}
 		}
 		low, high := cl.Watch(tbl, "k", atLeast(1), nil), cl.Watch(tbl, "k", atLeast(2), nil)

@@ -13,8 +13,9 @@ import (
 // for this package. These are the system's source of truth for message
 // size — the simulated network charges its bandwidth model with the exact
 // encoded byte counts, and the TCP transport writes the same bytes onto
-// sockets — so the encoders must stay deterministic (rows encode their
-// columns in sorted order).
+// sockets — so the encoders must stay deterministic: a row encodes as its
+// column count, then its (col, cell) pairs in column order, whether it is
+// a sortedRow (every RPC payload) or a Row (the standalone ID-28 codec).
 
 // Error codes for sentinels that must survive a process boundary.
 const (
@@ -34,10 +35,10 @@ func init() {
 		func(e *wire.Encoder, m applyReq) {
 			e.String(m.Table)
 			e.String(m.Key)
-			encodeRow(e, m.Cells)
+			encodeCells(e, m.Cells)
 		},
 		func(d *wire.Decoder) applyReq {
-			return applyReq{Table: d.String(), Key: d.String(), Cells: decodeRow(d)}
+			return applyReq{Table: d.String(), Key: d.String(), Cells: decodeCells(d)}
 		})
 	wire.Register(17, "store.readReq",
 		func(e *wire.Encoder, m readReq) {
@@ -49,8 +50,8 @@ func init() {
 			return readReq{Table: d.String(), Key: d.String(), Cols: decodeStrings(d)}
 		})
 	wire.Register(18, "store.readResp",
-		func(e *wire.Encoder, m readResp) { encodeRow(e, m.Cells) },
-		func(d *wire.Decoder) readResp { return readResp{Cells: decodeRow(d)} })
+		func(e *wire.Encoder, m readResp) { encodeCells(e, m.Cells) },
+		func(d *wire.Decoder) readResp { return readResp{Cells: decodeCells(d)} })
 	wire.Register(19, "store.scanReq",
 		func(e *wire.Encoder, m scanReq) { e.String(m.Table) },
 		func(d *wire.Decoder) scanReq { return scanReq{Table: d.String()} })
@@ -75,11 +76,11 @@ func init() {
 			switch v := m.InProgressValue.(type) {
 			case nil:
 				e.Bool(false)
-			case Row:
+			case sortedRow:
 				e.Bool(true)
-				encodeRow(e, v)
+				encodeCells(e, v)
 			default:
-				panic(fmt.Sprintf("store: prepareResp.InProgressValue is %T, want Row", v))
+				panic(fmt.Sprintf("store: prepareResp.InProgressValue is %T, want sortedRow", v))
 			}
 		},
 		func(d *wire.Decoder) prepareResp {
@@ -89,7 +90,7 @@ func init() {
 			m.InProgress = decodeBallot(d)
 			m.Committed = decodeBallot(d)
 			if d.Bool() {
-				m.InProgressValue = decodeRow(d)
+				m.InProgressValue = decodeCells(d)
 			}
 			return m
 		})
@@ -98,10 +99,10 @@ func init() {
 			e.String(m.Table)
 			e.String(m.Key)
 			encodeBallot(e, m.B)
-			encodeRow(e, m.Update)
+			encodeCells(e, m.Update)
 		},
 		func(d *wire.Decoder) proposeReq {
-			return proposeReq{Table: d.String(), Key: d.String(), B: decodeBallot(d), Update: decodeRow(d)}
+			return proposeReq{Table: d.String(), Key: d.String(), B: decodeBallot(d), Update: decodeCells(d)}
 		})
 	wire.Register(24, "store.proposeResp",
 		func(e *wire.Encoder, m proposeResp) { e.Bool(m.OK) },
@@ -111,10 +112,10 @@ func init() {
 			e.String(m.Table)
 			e.String(m.Key)
 			encodeBallot(e, m.B)
-			encodeRow(e, m.Update)
+			encodeCells(e, m.Update)
 		},
 		func(d *wire.Decoder) commitReq {
-			return commitReq{Table: d.String(), Key: d.String(), B: decodeBallot(d), Update: decodeRow(d)}
+			return commitReq{Table: d.String(), Key: d.String(), B: decodeBallot(d), Update: decodeCells(d)}
 		})
 	// IDs 26 and 27 belonged to the deleted digest read. Never reuse them:
 	// a frame from an older peer must not decode as some other message.
@@ -123,7 +124,7 @@ func init() {
 	// that move a bare row, cell, condition or ballot.
 	wire.Register(28, "store.Row",
 		func(e *wire.Encoder, r Row) { encodeRow(e, r) },
-		func(d *wire.Decoder) Row { return decodeRow(d) })
+		func(d *wire.Decoder) Row { return decodeCells(d).toRow() })
 	wire.Register(29, "store.Cell",
 		func(e *wire.Encoder, c Cell) { encodeCell(e, c) },
 		func(d *wire.Decoder) Cell { return decodeCell(d) })
@@ -146,7 +147,7 @@ func init() {
 			for _, r := range m.Rows {
 				e.String(r.Table)
 				e.String(r.Key)
-				encodeRow(e, r.Cells)
+				encodeCells(e, r.Cells)
 			}
 		},
 		func(d *wire.Decoder) transferResp {
@@ -154,7 +155,7 @@ func init() {
 			m.Epoch = d.Int64()
 			n := d.Uint32()
 			for i := uint32(0); i < n && d.Err() == nil; i++ {
-				m.Rows = append(m.Rows, transferRow{Table: d.String(), Key: d.String(), Cells: decodeRow(d)})
+				m.Rows = append(m.Rows, transferRow{Table: d.String(), Key: d.String(), Cells: decodeCells(d)})
 			}
 			return m
 		})
@@ -189,17 +190,45 @@ func encodeRow(e *wire.Encoder, r Row) {
 	}
 }
 
-func decodeRow(d *wire.Decoder) Row {
+// encodeCells writes a sortedRow in encodeRow's format, byte for byte.
+func encodeCells(e *wire.Encoder, s sortedRow) {
+	if s == nil {
+		e.Uint32(nilCount)
+		return
+	}
+	e.Uint32(uint32(len(s)))
+	for _, c := range s {
+		e.String(c.col)
+		encodeCell(e, c.Cell)
+	}
+}
+
+// minColBytes is the smallest encoded column: an empty name, a nil value,
+// the stamp and the tombstone flag.
+const minColBytes = 4 + 4 + 8 + 1
+
+// decodeCells reads a row written by encodeCells or encodeRow into one
+// exact-size slice. A peer's frame may list columns out of order or more
+// than once; those are sorted and merged last-write-wins, so the result is
+// always a well-formed sortedRow.
+func decodeCells(d *wire.Decoder) sortedRow {
 	n := d.Uint32()
-	if n == nilCount {
+	if n == nilCount || d.Err() != nil {
 		return nil
 	}
-	r := make(Row)
+	s := make(sortedRow, 0, min(int(n), d.Remaining()/minColBytes))
+	ordered := true
 	for i := uint32(0); i < n && d.Err() == nil; i++ {
-		col := d.String()
-		r[col] = decodeCell(d)
+		c := colCell{col: d.String(), Cell: decodeCell(d)}
+		if len(s) > 0 && c.col <= s[len(s)-1].col {
+			ordered = false
+		}
+		s = append(s, c)
 	}
-	return r
+	if !ordered {
+		s = normalize(s)
+	}
+	return s
 }
 
 // encodeStrings writes a string slice with nil preserved (readReq uses nil

@@ -330,6 +330,10 @@ func DecoderFor(data []byte) Decoder { return Decoder{buf: data} }
 // Err returns the sticky decode error, if any.
 func (d *Decoder) Err() error { return d.err }
 
+// Remaining returns the number of bytes left to decode, so a codec can size
+// a count-prefixed slice by what the buffer can actually hold.
+func (d *Decoder) Remaining() int { return len(d.buf) - d.off }
+
 func (d *Decoder) fail() {
 	if d.err == nil {
 		d.err = io.ErrUnexpectedEOF
