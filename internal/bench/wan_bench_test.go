@@ -35,14 +35,17 @@ func BenchmarkWANSection(b *testing.B) {
 }
 
 // TestAllocCeilingWANSection's bounds. The count is the allocations per
-// section measured with the store's rows held as sorted cell slices (1636)
-// plus 2 %. The bytes are those measured then (81 135 B, Go 1.24) plus 10 %,
-// since map and slice sizes differ between Go releases. GC cost follows
-// bytes, and rows held as maps again cost 20 KB more a section while moving
-// the count by only 34.
+// section measured with pooled tasks and message records, closure-free
+// deliveries and obs-off tracing that builds nothing (522), plus 2 %. The
+// bytes are those measured then (29 278 B, Go 1.24) plus 10 %, since map
+// and slice sizes differ between Go releases. What is left is the
+// protocol's own: encoded messages and their decoded copies, rows and the
+// store.Client edge's maps. With a fresh task, closure and Timer per
+// delivery, a promise per call and a mailbox per multicast, a section made
+// 1636 allocations of 81 KB.
 const (
-	wanSectionAllocCeiling      = 1669
-	wanSectionAllocBytesCeiling = 89250
+	wanSectionAllocCeiling      = 532
+	wanSectionAllocBytesCeiling = 32206
 )
 
 // TestAllocCeilingWANSection pins the allocations and allocated bytes per

@@ -270,10 +270,15 @@ func (t *Tracer) Detached(parent SpanContext, name string, start time.Duration) 
 
 // SpanAt records an already-completed interval as a child of parent — how
 // the network emits NIC-wait / transit / CPU-queue components whose bounds
-// are computed rather than observed live.
+// are computed rather than observed live. The span keeps a copy of notes,
+// so a caller's annotation literals stay on its stack when tracing is off.
 func (t *Tracer) SpanAt(parent SpanContext, name string, start, end time.Duration, notes ...Annotation) {
 	if t == nil || parent.Trace == 0 {
 		return
+	}
+	var kept []Annotation
+	if len(notes) > 0 {
+		kept = append(kept, notes...)
 	}
 	s := &Span{
 		tr:     t,
@@ -283,7 +288,7 @@ func (t *Tracer) SpanAt(parent SpanContext, name string, start, end time.Duratio
 		Name:   name,
 		Start:  start,
 		Finish: end,
-		Notes:  notes,
+		Notes:  kept,
 		done:   true,
 	}
 	t.emit(s)

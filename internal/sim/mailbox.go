@@ -19,6 +19,7 @@ type mailboxImpl[T any] interface {
 	tryRecv() (T, bool)
 	close()
 	length() int
+	reset()
 }
 
 // ErrClosed is returned by Mailbox.Recv after Close once the queue drains.
@@ -61,10 +62,18 @@ func (m *Mailbox[T]) Close() { m.impl.close() }
 // Len returns the number of queued items.
 func (m *Mailbox[T]) Len() int { return m.impl.length() }
 
-// vMailbox is the virtual-runtime mailbox (single-threaded, lock-free).
+// Reset empties the mailbox and opens it again, for an owner that reuses
+// it. No task may be receiving from it, or still hold it to send, across
+// the Reset.
+func (m *Mailbox[T]) Reset() { m.impl.reset() }
+
+// vMailbox is the virtual-runtime mailbox (single-threaded, lock-free). The
+// queue is q[head:]; once drained it starts again at the front of the same
+// array, as does the waiter list, so a reused mailbox stops allocating.
 type vMailbox[T any] struct {
 	v       *Virtual
 	q       []T
+	head    int
 	closed  bool
 	waiters []waiter
 }
@@ -82,7 +91,19 @@ func (m *vMailbox[T]) wakeAll() {
 	for _, w := range m.waiters {
 		m.v.unpark(w.t, w.gen)
 	}
-	m.waiters = nil
+	clear(m.waiters)
+	m.waiters = m.waiters[:0]
+}
+
+// pop dequeues the oldest item; the queue must not be empty.
+func (m *vMailbox[T]) pop() T {
+	v := m.q[m.head]
+	var zero T
+	m.q[m.head] = zero
+	if m.head++; m.head == len(m.q) {
+		m.q, m.head = m.q[:0], 0
+	}
+	return v
 }
 
 func (m *vMailbox[T]) recv(timeout int64) (T, error) {
@@ -91,10 +112,8 @@ func (m *vMailbox[T]) recv(timeout int64) (T, error) {
 		deadline = m.v.now + time.Duration(timeout)
 	}
 	for {
-		if len(m.q) > 0 {
-			v := m.q[0]
-			m.q = m.q[1:]
-			return v, nil
+		if m.length() > 0 {
+			return m.pop(), nil
 		}
 		if m.closed {
 			var zero T
@@ -120,13 +139,11 @@ func (m *vMailbox[T]) recv(timeout int64) (T, error) {
 }
 
 func (m *vMailbox[T]) tryRecv() (T, bool) {
-	if len(m.q) == 0 {
+	if m.length() == 0 {
 		var zero T
 		return zero, false
 	}
-	v := m.q[0]
-	m.q = m.q[1:]
-	return v, true
+	return m.pop(), true
 }
 
 func (m *vMailbox[T]) close() {
@@ -137,7 +154,12 @@ func (m *vMailbox[T]) close() {
 	m.wakeAll()
 }
 
-func (m *vMailbox[T]) length() int { return len(m.q) }
+func (m *vMailbox[T]) length() int { return len(m.q) - m.head }
+
+func (m *vMailbox[T]) reset() {
+	clear(m.q)
+	m.q, m.head, m.closed = m.q[:0], 0, false
+}
 
 // rMailbox is the wall-clock mailbox (mutex + signal channels).
 type rMailbox[T any] struct {
@@ -220,6 +242,12 @@ func (m *rMailbox[T]) close() {
 	}
 	m.closed = true
 	m.signalLocked()
+}
+
+func (m *rMailbox[T]) reset() {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.q, m.closed = nil, false
 }
 
 func (m *rMailbox[T]) length() int {

@@ -16,6 +16,7 @@ type promiseImpl[T any] interface {
 	resolve(v T, err error)
 	await(timeout int64) (T, error) // timeout in nanoseconds; <0 means none
 	done() bool
+	reset()
 }
 
 // NewPromise returns an unresolved promise bound to rt.
@@ -49,6 +50,10 @@ func (p *Promise[T]) AwaitTimeout(d time.Duration) (T, error) { return p.impl.aw
 // Done reports whether the promise has settled.
 func (p *Promise[T]) Done() bool { return p.impl.done() }
 
+// Reset makes the promise unresolved again, for an owner that reuses it. No
+// task may be awaiting it, or still hold it to resolve, across the Reset.
+func (p *Promise[T]) Reset() { p.impl.reset() }
+
 // vPromise is the virtual-runtime promise. Single-threaded scheduling means
 // no locking is required.
 type vPromise[T any] struct {
@@ -72,7 +77,13 @@ func (p *vPromise[T]) resolve(v T, err error) {
 	for _, w := range p.waiters {
 		p.v.unpark(w.t, w.gen)
 	}
-	p.waiters = nil
+	clear(p.waiters)
+	p.waiters = p.waiters[:0]
+}
+
+func (p *vPromise[T]) reset() {
+	var zero T
+	p.settled, p.val, p.err = false, zero, nil
 }
 
 func (p *vPromise[T]) await(timeout int64) (T, error) {
@@ -152,6 +163,14 @@ func (p *rPromise[T]) await(timeout int64) (T, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.val, p.err
+}
+
+func (p *rPromise[T]) reset() {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	var zero T
+	p.settled, p.val, p.err = false, zero, nil
+	p.ch = make(chan struct{})
 }
 
 func (p *rPromise[T]) done() bool {

@@ -74,8 +74,10 @@ type Runtime interface {
 	// Go spawns fn as a new task.
 	Go(fn func())
 	// After schedules fn to run as a new task after d. The returned Timer
-	// can cancel it before it fires.
-	After(d time.Duration, fn func()) *Timer
+	// can cancel it before it fires. It is a value, so a caller that drops
+	// it — the simulated network, for every message delivery — allocates
+	// nothing for it.
+	After(d time.Duration, fn func()) Timer
 	// Rand returns the runtime's deterministic random source. It must only
 	// be used from within tasks.
 	Rand() *rand.Rand
@@ -108,11 +110,9 @@ type Timer struct {
 }
 
 // Stop cancels the timer. It reports whether the timer was still pending:
-// false once it has fired or been stopped. Stop on a nil Timer is a no-op.
+// false once it has fired or been stopped. Stop on a zero Timer is a no-op.
 func (t *Timer) Stop() bool {
 	switch {
-	case t == nil:
-		return false
 	case t.real != nil:
 		return t.real.Stop()
 	case t.v != nil:

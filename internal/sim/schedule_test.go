@@ -63,7 +63,7 @@ func scheduleProgram(v *Virtual, tr *schedTrace) {
 			}
 		})
 	}
-	timers := make([]*Timer, 5)
+	timers := make([]Timer, 5)
 	for i := range timers {
 		name := fmt.Sprintf("timer%d", i)
 		timers[i] = v.After(jitter(12), func() {

@@ -50,6 +50,9 @@ type vServers struct {
 	idle int    // servers parked on the empty queue, in the mailbox's waiter list
 	jobs []vJob // queued jobs, oldest first
 	look *vtask // the call entry of a server woken to look for a job
+	// take as a func value, bound once: a method value made per completion
+	// timer would allocate.
+	takeFn func()
 }
 
 // vJob is one queued Serve: its cost and its parked caller.
@@ -63,7 +66,8 @@ type vJob struct {
 // the ready queue; each finds the queue empty when it runs and goes idle.
 func newVServers(v *Virtual, k int) *vServers {
 	s := &vServers{v: v}
-	s.look = &vtask{call: s.take}
+	s.takeFn = s.take
+	s.look = &vtask{call: s.takeFn}
 	for i := 0; i < k; i++ {
 		v.ready = append(v.ready, s.look)
 	}
@@ -95,7 +99,7 @@ func (s *vServers) take() {
 	s.jobs[n] = vJob{}
 	s.jobs = s.jobs[:n]
 	e := s.v.schedule(s.v.now + j.cost)
-	e.wake, e.gen, e.call = j.t, j.gen, s.take
+	e.wake, e.gen, e.call = j.t, j.gen, s.takeFn
 }
 
 // rServers is the wall-clock pool: a k-slot semaphore around Sleep.

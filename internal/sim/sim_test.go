@@ -220,6 +220,58 @@ func TestVirtualTimerStopAfterReuse(t *testing.T) {
 	}
 }
 
+// A finished task's struct is reused by the next spawn, while wake tokens
+// from its first life are still out: a promise and a mailbox it timed out
+// on, and a wake event carrying one of its old tokens, as a Servers
+// completion timer does after an early unpark. None of them may wake the
+// reused task, parked on its own Sleep: gen keeps counting across reuse, so
+// no old token matches a new park.
+func TestVirtualStaleWakeAfterTaskReuse(t *testing.T) {
+	v := New(1)
+	ms := func(n int) time.Duration { return time.Duration(n) * time.Millisecond }
+	var slept, woke time.Duration
+	err := v.Run(func() {
+		p := NewPromise[int](v)
+		mb := NewMailbox[int](v)
+		var first *vtask
+		var stale []waiter
+		v.Go(func() {
+			first = v.cur
+			if _, err := p.AwaitTimeout(ms(1)); err != ErrTimeout {
+				t.Errorf("AwaitTimeout = %v, want ErrTimeout", err)
+			}
+			stale = append(stale, waiter{first, first.gen})
+			if _, err := mb.RecvTimeout(ms(1)); err != ErrTimeout {
+				t.Errorf("RecvTimeout = %v, want ErrTimeout", err)
+			}
+			stale = append(stale, waiter{first, first.gen})
+		})
+		v.Sleep(ms(5)) // the first task times out twice and finishes
+		v.Go(func() {
+			if v.cur != first {
+				t.Error("the second task did not reuse the first one's struct")
+			}
+			slept = v.Now()
+			v.Sleep(ms(10))
+			woke = v.Now()
+		})
+		v.Sleep(ms(1)) // the second task parks on its own wake at 15ms
+		p.Resolve(1)
+		mb.Send(1)
+		for _, w := range stale {
+			e := v.schedule(v.now + ms(1))
+			e.wake, e.gen = w.t, w.gen
+		}
+		v.Sleep(ms(20))
+	})
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if slept != ms(5) || woke != ms(15) {
+		t.Fatalf("the reused task slept at %v and woke at %v, want 5ms and 15ms", slept, woke)
+	}
+}
+
 // pendingTimers is the timers count of v.String().
 func pendingTimers(t *testing.T, v *Virtual) int {
 	s := v.String()
@@ -956,8 +1008,8 @@ func TestRealAfterAndStop(t *testing.T) {
 }
 
 func TestTimerStopNil(t *testing.T) {
-	var tm *Timer
+	var tm Timer
 	if tm.Stop() {
-		t.Fatal("nil Timer Stop = true")
+		t.Fatal("zero Timer Stop = true")
 	}
 }

@@ -24,13 +24,16 @@ const (
 	stateDone
 )
 
-// vtask is one cooperatively scheduled task of a Virtual runtime.
+// vtask is one cooperatively scheduled task of a Virtual runtime. Tasks are
+// pooled per Virtual: a finished task is reset and handed to a later spawn.
+// Its gen carries over, so a wake token it handed out in an earlier life — a
+// waiter entry, a wake or call timer — never matches a park of the next.
 type vtask struct {
 	w          *worker // the goroutine the task runs on, from spawn to finish
 	fn         func()
 	call       func() // set on a call entry, which next runs inline (see next)
 	state      taskState
-	gen        uint64 // bumped on every park; stale wakeups are ignored
+	gen        uint64 // bumped on every park, never reset; stale wakeups are ignored
 	poisoned   bool
 	local      any    // task-local value (see Runtime.TaskLocal)
 	timer      *event // the wake event of the current park, if it set one
@@ -148,6 +151,7 @@ type Virtual struct {
 	ready    []*vtask
 	timers   timerHeap // live timers only: settled wakes leave at once
 	free     []*event  // fired and removed events, zeroed, for reuse
+	tasks    []*vtask  // finished tasks, reset but for gen, for reuse
 	cur      *vtask
 	rng      *rand.Rand
 	root     *vtask
@@ -235,10 +239,10 @@ func (v *Virtual) Sleep(d time.Duration) {
 }
 
 // After implements Runtime.
-func (v *Virtual) After(d time.Duration, fn func()) *Timer {
+func (v *Virtual) After(d time.Duration, fn func()) Timer {
 	e := v.schedule(v.now + d)
 	e.fn = fn
-	return &Timer{v: v, e: e, seq: e.seq}
+	return Timer{v: v, e: e, seq: e.seq}
 }
 
 // stop removes e from the heap if it is still the pending timer numbered
@@ -274,11 +278,20 @@ func (v *Virtual) SetTaskLocal(val any) {
 
 func (v *Virtual) isRuntime() {}
 
-// spawn creates a ready task at the tail of the live list and binds it to
-// the most recently idled worker, starting a new worker only when none is
-// idle, so the pool never outgrows the peak number of live tasks.
+// spawn creates a ready task at the tail of the live list, reusing the
+// most recently finished one when there is one, and binds it to the most
+// recently idled worker, starting a new worker only when none is idle, so
+// neither pool outgrows the peak number of live tasks.
 func (v *Virtual) spawn(fn func()) *vtask {
-	t := &vtask{fn: fn, state: stateReady, prev: v.tail}
+	var t *vtask
+	if n := len(v.tasks); n > 0 {
+		t = v.tasks[n-1]
+		v.tasks[n-1] = nil
+		v.tasks = v.tasks[:n-1]
+	} else {
+		t = new(vtask)
+	}
+	t.fn, t.state, t.prev = fn, stateReady, v.tail
 	if v.tail != nil {
 		v.tail.next = t
 	} else {
@@ -334,6 +347,7 @@ func (v *Virtual) exec(w *worker, t *vtask) {
 		if t == v.root {
 			v.rootDone = true
 		}
+		v.recycle(t)
 		if !returned && r == nil {
 			w.t = nil
 			v.handoff(nil)
@@ -343,6 +357,14 @@ func (v *Virtual) exec(w *worker, t *vtask) {
 		t.fn()
 	}
 	returned = true
+}
+
+// recycle keeps t, finished and unlinked, for a later spawn. Every field
+// but gen goes back to its zero value; gen must keep counting (see vtask).
+func (v *Virtual) recycle(t *vtask) {
+	t.w, t.fn, t.local, t.timer, t.prev, t.next = nil, nil, nil, nil, nil, nil
+	t.poisoned = false
+	v.tasks = append(v.tasks, t)
 }
 
 // next picks the task to run now: the head of the ready queue (a seeded

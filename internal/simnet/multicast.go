@@ -3,7 +3,7 @@ package simnet
 import (
 	"time"
 
-	"repro/internal/sim"
+	"repro/internal/obs"
 	"repro/internal/transport"
 )
 
@@ -21,29 +21,25 @@ func (n *Network) Multicast(from NodeID, targets []NodeID, svc string, req any, 
 
 // MulticastLate is Multicast that hands every leg still outstanding at
 // return to late, once, when its call completes (see transport.Transport).
-// Each leg is a task running one CallTimeout, so a leg's deadline is the
-// call's own timeout. req is encoded once, and every leg sends those bytes;
-// each delivery decodes its own copy.
+// Each leg is a task running one call, so a leg's deadline is the call's
+// own timeout. req is encoded once, and every leg sends those bytes; each
+// delivery decodes its own copy.
 func (n *Network) MulticastLate(from NodeID, targets []NodeID, svc string, req any, need int, timeout time.Duration, late func(CallResult)) []CallResult {
 	// The umbrella span is installed task-current before the fan-out so the
 	// per-target tasks (which inherit the spawner's task-local) parent their
-	// rpc spans under it.
-	mc := n.obs.Tracer().Child("multicast:" + svc)
-	mc.Annotatef("fanout", "%d targets, need %d", len(targets), need)
+	// rpc spans under it. Its name and notes are built only when tracing.
+	var mc *obs.Span
+	if tr := n.obs.Tracer(); tr != nil {
+		mc = tr.Child("multicast:" + svc)
+		mc.Annotatef("fanout", "%d targets, need %d", len(targets), need)
+	}
 
 	encoded, size := n.encode(svc, req)
-	results := sim.NewMailbox[CallResult](n.rt)
+	c := n.newCollector(len(targets), late)
 	for _, to := range targets {
-		to := to
-		n.rt.Go(func() {
-			resp, err := n.call(from, to, svc, req, encoded, size, timeout)
-			r := CallResult{From: to, Resp: resp, Err: err}
-			// A closed mailbox means the caller has returned: this leg is a
-			// straggler, and reports to late itself.
-			if !results.Send(r) && late != nil {
-				late(r)
-			}
-		})
+		m := n.newMessage(from, to, svc, req, encoded, size)
+		m.mc, m.timeout = c, timeout
+		n.rt.Go(m.legFn)
 	}
 
 	deadline := n.rt.Now() + timeout
@@ -54,7 +50,7 @@ func (n *Network) MulticastLate(from NodeID, targets []NodeID, svc string, req a
 		if remaining <= 0 {
 			break
 		}
-		r, err := results.RecvTimeout(remaining)
+		r, err := c.results.RecvTimeout(remaining)
 		if err != nil {
 			break
 		}
@@ -69,17 +65,20 @@ func (n *Network) MulticastLate(from NodeID, targets []NodeID, svc string, req a
 	// Closing turns every later send into a refused one, so each leg that
 	// has not finished yet reports to late on its own. Legs that finished
 	// but were never received are still queued; they report here.
-	results.Close()
+	c.results.Close()
 	if late != nil {
-		for r, ok := results.TryRecv(); ok; r, ok = results.TryRecv() {
+		for r, ok := c.results.TryRecv(); ok; r, ok = c.results.TryRecv() {
 			late(r)
 		}
 	}
-	mc.Annotatef("got", "%d/%d ok", successes, len(targets))
-	if need > 0 && successes < need {
-		mc.Fail(nil)
+	c.release()
+	if mc != nil {
+		mc.Annotatef("got", "%d/%d ok", successes, len(targets))
+		if need > 0 && successes < need {
+			mc.Fail(nil)
+		}
+		mc.End()
 	}
-	mc.End()
 	return collected
 }
 

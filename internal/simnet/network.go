@@ -109,6 +109,9 @@ type Network struct {
 	mu      sync.Mutex
 	loss    float64
 	blocked map[[2]NodeID]bool
+
+	msgs       freeList[message]   // released message records (see message)
+	collectors freeList[collector] // released multicast collectors
 }
 
 // New builds a network of len(profile.Sites()) × NodesPerSite nodes over rt.
@@ -235,26 +238,32 @@ func (n *Network) Call(from, to NodeID, svc string, req any) (any, error) {
 // spans for each modeled delay component.
 func (n *Network) CallTimeout(from, to NodeID, svc string, req any, timeout time.Duration) (any, error) {
 	encoded, size := n.encode(svc, req)
-	return n.call(from, to, svc, req, encoded, size, timeout)
+	return n.call(n.newMessage(from, to, svc, req, encoded, size), timeout)
 }
 
-// call is CallTimeout with req already encoded, so a multicast can encode
-// once for all of its legs.
-func (n *Network) call(from, to NodeID, svc string, req any, encoded []byte, size int, timeout time.Duration) (any, error) {
-	tr := n.obs.Tracer()
-	rpc := tr.Detached(tr.Current().Context(), "rpc:"+svc, n.rt.Now())
-	rpc.Annotatef("route", "%s/n%d → %s/n%d", n.nodes[from].site, from, n.nodes[to].site, to)
-	if n.obs != nil {
+// call sends m, a request not yet sent, and waits up to timeout for its
+// reply. A multicast encodes its request once and calls once per leg.
+func (n *Network) call(m *message, timeout time.Duration) (resp any, err error) {
+	// The span name, route annotation and latency histogram are gated on an
+	// enabled tracer: with obs off (the default) the call path must not pay
+	// them.
+	if tr := n.obs.Tracer(); tr != nil {
+		from, to, svc := m.from, m.to, m.svc
+		rpc := tr.Detached(tr.Current().Context(), "rpc:"+svc, n.rt.Now())
+		rpc.Annotatef("route", "%s/n%d → %s/n%d", n.nodes[from].site, from, n.nodes[to].site, to)
+		m.parent = rpc.Context()
 		start := n.rt.Now()
 		defer func() {
+			rpc.EndErr(err)
 			n.obs.Metrics().Histogram("simnet_rpc_latency", obs.Labels{"svc": svc, "site": n.nodes[from].site}).
 				Observe(n.rt.Now() - start)
 		}()
 	}
-	reply := sim.NewPromise[any](n.rt)
-	n.dispatch(from, to, svc, req, encoded, size, reply, rpc.Context())
-	resp, err := reply.AwaitTimeout(timeout)
-	rpc.EndErr(err)
+	m.awaited = true
+	m.refs.Store(2) // the caller, and the message until its reply is in
+	n.dispatch(m)
+	resp, err = m.reply.AwaitTimeout(timeout)
+	m.release()
 	return resp, err
 }
 
@@ -262,66 +271,42 @@ func (n *Network) call(from, to NodeID, svc string, req any, encoded []byte, siz
 // Inside a traced operation the one-way message's components attach directly
 // under the caller's current span.
 func (n *Network) Send(from, to NodeID, svc string, req any) {
-	tr := n.obs.Tracer()
 	encoded, size := n.encode(svc, req)
-	n.dispatch(from, to, svc, req, encoded, size, nil, tr.Current().Context())
+	m := n.newMessage(from, to, svc, req, encoded, size)
+	m.parent = n.obs.Tracer().Current().Context()
+	m.refs.Store(1) // the message, until it is lost or delivered
+	n.dispatch(m)
 }
 
 // dispatch models the full path: sender NIC, propagation, receiver CPU
-// admission, handler execution, and the reply trip back. parent is the span
-// the delay-component spans hang off (zero when untraced).
+// admission, handler execution, and the reply trip back. m.parent is the
+// span the delay-component spans hang off (zero when untraced).
 //
-// The caller passes req with its encode result: payloads with a registered
-// wire codec are marshaled at the sender and unmarshaled at the receiver,
-// so the handler sees a decoded copy — every simulated RPC exercises the
-// same encode/decode path the TCP transport uses, and the byte count
-// charged to the NIC is the true encoded size.
-func (n *Network) dispatch(from, to NodeID, svc string, req any, encoded []byte, size int, reply *sim.Promise[any], parent obs.SpanContext) {
-	src, dst := n.nodes[from], n.nodes[to]
-	tr := n.obs.Tracer()
+// The caller passes m with its request's encode result: payloads with a
+// registered wire codec are marshaled at the sender and unmarshaled at the
+// receiver, so the handler sees a decoded copy — every simulated RPC
+// exercises the same encode/decode path the TCP transport uses, and the
+// byte count charged to the NIC is the true encoded size.
+func (n *Network) dispatch(m *message) {
+	src, dst := n.nodes[m.from], n.nodes[m.to]
 	sent := n.rt.Now()
-	nic, flight, ok := n.transit(src, dst, size)
+	nic, flight, ok := n.transit(src, dst, m.size)
 	if !ok {
-		n.countDrop(svc)
+		n.countDrop(m.svc)
+		m.release()
 		return // lost; caller times out
 	}
+	tr := n.obs.Tracer()
 	if nic > 0 {
-		tr.SpanAt(parent, "net.nic", sent, sent+nic)
+		tr.SpanAt(m.parent, "net.nic", sent, sent+nic)
 	}
-	tr.SpanAt(parent, "net.transit", sent+nic, sent+nic+flight)
-	n.rt.After(nic+flight, func() {
-		if !dst.isUp() {
-			n.countDrop(svc)
-			return
-		}
-		spec, ok := dst.handler(svc)
-		if !ok {
-			n.sendReply(dst, src, reply, nil, &RemoteError{Err: fmt.Errorf("%w: %q on node %d", ErrNoHandler, svc, to)}, parent)
-			return
-		}
-		req := n.decode(svc, req, encoded)
-		arrived := n.rt.Now()
-		cost := spec.cost(size)
-		dst.cpu.Serve(cost)
-		if wait := n.rt.Now() - arrived - cost; wait > 0 {
-			tr.SpanAt(parent, "net.cpuwait", arrived, arrived+wait)
-		}
-		if !dst.isUp() {
-			n.countDrop(svc)
-			return
-		}
-		// The serve span covers the modeled CPU burn plus the handler body,
-		// and is installed task-current so nested RPCs the handler makes
-		// parent under it.
-		serve := tr.StartAt(parent, "serve:"+svc, n.rt.Now()-cost)
-		serve.Annotatef("node", "%s/n%d", dst.site, dst.id)
-		resp, err := spec.fn(from, req)
-		serve.EndErr(err)
-		if err != nil {
-			err = &RemoteError{Err: err}
-		}
-		n.sendReply(dst, src, reply, resp, err, parent)
-	})
+	tr.SpanAt(m.parent, "net.transit", sent+nic, sent+nic+flight)
+	n.rt.After(nic+flight, m.deliverFn)
+}
+
+// errNoHandler is the error a request for an unregistered service gets.
+func errNoHandler(svc string, to NodeID) error {
+	return fmt.Errorf("%w: %q on node %d", ErrNoHandler, svc, to)
 }
 
 // countDrop bumps the dropped-message counter (no-op when obs is disabled).
@@ -332,13 +317,16 @@ func (n *Network) countDrop(svc string) {
 	n.obs.Metrics().Counter("simnet_msgs_dropped_total", obs.Labels{"svc": svc}).Inc()
 }
 
-// sendReply models the reply trip; nil promise means a one-way Send.
-// Successful replies go through the same encode/decode path as requests;
-// errors stay in-process values (the TCP transport encodes them separately).
-func (n *Network) sendReply(src, dst *Node, reply *sim.Promise[any], resp any, err error, parent obs.SpanContext) {
-	if reply == nil {
+// sendReply models the reply trip of m's handler result; a one-way Send's
+// message ends here. Successful replies go through the same encode/decode
+// path as requests; errors stay in-process values (the TCP transport
+// encodes them separately).
+func (n *Network) sendReply(m *message, resp any, err error) {
+	if !m.awaited {
+		m.release()
 		return
 	}
+	src, dst := n.nodes[m.to], n.nodes[m.from]
 	sent := n.rt.Now()
 	var encoded []byte
 	size := n.cfg.MsgOverhead
@@ -347,23 +335,16 @@ func (n *Network) sendReply(src, dst *Node, reply *sim.Promise[any], resp any, e
 	}
 	nic, flight, ok := n.transit(src, dst, size)
 	if !ok {
+		m.release()
 		return
 	}
 	tr := n.obs.Tracer()
 	if nic > 0 {
-		tr.SpanAt(parent, "net.nic", sent, sent+nic, obs.Annotation{Key: "dir", Value: "reply"})
+		tr.SpanAt(m.parent, "net.nic", sent, sent+nic, obs.Annotation{Key: "dir", Value: "reply"})
 	}
-	tr.SpanAt(parent, "net.transit", sent+nic, sent+nic+flight, obs.Annotation{Key: "dir", Value: "reply"})
-	n.rt.After(nic+flight, func() {
-		if !dst.isUp() {
-			return
-		}
-		if err != nil {
-			reply.Reject(err)
-			return
-		}
-		reply.Resolve(n.decode("reply", resp, encoded))
-	})
+	tr.SpanAt(m.parent, "net.transit", sent+nic, sent+nic+flight, obs.Annotation{Key: "dir", Value: "reply"})
+	m.resp, m.err, m.respEncoded = resp, err, encoded
+	n.rt.After(nic+flight, m.settleFn)
 }
 
 // encode marshals msg through its registered wire codec, returning the

@@ -3,6 +3,8 @@ package simnet
 import (
 	"errors"
 	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -454,6 +456,56 @@ func TestNetworkOnRealRuntime(t *testing.T) {
 	resp, err := n.Call(0, 1, "echo", "live")
 	if err != nil || resp != "live" {
 		t.Fatalf("live Call = (%v, %v)", resp, err)
+	}
+}
+
+// On the wall clock, message and multicast records are reused while other
+// goroutines still hold them: a reply that lands after its caller timed out
+// holds its record until it settles, so no caller ever reads another's
+// reply. Callers race Call and Multicast over one network, with every third
+// request slower than its timeout.
+func TestRecordReuseOnRealRuntime(t *testing.T) {
+	n := New(sim.NewReal(1), Config{Profile: ProfileLocal, JitterFrac: -1})
+	for _, id := range n.Nodes() {
+		n.Node(id).Handle("echo", func(from NodeID, req any) (any, error) {
+			if req.(int64)%3 == 0 {
+				time.Sleep(100 * time.Millisecond)
+			}
+			return req, nil
+		})
+	}
+	const callers, rounds, timeout = 8, 20, 50 * time.Millisecond
+	var replies atomic.Int64
+	var wg sync.WaitGroup
+	for c := 0; c < callers; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				req := int64(c*rounds + i)
+				check := func(resp any, err error) {
+					switch {
+					case err == nil && resp != req:
+						t.Errorf("request %d got reply %v", req, resp)
+					case err == nil:
+						replies.Add(1)
+					case !errors.Is(err, ErrTimeout):
+						t.Errorf("request %d: %v", req, err)
+					}
+				}
+				if i%2 == 0 {
+					check(n.CallTimeout(NodeID(c%3), NodeID((c+1)%3), "echo", req, timeout))
+					continue
+				}
+				for _, r := range n.Multicast(NodeID(c%3), n.Nodes(), "echo", req, 3, timeout) {
+					check(r.Resp, r.Err)
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
+	if replies.Load() == 0 {
+		t.Fatal("no request got its reply")
 	}
 }
 

@@ -118,26 +118,37 @@ func Registered(msg any) bool {
 }
 
 // Marshal encodes msg as [u16 type id][body]. A nil msg encodes to the
-// 2-byte nil payload.
+// 2-byte nil payload. It encodes into a pooled Encoder and copies the
+// result out once, at its exact size, so the only allocation is the
+// returned slice.
 func Marshal(msg any) ([]byte, error) {
-	var e Encoder
-	if msg == nil {
-		e.Uint16(idNil)
-		return e.buf, nil
+	e := GetEncoder()
+	defer PutEncoder(e)
+	if err := MarshalTo(e, msg); err != nil {
+		return nil, err
 	}
-	c, ok := lookupType(msg)
-	if !ok {
-		return nil, fmt.Errorf("%w: %T", ErrUnregistered, msg)
-	}
-	e.Uint16(c.id)
-	c.enc(&e, msg)
-	return e.buf, nil
+	out := make([]byte, len(e.buf))
+	copy(out, e.buf)
+	return out, nil
 }
+
+// decPool holds the Decoders Unmarshal hands to codecs. A codec is a func
+// value, so the Decoder it is passed escapes; a fresh one per payload would
+// be an allocation that carries nothing.
+var decPool = sync.Pool{New: func() any { return new(Decoder) }}
 
 // Unmarshal decodes a payload produced by Marshal. Trailing bytes are an
 // error: a codec must consume exactly what its encoder produced.
 func Unmarshal(data []byte) (any, error) {
-	d := Decoder{buf: data}
+	d := decPool.Get().(*Decoder)
+	*d = Decoder{buf: data}
+	v, err := unmarshal(d)
+	*d = Decoder{}
+	decPool.Put(d)
+	return v, err
+}
+
+func unmarshal(d *Decoder) (any, error) {
 	id := d.Uint16()
 	if d.err != nil {
 		return nil, fmt.Errorf("wire: truncated payload: %w", d.err)
@@ -152,7 +163,7 @@ func Unmarshal(data []byte) (any, error) {
 	if !ok {
 		return nil, fmt.Errorf("wire: unknown type id %d", id)
 	}
-	v := c.dec(&d)
+	v := c.dec(d)
 	if d.err != nil {
 		return nil, fmt.Errorf("wire: decode %s: %w", c.name, d.err)
 	}

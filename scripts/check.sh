@@ -34,14 +34,19 @@ go test -race -timeout 600s ./music/ ./internal/httpapi/ ./internal/nettrans/ ./
 # draws) and on the wall clock (k jobs overlap, the next one queues). Then
 # the timer heap, which holds only live timers: settled timeouts leave it
 # at once, a Servers completion timer survives an early unpark of its
-# caller, Stop on a fired or reused event cancels nothing, and a deadline
-# hit during a park leaves no event behind for the unwind to remove.
+# caller, Stop on a fired or reused event cancels nothing, a reused task
+# wakes on none of the tokens of its earlier life, and a deadline hit
+# during a park leaves no event behind for the unwind to remove.
 go test -race -timeout 600s ./internal/sim/ ./internal/simnet/
-go test -race ./internal/sim/ -run 'TestVirtualScheduleGolden|TestVirtualRunLeavesNoGoroutines|TestVirtualUnwindInSpawnOrder|TestVirtualSelfHandoff|TestServersMatchWorkerTasks|TestServersRealOverlap|TestSettledTimersLeaveHeap|TestServersCompletionSurvivesEarlyUnpark|TestVirtualTimerStopAfterReuse|TestVirtualDeadlineThenUnwindWakes' -count=20 -timeout 300s
+go test -race ./internal/sim/ -run 'TestVirtualScheduleGolden|TestVirtualRunLeavesNoGoroutines|TestVirtualUnwindInSpawnOrder|TestVirtualSelfHandoff|TestServersMatchWorkerTasks|TestServersRealOverlap|TestSettledTimersLeaveHeap|TestServersCompletionSurvivesEarlyUnpark|TestVirtualTimerStopAfterReuse|TestVirtualStaleWakeAfterTaskReuse|TestVirtualDeadlineThenUnwindWakes' -count=20 -timeout 300s
 # A wall-clock simnet keeps serving CPU work after Close, and leaves no
 # goroutine behind: Close used to stop the node executors and strand every
 # later admission.
 go test -race ./internal/simnet/ -run 'TestWorkAfterCloseOnRealRuntime' -count=1 -timeout 300s
+# Simnet's message records are reused on the wall clock too, while the
+# delivery and reply goroutines of a timed-out call still hold them: a
+# record freed by its caller alone hands one caller's reply to another.
+go test -race ./internal/simnet/ -run 'TestRecordReuseOnRealRuntime' -count=10 -timeout 300s
 
 # Fault-injection campaign under pinned seeds: the deterministic crash /
 # partition / ack-loss scenarios plus the chaos interleavings, re-run with
@@ -95,6 +100,11 @@ MUSIC_CHAOSNET_SEEDS="1,2,3,4,5,6,7,8,9,10,11,12" \
 # pool or an intermediate payload copy fails here by name instead of hiding
 # inside the package test run above.
 go test ./internal/nettrans/ -run 'TestAllocCeiling' -count=1 -timeout 300s
+# Its simulated counterpart: with observability off, a Multicast round
+# allocates only its encoded bytes, its deliveries' decoded copies and the
+# result slice. A dropped task or message pool, a closure per delivery, or a
+# span name built with tracing off fails here by name.
+go test ./internal/simnet/ -run 'TestAllocCeilingMulticast' -count=1 -timeout 300s
 # Store/core allocation gates from the sharding work: shard routing is
 # alloc-free, critical ops allocate no more on an 8-shard plane than on an
 # unsharded one, and the store's disabled-observability hot path stays under
