@@ -265,6 +265,9 @@ func runTrace(opts Options) []Table {
 			err := runCS(w.rt, w.reps[0], "traced", 1, value(10))
 			root.EndErr(err)
 			id = root.Trace
+			// Let the legs the section left in flight land, so that each
+			// one's rpc span closes when its reply arrives.
+			w.rt.Sleep(time.Second)
 		})
 		var buf strings.Builder
 		w.obs.Tracer().WriteTree(&buf, id)

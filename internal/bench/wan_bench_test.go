@@ -18,20 +18,28 @@ import (
 // workload does. Virtual time costs nothing, so what it measures is the
 // wall-clock CPU of the simulator and the stack above it per section — the
 // profiling entry point for the virtual-time plane. gc-frac is the share of
-// that CPU the garbage collector took:
+// that CPU the garbage collector took, and handoffs/op the goroutine
+// switches the simulator made per section (sim.Virtual.Handoffs):
 //
 //	go test ./internal/bench -run XXX -bench WANSection -cpuprofile cpu.prof
 func BenchmarkWANSection(b *testing.B) {
 	b.ReportAllocs()
 	var gc gcMeter
-	start := func() {
+	var handoffs uint64
+	start := func(v *sim.Virtual) {
 		b.ResetTimer()
 		gc.start()
+		handoffs = v.Handoffs()
 	}
-	if err := runWANSections(b.N, start, b.StopTimer); err != nil {
+	stop := func(v *sim.Virtual) {
+		b.StopTimer()
+		handoffs = v.Handoffs() - handoffs
+	}
+	if err := runWANSections(b.N, start, stop); err != nil {
 		b.Fatal(err)
 	}
 	gc.report(b)
+	b.ReportMetric(float64(handoffs)/float64(b.N), "handoffs/op")
 }
 
 // TestAllocCeilingWANSection's bounds. The count is the allocations per
@@ -58,10 +66,10 @@ func TestAllocCeilingWANSection(t *testing.T) {
 	const sections = 600
 	var ms runtime.MemStats
 	var mallocs, bytes uint64
-	err := runWANSections(sections, func() {
+	err := runWANSections(sections, func(*sim.Virtual) {
 		runtime.ReadMemStats(&ms)
 		mallocs, bytes = ms.Mallocs, ms.TotalAlloc
-	}, func() { runtime.ReadMemStats(&ms) })
+	}, func(*sim.Virtual) { runtime.ReadMemStats(&ms) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,11 +84,35 @@ func TestAllocCeilingWANSection(t *testing.T) {
 	}
 }
 
+// TestHandoffCeilingWANSection's bound: the goroutine hand-offs per section
+// measured with deliveries, replies and multicast legs as steps (18.4),
+// plus 2 %. What is left is the client tasks resuming one another and the
+// tasks the stack spawns. With each of those a task, a section made 143.4.
+const wanSectionHandoffCeiling = 18.8
+
+// TestHandoffCeilingWANSection pins the goroutine hand-offs per section of
+// BenchmarkWANSection's shape. The count depends only on the schedule, so
+// it is the same on every host and Go release; a simulated RPC stage that
+// becomes a task again fails here by name.
+func TestHandoffCeilingWANSection(t *testing.T) {
+	const sections = 600
+	var before, after uint64
+	err := runWANSections(sections, func(v *sim.Virtual) { before = v.Handoffs() }, func(v *sim.Virtual) { after = v.Handoffs() })
+	if err != nil {
+		t.Fatal(err)
+	}
+	per := float64(after-before) / sections
+	t.Logf("%.1f hand-offs per section (ceiling %.1f)", per, wanSectionHandoffCeiling)
+	if per > wanSectionHandoffCeiling {
+		t.Errorf("%.1f hand-offs per section, ceiling %.1f", per, wanSectionHandoffCeiling)
+	}
+}
+
 // runWANSections runs n Table I sections on fresh keys over the simulated
 // IUs WAN (Table II round trips) with three clients, one per site, side by
 // side, as the wan_section workload does. start runs once the cluster is
-// built, stop after the last section.
-func runWANSections(n int, start, stop func()) error {
+// built, stop after the last section; both are handed the runtime.
+func runWANSections(n int, start, stop func(*sim.Virtual)) error {
 	v := sim.New(1)
 	c, err := music.NewOverTransport(simnet.New(v, simnet.Config{Profile: simnet.ProfileIUs, Seed: 1}), music.TransportConfig{})
 	if err != nil {
@@ -91,7 +123,7 @@ func runWANSections(n int, start, stop func()) error {
 	var failed error
 	err = v.Run(func() {
 		done := sim.NewMailbox[error](v)
-		start()
+		start(v)
 		for i, site := range sites {
 			cl := c.Client(site)
 			v.Go(func() {
@@ -109,7 +141,7 @@ func runWANSections(n int, start, stop func()) error {
 				failed = err
 			}
 		}
-		stop()
+		stop(v)
 	})
 	if err == nil {
 		err = failed

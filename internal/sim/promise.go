@@ -15,6 +15,8 @@ type Promise[T any] struct {
 type promiseImpl[T any] interface {
 	resolve(v T, err error)
 	await(timeout int64) (T, error) // timeout in nanoseconds; <0 means none
+	awaitStep(st *Step, timeout int64) bool
+	stepResult(st *Step) (T, error)
 	done() bool
 	reset()
 }
@@ -46,6 +48,22 @@ func (p *Promise[T]) Await() (T, error) { return p.impl.await(-1) }
 // AwaitTimeout is Await with a deadline; it returns ErrTimeout if the
 // promise has not settled within d.
 func (p *Promise[T]) AwaitTimeout(d time.Duration) (T, error) { return p.impl.await(int64(d)) }
+
+// AwaitStep is AwaitTimeout for a step: st must be the step that runs the
+// rest of the caller's work, and reads the outcome with StepResult. It
+// reports true when st may go on at once — the promise has settled, the
+// timeout is already up, or, on the wall clock, the wait is over — and the
+// caller then runs st's function itself. It reports false when st waits;
+// the scheduler then runs st once the promise settles or the timeout
+// passes, at the instant and ready-queue position a task parked in
+// AwaitTimeout would have been resumed at. A negative d means no timeout.
+func (p *Promise[T]) AwaitStep(st *Step, d time.Duration) bool {
+	return p.impl.awaitStep(st, int64(d))
+}
+
+// StepResult returns the outcome of st's AwaitStep: the promise's result,
+// or ErrTimeout when it had not settled in time.
+func (p *Promise[T]) StepResult(st *Step) (T, error) { return p.impl.stepResult(st) }
 
 // Done reports whether the promise has settled.
 func (p *Promise[T]) Done() bool { return p.impl.done() }
@@ -112,6 +130,32 @@ func (p *vPromise[T]) await(timeout int64) (T, error) {
 	return p.val, p.err
 }
 
+// awaitStep registers st as await registers a parking task: a waiter entry,
+// and a wake event at the deadline.
+func (p *vPromise[T]) awaitStep(st *Step, timeout int64) bool {
+	if p.settled || timeout == 0 {
+		return true
+	}
+	t, gen := st.block()
+	p.waiters = append(p.waiters, waiter{t, gen})
+	if timeout > 0 {
+		p.v.wakeAt(p.v.now+time.Duration(timeout), t, gen)
+	}
+	return false
+}
+
+// stepResult is what await returns to a task resumed from its park. Woken
+// unsettled, the step was woken by its deadline, and it takes its dead
+// entry back as await does.
+func (p *vPromise[T]) stepResult(st *Step) (T, error) {
+	if !p.settled {
+		p.waiters = dropWaiter(p.waiters, st.t, st.t.gen)
+		var zero T
+		return zero, ErrTimeout
+	}
+	return p.val, p.err
+}
+
 // dropWaiter removes the entry (t, gen) from ws if it is there, keeping the
 // order of the others.
 func dropWaiter(ws []waiter, t *vtask, gen uint64) []waiter {
@@ -162,6 +206,21 @@ func (p *rPromise[T]) await(timeout int64) (T, error) {
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	return p.val, p.err
+}
+
+func (p *rPromise[T]) awaitStep(_ *Step, timeout int64) bool {
+	p.await(timeout)
+	return true
+}
+
+func (p *rPromise[T]) stepResult(*Step) (T, error) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if !p.settled {
+		var zero T
+		return zero, ErrTimeout
+	}
 	return p.val, p.err
 }
 

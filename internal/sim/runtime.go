@@ -22,18 +22,29 @@
 // no task-local), and which worker carries a task is invisible to the task.
 // testdata/schedule.golden pins that.
 //
-// Besides tasks, the scheduler knows two steps that run inline with no task
-// current, as a timer firing does. A call entry sits in the ready queue
-// like a task, and is picked — and counted by the shuffle draw — like one,
-// but the picker runs its function and keeps selecting. A call timer
-// unparks a waiting task and then runs a function. Servers, a pool of k
-// FIFO servers modeling a simulated machine's CPU, is built from the two:
-// it queues each Serve's job and parks the caller, and its servers are call
-// entries while they look for a job and call timers while they serve one.
-// It places exactly the entries and timers that k worker tasks receiving
-// jobs from a Mailbox did, so it runs no task and yet leaves every
-// schedule and every random draw as they were; servers_test.go keeps those
-// worker tasks as the reference it is checked against.
+// Besides tasks, the scheduler runs Steps: functions bound once that run
+// inline with no task current, as a timer firing does. A step sits in the
+// ready queue like a task — put there by Ready where Go would put a task,
+// or by After at the instant After's task would go — and is picked, and
+// counted by the shuffle draw, like one; but the picker runs its function
+// and keeps selecting. Its waits, Servers.ServeStep and Promise.AwaitStep,
+// reschedule the step with the same waiter entry, wake event, generation
+// bump and settled-wake removal a parked task gets, so a task turned into
+// steps keeps its schedule and its random draws (step_test.go checks this
+// against tasks) and costs no goroutine switch. A step cannot block: a
+// Sleep, Await or Recv inside one panics with ErrStepWait, and a step that
+// panics fails Run as a task does. The simulated network runs every
+// per-row RPC's delivery, reply and multicast leg as steps.
+//
+// A call timer unparks a waiting task and then runs a function. Servers, a
+// pool of k FIFO servers modeling a simulated machine's CPU, is built from
+// steps and call timers: it queues each Serve's job and parks the caller,
+// and its servers are steps while they look for a job and call timers
+// while they serve one. It places exactly the entries and timers that k
+// worker tasks receiving jobs from a Mailbox did, so it runs no task and
+// yet leaves every schedule and every random draw as they were;
+// servers_test.go keeps those worker tasks as the reference it is checked
+// against.
 //
 // The timer heap holds only live timers. It is a binary heap ordered on
 // (instant, sequence number), each event keeping its own index, so an event

@@ -12,6 +12,7 @@ type Servers struct {
 
 type serversImpl interface {
 	serve(cost time.Duration)
+	serveStep(cost time.Duration, st *Step) bool
 }
 
 // NewServers returns a pool of k servers bound to rt. k must be positive.
@@ -37,19 +38,32 @@ func (s *Servers) Serve(cost time.Duration) {
 	}
 }
 
+// ServeStep is Serve for a step: it queues a job of cost for st, which
+// must be the step that runs the rest of the caller's work. It reports true
+// when st may go on at once — the cost is zero or less, or, on the wall
+// clock, the job has been served — and the caller then runs st's function
+// itself. It reports false when the job is queued; the scheduler then runs
+// st once a server has finished it, at the instant and ready-queue position
+// a task parked in Serve would have been resumed at.
+func (s *Servers) ServeStep(cost time.Duration, st *Step) bool {
+	if cost <= 0 {
+		return true
+	}
+	return s.impl.serveStep(cost, st)
+}
+
 // vServers is the virtual-time pool. It reproduces, step for step, k worker
 // tasks that receive jobs from a shared Mailbox, Sleep for each job's cost
 // and Resolve the job's Promise, without running any of them: each server
-// is a call entry in the ready queue while it looks for a job and a timer
-// event while it is busy. The ready queue and the timer heap see what they
-// saw from the worker tasks — the same entries at the same positions, the
-// same sequence numbers — so the schedule and every random draw stay as
-// they were.
+// is a Step while it looks for a job and a timer event while it is busy.
+// The ready queue and the timer heap see what they saw from the worker
+// tasks — the same entries at the same positions, the same sequence
+// numbers — so the schedule and every random draw stay as they were.
 type vServers struct {
 	v    *Virtual
 	idle int    // servers parked on the empty queue, in the mailbox's waiter list
 	jobs []vJob // queued jobs, oldest first
-	look *vtask // the call entry of a server woken to look for a job
+	look *Step  // a server woken to look for a job
 	// take as a func value, bound once: a method value made per completion
 	// timer would allocate.
 	takeFn func()
@@ -67,22 +81,34 @@ type vJob struct {
 func newVServers(v *Virtual, k int) *vServers {
 	s := &vServers{v: v}
 	s.takeFn = s.take
-	s.look = &vtask{call: s.takeFn}
+	s.look = NewStep(v, s.takeFn)
 	for i := 0; i < k; i++ {
-		v.ready = append(v.ready, s.look)
+		s.look.Ready()
 	}
 	return s
 }
 
-// serve queues the caller's job, wakes every idle server as a Mailbox send
-// wakes every waiting receiver, and parks the caller until its job is done.
+// serve queues the caller's job and parks the caller until it is done.
 func (s *vServers) serve(cost time.Duration) {
 	t, gen := s.v.prepare()
+	s.queue(cost, t, gen)
+	s.v.park(t)
+}
+
+// serveStep queues st's job, as serve does a parked caller's.
+func (s *vServers) serveStep(cost time.Duration, st *Step) bool {
+	t, gen := st.block()
+	s.queue(cost, t, gen)
+	return false
+}
+
+// queue adds the job of the waiter (t, gen) and wakes every idle server,
+// as a Mailbox send wakes every waiting receiver.
+func (s *vServers) queue(cost time.Duration, t *vtask, gen uint64) {
 	s.jobs = append(s.jobs, vJob{cost: cost, t: t, gen: gen})
 	for ; s.idle > 0; s.idle-- {
-		s.v.ready = append(s.v.ready, s.look)
+		s.look.Ready()
 	}
-	s.v.park(t)
 }
 
 // take is a server looking for work: it starts the oldest queued job, whose
@@ -112,4 +138,9 @@ func (s *rServers) serve(cost time.Duration) {
 	s.slots <- struct{}{}
 	s.rt.Sleep(cost)
 	<-s.slots
+}
+
+func (s *rServers) serveStep(cost time.Duration, _ *Step) bool {
+	s.serve(cost)
+	return true
 }

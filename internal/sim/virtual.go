@@ -31,7 +31,7 @@ const (
 type vtask struct {
 	w          *worker // the goroutine the task runs on, from spawn to finish
 	fn         func()
-	call       func() // set on a call entry, which next runs inline (see next)
+	call       func() // set on a step's call entry, which next runs inline
 	state      taskState
 	gen        uint64 // bumped on every park, never reset; stale wakeups are ignored
 	poisoned   bool
@@ -56,6 +56,7 @@ type event struct {
 	seq   uint64
 	index int    // position in the timer heap
 	fn    func() // spawn-style event: runs as a new task
+	step  *vtask // step-style event: puts a step's entry in the ready queue
 	wake  *vtask // wake-style event: unparks wake if gen still matches
 	gen   uint64
 	call  func() // run after the unpark, with no task current
@@ -166,6 +167,8 @@ type Virtual struct {
 	taskErr    any
 	deadline   time.Duration
 	shuffle    bool
+	stepping   bool   // a step is running (see ErrStepWait)
+	handoffs   uint64 // baton passes between worker goroutines (Handoffs)
 	// The latest instant of every settled wake dropped from the heap, and
 	// the latest one within the deadline: how far the clock would have run
 	// through those dead timers on a stuck run (see stuck).
@@ -259,6 +262,13 @@ func (v *Virtual) stop(e *event, seq uint64) bool {
 
 // Rand implements Runtime.
 func (v *Virtual) Rand() *rand.Rand { return v.rng }
+
+// Handoffs returns how many times so far a task that parked or finished
+// has handed the baton to another worker's goroutine: the goroutine
+// switches the run has cost, beyond the inline continuations that cost
+// none. It is deterministic for a given seed and program. Read it from a
+// task, or after Run.
+func (v *Virtual) Handoffs() uint64 { return v.handoffs }
 
 // TaskLocal implements Runtime. Tasks run one at a time, so reading the
 // current task's slot needs no synchronization.
@@ -374,7 +384,7 @@ func (v *Virtual) recycle(t *vtask) {
 // passed or nothing can ever run again — and every time after. Timers fire
 // with no task current, so a task they spawn starts with no task-local.
 //
-// A call entry in the ready queue is picked, and counted by the shuffle
+// A step's entry in the ready queue is picked, and counted by the shuffle
 // draw, exactly as a task would be, but it is no task: next runs its call
 // inline, with no task current, and keeps selecting.
 func (v *Virtual) next() *vtask {
@@ -388,7 +398,7 @@ func (v *Virtual) next() *vtask {
 			t := v.ready[i]
 			v.ready = append(v.ready[:i], v.ready[i+1:]...)
 			if t.call != nil {
-				t.call()
+				v.runStep(t)
 				continue
 			}
 			t.state = stateRunning
@@ -416,6 +426,30 @@ func (v *Virtual) next() *vtask {
 	}
 	v.over = true
 	return nil
+}
+
+// runStep runs the step t, just picked, with no task current. A step that
+// panics ends the run as a panicking task does, and Run re-raises its
+// panic; the goroutine that happened to be selecting carries on.
+func (v *Virtual) runStep(t *vtask) {
+	defer func() {
+		v.stepping = false
+		if r := recover(); r != nil && v.taskErr == nil {
+			v.taskErr = r
+		}
+	}()
+	v.stepping = true
+	t.state = stateRunning
+	t.call()
+	if t.state == stateRunning {
+		t.state = stateDone
+	}
+}
+
+// makeReady appends t, a task or a step, to the ready queue.
+func (v *Virtual) makeReady(t *vtask) {
+	t.state = stateReady
+	v.ready = append(v.ready, t)
 }
 
 // stuck ends a run that cannot go on with err, the clock advanced as far
@@ -446,6 +480,7 @@ func (v *Virtual) handoff(w *worker) {
 	case t.w == w:
 		return
 	default:
+		v.handoffs++
 		t.w.resume <- struct{}{}
 	}
 	if w != nil {
@@ -455,10 +490,14 @@ func (v *Virtual) handoff(w *worker) {
 
 // fire processes a due timer entry, just popped, with no task current.
 func (v *Virtual) fire(e *event) {
-	fn, t, gen, call := e.fn, e.wake, e.gen, e.call
+	fn, step, t, gen, call := e.fn, e.step, e.wake, e.gen, e.call
 	v.release(e)
-	if fn != nil {
+	switch {
+	case fn != nil:
 		v.Go(fn)
+		return
+	case step != nil:
+		v.makeReady(step)
 		return
 	}
 	v.unpark(t, gen)
@@ -473,6 +512,9 @@ func (v *Virtual) fire(e *event) {
 func (v *Virtual) prepare() (*vtask, uint64) {
 	t := v.cur
 	if t == nil {
+		if v.stepping {
+			panic(ErrStepWait)
+		}
 		panic("sim: blocking operation outside a sim task")
 	}
 	t.gen++
@@ -496,8 +538,7 @@ func (v *Virtual) unpark(t *vtask, gen uint64) {
 	if t == nil || t.state != stateBlocked || t.gen != gen {
 		return
 	}
-	t.state = stateReady
-	v.ready = append(v.ready, t)
+	v.makeReady(t)
 	if t.timer != nil {
 		v.dropWake(t.timer)
 	}

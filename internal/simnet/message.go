@@ -1,6 +1,7 @@
 package simnet
 
 import (
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -10,15 +11,16 @@ import (
 )
 
 // message is one request on the simulated wire and, for a call, the reply
-// that comes back for it: everything the delivery task, the reply task and
-// the waiting caller share. Its tasks run methods bound once, when the
-// record is made, and the record is kept for reuse once its last holder
-// lets go, so a message in flight allocates only its encoded bytes and the
-// copies its deliveries decode.
+// that comes back for it: everything its delivery, its reply, its
+// multicast leg and the waiting caller share. Each stage runs as a
+// sim.Step bound once, when the record is made, one step per continuation,
+// and the record is kept for reuse once its last holder lets go, so a
+// message in flight allocates only its encoded bytes and the copies its
+// deliveries decode.
 //
 // The free list is the Network's own (see freeList). Holders are counted
 // atomically, which keeps reuse correct on the wall-clock runtime, where
-// the holders run on goroutines of their own.
+// the steps run on goroutines of their own.
 type message struct {
 	n        *Network
 	from, to NodeID
@@ -31,6 +33,19 @@ type message struct {
 	timeout  time.Duration   // a multicast leg's call timeout
 	mc       *collector      // the multicast this is a leg of, if any
 
+	// The delivery in progress: the handler found when the request was
+	// sent, and, while it waits for a CPU server, the decoded request and
+	// the instant it arrived.
+	spec    handlerSpec
+	found   bool
+	decoded any
+	arrived time.Duration
+
+	// With tracing on, the caller's rpc span and when the call began.
+	rpc   *obs.Span
+	timed bool
+	start time.Duration
+
 	reply *sim.Promise[any] // made with the record, Reset for each reuse
 	// The reply leg in flight: the handler's result, and the encoding of a
 	// successful one.
@@ -42,7 +57,13 @@ type message struct {
 	// until it is lost or delivered (a call's until its reply is).
 	refs atomic.Int32
 
-	deliverFn, settleFn, legFn func() // deliver, settle and leg, bound once
+	// The steps, each the rest of the work after a wait: arrival at the
+	// destination, the handler once a CPU server has served the request,
+	// the reply's arrival back at the caller, and a multicast leg's call
+	// and its end.
+	arrive, serve, settle, leg, legEnd *sim.Step
+	// deliverFn is the delivery as a task, for a handler that may wait.
+	deliverFn func()
 }
 
 // newMessage returns a record for a request of svc from -> to carrying req,
@@ -51,7 +72,12 @@ func (n *Network) newMessage(from, to NodeID, svc string, req any, encoded []byt
 	m := n.msgs.get()
 	if m == nil {
 		m = &message{n: n, reply: sim.NewPromise[any](n.rt)}
-		m.deliverFn, m.settleFn, m.legFn = m.deliver, m.settle, m.leg
+		m.arrive = sim.NewStep(n.rt, m.arriveStep)
+		m.serve = sim.NewStep(n.rt, m.serveStep)
+		m.settle = sim.NewStep(n.rt, m.settleStep)
+		m.leg = sim.NewStep(n.rt, m.legStep)
+		m.legEnd = sim.NewStep(n.rt, m.legEndStep)
+		m.deliverFn = m.deliverTask
 	}
 	m.from, m.to, m.svc, m.req, m.encoded, m.size = from, to, svc, req, encoded, size
 	return m
@@ -64,32 +90,60 @@ func (m *message) release() {
 	}
 	m.reply.Reset()
 	m.svc, m.req, m.encoded, m.parent, m.awaited, m.timeout, m.mc = "", nil, nil, obs.SpanContext{}, false, 0, nil
+	m.spec, m.found, m.decoded = handlerSpec{}, false, nil
+	m.rpc, m.timed = nil, false
 	m.resp, m.err, m.respEncoded = nil, nil, nil
 	m.n.msgs.put(m)
 }
 
-// deliver is the delivery task: the request has arrived at its destination,
-// which admits it to a CPU server, runs the handler and sends the reply.
-func (m *message) deliver() {
+// admit reports whether the request can be served on arrival at its
+// destination: the node is up and has a handler for it. A request for a
+// service the node does not serve is answered with an error here.
+func (m *message) admit() bool {
 	n := m.n
 	dst := n.nodes[m.to]
 	if !dst.isUp() {
 		n.countDrop(m.svc)
 		m.release()
-		return
+		return false
 	}
-	spec, ok := dst.handler(m.svc)
-	if !ok {
-		n.sendReply(m, nil, &RemoteError{Err: errNoHandler(m.svc, m.to)})
-		return
+	if !m.found {
+		if m.spec, m.found = dst.handler(m.svc); !m.found {
+			n.sendReply(m, nil, &RemoteError{Err: errNoHandler(m.svc, m.to)})
+			return false
+		}
 	}
-	req := n.decode(m.svc, m.req, m.encoded)
-	arrived := n.rt.Now()
-	cost := spec.cost(m.size)
-	dst.cpu.Serve(cost)
+	m.decoded = n.decode(m.svc, m.req, m.encoded)
+	m.arrived = n.rt.Now()
+	return true
+}
+
+// arriveStep delivers a request for a handler that never waits: it is
+// admitted to a CPU server, and the handler runs once served.
+func (m *message) arriveStep() {
+	if m.admit() && m.n.nodes[m.to].cpu.ServeStep(m.spec.cost(m.size), m.serve) {
+		m.serveStep()
+	}
+}
+
+// deliverTask is the delivery of a request for a handler that may wait: a
+// task of its own, which waits for its CPU server in place.
+func (m *message) deliverTask() {
+	if m.admit() {
+		m.n.nodes[m.to].cpu.Serve(m.spec.cost(m.size))
+		m.serveStep()
+	}
+}
+
+// serveStep runs the handler on a request its CPU server has served and
+// sends the reply.
+func (m *message) serveStep() {
+	n := m.n
+	dst := n.nodes[m.to]
+	cost := m.spec.cost(m.size)
 	tr := n.obs.Tracer()
-	if wait := n.rt.Now() - arrived - cost; wait > 0 {
-		tr.SpanAt(m.parent, "net.cpuwait", arrived, arrived+wait)
+	if wait := n.rt.Now() - m.arrived - cost; wait > 0 {
+		tr.SpanAt(m.parent, "net.cpuwait", m.arrived, m.arrived+wait)
 	}
 	if !dst.isUp() {
 		n.countDrop(m.svc)
@@ -97,14 +151,17 @@ func (m *message) deliver() {
 		return
 	}
 	// The serve span covers the modeled CPU burn plus the handler body,
-	// and is installed task-current so nested RPCs the handler makes
-	// parent under it. Its name and note are built only when tracing.
+	// and is installed task-current so nested RPCs a delivery task's
+	// handler makes parent under it. Its name and note are built only when
+	// tracing.
 	var serve *obs.Span
 	if tr != nil {
 		serve = tr.StartAt(m.parent, "serve:"+m.svc, n.rt.Now()-cost)
 		serve.Annotatef("node", "%s/n%d", dst.site, dst.id)
 	}
-	resp, err := spec.fn(m.from, req)
+	req := m.decoded
+	m.decoded = nil
+	resp, err := m.handle(req)
 	serve.EndErr(err)
 	if err != nil {
 		err = &RemoteError{Err: err}
@@ -112,9 +169,26 @@ func (m *message) deliver() {
 	n.sendReply(m, resp, err)
 }
 
-// settle is the reply task: the reply has arrived back at the caller's
-// node, and settles the caller's wait unless that node has gone down.
-func (m *message) settle() {
+// handle runs the handler on req. An inline handler runs in a step, which
+// cannot wait: one that tries fails the run with an error naming it, since
+// it has broken transport.InlineHandler's promise.
+func (m *message) handle(req any) (any, error) {
+	if m.spec.inline {
+		defer func() {
+			if r := recover(); r != nil {
+				if r == sim.ErrStepWait {
+					r = fmt.Errorf("simnet: inline handler for %q on node %d waited: %w", m.svc, m.to, sim.ErrStepWait)
+				}
+				panic(r)
+			}
+		}()
+	}
+	return m.spec.fn(m.from, req)
+}
+
+// settleStep is the reply's arrival back at the caller's node: it settles
+// the caller's wait unless that node has gone down.
+func (m *message) settleStep() {
 	n := m.n
 	if n.nodes[m.from].isUp() {
 		if m.err != nil {
@@ -126,11 +200,20 @@ func (m *message) settle() {
 	m.release()
 }
 
-// leg is a multicast leg's task: one call, its outcome reported to the
-// multicast.
-func (m *message) leg() {
+// legStep is a multicast leg: one call, whose outcome legEndStep reports to
+// the multicast.
+func (m *message) legStep() {
+	m.n.startCall(m, m.parent)
+	if m.reply.AwaitStep(m.legEnd, m.timeout) {
+		m.legEndStep()
+	}
+}
+
+// legEndStep ends a leg's call and reports its outcome to the multicast.
+func (m *message) legEndStep() {
+	resp, err := m.reply.StepResult(m.legEnd)
 	c, to := m.mc, m.to // m is reused once the call lets go of it
-	resp, err := m.n.call(m, m.timeout)
+	m.n.endCall(m, err)
 	c.report(CallResult{From: to, Resp: resp, Err: err})
 }
 

@@ -21,13 +21,14 @@ func (n *Network) Multicast(from NodeID, targets []NodeID, svc string, req any, 
 
 // MulticastLate is Multicast that hands every leg still outstanding at
 // return to late, once, when its call completes (see transport.Transport).
-// Each leg is a task running one call, so a leg's deadline is the call's
-// own timeout. req is encoded once, and every leg sends those bytes; each
-// delivery decodes its own copy.
+// Each leg is a step running one call, ready where a task spawned for it
+// would be, so a leg's deadline is the call's own timeout. req is encoded
+// once, and every leg sends those bytes; each delivery decodes its own
+// copy. late runs in the step that ends the leg, and so must not wait.
 func (n *Network) MulticastLate(from NodeID, targets []NodeID, svc string, req any, need int, timeout time.Duration, late func(CallResult)) []CallResult {
-	// The umbrella span is installed task-current before the fan-out so the
-	// per-target tasks (which inherit the spawner's task-local) parent their
-	// rpc spans under it. Its name and notes are built only when tracing.
+	// The umbrella span is installed task-current, and each leg carries its
+	// context to parent its rpc span under it. Its name and notes are built
+	// only when tracing.
 	var mc *obs.Span
 	if tr := n.obs.Tracer(); tr != nil {
 		mc = tr.Child("multicast:" + svc)
@@ -38,8 +39,8 @@ func (n *Network) MulticastLate(from NodeID, targets []NodeID, svc string, req a
 	c := n.newCollector(len(targets), late)
 	for _, to := range targets {
 		m := n.newMessage(from, to, svc, req, encoded, size)
-		m.mc, m.timeout = c, timeout
-		n.rt.Go(m.legFn)
+		m.mc, m.timeout, m.parent = c, timeout, mc.Context()
+		m.leg.Ready()
 	}
 
 	deadline := n.rt.Now() + timeout

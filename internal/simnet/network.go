@@ -41,7 +41,10 @@ var ErrNoHandler = transport.ErrNoHandler
 // Network implements the message plane contract; protocol code reaches it
 // through the interface, tests and fault injection through the concrete
 // type.
-var _ transport.Transport = (*Network)(nil)
+var (
+	_ transport.Transport     = (*Network)(nil)
+	_ transport.InlineHandler = (*Network)(nil)
+)
 
 // Config describes the cluster to build.
 type Config struct {
@@ -195,6 +198,14 @@ func (n *Network) HandleWithCost(node NodeID, svc string, h Handler, base, perKB
 	n.nodes[node].HandleWithCost(svc, h, base, perKB)
 }
 
+// HandleInline implements transport.InlineHandler: it registers h like
+// HandleWithCost, on the promise that h never waits. Its requests are then
+// delivered, served and answered as sim.Steps, with no task of their own.
+// On the virtual runtime a handler that waits anyway fails the run.
+func (n *Network) HandleInline(node NodeID, svc string, h Handler, base, perKB time.Duration) {
+	n.nodes[node].handle(svc, handlerSpec{fn: h, base: base, perKB: perKB, inline: true})
+}
+
 // OnRestart registers a hook run when node restarts after a crash.
 func (n *Network) OnRestart(node NodeID, fn func()) {
 	n.nodes[node].OnRestart(fn)
@@ -242,29 +253,41 @@ func (n *Network) CallTimeout(from, to NodeID, svc string, req any, timeout time
 }
 
 // call sends m, a request not yet sent, and waits up to timeout for its
-// reply. A multicast encodes its request once and calls once per leg.
-func (n *Network) call(m *message, timeout time.Duration) (resp any, err error) {
+// reply.
+func (n *Network) call(m *message, timeout time.Duration) (any, error) {
+	n.startCall(m, n.obs.Tracer().Current().Context())
+	resp, err := m.reply.AwaitTimeout(timeout)
+	n.endCall(m, err)
+	return resp, err
+}
+
+// startCall sends m as a call whose rpc span, with tracing on, is a child
+// of parent. A multicast leg passes its umbrella span's context, since a
+// step has no task-local to find it in.
+func (n *Network) startCall(m *message, parent obs.SpanContext) {
 	// The span name, route annotation and latency histogram are gated on an
 	// enabled tracer: with obs off (the default) the call path must not pay
 	// them.
 	if tr := n.obs.Tracer(); tr != nil {
-		from, to, svc := m.from, m.to, m.svc
-		rpc := tr.Detached(tr.Current().Context(), "rpc:"+svc, n.rt.Now())
-		rpc.Annotatef("route", "%s/n%d → %s/n%d", n.nodes[from].site, from, n.nodes[to].site, to)
-		m.parent = rpc.Context()
-		start := n.rt.Now()
-		defer func() {
-			rpc.EndErr(err)
-			n.obs.Metrics().Histogram("simnet_rpc_latency", obs.Labels{"svc": svc, "site": n.nodes[from].site}).
-				Observe(n.rt.Now() - start)
-		}()
+		m.rpc = tr.Detached(parent, "rpc:"+m.svc, n.rt.Now())
+		m.rpc.Annotatef("route", "%s/n%d → %s/n%d", n.nodes[m.from].site, m.from, n.nodes[m.to].site, m.to)
+		m.parent = m.rpc.Context()
+		m.timed, m.start = true, n.rt.Now()
 	}
 	m.awaited = true
 	m.refs.Store(2) // the caller, and the message until its reply is in
 	n.dispatch(m)
-	resp, err = m.reply.AwaitTimeout(timeout)
+}
+
+// endCall ends the caller's wait on m, which ended with err: it closes the
+// rpc span, books the call's latency and lets go of m.
+func (n *Network) endCall(m *message, err error) {
+	if m.timed {
+		m.rpc.EndErr(err)
+		n.obs.Metrics().Histogram("simnet_rpc_latency", obs.Labels{"svc": m.svc, "site": n.nodes[m.from].site}).
+			Observe(n.rt.Now() - m.start)
+	}
 	m.release()
-	return resp, err
 }
 
 // Send delivers req from -> to without waiting for a reply (best effort).
@@ -301,6 +324,13 @@ func (n *Network) dispatch(m *message) {
 		tr.SpanAt(m.parent, "net.nic", sent, sent+nic)
 	}
 	tr.SpanAt(m.parent, "net.transit", sent+nic, sent+nic+flight)
+	// A request for a handler that never waits arrives as a step. Any
+	// other, or one for a service not registered yet, gets a delivery task,
+	// which may wait.
+	if m.spec, m.found = dst.handler(m.svc); m.found && m.spec.inline {
+		m.arrive.After(nic + flight)
+		return
+	}
 	n.rt.After(nic+flight, m.deliverFn)
 }
 
@@ -344,7 +374,7 @@ func (n *Network) sendReply(m *message, resp any, err error) {
 	}
 	tr.SpanAt(m.parent, "net.transit", sent+nic, sent+nic+flight, obs.Annotation{Key: "dir", Value: "reply"})
 	m.resp, m.err, m.respEncoded = resp, err, encoded
-	n.rt.After(nic+flight, m.settleFn)
+	m.settle.After(nic + flight)
 }
 
 // encode marshals msg through its registered wire codec, returning the

@@ -25,9 +25,10 @@ type Node struct {
 }
 
 type handlerSpec struct {
-	fn    Handler
-	base  time.Duration
-	perKB time.Duration
+	fn     Handler
+	base   time.Duration
+	perKB  time.Duration
+	inline bool // registered with HandleInline: fn never waits
 }
 
 // cost returns the CPU time this request consumes on the node.
@@ -50,9 +51,13 @@ func (n *Node) Handle(svc string, h Handler) {
 // base + perKB·(size/1KiB) of one CPU server before the handler runs, which
 // is what bounds the node's saturation throughput.
 func (n *Node) HandleWithCost(svc string, h Handler, base, perKB time.Duration) {
+	n.handle(svc, handlerSpec{fn: h, base: base, perKB: perKB})
+}
+
+func (n *Node) handle(svc string, spec handlerSpec) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	n.handlers[svc] = handlerSpec{fn: h, base: base, perKB: perKB}
+	n.handlers[svc] = spec
 }
 
 // OnRestart registers a hook run when the node restarts after a crash,

@@ -463,19 +463,40 @@ func TestNetworkOnRealRuntime(t *testing.T) {
 // goroutines still hold them: a reply that lands after its caller timed out
 // holds its record until it settles, so no caller ever reads another's
 // reply. Callers race Call and Multicast over one network, with every third
-// request slower than its timeout.
+// request slower than its timeout. Then the same with an inline handler,
+// whose requests are steps on goroutines of their own; it must not wait,
+// so its requests are slowed by two CPU servers per node instead, each
+// taking 20 ms a request.
 func TestRecordReuseOnRealRuntime(t *testing.T) {
-	n := New(sim.NewReal(1), Config{Profile: ProfileLocal, JitterFrac: -1})
-	for _, id := range n.Nodes() {
-		n.Node(id).Handle("echo", func(from NodeID, req any) (any, error) {
-			if req.(int64)%3 == 0 {
-				time.Sleep(100 * time.Millisecond)
-			}
-			return req, nil
-		})
-	}
+	t.Run("handle", func(t *testing.T) {
+		n := New(sim.NewReal(1), Config{Profile: ProfileLocal, JitterFrac: -1})
+		for _, id := range n.Nodes() {
+			n.Node(id).Handle("echo", func(from NodeID, req any) (any, error) {
+				if req.(int64)%3 == 0 {
+					time.Sleep(100 * time.Millisecond)
+				}
+				return req, nil
+			})
+		}
+		raceCallers(t, n)
+	})
+	t.Run("inline", func(t *testing.T) {
+		n := New(sim.NewReal(1), Config{Profile: ProfileLocal, JitterFrac: -1, Workers: 2})
+		for _, id := range n.Nodes() {
+			n.HandleInline(id, "echo", func(from NodeID, req any) (any, error) {
+				return req, nil
+			}, 20*time.Millisecond, 0)
+		}
+		raceCallers(t, n)
+	})
+}
+
+// raceCallers races callers issuing Call and Multicast to n's echo service
+// with a 50 ms timeout, and checks every reply is the caller's own, and
+// that some replies came in time and some did not.
+func raceCallers(t *testing.T, n *Network) {
 	const callers, rounds, timeout = 8, 20, 50 * time.Millisecond
-	var replies atomic.Int64
+	var replies, late atomic.Int64
 	var wg sync.WaitGroup
 	for c := 0; c < callers; c++ {
 		wg.Add(1)
@@ -489,7 +510,9 @@ func TestRecordReuseOnRealRuntime(t *testing.T) {
 						t.Errorf("request %d got reply %v", req, resp)
 					case err == nil:
 						replies.Add(1)
-					case !errors.Is(err, ErrTimeout):
+					case errors.Is(err, ErrTimeout):
+						late.Add(1)
+					default:
 						t.Errorf("request %d: %v", req, err)
 					}
 				}
@@ -497,15 +520,17 @@ func TestRecordReuseOnRealRuntime(t *testing.T) {
 					check(n.CallTimeout(NodeID(c%3), NodeID((c+1)%3), "echo", req, timeout))
 					continue
 				}
-				for _, r := range n.Multicast(NodeID(c%3), n.Nodes(), "echo", req, 3, timeout) {
+				rs := n.Multicast(NodeID(c%3), n.Nodes(), "echo", req, 3, timeout)
+				for _, r := range rs {
 					check(r.Resp, r.Err)
 				}
+				late.Add(int64(3 - len(rs)))
 			}
 		}(c)
 	}
 	wg.Wait()
-	if replies.Load() == 0 {
-		t.Fatal("no request got its reply")
+	if replies.Load() == 0 || late.Load() == 0 {
+		t.Fatalf("%d replies in time, %d late; want some of each", replies.Load(), late.Load())
 	}
 }
 

@@ -32,15 +32,36 @@ func (r inlineRecorder) HandleInline(node transport.NodeID, svc string, h transp
 	r.Transport.HandleWithCost(node, svc, h, base, perKB)
 }
 
-// TestPerRowServicesRegisterInline pins which replica services may run on a
-// connection's read loop: exactly the five that work on one row under one
-// stripe lock and never wait. The whole-table scan and the state-transfer
-// responder keep a goroutine each, and a transport without the capability —
-// simnet, the WAN plane — gets every service the way it always did.
+// stepProbe is simnet with each inline registration wrapped to note, per
+// service, whether its requests ran with no task current: a step has no
+// task-local to set.
+type stepProbe struct {
+	*simnet.Network
+	v     *sim.Virtual
+	steps map[string]bool
+}
+
+func (p stepProbe) HandleInline(node transport.NodeID, svc string, h transport.Handler, base, perKB time.Duration) {
+	p.Network.HandleInline(node, svc, func(from transport.NodeID, req any) (any, error) {
+		p.v.SetTaskLocal(true)
+		p.steps[svc] = p.v.TaskLocal() == nil
+		p.v.SetTaskLocal(nil)
+		return h(from, req)
+	}, base, perKB)
+}
+
+// TestPerRowServicesRegisterInline pins which replica services may run
+// without a task or goroutine of their own: exactly the five that work on
+// one row under one stripe lock and never wait. The whole-table scan and
+// the state-transfer responder keep a goroutine each, and a transport
+// without the capability gets every service the way it always did. The
+// simulated plane offers the capability, and serves a per-row request in a
+// step, with no task current.
 func TestPerRowServicesRegisterInline(t *testing.T) {
-	net := simnet.New(sim.New(1), simnet.Config{Profile: simnet.ProfileIUs})
-	if _, ok := transport.Transport(net).(transport.InlineHandler); ok {
-		t.Fatal("simnet offers transport.InlineHandler; the simulated plane must serve every request as its own task")
+	v := sim.New(1)
+	net := simnet.New(v, simnet.Config{Profile: simnet.ProfileIUs})
+	if _, ok := transport.Transport(net).(transport.InlineHandler); !ok {
+		t.Fatal("simnet does not offer transport.InlineHandler; the simulated plane must serve per-row requests as steps")
 	}
 	one := Config{LocalNodes: []transport.NodeID{0}}
 
@@ -66,5 +87,19 @@ func TestPerRowServicesRegisterInline(t *testing.T) {
 	}
 	if !maps.Equal(plain.how, want) {
 		t.Errorf("registrations without the capability = %v, want %v", plain.how, want)
+	}
+
+	probe := stepProbe{Network: simnet.New(v, simnet.Config{Profile: simnet.ProfileIUs}), v: v, steps: map[string]bool{}}
+	c := New(probe, Config{})
+	err := v.Run(func() {
+		if err := c.Client(0).Put(tbl, "k", val("x"), Quorum); err != nil {
+			t.Errorf("Put: %v", err)
+		}
+	})
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if ran, ok := probe.steps[svcApply]; !ok || !ran {
+		t.Errorf("a %s request on simnet ran in a step: %v (served: %v); want true", svcApply, ran, ok)
 	}
 }

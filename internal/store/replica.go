@@ -119,8 +119,9 @@ func (r *replica) stripe(key string) *engineStripe {
 // (transport.InlineHandler): each one takes one stripe lock, works on one row
 // in memory and returns, and the only thing it can wake — a Watch's promise in
 // rowState.merge — resolves without blocking. None of them waits, so the TCP
-// plane may serve them on the connection's read loop. The whole-table scan
-// and the transfer responder (transfer.go) keep a goroutine each.
+// plane may serve them on the connection's read loop and the simulated plane
+// in steps, with no task of their own. The whole-table scan and the transfer
+// responder (transfer.go) keep a goroutine or task each.
 func (r *replica) register(tr transport.Transport, node transport.NodeID) {
 	perRow := tr.HandleWithCost
 	if ih, ok := tr.(transport.InlineHandler); ok {

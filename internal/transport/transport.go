@@ -140,7 +140,7 @@ type Transport interface {
 	// to late exactly once: its reply when it arrives, or ErrTimeout when
 	// the leg's deadline (the call's start plus timeout) passes. A leg in
 	// the returned slice never reaches late. late runs on whatever
-	// goroutine or task completes the leg, possibly concurrently with other
+	// goroutine, task or step completes the leg, possibly concurrently with other
 	// legs, and must not block — the same never-wait rule as
 	// InlineHandler. The store's quorum write uses it so a replica that has
 	// not acked by the quorum still gets a hinted handoff if its write
@@ -172,11 +172,14 @@ type PeerEditor interface {
 
 // InlineHandler is the optional capability of transports that can run a
 // handler on the goroutine that read its request off the wire, instead of
-// handing it to a goroutine of its own. The TCP plane (internal/nettrans)
-// implements it, because waking another goroutine costs more than a handler
-// that touches one row in memory; the simulated plane does not, so protocol
-// code on it is unchanged. Callers type-assert and fall back to
-// HandleWithCost:
+// handing it to a goroutine of its own. Both planes implement it, because
+// waking another goroutine costs more than a handler that touches one row
+// in memory. The TCP plane (internal/nettrans) runs the handler on the
+// connection's read loop. The simulated plane (internal/simnet) delivers,
+// serves and answers the request as sim.Steps, with no task of its own, at
+// the instants and in the order a task would have; on virtual time it
+// also enforces the promise below, failing the run when the handler waits.
+// Callers type-assert and fall back to HandleWithCost:
 //
 //	if ih, ok := tr.(transport.InlineHandler); ok { ih.HandleInline(node, svc, h, base, perKB) }
 type InlineHandler interface {

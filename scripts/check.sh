@@ -36,9 +36,16 @@ go test -race -timeout 600s ./music/ ./internal/httpapi/ ./internal/nettrans/ ./
 # at once, a Servers completion timer survives an early unpark of its
 # caller, Stop on a fired or reused event cancels nothing, a reused task
 # wakes on none of the tokens of its earlier life, and a deadline hit
-# during a park leaves no event behind for the unwind to remove.
+# during a park leaves no event behind for the unwind to remove. Last, a
+# step against the task it replaces (same schedule, same timers, same
+# random draws), and a step that panics or blocks failing Run.
 go test -race -timeout 600s ./internal/sim/ ./internal/simnet/
-go test -race ./internal/sim/ -run 'TestVirtualScheduleGolden|TestVirtualRunLeavesNoGoroutines|TestVirtualUnwindInSpawnOrder|TestVirtualSelfHandoff|TestServersMatchWorkerTasks|TestServersRealOverlap|TestSettledTimersLeaveHeap|TestServersCompletionSurvivesEarlyUnpark|TestVirtualTimerStopAfterReuse|TestVirtualStaleWakeAfterTaskReuse|TestVirtualDeadlineThenUnwindWakes' -count=20 -timeout 300s
+go test -race ./internal/sim/ -run 'TestVirtualScheduleGolden|TestVirtualRunLeavesNoGoroutines|TestVirtualUnwindInSpawnOrder|TestVirtualSelfHandoff|TestServersMatchWorkerTasks|TestServersRealOverlap|TestSettledTimersLeaveHeap|TestServersCompletionSurvivesEarlyUnpark|TestVirtualTimerStopAfterReuse|TestVirtualStaleWakeAfterTaskReuse|TestVirtualDeadlineThenUnwindWakes|TestStepMatchesTask|TestStepPanicFailsRun|TestStepCannotBlock' -count=20 -timeout 300s
+# The simulated plane serves inline handlers in steps and holds them to
+# transport.InlineHandler's promise: one that sleeps or awaits fails Run
+# with an error naming its service, and one that panics re-raises its
+# panic from Run.
+go test -race ./internal/simnet/ -run 'TestInlineHandler' -count=3 -timeout 300s
 # A wall-clock simnet keeps serving CPU work after Close, and leaves no
 # goroutine behind: Close used to stop the node executors and strand every
 # later admission.
@@ -114,6 +121,10 @@ go test ./internal/core/ -run 'TestShardedSingleKeyNoExtraAllocs' -count=1 -time
 # The virtual-time plane's ceiling: allocations per section of
 # BenchmarkWANSection's shape, simulator and MUSIC stack together.
 go test ./internal/bench/ -run 'TestAllocCeilingWANSection' -count=1 -timeout 300s
+# And its goroutine hand-offs per section: deliveries to inline handlers,
+# replies and multicast legs run as steps. One that becomes a task again
+# fails here by name.
+go test ./internal/bench/ -run 'TestHandoffCeilingWANSection' -count=1 -timeout 300s
 # The lock row's size ceiling, beside the alloc ceilings it is kin to: three
 # columns however many lockRefs a key has seen, and a Peek that ships after
 # 500 sections what it shipped after one. A reintroduced per-ref column or
