@@ -4,20 +4,26 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/httpapi"
+	"repro/internal/loopback"
+	"repro/internal/nettrans"
+	"repro/internal/sim"
 	"repro/music"
 )
 
-// harness serves a live cluster through the REST API for the CLI to hit.
+// harness serves a live cluster — three nettrans nodes on 127.0.0.1 — through
+// the REST API for the CLI to hit.
 func harness(t *testing.T) string {
 	t.Helper()
-	c, err := music.New(music.WithProfile(music.ProfileLocal), music.WithRealTime())
+	clusters, err := loopback.Deploy(sim.NewReal(1), []string{"site-a", "site-b", "site-c"},
+		nettrans.Config{}, nil, music.TransportConfig{T: time.Minute})
 	if err != nil {
 		t.Fatalf("cluster: %v", err)
 	}
-	t.Cleanup(c.Close)
-	srv := httptest.NewServer(httpapi.New(c.Client("site-a")))
+	t.Cleanup(clusters.Close)
+	srv := httptest.NewServer(httpapi.New(clusters[0].Client("site-a")))
 	t.Cleanup(srv.Close)
 	return srv.URL
 }

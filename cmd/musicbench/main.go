@@ -35,7 +35,7 @@ func run(args []string) error {
 		markdown = fs.Bool("markdown", false, "emit GitHub-flavored markdown tables")
 		workers  = fs.Int("workers", 0, "closed-loop workers per site (0 = default)")
 		quiet    = fs.Bool("quiet", false, "suppress progress output")
-		jsonOut  = fs.String("json", "", "with -exp fastpath, transport, soak, scale or readpath: also write per-config results as JSON to this path (pick one experiment per path)")
+		jsonOut  = fs.String("json", "", "with -exp fastpath, soak, scale or readpath: also write per-config results as JSON to this path (pick one experiment per path)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err

@@ -1,12 +1,17 @@
 // Command musicd serves MUSIC's REST API (Fig 1's multi-site web service).
 //
-// Single-process mode runs the whole cluster in one process over the
-// simulated message plane on the wall clock: one HTTP listener per site,
-// each backed by that site's MUSIC replica.
+// Single-process mode runs every site of a latency profile in one process:
+// one TCP transport node per site on 127.0.0.1, each wired exactly as a
+// multi-process node is, and one HTTP listener per site, each backed by
+// that site's MUSIC replica. The profile's round-trip times are put on the
+// loopback links: every frame between two sites is held back for half
+// their RTT (internal/chaosnet's latency fault, on for the whole run), so
+// -profile IUs shows Table II's WAN rounds in every REST call. -shards
+// runs every shard of a site on its one node.
 //
 //	musicd -addr :8080                      # one listener, first site
 //	musicd -addrs :8080,:8081,:8082         # one listener per site
-//	musicd -profile local -t 30s
+//	musicd -profile IUs -t 30s
 //	musicd -obs=false                       # disable /metrics and /traces
 //
 // Multi-process mode runs ONE site per process over real TCP (-peers
@@ -16,18 +21,19 @@
 //
 //	musicd -peers peers.json -site ohio -listen :7001 -addr :8080
 //
-// Every process clocks from the Unix epoch. Adding -history makes it record
-// its operation history and serve it on GET /v1/history; fetching every site's
-// ops and merging them by timestamp yields one timeline the internal/history
-// ECF checkers can validate (cmd/musicd's tests do exactly this).
+// Every process clocks from the Unix epoch. Adding -history makes each node
+// record its operation history and serve it on GET /v1/history; fetching
+// every site's ops and merging them by timestamp yields one timeline the
+// internal/history ECF checkers can validate (cmd/musicd's tests do exactly
+// this).
 //
 // -leases issues site-scoped holder read leases: any client routed to the
 // lockholder's site serves GET /v1/keys/{key} locally for the
 // clock-skew-bounded lease window. -adaptive serves critical gets at ONE
 // consistency while the live monitor judges the site safe, flips the site
 // back to QUORUM when staleness violations trip the threshold, and exports
-// the per-site standing on GET /v1/consistency (multi-process mode implies
-// -history, which the monitor needs).
+// the per-site standing on GET /v1/consistency (it implies -history, which
+// the monitor needs).
 //
 // where peers.json lists every node in the deployment:
 //
@@ -62,18 +68,22 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"math"
 	"net"
 	"net/http"
 	"os"
 	"strings"
 	"time"
 
+	"repro/internal/chaosnet"
 	"repro/internal/history"
 	"repro/internal/httpapi"
+	"repro/internal/loopback"
 	"repro/internal/membership"
 	"repro/internal/nettrans"
 	"repro/internal/obs"
 	"repro/internal/sim"
+	"repro/internal/simnet"
 	"repro/internal/transport"
 	"repro/music"
 )
@@ -100,14 +110,15 @@ func run(args []string) error {
 		listen    = fs.String("listen", "", "transport TCP listen address (default: this node's addr from peers.json)")
 		node      = fs.Int("node", -1, "this process's node id (default: the single -site node in peers.json)")
 		leases    = fs.Bool("leases", false, "issue site-scoped holder read leases: any client at the lockholder's site serves Get locally for the lease window")
-		adaptive  = fs.Bool("adaptive", false, "serve critical gets at ONE while the live consistency monitor judges the site safe; the monitor's standing is served on GET /v1/consistency (multi-process mode implies -history)")
+		adaptive  = fs.Bool("adaptive", false, "serve critical gets at ONE while the live consistency monitor judges the site safe; the monitor's standing is served on GET /v1/consistency (implies -history)")
 
-		histOn = fs.Bool("history", false, "record the operation history and serve it on /v1/history (multi-process mode; timestamps share the Unix epoch so per-process histories merge)")
+		histOn = fs.Bool("history", false, "record the operation history and serve it on /v1/history (timestamps share the Unix epoch so per-process histories merge)")
 		join   = fs.Bool("join", false, "propose this spare site into the live membership at startup (multi-process mode; the node must be marked \"spare\" in peers.json)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	rf := replicaFlags{t: *t, obsOn: *obsOn, histOn: *histOn, shards: *shards, leases: *leases, adaptive: *adaptive}
 	if *peersPath != "" {
 		return runMulti(multiConfig{
 			peersPath: *peersPath,
@@ -115,59 +126,98 @@ func run(args []string) error {
 			listen:    *listen,
 			node:      *node,
 			httpAddr:  *addr,
-			t:         *t,
-			obsOn:     *obsOn,
-			histOn:    *histOn,
 			join:      *join,
-			shards:    *shards,
-			leases:    *leases,
-			adaptive:  *adaptive,
-		})
+		}, rf)
 	}
 	if *join {
 		return fmt.Errorf("-join needs multi-process mode (-peers)")
 	}
-
-	opts := []music.Option{music.WithProfile(*profile), music.WithRealTime(), music.WithT(*t)}
-	if *leases {
-		opts = append(opts, music.WithHolderLeases())
-	}
-	if *adaptive {
-		opts = append(opts, music.WithAdaptiveReads())
-	}
-	if *shards > 1 {
-		// Each shard coordinates through its own store node, so give every
-		// site one node per shard.
-		opts = append(opts, music.WithShards(*shards), music.WithNodesPerSite(*shards))
-	}
-	if *obsOn {
-		opts = append(opts, music.WithObservability())
-	}
-	c, err := music.New(opts...)
-	if err != nil {
-		return err
-	}
-	defer c.Close()
-
-	sites := c.Sites()
 	listenAddrs := []string{*addr}
 	if *addrs != "" {
 		listenAddrs = strings.Split(*addrs, ",")
 	}
+	return runSingle(*profile, listenAddrs, rf)
+}
+
+// replicaFlags are the flags that shape every node's MUSIC replica, in
+// either mode.
+type replicaFlags struct {
+	t                time.Duration
+	obsOn, histOn    bool
+	shards           int
+	leases, adaptive bool
+}
+
+// runSingle runs every site of the named latency profile in this process,
+// one node per site over TCP on 127.0.0.1, each wired by startNode, with
+// the profile's RTTs on the links between them. Site i's REST API is served
+// on listenAddrs[i].
+func runSingle(profileName string, listenAddrs []string, rf replicaFlags) error {
+	prof := simnet.Named(profileName)
+	if prof == nil {
+		return fmt.Errorf("unknown latency profile %q", profileName)
+	}
+	sites := prof.Sites()
 	if len(listenAddrs) > len(sites) {
 		return fmt.Errorf("%d addresses for %d sites", len(listenAddrs), len(sites))
 	}
 
+	// One runtime for every node, on the Unix-epoch clock a multi-process
+	// node uses (see runMulti).
+	rt := sim.NewRealAt(time.Unix(0, 0), time.Now().UnixNano())
+	delays := chaosnet.NewInjector(rt, linkDelays(prof))
+	delays.Start()
+	peers, listeners, err := loopback.Listen(sites)
+	if err != nil {
+		return err
+	}
+	clusters := make([]*music.Cluster, len(peers))
+	for i, p := range peers {
+		c, stop, err := startNode(rt, nodeSlot{
+			self:     p,
+			peers:    peers,
+			listener: listeners[i],
+			dial:     delays.Dial(p.Site),
+		}, rf)
+		if err != nil {
+			for _, l := range listeners[i+1:] {
+				_ = l.Close()
+			}
+			return err
+		}
+		defer stop()
+		clusters[i] = c
+	}
+
 	errc := make(chan error, len(listenAddrs))
 	for i, a := range listenAddrs {
-		site := sites[i]
-		srv := newAPIServer(c, site, *shards)
-		log.Printf("serving site %s on %s", site, a)
+		srv := newAPIServer(clusters[i], sites[i], rf.shards)
+		log.Printf("serving site %s on %s", sites[i], a)
 		go func(a string) {
 			errc <- http.ListenAndServe(a, srv)
 		}(a)
 	}
 	return <-errc
+}
+
+// linkDelays is the chaosnet schedule that holds every frame between two
+// sites of p back for half their round trip, from start to the end of the
+// run: p's RTTs, put on loopback links.
+func linkDelays(p *simnet.Profile) chaosnet.Schedule {
+	sites := p.Sites()
+	s := chaosnet.Schedule{Sites: sites}
+	for i, a := range sites {
+		for _, b := range sites[i+1:] {
+			s.Events = append(s.Events, chaosnet.Event{
+				For:   math.MaxInt64,
+				Class: chaosnet.ClassLatency,
+				A:     a,
+				B:     b,
+				Delay: p.RTT(a, b) / 2,
+			})
+		}
+	}
+	return s
 }
 
 // newAPIServer builds a site's REST server: one client per plane shard,
@@ -184,21 +234,18 @@ func newAPIServer(c *music.Cluster, site string, shards int) *httpapi.Server {
 	return httpapi.NewSharded(cls)
 }
 
-// multiConfig bundles runMulti's flag values.
+// multiConfig bundles runMulti's own flag values.
 type multiConfig struct {
 	peersPath, site, listen string
 	node                    int
 	httpAddr                string
-	t                       time.Duration
-	obsOn, histOn, join     bool
-	shards                  int
-	leases, adaptive        bool
+	join                    bool
 }
 
 // runMulti is one process of a multi-process deployment: a TCP transport
 // node in the peer ring, the store replica for that node, the MUSIC replica
 // for its site, and the site's REST listener.
-func runMulti(mc multiConfig) error {
+func runMulti(mc multiConfig, rf replicaFlags) error {
 	peers, spares, err := loadPeers(mc.peersPath)
 	if err != nil {
 		return err
@@ -210,6 +257,17 @@ func runMulti(mc multiConfig) error {
 	if mc.join && !spares[self.ID] {
 		return fmt.Errorf("-join: node %d is not marked \"spare\" in %s", self.ID, mc.peersPath)
 	}
+	if len(spares) == len(peers) {
+		return fmt.Errorf("%s marks every node spare; at least one initial member is required", mc.peersPath)
+	}
+	slot := nodeSlot{self: self, peers: peers, spares: spares}
+	if mc.listen != "" {
+		lis, err := net.Listen("tcp", mc.listen)
+		if err != nil {
+			return fmt.Errorf("listen %s: %w", mc.listen, err)
+		}
+		slot.listener = lis
+	}
 
 	// Every process clocks from the Unix epoch, so the stamps each one mints
 	// — LWW write stamps, grant start times, ballots — order across
@@ -219,141 +277,11 @@ func runMulti(mc multiConfig) error {
 	// and two processes, or two incarnations of one, drawing the same
 	// sequence would each adopt the lockRef the other minted.
 	rt := sim.NewRealAt(time.Unix(0, 0), time.Now().UnixNano())
-	var rec *history.Recorder
-	if mc.histOn || mc.adaptive {
-		// Adaptive reads imply -history: the monitor observes the recorded
-		// op stream, so it cannot run without a recorder.
-		rec = history.New(rt)
-	}
-	// The monitor watches this process's weak reads for staleness and flips
-	// the site back to QUORUM on its trip threshold; repairRead (assigned
-	// once the cluster exists) wires its violation hook to a quorum read
-	// that re-converges the stale replica.
-	var mon *history.Monitor
-	var repairRead func(key string)
-	if mc.adaptive {
-		mon = history.NewMonitor(history.MonitorConfig{
-			OnViolation: func(site, key string) {
-				if repairRead != nil && site == self.Site {
-					repairRead(key)
-				}
-			},
-		})
-		rec.Attach(mon)
-	}
-	var ob *obs.Obs
-	if mc.obsOn {
-		ob = obs.New(rt, obs.Options{})
-	}
-	cfg := nettrans.Config{Self: self.ID, Peers: peers, Obs: ob}
-	if mc.listen != "" {
-		lis, err := net.Listen("tcp", mc.listen)
-		if err != nil {
-			return fmt.Errorf("listen %s: %w", mc.listen, err)
-		}
-		cfg.Listener = lis
-	}
-	tr, err := nettrans.New(rt, cfg)
+	c, stop, err := startNode(rt, slot, rf)
 	if err != nil {
 		return err
 	}
-
-	// Any spare in peers.json switches the deployment to live membership:
-	// the initial members replicate the config log, spares follow by
-	// polling, and both kinds can drive proposals.
-	var (
-		view    *membership.View
-		propose func(membership.Change) (membership.Membership, error)
-	)
-	if len(spares) > 0 {
-		var mems []membership.Member
-		var seeds []transport.NodeID
-		for _, p := range peers {
-			if spares[p.ID] {
-				continue
-			}
-			mems = append(mems, membership.Member{ID: p.ID, Site: p.Site, Addr: p.Addr})
-			seeds = append(seeds, p.ID)
-		}
-		if len(mems) == 0 {
-			return fmt.Errorf("%s marks every node spare; at least one initial member is required", mc.peersPath)
-		}
-		initial := membership.New(mems)
-		if spares[self.ID] {
-			// Outside the config group: follow the log by polling members,
-			// forward proposals through a serving member.
-			view = membership.NewView(initial)
-			poller := membership.Poll(tr, self.ID, seeds, view, 0)
-			defer poller.Stop()
-			propose = func(ch membership.Change) (membership.Membership, error) {
-				var lastErr error
-				for _, seed := range seeds {
-					m, perr := membership.ProposeRemote(tr, self.ID, seed, ch, 0)
-					if perr == nil {
-						return m, nil
-					}
-					lastErr = perr
-				}
-				return membership.Membership{}, lastErr
-			}
-		} else {
-			memLog, lerr := membership.NewLog(membership.LogConfig{
-				Transport: tr,
-				Group:     initial.NodeIDs(),
-				Local:     []transport.NodeID{self.ID},
-				Initial:   initial,
-			})
-			if lerr != nil {
-				tr.Close()
-				return lerr
-			}
-			defer memLog.Stop()
-			view = memLog.View()
-			propose = func(ch membership.Change) (membership.Membership, error) {
-				return memLog.Propose(self.ID, ch)
-			}
-		}
-		// Refresh the transport's peer table before the store ring sees each
-		// epoch (View subscribers run in registration order), so a node the
-		// new placement brings in is dialable by the time state transfer and
-		// replication want it — including replacement processes at addresses
-		// peers.json never listed.
-		view.Subscribe(func(m membership.Membership) {
-			log.Printf("membership: %s", m)
-			for _, mem := range m.Members {
-				if mem.ID == self.ID || mem.Addr == "" {
-					continue
-				}
-				if aerr := tr.AddPeer(mem.ID, mem.Site, mem.Addr); aerr != nil {
-					log.Printf("membership: AddPeer n%d: %v", mem.ID, aerr)
-				}
-			}
-		})
-	}
-
-	c, err := music.NewOverTransport(tr, music.TransportConfig{
-		T:             mc.t,
-		Shards:        mc.shards,
-		LocalNodes:    []transport.NodeID{self.ID},
-		Obs:           ob,
-		History:       rec,
-		Leases:        mc.leases,
-		AdaptiveReads: mc.adaptive,
-		Monitor:       mon,
-		Membership:    view,
-		Propose:       propose,
-	})
-	if err != nil {
-		tr.Close()
-		return err
-	}
-	defer c.Close()
-	if mon != nil {
-		rep := c.Replica(self.Site)
-		repairRead = func(key string) {
-			rt.Go(func() { _ = rep.RepairRead(key) })
-		}
-	}
+	defer stop()
 
 	// Crash-restart catch-up: pull whatever this node's key ranges
 	// accumulated while the process was down, before serving traffic. On a
@@ -368,10 +296,163 @@ func runMulti(mc multiConfig) error {
 		go joinSelf(c, self.Site)
 	}
 
-	srv := newAPIServer(c, self.Site, mc.shards)
-	log.Printf("node %d (site %s): transport on %s, REST on %s, %d peers",
-		self.ID, self.Site, tr.Addr(), mc.httpAddr, len(peers)-1)
+	srv := newAPIServer(c, self.Site, rf.shards)
+	log.Printf("node %d (site %s): REST on %s, %d peers", self.ID, self.Site, mc.httpAddr, len(peers)-1)
 	return http.ListenAndServe(mc.httpAddr, srv)
+}
+
+// nodeSlot is one node's place in a deployment and the way it reaches the
+// others.
+type nodeSlot struct {
+	self     nettrans.Peer
+	peers    []nettrans.Peer
+	spares   map[transport.NodeID]bool                            // any spare makes membership live
+	listener net.Listener                                         // nil: listen on self.Addr
+	dial     func(nettrans.Peer, time.Duration) (net.Conn, error) // nil: plain TCP
+}
+
+// startNode wires one node on rt: its TCP transport, its membership (live
+// when the peer set has spares), its observability, history and monitor,
+// and the MUSIC cluster over them, which hosts this node alone. stop tears
+// it all down.
+func startNode(rt *sim.Real, n nodeSlot, rf replicaFlags) (c *music.Cluster, stop func(), err error) {
+	var rec *history.Recorder
+	if rf.histOn || rf.adaptive {
+		// Adaptive reads imply -history: the monitor observes the recorded
+		// op stream, so it cannot run without a recorder.
+		rec = history.New(rt)
+	}
+	// The monitor watches this node's weak reads for staleness and flips
+	// the site back to QUORUM on its trip threshold; repairRead (assigned
+	// once the cluster exists) wires its violation hook to a quorum read
+	// that re-converges the stale replica.
+	var mon *history.Monitor
+	var repairRead func(key string)
+	if rf.adaptive {
+		mon = history.NewMonitor(history.MonitorConfig{
+			OnViolation: func(site, key string) {
+				if repairRead != nil && site == n.self.Site {
+					repairRead(key)
+				}
+			},
+		})
+		rec.Attach(mon)
+	}
+	var ob *obs.Obs
+	if rf.obsOn {
+		ob = obs.New(rt, obs.Options{})
+	}
+	tr, err := nettrans.New(rt, nettrans.Config{
+		Self:     n.self.ID,
+		Peers:    n.peers,
+		Listener: n.listener,
+		Dial:     n.dial,
+		Obs:      ob,
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	view, propose, stopMembership, err := startMembership(tr, n)
+	if err != nil {
+		tr.Close()
+		return nil, nil, err
+	}
+	c, err = music.NewOverTransport(tr, music.TransportConfig{
+		T:             rf.t,
+		Shards:        rf.shards,
+		LocalNodes:    []transport.NodeID{n.self.ID},
+		Obs:           ob,
+		History:       rec,
+		Leases:        rf.leases,
+		AdaptiveReads: rf.adaptive,
+		Monitor:       mon,
+		Membership:    view,
+		Propose:       propose,
+	})
+	if err != nil {
+		stopMembership()
+		tr.Close()
+		return nil, nil, err
+	}
+	if mon != nil {
+		rep := c.Replica(n.self.Site)
+		repairRead = func(key string) {
+			rt.Go(func() { _ = rep.RepairRead(key) })
+		}
+	}
+	log.Printf("node %d (site %s): transport on %s", n.self.ID, n.self.Site, tr.Addr())
+	return c, func() { c.Close(); stopMembership() }, nil
+}
+
+// startMembership wires the node's live membership when the peer set has
+// spares, and returns a nil view (fixed membership) when it has none. The
+// initial members replicate the config log, spares follow by polling, and
+// both kinds can drive proposals.
+func startMembership(tr *nettrans.Transport, n nodeSlot) (view *membership.View, propose func(membership.Change) (membership.Membership, error), stop func(), err error) {
+	stop = func() {}
+	if len(n.spares) == 0 {
+		return nil, nil, stop, nil
+	}
+	var mems []membership.Member
+	var seeds []transport.NodeID
+	for _, p := range n.peers {
+		if n.spares[p.ID] {
+			continue
+		}
+		mems = append(mems, membership.Member{ID: p.ID, Site: p.Site, Addr: p.Addr})
+		seeds = append(seeds, p.ID)
+	}
+	initial := membership.New(mems)
+	self := n.self.ID
+	if n.spares[self] {
+		// Outside the config group: follow the log by polling members,
+		// forward proposals through a serving member.
+		view = membership.NewView(initial)
+		stop = membership.Poll(tr, self, seeds, view, 0).Stop
+		propose = func(ch membership.Change) (membership.Membership, error) {
+			var lastErr error
+			for _, seed := range seeds {
+				m, perr := membership.ProposeRemote(tr, self, seed, ch, 0)
+				if perr == nil {
+					return m, nil
+				}
+				lastErr = perr
+			}
+			return membership.Membership{}, lastErr
+		}
+	} else {
+		memLog, lerr := membership.NewLog(membership.LogConfig{
+			Transport: tr,
+			Group:     initial.NodeIDs(),
+			Local:     []transport.NodeID{self},
+			Initial:   initial,
+		})
+		if lerr != nil {
+			return nil, nil, nil, lerr
+		}
+		stop = memLog.Stop
+		view = memLog.View()
+		propose = func(ch membership.Change) (membership.Membership, error) {
+			return memLog.Propose(self, ch)
+		}
+	}
+	// Refresh the transport's peer table before the store ring sees each
+	// epoch (View subscribers run in registration order), so a node the
+	// new placement brings in is dialable by the time state transfer and
+	// replication want it — including replacement processes at addresses
+	// peers.json never listed.
+	view.Subscribe(func(m membership.Membership) {
+		log.Printf("membership: %s", m)
+		for _, mem := range m.Members {
+			if mem.ID == self || mem.Addr == "" {
+				continue
+			}
+			if aerr := tr.AddPeer(mem.ID, mem.Site, mem.Addr); aerr != nil {
+				log.Printf("membership: AddPeer n%d: %v", mem.ID, aerr)
+			}
+		}
+	})
+	return view, propose, stop, nil
 }
 
 // joinSelf proposes this process's site into the membership, retrying until

@@ -19,9 +19,11 @@ import (
 
 	"repro/internal/history"
 	"repro/internal/httpapi"
+	"repro/internal/loopback"
 	"repro/internal/nettrans"
 	"repro/internal/obs"
 	"repro/internal/sim"
+	"repro/internal/simnet"
 	"repro/internal/transport"
 	"repro/music"
 )
@@ -154,36 +156,18 @@ func ecfCheck(t *testing.T, siteURL map[string]string) {
 func TestThreeNodeClusterInProcess(t *testing.T) {
 	rt := sim.NewReal(1)
 	rec := history.New(rt)
-	listeners := make([]net.Listener, 3)
-	peers := make([]nettrans.Peer, 3)
-	for i := range peers {
-		lis, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatalf("listen: %v", err)
-		}
-		listeners[i] = lis
-		peers[i] = nettrans.Peer{ID: transport.NodeID(i), Site: testSites[i], Addr: lis.Addr().String()}
+	ob := obs.New(rt, obs.Options{})
+	clusters, err := loopback.Deploy(rt, testSites, nettrans.Config{Obs: ob}, nil,
+		music.TransportConfig{T: time.Minute, Obs: ob, History: rec})
+	if err != nil {
+		t.Fatal(err)
 	}
-	siteURL := make(map[string]string, 3)
-	for i, p := range peers {
-		ob := obs.New(rt, obs.Options{})
-		tr, err := nettrans.New(rt, nettrans.Config{Self: p.ID, Peers: peers, Listener: listeners[i], Obs: ob})
-		if err != nil {
-			t.Fatalf("nettrans.New: %v", err)
-		}
-		c, err := music.NewOverTransport(tr, music.TransportConfig{
-			T:          time.Minute,
-			LocalNodes: []transport.NodeID{p.ID},
-			Obs:        ob,
-			History:    rec,
-		})
-		if err != nil {
-			t.Fatalf("NewOverTransport: %v", err)
-		}
-		defer c.Close()
-		srv := httptest.NewServer(httpapi.New(c.Client(p.Site)))
+	defer clusters.Close()
+	siteURL := make(map[string]string, len(testSites))
+	for i, site := range testSites {
+		srv := httptest.NewServer(httpapi.New(clusters[i].Client(site)))
 		defer srv.Close()
-		siteURL[p.Site] = srv.URL
+		siteURL[site] = srv.URL
 	}
 	ecfCheck(t, siteURL)
 
@@ -296,6 +280,42 @@ func TestThreeProcessCluster(t *testing.T) {
 		t.Fatal("no process recorded any operations")
 	}
 	assertCleanHistory(t, mergeHistories(parts...))
+}
+
+// TestSingleProcessProfileAppliesTableII: single-process musicd puts its
+// profile's round trips on the loopback links between its sites. A
+// createLockRef is one LWT, four quorum rounds, so under -profile IUs it
+// takes at least four round trips from ohio to its nearest quorum peer
+// (ncalifornia, 53.79 ms); under -profile local, whose links are 2 ms, the
+// same call takes less than that.
+func TestSingleProcessProfileAppliesTableII(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and spawns real processes")
+	}
+	floor := 4 * simnet.ProfileIUs.RTT("ohio", "ncalifornia")
+	createLockRef := func(profile string) time.Duration {
+		site := simnet.Named(profile).Sites()[0]
+		d := deploy(t, []string{site}, 0, func(d *procDeployment) error {
+			d.startSingle(site, "-profile", profile)
+			return d.waitHealthy(site)
+		})
+		r := &restClient{t: t, base: "http://" + d.addr(site)}
+		start := time.Now()
+		r.createLockRef("k")
+		took := time.Since(start)
+		d.procs[site].kill()
+		return took
+	}
+	if took := createLockRef(music.ProfileIUs); took < floor {
+		t.Errorf("-profile IUs: createLockRef at ohio took %v, want at least %v (4 × 53.79 ms)", took, floor)
+	} else {
+		t.Logf("-profile IUs: createLockRef took %v", took)
+	}
+	if took := createLockRef(music.ProfileLocal); took >= floor {
+		t.Errorf("-profile local: createLockRef took %v, want less than %v", took, floor)
+	} else {
+		t.Logf("-profile local: createLockRef took %v", took)
+	}
 }
 
 // deployYoung starts the first two test sites, then the third — the young
@@ -457,7 +477,21 @@ func newProcDeployment(t *testing.T, bin, peersPath string, sites []string, spar
 // when the test ends.
 func (d *procDeployment) start(site string, flags ...string) {
 	d.t.Helper()
-	args := append([]string{"-peers", d.peersPath, "-site", site, "-addr", d.addr(site)}, flags...)
+	d.launch(site, append([]string{"-peers", d.peersPath, "-site", site}, flags...)...)
+}
+
+// startSingle launches a single-process musicd, with the extra flags given,
+// serving the REST API of its first site on site's port.
+func (d *procDeployment) startSingle(site string, flags ...string) {
+	d.t.Helper()
+	d.launch(site, flags...)
+}
+
+// launch runs the binary with args, serving REST on site's port, and kills
+// it when the test ends.
+func (d *procDeployment) launch(site string, args ...string) {
+	d.t.Helper()
+	args = append([]string{"-addr", d.addr(site)}, args...)
 	p := &musicdProc{cmd: exec.Command(d.bin, args...), exited: make(chan struct{})}
 	p.cmd.Stdout = os.Stderr
 	p.cmd.Stderr = io.MultiWriter(os.Stderr, &p.stderr)

@@ -1,6 +1,6 @@
 // Quickstart: the paper's Listing 1 — a critical section that reads the
 // latest value of a key, updates it, and writes it back with exclusive
-// access, against a live (wall-clock) three-site MUSIC cluster.
+// access, against a three-site MUSIC cluster simulated in virtual time.
 package main
 
 import (
@@ -20,15 +20,23 @@ func main() {
 }
 
 func run(out io.Writer) error {
-	// A three-site cluster on the fast local profile, running in real time.
-	c, err := music.New(music.WithProfile(music.ProfileLocal), music.WithRealTime())
+	// A three-site cluster on the fast local profile. It runs in virtual
+	// time: every operation happens inside c.Run.
+	c, err := music.New(music.WithProfile(music.ProfileLocal))
 	if err != nil {
 		return err
 	}
-	defer c.Close()
+	var runErr error
+	if err := c.Run(func() { runErr = listing1(out, c) }); err != nil {
+		return err
+	}
+	return runErr
+}
 
+// listing1 runs the paper's Listing 1 once explicitly, then once from every
+// site through RunCritical.
+func listing1(out io.Writer, c *music.Cluster) error {
 	cl := c.Client(c.Sites()[0])
-
 	// Listing 1, spelled out: createLockRef → poll acquireLock →
 	// criticalGet → compute → criticalPut → releaseLock.
 	lockRef, err := cl.CreateLockRef("counter")

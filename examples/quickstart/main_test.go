@@ -5,7 +5,7 @@ import (
 	"testing"
 )
 
-// TestQuickstart runs the example end to end (real-time cluster, local
+// TestQuickstart runs the example end to end (virtual-time cluster, local
 // profile) and checks the counter reaches 1 explicit + 3 RunCritical
 // increments.
 func TestQuickstart(t *testing.T) {

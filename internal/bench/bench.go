@@ -85,7 +85,7 @@ type Options struct {
 	// Log receives progress lines (nil discards them).
 	Log io.Writer
 	// JSON, when non-empty, makes the experiments that keep a machine-
-	// readable perf trajectory (fastpath, transport, soak, scale, readpath)
+	// readable perf trajectory (fastpath, soak, scale, readpath)
 	// also write their per-config results to this path — the BENCH_<id>.json
 	// artifact. One path holds one experiment: run them one at a time.
 	JSON string
@@ -148,7 +148,6 @@ func Experiments() []Experiment {
 		{"ablation", "Design-choice ablations: synchFlag dirty bit and local peek (DESIGN.md)", runAblation},
 		{"faults", "Fault-injection campaign: retries, cross-site failover, healthy-path overhead (§III-A)", runFaults},
 		{"fastpath", "Critical-section fast path: grant piggyback, holder cache, write-behind", runFastpath},
-		{"transport", "Message-plane overhead: simulated network vs TCP loopback, per Table I op", runTransport},
 		{"explore", "Seeded chaos explorer: randomized fault schedules checked against ECF (internal/history)", runExplore},
 		{"soak", "Soak scenarios over TCP with chaosnet faults: SLO report per scenario (internal/chaosnet)", runSoak},
 		{"scale", "Sharded lock/data plane scale-out: YCSB over a million-key uniform space, shards 1/2/4/8", runScale},

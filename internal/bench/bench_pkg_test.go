@@ -63,8 +63,8 @@ func parseLat(t *testing.T, s string) float64 {
 }
 
 func TestRegistryAndRunValidation(t *testing.T) {
-	if len(Experiments()) != 20 {
-		t.Fatalf("experiments = %d, want 20 (every paper artifact + ablation + trace + faults + fastpath + transport + explore + soak + scale + readpath)", len(Experiments()))
+	if len(Experiments()) != 19 {
+		t.Fatalf("experiments = %d, want 19 (every paper artifact + ablation + trace + faults + fastpath + explore + soak + scale + readpath)", len(Experiments()))
 	}
 	if _, err := Run([]string{"nope"}, quickOpts); err == nil {
 		t.Fatal("unknown experiment accepted")

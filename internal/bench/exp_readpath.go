@@ -30,8 +30,8 @@ func readpathFabric() *simnet.Profile {
 }
 
 // readpathConfigs are the four read planes under comparison, over the same
-// metro fabric and workload. The string name is the row identity benchgate
-// keys on.
+// metro fabric and workload. The string name is the row's identity in
+// BENCH_readpath.json.
 var readpathConfigs = []struct {
 	name     string
 	opts     []music.Option
@@ -52,8 +52,8 @@ var readpathConfigs = []struct {
 }
 
 // readpathResult is one row of the BENCH_readpath.json artifact. The *_us
-// and *_per_sec fields are the benchgate-gated metrics; the monitor columns
-// are informational (and asserted by the package test, not the gate).
+// and *_per_sec fields are the headline metrics; the monitor columns are
+// asserted by the package test. CI compares the whole file byte for byte.
 type readpathResult struct {
 	Config        string  `json:"config"`
 	P50GetMicros  int64   `json:"p50_get_us"`

@@ -56,9 +56,9 @@ func buildScaleWorld(shards int, seed int64) *scaleWorld {
 	return w
 }
 
-// scaleResult is one row of the BENCH_scale.json artifact. Shards is a
-// string because cmd/benchgate keys row identity on string fields and
-// treats numeric *_per_sec / *_us fields as metrics.
+// scaleResult is one row of the BENCH_scale.json artifact, which CI
+// compares byte for byte. Shards is a string, the row's identity, as in
+// the committed file.
 type scaleResult struct {
 	Shards     string  `json:"shards"`
 	OpsPerSec  float64 `json:"ops_per_sec"`

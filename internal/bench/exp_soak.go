@@ -3,17 +3,16 @@ package bench
 import (
 	"fmt"
 	"math/rand"
-	"net"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/chaosnet"
+	"repro/internal/loopback"
 	"repro/internal/nettrans"
 	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/stats"
-	"repro/internal/transport"
 	"repro/music"
 )
 
@@ -161,7 +160,7 @@ type soakEnv struct {
 	soakRecorder
 	scenario string
 	inj      *chaosnet.Injector
-	clusters []*music.Cluster
+	clusters loopback.Clusters
 	clients  []*music.Client
 }
 
@@ -171,40 +170,18 @@ func newSoakEnv(scenario string, sched chaosnet.Schedule) *soakEnv {
 	inj := chaosnet.NewInjector(rt, sched)
 	env := &soakEnv{soakRecorder: soakRecorder{rt: rt, ob: ob}, scenario: scenario, inj: inj}
 
-	listeners := make([]net.Listener, len(soakSites))
-	peers := make([]nettrans.Peer, len(soakSites))
-	for i, site := range soakSites {
-		lis, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			panic(fmt.Sprintf("bench: soak: %v", err))
-		}
-		listeners[i] = lis
-		peers[i] = nettrans.Peer{ID: transport.NodeID(i), Site: site, Addr: lis.Addr().String()}
+	clusters, err := loopback.Deploy(rt, soakSites, nettrans.Config{
+		RPCTimeout:   500 * time.Millisecond,
+		DialTimeout:  200 * time.Millisecond,
+		BackoffFloor: 10 * time.Millisecond,
+		BackoffCeil:  80 * time.Millisecond,
+	}, inj.Dial, music.TransportConfig{T: 2 * time.Second, Obs: ob})
+	if err != nil {
+		panic(fmt.Sprintf("bench: soak: %v", err))
 	}
-	for i, p := range peers {
-		tr, err := nettrans.New(rt, nettrans.Config{
-			Self:         p.ID,
-			Peers:        peers,
-			Listener:     listeners[i],
-			RPCTimeout:   500 * time.Millisecond,
-			DialTimeout:  200 * time.Millisecond,
-			BackoffFloor: 10 * time.Millisecond,
-			BackoffCeil:  80 * time.Millisecond,
-			Dial:         inj.Dial(p.Site),
-		})
-		if err != nil {
-			panic(fmt.Sprintf("bench: soak: %v", err))
-		}
-		c, err := music.NewOverTransport(tr, music.TransportConfig{
-			T:          2 * time.Second,
-			LocalNodes: []transport.NodeID{p.ID},
-			Obs:        ob,
-		})
-		if err != nil {
-			panic(fmt.Sprintf("bench: soak: %v", err))
-		}
-		env.clusters = append(env.clusters, c)
-		env.clients = append(env.clients, c.Client(p.Site, music.WithRetry(music.RetryPolicy{
+	env.clusters = clusters
+	for i, c := range clusters {
+		env.clients = append(env.clients, c.Client(soakSites[i], music.WithRetry(music.RetryPolicy{
 			Attempts:    3,
 			BaseBackoff: 10 * time.Millisecond,
 			MaxBackoff:  100 * time.Millisecond,
@@ -213,11 +190,7 @@ func newSoakEnv(scenario string, sched chaosnet.Schedule) *soakEnv {
 	return env
 }
 
-func (env *soakEnv) close() {
-	for _, c := range env.clusters {
-		c.Close()
-	}
-}
+func (env *soakEnv) close() { env.clusters.Close() }
 
 // runWorkers drives n closed-loop workers for dur, joining them before
 // returning (fault windows are bounded, so in-flight sections drain).

@@ -2,16 +2,15 @@ package chaosnet
 
 import (
 	"fmt"
-	"net"
 	"strings"
 	"sync"
 	"time"
 
 	"repro/internal/history"
+	"repro/internal/loopback"
 	"repro/internal/nettrans"
 	"repro/internal/sim"
 	"repro/internal/store"
-	"repro/internal/transport"
 	"repro/music"
 )
 
@@ -102,7 +101,7 @@ func runCampaignSeed(seed int64, shards int, mode string) Outcome {
 	// One single-node process per (site, shard); node IDs are dense in
 	// site-major order so process si*shards+sh serves site si, shard sh.
 	nProcs := len(CampaignSites) * shards
-	clusters := make([]*music.Cluster, nProcs)
+	var clusters loopback.Clusters
 
 	// In adaptive mode one monitor spans the whole deployment, attached to
 	// the shared recorder; its repair hook routes the quorum re-read through
@@ -124,53 +123,27 @@ func runCampaignSeed(seed int64, shards int, mode string) Outcome {
 		rec.Attach(mon)
 	}
 
-	listeners := make([]net.Listener, nProcs)
-	peers := make([]nettrans.Peer, nProcs)
-	for i := range peers {
-		site := CampaignSites[i/shards]
-		lis, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return Outcome{Schedule: sched, RunErr: fmt.Errorf("listen: %w", err)}
-		}
-		listeners[i] = lis
-		peers[i] = nettrans.Peer{ID: transport.NodeID(i), Site: site, Addr: lis.Addr().String()}
+	sites := make([]string, nProcs)
+	for i := range sites {
+		sites[i] = CampaignSites[i/shards]
 	}
-	for i, p := range peers {
-		tr, err := nettrans.New(rt, nettrans.Config{
-			Self:         p.ID,
-			Peers:        peers,
-			Listener:     listeners[i],
-			RPCTimeout:   500 * time.Millisecond,
-			DialTimeout:  200 * time.Millisecond,
-			BackoffFloor: 10 * time.Millisecond,
-			BackoffCeil:  80 * time.Millisecond,
-			Dial:         inj.Dial(p.Site),
-		})
-		if err != nil {
-			return Outcome{Schedule: sched, RunErr: fmt.Errorf("nettrans: %w", err)}
-		}
-		c, err := music.NewOverTransport(tr, music.TransportConfig{
-			T:             5 * time.Second,
-			Shards:        shards,
-			LocalNodes:    []transport.NodeID{p.ID},
-			History:       rec,
-			Leases:        mode == "lease",
-			AdaptiveReads: mode == "adaptive",
-			Monitor:       mon,
-		})
-		if err != nil {
-			tr.Close()
-			return Outcome{Schedule: sched, RunErr: fmt.Errorf("music: %w", err)}
-		}
-		clusters[i] = c
+	clusters, err := loopback.Deploy(rt, sites, nettrans.Config{
+		RPCTimeout:   500 * time.Millisecond,
+		DialTimeout:  200 * time.Millisecond,
+		BackoffFloor: 10 * time.Millisecond,
+		BackoffCeil:  80 * time.Millisecond,
+	}, inj.Dial, music.TransportConfig{
+		T:             5 * time.Second,
+		Shards:        shards,
+		History:       rec,
+		Leases:        mode == "lease",
+		AdaptiveReads: mode == "adaptive",
+		Monitor:       mon,
+	})
+	if err != nil {
+		return Outcome{Schedule: sched, RunErr: err}
 	}
-	defer func() {
-		for _, c := range clusters {
-			if c != nil {
-				c.Close()
-			}
-		}
-	}()
+	defer clusters.Close()
 
 	// Two keys in the single-shard campaign (the historical workload);
 	// four when sharded, so each site's sections hit multiple shards.

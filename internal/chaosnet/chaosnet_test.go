@@ -3,6 +3,7 @@ package chaosnet_test
 import (
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"reflect"
 	"testing"
@@ -13,6 +14,7 @@ import (
 	"repro/internal/sim"
 	"repro/internal/transport"
 	"repro/internal/transport/conformance"
+	"repro/internal/wire"
 )
 
 var testSites = []string{"ohio", "ncalifornia", "oregon"}
@@ -208,6 +210,65 @@ func TestFaultConnLatency(t *testing.T) {
 	// Request and reply each cross one injected 30ms leg.
 	if elapsed := time.Since(start); elapsed < 55*time.Millisecond {
 		t.Fatalf("call took %v through a 30ms-per-leg latency window", elapsed)
+	}
+}
+
+// TestFaultConnInboundLatencyIsPerFrame: frames that arrive together are
+// delivered together, each one link delay after it came off the socket. A
+// read side that sleeps the delay inline per frame delivers the k-th frame
+// of a burst k delays late: queueing that no real link adds, and that
+// musicd's profile links would pass off as WAN latency.
+func TestFaultConnInboundLatencyIsPerFrame(t *testing.T) {
+	const frames, d = 8, 20 * time.Millisecond
+	rt := sim.NewReal(7)
+	inj := chaosnet.NewInjector(rt, chaosnet.Schedule{
+		Seed:   7,
+		Sites:  []string{"ohio", "oregon"},
+		Events: []chaosnet.Event{{For: 10 * time.Second, Class: chaosnet.ClassLatency, Delay: d}},
+	})
+	inj.Start()
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lis.Close()
+	sent := make(chan time.Time, 1)
+	go func() {
+		conn, err := lis.Accept()
+		if err != nil {
+			close(sent)
+			return
+		}
+		defer conn.Close()
+		var burst []byte
+		for i := 0; i < frames; i++ {
+			burst = wire.AppendFrame(burst, []byte{byte(i)})
+		}
+		sent <- time.Now()
+		_, _ = conn.Write(burst)
+		_, _ = io.Copy(io.Discard, conn) // until the reader hangs up
+	}()
+	conn, err := inj.Dial("ohio")(nettrans.Peer{ID: 1, Site: "oregon", Addr: lis.Addr().String()}, time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	start, ok := <-sent
+	if !ok {
+		t.Fatal("accept failed")
+	}
+	for i := 0; i < frames; i++ {
+		frame, err := wire.ReadFrame(conn)
+		if err != nil {
+			t.Fatalf("frame %d: %v", i, err)
+		}
+		took := time.Since(start)
+		if len(frame) != 1 || frame[0] != byte(i) {
+			t.Fatalf("frame %d arrived as %v", i, frame)
+		}
+		if took < d || took > 2*d {
+			t.Errorf("frame %d of a burst arrived after %v, want within [%v, %v]", i, took, d, 2*d)
+		}
 	}
 }
 

@@ -28,10 +28,10 @@ func (in *Injector) Dial(fromSite string) func(peer nettrans.Peer, timeout time.
 	}
 }
 
-// outFrame is one complete wire frame queued for delayed delivery.
-type outFrame struct {
+// heldFrame is one complete wire frame held back for delayed delivery.
+type heldFrame struct {
 	buf     []byte
-	release time.Duration // injector-elapsed instant it may hit the wire
+	release time.Duration // injector-elapsed instant it may be delivered
 }
 
 // faultConn wraps one TCP connection, applying frame verdicts in both
@@ -40,18 +40,22 @@ type outFrame struct {
 // batched write, and a writev fallback may split them again), so every
 // verdict covers exactly one protocol frame; delayed frames drain through a
 // single writer goroutine in FIFO order, keeping Write itself non-blocking
-// for nettrans's drain loop. The read side applies verdicts per inbound
-// frame with in-order (inline-sleep) delays.
+// for nettrans's drain loop. The read side mirrors it: a reader goroutine
+// judges each inbound frame as it comes off the socket and holds it until
+// its own arrival plus its delay, so frames that arrive together are
+// delivered together, in order, each one delay late.
 type faultConn struct {
 	net.Conn
 	in       *Injector
 	from, to string // this side dials from→to; reads carry to→from traffic
 
 	mu    sync.Mutex
-	cond  *sync.Cond
-	queue []outFrame
-	wbuf  []byte // write-side frame reassembly
-	rbuf  []byte // read-side bytes already cleared for delivery
+	cond  *sync.Cond // signals the writer: queue grew, or the conn died
+	rcond *sync.Cond // signals Read: inbound grew, or the conn died
+	queue []heldFrame
+	inq   []heldFrame // judged inbound frames, oldest first
+	wbuf  []byte      // write-side frame reassembly
+	rbuf  []byte      // read-side bytes already cleared for delivery
 	dead  bool
 	derr  error
 }
@@ -59,7 +63,9 @@ type faultConn struct {
 func newFaultConn(in *Injector, conn net.Conn, from, to string) *faultConn {
 	fc := &faultConn{Conn: conn, in: in, from: from, to: to}
 	fc.cond = sync.NewCond(&fc.mu)
+	fc.rcond = sync.NewCond(&fc.mu)
 	go fc.writer()
+	go fc.reader()
 	return fc
 }
 
@@ -69,8 +75,9 @@ func (fc *faultConn) fail(err error) error {
 	if !fc.dead {
 		fc.dead = true
 		fc.derr = err
-		fc.queue = nil
+		fc.queue, fc.inq = nil, nil
 		fc.cond.Broadcast()
+		fc.rcond.Broadcast()
 	}
 	err = fc.derr
 	fc.mu.Unlock()
@@ -78,7 +85,7 @@ func (fc *faultConn) fail(err error) error {
 	return err
 }
 
-// Close shuts the connection down and stops the writer.
+// Close shuts the connection down and stops the writer and the reader.
 func (fc *faultConn) Close() error {
 	return fc.fail(net.ErrClosed)
 }
@@ -120,7 +127,7 @@ func (fc *faultConn) Write(b []byte) (int, error) {
 			fc.mu.Unlock()
 			return 0, err
 		}
-		fc.queue = append(fc.queue, outFrame{buf: frame, release: fc.in.Elapsed() + v.Delay})
+		fc.queue = append(fc.queue, heldFrame{buf: frame, release: fc.in.Elapsed() + v.Delay})
 		fc.cond.Signal()
 		fc.mu.Unlock()
 	}
@@ -151,29 +158,15 @@ func (fc *faultConn) writer() {
 	}
 }
 
-// Read serves bytes from the cleared buffer, pulling (and judging) one
-// inbound frame at a time off the underlying connection. Inbound delays
-// sleep inline: the reply pump is a dedicated goroutine and in-order
-// delivery is exactly what a slow link does.
-func (fc *faultConn) Read(b []byte) (int, error) {
+// reader pulls inbound frames off the socket as they arrive, judges each,
+// and queues the survivors for Read at their arrival plus their delay.
+// Verdicts are drawn in frame order, as the write side draws them.
+func (fc *faultConn) reader() {
 	for {
-		fc.mu.Lock()
-		if len(fc.rbuf) > 0 {
-			n := copy(b, fc.rbuf)
-			fc.rbuf = fc.rbuf[n:]
-			fc.mu.Unlock()
-			return n, nil
-		}
-		if fc.dead {
-			err := fc.derr
-			fc.mu.Unlock()
-			return 0, err
-		}
-		fc.mu.Unlock()
-
 		frame, err := wire.ReadFrame(fc.Conn)
 		if err != nil {
-			return 0, fc.fail(err)
+			fc.fail(err)
+			return
 		}
 		// Inbound traffic flows to→from.
 		v := fc.in.Verdict(fc.to, fc.from, len(frame)+wire.FrameOverhead)
@@ -181,14 +174,47 @@ func (fc *faultConn) Read(b []byte) (int, error) {
 		case v.Drop:
 			continue
 		case v.Reset:
-			return 0, fc.fail(fmt.Errorf("chaosnet: injected reset %s→%s", fc.to, fc.from))
-		}
-		if v.Delay > 0 {
-			fc.in.rt.Sleep(v.Delay)
+			fc.fail(fmt.Errorf("chaosnet: injected reset %s→%s", fc.to, fc.from))
+			return
 		}
 		fc.mu.Lock()
-		fc.rbuf = wire.AppendFrame(fc.rbuf, frame)
+		if fc.dead {
+			fc.mu.Unlock()
+			return
+		}
+		fc.inq = append(fc.inq, heldFrame{buf: frame, release: fc.in.Elapsed() + v.Delay})
+		fc.rcond.Signal()
 		fc.mu.Unlock()
+	}
+}
+
+// Read serves bytes from the cleared buffer, clearing the oldest judged
+// inbound frame into it once its release time has come.
+func (fc *faultConn) Read(b []byte) (int, error) {
+	fc.mu.Lock()
+	defer fc.mu.Unlock()
+	for {
+		if len(fc.rbuf) > 0 {
+			n := copy(b, fc.rbuf)
+			fc.rbuf = fc.rbuf[n:]
+			return n, nil
+		}
+		if fc.dead {
+			return 0, fc.derr
+		}
+		if len(fc.inq) == 0 {
+			fc.rcond.Wait()
+			continue
+		}
+		if d := fc.inq[0].release - fc.in.Elapsed(); d > 0 {
+			fc.mu.Unlock()
+			fc.in.rt.Sleep(d)
+			fc.mu.Lock()
+			continue
+		}
+		fc.rbuf = wire.AppendFrame(fc.rbuf, fc.inq[0].buf)
+		fc.inq[0] = heldFrame{}
+		fc.inq = fc.inq[1:]
 	}
 }
 

@@ -15,8 +15,6 @@ type Promise[T any] struct {
 type promiseImpl[T any] interface {
 	resolve(v T, err error)
 	await(timeout int64) (T, error) // timeout in nanoseconds; <0 means none
-	awaitStep(st *Step, timeout int64) bool
-	stepResult(st *Step) (T, error)
 	done() bool
 	reset()
 }
@@ -51,19 +49,22 @@ func (p *Promise[T]) AwaitTimeout(d time.Duration) (T, error) { return p.impl.aw
 
 // AwaitStep is AwaitTimeout for a step: st must be the step that runs the
 // rest of the caller's work, and reads the outcome with StepResult. It
-// reports true when st may go on at once — the promise has settled, the
-// timeout is already up, or, on the wall clock, the wait is over — and the
-// caller then runs st's function itself. It reports false when st waits;
-// the scheduler then runs st once the promise settles or the timeout
-// passes, at the instant and ready-queue position a task parked in
-// AwaitTimeout would have been resumed at. A negative d means no timeout.
+// reports true when st may go on at once — the promise has settled or the
+// timeout is already up — and the caller then runs st's function itself.
+// It reports false when st waits; the scheduler then runs st once the
+// promise settles or the timeout passes, at the instant and ready-queue
+// position a task parked in AwaitTimeout would have been resumed at. A
+// negative d means no timeout. A step exists only on the virtual runtime,
+// so p must be a virtual promise.
 func (p *Promise[T]) AwaitStep(st *Step, d time.Duration) bool {
-	return p.impl.awaitStep(st, int64(d))
+	return p.impl.(*vPromise[T]).awaitStep(st, int64(d))
 }
 
 // StepResult returns the outcome of st's AwaitStep: the promise's result,
 // or ErrTimeout when it had not settled in time.
-func (p *Promise[T]) StepResult(st *Step) (T, error) { return p.impl.stepResult(st) }
+func (p *Promise[T]) StepResult(st *Step) (T, error) {
+	return p.impl.(*vPromise[T]).stepResult(st)
+}
 
 // Done reports whether the promise has settled.
 func (p *Promise[T]) Done() bool { return p.impl.done() }
@@ -206,21 +207,6 @@ func (p *rPromise[T]) await(timeout int64) (T, error) {
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.val, p.err
-}
-
-func (p *rPromise[T]) awaitStep(_ *Step, timeout int64) bool {
-	p.await(timeout)
-	return true
-}
-
-func (p *rPromise[T]) stepResult(*Step) (T, error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if !p.settled {
-		var zero T
-		return zero, ErrTimeout
-	}
 	return p.val, p.err
 }
 

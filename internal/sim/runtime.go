@@ -63,7 +63,9 @@
 //
 // The real runtime (NewReal) maps the same operations onto goroutines and
 // the wall clock, so protocol code written against Runtime also runs live
-// (used by the examples and the musicd REST daemon).
+// over the TCP message plane (internal/nettrans: musicd, the chaosnet
+// campaigns, the TCP benchmarks). Steps and Servers exist only in virtual
+// time: their constructors take a *Virtual.
 package sim
 
 import (

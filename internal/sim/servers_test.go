@@ -2,9 +2,7 @@ package sim
 
 import (
 	"fmt"
-	"sort"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 )
@@ -169,39 +167,6 @@ func TestServersMatchWorkerTasks(t *testing.T) {
 	}
 	if !queued {
 		t.Fatal("no job ever queued behind another: the program does not saturate a pool")
-	}
-}
-
-// TestServersRealOverlap: on the wall clock, k jobs are served at once and
-// the next one waits for a server to free up.
-func TestServersRealOverlap(t *testing.T) {
-	const k, cost = 3, 100 * time.Millisecond
-	r := NewReal(1)
-	s := NewServers(r, k)
-	start := time.Now()
-	s.Serve(0)
-	if d := time.Since(start); d > cost/2 {
-		t.Fatalf("Serve(0) took %v", d)
-	}
-	took := make([]time.Duration, k+1)
-	var wg sync.WaitGroup
-	for i := range took {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			s.Serve(cost)
-			took[i] = time.Since(start)
-		}()
-	}
-	wg.Wait()
-	sort.Slice(took, func(i, j int) bool { return took[i] < took[j] })
-	for i, d := range took[:k] {
-		if d < cost || d >= 2*cost {
-			t.Errorf("job %d of the first %d took %v, want [%v, %v)", i, k, d, cost, 2*cost)
-		}
-	}
-	if d := took[k]; d < 2*cost || d >= 3*cost {
-		t.Errorf("job %d took %v, want one cost queued and one served: [%v, %v)", k, d, 2*cost, 3*cost)
 	}
 }
 

@@ -253,42 +253,3 @@ func TestStepCannotBlock(t *testing.T) {
 	})
 	t.Fatal("Run returned")
 }
-
-// On the wall clock a step runs on a goroutine of its own, and its waits
-// block and report that it may go on at once.
-func TestStepOnRealRuntime(t *testing.T) {
-	r := NewReal(1)
-	cpu := NewServers(r, 1)
-	p := NewPromise[int](r)
-	done := make(chan error, 1)
-	var s *Step
-	s = NewStep(r, func() {
-		if !cpu.ServeStep(time.Millisecond, s) {
-			done <- fmt.Errorf("ServeStep reported a wait on the wall clock")
-			return
-		}
-		if !p.AwaitStep(s, time.Millisecond) {
-			done <- fmt.Errorf("AwaitStep reported a wait on the wall clock")
-			return
-		}
-		if _, err := p.StepResult(s); err != ErrTimeout {
-			done <- fmt.Errorf("StepResult of an unsettled promise = %v, want ErrTimeout", err)
-			return
-		}
-		p.Resolve(7)
-		if v, err := p.StepResult(s); v != 7 || err != nil {
-			done <- fmt.Errorf("StepResult of a settled promise = %v, %v", v, err)
-			return
-		}
-		done <- nil
-	})
-	s.After(time.Millisecond)
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatal(err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("the step did not run")
-	}
-}

@@ -2,8 +2,6 @@ package simnet
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/obs"
@@ -19,8 +17,8 @@ import (
 // deliveries decode.
 //
 // The free list is the Network's own (see freeList). Holders are counted
-// atomically, which keeps reuse correct on the wall-clock runtime, where
-// the steps run on goroutines of their own.
+// in a plain integer: the virtual runtime runs one step or task at a time,
+// and each hand-off between its goroutines is a happens-before edge.
 type message struct {
 	n        *Network
 	from, to NodeID
@@ -55,7 +53,7 @@ type message struct {
 
 	// The holders: a caller until its wait ends, and the message itself
 	// until it is lost or delivered (a call's until its reply is).
-	refs atomic.Int32
+	refs int32
 
 	// The steps, each the rest of the work after a wait: arrival at the
 	// destination, the handler once a CPU server has served the request,
@@ -85,7 +83,7 @@ func (n *Network) newMessage(from, to NodeID, svc string, req any, encoded []byt
 
 // release drops one holder. The last one resets the record and frees it.
 func (m *message) release() {
-	if m.refs.Add(-1) > 0 {
+	if m.refs--; m.refs > 0 {
 		return
 	}
 	m.reply.Reset()
@@ -226,7 +224,7 @@ type collector struct {
 	late    func(CallResult)
 	// The holders: the caller until it returns, and each leg until it
 	// has reported.
-	refs atomic.Int32
+	refs int32
 }
 
 // newCollector returns a collector for a multicast of legs legs, reused
@@ -237,7 +235,7 @@ func (n *Network) newCollector(legs int, late func(CallResult)) *collector {
 		c = &collector{n: n, results: sim.NewMailbox[CallResult](n.rt)}
 	}
 	c.late = late
-	c.refs.Store(int32(legs) + 1)
+	c.refs = int32(legs) + 1
 	return c
 }
 
@@ -252,7 +250,7 @@ func (c *collector) report(r CallResult) {
 
 // release drops one holder. The last one resets the record and frees it.
 func (c *collector) release() {
-	if c.refs.Add(-1) > 0 {
+	if c.refs--; c.refs > 0 {
 		return
 	}
 	c.results.Reset()
@@ -261,18 +259,15 @@ func (c *collector) release() {
 }
 
 // freeList keeps a Network's released records for reuse. It belongs to one
-// Network, and so to one runtime, and is never a sync.Pool: what a run
-// reuses depends on that run alone. It is locked because on the wall-clock
-// runtime records are released from many goroutines.
+// Network, and so to one virtual runtime, and is never a sync.Pool: what a
+// run reuses depends on that run alone. It needs no lock, because the
+// runtime runs one step or task at a time.
 type freeList[T any] struct {
-	mu   sync.Mutex
 	free []*T
 }
 
 // get returns the most recently released record, or nil when none is free.
 func (l *freeList[T]) get() *T {
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	k := len(l.free)
 	if k == 0 {
 		return nil
@@ -285,7 +280,5 @@ func (l *freeList[T]) get() *T {
 
 // put keeps x, which nothing holds any more, for a later get.
 func (l *freeList[T]) put(x *T) {
-	l.mu.Lock()
 	l.free = append(l.free, x)
-	l.mu.Unlock()
 }

@@ -2,7 +2,6 @@ package simnet
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"repro/internal/obs"
@@ -68,8 +67,8 @@ type Config struct {
 	MsgOverhead int
 	// RPCTimeout is the default Call timeout. Defaults to 4s.
 	RPCTimeout time.Duration
-	// Seed seeds jitter and loss decisions (only used in virtual mode; the
-	// runtime's own RNG is used regardless).
+	// Seed is kept for callers' records: jitter and loss draw from the
+	// virtual runtime's own RNG, which sim.New seeds.
 	Seed int64
 	// Obs enables observability: RPCs made inside a traced operation emit
 	// spans (rpc, NIC wait, link transit, CPU-queue wait, handler service
@@ -100,16 +99,16 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Network is the simulated (or live, depending on the runtime) multi-site
-// cluster. All methods are safe to call from any task.
+// Network is the simulated multi-site cluster, in virtual time. All methods
+// are safe to call from any task: the runtime runs one at a time, so the
+// network's state needs no lock.
 type Network struct {
-	rt  sim.Runtime
+	rt  *sim.Virtual
 	cfg Config
 	obs *obs.Obs
 
 	nodes []*Node
 
-	mu      sync.Mutex
 	loss    float64
 	blocked map[[2]NodeID]bool
 
@@ -117,14 +116,16 @@ type Network struct {
 	collectors freeList[collector] // released multicast collectors
 }
 
-// New builds a network of len(profile.Sites()) × NodesPerSite nodes over rt.
-func New(rt sim.Runtime, cfg Config) *Network {
+// New builds a network of len(profile.Sites()) × NodesPerSite nodes over
+// the virtual runtime v. The simulated plane runs in virtual time only: a
+// live deployment runs internal/nettrans on the wall clock.
+func New(v *sim.Virtual, cfg Config) *Network {
 	cfg = cfg.withDefaults()
 	if cfg.Profile == nil {
 		panic("simnet: Config.Profile is required")
 	}
 	n := &Network{
-		rt:      rt,
+		rt:      v,
 		cfg:     cfg,
 		obs:     cfg.Obs,
 		blocked: make(map[[2]NodeID]bool),
@@ -138,7 +139,7 @@ func New(rt sim.Runtime, cfg Config) *Network {
 				site:     site,
 				up:       true,
 				handlers: make(map[string]handlerSpec),
-				cpu:      sim.NewServers(rt, cfg.Workers),
+				cpu:      sim.NewServers(v, cfg.Workers),
 			}
 			n.nodes = append(n.nodes, node)
 			id++
@@ -229,8 +230,8 @@ func (n *Network) NodesInSite(site string) []NodeID {
 }
 
 // Close implements transport.Transport. It shuts nothing down: a node's CPU
-// runs no task or goroutine of its own on either runtime, so there is
-// nothing to release, and the network keeps working after Close.
+// runs no task or goroutine of its own, so there is nothing to release, and
+// the network keeps working after Close.
 func (n *Network) Close() {}
 
 // Call sends req from -> to for service svc and waits for the reply using
@@ -275,7 +276,7 @@ func (n *Network) startCall(m *message, parent obs.SpanContext) {
 		m.timed, m.start = true, n.rt.Now()
 	}
 	m.awaited = true
-	m.refs.Store(2) // the caller, and the message until its reply is in
+	m.refs = 2 // the caller, and the message until its reply is in
 	n.dispatch(m)
 }
 
@@ -297,7 +298,7 @@ func (n *Network) Send(from, to NodeID, svc string, req any) {
 	encoded, size := n.encode(svc, req)
 	m := n.newMessage(from, to, svc, req, encoded, size)
 	m.parent = n.obs.Tracer().Current().Context()
-	m.refs.Store(1) // the message, until it is lost or delivered
+	m.refs = 1 // the message, until it is lost or delivered
 	n.dispatch(m)
 }
 
@@ -424,14 +425,10 @@ func (n *Network) transit(src, dst *Node, size int) (nic, flight time.Duration, 
 		return 0, 20 * time.Microsecond, true // loopback: no NIC, no loss
 	}
 
-	n.mu.Lock()
-	blocked := n.blocked[pairKey(src.id, dst.id)]
-	loss := n.loss
-	n.mu.Unlock()
-	if blocked {
+	if n.blocked[pairKey(src.id, dst.id)] {
 		return 0, 0, false
 	}
-	if loss > 0 && n.rt.Rand().Float64() < loss {
+	if n.loss > 0 && n.rt.Rand().Float64() < n.loss {
 		return 0, 0, false
 	}
 

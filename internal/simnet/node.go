@@ -1,7 +1,6 @@
 package simnet
 
 import (
-	"sync"
 	"time"
 
 	"repro/internal/sim"
@@ -17,7 +16,6 @@ type Node struct {
 	site string
 	cpu  *sim.Servers
 
-	mu        sync.Mutex
 	up        bool
 	handlers  map[string]handlerSpec
 	onRestart []func()
@@ -55,29 +53,21 @@ func (n *Node) HandleWithCost(svc string, h Handler, base, perKB time.Duration) 
 }
 
 func (n *Node) handle(svc string, spec handlerSpec) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	n.handlers[svc] = spec
 }
 
 // OnRestart registers a hook run when the node restarts after a crash,
 // letting services reset volatile state while keeping durable state.
 func (n *Node) OnRestart(fn func()) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	n.onRestart = append(n.onRestart, fn)
 }
 
 func (n *Node) handler(svc string) (handlerSpec, bool) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	s, ok := n.handlers[svc]
 	return s, ok
 }
 
 func (n *Node) isUp() bool {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	return n.up
 }
 
@@ -98,8 +88,6 @@ func (n *Node) chargeNIC(now time.Duration, size int, bandwidth float64) time.Du
 		return 0
 	}
 	ser := time.Duration(float64(size) / bandwidth * float64(time.Second))
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	start := now
 	if n.nicBusy > start {
 		start = n.nicBusy
@@ -111,28 +99,20 @@ func (n *Node) chargeNIC(now time.Duration, size int, bandwidth float64) time.Du
 // Crash takes the node down: inbound and outbound messages drop and queued
 // work is discarded on admission.
 func (n *Network) Crash(id NodeID) {
-	node := n.nodes[id]
-	node.mu.Lock()
-	node.up = false
-	node.mu.Unlock()
+	n.nodes[id].up = false
 }
 
 // Restart brings a crashed node back up and runs its restart hooks.
 func (n *Network) Restart(id NodeID) {
 	node := n.nodes[id]
-	node.mu.Lock()
 	node.up = true
-	hooks := append([]func(){}, node.onRestart...)
-	node.mu.Unlock()
-	for _, fn := range hooks {
+	for _, fn := range append([]func(){}, node.onRestart...) {
 		fn()
 	}
 }
 
 // SetLossRate drops each inter-node message independently with probability p.
 func (n *Network) SetLossRate(p float64) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	n.loss = p
 }
 
@@ -146,8 +126,6 @@ func (n *Network) PartitionNodes(groups ...[]NodeID) {
 			group[id] = gi + 1
 		}
 	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	n.blocked = make(map[[2]NodeID]bool)
 	for a := 0; a < len(n.nodes); a++ {
 		for b := a + 1; b < len(n.nodes); b++ {
@@ -173,8 +151,6 @@ func (n *Network) PartitionSites(groups ...[]string) {
 
 // Isolate cuts a single node off from every other node.
 func (n *Network) Isolate(id NodeID) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	for other := range n.nodes {
 		if NodeID(other) != id {
 			n.blocked[pairKey(id, NodeID(other))] = true
@@ -184,7 +160,5 @@ func (n *Network) Isolate(id NodeID) {
 
 // Heal removes all partitions.
 func (n *Network) Heal() {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	n.blocked = make(map[[2]NodeID]bool)
 }

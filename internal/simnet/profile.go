@@ -131,3 +131,14 @@ func tableII(name, s1, s2, s3 string, rtt12, rtt13, rtt23 time.Duration) *Profil
 
 // Profiles returns the paper's three evaluation profiles in Table II order.
 func Profiles() []*Profile { return []*Profile{Profile11, ProfileIUs, ProfileIUsEu} }
+
+// Named returns the predefined profile called name — one of Table II's
+// ("11", "IUs", "IUsEu") or ProfileLocal's "local" — or nil.
+func Named(name string) *Profile {
+	for _, p := range append(Profiles(), ProfileLocal) {
+		if p.name == name {
+			return p
+		}
+	}
+	return nil
+}

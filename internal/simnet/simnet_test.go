@@ -2,9 +2,6 @@ package simnet
 
 import (
 	"errors"
-	"runtime"
-	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -448,114 +445,86 @@ func TestSendOneWay(t *testing.T) {
 	}
 }
 
-func TestNetworkOnRealRuntime(t *testing.T) {
-	rt := sim.NewReal(1)
-	n := New(rt, Config{Profile: ProfileLocal, JitterFrac: -1})
-	defer n.Close()
-	registerEcho(n)
-	resp, err := n.Call(0, 1, "echo", "live")
-	if err != nil || resp != "live" {
-		t.Fatalf("live Call = (%v, %v)", resp, err)
-	}
-}
-
-// On the wall clock, message and multicast records are reused while other
-// goroutines still hold them: a reply that lands after its caller timed out
-// holds its record until it settles, so no caller ever reads another's
-// reply. Callers race Call and Multicast over one network, with every third
-// request slower than its timeout. Then the same with an inline handler,
-// whose requests are steps on goroutines of their own; it must not wait,
-// so its requests are slowed by two CPU servers per node instead, each
-// taking 20 ms a request.
-func TestRecordReuseOnRealRuntime(t *testing.T) {
+// Message and multicast records are reused while a timed-out call's reply
+// is still in flight: that reply holds its record until it settles, so no
+// caller ever reads another's reply. Eight tasks race Call and Multicast
+// over one network. First with a handler that sleeps past the timeout on
+// every third request; then with an inline handler — a step, which cannot
+// wait — whose requests queue instead for two CPU servers per node at 20 ms
+// each.
+func TestRecordReuseAfterTimeout(t *testing.T) {
 	t.Run("handle", func(t *testing.T) {
-		n := New(sim.NewReal(1), Config{Profile: ProfileLocal, JitterFrac: -1})
+		rt := sim.New(1)
+		n := New(rt, Config{Profile: ProfileLocal, JitterFrac: -1})
 		for _, id := range n.Nodes() {
 			n.Node(id).Handle("echo", func(from NodeID, req any) (any, error) {
 				if req.(int64)%3 == 0 {
-					time.Sleep(100 * time.Millisecond)
+					rt.Sleep(100 * time.Millisecond)
 				}
 				return req, nil
 			})
 		}
-		raceCallers(t, n)
+		raceCallers(t, rt, n)
 	})
 	t.Run("inline", func(t *testing.T) {
-		n := New(sim.NewReal(1), Config{Profile: ProfileLocal, JitterFrac: -1, Workers: 2})
+		rt := sim.New(1)
+		n := New(rt, Config{Profile: ProfileLocal, JitterFrac: -1, Workers: 2})
 		for _, id := range n.Nodes() {
 			n.HandleInline(id, "echo", func(from NodeID, req any) (any, error) {
 				return req, nil
 			}, 20*time.Millisecond, 0)
 		}
-		raceCallers(t, n)
+		raceCallers(t, rt, n)
 	})
 }
 
-// raceCallers races callers issuing Call and Multicast to n's echo service
+// raceCallers runs tasks issuing Call and Multicast to n's echo service
 // with a 50 ms timeout, and checks every reply is the caller's own, and
-// that some replies came in time and some did not.
-func raceCallers(t *testing.T, n *Network) {
+// that some replies came in time and some did not. It then waits for the
+// late replies to land, so each one settles inside the run.
+func raceCallers(t *testing.T, rt *sim.Virtual, n *Network) {
 	const callers, rounds, timeout = 8, 20, 50 * time.Millisecond
-	var replies, late atomic.Int64
-	var wg sync.WaitGroup
-	for c := 0; c < callers; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			for i := 0; i < rounds; i++ {
-				req := int64(c*rounds + i)
-				check := func(resp any, err error) {
-					switch {
-					case err == nil && resp != req:
-						t.Errorf("request %d got reply %v", req, resp)
-					case err == nil:
-						replies.Add(1)
-					case errors.Is(err, ErrTimeout):
-						late.Add(1)
-					default:
-						t.Errorf("request %d: %v", req, err)
+	var replies, late int
+	err := rt.Run(func() {
+		done := sim.NewMailbox[struct{}](rt)
+		for c := 0; c < callers; c++ {
+			rt.Go(func() {
+				defer done.Send(struct{}{})
+				for i := 0; i < rounds; i++ {
+					req := int64(c*rounds + i)
+					check := func(resp any, err error) {
+						switch {
+						case err == nil && resp != req:
+							t.Errorf("request %d got reply %v", req, resp)
+						case err == nil:
+							replies++
+						case errors.Is(err, ErrTimeout):
+							late++
+						default:
+							t.Errorf("request %d: %v", req, err)
+						}
 					}
+					if i%2 == 0 {
+						check(n.CallTimeout(NodeID(c%3), NodeID((c+1)%3), "echo", req, timeout))
+						continue
+					}
+					rs := n.Multicast(NodeID(c%3), n.Nodes(), "echo", req, 3, timeout)
+					for _, r := range rs {
+						check(r.Resp, r.Err)
+					}
+					late += 3 - len(rs)
 				}
-				if i%2 == 0 {
-					check(n.CallTimeout(NodeID(c%3), NodeID((c+1)%3), "echo", req, timeout))
-					continue
-				}
-				rs := n.Multicast(NodeID(c%3), n.Nodes(), "echo", req, 3, timeout)
-				for _, r := range rs {
-					check(r.Resp, r.Err)
-				}
-				late.Add(int64(3 - len(rs)))
-			}
-		}(c)
+			})
+		}
+		for c := 0; c < callers; c++ {
+			done.Recv()
+		}
+		rt.Sleep(time.Second)
+	})
+	if err != nil {
+		t.Fatalf("Run: %v", err)
 	}
-	wg.Wait()
-	if replies.Load() == 0 || late.Load() == 0 {
-		t.Fatalf("%d replies in time, %d late; want some of each", replies.Load(), late.Load())
-	}
-}
-
-// On the wall clock, CPU work charged after Close — a Work call, or a
-// delivery whose timer fires after it — is served like any other, and the
-// network leaves no goroutine behind.
-func TestWorkAfterCloseOnRealRuntime(t *testing.T) {
-	base := runtime.NumGoroutine()
-	n := New(sim.NewReal(1), Config{Profile: ProfileLocal, JitterFrac: -1})
-	n.Close()
-	done := make(chan struct{})
-	go func() {
-		n.Work(0, time.Millisecond)
-		close(done)
-	}()
-	select {
-	case <-done:
-	case <-time.After(time.Second):
-		t.Fatal("Work after Close did not return within 1s")
-	}
-	g := runtime.NumGoroutine()
-	for deadline := time.Now().Add(5 * time.Second); g > base && time.Now().Before(deadline); g = runtime.NumGoroutine() {
-		time.Sleep(time.Millisecond)
-	}
-	if g > base {
-		t.Fatalf("%d goroutines after Close, %d before New", g, base)
+	if replies == 0 || late == 0 {
+		t.Fatalf("%d replies in time, %d late; want some of each", replies, late)
 	}
 }

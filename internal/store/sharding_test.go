@@ -3,10 +3,13 @@ package store
 import (
 	"fmt"
 	"hash/fnv"
+	"net"
 	"testing"
 
+	"repro/internal/nettrans"
 	"repro/internal/sim"
 	"repro/internal/simnet"
+	"repro/internal/transport"
 )
 
 // TestShardOfMatchesFNV pins ShardOf to hash/fnv's 64-bit FNV-1a: the ring
@@ -103,20 +106,31 @@ func TestShardedCASIndependentKeys(t *testing.T) {
 // write. proposeCommit now applies the commit synchronously to the
 // co-located replica before returning. The loop is the lock stack's exact
 // shape (GenerateAndEnqueue's CAS followed by a local read-back) at the
-// store level, on the same zero-RTT wall-clock simnet the bench uses.
+// store level, over three nettrans nodes on 127.0.0.1, one store per node:
+// the wall-clock shape the TCP benchmarks use.
 func TestCASVisibleToImmediateLocalRead(t *testing.T) {
 	sites := []string{"site-a", "site-b", "site-c"}
-	p := simnet.NewProfile("loopback", sites...)
-	for i, a := range sites {
-		for _, b := range sites[i+1:] {
-			p.SetRTT(a, b, 0)
-		}
-	}
 	rt := sim.NewReal(1)
-	net := simnet.New(rt, simnet.Config{Profile: p, Seed: 1, Bandwidth: -1, JitterFrac: -1})
-	c := New(net, Config{RF: 3})
-	defer net.Close()
-	cl := c.Client(0)
+	peers := make([]nettrans.Peer, len(sites))
+	listeners := make([]net.Listener, len(sites))
+	for i, site := range sites {
+		lis, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatalf("listen: %v", err)
+		}
+		listeners[i] = lis
+		peers[i] = nettrans.Peer{ID: transport.NodeID(i), Site: site, Addr: lis.Addr().String()}
+	}
+	var stores []*Cluster
+	for i, p := range peers {
+		tr, err := nettrans.New(rt, nettrans.Config{Self: p.ID, Peers: peers, Listener: listeners[i]})
+		if err != nil {
+			t.Fatalf("nettrans for %s: %v", p.Site, err)
+		}
+		defer tr.Close()
+		stores = append(stores, New(tr, Config{RF: 3, LocalNodes: []transport.NodeID{p.ID}}))
+	}
+	cl := stores[0].Client(0)
 
 	iters := 400
 	if testing.Short() {

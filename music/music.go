@@ -8,17 +8,20 @@
 // a Cassandra-like replicated data/lock store, and one MUSIC replica per
 // site. Clients bind to a site's replica and run critical sections:
 //
-//	c, _ := music.New(music.WithProfile(music.ProfileLocal), music.WithRealTime())
-//	defer c.Close()
+//	c, _ := music.New(music.WithProfile(music.ProfileLocal))
 //	cl := c.Client(c.Sites()[0])
-//	err := cl.RunCritical("counter", func(cs *music.CriticalSection) error {
-//	    v, _ := cs.Get()
-//	    return cs.Put(append(v, '+'))
+//	err := c.Run(func() {
+//	    err := cl.RunCritical("counter", func(cs *music.CriticalSection) error {
+//	        v, _ := cs.Get()
+//	        return cs.Put(append(v, '+'))
+//	    })
+//	    ...
 //	})
 //
-// By default a cluster runs on a deterministic virtual-time simulator (use
-// Cluster.Run to enter it); WithRealTime switches to the wall clock so the
-// same protocol code serves live traffic (see cmd/musicd).
+// New builds a cluster on a deterministic virtual-time simulator: every
+// operation runs inside Cluster.Run. The same protocol code serves live
+// traffic on the wall clock through NewOverTransport over the TCP message
+// plane (internal/nettrans), as cmd/musicd does.
 package music
 
 import (
@@ -78,7 +81,6 @@ type options struct {
 	profile      *simnet.Profile
 	nodesPerSite int
 	t            time.Duration
-	realTime     bool
 	seed         int64
 	obs          bool
 	history      bool
@@ -104,20 +106,7 @@ func (f optionFunc) apply(o *options) { f(o) }
 // WithProfile selects a named latency profile (Profile11, ProfileIUs,
 // ProfileIUsEu, ProfileLocal). The default is ProfileIUs.
 func WithProfile(name string) Option {
-	return optionFunc(func(o *options) {
-		switch name {
-		case Profile11:
-			o.profile = simnet.Profile11
-		case ProfileIUs:
-			o.profile = simnet.ProfileIUs
-		case ProfileIUsEu:
-			o.profile = simnet.ProfileIUsEu
-		case ProfileLocal:
-			o.profile = simnet.ProfileLocal
-		default:
-			o.profile = nil
-		}
-	})
+	return optionFunc(func(o *options) { o.profile = simnet.Named(name) })
 }
 
 // WithSimnetProfile runs the cluster on a caller-built latency profile —
@@ -145,12 +134,6 @@ func WithShards(n int) Option {
 // WithT bounds the duration of a critical section (default 1 minute).
 func WithT(t time.Duration) Option {
 	return optionFunc(func(o *options) { o.t = t })
-}
-
-// WithRealTime runs the cluster on the wall clock instead of the
-// deterministic virtual-time simulator.
-func WithRealTime() Option {
-	return optionFunc(func(o *options) { o.realTime = true })
 }
 
 // WithSeed seeds the simulator for reproducible schedules (default 1).
@@ -202,7 +185,7 @@ func WithAdaptiveReads() Option {
 // MUSIC replica per site.
 type Cluster struct {
 	rt       sim.Runtime
-	virtual  *sim.Virtual        // nil in real-time mode
+	virtual  *sim.Virtual        // nil over a wall-clock transport (nettrans)
 	tr       transport.Transport // the message plane everything runs over
 	net      *simnet.Network     // non-nil only when tr is a simnet (fault injection)
 	st       *store.Cluster
@@ -219,8 +202,8 @@ type Cluster struct {
 }
 
 // New builds a cluster: a simnet over the chosen latency profile, and
-// NewOverTransport over it with every node local. With the default
-// virtual-time mode, issue all operations inside Cluster.Run.
+// NewOverTransport over it with every node local, on a virtual-time
+// runtime: issue all operations inside Cluster.Run.
 func New(opts ...Option) (*Cluster, error) {
 	o := options{
 		profile:      simnet.ProfileIUs,
@@ -237,12 +220,7 @@ func New(opts ...Option) (*Cluster, error) {
 		o.profile = o.profile.Extend(o.profile.Name()+"+spares", o.spares...)
 	}
 
-	var rt sim.Runtime
-	if o.realTime {
-		rt = sim.NewReal(o.seed)
-	} else {
-		rt = sim.New(o.seed)
-	}
+	rt := sim.New(o.seed)
 	// c is assigned once NewOverTransport returns, before any op can run;
 	// the monitor's repair hook and the membership proposer read it.
 	var c *Cluster
@@ -512,7 +490,7 @@ func (c *Cluster) FailoverClient(site string, opts ...ClientOption) *Client {
 func (c *Cluster) tracer() *obs.Tracer { return c.obs.Tracer() }
 
 // Run executes fn inside the cluster's virtual-time simulation and drives
-// it to completion; in real-time mode it simply calls fn. All operations on
+// it to completion; over a wall-clock transport it simply calls fn. All operations on
 // a virtual-time cluster must happen inside Run.
 func (c *Cluster) Run(fn func()) error {
 	if c.virtual == nil {
@@ -522,7 +500,7 @@ func (c *Cluster) Run(fn func()) error {
 	return c.virtual.Run(fn)
 }
 
-// Now returns the cluster clock (virtual or wall, as configured).
+// Now returns the cluster clock (virtual, or wall over nettrans).
 func (c *Cluster) Now() time.Duration { return c.rt.Now() }
 
 // Sleep pauses the calling task on the cluster clock.
@@ -562,7 +540,7 @@ func (c *Cluster) RestartSite(site string) {
 // modeling, like PartitionSites.
 func (c *Cluster) SetLossRate(p float64) { c.net.SetLossRate(p) }
 
-// Virtual returns the cluster's virtual-time simulator — nil in real-time
-// mode. The chaos explorer uses it to bound schedules (SetDeadline) and
+// Virtual returns the cluster's virtual-time simulator — nil over a
+// wall-clock transport. The chaos explorer uses it to bound schedules (SetDeadline) and
 // randomize task interleavings (SetScheduleShuffle).
 func (c *Cluster) Virtual() *sim.Virtual { return c.virtual }

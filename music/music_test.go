@@ -226,22 +226,6 @@ func TestPartitionedMinoritySiteCannotWrite(t *testing.T) {
 	}
 }
 
-func TestRealTimeCluster(t *testing.T) {
-	c := newTestCluster(t, WithProfile(ProfileLocal), WithRealTime())
-	defer c.Close()
-	cl := c.Client("site-a")
-	err := cl.RunCritical("k", func(cs *CriticalSection) error {
-		return cs.Put([]byte("live"))
-	})
-	if err != nil {
-		t.Fatalf("real-time RunCritical: %v", err)
-	}
-	got, err := cl.Get("k")
-	if err != nil || string(got) != "live" {
-		t.Fatalf("Get = (%q, %v)", got, err)
-	}
-}
-
 func TestUnknownProfileRejected(t *testing.T) {
 	if _, err := New(WithProfile("mars")); err == nil {
 		t.Fatal("New with unknown profile succeeded")

@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Tier-1 gate: run before every commit/PR. Fails on formatting drift, vet
 # findings, build or test failures, and data races in the packages that run
-# on real goroutines (wall-clock mode) rather than the single-threaded
-# virtual-time simulator.
+# on real goroutines (the wall-clock TCP plane) rather than the
+# single-threaded virtual-time simulator.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -31,8 +31,7 @@ go test -race -timeout 600s ./music/ ./internal/httpapi/ ./internal/nettrans/ ./
 # outliving Run however it ends, abandoned tasks unwound in spawn order, the
 # two handoffs that stay on their own goroutine, and sim.Servers — a node's
 # CPU — against the worker tasks it replaced (same schedule, same random
-# draws) and on the wall clock (k jobs overlap, the next one queues). Then
-# the timer heap, which holds only live timers: settled timeouts leave it
+# draws). Then the timer heap, which holds only live timers: settled timeouts leave it
 # at once, a Servers completion timer survives an early unpark of its
 # caller, Stop on a fired or reused event cancels nothing, a reused task
 # wakes on none of the tokens of its earlier life, and a deadline hit
@@ -40,20 +39,16 @@ go test -race -timeout 600s ./music/ ./internal/httpapi/ ./internal/nettrans/ ./
 # step against the task it replaces (same schedule, same timers, same
 # random draws), and a step that panics or blocks failing Run.
 go test -race -timeout 600s ./internal/sim/ ./internal/simnet/
-go test -race ./internal/sim/ -run 'TestVirtualScheduleGolden|TestVirtualRunLeavesNoGoroutines|TestVirtualUnwindInSpawnOrder|TestVirtualSelfHandoff|TestServersMatchWorkerTasks|TestServersRealOverlap|TestSettledTimersLeaveHeap|TestServersCompletionSurvivesEarlyUnpark|TestVirtualTimerStopAfterReuse|TestVirtualStaleWakeAfterTaskReuse|TestVirtualDeadlineThenUnwindWakes|TestStepMatchesTask|TestStepPanicFailsRun|TestStepCannotBlock' -count=20 -timeout 300s
+go test -race ./internal/sim/ -run 'TestVirtualScheduleGolden|TestVirtualRunLeavesNoGoroutines|TestVirtualUnwindInSpawnOrder|TestVirtualSelfHandoff|TestServersMatchWorkerTasks|TestSettledTimersLeaveHeap|TestServersCompletionSurvivesEarlyUnpark|TestVirtualTimerStopAfterReuse|TestVirtualStaleWakeAfterTaskReuse|TestVirtualDeadlineThenUnwindWakes|TestStepMatchesTask|TestStepPanicFailsRun|TestStepCannotBlock' -count=20 -timeout 300s
 # The simulated plane serves inline handlers in steps and holds them to
 # transport.InlineHandler's promise: one that sleeps or awaits fails Run
 # with an error naming its service, and one that panics re-raises its
 # panic from Run.
 go test -race ./internal/simnet/ -run 'TestInlineHandler' -count=3 -timeout 300s
-# A wall-clock simnet keeps serving CPU work after Close, and leaves no
-# goroutine behind: Close used to stop the node executors and strand every
-# later admission.
-go test -race ./internal/simnet/ -run 'TestWorkAfterCloseOnRealRuntime' -count=1 -timeout 300s
-# Simnet's message records are reused on the wall clock too, while the
-# delivery and reply goroutines of a timed-out call still hold them: a
-# record freed by its caller alone hands one caller's reply to another.
-go test -race ./internal/simnet/ -run 'TestRecordReuseOnRealRuntime' -count=10 -timeout 300s
+# Simnet's message records are reused while a timed-out call's reply is
+# still in flight: a record freed by its caller alone hands one caller's
+# reply to another.
+go test ./internal/simnet/ -run 'TestRecordReuseAfterTimeout' -count=1 -timeout 300s
 
 # Fault-injection campaign under pinned seeds: the deterministic crash /
 # partition / ack-loss scenarios plus the chaos interleavings, re-run with
@@ -171,9 +166,8 @@ go test -race ./internal/chaosnet/ -run 'TestStragglerHandoffOverTCP' -count=3 -
 # bench-gate job). fastpath, scale and readpath run in virtual time, so their
 # quick JSON must also equal, byte for byte, the one committed under
 # internal/bench/testdata: any change to a schedule or a virtual-time figure
-# shows up there as a diff. transport and soak are wall-clock, so grep-only.
+# shows up there as a diff. soak is wall-clock, so grep-only.
 #   fastpath   the Table I / session / write-behind rows.
-#   transport  real TCP loopback clusters alongside the simulated plane.
 #   soak       restarts and reconfig deploy real musicd OS processes: restarts
 #              must prove the SIGKILLed-and-restarted process caught up through
 #              the startup state-transfer pull, and reconfig drives
@@ -187,7 +181,6 @@ trap 'rm -rf "$smoke_dir"' EXIT
 ran=
 for smoke in \
     'fastpath:"experiment": "fastpath"' \
-    'transport:"experiment": "transport"' \
     'soak:"experiment": "soak"' \
     'soak:"scenario": "restarts"' \
     'soak:"caught_up": true' \
