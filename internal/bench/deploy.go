@@ -47,7 +47,7 @@ func buildMUSICWorld(profile *simnet.Profile, nodesPerSite int, mode core.Mode, 
 	if traced {
 		ob = obs.New(rt, obs.Options{})
 	}
-	net := simnet.New(rt, simnet.Config{Profile: profile, NodesPerSite: nodesPerSite, Seed: seed, Obs: ob})
+	net := simnet.New(rt, simnet.Config{Profile: profile, NodesPerSite: nodesPerSite, Obs: ob})
 	st := store.New(net, store.Config{RF: 3})
 	w := &musicWorld{rt: rt, net: net, st: st, obs: ob}
 	for _, id := range net.Nodes() {
@@ -101,7 +101,7 @@ type zkWorld struct {
 
 func buildZK(profile *simnet.Profile, seed int64) (*zkWorld, error) {
 	rt := sim.New(seed)
-	net := simnet.New(rt, simnet.Config{Profile: profile, Seed: seed})
+	net := simnet.New(rt, simnet.Config{Profile: profile})
 	c, err := zk.New(net, net.Nodes())
 	if err != nil {
 		return nil, err
@@ -118,7 +118,7 @@ type crdbWorld struct {
 
 func buildCRDB(profile *simnet.Profile, seed int64) (*crdbWorld, error) {
 	rt := sim.New(seed)
-	net := simnet.New(rt, simnet.Config{Profile: profile, Seed: seed})
+	net := simnet.New(rt, simnet.Config{Profile: profile})
 	c, err := crdb.New(net, net.Nodes())
 	if err != nil {
 		return nil, err

@@ -44,7 +44,7 @@ type scaleWorld struct {
 // node (and hence a modeled CPU) of its own.
 func buildScaleWorld(shards int, seed int64) *scaleWorld {
 	rt := sim.New(seed)
-	net := simnet.New(rt, simnet.Config{Profile: scaleFabric(), NodesPerSite: shards, Seed: seed})
+	net := simnet.New(rt, simnet.Config{Profile: scaleFabric(), NodesPerSite: shards})
 	c, err := music.NewOverTransport(net, music.TransportConfig{T: 10 * time.Minute, Shards: shards})
 	if err != nil {
 		panic(fmt.Sprintf("bench: scale world: %v", err))

@@ -43,17 +43,19 @@ func BenchmarkWANSection(b *testing.B) {
 }
 
 // TestAllocCeilingWANSection's bounds. The count is the allocations per
-// section measured with pooled tasks and message records, closure-free
-// deliveries and obs-off tracing that builds nothing (522), plus 2 %. The
-// bytes are those measured then (29 278 B, Go 1.24) plus 10 %, since map
-// and slice sizes differ between Go releases. What is left is the
-// protocol's own: encoded messages and their decoded copies, rows and the
-// store.Client edge's maps. With a fresh task, closure and Timer per
-// delivery, a promise per call and a mailbox per multicast, a section made
-// 1636 allocations of 81 KB.
+// section measured with an interned wire vocabulary, messages encoded into
+// their records' own buffers and a map-free store read edge (317), plus 2 %
+// rounded up. The bytes are those measured then (19 983 B, Go 1.24) plus
+// 10 %, since map and slice sizes differ between Go releases. What is left
+// is the protocol's own: the decoded copies each handler keeps (keys, cell
+// values, rows, the boxed message), the rows lockstore writes and the
+// quorum result slices. With a decoded copy of every table and column name,
+// a fresh buffer per encoded message and a Row map per read, a section made
+// 522 allocations of 29 KB; with a fresh task, closure and Timer per
+// delivery, a promise per call and a mailbox per multicast, 1636 of 81 KB.
 const (
-	wanSectionAllocCeiling      = 532
-	wanSectionAllocBytesCeiling = 32206
+	wanSectionAllocCeiling      = 324
+	wanSectionAllocBytesCeiling = 21981
 )
 
 // TestAllocCeilingWANSection pins the allocations and allocated bytes per
@@ -114,7 +116,7 @@ func TestHandoffCeilingWANSection(t *testing.T) {
 // built, stop after the last section; both are handed the runtime.
 func runWANSections(n int, start, stop func(*sim.Virtual)) error {
 	v := sim.New(1)
-	c, err := music.NewOverTransport(simnet.New(v, simnet.Config{Profile: simnet.ProfileIUs, Seed: 1}), music.TransportConfig{})
+	c, err := music.NewOverTransport(simnet.New(v, simnet.Config{Profile: simnet.ProfileIUs}), music.TransportConfig{})
 	if err != nil {
 		return fmt.Errorf("deploy: %w", err)
 	}

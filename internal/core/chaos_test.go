@@ -50,7 +50,7 @@ func runChaos(t *testing.T, seed int64) {
 	t.Helper()
 	rt := sim.New(seed)
 	rt.SetScheduleShuffle(true)
-	net := simnet.New(rt, simnet.Config{Profile: simnet.ProfileIUs, Seed: seed})
+	net := simnet.New(rt, simnet.Config{Profile: simnet.ProfileIUs})
 	st := store.New(net, store.Config{})
 	reps := make([]*Replica, 3)
 	for i := range reps {
@@ -281,7 +281,7 @@ func TestChaosPartitionMidSectionFailover(t *testing.T) {
 // eventually complete the critical section without violating exclusivity.
 func TestCriticalSectionsSurviveMessageLoss(t *testing.T) {
 	rt := sim.New(77)
-	net := simnet.New(rt, simnet.Config{Profile: simnet.ProfileIUs, Seed: 77})
+	net := simnet.New(rt, simnet.Config{Profile: simnet.ProfileIUs})
 	st := store.New(net, store.Config{Timeout: 800 * time.Millisecond})
 	rep := NewReplica(st.Client(0), Config{T: time.Minute})
 	net.SetLossRate(0.03)

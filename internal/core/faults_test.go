@@ -58,7 +58,7 @@ type faultWorld struct {
 
 func newFaultWorld(seed int64, cfg Config) *faultWorld {
 	rt := sim.New(seed)
-	net := simnet.New(rt, simnet.Config{Profile: simnet.ProfileIUs, Seed: seed})
+	net := simnet.New(rt, simnet.Config{Profile: simnet.ProfileIUs})
 	st := store.New(net, store.Config{Timeout: 500 * time.Millisecond})
 	w := &faultWorld{rt: rt, net: net, st: st}
 	for i := 0; i < 3; i++ {

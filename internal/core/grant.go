@@ -122,7 +122,7 @@ func (r *Replica) AcquireLock(key string, ref int64) (acquired bool, err error) 
 	grantStart := r.now()
 	needSync := r.cfg.AlwaysSynchronize
 	if !needSync {
-		sfRow, err := s.ds.GetCols(DataTable, key, []string{colSynch, colValue}, store.Quorum)
+		sfRow, err := s.ds.Read(DataTable, key, colsSynchValue, store.Quorum)
 		if err != nil {
 			grantSp.EndErr(err)
 			return false, fmt.Errorf("acquireLock %s: synchFlag: %w", key, err)
@@ -130,9 +130,7 @@ func (r *Replica) AcquireLock(key string, ref int64) (acquired bool, err error) 
 		needSync = synchTrue(sfRow)
 		if !needSync {
 			seed = heldValue{known: true}
-			if c, ok := sfRow[colValue]; ok {
-				seed.present, seed.value = true, c.Value
-			}
+			seed.value, seed.present = sfRow.Live(colValue)
 		}
 	}
 	if needSync && r.cfg.Mutation == MutationSkipSynchronize {
@@ -293,14 +291,13 @@ func (r *Replica) synchronize(key string, ref int64) (value []byte, present bool
 	hc := r.cfg.History.Begin(r.site, history.KindSync, key, ref).TS(v2s(ref, 0, r.cfg.T))
 	defer func() { hc.End(err) }()
 	s := r.shardFor(key)
-	row, err := s.ds.GetCols(DataTable, key, []string{colValue}, store.Quorum)
+	row, err := s.ds.Read(DataTable, key, colsValue, store.Quorum)
 	if err != nil {
 		return nil, false, fmt.Errorf("synchronize read: %w", err)
 	}
 	valueCell := store.Cell{TS: v2s(ref, 0, r.cfg.T), Deleted: true}
-	if c, ok := row[colValue]; ok {
-		valueCell = store.Cell{Value: c.Value, TS: v2s(ref, 0, r.cfg.T)}
-		value, present = c.Value, true
+	if value, present = row.Live(colValue); present {
+		valueCell = store.Cell{Value: value, TS: v2s(ref, 0, r.cfg.T)}
 	}
 	// The op records what was (re)written whether or not the rest succeeds:
 	// a failed write may still settle.

@@ -81,7 +81,7 @@ func (r *Replica) leaseWaitMicros(startMicros int64) int64 {
 // digest-mismatch full-read reconciliation, re-converging whatever lagging
 // replica served the stale weak read.
 func (r *Replica) RepairRead(key string) error {
-	_, err := r.shardFor(key).ds.GetCols(DataTable, key, []string{colValue}, store.Quorum)
+	_, err := r.shardFor(key).ds.Read(DataTable, key, colsValue, store.Quorum)
 	return err
 }
 
@@ -89,7 +89,7 @@ func (r *Replica) RepairRead(key string) error {
 // and serve the previous remembered row instead, making every weak read
 // one write behind — deterministic staleness for monitor tests and the
 // readpath bench.
-func (r *Replica) staleSwap(key string, row store.Row) store.Row {
+func (r *Replica) staleSwap(key string, row store.RowView) store.RowView {
 	s := r.shardFor(key)
 	s.mu.Lock()
 	prev, had := s.stale[key]

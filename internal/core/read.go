@@ -136,7 +136,7 @@ func (r *Replica) criticalRead(key string, ref int64, who reader, hc *history.Ca
 		cons, rung = store.One, rungOne
 		hc.Note(rung)
 	}
-	row, err := s.ds.GetCols(DataTable, key, []string{colValue}, cons)
+	row, err := s.ds.Read(DataTable, key, colsValue, cons)
 	if err != nil {
 		r.dropHeld(key, ref)
 		return nil, false, "", fmt.Errorf("criticalGet %s: %w", key, err)
@@ -145,15 +145,15 @@ func (r *Replica) criticalRead(key string, ref int64, who reader, hc *history.Ca
 		// Injected bug under test: serve the previously observed row.
 		row = r.staleSwap(key, row)
 	}
-	c, present := row[colValue]
+	value, present = row.Live(colValue)
 	if cons == store.Quorum && !g.held.known {
 		// A quorum read returns the true value: a record that had lost it
 		// learns it back, unless a write of the section was folded while the
 		// read was in flight. (A record that knows the value already holds
 		// this one — nobody else may write the key.)
-		r.setHeld(key, ref, heldValue{known: true, present: present, value: c.Value}, g.held.seq)
+		r.setHeld(key, ref, heldValue{known: true, present: present, value: value}, g.held.seq)
 	}
-	return c.Value, present, rung, nil
+	return value, present, rung, nil
 }
 
 // leaseGet serves a plain Get from the site lease: any client routed to the

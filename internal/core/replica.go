@@ -11,6 +11,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/store"
 	"repro/internal/transport"
+	"repro/internal/wire"
 )
 
 // DataTable is the data-store table holding client key-value pairs.
@@ -22,6 +23,17 @@ const (
 	colValue = "value"
 	colSynch = "synch"
 )
+
+// The column lists the data plane reads, shared by every read: a read
+// request only encodes them.
+var (
+	colsValue      = []string{colValue}
+	colsSynchValue = []string{colSynch, colValue}
+)
+
+// Every data-row message names the table and some of its columns, so they
+// decode as the wire's shared copies rather than one allocation each.
+func init() { wire.Intern(DataTable, colValue, colSynch) }
 
 // Mode selects how criticalPut updates the data store.
 type Mode int
@@ -258,10 +270,10 @@ type planeShard struct {
 	ls *lockstore.Service
 
 	mu     sync.Mutex
-	grants map[string]grant     // key → local record of our granted head
-	seen   map[string]headAge   // key → when we first saw the current head
-	behind map[string]int64     // key/ref → when the local queue first hid it
-	stale  map[string]store.Row // MutationStaleReads: last row served per key
+	grants map[string]grant         // key → local record of our granted head
+	seen   map[string]headAge       // key → when we first saw the current head
+	behind map[string]int64         // key/ref → when the local queue first hid it
+	stale  map[string]store.RowView // MutationStaleReads: last row served per key
 }
 
 type grant struct {
@@ -325,7 +337,7 @@ func NewReplicaSharded(clients []*store.Client, cfg Config) *Replica {
 			grants: make(map[string]grant),
 			seen:   make(map[string]headAge),
 			behind: make(map[string]int64),
-			stale:  make(map[string]store.Row),
+			stale:  make(map[string]store.RowView),
 		}
 	}
 	return r
@@ -519,16 +531,16 @@ func (r *Replica) Get(key string) ([]byte, error) {
 	sp.Annotate("key", key)
 	hc := r.cfg.History.Begin(r.site, history.KindEventualGet, key, 0)
 	start := r.now()
-	row, err := r.shardFor(key).ds.GetCols(DataTable, key, []string{colValue}, store.One)
+	row, err := r.shardFor(key).ds.Read(DataTable, key, colsValue, store.One)
 	sp.EndErr(err)
 	if err != nil {
 		hc.End(err)
 		return nil, fmt.Errorf("get %s: %w", key, err)
 	}
 	r.observe(OpEventualGet, start)
-	if c, ok := row[colValue]; ok {
-		hc.Value(c.Value, true).End(nil)
-		return c.Value, nil
+	if value, ok := row.Live(colValue); ok {
+		hc.Value(value, true).End(nil)
+		return value, nil
 	}
 	hc.End(nil)
 	return nil, nil
@@ -560,7 +572,7 @@ var (
 	synchFalse   = []byte{0}
 )
 
-func synchTrue(row store.Row) bool {
-	c, ok := row[colSynch]
-	return ok && len(c.Value) == 1 && c.Value[0] == 1
+func synchTrue(row store.RowView) bool {
+	v, ok := row.Live(colSynch)
+	return ok && len(v) == 1 && v[0] == 1
 }

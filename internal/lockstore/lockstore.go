@@ -15,6 +15,7 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/store"
+	"repro/internal/wire"
 )
 
 // Table is the lock table name within the shared store cluster.
@@ -32,6 +33,10 @@ const (
 	colQueue = "queue"
 	colGrant = "grant"
 )
+
+// Every lock-row message names the table and some of its columns, so they
+// decode as the wire's shared copies rather than one allocation each.
+func init() { wire.Intern(Table, colGuard, colQueue, colGrant) }
 
 // Entry is one queued lock reference. StartTime is the grant time in
 // microseconds (0 until the reference reaches the head and is granted).
@@ -85,7 +90,7 @@ func (s *Service) tracer() *obs.Tracer { return s.st.Cluster().Net().Tracer() }
 // grant cell when readsGrant. Queue edits that do not care who is granted
 // must not lose a Paxos round to the grant being recorded beside them — the
 // default grant write is asynchronous precisely to stay off that path.
-func (s *Service) mutate(op, key string, readsGrant bool, decide func(row store.Row) store.Row) (err error) {
+func (s *Service) mutate(op, key string, readsGrant bool, decide func(row store.RowView) store.Row) (err error) {
 	sp := s.tracer().Child(op)
 	sp.Annotate("key", key)
 	defer func() {
@@ -94,7 +99,7 @@ func (s *Service) mutate(op, key string, readsGrant bool, decide func(row store.
 		}
 		sp.EndErr(err)
 	}()
-	row, _ := s.st.Get(Table, key, store.One)
+	row, _ := s.st.Read(Table, key, nil, store.One)
 	authoritative := false
 	for lost := 0; lost < 24; {
 		update := decide(row)
@@ -102,7 +107,7 @@ func (s *Service) mutate(op, key string, readsGrant bool, decide func(row store.
 			if authoritative {
 				return nil
 			}
-			if row, err = s.st.Get(Table, key, store.Quorum); err != nil {
+			if row, err = s.st.Read(Table, key, nil, store.Quorum); err != nil {
 				return err
 			}
 			authoritative = true
@@ -127,7 +132,7 @@ func (s *Service) mutate(op, key string, readsGrant bool, decide func(row store.
 // comes from a cheap local read.
 func (s *Service) GenerateAndEnqueue(key string) (ref int64, err error) {
 	nonce := s.nonce()
-	err = s.mutate("lockstore.enqueue", key, false, func(row store.Row) store.Row {
+	err = s.mutate("lockstore.enqueue", key, false, func(row store.RowView) store.Row {
 		queue := decodeQueue(row)
 		// A lost CAS may still have been applied on our behalf by the
 		// proposer that completed our in-progress Paxos round; the nonce
@@ -169,7 +174,7 @@ func (s *Service) DequeueIfUngranted(key string, ref int64) (dequeued bool, err 
 // dequeue removes ref from the queue — when ungrantedOnly, unless the grant
 // cell is ref's. An absent ref counts as dequeued.
 func (s *Service) dequeue(key string, ref int64, ungrantedOnly bool) (dequeued bool, err error) {
-	err = s.mutate("lockstore.dequeue", key, ungrantedOnly, func(row store.Row) store.Row {
+	err = s.mutate("lockstore.dequeue", key, ungrantedOnly, func(row store.RowView) store.Row {
 		queue := decodeQueue(row)
 		trimmed := removeRef(queue, ref)
 		dequeued = true
@@ -191,7 +196,7 @@ func (s *Service) dequeue(key string, ref int64, ungrantedOnly bool) (dequeued b
 func (s *Service) Peek(key string) (Entry, bool, error) {
 	sp := s.tracer().Child("lockstore.peek")
 	sp.Annotate("key", key)
-	row, err := s.st.Get(Table, key, store.One)
+	row, err := s.st.Read(Table, key, nil, store.One)
 	sp.EndErr(err)
 	if err != nil {
 		return Entry{}, false, fmt.Errorf("peek %s: %w", key, err)
@@ -234,7 +239,7 @@ func (s *Service) Watch(key string, ref int64) *store.Watch {
 // Queue returns the full queue at quorum consistency (diagnostics, tests,
 // and the waiters' dead-ref check).
 func (s *Service) Queue(key string) ([]Entry, error) {
-	row, err := s.st.Get(Table, key, store.Quorum)
+	row, err := s.st.Read(Table, key, nil, store.Quorum)
 	if err != nil {
 		return nil, fmt.Errorf("queue %s: %w", key, err)
 	}
@@ -274,7 +279,7 @@ func (s *Service) SetGrant(key string, ref int64, startMicros, epoch int64) erro
 // grant); curStart == 0 means ref is no longer queued (reaped), so the
 // caller must not treat itself as holder.
 func (s *Service) SetGrantLWT(key string, ref int64, startMicros, epoch int64, tag uint64) (applied bool, curStart, curEpoch int64, err error) {
-	err = s.mutate("lockstore.setGrantLWT", key, true, func(row store.Row) store.Row {
+	err = s.mutate("lockstore.setGrantLWT", key, true, func(row store.RowView) store.Row {
 		applied, curStart, curEpoch = false, 0, 0
 		if queue := decodeQueue(row); len(queue) == 0 || queue[0].Ref != ref {
 			return nil
@@ -308,7 +313,7 @@ func (s *Service) backoff(attempt int) {
 
 // rowConds builds the CAS condition asserting guard and queue — and, when
 // grantToo, the grant cell — are unchanged from the observed row.
-func rowConds(row store.Row, grantToo bool) []store.Cond {
+func rowConds(row store.RowView, grantToo bool) []store.Cond {
 	conds := []store.Cond{
 		{Col: colGuard, Want: cellBytes(row, colGuard)},
 		{Col: colQueue, Want: cellBytes(row, colQueue)},
@@ -319,12 +324,9 @@ func rowConds(row store.Row, grantToo bool) []store.Cond {
 	return conds
 }
 
-func cellBytes(row store.Row, col string) []byte {
-	c, ok := row[col]
-	if !ok || c.Deleted {
-		return nil
-	}
-	return c.Value
+func cellBytes(row store.RowView, col string) []byte {
+	b, _ := row.Live(col)
+	return b
 }
 
 func removeRef(queue []Entry, ref int64) []Entry {
@@ -344,7 +346,7 @@ func encodeGuard(v int64) []byte {
 	return b
 }
 
-func decodeGuard(row store.Row) int64 {
+func decodeGuard(row store.RowView) int64 {
 	b := cellBytes(row, colGuard)
 	if len(b) != 8 {
 		return 0
@@ -374,7 +376,7 @@ func grantCell(ref, startMicros, epoch int64, tag uint64) store.Cell {
 // other ref — or of any other length: the bytes arrive from peers — means ref
 // is ungranted, which is how a dequeued ref's grant stops mattering without
 // being erased.
-func decodeGrant(row store.Row, ref int64) (startMicros, epoch int64, tag uint64) {
+func decodeGrant(row store.RowView, ref int64) (startMicros, epoch int64, tag uint64) {
 	b := cellBytes(row, colGrant)
 	if len(b) != grantCellLen || int64(binary.BigEndian.Uint64(b)) != ref {
 		return 0, 0, 0
@@ -392,7 +394,7 @@ func encodeQueue(queue []Entry) []byte {
 	return b
 }
 
-func decodeQueue(row store.Row) []Entry {
+func decodeQueue(row store.RowView) []Entry {
 	b := cellBytes(row, colQueue)
 	n := len(b) / 16
 	if n == 0 {

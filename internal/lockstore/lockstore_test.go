@@ -243,14 +243,14 @@ func TestPeekSeesStaleLocalReplica(t *testing.T) {
 func TestQueueCodecRoundTrip(t *testing.T) {
 	queue := []Entry{{Ref: 1}, {Ref: 7}, {Ref: 1 << 40}}
 	row := store.Row{colQueue: store.Cell{Value: encodeQueue(queue)}}
-	got := decodeQueue(row)
+	got := decodeQueue(row.View())
 	if len(got) != 3 || got[0].Ref != 1 || got[1].Ref != 7 || got[2].Ref != 1<<40 {
 		t.Fatalf("round trip = %+v", got)
 	}
-	if decodeQueue(store.Row{}) != nil {
+	if decodeQueue(store.Row{}.View()) != nil {
 		t.Fatal("empty row decodes non-nil")
 	}
-	if g := decodeGuard(store.Row{colGuard: store.Cell{Value: encodeGuard(99)}}); g != 99 {
+	if g := decodeGuard(store.Row{colGuard: store.Cell{Value: encodeGuard(99)}}.View()); g != 99 {
 		t.Fatalf("guard round trip = %d", g)
 	}
 }
@@ -282,13 +282,13 @@ func TestGrantCellCodec(t *testing.T) {
 		if tc.cell != nil {
 			row[colGrant] = store.Cell{Value: tc.cell}
 		}
-		start, epoch, tag := decodeGrant(row, tc.ref)
+		start, epoch, tag := decodeGrant(row.View(), tc.ref)
 		if start != tc.start || epoch != tc.epoch || int64(tag) != tc.tag {
 			t.Errorf("%s: decodeGrant(ref %d) = (%d, %d, %d), want (%d, %d, %d)",
 				tc.name, tc.ref, start, epoch, tag, tc.start, tc.epoch, tc.tag)
 		}
 	}
-	if start, _, _ := decodeGrant(store.Row{colGrant: store.Cell{Value: good, Deleted: true}}, 7); start != 0 {
+	if start, _, _ := decodeGrant(store.Row{colGrant: store.Cell{Value: good, Deleted: true}}.View(), 7); start != 0 {
 		t.Errorf("deleted cell decodes as granted at %d", start)
 	}
 }

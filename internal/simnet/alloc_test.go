@@ -8,18 +8,18 @@ import (
 
 // multicastAllocCeiling bounds the allocations of one Multicast round with
 // observability off: a 256-byte []byte echoed by three nodes, one per IUs
-// site. Measured at 17: the request's encoding, then for each leg the
-// decoded request (the bytes and their box), the reply's encoding and the
-// decoded reply, and the result slice. Counted on Go 1.24 only. The ceiling
-// is that plus 2 %, rounded up to a whole allocation, so a Go release that
-// allocates one object more on this path still passes.
-const multicastAllocCeiling = 18
+// site. Measured at 13: for each leg the decoded request (the bytes and
+// their box) and the decoded reply, and the result slice. The encodings go
+// into buffers the message records own. Counted on Go 1.24 only. The
+// ceiling is that plus 2 %, rounded up to a whole allocation, so a Go
+// release that allocates one object more on this path still passes.
+const multicastAllocCeiling = 14
 
 // TestAllocCeilingMulticast pins what a simulated message allocates with
-// observability off: only its encoded bytes and the copies its deliveries
-// decode. The tasks, delivery records, reply waits and the result mailbox
-// are all reused, and no span name or annotation is built. The simulated
-// counterpart of nettrans's TestAllocCeilingCallFrame.
+// observability off: only the copies its deliveries decode. The tasks,
+// delivery records with their encode buffers, reply waits and the result
+// mailbox are all reused, and no span name or annotation is built. The
+// simulated counterpart of nettrans's TestAllocCeilingCallFrame.
 func TestAllocCeilingMulticast(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector changes allocation counts")

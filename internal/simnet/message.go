@@ -12,9 +12,12 @@ import (
 // that comes back for it: everything its delivery, its reply, its
 // multicast leg and the waiting caller share. Each stage runs as a
 // sim.Step bound once, when the record is made, one step per continuation,
-// and the record is kept for reuse once its last holder lets go, so a
-// message in flight allocates only its encoded bytes and the copies its
-// deliveries decode.
+// and the record is kept for reuse once its last holder lets go. The
+// request's and the reply's encodings live in buffers the record owns,
+// whose capacity survives reuse, so a message in flight allocates only the
+// copies its deliveries decode. A decoded value shares no bytes with these
+// buffers (wire's codecs copy what they keep), so a handler may keep what
+// it was handed after the record has gone on to carry other messages.
 //
 // The free list is the Network's own (see freeList). Holders are counted
 // in a plain integer: the virtual runtime runs one step or task at a time,
@@ -24,7 +27,7 @@ type message struct {
 	from, to NodeID
 	svc      string
 	req      any
-	encoded  []byte // req's encoding; a multicast's legs share it, read-only
+	reqBuf   []byte // req's encoding, empty for a payload with no codec
 	size     int
 	parent   obs.SpanContext // the span delay components hang off
 	awaited  bool            // a caller waits for the reply: false for a one-way Send
@@ -47,9 +50,9 @@ type message struct {
 	reply *sim.Promise[any] // made with the record, Reset for each reuse
 	// The reply leg in flight: the handler's result, and the encoding of a
 	// successful one.
-	resp        any
-	err         error
-	respEncoded []byte
+	resp    any
+	err     error
+	respBuf []byte
 
 	// The holders: a caller until its wait ends, and the message itself
 	// until it is lost or delivered (a call's until its reply is).
@@ -65,7 +68,8 @@ type message struct {
 }
 
 // newMessage returns a record for a request of svc from -> to carrying req,
-// reused when one is free, with no holder counted yet.
+// reused when one is free, with no holder counted yet. It copies encoded,
+// req's encoding, into the record's own buffer.
 func (n *Network) newMessage(from, to NodeID, svc string, req any, encoded []byte, size int) *message {
 	m := n.msgs.get()
 	if m == nil {
@@ -77,8 +81,22 @@ func (n *Network) newMessage(from, to NodeID, svc string, req any, encoded []byt
 		m.legEnd = sim.NewStep(n.rt, m.legEndStep)
 		m.deliverFn = m.deliverTask
 	}
-	m.from, m.to, m.svc, m.req, m.encoded, m.size = from, to, svc, req, encoded, size
+	m.from, m.to, m.svc, m.req, m.size = from, to, svc, req, size
+	m.reqBuf = append(m.reqBuf, encoded...)
 	return m
+}
+
+// maxKeptBuf caps the capacity a record keeps in each buffer when it is
+// freed, so one large message does not pin its size in a record for good.
+const maxKeptBuf = 64 << 10
+
+// emptied returns b emptied with its capacity kept, or nil when that
+// capacity is over maxKeptBuf.
+func emptied(b []byte) []byte {
+	if cap(b) > maxKeptBuf {
+		return nil
+	}
+	return b[:0]
 }
 
 // release drops one holder. The last one resets the record and frees it.
@@ -87,10 +105,11 @@ func (m *message) release() {
 		return
 	}
 	m.reply.Reset()
-	m.svc, m.req, m.encoded, m.parent, m.awaited, m.timeout, m.mc = "", nil, nil, obs.SpanContext{}, false, 0, nil
+	m.svc, m.req, m.parent, m.awaited, m.timeout, m.mc = "", nil, obs.SpanContext{}, false, 0, nil
+	m.reqBuf, m.respBuf = emptied(m.reqBuf), emptied(m.respBuf)
 	m.spec, m.found, m.decoded = handlerSpec{}, false, nil
 	m.rpc, m.timed = nil, false
-	m.resp, m.err, m.respEncoded = nil, nil, nil
+	m.resp, m.err = nil, nil
 	m.n.msgs.put(m)
 }
 
@@ -111,7 +130,7 @@ func (m *message) admit() bool {
 			return false
 		}
 	}
-	m.decoded = n.decode(m.svc, m.req, m.encoded)
+	m.decoded = n.decode(m.svc, m.req, m.reqBuf)
 	m.arrived = n.rt.Now()
 	return true
 }
@@ -192,7 +211,7 @@ func (m *message) settleStep() {
 		if m.err != nil {
 			m.reply.Reject(m.err)
 		} else {
-			m.reply.Resolve(n.decode("reply", m.resp, m.respEncoded))
+			m.reply.Resolve(n.decode("reply", m.resp, m.respBuf))
 		}
 	}
 	m.release()

@@ -23,8 +23,10 @@ func (n *Network) Multicast(from NodeID, targets []NodeID, svc string, req any, 
 // return to late, once, when its call completes (see transport.Transport).
 // Each leg is a step running one call, ready where a task spawned for it
 // would be, so a leg's deadline is the call's own timeout. req is encoded
-// once, and every leg sends those bytes; each delivery decodes its own
-// copy. late runs in the step that ends the leg, and so must not wait.
+// once, and each leg copies those bytes into its own record: a leg may be
+// delivered after the multicast has returned and its collector been reused,
+// so legs share no buffer. Each delivery decodes its own copy. late runs in
+// the step that ends the leg, and so must not wait.
 func (n *Network) MulticastLate(from NodeID, targets []NodeID, svc string, req any, need int, timeout time.Duration, late func(CallResult)) []CallResult {
 	// The umbrella span is installed task-current, and each leg carries its
 	// context to parent its rpc span under it. Its name and notes are built

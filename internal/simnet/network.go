@@ -67,8 +67,11 @@ type Config struct {
 	MsgOverhead int
 	// RPCTimeout is the default Call timeout. Defaults to 4s.
 	RPCTimeout time.Duration
-	// Seed is kept for callers' records: jitter and loss draw from the
-	// virtual runtime's own RNG, which sim.New seeds.
+	// Seed is read by nothing: jitter and loss draw from the virtual
+	// runtime's own RNG, which sim.New seeds.
+	//
+	// Deprecated: seed the runtime with sim.New instead. The field stays
+	// only until the benchmark module stops setting it.
 	Seed int64
 	// Obs enables observability: RPCs made inside a traced operation emit
 	// spans (rpc, NIC wait, link transit, CPU-queue wait, handler service
@@ -114,6 +117,11 @@ type Network struct {
 
 	msgs       freeList[message]   // released message records (see message)
 	collectors freeList[collector] // released multicast collectors
+
+	// enc is where every payload is encoded, once, before its bytes are
+	// copied into the records that carry it. One suffices: an encode never
+	// waits, and the runtime runs one step or task at a time.
+	enc wire.Encoder
 }
 
 // New builds a network of len(profile.Sites()) × NodesPerSite nodes over
@@ -359,10 +367,11 @@ func (n *Network) sendReply(m *message, resp any, err error) {
 	}
 	src, dst := n.nodes[m.to], n.nodes[m.from]
 	sent := n.rt.Now()
-	var encoded []byte
 	size := n.cfg.MsgOverhead
 	if err == nil {
+		var encoded []byte
 		encoded, size = n.encode("reply", resp)
+		m.respBuf = append(m.respBuf, encoded...)
 	}
 	nic, flight, ok := n.transit(src, dst, size)
 	if !ok {
@@ -374,20 +383,23 @@ func (n *Network) sendReply(m *message, resp any, err error) {
 		tr.SpanAt(m.parent, "net.nic", sent, sent+nic, obs.Annotation{Key: "dir", Value: "reply"})
 	}
 	tr.SpanAt(m.parent, "net.transit", sent+nic, sent+nic+flight, obs.Annotation{Key: "dir", Value: "reply"})
-	m.resp, m.err, m.respEncoded = resp, err, encoded
+	m.resp, m.err = resp, err
 	m.settle.After(nic + flight)
 }
 
 // encode marshals msg through its registered wire codec, returning the
 // encoded bytes and the modeled wire size (MsgOverhead plus the exact
-// encoded length). Types without a codec — the in-process protocol
-// baselines — fall back to their Sizer estimate and nil bytes.
+// encoded length). The bytes are the network's scratch encoder's, valid
+// until the next encode: the caller copies them into the records that carry
+// them. Types without a codec — the in-process protocol baselines — fall
+// back to their Sizer estimate and no bytes.
 func (n *Network) encode(svc string, msg any) (data []byte, size int) {
 	if wire.Registered(msg) {
-		data, err := wire.Marshal(msg)
-		if err != nil {
+		n.enc.Truncate(0)
+		if err := wire.MarshalTo(&n.enc, msg); err != nil {
 			panic(fmt.Sprintf("simnet: marshal %q payload %T: %v", svc, msg, err))
 		}
+		data = n.enc.Bytes()
 		return data, n.cfg.MsgOverhead + len(data)
 	}
 	size = n.cfg.MsgOverhead
@@ -397,12 +409,13 @@ func (n *Network) encode(svc string, msg any) (data []byte, size int) {
 	return nil, size
 }
 
-// decode reconstructs the receiver's copy of a payload produced by encode.
-// Payloads without a codec pass through by reference. A decode failure is a
-// codec bug (the bytes came straight from Marshal), so it panics loudly
-// rather than dropping the message.
+// decode reconstructs the receiver's copy of a payload produced by encode,
+// sharing no bytes with encoded. Payloads without a codec (no bytes) pass
+// through by reference. A decode failure is a codec bug (the bytes came
+// straight from the encoder), so it panics loudly rather than dropping the
+// message.
 func (n *Network) decode(svc string, orig any, encoded []byte) any {
-	if encoded == nil {
+	if len(encoded) == 0 {
 		return orig
 	}
 	msg, err := wire.Unmarshal(encoded)

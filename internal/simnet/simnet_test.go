@@ -1,6 +1,7 @@
 package simnet
 
 import (
+	"bytes"
 	"errors"
 	"testing"
 	"time"
@@ -526,5 +527,58 @@ func raceCallers(t *testing.T, rt *sim.Virtual, n *Network) {
 	}
 	if replies == 0 || late == 0 {
 		t.Fatalf("%d replies in time, %d late; want some of each", replies, late)
+	}
+}
+
+// A handler may keep the request it was handed, and a caller the reply,
+// after the records that carried them have gone on to carry other
+// messages: a decoded value shares no bytes with a record's encode
+// buffers. The first request and reply are stashed, then 120 more calls
+// and multicasts of the same sizes reuse the records, overwriting their
+// buffers in place, and the stashes must be what was sent.
+func TestDecodedValuesOutliveRecords(t *testing.T) {
+	rt, n := buildNet(t, Config{})
+	fill := func(b byte) []byte { return bytes.Repeat([]byte{b}, 64) }
+	var stashedReq []byte
+	for _, id := range n.Nodes() {
+		n.Node(id).Handle("stash", func(from NodeID, req any) (any, error) {
+			b := req.([]byte)
+			if stashedReq == nil {
+				stashedReq = b
+			}
+			return string(fill(b[0] + 1)), nil
+		})
+	}
+	err := rt.Run(func() {
+		resp, err := n.Call(0, 1, "stash", fill(1))
+		if err != nil {
+			t.Fatalf("first call: %v", err)
+		}
+		stashedResp := resp.(string)
+		for i := 0; i < 120; i++ {
+			req := fill(byte(2 + i%100))
+			if i%2 == 0 {
+				_, err = n.Call(NodeID(i%3), NodeID((i+1)%3), "stash", req)
+			} else {
+				for _, r := range n.Multicast(NodeID(i%3), n.Nodes(), "stash", req, 3, time.Second) {
+					err = errors.Join(err, r.Err)
+				}
+			}
+			if err != nil {
+				t.Fatalf("call %d: %v", i, err)
+			}
+		}
+		if !bytes.Equal(stashedReq, fill(1)) {
+			t.Errorf("stashed request changed under reuse: %x", stashedReq)
+		}
+		if stashedResp != string(fill(2)) {
+			t.Errorf("stashed reply changed under reuse: %x", stashedResp)
+		}
+	})
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if k := len(n.msgs.free); k == 0 || k > 8 {
+		t.Fatalf("%d free message records after the run; want a few, reused", k)
 	}
 }

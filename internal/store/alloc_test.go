@@ -11,14 +11,16 @@ import (
 // measured inside the deterministic virtual-time simulator (cooperative
 // single-threaded scheduling makes AllocsPerRun exact, so these pin the
 // whole coordinator+replica stack per op). The ceilings are the counts
-// measured with rows held as sorted cell slices (99, 114, 41) plus 2 %:
-// reintroducing the unconditional `table+"/"+key` span/history concats that
-// used to run with tracing off costs 2+ allocs per op and fails here by
-// name, and so does a map per row on the coordinator or replica path.
+// measured with simnet encoding into its records' own buffers, no Row map
+// below Get and successes filtered in place (18, 26, 11; Go 1.24) plus 2 %,
+// rounded up to a whole allocation: reintroducing the unconditional
+// `table+"/"+key` span/history concats that used to run with tracing off
+// costs 2+ allocs per op and fails here by name, and so does a map per row
+// on the coordinator or replica path, or a fresh buffer per message.
 const (
-	putQuorumAllocCeiling = 101
-	getQuorumAllocCeiling = 116
-	getOneAllocCeiling    = 42
+	putQuorumAllocCeiling = 19
+	getQuorumAllocCeiling = 27
+	getOneAllocCeiling    = 12
 )
 
 func TestAllocCeilingStoreOps(t *testing.T) {

@@ -142,25 +142,34 @@ func (cl *Client) handoff(to transport.NodeID, req applyReq) {
 	}
 }
 
-// Get reads a row's live cells at the given consistency. A missing row
-// yields an empty Row and no error. Quorum and All reads merge replica
-// responses cell-wise and (unless disabled) repair stale replicas in the
-// background.
+// Read reads a row at the given consistency, restricted to the named
+// columns (all of them when cols is nil), and returns a view of its cells.
+// A missing row yields an empty view and no error. Quorum and All reads
+// merge replica responses cell-wise and (unless disabled) repair stale
+// replicas in the background. The view is the caller's own: no map is
+// built, and the store never changes it (see RowView).
+func (cl *Client) Read(table, key string, cols []string, cons Consistency) (RowView, error) {
+	cells, err := cl.get(table, key, cols, cons, true)
+	return RowView{cells}, err
+}
+
+// Get reads a row's live cells at the given consistency: Read, as a Row.
 func (cl *Client) Get(table, key string, cons Consistency) (Row, error) {
-	return cl.getLive(table, key, nil, cons)
+	return rowOf(cl.Read(table, key, nil, cons))
 }
 
 // GetCols is Get restricted to the named columns.
 func (cl *Client) GetCols(table, key string, cols []string, cons Consistency) (Row, error) {
-	return cl.getLive(table, key, cols, cons)
+	return rowOf(cl.Read(table, key, cols, cons))
 }
 
-func (cl *Client) getLive(table, key string, cols []string, cons Consistency) (Row, error) {
-	cells, err := cl.get(table, key, cols, cons, true)
+// rowOf is a Read's outcome as Get returns it: the view's live cells, or
+// nil and the error.
+func rowOf(v RowView, err error) (Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	return cells.liveRow(), nil
+	return v.cells.liveRow(), nil
 }
 
 // get reads a row, tombstones included: the replica's cells at ONE, the
@@ -196,7 +205,12 @@ func (cl *Client) get(table, key string, cols []string, cons Consistency, charge
 
 	need := cons.need(len(targets))
 	results := cl.c.net.Multicast(cl.node, targets, svcRead, req, need, cfg.Timeout)
-	oks := transport.Successes(results)
+	oks := results[:0] // the successes, filtered in place
+	for _, r := range results {
+		if r.Err == nil {
+			oks = append(oks, r)
+		}
+	}
 	if len(oks) < need {
 		return nil, fmt.Errorf("%w: %d/%d replies for %s/%s", ErrUnavailable, len(oks), need, table, key)
 	}

@@ -23,7 +23,7 @@ func TestEventualConvergenceUnderChaos(t *testing.T) {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			rt := sim.New(seed)
 			rt.SetScheduleShuffle(true)
-			net := simnet.New(rt, simnet.Config{Profile: simnet.ProfileIUs, Seed: seed})
+			net := simnet.New(rt, simnet.Config{Profile: simnet.ProfileIUs})
 			c := New(net, Config{Timeout: 500 * time.Millisecond})
 
 			err := rt.Run(func() {

@@ -1,8 +1,9 @@
 package store
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"repro/internal/obs"
@@ -12,9 +13,9 @@ import (
 // This file is the store half of the critical-section fast path: ONE reads
 // served by the nearest replica, failing over to the next-nearest.
 
-// byDistance orders targets by site RTT from the coordinator, self first —
-// the preference order for ONE reads.
-func (cl *Client) byDistance(targets []transport.NodeID) []transport.NodeID {
+// byDistance sorts targets in place by site RTT from the coordinator, self
+// first, then by node ID — the preference order for ONE reads.
+func (cl *Client) byDistance(targets []transport.NodeID) {
 	mySite := cl.c.net.SiteOf(cl.node)
 	rtt := func(t transport.NodeID) time.Duration {
 		if t == cl.node {
@@ -22,15 +23,12 @@ func (cl *Client) byDistance(targets []transport.NodeID) []transport.NodeID {
 		}
 		return cl.c.net.RTT(mySite, cl.c.net.SiteOf(t))
 	}
-	out := append([]transport.NodeID(nil), targets...)
-	sort.SliceStable(out, func(i, j int) bool {
-		ri, rj := rtt(out[i]), rtt(out[j])
-		if ri != rj {
-			return ri < rj
+	slices.SortStableFunc(targets, func(a, b transport.NodeID) int {
+		if c := cmp.Compare(rtt(a), rtt(b)); c != 0 {
+			return c
 		}
-		return out[i] < out[j]
+		return cmp.Compare(a, b)
 	})
-	return out
 }
 
 // getOne serves a ONE-consistency read from the nearest live replica,
@@ -39,7 +37,8 @@ func (cl *Client) byDistance(targets []transport.NodeID) []transport.NodeID {
 func (cl *Client) getOne(req readReq, targets []transport.NodeID) (sortedRow, error) {
 	cfg := cl.c.cfg
 	var lastErr error
-	for i, to := range cl.byDistance(targets) {
+	cl.byDistance(targets)
+	for i, to := range targets {
 		resp, err := cl.c.net.CallTimeout(cl.node, to, svcRead, req, cfg.Timeout)
 		if err != nil {
 			lastErr = err

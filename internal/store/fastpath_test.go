@@ -45,7 +45,9 @@ func TestOneReadFallsBackToNextNearest(t *testing.T) {
 		if err := cl.Put(tbl, key, val("hello"), All); err != nil {
 			t.Fatalf("Put: %v", err)
 		}
-		nearest := cl.byDistance(c.ReplicasFor(key))[0]
+		targets := c.ReplicasFor(key)
+		cl.byDistance(targets)
+		nearest := targets[0]
 		net.Crash(nearest)
 
 		row, err := cl.Get(tbl, key, One)

@@ -15,9 +15,9 @@ const maxCASAttempts = 16
 type CASResult struct {
 	// Applied is true when the condition held and the update committed.
 	Applied bool
-	// Current is the row's live cells as read during the Paxos round —
-	// the pre-image on success, the current state on condition failure.
-	Current Row
+	// Current is the row as read during the Paxos round — the pre-image on
+	// success, the current state on condition failure.
+	Current RowView
 }
 
 // CAS atomically applies update to a row if every condition holds,
@@ -118,7 +118,7 @@ func (cl *Client) CAS(table, key string, conds []Cond, update Row) (res CASResul
 
 		// Condition evaluation; a failed condition needs no more rounds.
 		if !condsMatch(conds, current) {
-			return CASResult{Applied: false, Current: current.liveRow()}, nil
+			return CASResult{Applied: false, Current: RowView{current}}, nil
 		}
 
 		// Rounds 3 and 4: propose and commit. Unstamped cells are stamped
@@ -137,7 +137,7 @@ func (cl *Client) CAS(table, key string, conds []Cond, update Row) (res CASResul
 			}
 			return CASResult{}, err
 		}
-		return CASResult{Applied: true, Current: current.liveRow()}, nil
+		return CASResult{Applied: true, Current: RowView{current}}, nil
 	}
 	return CASResult{}, fmt.Errorf("%w: cas %s/%s", ErrContention, table, key)
 }

@@ -11,8 +11,9 @@ import (
 // most once — the order the codecs write them in. The engine's rows, every
 // row-carrying message, the quorum-read merge, read repair and the CAS
 // serial read all use it, so a decode is one exact-size slice and a merge
-// is a walk over two sorted slices. Row, a map, is only what Put and CAS
-// take and what Get, GetCols and CAS return, converted once there.
+// is a walk over two sorted slices. Read and CAS hand it out as a RowView.
+// Row, a map, is only what Put and CAS take and what Get and GetCols
+// return, converted once there.
 
 // colCell is one column of a sortedRow.
 type colCell struct {
@@ -212,9 +213,17 @@ func condsMatch(conds []Cond, row sortedRow) bool {
 	return true
 }
 
-// RowView is a Watch match's read-only look at a row in the engine. It is
-// valid only during the call it is passed to.
+// RowView is a read-only look at a row's cells, with no map built. A view
+// that Read returns or a CASResult holds is the caller's own decoded copy:
+// the store never changes it, so it stays valid for as long as the caller
+// keeps it. A view a Watch match is shown is the engine's row itself, valid
+// only during that call. Neither may be written through the values it
+// returns.
 type RowView struct{ cells sortedRow }
+
+// View returns a view of r's cells, as Read would return them for a row
+// holding r.
+func (r Row) View() RowView { return RowView{sortRow(r)} }
 
 // Live returns col's value when the row holds a live (non-tombstone) cell
 // there.

@@ -405,7 +405,7 @@ func TestCASConditionFailureReturnsCurrent(t *testing.T) {
 		if res.Applied {
 			t.Fatal("CAS applied despite failing condition")
 		}
-		if got := string(res.Current["v"].Value); got != "existing" {
+		if got, _ := res.Current.Live("v"); string(got) != "existing" {
 			t.Fatalf("Current = %q, want existing", got)
 		}
 	})

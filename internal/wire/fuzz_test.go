@@ -6,17 +6,24 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/core"
+	"repro/internal/lockstore"
 	"repro/internal/paxos"
 	"repro/internal/store"
 	"repro/internal/wire"
 )
+
+// vocabulary is every name lockstore and core intern (importing them runs
+// their Intern), each seeded below as a condition on that column, so the
+// fuzzer starts from decodes that return the interned copies.
+var vocabulary = []string{lockstore.Table, "guard", "queue", "grant", core.DataTable, "value", "synch"}
 
 // corpusValues is the fuzz seed corpus: one exemplar per registered codec
 // family reachable from this package's importers — the wire basics plus
 // internal/store's public payload types (importing store also registers its
 // unexported RPC codecs, widening what the fuzzer can mutate into).
 func corpusValues() []any {
-	return []any{
+	values := []any{
 		nil,
 		"a-key",
 		[]byte{0x00, 0xff, 0x7f},
@@ -28,13 +35,19 @@ func corpusValues() []any {
 		store.Cond{Col: "absent", Want: nil},
 		paxos.Ballot{Counter: 9, Node: 2},
 	}
+	for _, name := range vocabulary {
+		values = append(values, store.Cond{Col: name, Want: []byte(name)})
+	}
+	return values
 }
 
 // FuzzUnmarshal hammers the payload decoder with arbitrary bytes: it must
 // never panic, and anything it accepts must re-encode stably — a double
 // round-trip (decode, encode, decode, encode) has to converge on identical
 // bytes, or the simulated network and the TCP transport would disagree
-// about message sizes for the same value.
+// about message sizes for the same value. And a decoded value must share no
+// bytes with its input, since transports reuse their buffers: scribbling
+// over the input leaves the value's encoding as it was.
 func FuzzUnmarshal(f *testing.F) {
 	for _, v := range corpusValues() {
 		data, err := wire.Marshal(v)
@@ -47,13 +60,20 @@ func FuzzUnmarshal(f *testing.F) {
 	f.Add([]byte{0x00})
 	f.Add([]byte{0xff, 0xff})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		v, err := wire.Unmarshal(data)
+		in := bytes.Clone(data)
+		v, err := wire.Unmarshal(in)
 		if err != nil {
 			return // rejected input; only panics are bugs here
 		}
 		enc1, err := wire.Marshal(v)
 		if err != nil {
 			t.Fatalf("decoded value %T does not re-encode: %v", v, err)
+		}
+		for i := range in {
+			in[i] = 0xFF
+		}
+		if scribbled, err := wire.Marshal(v); err != nil || !bytes.Equal(enc1, scribbled) {
+			t.Fatalf("decoded %T shares bytes with its input: re-encodes as\n%x\nafter the input was overwritten, not\n%x (err %v)", v, scribbled, enc1, err)
 		}
 		v2, err := wire.Unmarshal(enc1)
 		if err != nil {

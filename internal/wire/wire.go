@@ -449,14 +449,20 @@ func (d *Decoder) StringView() []byte {
 	return d.take(int(n))
 }
 
-// String reads a length-prefixed string.
+// String reads a length-prefixed string: the vocabulary's shared copy when
+// it is a name some package interned (see Intern), a fresh copy otherwise.
+// Either way the result shares no bytes with the decode buffer.
 func (d *Decoder) String() string {
 	n := d.Uint32()
 	if d.err != nil || n == nilLen {
 		d.fail()
 		return ""
 	}
-	return string(d.take(int(n)))
+	b := d.take(int(n))
+	if s, ok := vocab.lookup(b); ok {
+		return s
+	}
+	return string(b)
 }
 
 func init() {

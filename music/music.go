@@ -254,7 +254,6 @@ func New(opts ...Option) (*Cluster, error) {
 	net := simnet.New(rt, simnet.Config{
 		Profile:      o.profile,
 		NodesPerSite: o.nodesPerSite,
-		Seed:         o.seed,
 		Obs:          cfg.Obs,
 	})
 	if len(o.spares) > 0 {

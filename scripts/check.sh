@@ -43,8 +43,15 @@ go test -race ./internal/sim/ -run 'TestVirtualScheduleGolden|TestVirtualRunLeav
 # The simulated plane serves inline handlers in steps and holds them to
 # transport.InlineHandler's promise: one that sleeps or awaits fails Run
 # with an error naming its service, and one that panics re-raises its
-# panic from Run.
-go test -race ./internal/simnet/ -run 'TestInlineHandler' -count=3 -timeout 300s
+# panic from Run. And a request or reply a handler or caller keeps is its
+# own: message records encode into buffers they reuse, and a decode that
+# aliased one would change a kept value under the next message.
+go test -race ./internal/simnet/ -run 'TestInlineHandler|TestDecodedValuesOutliveRecords' -count=3 -timeout 300s
+# The wire's decoding vocabulary: Intern after the first decode panics, the
+# first lookups race to freeze it and decodes from many goroutines read it,
+# cleanly under -race; and no decoded value shares bytes with its input
+# (FuzzUnmarshal's seed corpus, one message per vocabulary name among them).
+go test -race ./internal/wire/ -run 'TestInternAfterDecodePanics|TestVocabularyConcurrentDecodes|FuzzUnmarshal' -count=3 -timeout 300s
 # Simnet's message records are reused while a timed-out call's reply is
 # still in flight: a record freed by its caller alone hands one caller's
 # reply to another.
@@ -103,9 +110,9 @@ MUSIC_CHAOSNET_SEEDS="1,2,3,4,5,6,7,8,9,10,11,12" \
 # inside the package test run above.
 go test ./internal/nettrans/ -run 'TestAllocCeiling' -count=1 -timeout 300s
 # Its simulated counterpart: with observability off, a Multicast round
-# allocates only its encoded bytes, its deliveries' decoded copies and the
-# result slice. A dropped task or message pool, a closure per delivery, or a
-# span name built with tracing off fails here by name.
+# allocates only its deliveries' decoded copies and the result slice. A
+# dropped task or message pool, a fresh encode buffer per message, a closure
+# per delivery, or a span name built with tracing off fails here by name.
 go test ./internal/simnet/ -run 'TestAllocCeilingMulticast' -count=1 -timeout 300s
 # Store/core allocation gates from the sharding work: shard routing is
 # alloc-free, critical ops allocate no more on an 8-shard plane than on an
