@@ -312,31 +312,15 @@ type nodeSlot struct {
 }
 
 // startNode wires one node on rt: its TCP transport, its membership (live
-// when the peer set has spares), its observability, history and monitor,
-// and the MUSIC cluster over them, which hosts this node alone. stop tears
-// it all down.
+// when the peer set has spares), its observability and history, and the
+// MUSIC cluster over them, which hosts this node alone (and, with adaptive
+// reads, builds the monitor). stop tears it all down.
 func startNode(rt *sim.Real, n nodeSlot, rf replicaFlags) (c *music.Cluster, stop func(), err error) {
 	var rec *history.Recorder
 	if rf.histOn || rf.adaptive {
 		// Adaptive reads imply -history: the monitor observes the recorded
 		// op stream, so it cannot run without a recorder.
 		rec = history.New(rt)
-	}
-	// The monitor watches this node's weak reads for staleness and flips
-	// the site back to QUORUM on its trip threshold; repairRead (assigned
-	// once the cluster exists) wires its violation hook to a quorum read
-	// that re-converges the stale replica.
-	var mon *history.Monitor
-	var repairRead func(key string)
-	if rf.adaptive {
-		mon = history.NewMonitor(history.MonitorConfig{
-			OnViolation: func(site, key string) {
-				if repairRead != nil && site == n.self.Site {
-					repairRead(key)
-				}
-			},
-		})
-		rec.Attach(mon)
 	}
 	var ob *obs.Obs
 	if rf.obsOn {
@@ -365,7 +349,6 @@ func startNode(rt *sim.Real, n nodeSlot, rf replicaFlags) (c *music.Cluster, sto
 		History:       rec,
 		Leases:        rf.leases,
 		AdaptiveReads: rf.adaptive,
-		Monitor:       mon,
 		Membership:    view,
 		Propose:       propose,
 	})
@@ -373,12 +356,6 @@ func startNode(rt *sim.Real, n nodeSlot, rf replicaFlags) (c *music.Cluster, sto
 		stopMembership()
 		tr.Close()
 		return nil, nil, err
-	}
-	if mon != nil {
-		rep := c.Replica(n.self.Site)
-		repairRead = func(key string) {
-			rt.Go(func() { _ = rep.RepairRead(key) })
-		}
 	}
 	log.Printf("node %d (site %s): transport on %s", n.self.ID, n.self.Site, tr.Addr())
 	return c, func() { c.Close(); stopMembership() }, nil

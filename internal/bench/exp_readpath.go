@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/history"
 	"repro/internal/sim"
 	"repro/internal/simnet"
 	"repro/internal/stats"
@@ -34,21 +35,22 @@ func readpathFabric() *simnet.Profile {
 // BENCH_readpath.json.
 var readpathConfigs = []struct {
 	name     string
-	opts     []music.Option
+	leases   bool
+	adaptive bool
 	mutation core.Mutation
 }{
 	// Baseline: every critical get is a quorum read (one inter-site RTT).
-	{"quorum", nil, core.MutationNone},
+	{"quorum", false, false, core.MutationNone},
 	// Holder leases: the granting site serves the section's gets locally
 	// for the lease window, under the full critical-check guard.
-	{"lease", []music.Option{music.WithHolderLeases()}, core.MutationNone},
+	{"lease", true, false, core.MutationNone},
 	// Adaptive reads on a clean history: the monitor never sees a
 	// violation, so every get stays at ONE (the local replica).
-	{"adaptive", []music.Option{music.WithAdaptiveReads()}, core.MutationNone},
+	{"adaptive", false, true, core.MutationNone},
 	// Adaptive reads against deterministic injected staleness: the monitor
 	// must trip and flip the sites back to QUORUM, after which no further
 	// violation may appear.
-	{"adaptive_stale", []music.Option{music.WithAdaptiveReads()}, core.MutationStaleReads},
+	{"adaptive_stale", false, true, core.MutationStaleReads},
 }
 
 // readpathResult is one row of the BENCH_readpath.json artifact. The *_us
@@ -69,11 +71,13 @@ type readpathResult struct {
 // it. Only the critical gets are timed — the lock plane is identical across
 // configs, and the experiment is about what a get costs once the section
 // holds the key.
-func measureReadpath(cfgName string, clusterOpts []music.Option, mutation core.Mutation, opts Options) readpathResult {
-	c, err := music.New(append([]music.Option{
-		music.WithSimnetProfile(readpathFabric()),
-		music.WithSeed(11),
-	}, clusterOpts...)...)
+func measureReadpath(cfgName string, leases, adaptive bool, mutation core.Mutation, opts Options) readpathResult {
+	rt := sim.New(11)
+	tc := music.TransportConfig{Leases: leases, AdaptiveReads: adaptive}
+	if adaptive {
+		tc.History = history.New(rt)
+	}
+	c, err := music.NewOverTransport(simnet.New(rt, simnet.Config{Profile: readpathFabric()}), tc)
 	if err != nil {
 		panic(fmt.Sprintf("bench: readpath %s: %v", cfgName, err))
 	}
@@ -187,7 +191,7 @@ func runReadpath(opts Options) []Table {
 	var results []readpathResult
 	for _, cfg := range readpathConfigs {
 		opts.logf("  readpath: %s", cfg.name)
-		r := measureReadpath(cfg.name, cfg.opts, cfg.mutation, opts)
+		r := measureReadpath(cfg.name, cfg.leases, cfg.adaptive, cfg.mutation, opts)
 		results = append(results, r)
 		t.Rows = append(t.Rows, []string{
 			r.Config,

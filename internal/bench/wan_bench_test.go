@@ -44,18 +44,19 @@ func BenchmarkWANSection(b *testing.B) {
 
 // TestAllocCeilingWANSection's bounds. The count is the allocations per
 // section measured with an interned wire vocabulary, messages encoded into
-// their records' own buffers and a map-free store read edge (317), plus 2 %
-// rounded up. The bytes are those measured then (19 983 B, Go 1.24) plus
-// 10 %, since map and slice sizes differ between Go releases. What is left
-// is the protocol's own: the decoded copies each handler keeps (keys, cell
-// values, rows, the boxed message), the rows lockstore writes and the
-// quorum result slices. With a decoded copy of every table and column name,
-// a fresh buffer per encoded message and a Row map per read, a section made
-// 522 allocations of 29 KB; with a fresh task, closure and Timer per
-// delivery, a promise per call and a mailbox per multicast, 1636 of 81 KB.
+// their records' own buffers, a map-free store read edge and the static
+// ring's replica sets built once (303), plus 2 % rounded up. The bytes are
+// those measured then (19 647 B, Go 1.24) plus 10 %, since map and slice
+// sizes differ between Go releases. What is left is the protocol's own: the
+// decoded copies each handler keeps (keys, cell values, rows, the boxed
+// message), the rows lockstore writes and the quorum result slices. With a
+// decoded copy of every table and column name, a fresh buffer per encoded
+// message and a Row map per read, a section made 522 allocations of 29 KB;
+// with a fresh task, closure and Timer per delivery, a promise per call and
+// a mailbox per multicast, 1636 of 81 KB.
 const (
-	wanSectionAllocCeiling      = 324
-	wanSectionAllocBytesCeiling = 21981
+	wanSectionAllocCeiling      = 310
+	wanSectionAllocBytesCeiling = 21612
 )
 
 // TestAllocCeilingWANSection pins the allocations and allocated bytes per

@@ -101,28 +101,6 @@ func runCampaignSeed(seed int64, shards int, mode string) Outcome {
 	// One single-node process per (site, shard); node IDs are dense in
 	// site-major order so process si*shards+sh serves site si, shard sh.
 	nProcs := len(CampaignSites) * shards
-	var clusters loopback.Clusters
-
-	// In adaptive mode one monitor spans the whole deployment, attached to
-	// the shared recorder; its repair hook routes the quorum re-read through
-	// the flagged site's owning shard process. The clusters slice is fully
-	// populated before the workload (and thus any violation) can run.
-	var mon *history.Monitor
-	if mode == "adaptive" {
-		mon = history.NewMonitor(history.MonitorConfig{
-			OnViolation: func(site, key string) {
-				for si, s := range CampaignSites {
-					if s == site {
-						rep := clusters[si*shards+store.ShardOf(key, shards)].Replica(site)
-						rt.Go(func() { _ = rep.RepairRead(key) })
-						return
-					}
-				}
-			},
-		})
-		rec.Attach(mon)
-	}
-
 	sites := make([]string, nProcs)
 	for i := range sites {
 		sites[i] = CampaignSites[i/shards]
@@ -138,7 +116,6 @@ func runCampaignSeed(seed int64, shards int, mode string) Outcome {
 		History:       rec,
 		Leases:        mode == "lease",
 		AdaptiveReads: mode == "adaptive",
-		Monitor:       mon,
 	})
 	if err != nil {
 		return Outcome{Schedule: sched, RunErr: err}

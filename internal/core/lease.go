@@ -77,8 +77,8 @@ func (r *Replica) leaseWaitMicros(startMicros int64) int64 {
 }
 
 // RepairRead re-reads key at quorum through the shard's coordinator — the
-// adaptive monitor's repair hook. The quorum read drives the store's
-// digest-mismatch full-read reconciliation, re-converging whatever lagging
+// repair music registers for the site with the adaptive monitor. The quorum
+// read drives the store's read repair, re-converging whatever lagging
 // replica served the stale weak read.
 func (r *Replica) RepairRead(key string) error {
 	_, err := r.shardFor(key).ds.Read(DataTable, key, colsValue, store.Quorum)

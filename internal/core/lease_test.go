@@ -250,12 +250,13 @@ func TestLeaseServeRechecksGuardAfterPreemption(t *testing.T) {
 	})
 }
 
-// Adaptive reads: with MutationStaleReads injected, a weak critical get
-// serves one write behind, the monitor counts the staleness violation and
-// flips the site to QUORUM, and post-flip reads are correct again.
+// Adaptive reads: with MutationStaleReads injected, every weak critical get
+// after the first serves one write behind, the monitor counts each
+// staleness violation and flips the site to QUORUM on the third, and
+// post-flip reads are correct again.
 func TestAdaptiveStaleReadFlipsMonitor(t *testing.T) {
 	var rec *history.Recorder
-	mon := history.NewMonitor(history.MonitorConfig{TripCount: 1, Window: 50})
+	mon := history.NewMonitor()
 	leaseFixture(t, func(rt *sim.Virtual) Config {
 		rec = history.New(rt)
 		rec.Attach(mon)
@@ -277,27 +278,34 @@ func TestAdaptiveStaleReadFlipsMonitor(t *testing.T) {
 		if v, err := r.CriticalGet("k", ref); err != nil || string(v) != "a" {
 			t.Fatalf("first weak get = (%q, %v), want a", v, err)
 		}
-		if err := r.CriticalPut("k", ref, []byte("b")); err != nil {
-			t.Fatalf("CriticalPut b: %v", err)
-		}
-		// Second weak read serves the remembered previous row — stale.
-		if v, err := r.CriticalGet("k", ref); err != nil || string(v) != "a" {
-			t.Fatalf("stale weak get = (%q, %v), want the injected stale a", v, err)
-		}
-		if got := mon.Violations(site); got < 1 {
-			t.Fatalf("monitor violations = %d, want >= 1", got)
+		// Each later weak read serves the remembered previous row — stale.
+		prev := "a"
+		for i, next := range []string{"b", "c", "d"} {
+			if mon.Flipped(site) {
+				t.Fatalf("monitor flipped the site after %d violations, want 3", i)
+			}
+			if err := r.CriticalPut("k", ref, []byte(next)); err != nil {
+				t.Fatalf("CriticalPut %s: %v", next, err)
+			}
+			if v, err := r.CriticalGet("k", ref); err != nil || string(v) != prev {
+				t.Fatalf("stale weak get = (%q, %v), want the injected stale %s", v, err, prev)
+			}
+			if got := mon.Violations(site); got != i+1 {
+				t.Fatalf("monitor violations = %d, want %d", got, i+1)
+			}
+			prev = next
 		}
 		if !mon.Flipped(site) {
-			t.Fatal("monitor did not flip the site at TripCount=1")
+			t.Fatal("monitor did not flip the site on its third violation")
 		}
 		// Flipped: the next read goes back over the quorum path and is fresh.
-		if v, err := r.CriticalGet("k", ref); err != nil || string(v) != "b" {
-			t.Fatalf("post-flip get = (%q, %v), want b", v, err)
+		if v, err := r.CriticalGet("k", ref); err != nil || string(v) != "d" {
+			t.Fatalf("post-flip get = (%q, %v), want d", v, err)
 		}
 		if got := mon.PostFlipViolations(site); got != 0 {
 			t.Fatalf("post-flip violations = %d, want 0", got)
 		}
-		// The repair hook's quorum read re-converges without error.
+		// The repair's quorum read re-converges without error.
 		if err := r.RepairRead("k"); err != nil {
 			t.Fatalf("RepairRead: %v", err)
 		}

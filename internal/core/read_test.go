@@ -77,7 +77,7 @@ func TestReadLadder(t *testing.T) {
 	shortLease := Config{Leases: true, LeaseTTL: time.Second, LeaseSkew: 50 * time.Millisecond}
 	var mon *history.Monitor
 	adaptive := func(rec *history.Recorder) Config {
-		mon = history.NewMonitor(history.MonitorConfig{TripCount: 1, Window: 50})
+		mon = history.NewMonitor()
 		rec.Attach(mon)
 		return Config{AdaptiveReads: true, Monitor: mon, Mutation: MutationStaleReads}
 	}
@@ -140,18 +140,23 @@ func TestReadLadder(t *testing.T) {
 				return w.rep[0]
 			}},
 		{name: "adaptive weak/tableI", read: tableI, wantNote: history.NoteWeak, want: "seed", cfg: adaptive},
-		{name: "adaptive flipped/tableI", read: tableI, wantQuorum: 1, want: "b", cfg: adaptive,
+		{name: "adaptive flipped/tableI", read: tableI, wantQuorum: 1, want: "c", cfg: adaptive,
 			setup: func(t *testing.T, w *readWorld, ref int64) *Replica {
-				// The injected staleness serves the second weak read one
-				// write behind; TripCount 1 flips the site on it.
+				// The injected staleness serves every weak read after the
+				// first one write behind; the third such violation flips
+				// the site.
 				r := w.rep[0]
-				put(t, r, ref, "a")
+				put(t, r, ref, "w0")
 				if _, err := r.CriticalGet(key, ref); err != nil {
-					t.Fatalf("weak get 1: %v", err)
+					t.Fatalf("weak get 0: %v", err)
 				}
-				put(t, r, ref, "b")
-				if v, err := r.CriticalGet(key, ref); err != nil || string(v) != "a" {
-					t.Fatalf("weak get 2 = (%q, %v), want the injected stale a", v, err)
+				prev := "w0"
+				for _, next := range []string{"a", "b", "c"} {
+					put(t, r, ref, next)
+					if v, err := r.CriticalGet(key, ref); err != nil || string(v) != prev {
+						t.Fatalf("weak get after %s = (%q, %v), want the injected stale %s", next, v, err, prev)
+					}
+					prev = next
 				}
 				if !mon.Flipped(r.site) {
 					t.Fatal("monitor did not flip")

@@ -722,12 +722,6 @@ func (kh *keyHistory) checkLease() []Violation {
 	return vs
 }
 
-// monitorRing mirrors MonitorConfig.Writes' default: the per-key ring of
-// recent writes the online monitor can attribute a stale value to. The
-// offline coverage rule only holds the monitor to staleness it could have
-// seen — a value older than the ring is beyond an online checker's model.
-const monitorRing = 8
-
 // checkAdaptive is the monitor-coverage rule: every adaptive weak read that
 // is attributably stale — by the same judgment the online monitor applies —
 // must be matched (one to one, in completion order) by a KindMonitor

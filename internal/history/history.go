@@ -221,23 +221,20 @@ type Recorder struct {
 	next uint64
 }
 
-// Attach connects an online consistency monitor: every op appended from now
-// on (except the monitor's own KindMonitor events) is fed to m.observe after
-// the recorder's lock is released.
-func (r *Recorder) Attach(m *Monitor) {
+// Attach connects an online consistency monitor, unless one is attached
+// already, and returns the one attached: every op appended from now on
+// (except the monitor's own KindMonitor events) is fed to its observe after
+// the recorder's lock is released. Deployments that share a recorder so
+// share its first monitor, however many of them attach one.
+func (r *Recorder) Attach(m *Monitor) *Monitor {
 	if r == nil || m == nil {
-		return
-	}
-	m.rec = r
-	r.mon.Store(m)
-}
-
-// Monitor returns the attached consistency monitor, or nil.
-func (r *Recorder) Monitor() *Monitor {
-	if r == nil {
 		return nil
 	}
-	return r.mon.Load()
+	m.rec = r
+	if !r.mon.CompareAndSwap(nil, m) {
+		return r.mon.Load()
+	}
+	return m
 }
 
 // New builds an enabled recorder clocked by rt.

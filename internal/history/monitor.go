@@ -27,10 +27,11 @@ import (
 // unattributable values would flip sites on every straggling write. The
 // offline ECF checker still certifies the full history after the fact.
 //
-// Once a site's violation count within its window reaches TripCount the site
-// flips to QUORUM reads. The flip is sticky: adaptive mode trades the WAN
+// Once 3 violations land within a site's last 200 weak reads the site flips
+// to QUORUM reads. The flip is sticky: adaptive mode trades the WAN
 // round-trip for monitored optimism, and once optimism is observed failing
-// the site stays at quorum for the rest of its run. Every violation and
+// the site stays at quorum for the rest of its run. Each violation also
+// runs its site's repair (RegisterRepair). Every violation and
 // every flip is recorded back into the history as a KindMonitor event, which
 // the ECF monitor-coverage rule uses to certify that no stale weak read went
 // undetected.
@@ -39,46 +40,25 @@ import (
 // a no-op (reads report weak=false so callers without a monitor never serve
 // weak reads by accident).
 type Monitor struct {
-	cfg MonitorConfig
 	rec *Recorder // set by Recorder.Attach; receives KindMonitor events
 
-	mu    sync.Mutex
-	keys  map[string]*monKeyState
-	sites map[string]*monSiteState
+	mu      sync.Mutex
+	keys    map[string]*monKeyState
+	sites   map[string]*monSiteState
+	repairs map[string]func(key string) // by site; see RegisterRepair
 }
 
-// MonitorConfig tunes the monitor's trip threshold.
-type MonitorConfig struct {
-	// TripCount is the number of in-window staleness violations that flips a
-	// site from ONE to QUORUM reads. Default 3.
-	TripCount int
-	// Window is the sliding window of weak reads (per site) the violation
-	// rate is judged over. Default 200.
-	Window int
-	// Writes is the per-key ring of recent writes a weak read may match
-	// without being called stale. Default 8.
-	Writes int
-	// OnViolation, when set, is called (outside the monitor's lock) for each
-	// detected staleness violation — the repair hook: adaptive mode wires it
-	// to an async quorum read of the key, driving read repair.
-	OnViolation func(site, key string)
-	// OnFlip, when set, is called (outside the monitor's lock) when a site
-	// flips to QUORUM.
-	OnFlip func(site string)
-}
-
-func (c MonitorConfig) withDefaults() MonitorConfig {
-	if c.TripCount <= 0 {
-		c.TripCount = 3
-	}
-	if c.Window <= 0 {
-		c.Window = 200
-	}
-	if c.Writes <= 0 {
-		c.Writes = 8
-	}
-	return c
-}
+// The monitor's model. A site flips from ONE to QUORUM reads once
+// monitorTrip staleness violations land within its last monitorWindow weak
+// reads. monitorRing is the per-key ring of recent writes a weak read may
+// match without being called stale; the offline coverage rule (ecf.go)
+// holds the monitor only to staleness within it, since a value older than
+// the ring is beyond an online checker's model.
+const (
+	monitorTrip   = 3
+	monitorWindow = 200
+	monitorRing   = 8
+)
 
 // monWrite is one tracked recent write.
 type monWrite struct {
@@ -92,7 +72,7 @@ type monWrite struct {
 // a bounded ring of recent writes.
 type monKeyState struct {
 	max    monWrite
-	writes []monWrite // ring, cfg.Writes long
+	writes []monWrite // ring, monitorRing long
 	next   int
 }
 
@@ -108,12 +88,23 @@ type monSiteState struct {
 
 // NewMonitor builds a consistency monitor. Attach it to a recorder with
 // Recorder.Attach; until then it observes nothing.
-func NewMonitor(cfg MonitorConfig) *Monitor {
+func NewMonitor() *Monitor {
 	return &Monitor{
-		cfg:   cfg.withDefaults(),
-		keys:  make(map[string]*monKeyState),
-		sites: make(map[string]*monSiteState),
+		keys:    make(map[string]*monKeyState),
+		sites:   make(map[string]*monSiteState),
+		repairs: make(map[string]func(key string)),
 	}
+}
+
+// RegisterRepair makes repair site's answer to a staleness violation: the
+// monitor calls it, outside its lock, once per violation detected at site,
+// with the stale read's key. A repair must not block — it starts an
+// asynchronous quorum read that re-converges the stale replica. A site has
+// one repair; registering another replaces it.
+func (m *Monitor) RegisterRepair(site string, repair func(key string)) {
+	m.mu.Lock()
+	m.repairs[site] = repair
+	m.mu.Unlock()
 }
 
 // Weak reports whether site may currently serve reads at ONE consistency.
@@ -221,21 +212,18 @@ func (m *Monitor) observe(op Op) {
 		}
 		m.mu.Lock()
 		stale, tripped := m.observeWeakRead(op)
-		rec := m.rec
+		rec, repair := m.rec, m.repairs[op.Site]
 		m.mu.Unlock()
-		// Events and callbacks run outside the lock: the recorder takes its
-		// own lock, and the repair hook issues store reads.
+		// Events and the repair run outside the lock: the recorder takes its
+		// own lock, and the repair issues store reads.
 		if stale {
 			rec.Event(op.Site, KindMonitor, op.Key, op.Ref, NoteStaleness)
-			if m.cfg.OnViolation != nil {
-				m.cfg.OnViolation(op.Site, op.Key)
+			if repair != nil {
+				repair(op.Key)
 			}
 		}
 		if tripped {
 			rec.Event(op.Site, KindMonitor, op.Key, 0, NoteFlip)
-			if m.cfg.OnFlip != nil {
-				m.cfg.OnFlip(op.Site)
-			}
 		}
 	}
 }
@@ -243,18 +231,18 @@ func (m *Monitor) observe(op Op) {
 func (m *Monitor) observeWrite(op Op) {
 	ks := m.keys[op.Key]
 	if ks == nil {
-		ks = &monKeyState{writes: make([]monWrite, 0, m.cfg.Writes)}
+		ks = &monKeyState{writes: make([]monWrite, 0, monitorRing)}
 		m.keys[op.Key] = ks
 	}
 	w := monWrite{ts: op.TS, value: op.Value, present: op.Present, resp: op.Resp}
 	if w.ts >= ks.max.ts {
 		ks.max = w
 	}
-	if len(ks.writes) < m.cfg.Writes {
+	if len(ks.writes) < monitorRing {
 		ks.writes = append(ks.writes, w)
 	} else {
 		ks.writes[ks.next] = w
-		ks.next = (ks.next + 1) % m.cfg.Writes
+		ks.next = (ks.next + 1) % monitorRing
 	}
 }
 
@@ -302,14 +290,14 @@ func (m *Monitor) observeWeakRead(op Op) (stale, tripped bool) {
 		s.postFlip++
 		return true, false
 	}
-	// Sliding-window rate: keep only violations within the last Window weak
-	// reads, trip when they reach TripCount.
+	// Sliding-window rate: keep only violations within the last
+	// monitorWindow weak reads, trip when they reach monitorTrip.
 	s.violSeqs = append(s.violSeqs, s.weakReads)
-	floor := s.weakReads - m.cfg.Window
+	floor := s.weakReads - monitorWindow
 	for len(s.violSeqs) > 0 && s.violSeqs[0] <= floor {
 		s.violSeqs = s.violSeqs[1:]
 	}
-	if len(s.violSeqs) >= m.cfg.TripCount {
+	if len(s.violSeqs) >= monitorTrip {
 		s.flipped = true
 		s.flipAt = op.Resp
 		s.violSeqs = nil

@@ -245,31 +245,15 @@ func (t *Transport) handleReply(body []byte) {
 	if d.Uint8() != kindReply {
 		return // protocol violation; drop
 	}
-	id := d.Uint64()
-	status := d.Uint8()
-	var resp any
-	var rerr error
-	switch status {
-	case statusOK:
-		// The payload view aliases the read buffer; Unmarshal's codecs copy
-		// whatever the decoded value keeps, so nothing outlives this call.
-		payload := d.RawBytesView()
-		if d.Err() != nil {
-			return
-		}
-		var err error
-		if resp, err = wire.Unmarshal(payload); err != nil {
-			resp, rerr = nil, fmt.Errorf("nettrans: reply decode: %w", err)
-		}
-	case statusErr:
-		rerr = &transport.RemoteError{Err: wire.DecodeError(&d)}
-	default:
-		return
-	}
-	v, ok := t.pending.LoadAndDelete(id)
+	// Claim the call before decoding anything: most stragglers of a quorum
+	// round find their caller gone, and their payload is dropped unread.
+	v, ok := t.pending.LoadAndDelete(d.Uint64())
 	if !ok {
 		return // caller gave up (timeout or early quorum); drop the late reply
 	}
+	// The entry is ours now, so a result is owed whatever the payload holds:
+	// the caller's timeout path, finding the entry gone, waits on ch for it.
+	resp, rerr := decodeReply(&d)
 	pc := v.(*pendingCall)
 	r := transport.CallResult{From: pc.to, Resp: resp, Err: rerr}
 	if pc.late != nil {
@@ -287,6 +271,29 @@ func (t *Transport) handleReply(body []byte) {
 	// Never blocks: the caller sized ch for every id it mapped to it, and
 	// removing the pending entry above made this the only send for this id.
 	ch <- r
+}
+
+// decodeReply reads a reply frame's status and what it carries: a payload,
+// or an error. A malformed frame is an error too. The payload view aliases
+// the read buffer; Unmarshal's codecs copy whatever the decoded value
+// keeps, so nothing outlives the frame.
+func decodeReply(d *wire.Decoder) (any, error) {
+	switch status := d.Uint8(); status {
+	case statusOK:
+		payload := d.RawBytesView()
+		if err := d.Err(); err != nil {
+			return nil, fmt.Errorf("nettrans: reply decode: %w", err)
+		}
+		resp, err := wire.Unmarshal(payload)
+		if err != nil {
+			return nil, fmt.Errorf("nettrans: reply decode: %w", err)
+		}
+		return resp, nil
+	case statusErr:
+		return nil, &transport.RemoteError{Err: wire.DecodeError(d)}
+	default:
+		return nil, fmt.Errorf("nettrans: reply status %d unknown", status)
+	}
 }
 
 // acceptLoop is the server side: every inbound connection gets its own

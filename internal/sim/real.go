@@ -111,8 +111,8 @@ func goroutineID() uint64 {
 }
 
 // After implements Runtime.
-func (r *Real) After(d time.Duration, fn func()) Timer {
-	return Timer{real: time.AfterFunc(d, fn)}
+func (r *Real) After(d time.Duration, fn func()) {
+	time.AfterFunc(d, fn)
 }
 
 // Rand implements Runtime. The returned source is safe for concurrent use.

@@ -58,8 +58,8 @@
 // the latest instant of every dropped wake, and the latest within the
 // deadline, and a stuck run advances to them, so it ends at the same Now
 // with the same error as if the settled wakes had stayed. A call timer is
-// no park's wake: it is never dropped. Timer.Stop removes its event too.
-// Fired and removed events are zeroed and reused.
+// no park's wake: it is never dropped. Fired and removed events are zeroed
+// and reused.
 //
 // The real runtime (NewReal) maps the same operations onto goroutines and
 // the wall clock, so protocol code written against Runtime also runs live
@@ -86,11 +86,9 @@ type Runtime interface {
 	Sleep(d time.Duration)
 	// Go spawns fn as a new task.
 	Go(fn func())
-	// After schedules fn to run as a new task after d. The returned Timer
-	// can cancel it before it fires. It is a value, so a caller that drops
-	// it — the simulated network, for every message delivery — allocates
-	// nothing for it.
-	After(d time.Duration, fn func()) Timer
+	// After schedules fn to run as a new task after d. Nothing cancels it:
+	// fn checks, when it runs, whether it still has work to do.
+	After(d time.Duration, fn func())
 	// Rand returns the runtime's deterministic random source. It must only
 	// be used from within tasks.
 	Rand() *rand.Rand
@@ -113,23 +111,3 @@ var ErrTimeout = errors.New("sim: timeout")
 // ErrDeadlock is returned by Run when no task can make progress and no
 // timers remain while the root task has not finished.
 var ErrDeadlock = errors.New("sim: deadlock: all tasks blocked with no pending timers")
-
-// Timer is a handle to a pending After callback.
-type Timer struct {
-	real *time.Timer // on Real
-	v    *Virtual    // on Virtual: the event, and its number when scheduled
-	e    *event
-	seq  uint64
-}
-
-// Stop cancels the timer. It reports whether the timer was still pending:
-// false once it has fired or been stopped. Stop on a zero Timer is a no-op.
-func (t *Timer) Stop() bool {
-	switch {
-	case t.real != nil:
-		return t.real.Stop()
-	case t.v != nil:
-		return t.v.stop(t.e, t.seq)
-	}
-	return false
-}

@@ -166,60 +166,6 @@ func TestVirtualAfterFiresInOrder(t *testing.T) {
 	}
 }
 
-func TestVirtualTimerStop(t *testing.T) {
-	v := New(1)
-	fired := false
-	err := v.Run(func() {
-		tm := v.After(10*time.Millisecond, func() { fired = true })
-		if !tm.Stop() {
-			t.Error("Stop = false, want true")
-		}
-		if tm.Stop() {
-			t.Error("second Stop = true, want false")
-		}
-		v.Sleep(50 * time.Millisecond)
-	})
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if fired {
-		t.Fatal("cancelled timer fired")
-	}
-}
-
-// A fired timer's event is reused by the next After. Stop on the old
-// handle reports false once the timer has fired, and again once its event
-// has been reused, and leaves the new timer pending.
-func TestVirtualTimerStopAfterReuse(t *testing.T) {
-	v := New(1)
-	fired := 0
-	err := v.Run(func() {
-		done := NewPromise[struct{}](v)
-		tm := v.After(time.Millisecond, func() { fired++; done.Resolve(struct{}{}) })
-		done.Await()
-		if tm.Stop() {
-			t.Error("Stop after the timer fired = true, want false")
-		}
-		again := NewPromise[struct{}](v)
-		tm2 := v.After(time.Millisecond, func() { fired++; again.Resolve(struct{}{}) })
-		if tm2.e != tm.e {
-			t.Fatal("the second After did not reuse the fired timer's event")
-		}
-		if tm.Stop() {
-			t.Error("Stop on a reused event = true, want false")
-		}
-		if _, err := again.AwaitTimeout(time.Second); err != nil {
-			t.Errorf("the second timer did not fire: %v", err)
-		}
-	})
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if fired != 2 {
-		t.Fatalf("fired = %d, want 2", fired)
-	}
-}
-
 // A finished task's struct is reused by the next spawn, while wake tokens
 // from its first life are still out: a promise and a mailbox it timed out
 // on, and a wake event carrying one of its old tokens, as a Servers
@@ -992,7 +938,7 @@ func TestRealMailboxRecvTimeout(t *testing.T) {
 	}
 }
 
-func TestRealAfterAndStop(t *testing.T) {
+func TestRealAfter(t *testing.T) {
 	r := NewReal(1)
 	fired := make(chan struct{}, 1)
 	r.After(time.Millisecond, func() { fired <- struct{}{} })
@@ -1000,16 +946,5 @@ func TestRealAfterAndStop(t *testing.T) {
 	case <-fired:
 	case <-time.After(time.Second):
 		t.Fatal("After never fired")
-	}
-	tm2 := r.After(time.Hour, func() { t.Error("should not fire") })
-	if !tm2.Stop() {
-		t.Fatal("Stop = false on pending timer")
-	}
-}
-
-func TestTimerStopNil(t *testing.T) {
-	var tm Timer
-	if tm.Stop() {
-		t.Fatal("zero Timer Stop = true")
 	}
 }

@@ -242,22 +242,9 @@ func (v *Virtual) Sleep(d time.Duration) {
 }
 
 // After implements Runtime.
-func (v *Virtual) After(d time.Duration, fn func()) Timer {
+func (v *Virtual) After(d time.Duration, fn func()) {
 	e := v.schedule(v.now + d)
 	e.fn = fn
-	return Timer{v: v, e: e, seq: e.seq}
-}
-
-// stop removes e from the heap if it is still the pending timer numbered
-// seq, and reports whether it was: an event that has fired, or has been
-// reused since, carries another number.
-func (v *Virtual) stop(e *event, seq uint64) bool {
-	if e.seq != seq {
-		return false
-	}
-	v.timers.remove(e)
-	v.release(e)
-	return true
 }
 
 // Rand implements Runtime.

@@ -1,6 +1,7 @@
 package simnet
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -45,6 +46,18 @@ var (
 	_ transport.InlineHandler = (*Network)(nil)
 )
 
+// The testbed every simulated node models: the paper's servers have eight
+// cores and a 1 Gbit/s NIC. Each message's one-way latency gains uniform
+// jitter of up to jitterFrac of the link's, and its size a fixed wire
+// overhead; a Call with no timeout of its own waits rpcTimeout.
+const (
+	cpuWorkers   = 8
+	nicBandwidth = 125e6 // bytes/s
+	jitterFrac   = 0.02
+	msgOverhead  = 256 // bytes
+	rpcTimeout   = 4 * time.Second
+)
+
 // Config describes the cluster to build.
 type Config struct {
 	// Profile supplies the inter-site latency matrix. Required.
@@ -52,21 +65,6 @@ type Config struct {
 	// NodesPerSite is the number of nodes placed in each profile site.
 	// Defaults to 1.
 	NodesPerSite int
-	// Workers is the per-node CPU worker count. Defaults to 8 (the paper's
-	// testbed has eight cores per server).
-	Workers int
-	// Bandwidth is the per-node NIC egress rate in bytes/second. Defaults
-	// to 125 MB/s (1 Gbit/s). Zero keeps the default; negative disables
-	// bandwidth modeling.
-	Bandwidth float64
-	// JitterFrac adds uniform jitter of up to this fraction of the one-way
-	// latency to each message. Defaults to 0.02.
-	JitterFrac float64
-	// MsgOverhead is the fixed per-message wire overhead in bytes added to
-	// each message's payload size. Defaults to 256.
-	MsgOverhead int
-	// RPCTimeout is the default Call timeout. Defaults to 4s.
-	RPCTimeout time.Duration
 	// Seed is read by nothing: jitter and loss draw from the virtual
 	// runtime's own RNG, which sim.New seeds.
 	//
@@ -80,35 +78,25 @@ type Config struct {
 	Obs *obs.Obs
 }
 
-func (c Config) withDefaults() Config {
-	if c.NodesPerSite == 0 {
-		c.NodesPerSite = 1
-	}
-	if c.Workers == 0 {
-		c.Workers = 8
-	}
-	if c.Bandwidth == 0 {
-		c.Bandwidth = 125e6
-	}
-	if c.JitterFrac == 0 {
-		c.JitterFrac = 0.02
-	}
-	if c.MsgOverhead == 0 {
-		c.MsgOverhead = 256
-	}
-	if c.RPCTimeout == 0 {
-		c.RPCTimeout = 4 * time.Second
-	}
-	return c
+// model is the testbed a network simulates. New always builds on testbed;
+// only this package's tests build on another, to switch a model off (a
+// bandwidth or jitter of 0 models none) or to starve a node's CPU.
+type model struct {
+	workers    int
+	bandwidth  float64
+	jitterFrac float64
 }
+
+var testbed = model{workers: cpuWorkers, bandwidth: nicBandwidth, jitterFrac: jitterFrac}
 
 // Network is the simulated multi-site cluster, in virtual time. All methods
 // are safe to call from any task: the runtime runs one at a time, so the
 // network's state needs no lock.
 type Network struct {
-	rt  *sim.Virtual
-	cfg Config
-	obs *obs.Obs
+	rt      *sim.Virtual
+	profile *Profile
+	model   model
+	obs     *obs.Obs
 
 	nodes []*Node
 
@@ -127,14 +115,19 @@ type Network struct {
 // New builds a network of len(profile.Sites()) × NodesPerSite nodes over
 // the virtual runtime v. The simulated plane runs in virtual time only: a
 // live deployment runs internal/nettrans on the wall clock.
-func New(v *sim.Virtual, cfg Config) *Network {
-	cfg = cfg.withDefaults()
+func New(v *sim.Virtual, cfg Config) *Network { return newNetwork(v, cfg, testbed) }
+
+func newNetwork(v *sim.Virtual, cfg Config, m model) *Network {
 	if cfg.Profile == nil {
 		panic("simnet: Config.Profile is required")
 	}
+	if cfg.NodesPerSite == 0 {
+		cfg.NodesPerSite = 1
+	}
 	n := &Network{
 		rt:      v,
-		cfg:     cfg,
+		profile: cfg.Profile,
+		model:   m,
 		obs:     cfg.Obs,
 		blocked: make(map[[2]NodeID]bool),
 	}
@@ -147,7 +140,7 @@ func New(v *sim.Virtual, cfg Config) *Network {
 				site:     site,
 				up:       true,
 				handlers: make(map[string]handlerSpec),
-				cpu:      sim.NewServers(v, cfg.Workers),
+				cpu:      sim.NewServers(v, m.workers),
 			}
 			n.nodes = append(n.nodes, node)
 			id++
@@ -170,9 +163,6 @@ func (n *Network) Obs() *obs.Obs { return n.obs }
 // Tracer returns the network's tracer (nil when observability is disabled).
 func (n *Network) Tracer() *obs.Tracer { return n.obs.Tracer() }
 
-// Config returns the effective (defaulted) configuration.
-func (n *Network) Config() Config { return n.cfg }
-
 // Nodes returns all node IDs.
 func (n *Network) Nodes() []NodeID {
 	ids := make([]NodeID, len(n.nodes))
@@ -191,10 +181,10 @@ func (n *Network) Node(id NodeID) *Node {
 func (n *Network) SiteOf(id NodeID) string { return n.nodes[id].site }
 
 // RTT returns the modeled round-trip time between two sites.
-func (n *Network) RTT(a, b string) time.Duration { return n.cfg.Profile.RTT(a, b) }
+func (n *Network) RTT(a, b string) time.Duration { return n.profile.RTT(a, b) }
 
 // RPCTimeout returns the default Call timeout.
-func (n *Network) RPCTimeout() time.Duration { return n.cfg.RPCTimeout }
+func (n *Network) RPCTimeout() time.Duration { return rpcTimeout }
 
 // Handle registers h for service svc on node with zero modeled CPU cost.
 func (n *Network) Handle(node NodeID, svc string, h Handler) {
@@ -245,7 +235,7 @@ func (n *Network) Close() {}
 // Call sends req from -> to for service svc and waits for the reply using
 // the default RPC timeout.
 func (n *Network) Call(from, to NodeID, svc string, req any) (any, error) {
-	return n.CallTimeout(from, to, svc, req, n.cfg.RPCTimeout)
+	return n.CallTimeout(from, to, svc, req, rpcTimeout)
 }
 
 // CallTimeout is Call with an explicit timeout. A transport failure
@@ -367,7 +357,7 @@ func (n *Network) sendReply(m *message, resp any, err error) {
 	}
 	src, dst := n.nodes[m.to], n.nodes[m.from]
 	sent := n.rt.Now()
-	size := n.cfg.MsgOverhead
+	size := msgOverhead
 	if err == nil {
 		var encoded []byte
 		encoded, size = n.encode("reply", resp)
@@ -388,21 +378,21 @@ func (n *Network) sendReply(m *message, resp any, err error) {
 }
 
 // encode marshals msg through its registered wire codec, returning the
-// encoded bytes and the modeled wire size (MsgOverhead plus the exact
+// encoded bytes and the modeled wire size (msgOverhead plus the exact
 // encoded length). The bytes are the network's scratch encoder's, valid
 // until the next encode: the caller copies them into the records that carry
 // them. Types without a codec — the in-process protocol baselines — fall
 // back to their Sizer estimate and no bytes.
 func (n *Network) encode(svc string, msg any) (data []byte, size int) {
-	if wire.Registered(msg) {
-		n.enc.Truncate(0)
-		if err := wire.MarshalTo(&n.enc, msg); err != nil {
-			panic(fmt.Sprintf("simnet: marshal %q payload %T: %v", svc, msg, err))
-		}
+	n.enc.Truncate(0)
+	switch err := wire.MarshalTo(&n.enc, msg); {
+	case err == nil:
 		data = n.enc.Bytes()
-		return data, n.cfg.MsgOverhead + len(data)
+		return data, msgOverhead + len(data)
+	case !errors.Is(err, wire.ErrUnregistered):
+		panic(fmt.Sprintf("simnet: marshal %q payload %T: %v", svc, msg, err))
 	}
-	size = n.cfg.MsgOverhead
+	size = msgOverhead
 	if s, ok := msg.(Sizer); ok {
 		size += s.WireSize()
 	}
@@ -445,12 +435,12 @@ func (n *Network) transit(src, dst *Node, size int) (nic, flight time.Duration, 
 		return 0, 0, false
 	}
 
-	prop := n.cfg.Profile.OneWay(src.site, dst.site)
+	prop := n.profile.OneWay(src.site, dst.site)
 	jitter := time.Duration(0)
-	if n.cfg.JitterFrac > 0 {
-		jitter = time.Duration(n.rt.Rand().Float64() * n.cfg.JitterFrac * float64(prop))
+	if n.model.jitterFrac > 0 {
+		jitter = time.Duration(n.rt.Rand().Float64() * n.model.jitterFrac * float64(prop))
 	}
-	return src.chargeNIC(n.rt.Now(), size, n.cfg.Bandwidth), prop + jitter, true
+	return src.chargeNIC(n.rt.Now(), size, n.model.bandwidth), prop + jitter, true
 }
 
 func pairKey(a, b NodeID) [2]NodeID {

@@ -7,9 +7,8 @@ import (
 )
 
 // Node is one machine in the network: a service registry, a CPU of
-// Config.Workers servers bounding how much work it can process per unit
-// time, and a NIC whose egress serializes outbound bytes at the configured
-// bandwidth.
+// cpuWorkers servers bounding how much work it can process per unit time,
+// and a NIC whose egress serializes outbound bytes at nicBandwidth.
 type Node struct {
 	net  *Network
 	id   NodeID

@@ -20,11 +20,24 @@ func (m echoMsg) WireSize() int { return m.Size }
 // buildNet creates a 3-site network on a fresh virtual runtime.
 func buildNet(t *testing.T, cfg Config) (*sim.Virtual, *Network) {
 	t.Helper()
+	return buildModel(t, cfg, testbed)
+}
+
+// Test models: the testbed without jitter, so a latency is exact, and
+// without bandwidth either, so it is the profile's RTT alone.
+var (
+	noJitter = model{workers: cpuWorkers, bandwidth: nicBandwidth}
+	rttOnly  = model{workers: cpuWorkers}
+)
+
+// buildModel is buildNet on a model other than the testbed.
+func buildModel(t *testing.T, cfg Config, m model) (*sim.Virtual, *Network) {
+	t.Helper()
 	rt := sim.New(1)
 	if cfg.Profile == nil {
 		cfg.Profile = ProfileIUs
 	}
-	return rt, New(rt, cfg)
+	return rt, newNetwork(rt, cfg, m)
 }
 
 func registerEcho(n *Network) {
@@ -69,7 +82,7 @@ func TestProfileUnknownPairPanics(t *testing.T) {
 }
 
 func TestCallRoundTripLatency(t *testing.T) {
-	rt, n := buildNet(t, Config{JitterFrac: -1, Bandwidth: -1})
+	rt, n := buildModel(t, Config{}, rttOnly)
 	registerEcho(n)
 	err := rt.Run(func() {
 		start := rt.Now()
@@ -92,7 +105,7 @@ func TestCallRoundTripLatency(t *testing.T) {
 }
 
 func TestCallSelfIsFast(t *testing.T) {
-	rt, n := buildNet(t, Config{JitterFrac: -1})
+	rt, n := buildModel(t, Config{}, noJitter)
 	registerEcho(n)
 	err := rt.Run(func() {
 		start := rt.Now()
@@ -243,7 +256,7 @@ func TestLossRateDropsEverything(t *testing.T) {
 
 func TestBandwidthSerializationDelay(t *testing.T) {
 	// 1 MB at 1 MB/s should add about a second each way.
-	rt, n := buildNet(t, Config{Bandwidth: 1e6, JitterFrac: -1})
+	rt, n := buildModel(t, Config{}, model{workers: cpuWorkers, bandwidth: 1e6})
 	registerEcho(n)
 	err := rt.Run(func() {
 		start := rt.Now()
@@ -263,7 +276,7 @@ func TestBandwidthSerializationDelay(t *testing.T) {
 
 func TestNICQueueingSharedAcrossMessages(t *testing.T) {
 	// Two large sends from the same node must serialize on its NIC.
-	rt, n := buildNet(t, Config{Bandwidth: 1e6, JitterFrac: -1})
+	rt, n := buildModel(t, Config{}, model{workers: cpuWorkers, bandwidth: 1e6})
 	registerEcho(n)
 	err := rt.Run(func() {
 		done := sim.NewMailbox[time.Duration](rt)
@@ -298,7 +311,7 @@ func TestNICQueueingSharedAcrossMessages(t *testing.T) {
 func TestExecutorBoundsThroughput(t *testing.T) {
 	// One worker, 10ms per op: 100 requests take about a second on the
 	// destination regardless of client concurrency.
-	rt, n := buildNet(t, Config{Workers: 1, JitterFrac: -1, Profile: ProfileLocal})
+	rt, n := buildModel(t, Config{Profile: ProfileLocal}, model{workers: 1, bandwidth: nicBandwidth})
 	n.Node(1).HandleWithCost("work", func(from NodeID, req any) (any, error) {
 		return nil, nil
 	}, 10*time.Millisecond, 0)
@@ -327,7 +340,7 @@ func TestExecutorBoundsThroughput(t *testing.T) {
 }
 
 func TestExecutorParallelWorkers(t *testing.T) {
-	rt, n := buildNet(t, Config{Workers: 8, JitterFrac: -1, Profile: ProfileLocal})
+	rt, n := buildModel(t, Config{Profile: ProfileLocal}, noJitter)
 	n.Node(1).HandleWithCost("work", func(from NodeID, req any) (any, error) {
 		return nil, nil
 	}, 10*time.Millisecond, 0)
@@ -357,7 +370,7 @@ func TestExecutorParallelWorkers(t *testing.T) {
 }
 
 func TestMulticastQuorum(t *testing.T) {
-	rt, n := buildNet(t, Config{JitterFrac: -1})
+	rt, n := buildModel(t, Config{}, noJitter)
 	registerEcho(n)
 	err := rt.Run(func() {
 		start := rt.Now()
@@ -456,7 +469,7 @@ func TestSendOneWay(t *testing.T) {
 func TestRecordReuseAfterTimeout(t *testing.T) {
 	t.Run("handle", func(t *testing.T) {
 		rt := sim.New(1)
-		n := New(rt, Config{Profile: ProfileLocal, JitterFrac: -1})
+		n := newNetwork(rt, Config{Profile: ProfileLocal}, noJitter)
 		for _, id := range n.Nodes() {
 			n.Node(id).Handle("echo", func(from NodeID, req any) (any, error) {
 				if req.(int64)%3 == 0 {
@@ -469,7 +482,7 @@ func TestRecordReuseAfterTimeout(t *testing.T) {
 	})
 	t.Run("inline", func(t *testing.T) {
 		rt := sim.New(1)
-		n := New(rt, Config{Profile: ProfileLocal, JitterFrac: -1, Workers: 2})
+		n := newNetwork(rt, Config{Profile: ProfileLocal}, model{workers: 2, bandwidth: nicBandwidth})
 		for _, id := range n.Nodes() {
 			n.HandleInline(id, "echo", func(from NodeID, req any) (any, error) {
 				return req, nil

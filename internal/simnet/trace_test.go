@@ -92,7 +92,7 @@ func TestTracedCallSpanTree(t *testing.T) {
 func TestTracedCallToCrashedNodeFailsSpan(t *testing.T) {
 	rt := sim.New(1)
 	o := obs.New(rt, obs.Options{})
-	n := New(rt, Config{Profile: ProfileIUs, RPCTimeout: 500 * time.Millisecond, Obs: o})
+	n := New(rt, Config{Profile: ProfileIUs, Obs: o})
 	registerEcho(n)
 
 	var root *obs.Span
@@ -104,8 +104,8 @@ func TestTracedCallToCrashedNodeFailsSpan(t *testing.T) {
 		if !errors.Is(callErr, ErrTimeout) {
 			t.Errorf("Call to crashed node: err = %v, want timeout", callErr)
 		}
-		if rt.Now()-start != 500*time.Millisecond {
-			t.Errorf("call terminated after %v, want exactly the 500ms timeout", rt.Now()-start)
+		if rt.Now()-start != rpcTimeout {
+			t.Errorf("call terminated after %v, want exactly the %v timeout", rt.Now()-start, rpcTimeout)
 		}
 		root.End()
 	})
@@ -133,7 +133,7 @@ func TestTracedCallToCrashedNodeFailsSpan(t *testing.T) {
 func TestTracedCallCrashAfterDelivery(t *testing.T) {
 	rt := sim.New(1)
 	o := obs.New(rt, obs.Options{})
-	n := New(rt, Config{Profile: ProfileIUs, RPCTimeout: 500 * time.Millisecond, Obs: o})
+	n := New(rt, Config{Profile: ProfileIUs, Obs: o})
 	// Handler crashes its own node, so the reply leg must be dropped.
 	n.Node(1).Handle("boom", func(from NodeID, req any) (any, error) {
 		n.Crash(1)

@@ -67,7 +67,7 @@ func TestRegisteredPayloadIsCopied(t *testing.T) {
 // charges the exact encoded byte count for codec-backed payloads rather than
 // a Sizer guess: a 1 MiB body at 1 MB/s costs about a second each way.
 func TestRegisteredPayloadChargedExactSize(t *testing.T) {
-	rt, n := buildNet(t, Config{Bandwidth: 1e6, JitterFrac: -1})
+	rt, n := buildModel(t, Config{}, model{workers: cpuWorkers, bandwidth: 1e6})
 	n.Node(1).Handle("sink", func(from NodeID, req any) (any, error) {
 		return nil, nil
 	})
@@ -84,7 +84,7 @@ func TestRegisteredPayloadChargedExactSize(t *testing.T) {
 		}
 		elapsed := rt.Now() - start
 		// Request pays ~1.05s of serialization; the nil reply is cheap.
-		want := time.Duration(float64(size+n.Config().MsgOverhead) / 1e6 * float64(time.Second))
+		want := time.Duration(float64(size+msgOverhead) / 1e6 * float64(time.Second))
 		if elapsed < want || elapsed > want+200*time.Millisecond {
 			t.Errorf("1MiB codec payload at 1MB/s took %v, want ≥%v", elapsed, want)
 		}
@@ -99,7 +99,7 @@ func TestRegisteredPayloadChargedExactSize(t *testing.T) {
 // cleanly afterwards: the virtual run ends with every task complete (a
 // leaked task blocked on a mailbox would deadlock the runtime).
 func TestMulticastDrainsStragglers(t *testing.T) {
-	rt, n := buildNet(t, Config{JitterFrac: -1, Bandwidth: -1})
+	rt, n := buildModel(t, Config{}, rttOnly)
 	served := 0
 	for _, id := range n.Nodes() {
 		n.Node(id).Handle("echo", func(from NodeID, req any) (any, error) {
@@ -179,7 +179,7 @@ func TestSendUnderPartition(t *testing.T) {
 // in flight; delivery is suppressed at arrival, and a message sent after
 // restart is delivered.
 func TestSendCrashMidFlight(t *testing.T) {
-	rt, n := buildNet(t, Config{JitterFrac: -1, Bandwidth: -1})
+	rt, n := buildModel(t, Config{}, rttOnly)
 	got := 0
 	n.Node(1).Handle("cast", func(from NodeID, req any) (any, error) {
 		got++

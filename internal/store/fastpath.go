@@ -34,9 +34,12 @@ func (cl *Client) byDistance(targets []transport.NodeID) {
 // getOne serves a ONE-consistency read from the nearest live replica,
 // falling outward through the remaining replicas rather than failing while
 // RF-1 of them still hold the key.
-func (cl *Client) getOne(req readReq, targets []transport.NodeID) (sortedRow, error) {
+func (cl *Client) getOne(req readReq, replicas []transport.NodeID) (sortedRow, error) {
 	cfg := cl.c.cfg
 	var lastErr error
+	// The ring's replica sets are shared: sort a copy of this one.
+	var buf [8]transport.NodeID
+	targets := append(buf[:0], replicas...)
 	cl.byDistance(targets)
 	for i, to := range targets {
 		resp, err := cl.c.net.CallTimeout(cl.node, to, svcRead, req, cfg.Timeout)

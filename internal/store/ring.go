@@ -51,6 +51,7 @@ type RingNode = placement.Node
 // bounded key movement on join/retire. See package placement.
 type ring struct {
 	walk   []transport.NodeID
+	sets   [][]transport.NodeID // static: the replica set starting at each walk position
 	cons   *placement.Ring
 	rf     int
 	nsites int
@@ -94,6 +95,18 @@ func buildRing(tr transport.Transport, nodes []transport.NodeID, rf int) ring {
 		rf = len(r.walk)
 	}
 	r.rf = rf
+	// A key's replicas are the rf walk entries from its start position, so
+	// the ring has only len(walk) replica sets: build each once, over one
+	// backing array, and hand them out read-only.
+	all := make([]transport.NodeID, 0, len(r.walk)*rf)
+	r.sets = make([][]transport.NodeID, len(r.walk))
+	for pos := range r.walk {
+		start := len(all)
+		for i := 0; i < rf; i++ {
+			all = append(all, r.walk[(pos+i)%len(r.walk)])
+		}
+		r.sets[pos] = all[start:len(all):len(all)]
+	}
 	return r
 }
 
@@ -113,11 +126,17 @@ func buildRingMembers(members []RingNode, rf int) ring {
 	return r
 }
 
-// replicasFor returns the RF nodes responsible for key.
+// replicasFor returns the RF nodes responsible for key. On the static ring
+// the slice is shared by every key that starts at the same walk position:
+// callers must not modify it. The consistent-hash ring builds a fresh one.
 func (r ring) replicasFor(key string) []transport.NodeID {
-	out := make([]transport.NodeID, 0, r.rf)
-	r.replicasInto(key, &out)
-	return out
+	if r.cons != nil {
+		return r.cons.ReplicasFor(key)
+	}
+	if len(r.walk) == 0 || r.rf == 0 {
+		return nil
+	}
+	return r.sets[fnv64a(key)%uint64(len(r.walk))]
 }
 
 // replicasInto appends key's replicas to *out (reusable buffer form).
@@ -126,13 +145,7 @@ func (r ring) replicasInto(key string, out *[]transport.NodeID) {
 		r.cons.ReplicasInto(key, out)
 		return
 	}
-	if len(r.walk) == 0 || r.rf == 0 {
-		return
-	}
-	pos := int(fnv64a(key) % uint64(len(r.walk)))
-	for i := 0; i < r.rf; i++ {
-		*out = append(*out, r.walk[(pos+i)%len(r.walk)])
-	}
+	*out = append(*out, r.replicasFor(key)...)
 }
 
 // placesSite reports whether any replica of key lives in site.
@@ -140,10 +153,7 @@ func (r ring) placesSite(key, site string) bool {
 	if r.cons != nil {
 		return r.cons.PlacesSite(key, site)
 	}
-	var buf [8]transport.NodeID
-	out := buf[:0]
-	r.replicasInto(key, &out)
-	for _, id := range out {
+	for _, id := range r.replicasFor(key) {
 		if r.sites[id] == site {
 			return true
 		}

@@ -300,7 +300,7 @@ func (c *Cluster) ReplicasForAt(key string, epoch int64) ([]transport.NodeID, bo
 	if !ok {
 		return nil, false
 	}
-	return r.replicasFor(key), true
+	return append([]transport.NodeID(nil), r.replicasFor(key)...), true
 }
 
 // SitePlaced reports whether the current epoch places a replica of key in
@@ -344,9 +344,9 @@ func (c *Cluster) Nodes() []transport.NodeID { return append([]transport.NodeID(
 func (c *Cluster) RF() int { return c.ringNow().rf }
 
 // ReplicasFor returns the nodes holding key (exposed for tests and for the
-// lock store's local peek).
+// lock store's local peek), in a slice of the caller's own.
 func (c *Cluster) ReplicasFor(key string) []transport.NodeID {
-	return c.ringNow().replicasFor(key)
+	return append([]transport.NodeID(nil), c.ringNow().replicasFor(key)...)
 }
 
 // NowMicros returns the cluster clock in microseconds, used to timestamp

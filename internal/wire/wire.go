@@ -21,8 +21,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"reflect"
-	"sort"
 	"sync"
 )
 
@@ -46,76 +44,6 @@ const (
 // ErrUnregistered is returned by Marshal for a value whose dynamic type has
 // no registered codec.
 var ErrUnregistered = errors.New("wire: unregistered message type")
-
-type codec struct {
-	id   uint16
-	name string
-	enc  func(*Encoder, any)
-	dec  func(*Decoder) any
-}
-
-var (
-	regMu  sync.RWMutex
-	byID   = make(map[uint16]*codec)
-	byType = make(map[reflect.Type]*codec)
-)
-
-// Register installs the codec for message type T under the given id. It
-// panics on a duplicate id or type — codecs are wired up in package init
-// functions, so a collision is a programming error.
-func Register[T any](id uint16, name string, enc func(*Encoder, T), dec func(*Decoder) T) {
-	var zero T
-	rt := reflect.TypeOf(zero)
-	if rt == nil {
-		panic("wire: cannot register interface type")
-	}
-	c := &codec{
-		id:   id,
-		name: name,
-		enc:  func(e *Encoder, v any) { enc(e, v.(T)) },
-		dec:  func(d *Decoder) any { return dec(d) },
-	}
-	regMu.Lock()
-	defer regMu.Unlock()
-	if id == idNil {
-		panic("wire: type id 0 is reserved for nil")
-	}
-	if prev, ok := byID[id]; ok {
-		panic(fmt.Sprintf("wire: type id %d already registered to %s", id, prev.name))
-	}
-	if prev, ok := byType[rt]; ok {
-		panic(fmt.Sprintf("wire: type %v already registered as %s", rt, prev.name))
-	}
-	byID[id] = c
-	byType[rt] = c
-}
-
-func lookupType(msg any) (*codec, bool) {
-	if msg == nil {
-		return nil, false
-	}
-	regMu.RLock()
-	defer regMu.RUnlock()
-	c, ok := byType[reflect.TypeOf(msg)]
-	return c, ok
-}
-
-func lookupID(id uint16) (*codec, bool) {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	c, ok := byID[id]
-	return c, ok
-}
-
-// Registered reports whether msg's dynamic type has a codec (nil counts:
-// the nil payload always encodes).
-func Registered(msg any) bool {
-	if msg == nil {
-		return true
-	}
-	_, ok := lookupType(msg)
-	return ok
-}
 
 // Marshal encodes msg as [u16 type id][body]. A nil msg encodes to the
 // 2-byte nil payload. It encodes into a pooled Encoder and copies the
@@ -159,7 +87,7 @@ func unmarshal(d *Decoder) (any, error) {
 		}
 		return nil, nil
 	}
-	c, ok := lookupID(id)
+	c, ok := reg.lookupID(id)
 	if !ok {
 		return nil, fmt.Errorf("wire: unknown type id %d", id)
 	}
@@ -181,7 +109,7 @@ func MarshalTo(e *Encoder, msg any) error {
 		e.Uint16(idNil)
 		return nil
 	}
-	c, ok := lookupType(msg)
+	c, ok := reg.lookupType(msg)
 	if !ok {
 		return fmt.Errorf("%w: %T", ErrUnregistered, msg)
 	}
@@ -196,7 +124,7 @@ func Size(msg any) (int, bool) {
 	if msg == nil {
 		return 2, true
 	}
-	c, ok := lookupType(msg)
+	c, ok := reg.lookupType(msg)
 	if !ok {
 		return 0, false
 	}
@@ -204,17 +132,6 @@ func Size(msg any) (int, bool) {
 	e.Uint16(c.id)
 	c.enc(&e, msg)
 	return len(e.buf), true
-}
-
-// TypeNames lists registered codec names by id (diagnostics and audits).
-func TypeNames() map[uint16]string {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	out := make(map[uint16]string, len(byID))
-	for id, c := range byID {
-		out[id] = c.name
-	}
-	return out
 }
 
 // Encoder appends big-endian primitives to a growing buffer.
@@ -459,7 +376,7 @@ func (d *Decoder) String() string {
 		return ""
 	}
 	b := d.take(int(n))
-	if s, ok := vocab.lookup(b); ok {
+	if s, ok := reg.lookupString(b); ok {
 		return s
 	}
 	return string(b)
@@ -477,48 +394,10 @@ func init() {
 		func(d *Decoder) int64 { return d.Int64() })
 }
 
-// Error codes registered for cross-process error taxonomy (see errors.go).
-var (
-	errMu        sync.RWMutex
-	errSentinels []errSentinel
-	errByCode    = make(map[uint16]error)
-)
-
-type errSentinel struct {
-	code uint16
-	err  error
-}
-
-// RegisterError associates a sentinel error with a stable code so that
-// errors.Is keeps working across a process boundary. Like Register, meant
-// for package init; duplicate codes panic.
-func RegisterError(code uint16, sentinel error) {
-	if code == 0 {
-		panic("wire: error code 0 is reserved for plain errors")
-	}
-	errMu.Lock()
-	defer errMu.Unlock()
-	if prev, ok := errByCode[code]; ok {
-		panic(fmt.Sprintf("wire: error code %d already registered to %q", code, prev))
-	}
-	errByCode[code] = sentinel
-	errSentinels = append(errSentinels, errSentinel{code, sentinel})
-	sort.Slice(errSentinels, func(i, j int) bool { return errSentinels[i].code < errSentinels[j].code })
-}
-
 // EncodeError appends err as [u16 code][string message]; code 0 carries
 // errors with no registered sentinel in their chain.
 func EncodeError(e *Encoder, err error) {
-	var code uint16
-	errMu.RLock()
-	for _, s := range errSentinels {
-		if errors.Is(err, s.err) {
-			code = s.code
-			break
-		}
-	}
-	errMu.RUnlock()
-	e.Uint16(code)
+	e.Uint16(reg.errorCode(err))
 	e.String(err.Error())
 }
 
@@ -533,10 +412,9 @@ func DecodeError(d *Decoder) error {
 	if code == 0 {
 		return errors.New(msg)
 	}
-	errMu.RLock()
-	sentinel, ok := errByCode[code]
-	errMu.RUnlock()
-	if !ok {
+	sentinel := reg.sentinel(code)
+
+	if sentinel == nil {
 		return errors.New(msg)
 	}
 	if msg == sentinel.Error() {

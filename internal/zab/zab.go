@@ -134,7 +134,7 @@ func New(net *simnet.Network, cfg Config) (*Cluster, error) {
 		cfg.Nodes = net.Nodes()
 	}
 	if cfg.Timeout == 0 {
-		cfg.Timeout = net.Config().RPCTimeout
+		cfg.Timeout = net.RPCTimeout()
 	}
 	d := defaultCosts()
 	if cfg.Costs.LeaderPropose == 0 {

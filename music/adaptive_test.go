@@ -3,9 +3,13 @@ package music
 import (
 	"fmt"
 	"testing"
+	"time"
 
 	"repro/internal/core"
+	"repro/internal/history"
 	"repro/internal/obs"
+	"repro/internal/sim"
+	"repro/internal/simnet"
 )
 
 // TestSiteLeaseServesPlainGets: under WithHolderLeases a certified grant
@@ -166,5 +170,90 @@ func TestAdaptiveCleanStaysWeak(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
+	}
+}
+
+// TestClustersShareOneMonitor: clusters built over one network with one
+// recorder end up with one staleness monitor, each registering the repair
+// of the sites it hosts, and a stale weak read at a site starts exactly one
+// quorum repair read of its key.
+func TestClustersShareOneMonitor(t *testing.T) {
+	rt := sim.New(1)
+	net := simnet.New(rt, simnet.Config{Profile: simnet.ProfileIUs})
+	rec := history.New(rt)
+	nodes := net.Nodes()
+	a, err := NewOverTransport(net, TransportConfig{LocalNodes: nodes[:1], History: rec, AdaptiveReads: true})
+	if err != nil {
+		t.Fatalf("NewOverTransport a: %v", err)
+	}
+	b, err := NewOverTransport(net, TransportConfig{LocalNodes: nodes[1:], History: rec, AdaptiveReads: true})
+	if err != nil {
+		t.Fatalf("NewOverTransport b: %v", err)
+	}
+	mon := a.Monitor()
+	if mon == nil || b.Monitor() != mon {
+		t.Fatalf("monitors: a %p, b %p; want one", mon, b.Monitor())
+	}
+	site := net.SiteOf(nodes[0])
+	a.Replica(site).SetMutation(core.MutationStaleReads)
+	// Weak reads go unrecorded, so the quorum reads of the data row are the
+	// grant's seed and the repairs.
+	quorumReads := func() int {
+		n := 0
+		for _, op := range rec.Ops() {
+			if op.Kind == history.KindStoreGet && op.Key == core.DataTable+"/k" && op.Site == site {
+				n++
+			}
+		}
+		return n
+	}
+	err = a.Run(func() {
+		cl := a.Client(site)
+		ref, err := cl.CreateLockRef("k")
+		if err != nil {
+			t.Fatalf("CreateLockRef: %v", err)
+		}
+		if err := cl.AwaitLock("k", ref, time.Minute); err != nil {
+			t.Fatalf("AwaitLock: %v", err)
+		}
+		for _, v := range []string{"a", "b"} {
+			if err := cl.CriticalPut("k", ref, []byte(v)); err != nil {
+				t.Fatalf("CriticalPut %s: %v", v, err)
+			}
+			before := quorumReads()
+			got, err := cl.CriticalGet("k", ref)
+			if err != nil {
+				t.Fatalf("CriticalGet: %v", err)
+			}
+			a.Sleep(time.Second) // the repair's quorum read runs and ends
+			repairs := quorumReads() - before
+			switch v {
+			case "a": // the stale swap has nothing remembered: fresh
+				if string(got) != "a" || repairs != 0 {
+					t.Fatalf("first weak read = %q with %d repairs, want a and none", got, repairs)
+				}
+			case "b": // served one write behind: one violation, one repair
+				if string(got) != "a" || repairs != 1 {
+					t.Fatalf("stale weak read = %q with %d repairs, want a and one", got, repairs)
+				}
+			}
+		}
+		if got := mon.Violations(site); got != 1 {
+			t.Errorf("violations at %s = %d, want 1", site, got)
+		}
+		if err := cl.ReleaseLock("k", ref); err != nil {
+			t.Fatalf("ReleaseLock: %v", err)
+		}
+	})
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+}
+
+// AdaptiveReads needs a recorder for its monitor to watch.
+func TestAdaptiveReadsNeedHistory(t *testing.T) {
+	net := simnet.New(sim.New(1), simnet.Config{Profile: simnet.ProfileIUs})
+	if _, err := NewOverTransport(net, TransportConfig{AdaptiveReads: true}); err == nil {
+		t.Fatal("NewOverTransport with AdaptiveReads and no History succeeded")
 	}
 }

@@ -109,13 +109,6 @@ func WithProfile(name string) Option {
 	return optionFunc(func(o *options) { o.profile = simnet.Named(name) })
 }
 
-// WithSimnetProfile runs the cluster on a caller-built latency profile —
-// benches that model fabrics the named profiles don't cover (e.g. a 500µs
-// metro ring) construct one with simnet.NewProfile and pass it here.
-func WithSimnetProfile(p *simnet.Profile) Option {
-	return optionFunc(func(o *options) { o.profile = p })
-}
-
 // WithNodesPerSite sets how many store nodes each site runs (default 1).
 func WithNodesPerSite(n int) Option {
 	return optionFunc(func(o *options) { o.nodesPerSite = n })
@@ -222,7 +215,7 @@ func New(opts ...Option) (*Cluster, error) {
 
 	rt := sim.New(o.seed)
 	// c is assigned once NewOverTransport returns, before any op can run;
-	// the monitor's repair hook and the membership proposer read it.
+	// the membership proposer reads it.
 	var c *Cluster
 	cfg := TransportConfig{
 		T:             o.t,
@@ -235,21 +228,6 @@ func New(opts ...Option) (*Cluster, error) {
 	}
 	if o.history {
 		cfg.History = history.New(rt)
-	}
-	if o.adaptive {
-		cfg.Monitor = history.NewMonitor(history.MonitorConfig{
-			OnViolation: func(site, key string) {
-				if c == nil {
-					return
-				}
-				if rep := c.replicas[site]; rep != nil {
-					// Repair asynchronously: a quorum read re-converges the
-					// stale replica through the store's read-repair path.
-					rt.Go(func() { _ = rep.RepairRead(key) })
-				}
-			},
-		})
-		cfg.History.Attach(cfg.Monitor)
 	}
 	net := simnet.New(rt, simnet.Config{
 		Profile:      o.profile,
@@ -316,12 +294,13 @@ type TransportConfig struct {
 	History *history.Recorder
 	// Leases turns on site-scoped holder leases (see WithHolderLeases).
 	Leases bool
-	// AdaptiveReads serves critical gets at ONE while Monitor judges the
-	// site safe (see WithAdaptiveReads). The caller owns the monitor — build
-	// it with history.NewMonitor and attach it to the shared History recorder
-	// so one monitor watches the whole multi-process deployment.
+	// AdaptiveReads serves critical gets at ONE while the staleness monitor
+	// judges the site safe (see WithAdaptiveReads). It needs History: the
+	// monitor watches the recorded op stream. The monitor is the one
+	// already attached to History, or a new one attached to it, so clusters
+	// that share a recorder share one monitor; each cluster registers the
+	// repair of every site it hosts on it.
 	AdaptiveReads bool
-	Monitor       *history.Monitor
 	// Membership, when set, switches placement to epoch-versioned live
 	// membership driven by this view: the cluster fast-forwards to the
 	// view's current epoch and re-applies placement on every later one. The
@@ -345,6 +324,13 @@ type TransportConfig struct {
 func NewOverTransport(tr transport.Transport, cfg TransportConfig) (*Cluster, error) {
 	if cfg.Shards <= 0 {
 		cfg.Shards = 1
+	}
+	var mon *history.Monitor
+	if cfg.AdaptiveReads {
+		if cfg.History == nil {
+			return nil, errors.New("music: AdaptiveReads needs a History recorder for its monitor")
+		}
+		mon = cfg.History.Attach(history.NewMonitor())
 	}
 	var members []store.RingNode
 	if cfg.Membership != nil {
@@ -379,6 +365,7 @@ func NewOverTransport(tr transport.Transport, cfg TransportConfig) (*Cluster, er
 		replicas: make(map[string]*core.Replica, len(sites)),
 		obs:      cfg.Obs,
 		history:  cfg.History,
+		monitor:  mon,
 	}
 	if v, ok := c.rt.(*sim.Virtual); ok {
 		c.virtual = v
@@ -400,15 +387,23 @@ func NewOverTransport(tr transport.Transport, cfg TransportConfig) (*Cluster, er
 		for i := range clients {
 			clients[i] = st.Client(nodes[i%len(nodes)])
 		}
-		c.replicas[site] = core.NewReplicaSharded(clients, core.Config{
+		rep := core.NewReplicaSharded(clients, core.Config{
 			T:             cfg.T,
 			History:       cfg.History,
 			Leases:        cfg.Leases,
 			AdaptiveReads: cfg.AdaptiveReads,
-			Monitor:       cfg.Monitor,
+			Monitor:       mon,
 		})
+		c.replicas[site] = rep
+		if mon != nil {
+			// Each violation at the site starts a quorum read of its key,
+			// which re-converges the stale replica through the store's
+			// read repair.
+			mon.RegisterRepair(site, func(key string) {
+				c.rt.Go(func() { _ = rep.RepairRead(key) })
+			})
+		}
 	}
-	c.monitor = cfg.Monitor
 	if cfg.Membership != nil {
 		c.propose = cfg.Propose
 		c.attachMembership(cfg.Membership, sites[0])

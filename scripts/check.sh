@@ -31,15 +31,15 @@ go test -race -timeout 600s ./music/ ./internal/httpapi/ ./internal/nettrans/ ./
 # outliving Run however it ends, abandoned tasks unwound in spawn order, the
 # two handoffs that stay on their own goroutine, and sim.Servers — a node's
 # CPU — against the worker tasks it replaced (same schedule, same random
-# draws). Then the timer heap, which holds only live timers: settled timeouts leave it
-# at once, a Servers completion timer survives an early unpark of its
-# caller, Stop on a fired or reused event cancels nothing, a reused task
-# wakes on none of the tokens of its earlier life, and a deadline hit
-# during a park leaves no event behind for the unwind to remove. Last, a
+# draws). Then the timer heap, which holds only live timers: settled
+# timeouts leave it at once, a Servers completion timer survives an early
+# unpark of its caller, a reused task wakes on none of the tokens of its
+# earlier life, and a deadline hit during a park leaves no event behind for
+# the unwind to remove. Last, a
 # step against the task it replaces (same schedule, same timers, same
 # random draws), and a step that panics or blocks failing Run.
 go test -race -timeout 600s ./internal/sim/ ./internal/simnet/
-go test -race ./internal/sim/ -run 'TestVirtualScheduleGolden|TestVirtualRunLeavesNoGoroutines|TestVirtualUnwindInSpawnOrder|TestVirtualSelfHandoff|TestServersMatchWorkerTasks|TestSettledTimersLeaveHeap|TestServersCompletionSurvivesEarlyUnpark|TestVirtualTimerStopAfterReuse|TestVirtualStaleWakeAfterTaskReuse|TestVirtualDeadlineThenUnwindWakes|TestStepMatchesTask|TestStepPanicFailsRun|TestStepCannotBlock' -count=20 -timeout 300s
+go test -race ./internal/sim/ -run 'TestVirtualScheduleGolden|TestVirtualRunLeavesNoGoroutines|TestVirtualUnwindInSpawnOrder|TestVirtualSelfHandoff|TestServersMatchWorkerTasks|TestSettledTimersLeaveHeap|TestServersCompletionSurvivesEarlyUnpark|TestVirtualStaleWakeAfterTaskReuse|TestVirtualDeadlineThenUnwindWakes|TestStepMatchesTask|TestStepPanicFailsRun|TestStepCannotBlock' -count=20 -timeout 300s
 # The simulated plane serves inline handlers in steps and holds them to
 # transport.InlineHandler's promise: one that sleeps or awaits fails Run
 # with an error naming its service, and one that panics re-raises its
@@ -47,11 +47,13 @@ go test -race ./internal/sim/ -run 'TestVirtualScheduleGolden|TestVirtualRunLeav
 # own: message records encode into buffers they reuse, and a decode that
 # aliased one would change a kept value under the next message.
 go test -race ./internal/simnet/ -run 'TestInlineHandler|TestDecodedValuesOutliveRecords' -count=3 -timeout 300s
-# The wire's decoding vocabulary: Intern after the first decode panics, the
-# first lookups race to freeze it and decodes from many goroutines read it,
-# cleanly under -race; and no decoded value shares bytes with its input
+# The wire's registry — codecs, error codes and the decoding vocabulary —
+# freezes at the first encode or decode: Intern, Register or RegisterError
+# after it panics, the first lookups of every table race to freeze it and
+# lookups and decodes from many goroutines read it without a lock, cleanly
+# under -race; and no decoded value shares bytes with its input
 # (FuzzUnmarshal's seed corpus, one message per vocabulary name among them).
-go test -race ./internal/wire/ -run 'TestInternAfterDecodePanics|TestVocabularyConcurrentDecodes|FuzzUnmarshal' -count=3 -timeout 300s
+go test -race ./internal/wire/ -run 'TestInternAfterDecodePanics|TestVocabularyConcurrentDecodes|TestRegistryConcurrentLookups|FuzzUnmarshal' -count=3 -timeout 300s
 # Simnet's message records are reused while a timed-out call's reply is
 # still in flight: a record freed by its caller alone hands one caller's
 # reply to another.
@@ -65,6 +67,10 @@ MUSIC_FAULT_SEEDS="1,2,3,4,5" go test ./internal/core/ -run 'TestFault|TestChaos
 # release / T-expiry refusing the held-value read, the there-and-back
 # failover latch, write-behind buffers surviving cross-site failover.
 MUSIC_FAULT_SEEDS="1,2,3,4,5" go test ./music/ -run 'TestSessionFault' -count=1 -timeout 300s
+# Adaptive reads own their monitor: clusters sharing a history recorder
+# share one, built by NewOverTransport, and a stale weak read at a site
+# starts exactly one repair read, registered by the cluster hosting it.
+go test ./music/ -run 'TestClustersShareOneMonitor|TestAdaptiveReadsNeedHistory' -count=1 -timeout 300s
 # Pinned-seed exploration batch: deterministic randomized fault schedules
 # (crash / partition / loss / clock skew) with every history checked against
 # the ECF + linearizability rules (internal/history). Same seed-pinning
@@ -161,6 +167,10 @@ go test ./internal/store/ -run 'TestPerRowServicesRegisterInline' -count=1 -time
 # once the partition heals. Dropping stragglers instead of hinting them
 # fails the last one by name.
 go test -race ./internal/nettrans/ ./internal/simnet/ -run 'TestTransportConformance/MulticastLate|TestMulticastLateSettleRace' -count=3 -timeout 300s
+# A reply whose caller stopped waiting is dropped before its payload is
+# decoded: the reply pump claims the pending entry first, and owes a result
+# only once it has.
+go test -race ./internal/nettrans/ -run 'TestStragglerReplyNotDecoded' -count=3 -timeout 300s
 # The wrapper runs the whole suite: it asserts the suite's traffic was
 # booked, and the wrapper does not book MulticastLate.
 (cd benchmark && go test -race -run 'TestCountingWrapperConformance(TCP|Simnet)$' -count=3 -timeout 300s .)
