@@ -18,8 +18,8 @@ import (
 // workload does. Virtual time costs nothing, so what it measures is the
 // wall-clock CPU of the simulator and the stack above it per section — the
 // profiling entry point for the virtual-time plane. gc-frac is the share of
-// that CPU the garbage collector took, and handoffs/op the goroutine
-// switches the simulator made per section (sim.Virtual.Handoffs):
+// that CPU the garbage collector took, and handoffs/op the switches between
+// worker coroutines the simulator made per section (sim.Virtual.Handoffs):
 //
 //	go test ./internal/bench -run XXX -bench WANSection -cpuprofile cpu.prof
 func BenchmarkWANSection(b *testing.B) {
@@ -87,13 +87,13 @@ func TestAllocCeilingWANSection(t *testing.T) {
 	}
 }
 
-// TestHandoffCeilingWANSection's bound: the goroutine hand-offs per section
+// TestHandoffCeilingWANSection's bound: the worker hand-offs per section
 // measured with deliveries, replies and multicast legs as steps (18.4),
 // plus 2 %. What is left is the client tasks resuming one another and the
 // tasks the stack spawns. With each of those a task, a section made 143.4.
 const wanSectionHandoffCeiling = 18.8
 
-// TestHandoffCeilingWANSection pins the goroutine hand-offs per section of
+// TestHandoffCeilingWANSection pins the worker hand-offs per section of
 // BenchmarkWANSection's shape. The count depends only on the schedule, so
 // it is the same on every host and Go release; a simulated RPC stage that
 // becomes a task again fails here by name.

@@ -9,18 +9,20 @@
 // produces the same schedule, which makes distributed-systems tests
 // reproducible.
 //
-// Each virtual task runs on a worker goroutine taken from a pool: a finished
-// task's worker goes idle with the stack it has grown and is handed the next
-// spawned task. There is no scheduler goroutine. A task that parks or
+// Each virtual task runs on a worker taken from a pool, and each worker is
+// an iter.Pull coroutine: a finished task's worker goes idle with the stack
+// it has grown and is handed the next spawned task. A task that parks or
 // finishes picks the next task itself — the head of the FIFO ready queue, or
 // a seeded random entry under SetScheduleShuffle; when the queue is empty,
-// the earliest timers, advancing the clock — and resumes that task's worker
-// directly, or simply carries on when the next task is its own. A step thus
-// costs at most one goroutine switch. None of this can change a schedule:
-// the selection code and its random draws are the same whichever goroutine
-// runs them, timers fire with no task current (a task they spawn starts with
-// no task-local), and which worker carries a task is invisible to the task.
-// testdata/schedule.golden pins that.
+// the earliest timers, advancing the clock — and simply carries on when the
+// next task is its own. Otherwise it yields that task to Run's goroutine,
+// the only one that resumes workers, and Run resumes the task's coroutine:
+// a direct switch on one OS thread, with no idle thread woken. None of this
+// can change a schedule: the selection code and its random draws are the
+// same whichever worker runs them, timers fire with no task current (a task
+// they spawn starts with no task-local), and which worker carries a task is
+// invisible to the task. testdata/schedule.golden pins that. iter.Pull needs
+// Go 1.23, so virtual.go builds only from Go 1.23 on (see go123.go).
 //
 // Besides tasks, the scheduler runs Steps: functions bound once that run
 // inline with no task current, as a timer firing does. A step sits in the
@@ -31,7 +33,7 @@
 // reschedule the step with the same waiter entry, wake event, generation
 // bump and settled-wake removal a parked task gets, so a task turned into
 // steps keeps its schedule and its random draws (step_test.go checks this
-// against tasks) and costs no goroutine switch. A step cannot block: a
+// against tasks) and costs no worker switch. A step cannot block: a
 // Sleep, Await or Recv inside one panics with ErrStepWait, and a step that
 // panics fails Run as a task does. The simulated network runs every
 // per-row RPC's delivery, reply and multicast leg as steps.

@@ -686,6 +686,25 @@ func TestVirtualAbandonedTasksUnwound(t *testing.T) {
 	}
 }
 
+// A deferred call that panics while Run unwinds its task fails Run, as a
+// panic anywhere else in a task does.
+func TestVirtualUnwindPanicReraised(t *testing.T) {
+	defer func() {
+		if r := recover(); r != "unwind boom" {
+			t.Fatalf("recovered %v, want unwind boom", r)
+		}
+	}()
+	v := New(1)
+	v.Run(func() {
+		v.Go(func() {
+			defer func() { panic("unwind boom") }()
+			v.Sleep(time.Hour)
+		})
+		v.Sleep(time.Millisecond)
+	})
+	t.Fatal("Run returned instead of re-raising the panic")
+}
+
 // Tasks that Run abandons are unwound oldest first, so the deferred calls
 // they run on the way out (an abandoned op's history entry, say) come in
 // the same order on every run of a seed.
@@ -719,12 +738,15 @@ func TestVirtualUnwindInSpawnOrder(t *testing.T) {
 	}
 }
 
-// The baton must survive the two cases where the next task lives on the
-// goroutine that gives it up: a finished task's worker handed the task the
-// next timer spawns, and a parked task that is itself the next to run.
+// Two cases where the next task lives on the worker that gives it up, and
+// so continues inline, with no switch that Handoffs counts: a finished
+// task's worker handed the task the next timer spawns, and a parked task
+// that is itself the next to run. The run switches workers twice only: from
+// the root to the first timer's task, and from the last one back.
 func TestVirtualSelfHandoff(t *testing.T) {
 	v := New(1)
 	var fired []int
+	var first uint64 // Handoffs as the first timer's task saw it
 	err := v.Run(func() {
 		done := NewPromise[struct{}](v)
 		for i := 1; i <= 3; i++ {
@@ -732,12 +754,21 @@ func TestVirtualSelfHandoff(t *testing.T) {
 				if i > 1 && len(v.idle) != 0 {
 					t.Errorf("timer %d: %d idle workers, want the last timer's worker reused", i, len(v.idle))
 				}
+				if i == 1 {
+					first = v.Handoffs()
+				} else if n := v.Handoffs(); n != first {
+					t.Errorf("timer %d: %d handoffs, %d at timer 1: an inline continuation was counted", i, n, first)
+				}
 				fired = append(fired, i)
 			})
 		}
 		v.After(4*time.Millisecond, func() {
+			before := v.Handoffs()
 			v.Sleep(0)
 			v.Sleep(time.Millisecond)
+			if n := v.Handoffs(); n != before {
+				t.Errorf("%d handoffs after waking on its own worker, %d before", n, before)
+			}
 			done.Resolve(struct{}{})
 		})
 		if _, err := done.Await(); err != nil {
@@ -753,11 +784,14 @@ func TestVirtualSelfHandoff(t *testing.T) {
 	if fmt.Sprint(fired) != "[1 2 3]" {
 		t.Fatalf("fired = %v, want [1 2 3]", fired)
 	}
+	if first != 1 || v.Handoffs() != 2 {
+		t.Fatalf("handoffs = %d at timer 1 and %d after Run, want 1 and 2", first, v.Handoffs())
+	}
 }
 
 // Run leaves no goroutine behind however it ends: the root returning with
 // tasks still parked, a deadlock, a deadline, a task panic re-raised, or a
-// task ending its own goroutine.
+// task calling runtime.Goexit.
 func TestVirtualRunLeavesNoGoroutines(t *testing.T) {
 	base := runtime.NumGoroutine()
 	busy := func(v *Virtual) {
@@ -803,15 +837,40 @@ func TestVirtualRunLeavesNoGoroutines(t *testing.T) {
 			})
 			return errors.New("Run returned instead of re-raising the panic")
 		}},
-		// t.FailNow inside a simulation ends the task's goroutine, worker
-		// and all; the baton must still move on.
+		// t.FailNow inside a simulation ends its task's coroutine, and
+		// iter.Pull passes the Goexit on to Run's goroutine: Run's caller
+		// exits too, as testing requires of FailNow, but only once every
+		// live task has been unwound, root first and the rest in spawn
+		// order.
 		{"goexit", func() error {
-			v := New(1)
-			return v.Run(func() {
-				busy(v)
-				v.Go(func() { v.Sleep(time.Millisecond); runtime.Goexit() })
-				v.Sleep(5 * time.Millisecond)
-			})
+			var order []int
+			returned := false
+			exited := make(chan struct{})
+			go func() {
+				defer close(exited)
+				v := New(1)
+				v.Run(func() {
+					defer func() { order = append(order, -1) }()
+					for i := 0; i < 4; i++ {
+						v.Go(func() {
+							defer func() { order = append(order, i) }()
+							v.Sleep(time.Hour)
+						})
+					}
+					busy(v)
+					v.Go(func() { v.Sleep(time.Millisecond); runtime.Goexit() })
+					v.Sleep(5 * time.Millisecond)
+				})
+				returned = true
+			}()
+			<-exited
+			if returned {
+				return errors.New("Run returned after a task's Goexit")
+			}
+			if got := fmt.Sprint(order); got != "[-1 0 1 2 3]" {
+				return fmt.Errorf("deferred calls ran as %s, want [-1 0 1 2 3]", got)
+			}
+			return nil
 		}},
 	}
 	for _, end := range ends {

@@ -1,8 +1,11 @@
+//go:build go1.23
+
 package sim
 
 import (
 	"errors"
 	"fmt"
+	"iter"
 	"math/rand"
 	"time"
 )
@@ -29,7 +32,7 @@ const (
 // Its gen carries over, so a wake token it handed out in an earlier life — a
 // waiter entry, a wake or call timer — never matches a park of the next.
 type vtask struct {
-	w          *worker // the goroutine the task runs on, from spawn to finish
+	w          *worker // the coroutine the task runs on, from spawn to finish
 	fn         func()
 	call       func() // set on a step's call entry, which next runs inline
 	state      taskState
@@ -40,12 +43,15 @@ type vtask struct {
 	prev, next *vtask // neighbours on the live list, in spawn order
 }
 
-// worker is a pooled goroutine that runs tasks one after another. It holds
-// one task from spawn to finish, then goes back on the idle list with the
-// stack it has grown, ready to be handed the next spawned task.
+// worker is a pooled coroutine (iter.Pull) that runs tasks one after
+// another. It holds one task from spawn to finish, then goes back on the
+// idle list with the stack it has grown, ready to be handed the next
+// spawned task. Only Run's goroutine resumes it; it yields back there the
+// task to resume next, or nil once the simulation is over.
 type worker struct {
-	resume chan struct{}
-	t      *vtask // nil when idle; still nil on a resume means retire
+	resume func() (*vtask, bool)
+	yield  func(*vtask) bool // hands control back to Run's goroutine
+	t      *vtask            // nil when idle; still nil on a resume means stop
 }
 
 // event is a timer entry. Events are pooled per Virtual: one that fires or
@@ -142,10 +148,11 @@ func (h timerHeap) down(i int, e *event) bool {
 }
 
 // Virtual is the deterministic discrete-event runtime. All tasks execute one
-// at a time on pooled worker goroutines. A task that blocks or finishes
-// picks the next task itself and hands the baton straight to that task's
-// goroutine; when no task is runnable the clock advances to the next timer.
-// Create one with New and drive it with Run.
+// at a time on pooled worker coroutines, resumed by Run's goroutine alone.
+// A task that blocks or finishes picks the next task itself: it carries on
+// inline when that task is its own, and otherwise yields it to Run, which
+// resumes that task's worker. When no task is runnable the clock advances
+// to the next timer. Create one with New and drive it with Run.
 type Virtual struct {
 	now      time.Duration
 	seq      uint64
@@ -160,15 +167,14 @@ type Virtual struct {
 	// The live tasks, linked in spawn order: Run unwinds the tasks it
 	// abandons oldest first, so their deferred calls run in a fixed order.
 	head, tail *vtask
-	idle       []*worker     // pooled workers with no task, most recent last
-	over       bool          // next has returned nil; nothing runs any more
-	done       chan struct{} // the baton comes back to Run's goroutine
-	err        error         // why the simulation stopped early
+	idle       []*worker // pooled workers with no task, most recent last
+	over       bool      // next has returned nil; nothing runs any more
+	err        error     // why the simulation stopped early
 	taskErr    any
 	deadline   time.Duration
 	shuffle    bool
 	stepping   bool   // a step is running (see ErrStepWait)
-	handoffs   uint64 // baton passes between worker goroutines (Handoffs)
+	handoffs   uint64 // switches from one worker to another (Handoffs)
 	// The latest instant of every settled wake dropped from the heap, and
 	// the latest one within the deadline: how far the clock would have run
 	// through those dead timers on a stuck run (see stuck).
@@ -180,10 +186,7 @@ var _ Runtime = (*Virtual)(nil)
 // New returns a virtual runtime whose random source is seeded with seed.
 // The same seed yields the same schedule.
 func New(seed int64) *Virtual {
-	return &Virtual{
-		rng:  rand.New(rand.NewSource(seed)),
-		done: make(chan struct{}),
-	}
+	return &Virtual{rng: rand.New(rand.NewSource(seed))}
 }
 
 // SetDeadline makes Run fail with ErrDeadlineExceeded if virtual time would
@@ -197,25 +200,25 @@ func (v *Virtual) SetScheduleShuffle(on bool) { v.shuffle = on }
 
 // Run executes fn as the root task and drives the simulation until the root
 // returns, a deadline or deadlock is hit, or a task panics (the panic is
-// re-raised on the caller's goroutine). Any tasks still alive when the root
-// finishes are unwound and the pooled workers retired, so Run does not leak
-// goroutines. The caller's goroutine only starts the root: from then on the
-// baton passes from task to task until one finds the simulation over and
-// hands it back here.
+// re-raised on the caller's goroutine). A task that calls runtime.Goexit
+// (t.FailNow inside a simulation) ends the caller's goroutine too, as
+// testing requires of FailNow. However Run ends, the tasks still alive are
+// unwound and the pooled workers stopped first, so Run leaks no goroutine.
+//
+// The caller's goroutine resumes every worker: the one whose task runs
+// next, until a task finds the simulation over.
 func (v *Virtual) Run(fn func()) error {
 	if v.root != nil {
 		return errors.New("sim: Run called twice on the same Virtual")
 	}
 	v.root = v.spawn(fn)
 	v.ready = append(v.ready, v.root)
-	v.next().w.resume <- struct{}{}
-	<-v.done
-
-	v.unwind()
-	for _, w := range v.idle {
-		w.resume <- struct{}{} // with no task bound, the worker exits
+	// iter.Pull passes a task's Goexit on to this goroutine: clean up then.
+	defer v.shutdown()
+	for t := v.next(); t != nil; {
+		t, _ = t.w.resume()
 	}
-	v.idle = nil
+	v.shutdown() // before the check: an unwound task may panic too
 	if v.taskErr != nil {
 		panic(v.taskErr)
 	}
@@ -251,10 +254,10 @@ func (v *Virtual) After(d time.Duration, fn func()) {
 func (v *Virtual) Rand() *rand.Rand { return v.rng }
 
 // Handoffs returns how many times so far a task that parked or finished
-// has handed the baton to another worker's goroutine: the goroutine
-// switches the run has cost, beyond the inline continuations that cost
-// none. It is deterministic for a given seed and program. Read it from a
-// task, or after Run.
+// has been followed by a task on another worker: the switches the run has
+// cost, each a yield to Run's goroutine and a resume from there, beyond
+// the inline continuations that cost none. It is deterministic for a given
+// seed and program. Read it from a task, or after Run.
 func (v *Virtual) Handoffs() uint64 { return v.handoffs }
 
 // TaskLocal implements Runtime. Tasks run one at a time, so reading the
@@ -299,30 +302,33 @@ func (v *Virtual) spawn(fn func()) *vtask {
 		t.w = v.idle[n-1]
 		v.idle = v.idle[:n-1]
 	} else {
-		t.w = &worker{resume: make(chan struct{})}
-		go v.work(t.w)
+		t.w = v.newWorker()
 	}
 	t.w.t = t
 	return t
 }
 
-// work is a worker goroutine: run the bound task when resumed, go idle and
-// pass the baton on, until resumed with no task bound.
-func (v *Virtual) work(w *worker) {
-	<-w.resume
-	for w.t != nil {
-		v.exec(w, w.t)
-		w.t = nil
-		v.idle = append(v.idle, w)
-		v.handoff(w)
-	}
+// newWorker returns a worker whose coroutine, once resumed, runs the bound
+// task, goes idle and moves on to the next task, until it is resumed with no
+// task bound. Its coroutine then returns, so it needs no iter.Pull stop.
+func (v *Virtual) newWorker() *worker {
+	w := new(worker)
+	w.resume, _ = iter.Pull(func(yield func(*vtask) bool) {
+		w.yield = yield
+		for w.t != nil {
+			v.exec(w.t)
+			w.t = nil
+			v.idle = append(v.idle, w)
+			v.handoff(w)
+		}
+	})
+	return w
 }
 
-// exec runs t on w to completion and unlinks it. A task that calls
-// runtime.Goexit (t.FailNow from inside a simulation) takes its goroutine
-// with it; the worker is then dropped and the baton passed on from here.
-func (v *Virtual) exec(w *worker, t *vtask) {
-	returned := false
+// exec runs t to completion and unlinks it. A task that calls
+// runtime.Goexit still finishes here; its worker's coroutine then ends,
+// and iter.Pull ends Run's goroutine with it.
+func (v *Virtual) exec(t *vtask) {
 	defer func() {
 		r := recover()
 		if r != nil {
@@ -345,15 +351,10 @@ func (v *Virtual) exec(w *worker, t *vtask) {
 			v.rootDone = true
 		}
 		v.recycle(t)
-		if !returned && r == nil {
-			w.t = nil
-			v.handoff(nil)
-		}
 	}()
 	if !t.poisoned {
 		t.fn()
 	}
-	returned = true
 }
 
 // recycle keeps t, finished and unlinked, for a later spawn. Every field
@@ -417,7 +418,7 @@ func (v *Virtual) next() *vtask {
 
 // runStep runs the step t, just picked, with no task current. A step that
 // panics ends the run as a panicking task does, and Run re-raises its
-// panic; the goroutine that happened to be selecting carries on.
+// panic; whoever happened to be selecting carries on.
 func (v *Virtual) runStep(t *vtask) {
 	defer func() {
 		v.stepping = false
@@ -454,25 +455,21 @@ func (v *Virtual) stuck(err error) {
 	v.err = err
 }
 
-// handoff passes the baton from w, whose task has just parked or finished,
-// to the next task, and returns when w is resumed (at once for a nil w,
-// whose goroutine is exiting). When the next task is bound to w itself — a
-// parked task woken at once, or a finished worker handed the task spawned
-// next — it continues inline: nobody would receive a send on w's own
-// channel.
+// handoff moves on from w, whose task has just parked or finished, to the
+// next task, and returns when w is resumed. When the next task is bound to
+// w itself — a parked task woken at once, or a finished worker handed the
+// task spawned next — it continues inline, with no switch. Otherwise w
+// yields that task, or nil once the simulation is over, to Run's goroutine,
+// which resumes the task's worker.
 func (v *Virtual) handoff(w *worker) {
-	switch t := v.next(); {
-	case t == nil:
-		v.done <- struct{}{}
-	case t.w == w:
-		return
-	default:
+	t := v.next()
+	if t != nil {
+		if t.w == w {
+			return
+		}
 		v.handoffs++
-		t.w.resume <- struct{}{}
 	}
-	if w != nil {
-		<-w.resume
-	}
+	w.yield(t)
 }
 
 // fire processes a due timer entry, just popped, with no task current.
@@ -582,15 +579,21 @@ func (v *Virtual) nextSeq() uint64 {
 	return v.seq
 }
 
-// unwind poisons the remaining tasks oldest first and runs each until it
-// has finished, so their deferred calls run in spawn order.
-func (v *Virtual) unwind() {
+// shutdown ends the simulation, if a Goexit cut it short, and cleans up
+// after it, once; a second call finds nothing left to do: it poisons the remaining tasks oldest first and runs each until
+// it has finished, so their deferred calls run in spawn order, and then
+// ends the idle workers' coroutines.
+func (v *Virtual) shutdown() {
+	v.over, v.cur = true, nil
 	for v.head != nil {
 		t := v.head
 		t.poisoned = true
-		t.w.resume <- struct{}{}
-		<-v.done
+		t.w.resume()
 	}
+	for _, w := range v.idle {
+		w.resume() // with no task bound, the coroutine returns
+	}
+	v.idle = nil
 }
 
 // String describes the runtime state, useful in test failure messages.

@@ -84,8 +84,3 @@ func (n *Network) MulticastLate(from NodeID, targets []NodeID, svc string, req a
 	}
 	return collected
 }
-
-// Successes filters a Multicast result set down to successful replies.
-func Successes(results []CallResult) []CallResult {
-	return transport.Successes(results)
-}

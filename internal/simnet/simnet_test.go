@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/sim"
+	"repro/internal/transport"
 )
 
 // echoMsg carries a payload size for bandwidth tests.
@@ -375,7 +376,7 @@ func TestMulticastQuorum(t *testing.T) {
 	err := rt.Run(func() {
 		start := rt.Now()
 		results := n.Multicast(0, []NodeID{0, 1, 2}, "echo", "q", 2, time.Second)
-		if got := len(Successes(results)); got < 2 {
+		if got := len(transport.Successes(results)); got < 2 {
 			t.Errorf("successes = %d, want ≥2", got)
 		}
 		// Quorum of {self, ncal, oregon} from ohio: second-fastest is ncal
@@ -395,7 +396,7 @@ func TestMulticastWithCrashedTarget(t *testing.T) {
 	n.Crash(2)
 	err := rt.Run(func() {
 		results := n.Multicast(0, []NodeID{0, 1, 2}, "echo", "q", 2, time.Second)
-		if got := len(Successes(results)); got != 2 {
+		if got := len(transport.Successes(results)); got != 2 {
 			t.Errorf("successes = %d, want 2", got)
 		}
 	})
@@ -412,7 +413,7 @@ func TestMulticastAllDownTimesOut(t *testing.T) {
 	err := rt.Run(func() {
 		start := rt.Now()
 		results := n.Multicast(0, []NodeID{1, 2}, "echo", "q", 2, 300*time.Millisecond)
-		if got := len(Successes(results)); got != 0 {
+		if got := len(transport.Successes(results)); got != 0 {
 			t.Errorf("successes = %d, want 0", got)
 		}
 		if d := rt.Now() - start; d < 300*time.Millisecond {

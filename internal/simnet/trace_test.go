@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/sim"
+	"repro/internal/transport"
 )
 
 // findSpans walks a span tree collecting every node with the given name.
@@ -170,8 +171,8 @@ func TestMulticastUmbrellaSpan(t *testing.T) {
 	err := rt.Run(func() {
 		root = o.Tracer().StartRoot("op")
 		res := n.Multicast(0, []NodeID{1, 2}, "echo", "hi", 2, time.Second)
-		if len(Successes(res)) != 2 {
-			t.Errorf("multicast successes = %d, want 2", len(Successes(res)))
+		if len(transport.Successes(res)) != 2 {
+			t.Errorf("multicast successes = %d, want 2", len(transport.Successes(res)))
 		}
 		root.End()
 	})

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/transport"
 	"repro/internal/wire"
 )
 
@@ -72,11 +73,12 @@ func TestRegisteredPayloadChargedExactSize(t *testing.T) {
 		return nil, nil
 	})
 	msg := codecMsg{Body: make([]byte, 1<<20)}
-	size, ok := wire.Size(msg)
-	if !ok || size < 1<<20 {
-		t.Fatalf("wire.Size = %d, %t", size, ok)
+	data, err := wire.Marshal(msg)
+	if err != nil || len(data) < 1<<20 {
+		t.Fatalf("wire.Marshal: %d bytes, %v", len(data), err)
 	}
-	err := rt.Run(func() {
+	size := len(data)
+	err = rt.Run(func() {
 		start := rt.Now()
 		if _, err := n.CallTimeout(0, 1, "sink", msg, time.Minute); err != nil {
 			t.Errorf("Call: %v", err)
@@ -111,7 +113,7 @@ func TestMulticastDrainsStragglers(t *testing.T) {
 	err := rt.Run(func() {
 		results := n.Multicast(0, []NodeID{0, 1, 2}, "echo", "q", 2, time.Second)
 		returned = rt.Now()
-		if got := len(Successes(results)); got < 2 {
+		if got := len(transport.Successes(results)); got < 2 {
 			t.Errorf("successes = %d, want ≥2", got)
 		}
 		// Sleep past the slowest target (oregon, RTT 72.14ms) so its task has

@@ -118,22 +118,6 @@ func MarshalTo(e *Encoder, msg any) error {
 	return nil
 }
 
-// Size returns the exact marshaled size of msg in bytes; ok is false when
-// msg's type has no codec.
-func Size(msg any) (int, bool) {
-	if msg == nil {
-		return 2, true
-	}
-	c, ok := reg.lookupType(msg)
-	if !ok {
-		return 0, false
-	}
-	var e Encoder
-	e.Uint16(c.id)
-	c.enc(&e, msg)
-	return len(e.buf), true
-}
-
 // Encoder appends big-endian primitives to a growing buffer.
 type Encoder struct {
 	buf []byte

@@ -25,21 +25,23 @@ go build ./...
 go test -shuffle=on -timeout 600s ./...
 go test -race -timeout 600s ./music/ ./internal/httpapi/ ./internal/nettrans/ ./cmd/...
 # The virtual-time runtime runs one task at a time, but on pooled worker
-# goroutines that hand the baton straight to each other: -race checks that
-# every handoff is a happens-before edge. Then, by name and 20 times over:
-# the pinned schedule (every seeded campaign rests on it), no goroutine
-# outliving Run however it ends, abandoned tasks unwound in spawn order, the
-# two handoffs that stay on their own goroutine, and sim.Servers — a node's
-# CPU — against the worker tasks it replaced (same schedule, same random
-# draws). Then the timer heap, which holds only live timers: settled
+# coroutines (iter.Pull) that Run's goroutine resumes one after another:
+# -race checks that every switch is a happens-before edge. Then, by name and
+# 20 times over: the pinned schedule (every seeded campaign rests on it), no
+# goroutine outliving Run however it ends (a task's Goexit ending Run's
+# caller once every task is unwound among them), abandoned tasks unwound in
+# spawn order and a panic on the way out re-raised, the two continuations
+# that stay on their own worker and count no handoff, and sim.Servers — a
+# node's CPU — against the worker tasks it replaced (same schedule, same
+# random draws). Then the timer heap, which holds only live timers: settled
 # timeouts leave it at once, a Servers completion timer survives an early
 # unpark of its caller, a reused task wakes on none of the tokens of its
 # earlier life, and a deadline hit during a park leaves no event behind for
-# the unwind to remove. Last, a
-# step against the task it replaces (same schedule, same timers, same
-# random draws), and a step that panics or blocks failing Run.
+# the unwind to remove. Last, a step against the task it replaces (same
+# schedule, same timers, same random draws), and a step that panics or
+# blocks failing Run.
 go test -race -timeout 600s ./internal/sim/ ./internal/simnet/
-go test -race ./internal/sim/ -run 'TestVirtualScheduleGolden|TestVirtualRunLeavesNoGoroutines|TestVirtualUnwindInSpawnOrder|TestVirtualSelfHandoff|TestServersMatchWorkerTasks|TestSettledTimersLeaveHeap|TestServersCompletionSurvivesEarlyUnpark|TestVirtualStaleWakeAfterTaskReuse|TestVirtualDeadlineThenUnwindWakes|TestStepMatchesTask|TestStepPanicFailsRun|TestStepCannotBlock' -count=20 -timeout 300s
+go test -race ./internal/sim/ -run 'TestVirtualScheduleGolden|TestVirtualRunLeavesNoGoroutines|TestVirtualUnwindInSpawnOrder|TestVirtualUnwindPanicReraised|TestVirtualSelfHandoff|TestServersMatchWorkerTasks|TestSettledTimersLeaveHeap|TestServersCompletionSurvivesEarlyUnpark|TestVirtualStaleWakeAfterTaskReuse|TestVirtualDeadlineThenUnwindWakes|TestStepMatchesTask|TestStepPanicFailsRun|TestStepCannotBlock' -count=20 -timeout 300s
 # The simulated plane serves inline handlers in steps and holds them to
 # transport.InlineHandler's promise: one that sleeps or awaits fails Run
 # with an error naming its service, and one that panics re-raises its
@@ -129,9 +131,9 @@ go test ./internal/core/ -run 'TestShardedSingleKeyNoExtraAllocs' -count=1 -time
 # The virtual-time plane's ceiling: allocations per section of
 # BenchmarkWANSection's shape, simulator and MUSIC stack together.
 go test ./internal/bench/ -run 'TestAllocCeilingWANSection' -count=1 -timeout 300s
-# And its goroutine hand-offs per section: deliveries to inline handlers,
-# replies and multicast legs run as steps. One that becomes a task again
-# fails here by name.
+# And its hand-offs between worker coroutines per section: deliveries to
+# inline handlers, replies and multicast legs run as steps. One that becomes
+# a task again fails here by name.
 go test ./internal/bench/ -run 'TestHandoffCeilingWANSection' -count=1 -timeout 300s
 # The lock row's size ceiling, beside the alloc ceilings it is kin to: three
 # columns however many lockRefs a key has seen, and a Peek that ships after
