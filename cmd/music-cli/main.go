@@ -10,27 +10,25 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
-	"net/http"
 	"os"
 	"strconv"
-	"strings"
 	"time"
+
+	"repro/internal/httpapi"
+	"repro/music"
 )
+
+// lockWait is how long lock and incr wait to be granted before giving up.
+const lockWait = 10 * time.Minute
 
 func main() {
 	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "music-cli:", err)
 		os.Exit(1)
 	}
-}
-
-type cli struct {
-	base string
-	hc   *http.Client
 }
 
 func run(args []string, out io.Writer) error {
@@ -43,11 +41,11 @@ func run(args []string, out io.Writer) error {
 	if len(rest) == 0 {
 		return fmt.Errorf("usage: music-cli [-addr URL] lock|acquire|put|get|delete|release|force-release|keys|incr ...")
 	}
-	c := &cli{base: strings.TrimRight(*addr, "/"), hc: &http.Client{Timeout: 30 * time.Second}}
+	c := httpapi.NewClient(*addr)
 
 	cmd, rest := rest[0], rest[1:]
 	sub := flag.NewFlagSet(cmd, flag.ContinueOnError)
-	ref := sub.Int64("ref", 0, "lock reference")
+	refFlag := sub.Int64("ref", 0, "lock reference")
 	val := sub.String("value", "", "value to write")
 
 	key := ""
@@ -60,200 +58,97 @@ func run(args []string, out io.Writer) error {
 	if err := sub.Parse(rest); err != nil {
 		return err
 	}
+	ref := music.LockRef(*refFlag)
 
 	switch cmd {
 	case "lock":
-		r, err := c.createRef(key)
+		r, err := lock(c, key)
 		if err != nil {
-			return err
-		}
-		if err := c.await(key, r); err != nil {
 			return err
 		}
 		fmt.Fprintf(out, "%d\n", r)
 		return nil
 	case "acquire":
-		holder, err := c.acquire(key, *ref)
+		holder, err := c.AcquireLock(key, ref)
 		if err != nil {
 			return err
 		}
 		fmt.Fprintf(out, "%v\n", holder)
 		return nil
 	case "put":
-		q := ""
-		if *ref != 0 {
-			q = "?lockRef=" + strconv.FormatInt(*ref, 10)
+		if ref != 0 {
+			return c.CriticalPut(key, ref, []byte(*val))
 		}
-		return c.expect(http.StatusNoContent, "PUT", "/v1/keys/"+key+q, *val, nil)
+		return c.Put(key, []byte(*val))
 	case "get":
-		q := ""
-		if *ref != 0 {
-			q = "?lockRef=" + strconv.FormatInt(*ref, 10)
+		read := func() ([]byte, bool, error) { return c.Get(key) }
+		if ref != 0 {
+			read = func() ([]byte, bool, error) { return c.CriticalGet(key, ref) }
 		}
-		body, err := c.body("GET", "/v1/keys/"+key+q, "")
+		v, present, err := read()
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(out, "%s\n", body)
+		if !present {
+			return fmt.Errorf("get %s: no value", key)
+		}
+		fmt.Fprintf(out, "%s\n", v)
 		return nil
 	case "delete":
-		return c.expect(http.StatusNoContent, "DELETE",
-			fmt.Sprintf("/v1/keys/%s?lockRef=%d", key, *ref), "", nil)
+		return c.CriticalDelete(key, ref)
 	case "release":
-		return c.expect(http.StatusNoContent, "DELETE",
-			fmt.Sprintf("/v1/locks/%s/%d", key, *ref), "", nil)
+		return c.ReleaseLock(key, ref)
 	case "force-release":
-		return c.expect(http.StatusNoContent, "DELETE",
-			fmt.Sprintf("/v1/locks/%s/%d?forced=1", key, *ref), "", nil)
+		return c.ForcedRelease(key, ref)
 	case "keys":
-		body, err := c.body("GET", "/v1/keys", "")
+		keys, err := c.GetAllKeys()
 		if err != nil {
 			return err
 		}
-		var parsed struct {
-			Keys []string `json:"keys"`
-		}
-		if err := json.Unmarshal([]byte(body), &parsed); err != nil {
-			return err
-		}
-		for _, k := range parsed.Keys {
+		for _, k := range keys {
 			fmt.Fprintln(out, k)
 		}
 		return nil
 	case "incr":
-		return c.incr(out, key)
+		return incr(c, out, key)
 	default:
 		return fmt.Errorf("unknown command %q", cmd)
 	}
 }
 
+// lock creates a lockRef for key and waits until it holds the lock.
+func lock(c *httpapi.Client, key string) (music.LockRef, error) {
+	ref, err := c.CreateLockRef(key)
+	if err != nil {
+		return 0, err
+	}
+	return ref, c.AwaitHolder(key, ref, lockWait)
+}
+
 // incr runs a whole critical section: lock, read, increment, write, unlock.
-func (c *cli) incr(out io.Writer, key string) error {
-	ref, err := c.createRef(key)
+// Only an absent value reads as 0; any other failure, or a value that is
+// not a number, is an error, so incr never overwrites what it could not
+// read.
+func incr(c *httpapi.Client, out io.Writer, key string) error {
+	ref, err := lock(c, key)
 	if err != nil {
 		return err
 	}
-	if err := c.await(key, ref); err != nil {
-		return err
-	}
-	defer func() {
-		_ = c.expect(http.StatusNoContent, "DELETE", fmt.Sprintf("/v1/locks/%s/%d", key, ref), "", nil)
-	}()
-	n, err := c.counter(key, ref)
+	defer func() { _ = c.ReleaseLock(key, ref) }()
+	v, present, err := c.CriticalGet(key, ref)
 	if err != nil {
 		return err
+	}
+	n := 0
+	if present {
+		if n, err = strconv.Atoi(string(v)); err != nil {
+			return fmt.Errorf("incr %s: value %q is not a number", key, v)
+		}
 	}
 	next := strconv.Itoa(n + 1)
-	if err := c.expect(http.StatusNoContent, "PUT",
-		fmt.Sprintf("/v1/keys/%s?lockRef=%d", key, ref), next, nil); err != nil {
+	if err := c.CriticalPut(key, ref, []byte(next)); err != nil {
 		return err
 	}
 	fmt.Fprintf(out, "%s\n", next)
 	return nil
-}
-
-// counter reads key's value under ref as a decimal count. Only the API's
-// 404 "no value" reads as 0; any other failure, or a value that is not a
-// number, is an error, so incr never overwrites what it could not read.
-func (c *cli) counter(key string, ref int64) (int, error) {
-	path := fmt.Sprintf("/v1/keys/%s?lockRef=%d", key, ref)
-	text, code, err := c.do("GET", path, "")
-	if err != nil {
-		return 0, err
-	}
-	if code == http.StatusNotFound {
-		var notFound struct {
-			Error string `json:"error"`
-		}
-		if json.Unmarshal([]byte(text), &notFound) == nil && notFound.Error == "no value" {
-			return 0, nil
-		}
-	}
-	if code/100 != 2 {
-		return 0, fmt.Errorf("GET %s: %d: %s", path, code, strings.TrimSpace(text))
-	}
-	n, err := strconv.Atoi(text)
-	if err != nil {
-		return 0, fmt.Errorf("incr %s: value %q is not a number", key, text)
-	}
-	return n, nil
-}
-
-func (c *cli) createRef(key string) (int64, error) {
-	var created struct {
-		LockRef int64 `json:"lockRef"`
-	}
-	if err := c.expect(http.StatusCreated, "POST", "/v1/locks/"+key, "", &created); err != nil {
-		return 0, err
-	}
-	return created.LockRef, nil
-}
-
-func (c *cli) acquire(key string, ref int64) (bool, error) {
-	var acq struct {
-		Holder bool `json:"holder"`
-	}
-	err := c.expect(http.StatusOK, "GET", fmt.Sprintf("/v1/locks/%s/%d", key, ref), "", &acq)
-	return acq.Holder, err
-}
-
-func (c *cli) await(key string, ref int64) error {
-	backoff := 5 * time.Millisecond
-	for i := 0; i < 2000; i++ {
-		holder, err := c.acquire(key, ref)
-		if err != nil {
-			return err
-		}
-		if holder {
-			return nil
-		}
-		time.Sleep(backoff)
-		if backoff < 250*time.Millisecond {
-			backoff *= 2
-		}
-	}
-	return fmt.Errorf("lock %s/%d: gave up waiting", key, ref)
-}
-
-// expect performs a request, demands a status, and optionally decodes JSON.
-func (c *cli) expect(status int, method, path, body string, into any) error {
-	text, code, err := c.do(method, path, body)
-	if err != nil {
-		return err
-	}
-	if code != status {
-		return fmt.Errorf("%s %s: %d: %s", method, path, code, strings.TrimSpace(text))
-	}
-	if into != nil {
-		return json.Unmarshal([]byte(text), into)
-	}
-	return nil
-}
-
-func (c *cli) body(method, path, body string) (string, error) {
-	text, code, err := c.do(method, path, body)
-	if err != nil {
-		return "", err
-	}
-	if code/100 != 2 {
-		return "", fmt.Errorf("%s %s: %d: %s", method, path, code, strings.TrimSpace(text))
-	}
-	return text, nil
-}
-
-func (c *cli) do(method, path, body string) (string, int, error) {
-	req, err := http.NewRequest(method, c.base+path, strings.NewReader(body))
-	if err != nil {
-		return "", 0, err
-	}
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return "", 0, err
-	}
-	defer resp.Body.Close()
-	b, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return "", 0, err
-	}
-	return string(b), resp.StatusCode, nil
 }

@@ -463,19 +463,12 @@ func joinSelf(c *music.Cluster, site string) {
 	}
 }
 
-// peerEntry is one peers.json record: a transport peer plus the optional
-// "spare" marker for nodes provisioned outside the initial membership.
-type peerEntry struct {
-	nettrans.Peer
-	Spare bool `json:"spare,omitempty"`
-}
-
 func loadPeers(path string) ([]nettrans.Peer, map[transport.NodeID]bool, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, nil, err
 	}
-	var entries []peerEntry
+	var entries []loopback.PeerEntry
 	if err := json.Unmarshal(data, &entries); err != nil {
 		return nil, nil, fmt.Errorf("parse %s: %w", path, err)
 	}

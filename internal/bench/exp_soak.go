@@ -193,14 +193,10 @@ func newSoakEnv(scenario string, sched chaosnet.Schedule) *soakEnv {
 func (env *soakEnv) close() { env.clusters.Close() }
 
 // runWorkers drives n closed-loop workers for dur, joining them before
-// returning (fault windows are bounded, so in-flight sections drain).
-func (env *soakEnv) runWorkers(n int, dur time.Duration, work func(w, iter int, rng *rand.Rand)) {
-	soakWorkers(env.rt, &env.stopped, n, dur, work)
-}
-
-// soakWorkers is the closed-loop worker pool both scenario environments use.
-func soakWorkers(rt *sim.Real, stopped *atomic.Bool, n int, dur time.Duration, work func(w, iter int, rng *rand.Rand)) {
-	deadline := rt.Now() + dur
+// returning (fault windows are bounded, so in-flight sections drain): the
+// worker pool both scenario environments use.
+func (r *soakRecorder) runWorkers(n int, dur time.Duration, work func(w, iter int, rng *rand.Rand)) {
+	deadline := r.rt.Now() + dur
 	var wg sync.WaitGroup
 	for w := 0; w < n; w++ {
 		w := w
@@ -208,7 +204,7 @@ func soakWorkers(rt *sim.Real, stopped *atomic.Bool, n int, dur time.Duration, w
 		go func() {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(int64(w + 1)))
-			for iter := 0; rt.Now() < deadline && !stopped.Load(); iter++ {
+			for iter := 0; r.rt.Now() < deadline && !r.stopped.Load(); iter++ {
 				work(w, iter, rng)
 			}
 		}()
@@ -262,18 +258,20 @@ func runSoakScenario(sc soakScenario, dur time.Duration) soakReport {
 	env.inj.Start()
 	start := env.rt.Now()
 	sc.drive(env)
-	wall := env.rt.Now() - start
-	env.stopped.Store(true)
-	return soakReport{
-		SLO: env.ob.Metrics().SLO(obs.SLOOptions{
-			Scenario: sc.id,
-			Latency:  "soak_section_latency",
-			Attempts: "soak_sections_total",
-			Failures: "soak_failures_total",
-			Wall:     wall,
-		}),
-		Faults: env.inj.Counts(),
-	}
+	return soakReport{SLO: env.slo(sc.id, env.rt.Now()-start), Faults: env.inj.Counts()}
+}
+
+// slo stops the workers and condenses the scenario's soak_* series over
+// wall into its SLO report.
+func (r *soakRecorder) slo(scenario string, wall time.Duration) obs.SLOReport {
+	r.stopped.Store(true)
+	return r.ob.Metrics().SLO(obs.SLOOptions{
+		Scenario: scenario,
+		Latency:  "soak_section_latency",
+		Attempts: "soak_sections_total",
+		Failures: "soak_failures_total",
+		Wall:     wall,
+	})
 }
 
 func writeSoakJSON(opts Options, reports []soakReport) {

@@ -1,33 +1,29 @@
 package bench
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
-	"io"
 	"math/rand"
-	"net"
-	"net/http"
-	"os"
-	"os/exec"
-	"path/filepath"
 	"regexp"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
 
+	"repro/internal/httpapi"
+	"repro/internal/loopback"
+	"repro/internal/membership"
 	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
 // This file holds the soak scenarios that deploy real musicd OS processes
-// instead of in-process clusters: `restarts` (kill -9 one process mid-run,
-// restart it, and verify it catches up through the startup state-transfer
-// pull) and `reconfig` (drive join / retire / crash+replace through
-// POST /v1/admin/membership while the workload keeps running). The driver
-// lives in this benchmark process and speaks the Table I REST API, failing
-// over to the next serving site exactly where a production load balancer
-// would.
+// (loopback.DeployProcs) instead of in-process clusters: `restarts` (kill
+// -9 one process mid-run, restart it, and verify it catches up through the
+// startup state-transfer pull) and `reconfig` (drive join / retire /
+// crash+replace through POST /v1/admin/membership while the workload keeps
+// running). The driver lives in this benchmark process and speaks the
+// Table I REST API through httpapi.Client, failing over to the next serving
+// site exactly where a production load balancer would.
 
 // soakProcReport is the extra JSON the process scenarios attach to their
 // soakReport entry: what the script did to the deployment and what the
@@ -41,69 +37,73 @@ type soakProcReport struct {
 	FinalEpoch  int64    `json:"final_epoch,omitempty"`
 }
 
-// runSoakProcScenarios builds the musicd binary once and runs both
-// process-backed scenarios. Durations are independent of the in-process
-// scenarios: spawning and reconfiguring real processes needs a floor even
-// in quick mode.
+// runSoakProcScenarios runs both process-backed scenarios. Durations are
+// independent of the in-process scenarios: spawning and reconfiguring real
+// processes needs a floor even in quick mode.
 func runSoakProcScenarios(opts Options) []soakReport {
 	dur, workers := 9*time.Second, 9
 	if opts.Quick {
 		dur, workers = 5*time.Second, 6
 	}
-	dir, err := os.MkdirTemp("", "music-soak")
+	opts.logf("  soak: restarts (real musicd processes)")
+	restarts := runProcRestarts(dur, workers)
+	opts.logf("  soak: reconfig (real musicd processes)")
+	reconfig := runProcReconfig(dur, workers)
+	return []soakReport{restarts, reconfig}
+}
+
+// deploySoakProcs starts a musicd process per site, the last spares of them
+// spare, each with a 2 s T, and waits until every one answers.
+func deploySoakProcs(sites []string, spares int) *loopback.Procs {
+	d, err := loopback.DeployProcs(sites, spares, func(d *loopback.Procs) error {
+		for _, site := range sites {
+			if err := d.Start(site, "-t", "2s"); err != nil {
+				return err
+			}
+		}
+		return d.WaitHealthy(30*time.Second, sites...)
+	})
 	if err != nil {
 		panic(fmt.Sprintf("bench: soak: %v", err))
 	}
-	defer os.RemoveAll(dir)
-	bin := filepath.Join(dir, "musicd")
-	if out, berr := exec.Command("go", "build", "-o", bin, "repro/cmd/musicd").CombinedOutput(); berr != nil {
-		panic(fmt.Sprintf("bench: soak: build musicd: %v\n%s", berr, out))
-	}
-	opts.logf("  soak: restarts (real musicd processes)")
-	restarts := runProcRestarts(bin, dir, dur, workers)
-	opts.logf("  soak: reconfig (real musicd processes)")
-	reconfig := runProcReconfig(bin, dir, dur, workers)
-	return []soakReport{restarts, reconfig}
+	return d
 }
 
 // runProcRestarts kills one site's musicd mid-run (SIGKILL, no drain — the
 // in-memory store is gone), restarts it on the same identity, and verifies
 // the rejoined process pulled its key ranges back through the startup
 // state-transfer path before serving.
-func runProcRestarts(bin, dir string, dur time.Duration, workers int) soakReport {
-	d := newProcDeploy(bin, dir, "restarts", []string{"site-a", "site-b", "site-c"}, nil)
-	defer d.close()
-	for _, s := range d.sites {
-		d.mustStart(s)
-	}
-	d.mustHealthy(30 * time.Second)
-	env := newSoakProcEnv("restarts", d.sites...)
-	victim := d.sites[1]
+func runProcRestarts(dur time.Duration, workers int) soakReport {
+	sites := []string{"site-a", "site-b", "site-c"}
+	d := deploySoakProcs(sites, 0)
+	defer d.Close()
+	env := newSoakProcEnv("restarts", d, sites...)
+	victim := sites[1]
 	proc := &soakProcReport{
 		Deployment: "3 musicd processes over loopback TCP",
-		Restarted:  victim.site,
+		Restarted:  victim,
 	}
 	script := make(chan struct{})
 	go func() {
 		defer close(script)
 		time.Sleep(dur / 3)
 		env.drop(victim)
-		d.kill(victim)
-		proc.Events = append(proc.Events, fmt.Sprintf("kill -9 %s at t+%v", victim.site, dur/3))
+		d.Kill(victim)
+		proc.Events = append(proc.Events, fmt.Sprintf("kill -9 %s at t+%v", victim, dur/3))
 		time.Sleep(dur / 4)
-		if err := d.start(victim); err != nil {
-			proc.Events = append(proc.Events, fmt.Sprintf("restart %s: %v", victim.site, err))
+		err := d.Start(victim, "-t", "2s")
+		if err == nil {
+			err = d.WaitHealthy(30*time.Second, victim)
+		}
+		if err != nil {
+			proc.Events = append(proc.Events, fmt.Sprintf("restart %s: %v", victim, err))
 			return
 		}
-		if err := d.healthy(victim, 30*time.Second); err != nil {
-			proc.Events = append(proc.Events, fmt.Sprintf("restart %s: %v", victim.site, err))
-			return
-		}
-		rows, ok := victim.waitCatchup(15 * time.Second)
+		rows, ok := waitCatchup(d, victim, 15*time.Second)
 		proc.CatchupRows = rows
 		proc.CaughtUp = ok && rows > 0
 		proc.Events = append(proc.Events,
-			fmt.Sprintf("restarted %s; startup state transfer pulled %d rows", victim.site, rows))
+			fmt.Sprintf("restarted %s; startup state transfer pulled %d rows", victim, rows))
 		env.add(victim)
 	}()
 	start := env.rt.Now()
@@ -119,17 +119,11 @@ func runProcRestarts(bin, dir string, dur time.Duration, workers int) soakReport
 // spare site joins, a member retires, a member crashes and is replaced —
 // all through the admin endpoint, while the critical-section workload keeps
 // running against whichever sites currently serve.
-func runProcReconfig(bin, dir string, dur time.Duration, workers int) soakReport {
-	d := newProcDeploy(bin, dir, "reconfig",
-		[]string{"site-a", "site-b", "site-c", "site-d"},
-		map[string]bool{"site-d": true})
-	defer d.close()
-	for _, s := range d.sites {
-		d.mustStart(s)
-	}
-	d.mustHealthy(30 * time.Second)
-	a, b, c, spare := d.sites[0], d.sites[1], d.sites[2], d.sites[3]
-	env := newSoakProcEnv("reconfig", a, b, c)
+func runProcReconfig(dur time.Duration, workers int) soakReport {
+	d := deploySoakProcs([]string{"site-a", "site-b", "site-c", "site-d"}, 1)
+	defer d.Close()
+	env := newSoakProcEnv("reconfig", d, "site-a", "site-b", "site-c")
+	admin := d.Client("site-a")
 	proc := &soakProcReport{Deployment: "3 member + 1 spare musicd processes over loopback TCP"}
 	t0 := time.Now()
 	at := func(offset time.Duration) { time.Sleep(time.Until(t0.Add(offset))) }
@@ -142,49 +136,50 @@ func runProcReconfig(bin, dir string, dur time.Duration, workers int) soakReport
 			}
 			proc.Events = append(proc.Events, ev)
 		}
+		// reconfigure drives one change through site-a and, when serve is
+		// set, waits until serve's own polled view has it too.
+		reconfigure := func(op membership.Op, site, with, serve string) error {
+			_, err := admin.Reconfigure(op, site, with, 20*time.Second)
+			if err == nil && serve != "" {
+				_, err = d.Client(serve).WaitMembership(20*time.Second,
+					func(m httpapi.MembershipBody) bool { return m.Has(serve) })
+			}
+			return err
+		}
 
 		// Planned growth: the spare's site joins and starts serving once its
 		// own polled view has caught up.
 		at(dur / 5)
-		err := procReconfigure(a.url, `{"op":"join","site":"site-d"}`, 20*time.Second,
-			func(m procMembership) bool { return hasProcSite(m, "site-d") })
+		err := reconfigure(membership.OpJoin, "site-d", "", "site-d")
 		if err == nil {
-			err = procWaitSite(spare.url, "site-d", true, 20*time.Second)
-		}
-		if err == nil {
-			env.add(spare)
+			env.add("site-d")
 		}
 		step("join site-d", err)
 
 		// Planned shrink: the retired process keeps running (it stays in the
 		// config group) but no longer serves sections.
 		at(2 * dur / 5)
-		err = procReconfigure(a.url, `{"op":"retire","site":"site-c"}`, 20*time.Second,
-			func(m procMembership) bool { return !hasProcSite(m, "site-c") })
+		err = reconfigure(membership.OpRetire, "site-c", "", "")
 		if err == nil {
-			env.drop(c)
+			env.drop("site-c")
 		}
 		step("retire site-c", err)
 
 		// Unplanned: a member dies with no drain...
 		at(3 * dur / 5)
-		env.drop(b)
-		d.kill(b)
-		step(fmt.Sprintf("kill -9 %s", b.site), nil)
+		env.drop("site-b")
+		d.Kill("site-b")
+		step("kill -9 site-b", nil)
 
 		// ...and is replaced by the retired site in one epoch.
 		at(7 * dur / 10)
-		err = procReconfigure(a.url, `{"op":"replace","site":"site-b","with":"site-c"}`, 20*time.Second,
-			func(m procMembership) bool { return hasProcSite(m, "site-c") && !hasProcSite(m, "site-b") })
+		err = reconfigure(membership.OpReplace, "site-b", "site-c", "site-c")
 		if err == nil {
-			err = procWaitSite(c.url, "site-c", true, 20*time.Second)
-		}
-		if err == nil {
-			env.add(c)
+			env.add("site-c")
 		}
 		step("replace site-b with site-c", err)
 
-		if m, merr := procMembershipOf(a.url); merr == nil {
+		if m, err := admin.Membership(); err == nil {
 			proc.FinalEpoch = m.Epoch
 		}
 	}()
@@ -197,120 +192,14 @@ func runProcReconfig(bin, dir string, dur time.Duration, workers int) soakReport
 	return env.report(wall, proc)
 }
 
-// procDeploy is one scenario's set of musicd processes sharing a peers.json.
-type procDeploy struct {
-	bin       string
-	peersPath string
-	sites     []*procSite
-}
-
-// procSite is one musicd process slot: a fixed identity (site, transport
-// addr, REST addr) whose process can be killed and started again.
-type procSite struct {
-	site     string
-	httpAddr string
-	url      string
-	cmd      *exec.Cmd
-	buf      *logBuf
-}
-
-func newProcDeploy(bin, dir, name string, sites []string, spares map[string]bool) *procDeploy {
-	ports, err := procFreePorts(2 * len(sites))
-	if err != nil {
-		panic(fmt.Sprintf("bench: soak: %v", err))
-	}
-	d := &procDeploy{bin: bin}
-	entries := make([]map[string]any, len(sites))
-	for i, site := range sites {
-		entries[i] = map[string]any{
-			"id":   i,
-			"site": site,
-			"addr": fmt.Sprintf("127.0.0.1:%d", ports[i]),
-		}
-		if spares[site] {
-			entries[i]["spare"] = true
-		}
-		httpAddr := fmt.Sprintf("127.0.0.1:%d", ports[len(sites)+i])
-		d.sites = append(d.sites, &procSite{site: site, httpAddr: httpAddr, url: "http://" + httpAddr})
-	}
-	data, err := json.Marshal(entries)
-	if err != nil {
-		panic(fmt.Sprintf("bench: soak: %v", err))
-	}
-	d.peersPath = filepath.Join(dir, name+"-peers.json")
-	if err := os.WriteFile(d.peersPath, data, 0o644); err != nil {
-		panic(fmt.Sprintf("bench: soak: %v", err))
-	}
-	return d
-}
-
-func (d *procDeploy) start(s *procSite) error {
-	s.buf = &logBuf{}
-	cmd := exec.Command(d.bin, "-peers", d.peersPath, "-site", s.site, "-addr", s.httpAddr, "-t", "2s")
-	cmd.Stdout = s.buf
-	cmd.Stderr = s.buf
-	if err := cmd.Start(); err != nil {
-		return err
-	}
-	s.cmd = cmd
-	return nil
-}
-
-func (d *procDeploy) mustStart(s *procSite) {
-	if err := d.start(s); err != nil {
-		panic(fmt.Sprintf("bench: soak: start %s: %v", s.site, err))
-	}
-}
-
-func (d *procDeploy) kill(s *procSite) {
-	if s.cmd == nil {
-		return
-	}
-	_ = s.cmd.Process.Kill()
-	_, _ = s.cmd.Process.Wait()
-	s.cmd = nil
-}
-
-func (d *procDeploy) close() {
-	for _, s := range d.sites {
-		d.kill(s)
-	}
-}
-
-func (d *procDeploy) healthy(s *procSite, timeout time.Duration) error {
-	deadline := time.Now().Add(timeout)
-	for {
-		resp, err := procHTTP.Get(s.url + "/v1/health")
-		if err == nil {
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-			if resp.StatusCode == http.StatusOK {
-				return nil
-			}
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("%s never became healthy: %v", s.site, err)
-		}
-		time.Sleep(50 * time.Millisecond)
-	}
-}
-
-func (d *procDeploy) mustHealthy(timeout time.Duration) {
-	for _, s := range d.sites {
-		if err := d.healthy(s, timeout); err != nil {
-			panic(fmt.Sprintf("bench: soak: %v", err))
-		}
-	}
-}
-
 var procCatchupRE = regexp.MustCompile(`startup state transfer: caught up (\d+) rows`)
 
-// waitCatchup scans the process's captured log for the startup state-transfer
+// waitCatchup scans site's captured output for the startup state-transfer
 // line and returns the row count it reported.
-func (s *procSite) waitCatchup(timeout time.Duration) (int, bool) {
+func waitCatchup(d *loopback.Procs, site string, timeout time.Duration) (int, bool) {
 	deadline := time.Now().Add(timeout)
 	for {
-		if m := procCatchupRE.FindStringSubmatch(s.buf.String()); m != nil {
+		if m := procCatchupRE.FindStringSubmatch(d.Output(site)); m != nil {
 			n, _ := strconv.Atoi(m[1])
 			return n, true
 		}
@@ -321,78 +210,45 @@ func (s *procSite) waitCatchup(timeout time.Duration) (int, bool) {
 	}
 }
 
-// logBuf is a goroutine-safe capture of a child process's combined output.
-type logBuf struct {
-	mu  sync.Mutex
-	buf bytes.Buffer
-}
-
-func (b *logBuf) Write(p []byte) (int, error) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.buf.Write(p)
-}
-
-func (b *logBuf) String() string {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.buf.String()
-}
-
-// procHTTP bounds every driver request so a killed process costs one fast
-// error, not a hung worker.
-var procHTTP = &http.Client{Timeout: 3 * time.Second}
-
 // soakProcEnv drives the Table I REST API against whichever sites currently
 // serve, recording into the same soak_* metric series as the in-process
 // scenarios.
 type soakProcEnv struct {
 	soakRecorder
 	scenario string
+	d        *loopback.Procs
 	mu       sync.Mutex
-	serving  []*procSite
+	serving  []string
 }
 
-func newSoakProcEnv(scenario string, serving ...*procSite) *soakProcEnv {
+func newSoakProcEnv(scenario string, d *loopback.Procs, serving ...string) *soakProcEnv {
 	rt := sim.NewReal(1)
 	return &soakProcEnv{
 		soakRecorder: soakRecorder{rt: rt, ob: obs.New(rt, obs.Options{})},
 		scenario:     scenario,
-		serving:      append([]*procSite(nil), serving...),
+		d:            d,
+		serving:      append([]string(nil), serving...),
 	}
 }
 
-func (env *soakProcEnv) add(s *procSite) {
+func (env *soakProcEnv) add(site string) {
 	env.mu.Lock()
 	defer env.mu.Unlock()
-	for _, cur := range env.serving {
-		if cur == s {
-			return
-		}
+	if !slices.Contains(env.serving, site) {
+		env.serving = append(env.serving, site)
 	}
-	env.serving = append(env.serving, s)
 }
 
-func (env *soakProcEnv) drop(s *procSite) {
+func (env *soakProcEnv) drop(site string) {
 	env.mu.Lock()
 	defer env.mu.Unlock()
-	out := env.serving[:0]
-	for _, cur := range env.serving {
-		if cur != s {
-			out = append(out, cur)
-		}
-	}
-	env.serving = append([]*procSite(nil), out...)
+	env.serving = slices.DeleteFunc(slices.Clone(env.serving), func(s string) bool { return s == site })
 }
 
-func (env *soakProcEnv) snapshot() []*procSite {
+func (env *soakProcEnv) snapshot() []string {
 	env.mu.Lock()
 	defer env.mu.Unlock()
-	return append([]*procSite(nil), env.serving...)
-}
-
-func (env *soakProcEnv) runWorkers(n int, dur time.Duration, work func(w, iter int, rng *rand.Rand)) {
-	soakWorkers(env.rt, &env.stopped, n, dur, work)
+	return append([]string(nil), env.serving...)
 }
 
 // section runs one REST critical section from worker w's home site, failing
@@ -421,10 +277,10 @@ func (env *soakProcEnv) section(w int, key string) {
 		for k := 0; k < len(sites); k++ {
 			target := sites[(w+k)%len(sites)]
 			if prev != "" {
-				m.Counter("music_failover_total", obs.Labels{"from": prev, "to": target.site}).Inc()
+				m.Counter("music_failover_total", obs.Labels{"from": prev, "to": target}).Inc()
 			}
-			err = env.runSection(target.url, key, w)
-			prev = target.site
+			err = env.runSection(env.d.Client(target), key, w)
+			prev = target
 			if err == nil {
 				break
 			}
@@ -443,181 +299,26 @@ func (env *soakProcEnv) section(w int, key string) {
 
 // runSection is one full Table I section over REST: create lockRef, acquire
 // until holder, critical get + put, release. Any refusal or transport error
-// fails the section (the abandoned lockRef expires after T).
-func (env *soakProcEnv) runSection(base, key string, w int) error {
-	status, data, err := procDo("POST", base+"/v1/locks/"+key, nil)
+// fails the section (the abandoned lockRef expires after T); a lockRef that
+// is not granted is released on the way out.
+func (env *soakProcEnv) runSection(c *httpapi.Client, key string, w int) error {
+	ref, err := c.CreateLockRef(key)
 	if err != nil {
 		return err
 	}
-	if status != http.StatusCreated {
-		return fmt.Errorf("create lockRef: %d %s", status, data)
-	}
-	var created struct {
-		LockRef int64 `json:"lockRef"`
-	}
-	if err := json.Unmarshal(data, &created); err != nil {
-		return fmt.Errorf("create lockRef: %v", err)
-	}
-	lockPath := fmt.Sprintf("%s/v1/locks/%s/%d", base, key, created.LockRef)
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		status, data, err = procDo("GET", lockPath, nil)
-		if err != nil {
-			return err
-		}
-		if status != http.StatusOK {
-			return fmt.Errorf("acquire: %d %s", status, data)
-		}
-		var got struct {
-			Holder bool `json:"holder"`
-		}
-		if err := json.Unmarshal(data, &got); err != nil {
-			return fmt.Errorf("acquire: %v", err)
-		}
-		if got.Holder {
-			break
-		}
-		if time.Now().After(deadline) {
-			_, _, _ = procDo("DELETE", lockPath, nil)
-			return fmt.Errorf("acquire %s: not holder before deadline", key)
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-	keyPath := fmt.Sprintf("%s/v1/keys/%s?lockRef=%d", base, key, created.LockRef)
-	status, data, err = procDo("GET", keyPath, nil)
-	if err != nil {
+	if err := c.AwaitHolder(key, ref, 5*time.Second); err != nil {
+		_ = c.ReleaseLock(key, ref)
 		return err
 	}
-	if status != http.StatusOK && status != http.StatusNotFound {
-		return fmt.Errorf("criticalGet: %d %s", status, data)
-	}
-	status, data, err = procDo("PUT", keyPath, []byte(fmt.Sprintf("%s-w%d", env.scenario, w)))
-	if err != nil {
+	if _, _, err := c.CriticalGet(key, ref); err != nil {
 		return err
 	}
-	if status != http.StatusNoContent {
-		return fmt.Errorf("criticalPut: %d %s", status, data)
-	}
-	status, data, err = procDo("DELETE", lockPath, nil)
-	if err != nil {
+	if err := c.CriticalPut(key, ref, []byte(fmt.Sprintf("%s-w%d", env.scenario, w))); err != nil {
 		return err
 	}
-	if status != http.StatusNoContent {
-		return fmt.Errorf("release: %d %s", status, data)
-	}
-	return nil
+	return c.ReleaseLock(key, ref)
 }
 
 func (env *soakProcEnv) report(wall time.Duration, proc *soakProcReport) soakReport {
-	env.stopped.Store(true)
-	return soakReport{
-		SLO: env.ob.Metrics().SLO(obs.SLOOptions{
-			Scenario: env.scenario,
-			Latency:  "soak_section_latency",
-			Attempts: "soak_sections_total",
-			Failures: "soak_failures_total",
-			Wall:     wall,
-		}),
-		Proc: proc,
-	}
-}
-
-func procDo(method, url string, body []byte) (int, []byte, error) {
-	var rd io.Reader
-	if body != nil {
-		rd = bytes.NewReader(body)
-	}
-	req, err := http.NewRequest(method, url, rd)
-	if err != nil {
-		return 0, nil, err
-	}
-	resp, err := procHTTP.Do(req)
-	if err != nil {
-		return 0, nil, err
-	}
-	defer resp.Body.Close()
-	data, _ := io.ReadAll(resp.Body)
-	return resp.StatusCode, data, nil
-}
-
-// procMembership mirrors GET /v1/membership.
-type procMembership struct {
-	Epoch int64    `json:"epoch"`
-	Sites []string `json:"sites"`
-}
-
-func procMembershipOf(url string) (procMembership, error) {
-	status, data, err := procDo("GET", url+"/v1/membership", nil)
-	if err != nil {
-		return procMembership{}, err
-	}
-	if status != http.StatusOK {
-		return procMembership{}, fmt.Errorf("GET membership: %d %s", status, data)
-	}
-	var m procMembership
-	if err := json.Unmarshal(data, &m); err != nil {
-		return procMembership{}, err
-	}
-	return m, nil
-}
-
-func hasProcSite(m procMembership, site string) bool {
-	for _, s := range m.Sites {
-		if s == site {
-			return true
-		}
-	}
-	return false
-}
-
-// procReconfigure drives one membership change through a member's admin
-// endpoint until the satisfied predicate holds against its view — posting is
-// retried through config-log elections and duplicate-proposal refusals, so a
-// lost response cannot wedge the script.
-func procReconfigure(url, body string, timeout time.Duration, satisfied func(procMembership) bool) error {
-	deadline := time.Now().Add(timeout)
-	for {
-		if m, err := procMembershipOf(url); err == nil && satisfied(m) {
-			return nil
-		}
-		if _, _, err := procDo("POST", url+"/v1/admin/membership", []byte(body)); err == nil {
-			if m, err := procMembershipOf(url); err == nil && satisfied(m) {
-				return nil
-			}
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("reconfigure %s: not applied within %v", body, timeout)
-		}
-		time.Sleep(300 * time.Millisecond)
-	}
-}
-
-// procWaitSite waits until url's own membership view does (or does not)
-// contain site.
-func procWaitSite(url, site string, want bool, timeout time.Duration) error {
-	deadline := time.Now().Add(timeout)
-	for {
-		if m, err := procMembershipOf(url); err == nil && hasProcSite(m, site) == want {
-			return nil
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("%s: site %s membership never became %t", url, site, want)
-		}
-		time.Sleep(100 * time.Millisecond)
-	}
-}
-
-// procFreePorts reserves n distinct loopback ports by binding and releasing
-// them.
-func procFreePorts(n int) ([]int, error) {
-	ports := make([]int, n)
-	for i := range ports {
-		lis, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return nil, err
-		}
-		ports[i] = lis.Addr().(*net.TCPAddr).Port
-		lis.Close()
-	}
-	return ports, nil
+	return soakReport{SLO: env.slo(env.scenario, wall), Proc: proc}
 }

@@ -125,9 +125,9 @@ func runChaos(t *testing.T, seed int64) {
 					// requires our write to have survived as the true
 					// value: a quorum read right after release. (A racing
 					// next writer makes this check conservatively false.)
-					row, err := st.Client(simnet.NodeID(ci)).GetCols(DataTable, key, []string{colValue}, store.Quorum)
+					row, err := st.Client(simnet.NodeID(ci)).Read(DataTable, key, []string{colValue}, store.Quorum)
 					if err == nil {
-						if c, ok := row[colValue]; ok && string(c.Value) == rec.wrote {
+						if v, ok := row.Live(colValue); ok && string(v) == rec.wrote {
 							rec.full = true
 						}
 					}

@@ -54,6 +54,10 @@
 // 412 Precondition Failed for "not (yet) the lock holder" (retry), and
 // 503 Service Unavailable when a back-end quorum is unreachable (retry,
 // possibly at another site).
+//
+// Client is the other end: the one Go client of these routes, which
+// music-cli, the musicd process tests and the soak driver share, so the
+// paths, the bodies and what each status means live in this package only.
 package httpapi
 
 import (
@@ -99,7 +103,7 @@ func NewSharded(cls []*music.Client) *Server {
 	s.mux.HandleFunc("DELETE /v1/keys/{key}", s.deleteKey)
 	s.mux.HandleFunc("GET /v1/keys", s.allKeys)
 	s.mux.HandleFunc("GET /v1/health", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]string{"status": "ok", "site": s.cls[0].Site()})
+		writeJSON(w, http.StatusOK, healthBody{Site: s.cls[0].Site(), Status: "ok"})
 	})
 	s.mux.HandleFunc("GET /metrics", s.metrics)
 	s.mux.HandleFunc("GET /traces", s.traces)
@@ -112,6 +116,65 @@ func NewSharded(cls []*music.Client) *Server {
 
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
+
+// The JSON bodies the server writes and Client reads. Field order is the
+// encoding's key order, kept sorted as the maps these replaced wrote it.
+type (
+	lockRefBody struct {
+		LockRef music.LockRef `json:"lockRef"`
+	}
+	holderBody struct {
+		Holder bool `json:"holder"`
+	}
+	keysBody struct {
+		Keys []string `json:"keys"`
+	}
+	healthBody struct {
+		Site   string `json:"site"`
+		Status string `json:"status"`
+	}
+	historyBody struct {
+		Ops  []history.Op `json:"ops"`
+		Site string       `json:"site"`
+	}
+	consistencyBody struct {
+		Sites []history.SiteStatus `json:"sites"`
+	}
+	tracesBody struct {
+		Traces []traceBody `json:"traces"`
+	}
+	// traceBody is one trace of the /traces response.
+	traceBody struct {
+		Trace uint64         `json:"trace"`
+		Spans []obs.SpanJSON `json:"spans"`
+	}
+	// membershipChange is the POST /v1/admin/membership request.
+	membershipChange struct {
+		Op   string `json:"op"`
+		Site string `json:"site"`
+		With string `json:"with,omitempty"`
+	}
+	errorBody struct {
+		Error string `json:"error"`
+	}
+)
+
+// noValue is the error of a get's 404: the key holds no value.
+const noValue = "no value"
+
+// MembershipBody is the JSON rendering of an epoch-versioned membership.
+type MembershipBody struct {
+	Epoch   int64        `json:"epoch"`
+	Sites   []string     `json:"sites"`
+	Members []MemberBody `json:"members"`
+}
+
+// MemberBody is one node of a MembershipBody.
+type MemberBody struct {
+	ID   int64  `json:"id"`
+	Site string `json:"site"`
+	Addr string `json:"addr,omitempty"`
+}
 
 // clientFor routes key to the client owning its plane shard — the same
 // store.ShardOf walk core uses, so the HTTP layer lands each request on the
@@ -130,7 +193,7 @@ func (s *Server) createLockRef(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, err)
 		return
 	}
-	writeJSON(w, http.StatusCreated, map[string]int64{"lockRef": int64(ref)})
+	writeJSON(w, http.StatusCreated, lockRefBody{LockRef: ref})
 }
 
 func (s *Server) acquireLock(w http.ResponseWriter, r *http.Request) {
@@ -144,7 +207,7 @@ func (s *Server) acquireLock(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]bool{"holder": holder})
+	writeJSON(w, http.StatusOK, holderBody{Holder: holder})
 }
 
 func (s *Server) releaseLock(w http.ResponseWriter, r *http.Request) {
@@ -210,7 +273,7 @@ func (s *Server) getKey(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if value == nil {
-		writeJSON(w, http.StatusNotFound, errBody("no value"))
+		writeJSON(w, http.StatusNotFound, errBody(noValue))
 		return
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
@@ -244,7 +307,7 @@ func (s *Server) allKeys(w http.ResponseWriter, r *http.Request) {
 	if keys == nil {
 		keys = []string{}
 	}
-	writeJSON(w, http.StatusOK, map[string][]string{"keys": keys})
+	writeJSON(w, http.StatusOK, keysBody{Keys: keys})
 }
 
 // metrics serves the cluster's metric registry in text exposition format.
@@ -256,12 +319,6 @@ func (s *Server) metrics(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	o.Metrics().WriteText(w)
-}
-
-// traceBody is one trace of the /traces response.
-type traceBody struct {
-	Trace uint64         `json:"trace"`
-	Spans []obs.SpanJSON `json:"spans"`
 }
 
 // traces serves recent span trees from the tracer's ring buffer, most
@@ -297,7 +354,7 @@ func (s *Server) traces(w http.ResponseWriter, r *http.Request) {
 	for _, id := range ids {
 		out = append(out, traceBody{Trace: uint64(id), Spans: tr.TraceJSON(id)})
 	}
-	writeJSON(w, http.StatusOK, map[string][]traceBody{"traces": out})
+	writeJSON(w, http.StatusOK, tracesBody{Traces: out})
 }
 
 // history exports this process's recorded operation history. A checker
@@ -313,7 +370,7 @@ func (s *Server) history(w http.ResponseWriter, r *http.Request) {
 	if ops == nil {
 		ops = []history.Op{} // a site with no ops yet serves [], not null
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"site": s.cls[0].Site(), "ops": ops})
+	writeJSON(w, http.StatusOK, historyBody{Ops: ops, Site: s.cls[0].Site()})
 }
 
 // consistency serves the live adaptive-consistency monitor: every observed
@@ -330,29 +387,16 @@ func (s *Server) consistency(w http.ResponseWriter, r *http.Request) {
 	if sites == nil {
 		sites = []history.SiteStatus{}
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"sites": sites})
+	writeJSON(w, http.StatusOK, consistencyBody{Sites: sites})
 }
 
-// membershipBody is the JSON rendering of an epoch-versioned membership.
-type membershipBody struct {
-	Epoch   int64        `json:"epoch"`
-	Sites   []string     `json:"sites"`
-	Members []memberBody `json:"members"`
-}
-
-type memberBody struct {
-	ID   int64  `json:"id"`
-	Site string `json:"site"`
-	Addr string `json:"addr,omitempty"`
-}
-
-func renderMembership(m membership.Membership) membershipBody {
-	body := membershipBody{Epoch: m.Epoch, Sites: m.Sites(), Members: []memberBody{}}
+func renderMembership(m membership.Membership) MembershipBody {
+	body := MembershipBody{Epoch: m.Epoch, Sites: m.Sites(), Members: []MemberBody{}}
 	if body.Sites == nil {
 		body.Sites = []string{}
 	}
 	for _, mem := range m.Members {
-		body.Members = append(body.Members, memberBody{ID: int64(mem.ID), Site: mem.Site, Addr: mem.Addr})
+		body.Members = append(body.Members, MemberBody{ID: int64(mem.ID), Site: mem.Site, Addr: mem.Addr})
 	}
 	return body
 }
@@ -367,11 +411,7 @@ func (s *Server) getMembership(w http.ResponseWriter, r *http.Request) {
 // "replace", "site": s, "with": spare}. The change replicates through the
 // config log; the response is the membership the new epoch installed.
 func (s *Server) postMembership(w http.ResponseWriter, r *http.Request) {
-	var body struct {
-		Op   string `json:"op"`
-		Site string `json:"site"`
-		With string `json:"with"`
-	}
+	var body membershipChange
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(&body); err != nil {
 		writeJSON(w, http.StatusBadRequest, errBody("bad body: "+err.Error()))
 		return
@@ -442,7 +482,7 @@ func writeErr(w http.ResponseWriter, err error) {
 	}
 }
 
-func errBody(msg string) map[string]string { return map[string]string{"error": msg} }
+func errBody(msg string) errorBody { return errorBody{Error: msg} }
 
 func writeJSON(w http.ResponseWriter, status int, body any) {
 	w.Header().Set("Content-Type", "application/json")

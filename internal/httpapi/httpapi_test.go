@@ -62,31 +62,27 @@ func (a *api) do(method, path string, body string) (*http.Response, string) {
 	return resp, string(b)
 }
 
-// lock drives the full REST lock flow and returns the lockRef.
-func (a *api) lock(key string) int64 {
+// call serves one request, requires status want, and decodes the JSON
+// reply into into.
+func (a *api) call(method, path string, want int, into any) {
 	a.t.Helper()
-	resp, body := a.do("POST", "/v1/locks/"+key, "")
-	if resp.StatusCode != http.StatusCreated {
-		a.t.Fatalf("create lock: %d %s", resp.StatusCode, body)
+	resp, body := a.do(method, path, "")
+	if resp.StatusCode != want {
+		a.t.Fatalf("%s %s = %d %s, want %d", method, path, resp.StatusCode, body, want)
 	}
-	var created struct {
-		LockRef int64 `json:"lockRef"`
+	if err := json.Unmarshal([]byte(body), into); err != nil {
+		a.t.Fatalf("%s %s: decode %q: %v", method, path, body, err)
 	}
-	if err := json.Unmarshal([]byte(body), &created); err != nil {
-		a.t.Fatalf("decode: %v", err)
-	}
+}
+
+// lock drives the full REST lock flow and returns the lockRef.
+func (a *api) lock(key string) music.LockRef {
+	a.t.Helper()
+	var created lockRefBody
+	a.call("POST", "/v1/locks/"+key, http.StatusCreated, &created)
 	for i := 0; i < 200; i++ {
-		resp, body = a.do("GET", fmt.Sprintf("/v1/locks/%s/%d", key, created.LockRef), "")
-		if resp.StatusCode != http.StatusOK {
-			a.t.Fatalf("acquire: %d %s", resp.StatusCode, body)
-		}
-		var acq struct {
-			Holder bool `json:"holder"`
-		}
-		if err := json.Unmarshal([]byte(body), &acq); err != nil {
-			a.t.Fatalf("decode acquire: %v", err)
-		}
-		if acq.Holder {
+		var acq holderBody
+		if a.call("GET", fmt.Sprintf("/v1/locks/%s/%d", key, created.LockRef), http.StatusOK, &acq); acq.Holder {
 			return created.LockRef
 		}
 	}
@@ -147,17 +143,9 @@ func TestNonHolderPutIs412(t *testing.T) {
 	a.run(func() {
 		_ = a.lock("k")
 		// A second lockRef exists but is not the holder.
-		resp, body := a.do("POST", "/v1/locks/k", "")
-		if resp.StatusCode != http.StatusCreated {
-			t.Fatalf("create 2nd ref: %d", resp.StatusCode)
-		}
-		var created struct {
-			LockRef int64 `json:"lockRef"`
-		}
-		if err := json.Unmarshal([]byte(body), &created); err != nil {
-			t.Fatal(err)
-		}
-		resp, _ = a.do("PUT", fmt.Sprintf("/v1/keys/k?lockRef=%d", created.LockRef), "x")
+		var created lockRefBody
+		a.call("POST", "/v1/locks/k", http.StatusCreated, &created)
+		resp, _ := a.do("PUT", fmt.Sprintf("/v1/keys/k?lockRef=%d", created.LockRef), "x")
 		if resp.StatusCode != http.StatusPreconditionFailed {
 			t.Fatalf("non-holder put = %d, want 412", resp.StatusCode)
 		}
@@ -281,25 +269,13 @@ func TestTracesEndpoint(t *testing.T) {
 		}
 		root.End()
 
-		resp, body := a.do("GET", "/traces", "")
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("traces = %d %s", resp.StatusCode, body)
-		}
-		var listing struct {
-			Traces []struct {
-				Trace uint64          `json:"trace"`
-				Spans json.RawMessage `json:"spans"`
-			} `json:"traces"`
-		}
-		if err := json.Unmarshal([]byte(body), &listing); err != nil {
-			t.Fatalf("decode traces: %v\n%s", err, body)
-		}
-		if len(listing.Traces) == 0 {
-			t.Fatalf("no traces listed: %s", body)
+		var listing tracesBody
+		if a.call("GET", "/traces", http.StatusOK, &listing); len(listing.Traces) == 0 {
+			t.Fatal("no traces listed")
 		}
 
 		// Fetch the rooted trace by id; its tree must contain the MUSIC ops.
-		resp, body = a.do("GET", fmt.Sprintf("/traces?id=%d", uint64(root.Trace)), "")
+		resp, body := a.do("GET", fmt.Sprintf("/traces?id=%d", uint64(root.Trace)), "")
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("traces?id = %d %s", resp.StatusCode, body)
 		}
@@ -346,22 +322,10 @@ func TestConsistencyEndpoint(t *testing.T) {
 			t.Fatalf("criticalGet = %d %q, want 200 v", resp.StatusCode, body)
 		}
 
-		resp, body = a.do("GET", "/v1/consistency", "")
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("consistency = %d %s", resp.StatusCode, body)
-		}
-		var got struct {
-			Sites []struct {
-				Site      string `json:"site"`
-				Level     string `json:"level"`
-				WeakReads int    `json:"weak_reads"`
-			} `json:"sites"`
-		}
-		if err := json.Unmarshal([]byte(body), &got); err != nil {
-			t.Fatalf("decode %q: %v", body, err)
-		}
+		var got consistencyBody
+		a.call("GET", "/v1/consistency", http.StatusOK, &got)
 		if len(got.Sites) != 1 || got.Sites[0].Site != "site-a" || got.Sites[0].Level != "one" || got.Sites[0].WeakReads < 1 {
-			t.Fatalf("consistency body = %s, want site-a at level one with >=1 weak read", body)
+			t.Fatalf("consistency = %+v, want site-a at level one with >=1 weak read", got.Sites)
 		}
 	})
 }

@@ -89,29 +89,17 @@ func TestNewShardedPanicsOnEmpty(t *testing.T) {
 	NewSharded(nil)
 }
 
-func decodeMembership(t *testing.T, body string) membershipBody {
-	t.Helper()
-	var m membershipBody
-	if err := json.Unmarshal([]byte(body), &m); err != nil {
-		t.Fatalf("decode membership: %v\n%s", err, body)
-	}
-	return m
-}
-
 func TestMembershipEndpointsOnStaticCluster(t *testing.T) {
 	a := harness(t)
 	a.run(func() {
 		// A fixed-membership cluster reports epoch 0 (membership not managed).
-		resp, body := a.do("GET", "/v1/membership", "")
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("GET membership = %d %s", resp.StatusCode, body)
-		}
-		if m := decodeMembership(t, body); m.Epoch != 0 || len(m.Members) != 0 {
+		var m MembershipBody
+		if a.call("GET", "/v1/membership", http.StatusOK, &m); m.Epoch != 0 || len(m.Members) != 0 {
 			t.Fatalf("static cluster membership = %+v, want epoch 0 and no members", m)
 		}
 
 		// Reconfiguring it is a 409: there is no config log to replicate through.
-		resp, body = a.do("POST", "/v1/admin/membership", `{"op":"retire","site":"site-b"}`)
+		resp, body := a.do("POST", "/v1/admin/membership", `{"op":"retire","site":"site-b"}`)
 		if resp.StatusCode != http.StatusConflict || !strings.Contains(body, "no config log") {
 			t.Fatalf("POST on static cluster = %d %s, want 409 no config log", resp.StatusCode, body)
 		}
@@ -144,11 +132,8 @@ func TestMembershipEndpointBadRequests(t *testing.T) {
 func TestMembershipEndpointReconfigures(t *testing.T) {
 	a := harness(t, music.WithSpareSites("site-d"))
 	a.run(func() {
-		resp, body := a.do("GET", "/v1/membership", "")
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("GET membership = %d %s", resp.StatusCode, body)
-		}
-		if m := decodeMembership(t, body); m.Epoch != 1 {
+		var m MembershipBody
+		if a.call("GET", "/v1/membership", http.StatusOK, &m); m.Epoch != 1 {
 			t.Fatalf("initial epoch = %d, want 1", m.Epoch)
 		}
 
@@ -158,18 +143,20 @@ func TestMembershipEndpointReconfigures(t *testing.T) {
 			if resp.StatusCode != http.StatusOK {
 				t.Fatalf("POST %s = %d %s", reqBody, resp.StatusCode, body)
 			}
-			m := decodeMembership(t, body)
+			var m MembershipBody
+			if err := json.Unmarshal([]byte(body), &m); err != nil {
+				t.Fatalf("POST %s: decode %q: %v", reqBody, body, err)
+			}
 			if m.Epoch != wantEpoch {
 				t.Fatalf("POST %s: epoch = %d, want %d", reqBody, m.Epoch, wantEpoch)
 			}
-			sites := strings.Join(m.Sites, " ")
 			for _, s := range wantSites {
-				if !strings.Contains(sites, s) {
+				if !m.Has(s) {
 					t.Fatalf("POST %s: sites %v missing %s", reqBody, m.Sites, s)
 				}
 			}
 			for _, s := range wantGone {
-				if strings.Contains(sites, s) {
+				if m.Has(s) {
 					t.Fatalf("POST %s: sites %v still contain %s", reqBody, m.Sites, s)
 				}
 			}
@@ -178,7 +165,7 @@ func TestMembershipEndpointReconfigures(t *testing.T) {
 		post(`{"op":"join","site":"site-d"}`, 2, []string{"site-d"}, nil)
 
 		// Joining a site twice is a 409, not a second epoch.
-		resp, body = a.do("POST", "/v1/admin/membership", `{"op":"join","site":"site-d"}`)
+		resp, body := a.do("POST", "/v1/admin/membership", `{"op":"join","site":"site-d"}`)
 		if resp.StatusCode != http.StatusConflict {
 			t.Fatalf("double join = %d %s, want 409", resp.StatusCode, body)
 		}
@@ -186,11 +173,7 @@ func TestMembershipEndpointReconfigures(t *testing.T) {
 		post(`{"op":"retire","site":"site-d"}`, 3, nil, []string{"site-d"})
 		post(`{"op":"replace","site":"site-a","with":"site-d"}`, 4, []string{"site-d"}, []string{"site-a"})
 
-		resp, body = a.do("GET", "/v1/membership", "")
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("GET membership = %d %s", resp.StatusCode, body)
-		}
-		if m := decodeMembership(t, body); m.Epoch != 4 {
+		if a.call("GET", "/v1/membership", http.StatusOK, &m); m.Epoch != 4 {
 			t.Fatalf("final epoch = %d, want 4", m.Epoch)
 		}
 	})

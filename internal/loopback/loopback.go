@@ -4,6 +4,11 @@
 // It is a multi-process musicd deployment in miniature: the simulated
 // network runs in virtual time only, so this is how a test, a benchmark or
 // a campaign runs MUSIC on the wall clock.
+//
+// DeployProcs is the real thing: a process harness that builds cmd/musicd
+// and runs one musicd OS process per site on 127.0.0.1, which the musicd
+// process tests and the soak's restarts and reconfig scenarios drive
+// through httpapi.Client.
 package loopback
 
 import (

@@ -646,17 +646,6 @@ func (p *peer) onRestart() {
 	p.failWaitersLocked()
 }
 
-// CommitIndex exposes a local peer's commit index (tests).
-func (c *Cluster) CommitIndex(id transport.NodeID) uint64 {
-	p, ok := c.peers[id]
-	if !ok {
-		return 0
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.commitIdx
-}
-
 func min64(a, b uint64) uint64 {
 	if a < b {
 		return a

@@ -6,14 +6,27 @@ import (
 )
 
 // BenchmarkVirtualTaskSwitch measures the cost of one park/unpark cycle —
-// the unit everything in the simulator is built from.
+// the unit everything in the simulator is built from. Two tasks sleep in
+// turn, half a period apart, so every wake resumes the other task's worker:
+// handoffs/op reads 2, one switch there and one back.
 func BenchmarkVirtualTaskSwitch(b *testing.B) {
 	v := New(1)
 	err := v.Run(func() {
+		done := false
+		v.Go(func() {
+			v.Sleep(time.Microsecond / 2)
+			for !done {
+				v.Sleep(time.Microsecond)
+			}
+		})
 		b.ResetTimer()
+		start := v.Handoffs()
 		for i := 0; i < b.N; i++ {
 			v.Sleep(time.Microsecond)
 		}
+		b.StopTimer()
+		b.ReportMetric(float64(v.Handoffs()-start)/float64(b.N), "handoffs/op")
+		done = true
 	})
 	if err != nil {
 		b.Fatalf("Run: %v", err)

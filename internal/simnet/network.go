@@ -152,11 +152,6 @@ func newNetwork(v *sim.Virtual, cfg Config, m model) *Network {
 // Runtime returns the runtime the network was built on.
 func (n *Network) Runtime() sim.Runtime { return n.rt }
 
-// SetObs installs (or, with nil, removes) the observability sink after
-// construction. Services built on the network reach the shared tracer and
-// metrics registry through Obs.
-func (n *Network) SetObs(o *obs.Obs) { n.obs = o }
-
 // Obs returns the network's observability sink (nil when disabled).
 func (n *Network) Obs() *obs.Obs { return n.obs }
 

@@ -158,11 +158,6 @@ func (cl *Client) Get(table, key string, cons Consistency) (Row, error) {
 	return rowOf(cl.Read(table, key, nil, cons))
 }
 
-// GetCols is Get restricted to the named columns.
-func (cl *Client) GetCols(table, key string, cols []string, cons Consistency) (Row, error) {
-	return rowOf(cl.Read(table, key, cols, cons))
-}
-
 // rowOf is a Read's outcome as Get returns it: the view's live cells, or
 // nil and the error.
 func rowOf(v RowView, err error) (Row, error) {

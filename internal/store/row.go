@@ -12,8 +12,8 @@ import (
 // row-carrying message, the quorum-read merge, read repair and the CAS
 // serial read all use it, so a decode is one exact-size slice and a merge
 // is a walk over two sorted slices. Read and CAS hand it out as a RowView.
-// Row, a map, is only what Put and CAS take and what Get and GetCols
-// return, converted once there.
+// Row, a map, is only what Put and CAS take and what Get returns,
+// converted once there.
 
 // colCell is one column of a sortedRow.
 type colCell struct {

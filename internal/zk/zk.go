@@ -299,19 +299,6 @@ func (cl *Client) GetData(p string) ([]byte, Stat, error) {
 	return append([]byte(nil), n.data...), n.stat, nil
 }
 
-// Exists reports whether a znode exists at the local server.
-func (cl *Client) Exists(p string) (bool, Stat) {
-	cl.c.zb.ReadWork(cl.srv)
-	s := cl.c.servers[cl.srv]
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	n, ok := s.nodes[cleanPath(p)]
-	if !ok {
-		return false, Stat{}
-	}
-	return true, n.stat
-}
-
 // Children lists a znode's children (sorted) at the local server.
 func (cl *Client) Children(p string) ([]string, error) {
 	cl.c.zb.ReadWork(cl.srv)

@@ -68,10 +68,6 @@ func (c *Cluster) Membership() membership.Membership {
 	return c.memView.Current()
 }
 
-// MembershipView exposes the live membership view (nil on fixed-membership
-// clusters) for layers that subscribe themselves, like cmd/musicd.
-func (c *Cluster) MembershipView() *membership.View { return c.memView }
-
 // Epoch returns the placement epoch the store currently follows (always 1
 // on fixed-membership clusters).
 func (c *Cluster) Epoch() int64 { return c.st.Epoch() }
