@@ -66,23 +66,31 @@ func (w *musicWorld) replicaFor(worker int) *core.Replica {
 	return w.reps[worker%len(w.reps)]
 }
 
-// runCS executes one full MUSIC critical section over key: createLockRef,
-// acquire (polling), batch criticalPuts of value, release — the Fig 4/6
-// write unit. Keys are per-worker, so acquisition succeeds immediately.
-func runCS(rt *sim.Virtual, rep *core.Replica, key string, batch int, value []byte) error {
-	ref, err := rep.CreateLockRef(key)
-	if err != nil {
-		return err
+// lock creates a lockRef for key at rep and polls AcquireLock every poll
+// until the lock is granted; waited reports whether any poll found another
+// holder ahead.
+func lock(rt *sim.Virtual, rep *core.Replica, key string, poll time.Duration) (ref int64, waited bool, err error) {
+	if ref, err = rep.CreateLockRef(key); err != nil {
+		return 0, false, err
 	}
 	for {
 		ok, err := rep.AcquireLock(key, ref)
-		if err != nil {
-			return err
+		if err != nil || ok {
+			return ref, waited, err
 		}
-		if ok {
-			break
-		}
-		rt.Sleep(time.Millisecond)
+		waited = true
+		rt.Sleep(poll)
+	}
+}
+
+// runCS executes one full MUSIC critical section over key: createLockRef,
+// acquire (polling every 1ms), batch criticalPuts of value, release — the
+// Fig 4/6 write unit. Keys are per-worker, so acquisition succeeds
+// immediately.
+func runCS(rt *sim.Virtual, rep *core.Replica, key string, batch int, value []byte) error {
+	ref, _, err := lock(rt, rep, key, time.Millisecond)
+	if err != nil {
+		return err
 	}
 	for i := 0; i < batch; i++ {
 		if err := rep.CriticalPut(key, ref, value); err != nil {

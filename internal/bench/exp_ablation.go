@@ -31,7 +31,7 @@ func runAblation(opts Options) []Table {
 		rep1 := core.NewReplica(st.Client(1), cfg)
 
 		var csMean, contendedMean time.Duration
-		if err := rt.Run(func() {
+		mustRun(rt, func() {
 			// Uncontended critical-section latency.
 			res := measureLatency(rt, iters, discard, func(i int) error {
 				return runCS(rt, rep0, fmt.Sprintf("u-%d", i), 1, value(10))
@@ -45,38 +45,18 @@ func runAblation(opts Options) []Table {
 			// the lock for 300ms, so peek costs accrue per poll.
 			res = measureLatency(rt, iters, discard, func(i int) error {
 				key := fmt.Sprintf("c-%d", i)
-				ref0, err := rep0.CreateLockRef(key)
+				ref0, _, err := lock(rt, rep0, key, time.Millisecond)
 				if err != nil {
 					return err
-				}
-				for {
-					ok, err := rep0.AcquireLock(key, ref0)
-					if err != nil {
-						return err
-					}
-					if ok {
-						break
-					}
-					rt.Sleep(time.Millisecond)
 				}
 				rt.Go(func() {
 					rt.Sleep(300 * time.Millisecond)
 					_ = rep0.ReleaseLock(key, ref0)
 				})
 				// The measured client waits behind the holder.
-				ref1, err := rep1.CreateLockRef(key)
+				ref1, _, err := lock(rt, rep1, key, 5*time.Millisecond)
 				if err != nil {
 					return err
-				}
-				for {
-					ok, err := rep1.AcquireLock(key, ref1)
-					if err != nil {
-						return err
-					}
-					if ok {
-						break
-					}
-					rt.Sleep(5 * time.Millisecond)
 				}
 				if err := rep1.CriticalPut(key, ref1, value(10)); err != nil {
 					return err
@@ -87,9 +67,7 @@ func runAblation(opts Options) []Table {
 				panic(fmt.Sprintf("bench: ablation %s contended: %d errors", name, res.Errors))
 			}
 			contendedMean = res.Hist.Mean()
-		}); err != nil {
-			panic(fmt.Sprintf("bench: ablation %s: %v", name, err))
-		}
+		})
 		return []string{name, stats.FormatDuration(csMean), stats.FormatDuration(contendedMean)}
 	}
 

@@ -33,7 +33,7 @@ func runFig8(opts Options) []Table {
 			w := buildMUSIC(p, 1, mode, 21)
 			val := value(10)
 			var row []string
-			mustRun(w, func() {
+			mustRun(w.rt, func() {
 				res := measureLatency(w.rt, iters, 3, func(i int) error {
 					return runCS(w.rt, w.reps[0], fmt.Sprintf("k-%d", i), 1, val)
 				})

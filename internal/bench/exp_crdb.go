@@ -19,7 +19,7 @@ func crdbCSLatency(batch, valSize, iters int, opts Options) time.Duration {
 	}
 	val := value(valSize)
 	var mean time.Duration
-	if err := w.rt.Run(func() {
+	mustRun(w.rt, func() {
 		if _, err := w.c.Raft().WaitForLeader(time.Minute); err != nil {
 			panic(fmt.Sprintf("bench: crdb leader: %v", err))
 		}
@@ -41,9 +41,7 @@ func crdbCSLatency(batch, valSize, iters int, opts Options) time.Duration {
 			panic(fmt.Sprintf("bench: crdb cs: %d errors", res.Errors))
 		}
 		mean = res.Hist.Mean()
-	}); err != nil {
-		panic(fmt.Sprintf("bench: crdb latency: %v", err))
-	}
+	})
 	return mean
 }
 
@@ -53,7 +51,7 @@ func musicCSLatency(batch, valSize, iters int, opts Options) time.Duration {
 	w := buildMUSIC(simnet.ProfileIUs, 1, core.ModeQuorum, 17)
 	val := value(valSize)
 	var mean time.Duration
-	mustRun(w, func() {
+	mustRun(w.rt, func() {
 		res := measureLatency(w.rt, iters, 1, func(i int) error {
 			return runCS(w.rt, w.reps[0], fmt.Sprintf("k-%d", i), batch, val)
 		})

@@ -97,7 +97,7 @@ func runFastpath(opts Options) []Table {
 		results = append(results, m.result("multiput8", cfg.name))
 	}
 
-	writeFastpathJSON(opts, results)
+	opts.writeJSON("fastpath", "IUs", results)
 	return []Table{tblA, tblB}
 }
 
@@ -139,34 +139,28 @@ func fastpathMeasure(cfg fastpathConfig, iters, discard int, prefix string, sect
 	if err != nil {
 		panic(fmt.Sprintf("bench: fastpath %s: %v", cfg.name, err))
 	}
-	m := fastpathMeasurement{hist: stats.NewHistogram()}
-	if err := c.Run(func() {
+	var m fastpathMeasurement
+	mustRun(c, func() {
 		cl := c.Client("ohio", cfg.clientOpts...)
 		var bytesAtWarmup int64
-		for i := 0; i < iters+discard; i++ {
+		res := measureLatency(c.Virtual(), iters, discard, func(i int) error {
 			key := fmt.Sprintf("fp-%s-%d", prefix, i)
 			if i == discard {
 				bytesAtWarmup = counterSum(c, "store_read_bytes_total")
 			}
-			start := c.Now()
-			err := cl.RunCritical(key, func(cs *music.CriticalSection) error {
+			return cl.RunCritical(key, func(cs *music.CriticalSection) error {
 				get := fastpathGet(cs.Get)
 				if cfg.tableI {
 					get = func() ([]byte, error) { return cl.CriticalGet(key, cs.Ref()) }
 				}
 				return section(cs, get)
 			})
-			if err != nil {
-				panic(fmt.Sprintf("bench: fastpath %s: %v", cfg.name, err))
-			}
-			if i >= discard {
-				m.hist.Observe(c.Now() - start)
-			}
+		})
+		if res.Errors > 0 {
+			panic(fmt.Sprintf("bench: fastpath %s: %d errors", cfg.name, res.Errors))
 		}
-		m.readBytes = counterSum(c, "store_read_bytes_total") - bytesAtWarmup
-	}); err != nil {
-		panic(fmt.Sprintf("bench: fastpath %s: %v", cfg.name, err))
-	}
+		m = fastpathMeasurement{res.Hist, counterSum(c, "store_read_bytes_total") - bytesAtWarmup}
+	})
 	return m
 }
 
@@ -189,14 +183,4 @@ type fastpathResult struct {
 	MeanMicros     int64  `json:"mean_us"`
 	P99Micros      int64  `json:"p99_us"`
 	CoordReadBytes int64  `json:"coord_read_bytes"`
-}
-
-func writeFastpathJSON(opts Options, results []fastpathResult) {
-	doc := struct {
-		Experiment string           `json:"experiment"`
-		Profile    string           `json:"profile"`
-		Quick      bool             `json:"quick"`
-		Results    []fastpathResult `json:"results"`
-	}{Experiment: "fastpath", Profile: "IUs", Quick: opts.Quick, Results: results}
-	opts.writeJSON("fastpath", doc)
 }

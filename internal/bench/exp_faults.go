@@ -54,7 +54,7 @@ func runFaults(opts Options) []Table {
 		var recovery time.Duration
 		finalSite := ""
 		partitionAt := sections / 3
-		if err := c.Run(func() {
+		mustRun(c, func() {
 			cl := c.FailoverClient("ohio")
 			defer func() { finalSite = cl.Site() }()
 			for i := 0; i < sections; i++ {
@@ -76,9 +76,7 @@ func runFaults(opts Options) []Table {
 					recovery = c.Now() - start
 				}
 			}
-		}); err != nil {
-			panic(fmt.Sprintf("bench: faults seed %d: %v", seed, err))
-		}
+		})
 
 		retries, failovers := int64(0), int64(0)
 		for _, p := range c.Obs().Metrics().Snapshot() {
@@ -130,25 +128,18 @@ func runFaults(opts Options) []Table {
 			panic(fmt.Sprintf("bench: faults overhead: %v", err))
 		}
 		var mean time.Duration
-		if err := c.Run(func() {
+		mustRun(c, func() {
 			cl := v.build(c)
-			var hist = stats.NewHistogram()
-			for i := 0; i < iters+discard; i++ {
-				start := c.Now()
-				err := cl.RunCritical(fmt.Sprintf("oh-%d", i), func(cs *music.CriticalSection) error {
+			res := measureLatency(c.Virtual(), iters, discard, func(i int) error {
+				return cl.RunCritical(fmt.Sprintf("oh-%d", i), func(cs *music.CriticalSection) error {
 					return cs.Put(value(10))
 				})
-				if err != nil {
-					panic(fmt.Sprintf("bench: faults overhead %s: %v", v.name, err))
-				}
-				if i >= discard {
-					hist.Observe(c.Now() - start)
-				}
+			})
+			if res.Errors > 0 {
+				panic(fmt.Sprintf("bench: faults overhead %s: %d errors", v.name, res.Errors))
 			}
-			mean = hist.Mean()
-		}); err != nil {
-			panic(fmt.Sprintf("bench: faults overhead %s: %v", v.name, err))
-		}
+			mean = res.Hist.Mean()
+		})
 		rel := "1.00x"
 		if base == 0 {
 			base = mean

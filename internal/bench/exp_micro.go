@@ -45,16 +45,14 @@ func measureMUSICThroughput(profile *simnet.Profile, nodesPerSite int, mode core
 	val := value(valSize)
 	warm, window := throughputDurations(opts)
 	var res tpResult
-	if err := w.rt.Run(func() {
+	mustRun(w.rt, func() {
 		workers := workersPerNode * len(w.reps)
 		res = measureThroughput(w.rt, workers, warm, window, func(worker, iter int) error {
 			rep := w.replicaFor(worker)
 			key := fmt.Sprintf("key-%04d", worker)
 			return runCS(w.rt, rep, key, batch, val)
 		})
-	}); err != nil {
-		panic(fmt.Sprintf("bench: music throughput: %v", err))
-	}
+	})
 	return res
 }
 
@@ -65,15 +63,13 @@ func measureCassaEVThroughput(profile *simnet.Profile, opts Options) tpResult {
 	val := value(10)
 	warm, window := throughputDurations(opts)
 	var res tpResult
-	if err := w.rt.Run(func() {
+	mustRun(w.rt, func() {
 		workers := opts.workers() * len(w.reps)
 		res = measureThroughput(w.rt, workers, warm, window, func(worker, iter int) error {
 			rep := w.replicaFor(worker)
 			return rep.Put(fmt.Sprintf("key-%04d", worker), val)
 		})
-	}); err != nil {
-		panic(fmt.Sprintf("bench: cassaev throughput: %v", err))
-	}
+	})
 	return res
 }
 
@@ -153,7 +149,7 @@ func runFig5a(opts Options) []Table {
 		{
 			w := buildMUSIC(p, 1, core.ModeQuorum, 7)
 			val := value(10)
-			mustRun(w, func() {
+			mustRun(w.rt, func() {
 				ev := measureLatency(w.rt, iters, discard, func(i int) error {
 					return w.reps[0].Put("k", val)
 				})
@@ -167,7 +163,7 @@ func runFig5a(opts Options) []Table {
 		{
 			w := buildMUSIC(p, 1, core.ModeLWT, 7)
 			val := value(10)
-			mustRun(w, func() {
+			mustRun(w.rt, func() {
 				mscp := measureLatency(w.rt, iters, discard, func(i int) error {
 					return runCS(w.rt, w.reps[0], fmt.Sprintf("sk-%d", i), 1, val)
 				})
@@ -203,7 +199,7 @@ func runFig5b(opts Options) []Table {
 	iters, discard := latencyIters(opts)
 
 	wm := buildMUSICTraced(simnet.ProfileIUs, 1, core.ModeQuorum, 7)
-	mustRun(wm, func() {
+	mustRun(wm.rt, func() {
 		measureLatency(wm.rt, iters, discard, func(i int) error {
 			return runCS(wm.rt, wm.reps[0], fmt.Sprintf("k-%d", i), 1, value(10))
 		})
@@ -211,7 +207,7 @@ func runFig5b(opts Options) []Table {
 	musicStats := wm.obs.Tracer().StatsByName()
 
 	ws := buildMUSICTraced(simnet.ProfileIUs, 1, core.ModeLWT, 7)
-	mustRun(ws, func() {
+	mustRun(ws.rt, func() {
 		measureLatency(ws.rt, iters, discard, func(i int) error {
 			return runCS(ws.rt, ws.reps[0], fmt.Sprintf("k-%d", i), 1, value(10))
 		})
@@ -255,7 +251,7 @@ func runTrace(opts Options) []Table {
 		opts.logf("  trace: profile %s", p.Name())
 		w := buildMUSICTraced(p, 1, core.ModeQuorum, 7)
 		var id obs.TraceID
-		mustRun(w, func() {
+		mustRun(w.rt, func() {
 			// Warm the lock row so the traced section shows the
 			// steady-state paths, not first-touch misses.
 			if err := runCS(w.rt, w.reps[0], "traced", 1, value(10)); err != nil {
@@ -282,12 +278,4 @@ func runTrace(opts Options) []Table {
 		out = append(out, t)
 	}
 	return out
-}
-
-// mustRun propagates simulator failures as panics (benchmark plumbing, not
-// measured behaviour).
-func mustRun(w *musicWorld, fn func()) {
-	if err := w.rt.Run(fn); err != nil {
-		panic(fmt.Sprintf("bench: %v", err))
-	}
 }

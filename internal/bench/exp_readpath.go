@@ -89,79 +89,49 @@ func measureReadpath(cfgName string, leases, adaptive bool, mutation core.Mutati
 	if opts.Quick {
 		workersPerSite, totalSections = 2, 300
 	}
-	workers := workersPerSite * len(sites)
 	const opsPerSection = 8 // 8 ops/section; every 20th op overall is a put
-
-	gens := make([]*ycsb.Generator, workers)
-	for i := range gens {
-		g, err := ycsb.NewGenerator(ycsb.Config{
-			Workload: ycsb.WorkloadR,
-			Records:  400,
-		}, int64(7000+i))
-		if err != nil {
-			panic(fmt.Sprintf("bench: readpath ycsb: %v", err))
-		}
-		gens[i] = g
-	}
+	gens := generators(workersPerSite*len(sites), ycsb.Config{Workload: ycsb.WorkloadR, Records: 400}, 7000)
 
 	var out readpathResult
-	if err := c.Run(func() {
+	mustRun(c, func() {
 		lat := stats.NewHistogram()
-		issued, reads := 0, 0
-		done := sim.NewMailbox[struct{}](c.Virtual())
-		start := c.Now()
-		for wi := 0; wi < workers; wi++ {
-			wi := wi
+		reads := 0
+		makespan := drain(c.Virtual(), len(gens), totalSections, func(wi int) func() {
 			cl := c.Client(sites[wi%len(sites)])
-			c.Go(func() {
-				defer done.Send(struct{}{})
-				opCtr := wi // offset so the 5% puts spread across workers
-				for {
-					if issued >= totalSections {
-						return
-					}
-					issued++
-					key := gens[wi].Next().Key
-					ref, err := cl.CreateLockRef(key)
-					if err != nil {
-						c.Sleep(time.Duration(5+c.Virtual().Rand().Intn(20)) * time.Millisecond)
-						continue
-					}
-					if err := cl.AwaitLock(key, ref, 30*time.Second); err != nil {
-						_ = cl.RemoveLockRef(key, ref)
-						continue
-					}
-					for j := 0; j < opsPerSection; j++ {
-						opCtr++
-						if opCtr%20 == 0 {
-							_ = cl.CriticalPut(key, ref, []byte(fmt.Sprintf("w%d-%d", wi, opCtr)))
-							continue
-						}
-						gStart := c.Now()
-						if _, err := cl.CriticalGet(key, ref); err == nil {
-							lat.Observe(c.Now() - gStart)
-							reads++
-						}
-					}
-					_ = cl.ReleaseLock(key, ref)
+			opCtr := wi // offset so the 5% puts spread across workers
+			return func() {
+				key := gens[wi].Next().Key
+				ref, err := cl.CreateLockRef(key)
+				if err != nil {
+					c.Sleep(time.Duration(5+c.Virtual().Rand().Intn(20)) * time.Millisecond)
+					return
 				}
-			})
-		}
-		for wi := 0; wi < workers; wi++ {
-			if _, err := done.RecvTimeout(time.Hour); err != nil {
-				panic("bench: readpath workers stuck")
+				if err := cl.AwaitLock(key, ref, 30*time.Second); err != nil {
+					_ = cl.RemoveLockRef(key, ref)
+					return
+				}
+				for j := 0; j < opsPerSection; j++ {
+					opCtr++
+					if opCtr%20 == 0 {
+						_ = cl.CriticalPut(key, ref, []byte(fmt.Sprintf("w%d-%d", wi, opCtr)))
+						continue
+					}
+					gStart := c.Now()
+					if _, err := cl.CriticalGet(key, ref); err == nil {
+						lat.Observe(c.Now() - gStart)
+						reads++
+					}
+				}
+				_ = cl.ReleaseLock(key, ref)
 			}
-		}
-		makespan := c.Now() - start
+		})
 		out = readpathResult{
 			Config:        cfgName,
 			P50GetMicros:  lat.Quantile(0.5).Microseconds(),
 			MeanGetMicros: lat.Mean().Microseconds(),
 			ReadsPerSec:   float64(reads) / makespan.Seconds(),
 		}
-	}); err != nil {
-		panic(fmt.Sprintf("bench: readpath %s: %v", cfgName, err))
-	}
+	})
 	if mon := c.Monitor(); mon != nil {
 		for _, site := range sites {
 			out.Violations += mon.Violations(site)
@@ -203,15 +173,6 @@ func runReadpath(opts Options) []Table {
 			fmt.Sprintf("%v", r.Flipped),
 		})
 	}
-	writeReadpathJSON(opts, results)
+	opts.writeJSON("readpath", "", results)
 	return []Table{t}
-}
-
-func writeReadpathJSON(opts Options, results []readpathResult) {
-	doc := struct {
-		Experiment string           `json:"experiment"`
-		Quick      bool             `json:"quick"`
-		Results    []readpathResult `json:"results"`
-	}{Experiment: "readpath", Quick: opts.Quick, Results: results}
-	opts.writeJSON("readpath", doc)
 }

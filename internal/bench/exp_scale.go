@@ -81,95 +81,23 @@ func measureScale(shards int, opts Options) scaleResult {
 	if opts.Quick {
 		workersPerSite, totalCount = 60, 4_000
 	}
-	workers := workersPerSite * len(w.reps)
-
-	gens := make([]*ycsb.Generator, workers)
-	for i := range gens {
-		g, err := ycsb.NewGenerator(ycsb.Config{
-			Workload:     ycsb.WorkloadUR,
-			Records:      records,
-			Distribution: ycsb.DistUniform,
-		}, int64(5000+i))
-		if err != nil {
-			panic(fmt.Sprintf("bench: scale ycsb: %v", err))
-		}
-		gens[i] = g
-	}
+	gens := generators(workersPerSite*len(w.reps), ycsb.Config{
+		Workload:     ycsb.WorkloadUR,
+		Records:      records,
+		Distribution: ycsb.DistUniform,
+	}, 5000)
 
 	var out scaleResult
-	if err := w.rt.Run(func() {
-		lat := stats.NewHistogram()
-		issued := 0
-		completed := 0
-		done := sim.NewMailbox[struct{}](w.rt)
-		start := w.rt.Now()
-		for wi := 0; wi < workers; wi++ {
-			wi := wi
-			rep := w.reps[wi%len(w.reps)]
-			w.rt.Go(func() {
-				defer done.Send(struct{}{})
-				for {
-					if issued >= totalCount {
-						return
-					}
-					issued++
-					op := gens[wi].Next()
-					opStart := w.rt.Now()
-					if _, err := runScaleOp(w.rt, rep, op); err != nil {
-						w.rt.Sleep(time.Duration(100+w.rt.Rand().Intn(400)) * time.Millisecond)
-						continue
-					}
-					completed++
-					lat.Observe(w.rt.Now() - opStart)
-				}
-			})
-		}
-		for wi := 0; wi < workers; wi++ {
-			if _, err := done.RecvTimeout(time.Hour); err != nil {
-				panic("bench: scale workers stuck")
-			}
-		}
-		makespan := w.rt.Now() - start
+	mustRun(w.rt, func() {
+		l := drainYCSB(w.rt, w.reps, gens, totalCount)
 		out = scaleResult{
 			Shards:     fmt.Sprintf("%d", shards),
-			OpsPerSec:  float64(completed) / makespan.Seconds(),
-			MeanMicros: lat.Mean().Microseconds(),
-			P99Micros:  lat.Quantile(0.99).Microseconds(),
+			OpsPerSec:  float64(l.completed) / l.makespan.Seconds(),
+			MeanMicros: l.lat.Mean().Microseconds(),
+			P99Micros:  l.lat.Quantile(0.99).Microseconds(),
 		}
-	}); err != nil {
-		panic(fmt.Sprintf("bench: scale: %v", err))
-	}
+	})
 	return out
-}
-
-// runScaleOp executes one YCSB op as a MUSIC critical section on the
-// worker's site replica.
-func runScaleOp(rt *sim.Virtual, rep *core.Replica, op ycsb.Op) (collided bool, err error) {
-	ref, err := rep.CreateLockRef(op.Key)
-	if err != nil {
-		return false, err
-	}
-	for {
-		ok, acqErr := rep.AcquireLock(op.Key, ref)
-		if acqErr != nil {
-			return collided, acqErr
-		}
-		if ok {
-			break
-		}
-		collided = true
-		rt.Sleep(5 * time.Millisecond)
-	}
-	if op.Kind == ycsb.Update {
-		if err := rep.CriticalPut(op.Key, ref, op.Value); err != nil {
-			return collided, err
-		}
-	} else {
-		if _, err := rep.CriticalGet(op.Key, ref); err != nil {
-			return collided, err
-		}
-	}
-	return collided, rep.ReleaseLock(op.Key, ref)
 }
 
 // runScale reproduces the scale-out campaign: the same YCSB workload at
@@ -205,15 +133,6 @@ func runScale(opts Options) []Table {
 			fmt.Sprintf("%.2fx", r.OpsPerSec/base),
 		})
 	}
-	writeScaleJSON(opts, results)
+	opts.writeJSON("scale", "", results)
 	return []Table{t}
-}
-
-func writeScaleJSON(opts Options, results []scaleResult) {
-	doc := struct {
-		Experiment string        `json:"experiment"`
-		Quick      bool          `json:"quick"`
-		Results    []scaleResult `json:"results"`
-	}{Experiment: "scale", Quick: opts.Quick, Results: results}
-	opts.writeJSON("scale", doc)
 }

@@ -80,7 +80,7 @@ func runSoak(opts Options) []Table {
 		reports = append(reports, rep)
 		addRow(rep.SLO.Scenario, rep)
 	}
-	writeSoakJSON(opts, reports)
+	opts.writeJSON("soak", "", reports)
 	return []Table{tbl}
 }
 
@@ -272,13 +272,4 @@ func (r *soakRecorder) slo(scenario string, wall time.Duration) obs.SLOReport {
 		Failures: "soak_failures_total",
 		Wall:     wall,
 	})
-}
-
-func writeSoakJSON(opts Options, reports []soakReport) {
-	doc := struct {
-		Experiment string       `json:"experiment"`
-		Quick      bool         `json:"quick"`
-		Reports    []soakReport `json:"reports"`
-	}{Experiment: "soak", Quick: opts.Quick, Reports: reports}
-	opts.writeJSON("soak", doc)
 }

@@ -33,96 +33,80 @@ func measureYCSB(mode core.Mode, workload string, opts Options) ycsbResult {
 	if opts.Quick {
 		totalCount = 300
 	}
-	workers := workersPerSite * len(w.reps)
+	gens := generators(workersPerSite*len(w.reps), ycsb.Config{Workload: workload, Records: records}, 1000)
 
-	gens := make([]*ycsb.Generator, workers)
+	var out ycsbResult
+	mustRun(w.rt, func() {
+		l := drainYCSB(w.rt, w.reps, gens, totalCount)
+		out.tp = float64(l.completed) / l.makespan.Seconds()
+		out.meanLat = l.lat.Mean()
+		if l.completed > 0 {
+			out.collisions = float64(l.collisions) / float64(l.completed)
+		}
+	})
+	return out
+}
+
+// generators builds n YCSB generators over cfg, generator i seeded seed+i.
+func generators(n int, cfg ycsb.Config, seed int64) []*ycsb.Generator {
+	gens := make([]*ycsb.Generator, n)
 	for i := range gens {
-		g, err := ycsb.NewGenerator(ycsb.Config{Workload: workload, Records: records}, int64(1000+i))
+		g, err := ycsb.NewGenerator(cfg, seed+int64(i))
 		if err != nil {
 			panic(fmt.Sprintf("bench: ycsb: %v", err))
 		}
 		gens[i] = g
 	}
-
-	var (
-		out        ycsbResult
-		collisions int64
-		completed  int64
-	)
-	mustRun(w, func() {
-		lat := stats.NewHistogram()
-		issued := 0
-		done := sim.NewMailbox[struct{}](w.rt)
-		start := w.rt.Now()
-		for wi := 0; wi < workers; wi++ {
-			wi := wi
-			rep := w.replicaFor(wi)
-			w.rt.Go(func() {
-				defer done.Send(struct{}{})
-				for {
-					if issued >= totalCount {
-						return
-					}
-					issued++
-					op := gens[wi].Next()
-					opStart := w.rt.Now()
-					collided, err := runYCSBOp(w, rep, op)
-					if err != nil {
-						// Hot-lock contention: back off before the next op,
-						// as the paper's clients do (§III-A).
-						w.rt.Sleep(time.Duration(100+w.rt.Rand().Intn(400)) * time.Millisecond)
-						continue
-					}
-					completed++
-					if collided {
-						collisions++
-					}
-					lat.Observe(w.rt.Now() - opStart)
-				}
-			})
-		}
-		for wi := 0; wi < workers; wi++ {
-			if _, err := done.RecvTimeout(time.Hour); err != nil {
-				panic("bench: ycsb workers stuck")
-			}
-		}
-		makespan := w.rt.Now() - start
-		out.tp = float64(completed) / makespan.Seconds()
-		out.meanLat = lat.Mean()
-	})
-	if completed > 0 {
-		out.collisions = float64(collisions) / float64(completed)
-	}
-	return out
+	return gens
 }
 
-// runYCSBOp executes one YCSB op as a MUSIC critical section and reports
-// whether it contended for the lock.
-func runYCSBOp(w *musicWorld, rep *core.Replica, op ycsb.Op) (bool, error) {
-	ref, err := rep.CreateLockRef(op.Key)
+// ycsbLoad is what draining a YCSB operation count measured.
+type ycsbLoad struct {
+	lat                   *stats.Histogram // completed ops only
+	completed, collisions int
+	makespan              time.Duration
+}
+
+// drainYCSB drains total ops over one closed-loop worker per generator:
+// worker w draws its ops from gens[w] and runs each as a MUSIC critical
+// section at reps[w%len(reps)]. A failed op (hot-lock contention) backs off
+// 100-499ms before the worker's next, as the paper's clients do (§III-A).
+func drainYCSB(rt *sim.Virtual, reps []*core.Replica, gens []*ycsb.Generator, total int) ycsbLoad {
+	l := ycsbLoad{lat: stats.NewHistogram()}
+	l.makespan = drain(rt, len(gens), total, func(w int) func() {
+		rep := reps[w%len(reps)]
+		return func() {
+			op := gens[w].Next()
+			start := rt.Now()
+			collided, err := runYCSBOp(rt, rep, op)
+			if err != nil {
+				rt.Sleep(time.Duration(100+rt.Rand().Intn(400)) * time.Millisecond)
+				return
+			}
+			l.completed++
+			if collided {
+				l.collisions++
+			}
+			l.lat.Observe(rt.Now() - start)
+		}
+	})
+	return l
+}
+
+// runYCSBOp executes one YCSB op as a MUSIC critical section, polling for
+// the lock every 5ms, and reports whether it contended for the lock.
+func runYCSBOp(rt *sim.Virtual, rep *core.Replica, op ycsb.Op) (collided bool, err error) {
+	ref, collided, err := lock(rt, rep, op.Key, 5*time.Millisecond)
 	if err != nil {
-		return false, err
-	}
-	collided := false
-	for {
-		ok, acqErr := rep.AcquireLock(op.Key, ref)
-		if acqErr != nil {
-			return collided, acqErr
-		}
-		if ok {
-			break
-		}
-		collided = true
-		w.rt.Sleep(5 * time.Millisecond)
+		return collided, err
 	}
 	if op.Kind == ycsb.Update {
-		if err := rep.CriticalPut(op.Key, ref, op.Value); err != nil {
-			return collided, err
-		}
+		err = rep.CriticalPut(op.Key, ref, op.Value)
 	} else {
-		if _, err := rep.CriticalGet(op.Key, ref); err != nil {
-			return collided, err
-		}
+		_, err = rep.CriticalGet(op.Key, ref)
+	}
+	if err != nil {
+		return collided, err
 	}
 	return collided, rep.ReleaseLock(op.Key, ref)
 }

@@ -24,7 +24,7 @@ func measureMUSICWriteThroughput(mode core.Mode, workersPerSite, batch, valSize 
 	}
 
 	var res tpResult
-	mustRun(w, func() {
+	mustRun(w.rt, func() {
 		workers := workersPerSite * len(w.reps)
 		states := make([]csState, workers)
 		res = measureThroughput(w.rt, workers, warm, window, func(worker, iter int) error {
@@ -34,19 +34,9 @@ func measureMUSICWriteThroughput(mode core.Mode, workersPerSite, batch, valSize 
 				s.key = fmt.Sprintf("key-%04d", worker)
 			}
 			if s.ref == 0 {
-				ref, err := rep.CreateLockRef(s.key)
+				ref, _, err := lock(w.rt, rep, s.key, time.Millisecond)
 				if err != nil {
 					return err
-				}
-				for {
-					ok, err := rep.AcquireLock(s.key, ref)
-					if err != nil {
-						return err
-					}
-					if ok {
-						break
-					}
-					w.rt.Sleep(time.Millisecond)
 				}
 				s.ref, s.count = ref, 0
 			}
@@ -78,7 +68,7 @@ func measureZKWriteThroughput(workersPerSite, valSize int, opts Options) tpResul
 	warm, window := throughputDurations(opts)
 
 	var res tpResult
-	if err := w.rt.Run(func() {
+	mustRun(w.rt, func() {
 		workers := workersPerSite * len(w.net.Nodes())
 		// Pre-create the znodes.
 		setup := w.c.Client(0)
@@ -92,9 +82,7 @@ func measureZKWriteThroughput(workersPerSite, valSize int, opts Options) tpResul
 			_, err := cl.SetData(fmt.Sprintf("/key-%04d", worker), val, -1)
 			return err
 		})
-	}); err != nil {
-		panic(fmt.Sprintf("bench: zk throughput: %v", err))
-	}
+	})
 	return res
 }
 

@@ -78,6 +78,41 @@ func measureLatency(rt *sim.Virtual, iters, discard int, work func(iter int) err
 	return res
 }
 
+// drain runs `workers` closed-loop tasks that share a budget of `total`
+// operations — YCSB's operationcount — and returns the makespan once the
+// budget is spent and every task has finished. newWorker(w) builds task w's
+// operation before the task starts; each run of it consumes one unit of the
+// budget. It must be called from inside the simulation.
+func drain(rt *sim.Virtual, workers, total int, newWorker func(w int) func()) time.Duration {
+	issued := 0
+	done := sim.NewMailbox[struct{}](rt)
+	start := rt.Now()
+	for w := 0; w < workers; w++ {
+		op := newWorker(w)
+		rt.Go(func() {
+			defer done.Send(struct{}{})
+			for issued < total {
+				issued++
+				op()
+			}
+		})
+	}
+	for w := 0; w < workers; w++ {
+		if _, err := done.RecvTimeout(time.Hour); err != nil {
+			panic("bench: closed-loop workers stuck")
+		}
+	}
+	return rt.Now() - start
+}
+
+// mustRun runs fn inside r's simulation and turns a simulator failure into
+// a panic (benchmark plumbing, not measured behaviour).
+func mustRun(r interface{ Run(func()) error }, fn func()) {
+	if err := r.Run(fn); err != nil {
+		panic(fmt.Sprintf("bench: %v", err))
+	}
+}
+
 // fmtTP renders an ops/sec figure.
 func fmtTP(v float64) string {
 	switch {

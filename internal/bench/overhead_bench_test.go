@@ -36,7 +36,7 @@ func BenchmarkOverheadStoreQuorumPut(b *testing.B) {
 			row := store.Row{"v": {Value: []byte("x")}}
 			b.ReportAllocs()
 			b.ResetTimer()
-			mustRun(w, func() {
+			mustRun(w.rt, func() {
 				for i := 0; i < b.N; i++ {
 					if err := cl.Put("bench", "k", row, store.Quorum); err != nil {
 						b.Fatalf("put: %v", err)
@@ -54,7 +54,7 @@ func BenchmarkOverheadCriticalPut(b *testing.B) {
 			rep := w.reps[0]
 			val := value(10)
 			b.ReportAllocs()
-			mustRun(w, func() {
+			mustRun(w.rt, func() {
 				ref, err := rep.CreateLockRef("bench")
 				if err != nil {
 					b.Fatalf("createLockRef: %v", err)
