@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/placement"
 	"repro/internal/sim"
 	"repro/internal/simnet"
 	"repro/internal/store"
@@ -33,7 +34,7 @@ func dynamicFixture(t *testing.T, cfg Config, fn func(w *world, st *store.Cluste
 // by site-d, plus one whose placement is untouched.
 func movedKey(t *testing.T, st *store.Cluster, grown []store.RingNode) (moved, unmoved string) {
 	t.Helper()
-	next := store.PreviewRing(grown, 3)
+	next := placement.New(grown, 3)
 	for i := 0; i < 10000 && (moved == "" || unmoved == ""); i++ {
 		key := fmt.Sprintf("fence-%d", i)
 		before := st.ReplicasFor(key)
@@ -124,7 +125,7 @@ func TestEpochFenceRefusesUnplacedAdoption(t *testing.T) {
 		}
 		// Find a key that epoch 2 stops placing at ncalifornia (rf 3 over 4
 		// sites leaves one site out per key).
-		next := store.PreviewRing(grown, 3)
+		next := placement.New(grown, 3)
 		key := ""
 		for i := 0; i < 10000; i++ {
 			k := fmt.Sprintf("adopt-%d", i)

@@ -689,15 +689,6 @@ func (t *Transport) Close() {
 	}
 }
 
-// InboundConns reports the number of live inbound connections currently
-// tracked — a diagnostic for tests guarding the accept-side bookkeeping
-// against leaking dead connections under reconnect churn.
-func (t *Transport) InboundConns() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.inbound)
-}
-
 func (t *Transport) isClosed() bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()

@@ -1,40 +1,28 @@
 // Package stats provides the streaming statistics the benchmark harness
-// reports: Welford mean/stddev, log-bucketed latency histograms with
+// reports: running means, log-bucketed latency histograms with
 // quantiles, and CDF extraction (for the paper's Fig 8).
 package stats
 
 import (
 	"fmt"
 	"math"
-	"sort"
 	"time"
 )
 
-// Summary accumulates a running mean and standard deviation (Welford).
+// Summary accumulates a running mean and maximum.
 type Summary struct {
 	n    int64
 	mean float64
-	m2   float64
-	min  float64
 	max  float64
 }
 
 // Add folds in one observation.
 func (s *Summary) Add(x float64) {
 	s.n++
-	if s.n == 1 {
-		s.min, s.max = x, x
-	} else {
-		if x < s.min {
-			s.min = x
-		}
-		if x > s.max {
-			s.max = x
-		}
+	if s.n == 1 || x > s.max {
+		s.max = x
 	}
-	d := x - s.mean
-	s.mean += d / float64(s.n)
-	s.m2 += d * (x - s.mean)
+	s.mean += (x - s.mean) / float64(s.n)
 }
 
 // N returns the observation count.
@@ -43,27 +31,8 @@ func (s *Summary) N() int64 { return s.n }
 // Mean returns the running mean (0 when empty).
 func (s *Summary) Mean() float64 { return s.mean }
 
-// Stddev returns the sample standard deviation.
-func (s *Summary) Stddev() float64 {
-	if s.n < 2 {
-		return 0
-	}
-	return math.Sqrt(s.m2 / float64(s.n-1))
-}
-
-// Min returns the smallest observation.
-func (s *Summary) Min() float64 { return s.min }
-
 // Max returns the largest observation.
 func (s *Summary) Max() float64 { return s.max }
-
-// RelStddev returns stddev/mean (the paper reports stddev when >5%).
-func (s *Summary) RelStddev() float64 {
-	if s.mean == 0 {
-		return 0
-	}
-	return s.Stddev() / s.mean
-}
 
 // Histogram is a latency histogram over log-spaced buckets from 1µs to
 // ~17 minutes, retaining enough resolution for quantiles and CDFs.
@@ -131,9 +100,6 @@ func (h *Histogram) Mean() time.Duration {
 	}
 	return h.sum / time.Duration(h.n)
 }
-
-// Min and Max return exact extremes.
-func (h *Histogram) Min() time.Duration { return h.min }
 
 // Max returns the largest observation.
 func (h *Histogram) Max() time.Duration { return h.max }
@@ -222,23 +188,4 @@ func FormatDuration(d time.Duration) string {
 	default:
 		return fmt.Sprintf("%.2fs", d.Seconds())
 	}
-}
-
-// Percentiles is a convenience for reporting a sorted latency sample
-// exactly (used by tests to cross-check the histogram approximation).
-func Percentiles(samples []time.Duration, qs ...float64) []time.Duration {
-	if len(samples) == 0 {
-		return make([]time.Duration, len(qs))
-	}
-	sorted := append([]time.Duration(nil), samples...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	out := make([]time.Duration, len(qs))
-	for i, q := range qs {
-		idx := int(q * float64(len(sorted)))
-		if idx >= len(sorted) {
-			idx = len(sorted) - 1
-		}
-		out[i] = sorted[idx]
-	}
-	return out
 }

@@ -2,12 +2,13 @@ package stats
 
 import (
 	"math"
+	"sort"
 	"testing"
 	"testing/quick"
 	"time"
 )
 
-func TestSummaryMeanStddev(t *testing.T) {
+func TestSummaryMeanMax(t *testing.T) {
 	var s Summary
 	for _, x := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
 		s.Add(x)
@@ -18,12 +19,8 @@ func TestSummaryMeanStddev(t *testing.T) {
 	if got := s.Mean(); math.Abs(got-5) > 1e-9 {
 		t.Fatalf("Mean = %v, want 5", got)
 	}
-	// Sample stddev of this classic set is sqrt(32/7).
-	if got, want := s.Stddev(), math.Sqrt(32.0/7.0); math.Abs(got-want) > 1e-9 {
-		t.Fatalf("Stddev = %v, want %v", got, want)
-	}
-	if s.Min() != 2 || s.Max() != 9 {
-		t.Fatalf("Min/Max = %v/%v", s.Min(), s.Max())
+	if s.Max() != 9 {
+		t.Fatalf("Max = %v, want 9", s.Max())
 	}
 }
 
@@ -60,8 +57,8 @@ func TestHistogramMeanExact(t *testing.T) {
 	if got := h.Mean(); got != 3*time.Millisecond {
 		t.Fatalf("Mean = %v, want 3ms", got)
 	}
-	if h.Min() != time.Millisecond || h.Max() != 5*time.Millisecond {
-		t.Fatalf("Min/Max = %v/%v", h.Min(), h.Max())
+	if h.Max() != 5*time.Millisecond {
+		t.Fatalf("Max = %v, want 5ms", h.Max())
 	}
 }
 
@@ -73,7 +70,7 @@ func TestHistogramQuantileApproximation(t *testing.T) {
 		h.Observe(d)
 		samples = append(samples, d)
 	}
-	exact := Percentiles(samples, 0.5, 0.99)
+	exact := percentiles(samples, 0.5, 0.99)
 	for i, q := range []float64{0.5, 0.99} {
 		got := h.Quantile(q)
 		want := exact[i]
@@ -129,8 +126,8 @@ func TestHistogramMerge(t *testing.T) {
 	if a.N() != 3 || a.Mean() != 3*time.Millisecond {
 		t.Fatalf("merged N=%d mean=%v", a.N(), a.Mean())
 	}
-	if a.Min() != time.Millisecond || a.Max() != 5*time.Millisecond {
-		t.Fatalf("merged Min/Max = %v/%v", a.Min(), a.Max())
+	if a.Max() != 5*time.Millisecond {
+		t.Fatalf("merged Max = %v, want 5ms", a.Max())
 	}
 }
 
@@ -152,11 +149,14 @@ func TestFormatDuration(t *testing.T) {
 	}
 }
 
-func TestRelStddev(t *testing.T) {
-	var s Summary
-	s.Add(100)
-	s.Add(100)
-	if got := s.RelStddev(); got != 0 {
-		t.Fatalf("RelStddev of constant = %v", got)
+// percentiles reports quantiles of a latency sample exactly: the reference
+// the histogram's bucketed approximation is checked against.
+func percentiles(samples []time.Duration, qs ...float64) []time.Duration {
+	sorted := append([]time.Duration(nil), samples...)
+	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+	out := make([]time.Duration, len(qs))
+	for i, q := range qs {
+		out[i] = sorted[min(int(q*float64(len(sorted))), len(sorted)-1)]
 	}
+	return out
 }

@@ -171,25 +171,6 @@ func (r ring) nodes() []transport.NodeID {
 	return out
 }
 
-// Placement is a standalone read-only view of one member set's
-// consistent-hash placement — what a cluster's ring becomes after
-// ApplyMembership with the same members. Admin tooling and tests use it to
-// ask "where would this key live under that epoch?" without touching a
-// live cluster.
-type Placement struct{ r *placement.Ring }
-
-// PreviewRing builds the placement for a prospective member set. rf is
-// clamped to the member count, matching ApplyMembership.
-func PreviewRing(members []RingNode, rf int) Placement {
-	return Placement{r: placement.New(members, rf)}
-}
-
-// ReplicasFor returns the nodes that would hold key.
-func (p Placement) ReplicasFor(key string) []transport.NodeID { return p.r.ReplicasFor(key) }
-
-// PlacesSite reports whether any replica of key would live in site.
-func (p Placement) PlacesSite(key, site string) bool { return p.r.PlacesSite(key, site) }
-
 // contains reports whether id is one of the given replicas.
 func contains(ids []transport.NodeID, id transport.NodeID) bool {
 	for _, x := range ids {
