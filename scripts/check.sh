@@ -178,56 +178,30 @@ go test -race ./internal/nettrans/ -run 'TestStragglerReplyNotDecoded' -count=3 
 (cd benchmark && go test -race -run 'TestCountingWrapperConformance(TCP|Simnet)$' -count=3 -timeout 300s .)
 go test -race ./internal/chaosnet/ -run 'TestStragglerHandoffOverTCP' -count=3 -timeout 300s
 
-# Experiment smokes: each JSON-emitting musicbench experiment must run end
-# to end in quick mode and write a well-formed BENCH_<id>.json. One run per
-# experiment id, then every pattern listed for that id must appear in what it
-# wrote (the full sweeps gate against the committed baselines in CI's
-# bench-gate job). fastpath, scale and readpath run in virtual time, so their
-# quick JSON must also equal, byte for byte, the one committed under
-# internal/bench/testdata: any change to a schedule or a virtual-time figure
-# shows up there as a diff. soak is wall-clock, so grep-only.
-#   fastpath   the Table I / session / write-behind rows.
-#   soak       restarts and reconfig deploy real musicd OS processes: restarts
-#              must prove the SIGKILLed-and-restarted process caught up through
-#              the startup state-transfer pull, and reconfig drives
-#              join/retire/replace through POST /v1/admin/membership while the
-#              workload keeps running (final_epoch 4).
-#   scale      shard counts 1 and 4 over the million-key uniform YCSB workload.
-#   readpath   all four read planes, with the injected-staleness config
-#              actually tripping the monitor.
+# Every virtual-time experiment is byte-gated by internal/bench's
+# TestQuickGoldens, which the full test run above includes: its quick text
+# must equal internal/bench/testdata/<id>.quick.txt, and the JSON of
+# fastpath, scale and readpath their <id>.quick.json.
+#
+# soak is wall-clock, so it gets a smoke instead: it must run end to end in
+# quick mode and write a BENCH_soak.json in which every pattern below
+# appears. restarts and reconfig deploy real musicd OS processes: restarts
+# must prove the SIGKILLed-and-restarted process caught up through the
+# startup state-transfer pull, and reconfig drives join/retire/replace
+# through POST /v1/admin/membership while the workload keeps running
+# (final_epoch 4).
 smoke_dir=$(mktemp -d)
 trap 'rm -rf "$smoke_dir"' EXIT
-ran=
-for smoke in \
-    'fastpath:"experiment": "fastpath"' \
-    'soak:"experiment": "soak"' \
-    'soak:"scenario": "restarts"' \
-    'soak:"caught_up": true' \
-    'soak:"scenario": "reconfig"' \
-    'soak:"final_epoch": 4' \
-    'scale:"experiment": "scale"' \
-    'scale:"shards": "4"' \
-    'readpath:"experiment": "readpath"' \
-    'readpath:"config": "adaptive_stale"' \
-    'readpath:"flipped": true'
+go run ./cmd/musicbench -exp soak -quick -quiet -json "$smoke_dir/soak.json" > /dev/null
+for pattern in \
+    '"experiment": "soak"' \
+    '"scenario": "restarts"' \
+    '"caught_up": true' \
+    '"scenario": "reconfig"' \
+    '"final_epoch": 4'
 do
-    id=${smoke%%:*} pattern=${smoke#*:}
-    if [ "$id" != "$ran" ]; then
-        go run ./cmd/musicbench -exp "$id" -quick -quiet -json "$smoke_dir/$id.json" > /dev/null
-        ran=$id
-    fi
-    grep -q "$pattern" "$smoke_dir/$id.json" || {
-        echo "check.sh: $id smoke: $pattern missing from its JSON" >&2
-        exit 1
-    }
-done
-for id in fastpath scale readpath; do
-    golden=internal/bench/testdata/$id.quick.json
-    cmp -s "$smoke_dir/$id.json" "$golden" || {
-        echo "check.sh: $id smoke: its quick JSON differs from $golden" >&2
-        diff "$golden" "$smoke_dir/$id.json" >&2 || true
-        echo "check.sh: if the change is intended, regenerate it with:" >&2
-        echo "    go run ./cmd/musicbench -exp $id -quick -quiet -json $golden" >&2
+    grep -q "$pattern" "$smoke_dir/soak.json" || {
+        echo "check.sh: soak smoke: $pattern missing from its JSON" >&2
         exit 1
     }
 done
