@@ -191,7 +191,7 @@ func runSingle(profileName string, listenAddrs []string, rf replicaFlags) error 
 
 	errc := make(chan error, len(listenAddrs))
 	for i, a := range listenAddrs {
-		srv := newAPIServer(clusters[i], sites[i], rf.shards)
+		srv := newAPIServer(clusters[i], sites[i])
 		log.Printf("serving site %s on %s", sites[i], a)
 		go func(a string) {
 			errc <- http.ListenAndServe(a, srv)
@@ -220,18 +220,11 @@ func linkDelays(p *simnet.Profile) chaosnet.Schedule {
 	return s
 }
 
-// newAPIServer builds a site's REST server: one client per plane shard,
-// routed by store.ShardOf inside httpapi, so the HTTP front end drives all
-// shards concurrently instead of funneling through one client.
-func newAPIServer(c *music.Cluster, site string, shards int) *httpapi.Server {
-	if shards < 1 {
-		shards = 1
-	}
-	cls := make([]*music.Client, shards)
-	for i := range cls {
-		cls[i] = c.Client(site)
-	}
-	return httpapi.NewSharded(cls)
+// newAPIServer builds a site's REST server over one client. The client
+// holds no per-request state and the site's replica partitions its plane by
+// shard, so the one client drives every shard concurrently.
+func newAPIServer(c *music.Cluster, site string) *httpapi.Server {
+	return httpapi.New(c.Client(site))
 }
 
 // multiConfig bundles runMulti's own flag values.
@@ -296,7 +289,7 @@ func runMulti(mc multiConfig, rf replicaFlags) error {
 		go joinSelf(c, self.Site)
 	}
 
-	srv := newAPIServer(c, self.Site, rf.shards)
+	srv := newAPIServer(c, self.Site)
 	log.Printf("node %d (site %s): REST on %s, %d peers", self.ID, self.Site, mc.httpAddr, len(peers)-1)
 	return http.ListenAndServe(mc.httpAddr, srv)
 }
@@ -324,7 +317,7 @@ func startNode(rt *sim.Real, n nodeSlot, rf replicaFlags) (c *music.Cluster, sto
 	}
 	var ob *obs.Obs
 	if rf.obsOn {
-		ob = obs.New(rt, obs.Options{})
+		ob = obs.New(rt)
 	}
 	tr, err := nettrans.New(rt, nettrans.Config{
 		Self:     n.self.ID,

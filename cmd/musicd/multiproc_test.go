@@ -94,7 +94,7 @@ func ecfCheck(t *testing.T, ohio, oregon *httpapi.Client) {
 func TestThreeNodeClusterInProcess(t *testing.T) {
 	rt := sim.NewReal(1)
 	rec := history.New(rt)
-	ob := obs.New(rt, obs.Options{})
+	ob := obs.New(rt)
 	clusters, err := loopback.Deploy(rt, testSites, nettrans.Config{Obs: ob}, nil,
 		music.TransportConfig{T: time.Minute, Obs: ob, History: rec})
 	if err != nil {

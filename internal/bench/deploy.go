@@ -45,7 +45,7 @@ func buildMUSICWorld(profile *simnet.Profile, nodesPerSite int, mode core.Mode, 
 	rt := sim.New(seed)
 	var ob *obs.Obs
 	if traced {
-		ob = obs.New(rt, obs.Options{})
+		ob = obs.New(rt)
 	}
 	net := simnet.New(rt, simnet.Config{Profile: profile, NodesPerSite: nodesPerSite, Obs: ob})
 	st := store.New(net, store.Config{RF: 3})

@@ -166,7 +166,7 @@ type soakEnv struct {
 
 func newSoakEnv(scenario string, sched chaosnet.Schedule) *soakEnv {
 	rt := sim.NewReal(1)
-	ob := obs.New(rt, obs.Options{})
+	ob := obs.New(rt)
 	inj := chaosnet.NewInjector(rt, sched)
 	env := &soakEnv{soakRecorder: soakRecorder{rt: rt, ob: ob}, scenario: scenario, inj: inj}
 

@@ -224,7 +224,7 @@ type soakProcEnv struct {
 func newSoakProcEnv(scenario string, d *loopback.Procs, serving ...string) *soakProcEnv {
 	rt := sim.NewReal(1)
 	return &soakProcEnv{
-		soakRecorder: soakRecorder{rt: rt, ob: obs.New(rt, obs.Options{})},
+		soakRecorder: soakRecorder{rt: rt, ob: obs.New(rt)},
 		scenario:     scenario,
 		d:            d,
 		serving:      append([]string(nil), serving...),

@@ -47,7 +47,7 @@ func TestStragglerHandoffOverTCP(t *testing.T) {
 		nodes[i] = transport.NodeID(i)
 		peers[i] = nettrans.Peer{ID: nodes[i], Site: site, Addr: l.Addr().String()}
 	}
-	ob := obs.New(rt, obs.Options{})
+	ob := obs.New(rt)
 	clusters := make([]*store.Cluster, len(testSites))
 	for i, site := range testSites {
 		tr, err := nettrans.New(rt, nettrans.Config{

@@ -260,7 +260,7 @@ func TestAdaptiveStaleReadFlipsMonitor(t *testing.T) {
 	leaseFixture(t, func(rt *sim.Virtual) Config {
 		rec = history.New(rt)
 		rec.Attach(mon)
-		return Config{AdaptiveReads: true, History: rec, Monitor: mon, Mutation: MutationStaleReads}
+		return Config{History: rec, Monitor: mon, Mutation: MutationStaleReads}
 	}, func(w *world) {
 		r := w.rep[0]
 		site := r.site

@@ -128,7 +128,7 @@ func (r *Replica) criticalRead(key string, ref int64, who reader, hc *history.Ca
 
 	cons := store.Quorum
 	rung = rungQuorum
-	if r.cfg.AdaptiveReads && r.cfg.Monitor.Weak(r.site) {
+	if r.cfg.Monitor != nil && r.cfg.Monitor.Weak(r.site) {
 		// Adaptive mode: the monitor judges this site safe for weak reads,
 		// so the data column is read at ONE (typically the local replica).
 		// The op is noted so the monitor — and the offline checker's

@@ -79,7 +79,7 @@ func TestReadLadder(t *testing.T) {
 	adaptive := func(rec *history.Recorder) Config {
 		mon = history.NewMonitor()
 		rec.Attach(mon)
-		return Config{AdaptiveReads: true, Monitor: mon, Mutation: MutationStaleReads}
+		return Config{Monitor: mon, Mutation: MutationStaleReads}
 	}
 
 	cases := []struct {

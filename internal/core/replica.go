@@ -159,23 +159,12 @@ type Config struct {
 	// must absorb. Defaults to 250ms.
 	LeaseSkew time.Duration
 
-	// AdaptiveReads serves critical gets at ONE consistency while the
-	// attached Monitor judges the site safe (per Nguyen/Charapko/Kulkarni/
-	// Demirbas): the monitor watches the recorded op stream for staleness
-	// and flips the site back to QUORUM when violations trip its threshold.
-	// Requires History and Monitor.
-	AdaptiveReads bool
-	// Monitor is the online consistency monitor adaptive reads consult; it
-	// must be attached to the same History recorder.
+	// Monitor, when set, turns on adaptive reads: critical gets are served
+	// at ONE consistency while the monitor judges the site safe (per
+	// Nguyen/Charapko/Kulkarni/Demirbas). It watches the recorded op stream
+	// for staleness and flips the site back to QUORUM when violations trip
+	// its threshold, so it must be attached to the History recorder.
 	Monitor *history.Monitor
-
-	// Shards partitions the replica's lock/data plane by
-	// store.ShardOf(key, Shards): each shard owns its own lockstore
-	// service, grant/seen/behind maps, and mutex, so operations on keys in
-	// different shards never serialize on shared replica state. Defaults
-	// to 1 (the unsharded plane). NewReplicaSharded overrides it with the
-	// number of per-shard store clients it is given.
-	Shards int
 
 	// History, when set, records every MUSIC operation (grants, releases,
 	// critical reads/writes, synchronizations, preemptions) with
@@ -251,12 +240,13 @@ func (c Config) withDefaults() Config {
 // drives the back-end lock and data stores. A replica is colocated with a
 // store coordinator node; its CPU work and message origins are that node's.
 //
-// The plane is partitioned across Config.Shards planeShards by
-// store.ShardOf(key): each shard carries its own store client (its own
-// coordinator node in a sharded deployment), lockstore service, and
-// grant-tracking maps under a private mutex, so shard A's mutex is never
-// contended by shard B's keys. With one shard — the default — shardFor
-// short-circuits without hashing, so unsharded replicas pay nothing.
+// The plane is partitioned by store.ShardOf(key) across planeShards, one
+// per store client NewReplicaSharded is given: each shard carries its own
+// store client (its own coordinator node in a sharded deployment),
+// lockstore service, and grant-tracking maps under a private mutex, so
+// shard A's mutex is never contended by shard B's keys. With one shard —
+// NewReplica's — shardFor short-circuits without hashing, so unsharded
+// replicas pay nothing.
 type Replica struct {
 	cfg    Config
 	node   transport.NodeID
@@ -296,21 +286,11 @@ type headAge struct {
 	sinceMicros int64
 }
 
-// NewReplica builds a MUSIC replica issuing store operations through st
-// (which fixes both the coordinator node and the site). Config.Shards > 1
-// partitions the replica's lock-plane state while every shard keeps
-// coordinating through st; use NewReplicaSharded to give each shard its
-// own coordinator node.
+// NewReplica builds a one-shard MUSIC replica issuing store operations
+// through st (which fixes both the coordinator node and the site); use
+// NewReplicaSharded to partition the plane.
 func NewReplica(st *store.Client, cfg Config) *Replica {
-	n := cfg.Shards
-	if n <= 0 {
-		n = 1
-	}
-	clients := make([]*store.Client, n)
-	for i := range clients {
-		clients[i] = st
-	}
-	return NewReplicaSharded(clients, cfg)
+	return NewReplicaSharded([]*store.Client{st}, cfg)
 }
 
 // NewReplicaSharded builds a MUSIC replica whose plane is partitioned
@@ -323,7 +303,6 @@ func NewReplicaSharded(clients []*store.Client, cfg Config) *Replica {
 	if len(clients) == 0 {
 		panic("core: NewReplicaSharded needs at least one store client")
 	}
-	cfg.Shards = len(clients)
 	r := &Replica{
 		cfg:    cfg.withDefaults(),
 		node:   clients[0].Node(),

@@ -46,7 +46,7 @@ func runWorld(t *testing.T, cfg Config, seed int64, observed bool, fn func(w *wo
 	rt := sim.New(seed)
 	var ob *obs.Obs
 	if observed {
-		ob = obs.New(rt, obs.Options{})
+		ob = obs.New(rt)
 	}
 	net := simnet.New(rt, simnet.Config{Profile: simnet.ProfileIUs, Obs: ob})
 	st := store.New(net, store.Config{})

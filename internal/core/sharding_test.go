@@ -10,14 +10,18 @@ import (
 )
 
 // shardWorld builds a 3-site virtual world whose site-0 replica runs with
-// the given shard count (sharing one store client across shards, the
-// NewReplica path) and runs fn inside the simulation.
+// the given shard count (every shard coordinating through the same store
+// client) and runs fn inside the simulation.
 func shardWorld(t *testing.T, shards int, fn func(rt *sim.Virtual, rep *Replica)) {
 	t.Helper()
 	rt := sim.New(11)
 	net := simnet.New(rt, simnet.Config{Profile: simnet.ProfileIUs})
 	st := store.New(net, store.Config{Shards: shards})
-	rep := NewReplica(st.Client(0), Config{Shards: shards})
+	clients := make([]*store.Client, shards)
+	for i := range clients {
+		clients[i] = st.Client(0)
+	}
+	rep := NewReplicaSharded(clients, Config{})
 	if err := rt.Run(func() { fn(rt, rep) }); err != nil {
 		t.Fatalf("Run: %v", err)
 	}

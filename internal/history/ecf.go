@@ -94,19 +94,18 @@ type Result struct {
 // Ok reports a clean, fully-decided check.
 func (r Result) Ok() bool { return len(r.Violations) == 0 && len(r.Unbounded) == 0 }
 
-// CheckOptions tunes Check.
-type CheckOptions struct {
-	// SkipLinearize disables the per-key WGL search (the deterministic ECF
-	// rules still run).
-	SkipLinearize bool
-	// WGLBudget caps the states explored per key; 0 means a default that
-	// decides every lock-sequential history instantly.
-	WGLBudget int
-}
+// CheckOptions is Check's second parameter. Nothing in it is left to tune;
+// it stays while the benchmark module passes one.
+type CheckOptions struct{}
 
-// Check runs the ECF rules and (unless disabled) the WGL linearizability
-// search over a recorded history.
-func Check(ops []Op, opt CheckOptions) Result {
+// Check runs the ECF rules and the WGL linearizability search over a
+// recorded history.
+func Check(ops []Op, _ CheckOptions) Result { return check(ops, true) }
+
+// CheckECF runs only the deterministic ECF rules (no WGL search).
+func CheckECF(ops []Op) []Violation { return check(ops, false).Violations }
+
+func check(ops []Op, linearize bool) Result {
 	res := Result{Ops: len(ops)}
 	// Global rules first: the epoch checker certifies membership changes
 	// across the whole history (see epoch.go) before the per-key ECF rules.
@@ -127,8 +126,8 @@ func Check(ops []Op, opt CheckOptions) Result {
 			continue
 		}
 		res.Violations = append(res.Violations, kh.checkECF()...)
-		if !opt.SkipLinearize {
-			v, decided := linearizeKey(kh, opt.WGLBudget)
+		if linearize {
+			v, decided := linearizeKey(kh, wglBudget)
 			res.Violations = append(res.Violations, v...)
 			if !decided {
 				res.Unbounded = append(res.Unbounded, name)
@@ -136,11 +135,6 @@ func Check(ops []Op, opt CheckOptions) Result {
 		}
 	}
 	return res
-}
-
-// CheckECF runs only the deterministic ECF rules (no WGL search).
-func CheckECF(ops []Op) []Violation {
-	return Check(ops, CheckOptions{SkipLinearize: true}).Violations
 }
 
 // keyHistory is the per-key slice of a history, pre-sorted for the rules.

@@ -240,9 +240,6 @@ func (r *Recorder) Attach(m *Monitor) *Monitor {
 // New builds an enabled recorder clocked by rt.
 func New(rt sim.Runtime) *Recorder { return &Recorder{rt: rt} }
 
-// Enabled reports whether recording is on (false for the nil recorder).
-func (r *Recorder) Enabled() bool { return r != nil }
-
 // Call is one in-flight operation being recorded; obtained from Begin,
 // finished with End. All methods on a nil *Call are no-ops.
 type Call struct {

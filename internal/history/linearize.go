@@ -32,7 +32,9 @@ import (
 // sequential, so the search is effectively linear; the node budget only
 // exists to bound adversarial histories.
 
-const defaultWGLBudget = 1 << 20
+// wglBudget caps the states Check explores per key. It decides every
+// lock-sequential history instantly.
+const wglBudget = 1 << 20
 
 // wglOp is one searchable op: a read or write of a value id.
 type wglOp struct {
@@ -46,9 +48,6 @@ type wglOp struct {
 // linearizeKey checks one key's history; returns violations and whether the
 // search was decided within budget.
 func linearizeKey(kh *keyHistory, budget int) ([]Violation, bool) {
-	if budget <= 0 {
-		budget = defaultWGLBudget
-	}
 	values := map[string]int{} // "" (absent) is id 0
 	valueID := func(v []byte, present bool) int {
 		if !present {

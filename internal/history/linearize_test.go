@@ -12,7 +12,7 @@ func lin(t *testing.T, ops []Op) ([]Violation, bool) {
 	if kh == nil {
 		t.Fatal("no ops for key k")
 	}
-	return linearizeKey(kh, 0)
+	return linearizeKey(kh, wglBudget)
 }
 
 func TestLinearizeSequential(t *testing.T) {

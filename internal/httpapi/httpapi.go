@@ -45,9 +45,9 @@
 //	                                        "site": s, "with": spare}
 //	                                       → the new epoch's membership
 //
-// Requests for different keys route to per-shard clients by store.ShardOf
-// (NewSharded), so a sharded site's HTTP front end drives every shard
-// concurrently instead of funneling through one client.
+// One music.Client serves every request of a site. It holds no per-request
+// state, and the replica under it partitions its plane by shard, so a
+// sharded site's HTTP front end drives every shard concurrently through it.
 //
 // ECF errors map to HTTP statuses: 409 Conflict for
 // "youAreNoLongerLockHolder" / expired sections (dead lockRef, give up),
@@ -71,30 +71,18 @@ import (
 	"repro/internal/history"
 	"repro/internal/membership"
 	"repro/internal/obs"
-	"repro/internal/store"
 	"repro/music"
 )
 
-// Server handles the REST API for one site's MUSIC clients — one per plane
-// shard, so concurrent HTTP requests for different shards never serialize
-// on one client's binding state.
+// Server handles the REST API for one site's MUSIC client.
 type Server struct {
-	cls []*music.Client
+	cl  *music.Client
 	mux *http.ServeMux
 }
 
-// New builds a server around a single client (the unsharded deployment).
-func New(cl *music.Client) *Server { return NewSharded([]*music.Client{cl}) }
-
-// NewSharded builds a server that routes each keyed request to the client
-// owning the key's plane shard (store.ShardOf over len(cls) — pass one
-// client per shard, in shard order, all bound to the same site). Keyless
-// endpoints (health, key listing, membership, diagnostics) use cls[0].
-func NewSharded(cls []*music.Client) *Server {
-	if len(cls) == 0 {
-		panic("httpapi: NewSharded with no clients")
-	}
-	s := &Server{cls: cls, mux: http.NewServeMux()}
+// New builds a server around cl, which every endpoint uses.
+func New(cl *music.Client) *Server {
+	s := &Server{cl: cl, mux: http.NewServeMux()}
 	s.mux.HandleFunc("POST /v1/locks/{key}", s.createLockRef)
 	s.mux.HandleFunc("GET /v1/locks/{key}/{ref}", s.acquireLock)
 	s.mux.HandleFunc("DELETE /v1/locks/{key}/{ref}", s.releaseLock)
@@ -103,7 +91,7 @@ func NewSharded(cls []*music.Client) *Server {
 	s.mux.HandleFunc("DELETE /v1/keys/{key}", s.deleteKey)
 	s.mux.HandleFunc("GET /v1/keys", s.allKeys)
 	s.mux.HandleFunc("GET /v1/health", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, healthBody{Site: s.cls[0].Site(), Status: "ok"})
+		writeJSON(w, http.StatusOK, healthBody{Site: s.cl.Site(), Status: "ok"})
 	})
 	s.mux.HandleFunc("GET /metrics", s.metrics)
 	s.mux.HandleFunc("GET /traces", s.traces)
@@ -176,19 +164,9 @@ type MemberBody struct {
 	Addr string `json:"addr,omitempty"`
 }
 
-// clientFor routes key to the client owning its plane shard — the same
-// store.ShardOf walk core uses, so the HTTP layer lands each request on the
-// client already bound to the shard's coordinator.
-func (s *Server) clientFor(key string) *music.Client {
-	if len(s.cls) == 1 {
-		return s.cls[0]
-	}
-	return s.cls[store.ShardOf(key, len(s.cls))]
-}
-
 func (s *Server) createLockRef(w http.ResponseWriter, r *http.Request) {
 	key := r.PathValue("key")
-	ref, err := s.clientFor(key).CreateLockRef(key)
+	ref, err := s.cl.CreateLockRef(key)
 	if err != nil {
 		writeErr(w, err)
 		return
@@ -202,7 +180,7 @@ func (s *Server) acquireLock(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	key := r.PathValue("key")
-	holder, err := s.clientFor(key).AcquireLock(key, ref)
+	holder, err := s.cl.AcquireLock(key, ref)
 	if err != nil {
 		writeErr(w, err)
 		return
@@ -216,12 +194,11 @@ func (s *Server) releaseLock(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	key := r.PathValue("key")
-	cl := s.clientFor(key)
 	var err error
 	if r.URL.Query().Get("forced") != "" {
-		err = cl.ForcedRelease(key, ref)
+		err = s.cl.ForcedRelease(key, ref)
 	} else {
-		err = cl.ReleaseLock(key, ref)
+		err = s.cl.ReleaseLock(key, ref)
 	}
 	if err != nil {
 		writeErr(w, err)
@@ -242,9 +219,9 @@ func (s *Server) putKey(w http.ResponseWriter, r *http.Request) {
 		if !ok {
 			return
 		}
-		err = s.clientFor(key).CriticalPut(key, ref, value)
+		err = s.cl.CriticalPut(key, ref, value)
 	} else {
-		err = s.clientFor(key).Put(key, value)
+		err = s.cl.Put(key, value)
 	}
 	if err != nil {
 		writeErr(w, err)
@@ -264,9 +241,9 @@ func (s *Server) getKey(w http.ResponseWriter, r *http.Request) {
 		if !ok {
 			return
 		}
-		value, err = s.clientFor(key).CriticalGet(key, ref)
+		value, err = s.cl.CriticalGet(key, ref)
 	} else {
-		value, err = s.clientFor(key).Get(key)
+		value, err = s.cl.Get(key)
 	}
 	if err != nil {
 		writeErr(w, err)
@@ -291,7 +268,7 @@ func (s *Server) deleteKey(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	key := r.PathValue("key")
-	if err := s.clientFor(key).CriticalDelete(key, ref); err != nil {
+	if err := s.cl.CriticalDelete(key, ref); err != nil {
 		writeErr(w, err)
 		return
 	}
@@ -299,7 +276,7 @@ func (s *Server) deleteKey(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) allKeys(w http.ResponseWriter, r *http.Request) {
-	keys, err := s.cls[0].GetAllKeys()
+	keys, err := s.cl.GetAllKeys()
 	if err != nil {
 		writeErr(w, err)
 		return
@@ -312,7 +289,7 @@ func (s *Server) allKeys(w http.ResponseWriter, r *http.Request) {
 
 // metrics serves the cluster's metric registry in text exposition format.
 func (s *Server) metrics(w http.ResponseWriter, r *http.Request) {
-	o := s.cls[0].Cluster().Obs()
+	o := s.cl.Cluster().Obs()
 	if o == nil {
 		writeJSON(w, http.StatusNotFound, errBody("observability disabled (build the cluster WithObservability)"))
 		return
@@ -324,7 +301,7 @@ func (s *Server) metrics(w http.ResponseWriter, r *http.Request) {
 // traces serves recent span trees from the tracer's ring buffer, most
 // recent last; ?id= selects one trace, ?limit= caps the listing (default 16).
 func (s *Server) traces(w http.ResponseWriter, r *http.Request) {
-	o := s.cls[0].Cluster().Obs()
+	o := s.cl.Cluster().Obs()
 	if o == nil {
 		writeJSON(w, http.StatusNotFound, errBody("observability disabled (build the cluster WithObservability)"))
 		return
@@ -361,7 +338,7 @@ func (s *Server) traces(w http.ResponseWriter, r *http.Request) {
 // harness fetches every site's ops, merges them by response time, and runs
 // internal/history.Check over the combined timeline.
 func (s *Server) history(w http.ResponseWriter, r *http.Request) {
-	rec := s.cls[0].Cluster().History()
+	rec := s.cl.Cluster().History()
 	if rec == nil {
 		writeJSON(w, http.StatusNotFound, errBody("history recording disabled (music.WithHistory, or musicd -history)"))
 		return
@@ -370,7 +347,7 @@ func (s *Server) history(w http.ResponseWriter, r *http.Request) {
 	if ops == nil {
 		ops = []history.Op{} // a site with no ops yet serves [], not null
 	}
-	writeJSON(w, http.StatusOK, historyBody{Ops: ops, Site: s.cls[0].Site()})
+	writeJSON(w, http.StatusOK, historyBody{Ops: ops, Site: s.cl.Site()})
 }
 
 // consistency serves the live adaptive-consistency monitor: every observed
@@ -378,7 +355,7 @@ func (s *Server) history(w http.ResponseWriter, r *http.Request) {
 // staleness violations tripped it), with its weak-read and violation
 // counters. Operators watch this to see a site flip in production.
 func (s *Server) consistency(w http.ResponseWriter, r *http.Request) {
-	mon := s.cls[0].Cluster().Monitor()
+	mon := s.cl.Cluster().Monitor()
 	if mon == nil {
 		writeJSON(w, http.StatusNotFound, errBody("adaptive reads disabled (music.WithAdaptiveReads, or musicd -adaptive)"))
 		return
@@ -404,7 +381,7 @@ func renderMembership(m membership.Membership) MembershipBody {
 // getMembership serves the current epoch-versioned membership. Epoch 0
 // means the cluster runs fixed (build-time) membership.
 func (s *Server) getMembership(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, renderMembership(s.cls[0].Cluster().Membership()))
+	writeJSON(w, http.StatusOK, renderMembership(s.cl.Cluster().Membership()))
 }
 
 // postMembership drives one reconfiguration: {"op": "join"|"retire"|
@@ -425,7 +402,7 @@ func (s *Server) postMembership(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, errBody("missing site"))
 		return
 	}
-	c := s.cls[0].Cluster()
+	c := s.cl.Cluster()
 	var m membership.Membership
 	switch op {
 	case membership.OpJoin:

@@ -11,21 +11,17 @@ import (
 	"repro/music"
 )
 
-// shardedHarness runs a 2-shard cluster behind NewSharded with one client
-// per shard, the wiring cmd/musicd uses for -shards deployments.
+// shardedHarness runs a sharded cluster behind one site's client, the
+// wiring cmd/musicd uses for -shards deployments.
 func shardedHarness(t *testing.T, shards int) *api {
 	t.Helper()
 	return serve(t, func(c *music.Cluster) http.Handler {
-		cls := make([]*music.Client, shards)
-		for i := range cls {
-			cls[i] = c.Client("site-a")
-		}
-		return NewSharded(cls)
+		return New(c.Client("site-a"))
 	}, music.WithShards(shards), music.WithNodesPerSite(shards))
 }
 
 // keysCoveringShards returns one key per shard, so a routing bug (every
-// request landing on cls[0]) cannot hide behind shard-0-only traffic.
+// request landing on shard 0) cannot hide behind shard-0-only traffic.
 func keysCoveringShards(t *testing.T, shards int) []string {
 	t.Helper()
 	keys := make([]string, shards)
@@ -47,8 +43,8 @@ func TestShardedRoutingServesEveryShard(t *testing.T) {
 	const shards = 2
 	a := shardedHarness(t, shards)
 	a.run(func() {
-		// A full critical section on a key of each shard: the per-shard client
-		// must carry the whole lock lifecycle, not just reads.
+		// A full critical section on a key of each shard: every shard must
+		// carry the whole lock lifecycle, not just reads.
 		for i, key := range keysCoveringShards(t, shards) {
 			ref := a.lock(key)
 			val := fmt.Sprintf("shard-%d-value", i)
@@ -66,8 +62,8 @@ func TestShardedRoutingServesEveryShard(t *testing.T) {
 			}
 		}
 
-		// The keyless listing (served by cls[0]) still sees keys of every shard:
-		// sharding splits coordination, not the data plane.
+		// The keyless listing still sees keys of every shard: sharding splits
+		// coordination, not the data plane.
 		resp, body := a.do("GET", "/v1/keys", "")
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("keys = %d %s", resp.StatusCode, body)
@@ -78,15 +74,6 @@ func TestShardedRoutingServesEveryShard(t *testing.T) {
 			}
 		}
 	})
-}
-
-func TestNewShardedPanicsOnEmpty(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("NewSharded(nil) did not panic")
-		}
-	}()
-	NewSharded(nil)
 }
 
 func TestMembershipEndpointsOnStaticCluster(t *testing.T) {

@@ -450,7 +450,7 @@ func TestDequeueIfUngranted(t *testing.T) {
 // so what a Peek ships after 500 sections is what it shipped after one.
 func TestLockRowBounded(t *testing.T) {
 	rt := sim.New(3)
-	ob := obs.New(rt, obs.Options{})
+	ob := obs.New(rt)
 	net := simnet.New(rt, simnet.Config{Profile: simnet.ProfileIUs, Obs: ob})
 	c := store.New(net, store.Config{})
 	readBytes := ob.Metrics().Counter("store_read_bytes_total", obs.Labels{"site": net.SiteOf(0)})
@@ -529,7 +529,7 @@ func TestLockRowBounded(t *testing.T) {
 // the parked count throughout.
 func TestWatchWakesOnlyTheNewHead(t *testing.T) {
 	rt := sim.New(3)
-	ob := obs.New(rt, obs.Options{})
+	ob := obs.New(rt)
 	net := simnet.New(rt, simnet.Config{Profile: simnet.ProfileIUs, Obs: ob})
 	c := store.New(net, store.Config{})
 	parked := ob.Metrics().Gauge("lockstore_watchers", obs.Labels{"site": net.SiteOf(1)})

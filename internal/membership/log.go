@@ -34,13 +34,6 @@ type LogConfig struct {
 	Serve []transport.NodeID
 	// Initial is the epoch-1 membership.
 	Initial Membership
-	// ElectionTimeout / HeartbeatInterval tune the underlying Raft group;
-	// zero keeps raft's defaults.
-	ElectionTimeout   time.Duration
-	HeartbeatInterval time.Duration
-	// ProposeTimeout bounds one proposal end to end. Defaults to 4x the
-	// transport RPC timeout (a proposal may retry across peers).
-	ProposeTimeout time.Duration
 }
 
 // Log replicates membership changes through Raft and feeds a View.
@@ -49,6 +42,9 @@ type Log struct {
 	cfg  LogConfig
 	rc   *raft.Cluster
 	view *View
+	// proposeTimeout bounds one proposal end to end: 4x the transport RPC
+	// timeout, since a proposal may retry across peers.
+	proposeTimeout time.Duration
 
 	mu        sync.Mutex
 	lastIndex uint64
@@ -82,23 +78,19 @@ func NewLog(cfg LogConfig) (*Log, error) {
 	if len(cfg.Local) == 0 {
 		cfg.Local = cfg.Group
 	}
-	if cfg.ProposeTimeout == 0 {
-		cfg.ProposeTimeout = 4 * cfg.Transport.RPCTimeout()
-	}
 	l := &Log{
-		tr:       cfg.Transport,
-		cfg:      cfg,
-		view:     NewView(cfg.Initial),
-		cur:      cfg.Initial.Clone(),
-		outcomes: make(map[uint64]error),
+		tr:             cfg.Transport,
+		cfg:            cfg,
+		view:           NewView(cfg.Initial),
+		proposeTimeout: 4 * cfg.Transport.RPCTimeout(),
+		cur:            cfg.Initial.Clone(),
+		outcomes:       make(map[uint64]error),
 	}
 	rc, err := raft.New(cfg.Transport, raft.Config{
-		Nodes:             cfg.Group,
-		LocalNodes:        cfg.Local,
-		Apply:             l.apply,
-		ElectionTimeout:   cfg.ElectionTimeout,
-		HeartbeatInterval: cfg.HeartbeatInterval,
-		ProposeTimeout:    cfg.ProposeTimeout,
+		Nodes:          cfg.Group,
+		LocalNodes:     cfg.Local,
+		Apply:          l.apply,
+		ProposeTimeout: l.proposeTimeout,
 	})
 	if err != nil {
 		return nil, err
@@ -165,7 +157,7 @@ func (l *Log) Current() Membership {
 // through the config group via the local node `from`, and blocks until the
 // change has been applied locally. It returns the resulting membership.
 //
-// Propose retries through leader elections until ProposeTimeout and is
+// Propose retries through leader elections until proposeTimeout and is
 // idempotent against its own lost responses: a retry that finds the
 // change's effect already in the membership (same members joined, same
 // nodes departed) reports success instead of ErrStaleEpoch.
@@ -180,7 +172,7 @@ func (l *Log) Propose(from transport.NodeID, ch Change) (Membership, error) {
 		size += 8 + len(mem.Site) + len(mem.Addr)
 	}
 	rt := l.tr.Runtime()
-	deadline := rt.Now() + l.cfg.ProposeTimeout
+	deadline := rt.Now() + l.proposeTimeout
 	for {
 		index, perr := l.rc.Propose(from, ch, size)
 		if perr == nil {

@@ -81,10 +81,6 @@ type Config struct {
 	Listener net.Listener
 	// Obs enables RPC spans and latency metrics. Nil disables both.
 	Obs *obs.Obs
-	// RTT optionally supplies inter-site round-trip estimates for
-	// placement heuristics (store.byDistance). Missing pairs return 0,
-	// which keeps placement stable but unordered.
-	RTT map[[2]string]time.Duration
 }
 
 // Transport is the TCP message plane. It must be built on a real-time
@@ -332,17 +328,10 @@ func (t *Transport) RemovePeer(id transport.NodeID) error {
 	return nil
 }
 
-// RTT returns the configured round-trip estimate for a site pair (0 when
-// unknown — a real network measures, it does not model).
-func (t *Transport) RTT(a, b string) time.Duration {
-	if t.cfg.RTT == nil {
-		return 0
-	}
-	if d, ok := t.cfg.RTT[[2]string{a, b}]; ok {
-		return d
-	}
-	return t.cfg.RTT[[2]string{b, a}]
-}
+// RTT returns 0 for every site pair: a real network measures, it does not
+// model. So over TCP store's ONE reads try their own node first, then the
+// other replicas by node id (store.Client.byDistance).
+func (t *Transport) RTT(a, b string) time.Duration { return 0 }
 
 // RPCTimeout returns the default Call timeout.
 func (t *Transport) RPCTimeout() time.Duration { return t.cfg.RPCTimeout }

@@ -18,13 +18,6 @@ import (
 	"repro/internal/sim"
 )
 
-// Options tunes an Obs instance.
-type Options struct {
-	// SpanRing is the capacity of the completed-span ring buffer backing
-	// trace assembly (/traces, -exp trace). Defaults to 8192.
-	SpanRing int
-}
-
 // Obs bundles the two halves of the subsystem. The zero value of *Obs (nil)
 // is the disabled state.
 type Obs struct {
@@ -32,14 +25,15 @@ type Obs struct {
 	tracer *Tracer
 }
 
+// spanRing is the capacity of the completed-span ring buffer backing trace
+// assembly (/traces, -exp trace).
+const spanRing = 8192
+
 // New builds an enabled Obs over rt.
-func New(rt sim.Runtime, opts Options) *Obs {
-	if opts.SpanRing <= 0 {
-		opts.SpanRing = 8192
-	}
+func New(rt sim.Runtime) *Obs {
 	return &Obs{
 		reg:    newRegistry(rt),
-		tracer: newTracer(rt, opts.SpanRing),
+		tracer: newTracer(rt, spanRing),
 	}
 }
 

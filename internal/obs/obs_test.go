@@ -36,7 +36,7 @@ func TestDisabledPathZeroAlloc(t *testing.T) {
 
 func TestMetricsRegistry(t *testing.T) {
 	rt := sim.NewReal(1)
-	o := New(rt, Options{})
+	o := New(rt)
 	reg := o.Metrics()
 
 	c := reg.Counter("rpc_total", Labels{"site": "IE", "svc": "store.apply"})
@@ -85,11 +85,8 @@ func TestMetricsRegistry(t *testing.T) {
 // checks parentage, durations, per-name stats and the rendered tree.
 func TestTracerVirtualTime(t *testing.T) {
 	rt := sim.New(1)
-	var o *Obs
+	tr := newTracer(rt, 16)
 	err := rt.Run(func() {
-		o = New(rt, Options{SpanRing: 16})
-		tr := o.Tracer()
-
 		root := tr.StartRoot("op.outer")
 		if tr.Current() != root {
 			t.Error("root not installed as task-current")
@@ -116,7 +113,6 @@ func TestTracerVirtualTime(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	tr := o.Tracer()
 	ids := tr.TraceIDs(0)
 	if len(ids) != 1 {
 		t.Fatalf("TraceIDs = %v, want one trace", ids)
@@ -160,7 +156,7 @@ func TestSpanInheritanceAcrossGo(t *testing.T) {
 	rt := sim.New(1)
 	var o *Obs
 	err := rt.Run(func() {
-		o = New(rt, Options{})
+		o = New(rt)
 		tr := o.Tracer()
 		root := tr.StartRoot("parent")
 		done := sim.NewPromise[struct{}](rt)
@@ -188,7 +184,7 @@ func TestSpanInheritanceAcrossGo(t *testing.T) {
 func TestDetachedAndFailed(t *testing.T) {
 	rt := sim.New(1)
 	err := rt.Run(func() {
-		o := New(rt, Options{})
+		o := New(rt)
 		tr := o.Tracer()
 		root := tr.StartRoot("caller")
 		d := tr.Detached(root.Context(), "rpc:thing", rt.Now())
@@ -216,7 +212,7 @@ func TestDetachedAndFailed(t *testing.T) {
 // TestRingEviction verifies StatsByName survives ring wraparound.
 func TestRingEviction(t *testing.T) {
 	rt := sim.NewReal(1)
-	tr := New(rt, Options{SpanRing: 4}).Tracer()
+	tr := newTracer(rt, 4)
 	for i := 0; i < 10; i++ {
 		tr.StartRoot("op").End()
 	}
@@ -231,7 +227,7 @@ func TestRingEviction(t *testing.T) {
 
 func TestRealRuntimeTaskLocals(t *testing.T) {
 	rt := sim.NewReal(1)
-	tr := New(rt, Options{}).Tracer()
+	tr := New(rt).Tracer()
 	root := tr.StartRoot("real.root")
 	done := make(chan *Span, 1)
 	rt.Go(func() {

@@ -39,9 +39,6 @@ func (b Ballot) Compare(o Ballot) int {
 	}
 }
 
-// Less reports whether b precedes o.
-func (b Ballot) Less(o Ballot) bool { return b.Compare(o) < 0 }
-
 // String formats the ballot for logs and test failures.
 func (b Ballot) String() string { return fmt.Sprintf("%d.%d", b.Counter, b.Node) }
 

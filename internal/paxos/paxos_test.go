@@ -22,9 +22,6 @@ func TestBallotCompare(t *testing.T) {
 		if got := tt.a.Compare(tt.b); got != tt.want {
 			t.Errorf("Compare(%v, %v) = %d, want %d", tt.a, tt.b, got, tt.want)
 		}
-		if got := tt.a.Less(tt.b); got != (tt.want < 0) {
-			t.Errorf("Less(%v, %v) = %v", tt.a, tt.b, got)
-		}
 	}
 }
 
@@ -158,7 +155,7 @@ func TestSingleDecreeSafety(t *testing.T) {
 					continue
 				}
 				oks++
-				if !resp.InProgress.IsZero() && highest.Less(resp.InProgress) {
+				if !resp.InProgress.IsZero() && highest.Compare(resp.InProgress) < 0 {
 					highest = resp.InProgress
 					value = resp.InProgressValue.(string)
 				}

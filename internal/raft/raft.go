@@ -64,20 +64,23 @@ type Config struct {
 	// single-process case).
 	LocalNodes []transport.NodeID
 	Apply      Apply
-	// ElectionTimeout is the base follower timeout (randomized 1x-2x).
-	// Defaults to 1.5s (comfortably above WAN RTTs).
-	ElectionTimeout time.Duration
-	// HeartbeatInterval is the leader's replication cadence. Defaults to
-	// 300ms.
-	HeartbeatInterval time.Duration
 	// ProposeTimeout bounds one proposal. Defaults to the transport RPC
 	// timeout.
 	ProposeTimeout time.Duration
-	// MsgCost is the per-message CPU cost. Defaults to 100µs.
-	MsgCost time.Duration
-	// PerKB is the added CPU cost per payload KiB. Defaults to 1.5µs.
-	PerKB time.Duration
 }
+
+// Timing and CPU costs of every group.
+const (
+	// electionTimeout is the base follower timeout (randomized 1x-2x),
+	// comfortably above WAN RTTs.
+	electionTimeout = 1500 * time.Millisecond
+	// heartbeatInterval is the leader's replication cadence.
+	heartbeatInterval = 300 * time.Millisecond
+	// msgCost is the CPU cost of handling one message, and perKB the
+	// added cost per payload KiB.
+	msgCost = 100 * time.Microsecond
+	perKB   = 1500 * time.Nanosecond
+)
 
 // Cluster is a Raft group over a transport.Transport. It holds peer state
 // only for the nodes this process hosts (Config.LocalNodes).
@@ -147,20 +150,8 @@ func New(tr transport.Transport, cfg Config) (*Cluster, error) {
 	if len(cfg.LocalNodes) == 0 {
 		cfg.LocalNodes = cfg.Nodes
 	}
-	if cfg.ElectionTimeout == 0 {
-		cfg.ElectionTimeout = 1500 * time.Millisecond
-	}
-	if cfg.HeartbeatInterval == 0 {
-		cfg.HeartbeatInterval = 300 * time.Millisecond
-	}
 	if cfg.ProposeTimeout == 0 {
 		cfg.ProposeTimeout = tr.RPCTimeout()
-	}
-	if cfg.MsgCost == 0 {
-		cfg.MsgCost = 100 * time.Microsecond
-	}
-	if cfg.PerKB == 0 {
-		cfg.PerKB = 1500 * time.Nanosecond
 	}
 
 	c := &Cluster{tr: tr, cfg: cfg, peers: make(map[transport.NodeID]*peer, len(cfg.LocalNodes))}
@@ -181,9 +172,9 @@ func New(tr transport.Transport, cfg Config) (*Cluster, error) {
 			waiters:    make(map[uint64]*waitEntry),
 		}
 		c.peers[id] = p
-		tr.HandleWithCost(id, svcRequestVote, p.handleRequestVote, cfg.MsgCost, 0)
-		tr.HandleWithCost(id, svcAppendEntries, p.handleAppendEntries, cfg.MsgCost, cfg.PerKB)
-		tr.HandleWithCost(id, svcPropose, p.handlePropose, cfg.MsgCost, cfg.PerKB)
+		tr.HandleWithCost(id, svcRequestVote, p.handleRequestVote, msgCost, 0)
+		tr.HandleWithCost(id, svcAppendEntries, p.handleAppendEntries, msgCost, perKB)
+		tr.HandleWithCost(id, svcPropose, p.handlePropose, msgCost, perKB)
 		tr.OnRestart(id, p.onRestart)
 		p.resetDeadline()
 		rt.Go(p.ticker)
@@ -315,7 +306,7 @@ func (p *peer) handlePropose(from transport.NodeID, req any) (any, error) {
 func (p *peer) ticker() {
 	rt := p.c.tr.Runtime()
 	for !p.c.isStopped() {
-		rt.Sleep(p.c.cfg.HeartbeatInterval / 3)
+		rt.Sleep(heartbeatInterval / 3)
 		p.mu.Lock()
 		r := p.role
 		expired := rt.Now() >= p.deadline
@@ -332,8 +323,8 @@ func (p *peer) ticker() {
 
 func (p *peer) resetDeadline() {
 	rt := p.c.tr.Runtime()
-	jitter := time.Duration(rt.Rand().Int63n(int64(p.c.cfg.ElectionTimeout)))
-	p.deadline = rt.Now() + p.c.cfg.ElectionTimeout + jitter
+	jitter := time.Duration(rt.Rand().Int63n(int64(electionTimeout)))
+	p.deadline = rt.Now() + electionTimeout + jitter
 }
 
 // Vote RPCs.
@@ -374,14 +365,14 @@ func (p *peer) startElection() {
 		}
 		id := id
 		rt.Go(func() {
-			resp, err := p.c.tr.CallTimeout(p.id, id, svcRequestVote, req, p.c.cfg.ElectionTimeout)
+			resp, err := p.c.tr.CallTimeout(p.id, id, svcRequestVote, req, electionTimeout)
 			if err != nil {
 				return
 			}
 			results.Send(resp.(voteResp))
 		})
 	}
-	deadline := rt.Now() + p.c.cfg.ElectionTimeout
+	deadline := rt.Now() + electionTimeout
 	for votes < quorum {
 		remaining := deadline - rt.Now()
 		if remaining <= 0 {

@@ -34,7 +34,7 @@ func findSpans(roots []*obs.SpanNode, name string) []*obs.SpanNode {
 // the rpc, all consistent with the modeled delays.
 func TestTracedCallSpanTree(t *testing.T) {
 	rt := sim.New(1)
-	o := obs.New(rt, obs.Options{})
+	o := obs.New(rt)
 	n := New(rt, Config{Profile: ProfileIUs, Obs: o})
 	registerEcho(n)
 
@@ -92,7 +92,7 @@ func TestTracedCallSpanTree(t *testing.T) {
 // open or hanging.
 func TestTracedCallToCrashedNodeFailsSpan(t *testing.T) {
 	rt := sim.New(1)
-	o := obs.New(rt, obs.Options{})
+	o := obs.New(rt)
 	n := New(rt, Config{Profile: ProfileIUs, Obs: o})
 	registerEcho(n)
 
@@ -133,7 +133,7 @@ func TestTracedCallToCrashedNodeFailsSpan(t *testing.T) {
 // terminate with a failed span.
 func TestTracedCallCrashAfterDelivery(t *testing.T) {
 	rt := sim.New(1)
-	o := obs.New(rt, obs.Options{})
+	o := obs.New(rt)
 	n := New(rt, Config{Profile: ProfileIUs, Obs: o})
 	// Handler crashes its own node, so the reply leg must be dropped.
 	n.Node(1).Handle("boom", func(from NodeID, req any) (any, error) {
@@ -163,7 +163,7 @@ func TestTracedCallCrashAfterDelivery(t *testing.T) {
 // spans nest under one multicast span.
 func TestMulticastUmbrellaSpan(t *testing.T) {
 	rt := sim.New(1)
-	o := obs.New(rt, obs.Options{})
+	o := obs.New(rt)
 	n := New(rt, Config{Profile: ProfileIUs, Obs: o})
 	registerEcho(n)
 
@@ -194,7 +194,7 @@ func TestMulticastUmbrellaSpan(t *testing.T) {
 // record metrics only — no spans (mid-stack instrumentation never roots).
 func TestUntracedCallEmitsNoSpans(t *testing.T) {
 	rt := sim.New(1)
-	o := obs.New(rt, obs.Options{})
+	o := obs.New(rt)
 	n := New(rt, Config{Profile: ProfileIUs, Obs: o})
 	registerEcho(n)
 	err := rt.Run(func() {

@@ -14,7 +14,9 @@ import (
 // served by the nearest replica, failing over to the next-nearest.
 
 // byDistance sorts targets in place by site RTT from the coordinator, self
-// first, then by node ID — the preference order for ONE reads.
+// first, then by node ID — the preference order for ONE reads. Over TCP the
+// transport reports every RTT as 0, so the order there is self first, then
+// node ID.
 func (cl *Client) byDistance(targets []transport.NodeID) {
 	mySite := cl.c.net.SiteOf(cl.node)
 	rtt := func(t transport.NodeID) time.Duration {

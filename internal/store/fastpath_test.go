@@ -14,7 +14,7 @@ import (
 func fixtureObs(t *testing.T, cfg Config, fn func(rt *sim.Virtual, net *simnet.Network, c *Cluster, ob *obs.Obs)) {
 	t.Helper()
 	rt := sim.New(7)
-	ob := obs.New(rt, obs.Options{})
+	ob := obs.New(rt)
 	net := simnet.New(rt, simnet.Config{Profile: simnet.ProfileIUs, NodesPerSite: 2, Obs: ob})
 	c := New(net, cfg)
 	if err := rt.Run(func() { fn(rt, net, c, ob) }); err != nil {

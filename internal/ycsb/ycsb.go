@@ -44,16 +44,18 @@ type Config struct {
 	Workload string
 	// Records is the keyspace size. Defaults to 1000.
 	Records int
-	// ValueSize is the update payload size in bytes. Defaults to 10
-	// (the paper's default data size).
-	ValueSize int
-	// Theta is the Zipfian skew parameter. Defaults to 0.99 (YCSB's
-	// standard constant). Ignored when Distribution is DistUniform.
-	Theta float64
 	// Distribution selects how keys are drawn: DistZipfian (default) or
 	// DistUniform.
 	Distribution string
 }
+
+const (
+	// valueSize is the update payload size in bytes: the paper's default
+	// data size.
+	valueSize = 10
+	// zipfTheta is the Zipfian skew: YCSB's standard constant.
+	zipfTheta = 0.99
+)
 
 // Op is one generated operation.
 type Op struct {
@@ -76,12 +78,6 @@ func NewGenerator(cfg Config, seed int64) (*Generator, error) {
 	if cfg.Records == 0 {
 		cfg.Records = 1000
 	}
-	if cfg.ValueSize == 0 {
-		cfg.ValueSize = 10
-	}
-	if cfg.Theta == 0 {
-		cfg.Theta = 0.99
-	}
 	if cfg.Distribution == "" {
 		cfg.Distribution = DistZipfian
 	}
@@ -91,14 +87,14 @@ func NewGenerator(cfg Config, seed int64) (*Generator, error) {
 		return nil, fmt.Errorf("ycsb: unknown workload %q", cfg.Workload)
 	}
 	rng := rand.New(rand.NewSource(seed))
-	val := make([]byte, cfg.ValueSize)
+	val := make([]byte, valueSize)
 	for i := range val {
 		val[i] = byte('a' + i%26)
 	}
 	g := &Generator{cfg: cfg, rng: rng, val: val}
 	switch cfg.Distribution {
 	case DistZipfian:
-		g.zip = NewZipfian(cfg.Records, cfg.Theta, rng)
+		g.zip = NewZipfian(cfg.Records, zipfTheta, rng)
 	case DistUniform:
 	default:
 		return nil, fmt.Errorf("ycsb: unknown distribution %q", cfg.Distribution)

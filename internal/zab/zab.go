@@ -43,12 +43,12 @@ func (t Txn) WireSize() int { return t.Size + 16 }
 // Apply is invoked on every server, in zxid order, once a txn commits.
 type Apply func(server simnet.NodeID, txn Txn)
 
-// CostModel sets per-message CPU costs plus the transaction-log fsync that
+// costModel sets per-message CPU costs plus the transaction-log fsync that
 // ZooKeeper performs for every proposal before acknowledging it. The fsync
 // is a serial per-server disk resource: proposals queue behind each other,
 // which caps the ensemble's write throughput independently of CPU and
 // network — the paper's "queueing effects of consensus writes" (§VIII-c).
-type CostModel struct {
+type costModel struct {
 	LeaderPropose time.Duration // leader work per proposal
 	FollowerAck   time.Duration // follower work per proposal
 	ServerRead    time.Duration // local read work
@@ -57,15 +57,13 @@ type CostModel struct {
 	FsyncPerKB    time.Duration // txn-log write time per payload KiB
 }
 
-func defaultCosts() CostModel {
-	return CostModel{
-		LeaderPropose: 260 * time.Microsecond,
-		FollowerAck:   110 * time.Microsecond,
-		ServerRead:    90 * time.Microsecond,
-		PerKB:         1500 * time.Nanosecond,
-		FsyncBase:     330 * time.Microsecond,
-		FsyncPerKB:    5 * time.Microsecond, // ~200 MB/s sequential log
-	}
+var defaultCosts = costModel{
+	LeaderPropose: 260 * time.Microsecond,
+	FollowerAck:   110 * time.Microsecond,
+	ServerRead:    90 * time.Microsecond,
+	PerKB:         1500 * time.Nanosecond,
+	FsyncBase:     330 * time.Microsecond,
+	FsyncPerKB:    5 * time.Microsecond, // ~200 MB/s sequential log
 }
 
 // Config describes a broadcast group.
@@ -76,16 +74,14 @@ type Config struct {
 	Nodes []simnet.NodeID
 	// Apply receives committed txns on every server.
 	Apply Apply
-	// Timeout bounds each replication round.
-	Timeout time.Duration
-	// Costs overrides CPU costs; zero fields keep defaults.
-	Costs CostModel
 }
 
-// Cluster is a Zab broadcast group.
+// Cluster is a Zab broadcast group. The network's RPC timeout bounds each
+// replication round.
 type Cluster struct {
 	net     *simnet.Network
 	cfg     Config
+	costs   costModel
 	servers map[simnet.NodeID]*server
 	leader  simnet.NodeID
 }
@@ -109,10 +105,7 @@ type server struct {
 // fsync models the per-proposal transaction-log sync: a serial disk whose
 // queue the calling task waits in.
 func (s *server) fsync(size int) {
-	costs := s.c.cfg.Costs
-	if costs.FsyncBase <= 0 {
-		return
-	}
+	costs := s.c.costs
 	rt := s.c.net.Runtime()
 	sp := s.c.net.Tracer().Child("zab.fsync")
 	defer sp.End()
@@ -133,32 +126,10 @@ func New(net *simnet.Network, cfg Config) (*Cluster, error) {
 	if len(cfg.Nodes) == 0 {
 		cfg.Nodes = net.Nodes()
 	}
-	if cfg.Timeout == 0 {
-		cfg.Timeout = net.RPCTimeout()
-	}
-	d := defaultCosts()
-	if cfg.Costs.LeaderPropose == 0 {
-		cfg.Costs.LeaderPropose = d.LeaderPropose
-	}
-	if cfg.Costs.FollowerAck == 0 {
-		cfg.Costs.FollowerAck = d.FollowerAck
-	}
-	if cfg.Costs.ServerRead == 0 {
-		cfg.Costs.ServerRead = d.ServerRead
-	}
-	if cfg.Costs.PerKB == 0 {
-		cfg.Costs.PerKB = d.PerKB
-	}
-	if cfg.Costs.FsyncBase == 0 {
-		cfg.Costs.FsyncBase = d.FsyncBase // negative disables
-	}
-	if cfg.Costs.FsyncPerKB == 0 {
-		cfg.Costs.FsyncPerKB = d.FsyncPerKB
-	}
-
 	c := &Cluster{
 		net:     net,
 		cfg:     cfg,
+		costs:   defaultCosts,
 		servers: make(map[simnet.NodeID]*server, len(cfg.Nodes)),
 		leader:  cfg.Nodes[0],
 	}
@@ -172,9 +143,9 @@ func New(net *simnet.Network, cfg Config) (*Cluster, error) {
 			pending: make(map[uint64]Txn),
 		}
 		c.servers[id] = s
-		s.node.HandleWithCost(svcForward, s.handleForward, cfg.Costs.LeaderPropose, cfg.Costs.PerKB)
-		s.node.HandleWithCost(svcPropose, s.handlePropose, cfg.Costs.FollowerAck, cfg.Costs.PerKB)
-		s.node.HandleWithCost(svcCommit, s.handleCommit, cfg.Costs.FollowerAck/2, 0)
+		s.node.HandleWithCost(svcForward, s.handleForward, c.costs.LeaderPropose, c.costs.PerKB)
+		s.node.HandleWithCost(svcPropose, s.handlePropose, c.costs.FollowerAck, c.costs.PerKB)
+		s.node.HandleWithCost(svcCommit, s.handleCommit, c.costs.FollowerAck/2, 0)
 	}
 	return c, nil
 }
@@ -212,7 +183,7 @@ func (c *Cluster) Submit(from simnet.NodeID, data any, size int) (zxid uint64, e
 	if from == c.leader {
 		return c.servers[c.leader].broadcast(data, size)
 	}
-	resp, err := c.net.CallTimeout(from, c.leader, svcForward, forwardMsg{Data: data, Size: size}, c.cfg.Timeout)
+	resp, err := c.net.CallTimeout(from, c.leader, svcForward, forwardMsg{Data: data, Size: size}, c.net.RPCTimeout())
 	if err != nil {
 		return 0, fmt.Errorf("zab submit: %w", err)
 	}
@@ -251,7 +222,7 @@ func (s *server) broadcast(data any, size int) (uint64, error) {
 		}
 		id := id
 		rt.Go(func() {
-			resp, err := s.c.net.CallTimeout(s.id, id, svcPropose, txn, s.c.cfg.Timeout)
+			resp, err := s.c.net.CallTimeout(s.id, id, svcPropose, txn, s.c.net.RPCTimeout())
 			if err != nil {
 				return
 			}
@@ -262,7 +233,7 @@ func (s *server) broadcast(data any, size int) (uint64, error) {
 	}
 
 	bc.Annotatef("zxid", "%d", zxid)
-	if _, err := done.AwaitTimeout(s.c.cfg.Timeout); err != nil {
+	if _, err := done.AwaitTimeout(s.c.net.RPCTimeout()); err != nil {
 		bc.EndErr(err)
 		return 0, fmt.Errorf("zab zxid %d: %w", zxid, ErrUnavailable)
 	}
@@ -361,5 +332,5 @@ func (c *Cluster) Applied(id simnet.NodeID) uint64 {
 // ReadWork charges a local read's CPU at the given server (used by the zk
 // layer for sequentially consistent local reads).
 func (c *Cluster) ReadWork(id simnet.NodeID) {
-	c.net.Node(id).Work(c.cfg.Costs.ServerRead)
+	c.net.Node(id).Work(c.costs.ServerRead)
 }

@@ -146,10 +146,11 @@ func TestFsyncSerializesLargeProposals(t *testing.T) {
 	// queue behind the leader's disk: throughput caps near 1/fsync.
 	rt := sim.New(4)
 	net := simnet.New(rt, simnet.Config{Profile: simnet.ProfileIUs})
-	c, err := New(net, Config{Costs: CostModel{FsyncBase: 2 * time.Millisecond}})
+	c, err := New(net, Config{})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
+	c.costs.FsyncBase = 2 * time.Millisecond
 	if err := rt.Run(func() {
 		done := sim.NewMailbox[error](rt)
 		const n = 100

@@ -439,7 +439,7 @@ func TestHandoffOverTCPKeepsHoldersDisjoint(t *testing.T) {
 		listeners[i] = lis
 		peers[i] = nettrans.Peer{ID: transport.NodeID(i), Site: site, Addr: lis.Addr().String()}
 	}
-	ob := obs.New(rt, obs.Options{})
+	ob := obs.New(rt)
 	clusters := make([]*Cluster, len(sites))
 	for i := range sites {
 		tr, err := nettrans.New(rt, nettrans.Config{Self: peers[i].ID, Peers: peers, Listener: listeners[i], Obs: ob})

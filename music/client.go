@@ -224,7 +224,7 @@ func (cl *Client) withRetry(opName, key string, ref LockRef, reacquire bool, op 
 			// same lockRef: the new replica re-grants (synchronizing if a
 			// preemption left the flag set) or times out, after which the
 			// critical op itself is retried there.
-			if err := cl.await(true, key, ref, pol.FailoverAwait); err != nil {
+			if err := cl.await(true, key, ref, failoverAwait); err != nil {
 				if !IsRetryable(err) && !ErrAwaitTimeout(err) {
 					return err
 				}

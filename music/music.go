@@ -224,7 +224,7 @@ func New(opts ...Option) (*Cluster, error) {
 		AdaptiveReads: o.adaptive,
 	}
 	if o.obs {
-		cfg.Obs = obs.New(rt, obs.Options{})
+		cfg.Obs = obs.New(rt)
 	}
 	if o.history {
 		cfg.History = history.New(rt)
@@ -388,11 +388,10 @@ func NewOverTransport(tr transport.Transport, cfg TransportConfig) (*Cluster, er
 			clients[i] = st.Client(nodes[i%len(nodes)])
 		}
 		rep := core.NewReplicaSharded(clients, core.Config{
-			T:             cfg.T,
-			History:       cfg.History,
-			Leases:        cfg.Leases,
-			AdaptiveReads: cfg.AdaptiveReads,
-			Monitor:       mon,
+			T:       cfg.T,
+			History: cfg.History,
+			Leases:  cfg.Leases,
+			Monitor: mon,
 		})
 		c.replicas[site] = rep
 		if mon != nil {

@@ -58,19 +58,18 @@ type RetryPolicy struct {
 	BaseBackoff time.Duration
 	// MaxBackoff caps the doubling backoff. Defaults to 2s.
 	MaxBackoff time.Duration
-	// FailoverAwait bounds the re-driven lock acquisition at a failover
-	// site before the interrupted critical operation is retried there.
-	// Defaults to 30s.
-	FailoverAwait time.Duration
 }
 
 // DefaultRetryPolicy is the policy clients use unless WithRetry overrides it.
 var DefaultRetryPolicy = RetryPolicy{
-	Attempts:      4,
-	BaseBackoff:   25 * time.Millisecond,
-	MaxBackoff:    2 * time.Second,
-	FailoverAwait: 30 * time.Second,
+	Attempts:    4,
+	BaseBackoff: 25 * time.Millisecond,
+	MaxBackoff:  2 * time.Second,
 }
+
+// failoverAwait bounds the re-driven lock acquisition at a failover site
+// before the interrupted critical operation is retried there.
+const failoverAwait = 30 * time.Second
 
 // NoRetry restores the fail-on-first-error behavior (one attempt, no
 // backoff). Failover, if configured, still applies after that attempt.
@@ -85,9 +84,6 @@ func (p RetryPolicy) withDefaults() RetryPolicy {
 	}
 	if p.MaxBackoff <= 0 {
 		p.MaxBackoff = DefaultRetryPolicy.MaxBackoff
-	}
-	if p.FailoverAwait <= 0 {
-		p.FailoverAwait = DefaultRetryPolicy.FailoverAwait
 	}
 	return p
 }

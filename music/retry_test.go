@@ -59,7 +59,7 @@ func TestRetryPolicyDefaults(t *testing.T) {
 	if partial.Attempts != 2 || partial.MaxBackoff != 10*time.Second {
 		t.Errorf("withDefaults overwrote explicit fields: %+v", partial)
 	}
-	if partial.BaseBackoff != DefaultRetryPolicy.BaseBackoff || partial.FailoverAwait != DefaultRetryPolicy.FailoverAwait {
+	if partial.BaseBackoff != DefaultRetryPolicy.BaseBackoff {
 		t.Errorf("withDefaults left zero fields unfilled: %+v", partial)
 	}
 

@@ -60,6 +60,11 @@ go test -race ./internal/wire/ -run 'TestInternAfterDecodePanics|TestVocabularyC
 # still in flight: a record freed by its caller alone hands one caller's
 # reply to another.
 go test ./internal/simnet/ -run 'TestRecordReuseAfterTimeout' -count=1 -timeout 300s
+# Every public knob earns its place: each field of an exported *Config,
+# *Options or *Policy struct is set by a non-test file outside its package,
+# and each exported music.With* option is called by one, or it has an
+# allowlist line with its reason. A test-only knob fails here by name.
+go test ./internal/knobs/ -count=1 -timeout 300s
 
 # Fault-injection campaign under pinned seeds: the deterministic crash /
 # partition / ack-loss scenarios plus the chaos interleavings, re-run with
